@@ -1,10 +1,12 @@
-"""Hot enumeration kernels: numba @njit with a pure-numpy fallback.
+"""Hot enumeration kernels over exact int64 modular arithmetic.
 
 Two loops dominate runtime in this package: the q^(r*n) sweep counting
 F_q[t]-points of a variety, and the residue-pair sweep behind exhaustive
-Taylor-approximation checks.  Both are exact int64 modular arithmetic, so
-they JIT well.  Set NONARCH_LAB_NO_NUMBA=1 to force the numpy path (the
-numpy path is also used automatically when numba is unavailable).
+Taylor-approximation checks.  The F_q[t] count runs under numba @njit when
+numba is importable and on a numpy fallback otherwise; set
+NONARCH_LAB_NO_NUMBA=1 to force the numpy path.  The pair sweep works
+modulo p^s (s the p-denominator exponent of the divided derivatives) and
+is block-vectorized numpy.
 
 Everything here is exact: moduli are kept small enough that int64 products
 cannot overflow (callers fall back to big-int Python code otherwise).
@@ -206,108 +208,61 @@ def ff_count(q, r, n, packed, threads=1, want_indices=False, chunk=1 << 15):
 
 
 # ---------------------------------------------------------------------------
-# Taylor residue-sweep kernels
+# Taylor residue-pair sweep
 #
-# table[y, j] holds the p^s-scaled value of the j-th divided derivative at
-# residue y, modulo `mod` = p^Kp.  The pair sweep checks that the factored
-# remainder  S_y(h) = sum_{j>=r} g_j(y) h^(j-r)  has valuation >= s at
-# h = x - y for every ordered residue pair, which is the remainder half of
-# the Taylor property.
+# table[y, j] holds p^s times the j-th divided derivative at residue y,
+# modulo `mod` = p^s, where s is the p-denominator exponent of the divided
+# derivatives.  The remainder half of the Taylor property asks that the
+# factored remainder  S_y(h) = sum_{j>=r} g_j(y) h^(j-r)  have valuation
+# >= 0 at h = x - y for every ordered residue pair, i.e. that p^s * S_y(h)
+# vanish modulo p^s.  With s = 0 the modulus is 1 and nothing can fail.
 # ---------------------------------------------------------------------------
 
-def _pv(value, p, cap):
-    if value == 0:
-        return cap
-    v = 0
-    while value % p == 0 and v < cap:
-        value //= p
-        v += 1
-    return v
+SWEEP_BLOCK = 1 << 16  # int64 entries per block of the 2-D Horner
 
 
-def _tr_pair_sweep_py(table, xs, p, mod, cap, need, r):
+def tr_pair_sweep(table, xs, mod, r):
+    """First residue pair (y, x), x != y, at which the factored remainder is
+    nonzero modulo mod, or (-1, -1); scan order is ascending y then
+    ascending x.  A 2-D Horner runs over blocks of y rows by all residues."""
+    if mod == 1:
+        return -1, -1
     R, J = table.shape
-    for y in range(R):
-        for x in range(R):
-            if x == y:
-                continue
-            h = (xs[x] - xs[y]) % mod
-            val = np.int64(0)
-            for j in range(J - 1, r - 1, -1):
-                val = (val * h + table[y, j]) % mod
-            v = 0
-            if val == 0:
-                v = cap
-            else:
-                while val % p == 0 and v < cap:
-                    val //= p
-                    v += 1
-            if v < need:
-                return y, x
-    return -1, -1
-
-
-if HAVE_NUMBA:
-    _tr_pair_sweep_fast = njit(cache=False, nogil=True)(_tr_pair_sweep_py)
-else:
-    _tr_pair_sweep_fast = None
-
-
-def _tr_pair_sweep_numpy(table, xs, p, mod, cap, need, r):
-    R, J = table.shape
-    for y in range(R):
-        h = (xs - xs[y]) % mod
-        val = np.zeros(R, dtype=np.int64)
+    xs = xs % mod
+    rows = max(1, SWEEP_BLOCK // R)
+    for y0 in range(0, R, rows):
+        y1 = min(y0 + rows, R)
+        h = xs[None, :] - xs[y0:y1, None]
+        h %= mod
+        val = np.zeros_like(h)
         for j in range(J - 1, r - 1, -1):
-            val = (val * h + table[y, j]) % mod
-        v = np.full(R, 0, dtype=np.int64)
-        rem = val.copy()
-        zero = rem == 0
-        v[zero] = cap
-        live = ~zero
-        for _ in range(cap):
-            if not live.any():
-                break
-            div = live & (rem % p == 0)
-            if not div.any():
-                break
-            rem[div] //= p
-            v[div] += 1
-            live = div
-        bad = (v < need)
-        bad[y] = False
-        if bad.any():
-            return y, int(np.argmax(bad))
+            val *= h
+            val += table[y0:y1, j, None]
+            val %= mod
+        val[np.arange(y1 - y0), np.arange(y0, y1)] = 0
+        bad = val.ravel() != 0
+        first = int(bad.argmax())
+        if bad[first]:
+            return y0 + first // R, first % R
     return -1, -1
 
 
-def tr_pair_sweep(table, xs, p, mod, cap, need, r):
-    """First residue pair (y, x) violating the factored remainder bound,
-    or (-1, -1); scan order is ascending y then ascending x."""
-    if HAVE_NUMBA:
-        return _tr_pair_sweep_fast(table, xs, p, mod, cap, need, r)
-    return _tr_pair_sweep_numpy(table, xs, p, mod, cap, need, r)
-
-
-def tr_pair_sweep_bigint(values_by_y, xs, p, mod, cap, need, r):
-    """Big-integer fallback for moduli beyond int64 safety.
-
-    values_by_y: list over y of lists of scaled divided-derivative values
-    (python ints, ascending order j = 0..J-1).
-    """
+def tr_pair_sweep_bigint(table, xs, mod, r):
+    """Big-integer sweep for moduli beyond int64 safety; same contract as
+    tr_pair_sweep, with table[y][j] and xs Python ints."""
+    if mod == 1:
+        return -1, -1
     R = len(xs)
     for y in range(R):
-        coeffs = values_by_y[y]
-        J = len(coeffs)
+        coeffs = table[y]
         for x in range(R):
             if x == y:
                 continue
             h = (xs[x] - xs[y]) % mod
             val = 0
-            for j in range(J - 1, r - 1, -1):
+            for j in range(len(coeffs) - 1, r - 1, -1):
                 val = (val * h + coeffs[j]) % mod
-            v = _pv(val, p, cap)
-            if v < need:
+            if val:
                 return y, x
     return -1, -1
 

@@ -228,7 +228,7 @@ class DetBoundReport:
             "m": self.setup.m, "n": self.setup.n, "d": self.setup.d,
             "mu": self.setup.mu, "r": self.setup.r, "e": self.setup.e,
             "alpha": self.alpha,
-            "ord_delta": "inf" if self.ord_delta is INF else int(self.ord_delta),
+            "ord_delta": "inf" if self.ord_delta == INF else int(self.ord_delta),
             "bound": self.bound,
             "ok": self.ok,
         }

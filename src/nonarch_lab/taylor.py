@@ -5,11 +5,14 @@ verified exhaustively on residue classes.
 For a polynomial f the remainder f(x) - T_y(x) factors exactly as
 (x-y)^r * S(x,y) with S(x,y) = sum_{j>=r} g_j(y) (x-y)^(j-r), where g_j is
 the j-th divided derivative.  The remainder half of T_r is therefore the
-integrality of S, which is decidable on residues: an exhaustive sweep at
-modulus p^K is a proof for all Z_p-points once K is at least the
-p-denominator exponent of the divided derivatives.  The sweep runs on the
-int64 kernels; failures are re-checked in exact rational arithmetic and
-reported as witnesses.
+integrality of S, which is decidable on residues.  With s the
+p-denominator exponent of the divided derivatives, both halves ask only
+whether p^s divides p^s * g_j(y) (j <= r) and p^s * S(x,y); reduction
+modulo p^s is a ring map, so the univariate check is decided entirely
+modulo p^s, and an exhaustive sweep over residues mod p^K is a proof for
+all Z_p-points once K >= s (K only sets the number of residues).  When
+s = 0 nothing can fail.  The sweep runs on the int64 kernels; failures are
+re-checked in exact rational arithmetic and reported as witnesses.
 """
 
 from __future__ import annotations
@@ -272,10 +275,12 @@ class ExhaustiveStrategy:
 
     For polynomial maps this is a proof for all Z_p-points of the domain:
     with s the p-denominator exponent of the divided derivatives and
-    K >= s, every verdict is conclusive for the whole residue class.  The
-    default K is alpha*r + 8; `lean` drops it to the minimal conclusive
-    s + 2, which keeps residue counts small when certificates are only a
-    stepping stone (determinant runs).
+    K >= s, every verdict is conclusive for the whole residue class.  In
+    one variable the values are carried modulo p^s, not p^(K+s): K only
+    sets the number of residues swept.  The default K is alpha*r + 8;
+    `lean` drops it to the minimal conclusive s + 2, which keeps residue
+    counts small when certificates are only a stepping stone (determinant
+    runs).
     """
 
     K: int | None = None
@@ -318,7 +323,8 @@ class TrCertificate:
     def to_json(self):
         wit = None
         if self.witness is not None:
-            wit = {k: (str(v) if isinstance(v, Fraction) else v)
+            wit = {k: (tuple(_json_exact(e) for e in v) if isinstance(v, tuple)
+                       else _json_exact(v))
                    for k, v in self.witness.items()}
         return {
             "r": self.r,
@@ -328,6 +334,10 @@ class TrCertificate:
             "witness": wit,
             "provenance": self.provenance,
         }
+
+
+def _json_exact(v):
+    return str(v) if isinstance(v, Fraction) else v
 
 
 def _dense_univariate(poly):
@@ -422,8 +432,6 @@ def _check_tr_1d(f, r, strategy, ball):
         s = max(s, _denominator_exponent(lists, p))
 
     K = _default_K(strategy, ball, r, s)
-    Kp = K + s
-    mod = p ** Kp
 
     if isinstance(strategy, SampledStrategy):
         return _check_tr_sampled(f, r, strategy, ball, K)
@@ -438,55 +446,60 @@ def _check_tr_1d(f, r, strategy, ball):
     xs_list = [x[0] for x in ball.residues(K)]
     tag = strategy.tag(p, K)
 
+    # every test below asks whether p^s divides a scaled value, so the
+    # whole check runs modulo p^s; K only sets the number of residues
+    mod = p ** s
     use_kernel = _kernels.int64_safe(mod)
-    xs = np.array(xs_list, dtype=np.int64) if use_kernel else xs_list
+    xs_mod = [x % mod for x in xs_list]
+    xs = np.array(xs_mod, dtype=np.int64) if use_kernel else xs_mod
 
     for comp_idx, lists in enumerate(all_lists):
         J = len(lists)
-        scaled = []
-        for gj in lists:
-            scaled.append([rational_residue(c * Fraction(p) ** s, p, Kp)
-                           for c in gj])
-        if use_kernel:
-            table = np.zeros((len(xs_list), J), dtype=np.int64)
-            for j, cs in enumerate(scaled):
-                table[:, j] = _kernels.horner_values(list(reversed(cs)), xs, mod)
-            values_by_y = table
-        else:
-            values_by_y = [[_horner_big(cs, x, mod) for cs in scaled]
-                           for x in xs_list]
+        table = _residue_table(lists, xs, p, s, use_kernel)
 
         # remainder sweep first: the factored remainder must stay integral
         if J > r:
             if use_kernel:
-                by, bx = _kernels.tr_pair_sweep(table, xs, p, mod, Kp, s, r)
+                by, bx = _kernels.tr_pair_sweep(table, xs, mod, r)
             else:
-                by, bx = _kernels.tr_pair_sweep_bigint(values_by_y, xs_list,
-                                                       p, mod, Kp, s, r)
+                by, bx = _kernels.tr_pair_sweep_bigint(table, xs, mod, r)
             if by >= 0:
                 witness = _remainder_witness(f, r, comp_idx,
                                              (xs_list[bx],), (xs_list[by],), p)
                 return TrCertificate(f, r, ball, "fails", tag, K, witness,
                                      provenance)
 
-        # pointwise C^r bound, plus the higher-order margins that settle
-        # pairs inside one residue class
-        for yi, x in enumerate(xs_list):
-            vals = values_by_y[yi] if not use_kernel else table[yi]
-            for j in range(J):
-                v = _int_val(int(vals[j]) if use_kernel else vals[j], p, Kp)
-                if j <= r:
-                    if v < s:
-                        witness = _cr_witness(f, comp_idx, j, (x,), p, v - s)
-                        return TrCertificate(f, r, ball, "fails", tag, K,
-                                             witness, provenance)
-                elif v < s - (j - r) * K:
-                    return TrCertificate(
-                        f, r, ball, "indeterminate", tag, K,
-                        {"kind": "precision", "j": j, "y": x},
-                        provenance)
+        # pointwise C^r bound: the first (y, j <= r) whose scaled value is
+        # nonzero mod p^s; its exact valuation goes into the witness
+        bad = table[:, :r + 1] != 0
+        if bad.any():
+            yi, j = divmod(int(bad.argmax()), bad.shape[1])
+            x = xs_list[yi]
+            v = val_fraction(sum(c * Fraction(x) ** i
+                                 for i, c in enumerate(lists[j])), p)
+            witness = _cr_witness(f, comp_idx, j, (x,), p, v)
+            return TrCertificate(f, r, ball, "fails", tag, K, witness,
+                                 provenance)
 
     return TrCertificate(f, r, ball, "holds", tag, K, None, provenance)
+
+
+def _residue_table(lists, xs, p, s, use_kernel):
+    """table[y, j] = p^s * g_j(xs[y]) modulo p^s, shape (R, J); all zeros
+    when s = 0."""
+    R, J = len(xs), len(lists)
+    if s == 0:
+        return np.zeros((R, J), dtype=np.int64)
+    mod = p ** s
+    scale = Fraction(p) ** s
+    scaled = [[rational_residue(c * scale, p, s) for c in gj] for gj in lists]
+    if use_kernel:
+        table = np.empty((R, J), dtype=np.int64)
+        for j, cs in enumerate(scaled):
+            table[:, j] = _kernels.horner_values(list(reversed(cs)), xs, mod)
+        return table
+    return np.array([[_horner_big(cs, x, mod) for cs in scaled] for x in xs],
+                    dtype=object)
 
 
 def _horner_big(coeffs, x, mod):
@@ -494,16 +507,6 @@ def _horner_big(coeffs, x, mod):
     for c in reversed(coeffs):
         val = (val * x + c) % mod
     return val
-
-
-def _int_val(v, p, cap):
-    if v == 0:
-        return cap
-    out = 0
-    while v % p == 0 and out < cap:
-        v //= p
-        out += 1
-    return out
 
 
 def _cr_witness(f, comp_idx, order, y, p, valuation):

@@ -185,3 +185,42 @@ def pointwise_cr_valuation(coeffs, r, points, p):
             val = sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(dd))
             best = min(best, padic_val(val, p))
     return best
+
+
+def tr_residue_oracle(components, r, p, residues):
+    """First T_r violation of a univariate polynomial map on the given
+    residues, straight from the definition, or None.
+
+    Per component (dense ascending rational coefficients): every ordered
+    pair x != y must satisfy ord(f(x) - T_y(x)) >= r * ord(x - y), with T_y
+    the degree-(r-1) Taylor polynomial built from f^(j)(y) / j!; then every
+    y must satisfy ord(f^(j)(y) / j!) >= 0 for j <= r.  Returns
+    ("remainder", component, x, y) or ("cr_norm", component, j, y, ord).
+    """
+    def ev(cs, x):
+        return sum(c * Fraction(x) ** i for i, c in enumerate(cs))
+
+    fact = [1]
+    for j in range(1, r + 1):
+        fact.append(fact[-1] * j)
+    for ci, coeffs in enumerate(components):
+        derivs = [[Fraction(c) for c in coeffs]]
+        for _ in range(len(coeffs)):
+            prev = derivs[-1]
+            derivs.append([i * prev[i] for i in range(1, len(prev))])
+        taylor = {y: [ev(derivs[j], y) / fact[j] if j < len(derivs) else Fraction(0)
+                      for j in range(r + 1)]
+                  for y in residues}
+        for y in residues:
+            for x in residues:
+                if x == y:
+                    continue
+                t_y = sum(taylor[y][j] * Fraction(x - y) ** j for j in range(r))
+                if padic_val(ev(coeffs, x) - t_y, p) < r * padic_val(x - y, p):
+                    return ("remainder", ci, x, y)
+        for y in residues:
+            for j in range(r + 1):
+                v = padic_val(taylor[y][j], p)
+                if v < 0:
+                    return ("cr_norm", ci, j, y, v)
+    return None

@@ -98,6 +98,25 @@ def test_taylor_check_cli(tmp_path):
     assert report["results"]["witness"]["x"] == 2
 
 
+def test_taylor_check_multivariate_cr_witness(tmp_path):
+    # x^2/2 + y over Z_2^2: the second divided derivative in x is 1/2, so
+    # the report carries a cr_norm witness at a 2-D point of Fractions
+    half = {"m": 2, "n": 1, "p": 2,
+            "components": [[{"exp": [2, 0], "coeff": "1/2"},
+                            {"exp": [0, 1], "coeff": "1"}]],
+            "domain": {"center": ["0", "0"], "alpha": 0}}
+    path = write(tmp_path, "half.json", half)
+    code, report = run_to_json(["taylor-check", path, "--r", "2", "--K", "3"],
+                               tmp_path)
+    assert code == 1
+    res = report["results"]
+    assert res["verdict"] == "fails"
+    wit = res["witness"]
+    assert wit["kind"] == "cr_norm"
+    assert wit["order"] == [2, 0] and wit["valuation"] == -1
+    assert wit["y"] == ["0", "0"]
+
+
 def test_count_ff_cli(tmp_path):
     path = write(tmp_path, "yx3.json", YX3)
     csv_path = str(tmp_path / "counts.csv")

@@ -75,6 +75,15 @@ def test_det_bound_mu2():
     assert rep.ok and rep.ord_delta >= ball.alpha
 
 
+def test_det_bound_zero_determinant_serializes():
+    # two equal points give a zero determinant, of valuation infinity
+    ball = Ball(3, (0,), 1)
+    psi = PolyMap(1, 1, [MultiPoly(1, {(1,): 1})], domain=ball)
+    rep = det_bound_check(psi, [(3,), (3,)], ball, 1)
+    assert rep.delta == 0 and rep.ok
+    assert rep.to_json()["ord_delta"] == "inf"
+
+
 def test_det_bound_vandermonde():
     ball = Ball(3, (0,), 1)
     psi = PolyMap(1, 1, [MultiPoly(1, {(1,): 1})], domain=ball)

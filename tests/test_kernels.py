@@ -5,38 +5,77 @@ from nonarch_lab import _kernels
 from nonarch_lab.arith_core import Ball
 
 
-def _random_case(seed, p=3, K=5, degree=8, n=40):
+# (p, s) per case: the sweep modulus is p^s
+SWEEP_CASES = ((2, 3), (3, 2), (5, 1))
+
+
+def _sweep_case(seed, p, s, R=300, J=7, r=2):
+    """Residues mod p^9 and a sparse random table mod p^s whose remainder
+    columns vanish on the whole first block of the 2-D Horner, so any
+    violation lies past a block boundary.  Remainder entries carry random
+    valuations, so some pairs (y, x) pass where x - y is divisible by p."""
     rng = np.random.default_rng(seed)
-    mod = p ** K
-    xs = rng.choice(np.arange(mod, dtype=np.int64), size=n, replace=False)
-    table = rng.integers(0, mod, size=(n, degree + 1), dtype=np.int64)
-    return xs, table, mod
+    mod = p ** s
+    xs = rng.choice(p ** 9, size=R, replace=False).astype(np.int64)
+    table = rng.integers(0, mod, size=(R, J), dtype=np.int64)
+    table[:, r:] *= rng.random((R, J - r)) < 0.01
+    table[:, r:] = table[:, r:] * p ** rng.integers(0, s, size=(R, J - r)) % mod
+    table[:_kernels.SWEEP_BLOCK // R, r:] = 0
+    return xs, table, mod, r
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("need", [0, 1, 2])
-def test_pair_sweep_backends_agree(seed, need):
-    p, K, r = 3, 5, 2
-    xs, table, mod = _random_case(seed, p, K)
-    res_np = _kernels._tr_pair_sweep_numpy(table, xs, p, mod, K, need, r)
+@pytest.mark.parametrize("case", [0, 1, 2])
+def test_pair_sweep_backends_agree(seed, case):
+    p, s = SWEEP_CASES[case]
+    xs, table, mod, r = _sweep_case(seed, p, s)
+    res_np = _kernels.tr_pair_sweep(table, xs, mod, r)
     values = [list(map(int, row)) for row in table]
     res_big = _kernels.tr_pair_sweep_bigint(values, [int(x) for x in xs],
-                                            p, mod, K, need, r)
+                                            mod, r)
     assert tuple(int(v) for v in res_np) == tuple(res_big)
-    if _kernels.HAVE_NUMBA:
-        res_nb = _kernels._tr_pair_sweep_fast(table, xs, p, mod, K, need, r)
-        assert tuple(int(v) for v in res_nb) == tuple(res_big)
+    # the witness lies past the first block of the 2-D Horner
+    assert res_big[0] >= _kernels.SWEEP_BLOCK // table.shape[0]
+
+
+def test_pair_sweep_skips_diagonal_in_every_block():
+    # S_y(h) = 1 + h mod 2 vanishes at every odd h; with xs[y] the only even
+    # residue, only the excluded pair x = y (h = 0) is nonzero
+    R, y = 300, 250
+    assert y >= _kernels.SWEEP_BLOCK // R  # past the first block
+    xs = np.arange(1, 2 * R, 2, dtype=np.int64)
+    xs[y] = 0
+    table = np.zeros((R, 5), dtype=np.int64)
+    table[y, 2:4] = 1
+    assert tuple(int(v) for v in _kernels.tr_pair_sweep(table, xs, 2, 2)) == (-1, -1)
+    assert _kernels.tr_pair_sweep_bigint(table.tolist(), xs.tolist(), 2, 2) == (-1, -1)
 
 
 def test_pair_sweep_witness_order_is_lexicographic():
     # plant a violation at (y=2, x=0) and a later one; the earlier wins
-    p, mod, K = 3, 3 ** 4, 4
+    mod = 3
     xs = np.array([0, 1, 2, 4], dtype=np.int64)
     table = np.zeros((4, 4), dtype=np.int64)
-    table[2, 2] = 1   # S_y constant term with valuation 0 < need
+    table[2, 2] = 1   # S_y constant term nonzero mod p^s
     table[3, 2] = 1
-    res = _kernels._tr_pair_sweep_numpy(table, xs, p, mod, K, 1, 2)
-    assert tuple(int(v) for v in res) == (2, 0)
+    assert tuple(int(v) for v in _kernels.tr_pair_sweep(table, xs, mod, 2)) == (2, 0)
+    assert _kernels.tr_pair_sweep_bigint(table.tolist(), xs.tolist(), mod, 2) == (2, 0)
+    # within a row the first failing x wins: S_0(h) = h vanishes mod 3 at
+    # x = 1 (h = 3) and is nonzero at x = 2 (h = 1)
+    xs = np.array([0, 3, 1, 2], dtype=np.int64)
+    table[:] = 0
+    table[0, 3] = 1
+    assert tuple(int(v) for v in _kernels.tr_pair_sweep(table, xs, mod, 2)) == (0, 2)
+    assert _kernels.tr_pair_sweep_bigint(table.tolist(), xs.tolist(), mod, 2) == (0, 2)
+
+
+def test_pair_sweep_mod_one_is_vacuous():
+    # s = 0: every value is 0 modulo p^0, so no pair can fail
+    rng = np.random.default_rng(5)
+    xs = np.arange(50, dtype=np.int64)
+    table = rng.integers(1, 100, size=(50, 6), dtype=np.int64)
+    assert tuple(_kernels.tr_pair_sweep(table, xs, 1, 2)) == (-1, -1)
+    assert _kernels.tr_pair_sweep_bigint(table.tolist(), xs.tolist(), 1, 2) == (-1, -1)
 
 
 def test_horner_values_matches_python():

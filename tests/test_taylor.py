@@ -101,6 +101,43 @@ def test_check_tr_binomial_fails_with_witness():
     assert recheck_witness(BINOM2, 1, cert.witness, 2)
 
 
+def test_check_tr_matches_exact_oracle():
+    # p-denominators make s > 0, so the sweep runs modulo p^s; verdict and
+    # witness must be those of the definition checked pair by pair
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(60):
+        p = rng.choice([2, 3])
+        ncomp = rng.choice([1, 1, 2])
+        comps = []
+        for _ in range(ncomp):
+            comps.append([Fraction(rng.randint(-4, 4)) * Fraction(p) ** rng.randint(-1, 2)
+                          for _ in range(rng.randint(2, 6))])
+        comps[0][rng.randrange(len(comps[0]))] = Fraction(rng.choice([1, -1, 2]), p)
+        alpha = rng.choice([0, 1])
+        ball = Ball(p, (rng.randrange(p) if alpha else 0,), alpha)
+        f = PolyMap(1, ncomp, [MultiPoly(1, {(i,): c for i, c in enumerate(cs)})
+                               for cs in comps], domain=ball)
+        r = rng.randint(1, 3)
+        cert = check_Tr(f, r, ExhaustiveStrategy(lean=True))
+        residues = [x[0] for x in ball.residues(cert.K)]
+        want = oracles.tr_residue_oracle(comps, r, p, residues)
+        wit = cert.witness
+        if want is None:
+            assert cert.verdict == "holds"
+            outcomes.add("holds")
+            continue
+        assert cert.verdict == "fails"
+        assert recheck_witness(f, r, wit, p)
+        outcomes.add(want[0])
+        if want[0] == "remainder":
+            assert (wit["kind"], wit["component"], wit["x"], wit["y"]) == want
+        else:
+            assert (wit["kind"], wit["component"], wit["order"], wit["y"],
+                    wit["valuation"]) == (want[0], want[1], (want[2],), want[3], want[4])
+    assert outcomes == {"holds", "remainder", "cr_norm"}
+
+
 def test_check_tr_x3_holds():
     cert = check_Tr(X3, 2, ExhaustiveStrategy(K=5))
     assert cert.verdict == "holds"
