@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
@@ -104,6 +105,18 @@ def load_json(path):
             f"{err.msg}") from err
 
 
+@contextmanager
+def input_schema(path):
+    """Report a missing key or a mistyped value met while reading an input
+    file as a configuration error (exit 2), not a traceback."""
+    try:
+        yield
+    except KeyError as err:
+        raise ConfigError(f"{path}: missing key {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: malformed input: {err}") from err
+
+
 def parse_semialg(data):
     from .heights import PadicConstraint, SemialgSpec
 
@@ -190,7 +203,8 @@ def cmd_bounds(args, started):
 def cmd_heights(args, started):
     from .heights import points_k, points_Q, points_Z
 
-    spec = parse_semialg(load_json(args.input))
+    with input_schema(args.input):
+        spec = parse_semialg(load_json(args.input))
     if args.mode == "Z":
         pts = points_Z(spec, args.T, cap=args.cap)
     elif args.mode == "k":
@@ -236,12 +250,13 @@ def cmd_det_cover(args, started):
     from .detmethod import cover_points
 
     data = load_json(args.input)
-    curve = parse_semialg(data["curve"])
-    psi = parse_polymap(data["psi"])
-    T = args.T if args.T is not None else int(data["T"])
-    d = args.d if args.d is not None else int(data["d"])
-    p = args.p if args.p is not None else int(data["p"])
-    cert_K = args.K if args.K is not None else data.get("precision")
+    with input_schema(args.input):
+        curve = parse_semialg(data["curve"])
+        psi = parse_polymap(data["psi"])
+        T = args.T if args.T is not None else int(data["T"])
+        d = args.d if args.d is not None else int(data["d"])
+        p = args.p if args.p is not None else int(data["p"])
+        cert_K = args.K if args.K is not None else data.get("precision")
     cover = cover_points(curve, psi, T, d, p, cap=args.cap, cert_K=cert_K)
     report = {
         "config": base_config(args, input=os.path.basename(args.input),

@@ -1,9 +1,11 @@
-"""Height functions and brute-force enumeration of bounded-height points.
+"""Height functions and fibred enumeration of bounded-height points.
 
 H_0 of a rational r/s in lowest terms is max(|r|, |s|); the polynomial
 height of x at degree k is the minimal H_0 over nonzero integer tuples a
 with sum a_i x^i = 0.  Point sets of polynomially-defined subsets of Q^n
-are enumerated over the exact candidate grid of rationals of height <= T.
+are enumerated exactly over the candidate grid of rationals of height <= T,
+fibre by fibre: the first n-1 coordinates run over the grid and the last
+one is read off as a rational root of an integer polynomial.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .arith_core import MultiPoly, val_fraction
 from .errors import CapExceededError, ConfigError
@@ -64,8 +67,6 @@ def enumerate_heights(T):
     (h0, |numerator|, sign, denominator)."""
     if T < 1:
         raise ConfigError("need T >= 1")
-    from math import gcd
-
     for h in range(1, T + 1):
         batch = set()
         if h == 1:
@@ -134,16 +135,108 @@ class SemialgSpec:
 
 
 def _grid_points(X, values, cap):
+    """Members of X in values^n, in itertools.product order (values are
+    distinct rationals).
+
+    Fibre by fibre: at each prefix of the first n-1 coordinates the first
+    equation whose specialization is not the zero polynomial gives an
+    integer polynomial in the last variable, whose roots among values come
+    from the rational-root theorem; only those candidates meet the full
+    X.accepts.  A fibre is scanned over all of values only when no equation
+    constrains it (no equations, or every one vanishes on the fibre).
+    """
     if X.nvars > 4:
         raise ConfigError("point enumeration is limited to n <= 4 variables")
     total = len(values) ** X.nvars
     if total > cap:
         raise CapExceededError(f"candidate grid of size {total} exceeds cap {cap}")
+    if X.nvars == 0:
+        return [()] if X.accepts(()) else []
+    last = X.nvars - 1
+    fracs = [Fraction(v) for v in values]
+    index = {v: i for i, v in enumerate(fracs)}
+    max_num = max((abs(v.numerator) for v in fracs), default=0)
+    max_den = max((v.denominator for v in fracs), default=1)
+    fibrations, degrees = _integer_fibrations(X.equations, last)
+    # powers[i][vi][e] = num^e * den^(D_i - e) for the value vi in slot i,
+    # so every term is scaled by the same prod den_i^(D_i)
+    powers = [[[v.numerator ** e * v.denominator ** (D - e) for e in range(D + 1)]
+               for v in fracs] for D in degrees]
+    scan = range(len(values))
     out = []
-    for point in itertools.product(values, repeat=X.nvars):
-        if X.accepts(point):
-            out.append(tuple(point))
+    for prefix_idx in itertools.product(scan, repeat=last):
+        rows = [powers[i][vi] for i, vi in enumerate(prefix_idx)]
+        candidates = scan
+        for terms, width in fibrations:
+            coeffs = [0] * width
+            for j, c, exps in terms:
+                for row, e in zip(rows, exps):
+                    c *= row[e]
+                coeffs[j] += c
+            if any(coeffs):
+                candidates = _root_indices(coeffs, index, max_num, max_den)
+                break
+        prefix = tuple(values[vi] for vi in prefix_idx)
+        for i in candidates:
+            point = prefix + (values[i],)
+            if X.accepts(point):
+                out.append(point)
     return out
+
+
+def _integer_fibrations(equations, last):
+    """Each equation as an integer polynomial in the last variable over the
+    first `last` ones: (terms, width) with terms (j, c, prefix exponents)
+    for c * prefix^exps * y^j, denominators cleared; and the maximal degree
+    of each prefix variable over all equations."""
+    degrees = [0] * last
+    for eq in equations:
+        for exp in eq.terms:
+            for i in range(last):
+                degrees[i] = max(degrees[i], exp[i])
+    out = []
+    for eq in equations:
+        coeffs = [(exp, Fraction(c)) for exp, c in eq.terms.items()]
+        scale = lcm(*(c.denominator for _, c in coeffs))
+        terms = [(exp[last], int(c * scale), exp[:last]) for exp, c in coeffs]
+        out.append((terms, 1 + max((exp[last] for exp in eq.terms), default=0)))
+    return out, degrees
+
+
+def _root_indices(coeffs, index, max_num, max_den):
+    """Ascending indices in `index` of the rational roots of the nonzero
+    integer polynomial sum coeffs[j] y^j.
+
+    A nonzero root r/s in lowest terms has r | coeffs[k] and s | coeffs[d]
+    for the lowest and highest nonzero coefficients; both are capped by the
+    largest numerator and denominator among the indexed values.
+    """
+    nonzero = [j for j, c in enumerate(coeffs) if c]
+    k, d = nonzero[0], nonzero[-1]
+    hits = []
+    if k and 0 in index:
+        hits.append(index[0])
+    if d > k:
+        trail, lead = abs(coeffs[k]), abs(coeffs[d])
+        nums = [r for r in range(1, min(max_num, trail) + 1) if trail % r == 0]
+        for s in range(1, min(max_den, lead) + 1):
+            if lead % s:
+                continue
+            spow = [s ** e for e in range(d - k + 1)]
+            for r in nums:
+                if gcd(r, s) != 1:
+                    continue
+                for y in (r, -r):
+                    i = index.get(Fraction(y, s) if s > 1 else y)
+                    if i is None:
+                        continue
+                    acc = 0  # s^d * f(y/s) / y^k, by integer Horner
+                    for j in range(d, k - 1, -1):
+                        acc = acc * y + coeffs[j] * spow[d - j]
+                    if acc == 0:
+                        hits.append(i)
+    hits.sort()
+    return hits
 
 
 def points_Q(X, T, cap=10**7):
@@ -159,22 +252,14 @@ def points_Z(X, T, cap=10**7):
     return _grid_points(X, values, cap)
 
 
-def points_k(X, k, T, cap=10**7, hk_cap=10**8):
+def points_k(X, k, T, cap=10**7):
     """Members of X with rational coordinates of polynomial height
     H_k <= T (only rational coordinates are enumerated).
 
     For a rational a/b in lowest terms every integer relation is a multiple
     of (b*x - a) by Gauss's lemma, so H_k = h0 on Q and the height-T grid
-    is a complete candidate set; hk_poly is still evaluated per coordinate
-    as a cross-check.
+    is exactly the candidate set: the answer is points_Q's.
     """
     if k < 1:
         raise ConfigError("need k >= 1")
-    values = list(enumerate_heights(T))
-    pts = _grid_points(X, values, cap)
-    out = []
-    for pt in pts:
-        hk = max(hk_poly(c, k, T, cap=hk_cap) for c in pt)
-        if not isinstance(hk, NotFound) and hk <= T:
-            out.append(pt)
-    return out
+    return _grid_points(X, list(enumerate_heights(T)), cap)

@@ -571,6 +571,7 @@ def _check_tr_sampled(f, r, strategy, ball, K):
     tag = strategy.tag(p, K)
     width = ball.residue_count(K)
     xs = list(ball.residues(K)) if width <= 1 << 16 else None
+    derivs = _derivative_table(f, r)
     for _ in range(strategy.samples):
         if xs is not None:
             x = rng.choice(xs)
@@ -583,7 +584,7 @@ def _check_tr_sampled(f, r, strategy, ball, K):
         bad = _exact_pair_violation(f, r, x, y, p)
         if bad is not None:
             return TrCertificate(f, r, ball, "fails", tag, K, bad, provenance)
-        bad = _exact_point_violation(f, r, y, p)
+        bad = _exact_point_violation(derivs, r, y, p)
         if bad is not None:
             return TrCertificate(f, r, ball, "fails", tag, K, bad, provenance)
     return TrCertificate(f, r, ball, "holds", tag, K, None, provenance)
@@ -599,11 +600,22 @@ def _exact_pair_violation(f, r, x, y, p):
     return None
 
 
-def _exact_point_violation(f, r, y, p):
+def _derivative_table(f, order):
+    """Per component, the divided derivatives (beta, dd) for |beta| <= order,
+    in _multi_indices order; computed once per check."""
+    return [[(beta, divided_derivative(comp, beta))
+             for beta in _multi_indices(f.m, order)]
+            for comp in f.components]
+
+
+def _exact_point_violation(derivs, r, y, p):
+    """First order-<=r divided derivative of negative valuation at y, from a
+    _derivative_table of order >= r."""
     y = tuple(Fraction(c) for c in y)
-    for ci, comp in enumerate(f.components):
-        for beta in _multi_indices(f.m, r):
-            dd = divided_derivative(comp, beta)
+    for ci, table in enumerate(derivs):
+        for beta, dd in table:
+            if sum(beta) > r:
+                break
             v = val_fraction(dd.eval(y), p)
             if v < 0:
                 return {"kind": "cr_norm", "component": ci, "order": beta,
@@ -622,10 +634,10 @@ def _check_tr_nd(f, r, strategy, ball):
         return _check_tr_sampled(f, r, strategy, ball, K)
 
     deg = f.degree()
+    derivs = _derivative_table(f, max(r, deg))
     s = 0
-    for comp in f.components:
-        for beta in _multi_indices(f.m, deg):
-            dd = divided_derivative(comp, beta)
+    for table in derivs:
+        for _beta, dd in table:
             for c in dd.terms.values():
                 s = max(s, -min(0, val_fraction(c, p)))
     K = _default_K(strategy, ball, r, s)
@@ -636,16 +648,14 @@ def _check_tr_nd(f, r, strategy, ball):
 
     residues = list(ball.residues(K))
     for y in residues:
-        bad = _exact_point_violation(f, r, y, p)
+        bad = _exact_point_violation(derivs, r, y, p)
         if bad is not None:
             return TrCertificate(f, r, ball, "fails", tag, K, bad, provenance)
 
     # all-orders Gauss criterion proves the remainder bound outright
     gauss_ok = all(
-        gauss_valuation(_shift_scale(divided_derivative(comp, beta), ball), p) >= 0
-        for comp in f.components
-        for beta in _multi_indices(f.m, deg)
-        if not divided_derivative(comp, beta).is_zero())
+        gauss_valuation(_shift_scale(dd, ball), p) >= 0
+        for table in derivs for _beta, dd in table if not dd.is_zero())
     if gauss_ok:
         return TrCertificate(f, r, ball, "holds", tag, K, None, provenance,
                              detail={"remainder": "gauss-all-orders"})
@@ -660,11 +670,11 @@ def _check_tr_nd(f, r, strategy, ball):
         # pairs hiding inside one residue class need the higher orders to
         # carry margin -(|beta|-r)*K
         yf = tuple(Fraction(c) for c in y)
-        for comp in f.components:
-            for beta in _multi_indices(f.m, deg):
+        for table in derivs:
+            for beta, dd in table:
                 if sum(beta) <= r:
                     continue
-                v = val_fraction(divided_derivative(comp, beta).eval(yf), p)
+                v = val_fraction(dd.eval(yf), p)
                 if v < -(sum(beta) - r) * K:
                     return TrCertificate(
                         f, r, ball, "indeterminate", tag, K,

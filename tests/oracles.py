@@ -35,6 +35,12 @@ def min_relation_height(x, k, T_max):
     return best
 
 
+def grid_points(X, values):
+    """Members of the SemialgSpec X in values^n: X.accepts on every grid
+    point, in itertools.product order."""
+    return [tuple(pt) for pt in product(values, repeat=X.nvars) if X.accepts(pt)]
+
+
 def circle_points(T):
     """Rational points on x^2 + y^2 = 1 of height <= T (double loop)."""
     vals = sorted(rationals_of_height(T))

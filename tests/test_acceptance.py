@@ -20,7 +20,7 @@ from nonarch_lab.arith_core import Ball, MultiPoly
 from nonarch_lab.combinatorics import DetSetup, alpha_bound, e_of
 from nonarch_lab.detmethod import certify_components, cover_points, det_bound_check
 from nonarch_lab.ffcount import count_expanded, enumerate_Xr, estimate_delta, expand_scheme
-from nonarch_lab.heights import SemialgSpec, enumerate_heights, points_Q, points_Z
+from nonarch_lab.heights import SemialgSpec, enumerate_heights, points_Q
 from nonarch_lab.hilbert import (
     HilbertTable,
     HomIdeal,
@@ -179,7 +179,8 @@ def test_criterion_09_end_to_end_cover():
         if cover.alpha != alpha or cover.size > 3 ** alpha:
             ok = False
         covered = sorted(pt for rec in cover.records for pt in rec.points)
-        if covered != sorted(points_Z(curve, T)):
+        grid = [Fraction(v) for v in range(-T, T + 1)]
+        if covered != sorted(oracles.grid_points(curve, grid)):
             ok = False
         for rec in cover.records:
             if rec.aux.poly.degree() > 2 or rec.aux.beta_coeff == 0:

@@ -173,6 +173,27 @@ def test_malformed_json_exit_2(tmp_path):
     assert main(["heights", str(path), "--T", "2"]) == 2
 
 
+def test_heights_malformed_spec_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "novars.json", {"equations": []})
+    assert main(["heights", path, "--T", "2"]) == 2
+    assert "missing key 'vars'" in capsys.readouterr().err
+    path = write(tmp_path, "list.json", [CIRCLE])
+    assert main(["heights", path, "--T", "2"]) == 2
+
+
+def test_det_cover_malformed_exit_2(tmp_path, capsys):
+    for key in ("curve", "psi", "T", "d", "p"):
+        data = {k: v for k, v in COVER.items() if k != key}
+        path = write(tmp_path, f"no_{key}.json", data)
+        assert main(["det-cover", path]) == 2, key
+        assert f"missing key '{key}'" in capsys.readouterr().err
+    # a flag stands in for a missing scalar
+    path = write(tmp_path, "no_T_flag.json", {k: v for k, v in COVER.items() if k != "T"})
+    assert main(["det-cover", path, "--T", "10", "--out", str(tmp_path / "o.json")]) == 0
+    bad_psi = dict(COVER, psi={k: v for k, v in COVER["psi"].items() if k != "m"})
+    assert main(["det-cover", write(tmp_path, "no_m.json", bad_psi)]) == 2
+
+
 def test_cap_exit_3(tmp_path):
     path = write(tmp_path, "circle.json", CIRCLE)
     assert main(["heights", path, "--T", "5", "--cap", "3"]) == 3

@@ -16,7 +16,7 @@ from nonarch_lab.detmethod import (
     rational_rank,
 )
 from nonarch_lab.errors import BoundViolation, FullRankError, PrecisionError
-from nonarch_lab.heights import SemialgSpec, points_Z
+from nonarch_lab.heights import SemialgSpec
 from nonarch_lab.taylor import PolyMap
 
 PSI_GRAPH = PolyMap(1, 2, [MultiPoly(1, {(1,): 1}), MultiPoly(1, {(2,): 1})])
@@ -157,7 +157,8 @@ def test_cover_parabola_T10():
     assert cover.alpha == 2
     assert cover.size <= 3 ** cover.alpha
     covered = sorted(pt for rec in cover.records for pt in rec.points)
-    assert covered == sorted(points_Z(PARABOLA, 10))
+    grid = [Fraction(v) for v in range(-10, 11)]
+    assert covered == sorted(oracles.grid_points(PARABOLA, grid))
     for rec in cover.records:
         assert rec.aux.poly.degree() <= 2
         for pt in rec.points:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,3 +142,115 @@ def test_caps_and_validation(circle_curve):
         points_Q(SemialgSpec(5, []), 1)
     with pytest.raises(ConfigError):
         hk_poly(Fraction(1), 0, 5)
+
+
+def _random_coeff(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.choice([1, 1, 2, 3]))
+
+
+def _random_poly(rng, n, with_last=True, max_deg=2, max_terms=3):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exp = [rng.randint(0, max_deg) for _ in range(n)]
+        if not with_last:
+            exp[-1] = 0
+        terms[tuple(exp)] = _random_coeff(rng)
+    return MultiPoly(n, terms)
+
+
+def _linear(n, i, a, b):
+    """b * x_i - a."""
+    terms = {tuple(int(j == i) for j in range(n)): b}
+    terms[(0,) * n] = terms.get((0,) * n, 0) - a
+    return MultiPoly(n, terms)
+
+
+def _random_equation(rng, n, values):
+    kind = rng.choice(["graph", "factors", "prefix-only", "random", "quadric"])
+    last = n - 1
+    if kind == "graph":  # s * y^e = g(prefix)
+        e = rng.choice([1, 1, 2])
+        lead_exp = tuple(e * (j == last) for j in range(n))
+        lead = MultiPoly(n, {lead_exp: rng.choice([1, 2, 3, -2])})
+        return lead - _random_poly(rng, n, with_last=False)
+    if kind == "factors":  # roots in values; fibres at x_0 = c vanish
+        eq = MultiPoly.constant(n, _random_coeff(rng))
+        for _ in range(rng.randint(1, 2)):
+            v = rng.choice(values)
+            eq = eq * _linear(n, last, v.numerator, v.denominator)
+        if n > 1 and rng.random() < 0.7:
+            c = rng.choice(values)
+            eq = eq * _linear(n, 0, c.numerator, c.denominator)
+        return eq
+    if kind == "prefix-only":
+        if n == 1:
+            return MultiPoly.constant(1, rng.choice([0, 1]))
+        c = rng.choice(values)
+        return _linear(n, rng.randrange(last), c.numerator, c.denominator)
+    if kind == "quadric":
+        terms = {tuple(2 * (j == i) for j in range(n)): rng.choice([1, 1, 2])
+                 for i in range(n)}
+        terms[(0,) * n] = -rng.choice([1, 2, 5, Fraction(1, 4), Fraction(25, 4)])
+        return MultiPoly(n, terms)
+    return _random_poly(rng, n)
+
+
+def _random_spec(rng, n, values):
+    eqs = [_random_equation(rng, n, values) for _ in range(rng.choice([0, 1, 1, 2]))]
+    ineqs = [_random_poly(rng, n, max_terms=2) for _ in range(rng.choice([0, 0, 1]))]
+    p, constraints = None, []
+    if rng.random() < 0.4:
+        p = rng.choice([2, 3])
+        for _ in range(rng.randint(1, 2)):
+            poly = _random_poly(rng, n, max_deg=1, max_terms=2)
+            if rng.random() < 0.5:
+                constraints.append(PadicConstraint(poly, "ord_ge", rng.randint(-1, 2)))
+            else:
+                depth = rng.randint(1, 2)
+                constraints.append(PadicConstraint(poly, "ac_eq", depth=depth,
+                                                   value=rng.randrange(p ** depth)))
+    return SemialgSpec(n, eqs, ineqs, p, constraints)
+
+
+# (nvars, mode, largest T); the oracle grid stays below ~3,500 points
+PARITY_SHAPES = [(1, "Z", 8), (1, "Q", 8), (2, "Z", 8), (2, "Q", 6),
+                 (3, "Z", 4), (3, "Q", 3)]
+
+
+@pytest.mark.parametrize("n,mode,T_max", PARITY_SHAPES)
+def test_fibred_points_match_grid_oracle(n, mode, T_max):
+    rng = random.Random(1000 * n + ord(mode))
+    nonempty = 0
+    for _ in range(25):
+        T = rng.randint(1, T_max)
+        if mode == "Z":
+            values = [Fraction(v) for v in range(-T, T + 1)]
+            enumerate_points = points_Z
+        else:
+            values = list(enumerate_heights(T))
+            enumerate_points = points_Q
+        spec = _random_spec(rng, n, values)
+        want = oracles.grid_points(spec, values)
+        assert enumerate_points(spec, T) == want, spec
+        nonempty += bool(want)
+        size = len(values) ** n
+        assert enumerate_points(spec, T, cap=size) == want
+        with pytest.raises(CapExceededError):
+            enumerate_points(spec, T, cap=size - 1)
+    assert nonempty >= 5
+
+
+def test_fibred_points_vanishing_fibres():
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    values = [Fraction(v) for v in range(-4, 5)]
+    # x*y = 0: the fibre x = 0 vanishes identically, every other one has y = 0
+    spec = SemialgSpec(2, [x * y])
+    assert points_Z(spec, 4) == oracles.grid_points(spec, values)
+    assert len(points_Z(spec, 4)) == 2 * 9 - 1
+    # the second equation decides where the first vanishes
+    spec = SemialgSpec(2, [(x - 1) * (2 * y - 1), x * x - 1, x + y * y - 2])
+    assert points_Q(spec, 3) == oracles.grid_points(spec, list(enumerate_heights(3)))
+    assert points_Q(spec, 3) == [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))]
+    # no equations: every fibre is scanned
+    spec = SemialgSpec(2, [], [x - y])
+    assert points_Z(spec, 4) == oracles.grid_points(spec, values)
