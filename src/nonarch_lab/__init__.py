@@ -3,9 +3,8 @@ method over Q_p, bounded-height point enumeration, function-field point
 counts over F_q[t], and Hilbert-function machinery.
 
 Everything is exact: valuations instead of float norms, Fractions instead
-of floats, big integers throughout.  The only numerics are int64 modular
-kernels (numba-accelerated with a numpy fallback) for the two hot
-enumeration loops.
+of floats, big integers throughout.  The only numerics are block-vectorized
+numpy int64 modular kernels for the two hot enumeration loops.
 """
 
 __version__ = "0.1.0"

@@ -1,12 +1,12 @@
 """Hot enumeration kernels over exact int64 modular arithmetic.
 
-Two loops dominate runtime in this package: the q^(r*n) sweep counting
-F_q[t]-points of a variety, and the residue-pair sweep behind exhaustive
-Taylor-approximation checks.  The F_q[t] count runs under numba @njit when
-numba is importable and on a numpy fallback otherwise; set
-NONARCH_LAB_NO_NUMBA=1 to force the numpy path.  The pair sweep works
-modulo p^s (s the p-denominator exponent of the divided derivatives) and
-is block-vectorized numpy.
+Two loops dominate runtime in this package: the count of F_q[t]-points of
+a variety, and the residue-pair sweep behind exhaustive Taylor-approximation
+checks.  The F_q[t] count lifts assignments level by level in t (the t^k
+coefficient of an equation involves only coordinate coefficients of degree
+<= k) and prunes every branch whose low coefficients do not vanish.  The
+pair sweep works modulo p^s (s the p-denominator exponent of the divided
+derivatives).  Both are block-vectorized numpy.
 
 Everything here is exact: moduli are kept small enough that int64 products
 cannot overflow (callers fall back to big-int Python code otherwise).
@@ -14,30 +14,17 @@ cannot overflow (callers fall back to big-int Python code otherwise).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from .errors import CapExceededError
+
 INT64_SAFE_MOD = 1 << 31  # products of two residues stay below 2^62
-
-
-def _numba_disabled():
-    return os.environ.get("NONARCH_LAB_NO_NUMBA", "").strip() in ("1", "true", "yes")
-
-
-try:
-    if _numba_disabled():
-        raise ImportError("numba disabled by NONARCH_LAB_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    njit = None
-    HAVE_NUMBA = False
+INT64_MAX = (1 << 63) - 1
+LIFT_BLOCK = 1 << 15  # assignment indices per array in the t-adic lifting
 
 
 def backend():
-    return "numba" if HAVE_NUMBA else "numpy"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -46,68 +33,17 @@ def backend():
 # Equations are packed as flat term tables: term_coeffs[t] holds the t-adic
 # coefficients (mod q) of the term's F_q[t]-coefficient, term_exps[t] the
 # monomial exponents, eq_offsets delimits equations.  An assignment index
-# encodes the n*r coordinate coefficients in base q.
+# encodes the n*r coordinate coefficients in base q: the digit at position
+# i*r + g is the t^g coefficient of coordinate i.
 # ---------------------------------------------------------------------------
 
-def _ff_count_core_py(q, r, n, term_coeffs, term_lens, term_exps, eq_offsets,
-                      res_len, start, stop):
-    count = 0
-    n_eq = len(eq_offsets) - 1
-    xc = np.zeros((n, r), dtype=np.int64)
-    acc = np.zeros(res_len, dtype=np.int64)
-    buf = np.zeros(res_len, dtype=np.int64)
-    tmp = np.zeros(res_len, dtype=np.int64)
-    for idx in range(start, stop):
-        v = idx
-        for i in range(n):
-            for g in range(r):
-                xc[i, g] = v % q
-                v //= q
-        good = True
-        for e in range(n_eq):
-            for k in range(res_len):
-                acc[k] = 0
-            for t in range(eq_offsets[e], eq_offsets[e + 1]):
-                cur = term_lens[t]
-                for k in range(cur):
-                    buf[k] = term_coeffs[t, k]
-                for i in range(n):
-                    for _ in range(term_exps[t, i]):
-                        new_len = min(cur + r - 1, res_len)
-                        for k in range(new_len):
-                            tmp[k] = 0
-                        for a in range(cur):
-                            ba = buf[a]
-                            if ba == 0:
-                                continue
-                            for b in range(r):
-                                tmp[a + b] = (tmp[a + b] + ba * xc[i, b]) % q
-                        cur = new_len
-                        for k in range(cur):
-                            buf[k] = tmp[k]
-                for k in range(cur):
-                    acc[k] = (acc[k] + buf[k]) % q
-            for k in range(res_len):
-                if acc[k] != 0:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            count += 1
-    return count
-
-
-if HAVE_NUMBA:
-    _ff_count_core = njit(cache=False, nogil=True)(_ff_count_core_py)
-else:
-    _ff_count_core = None
-
-
-def _ff_count_numpy_chunk(q, r, n, packed, idx):
+def _ff_count_numpy_chunk(q, r, n, packed, idx, upto=None):
     """Vectorized evaluation of all equations on a chunk of assignment
-    indices; returns the boolean solution mask."""
+    indices; returns the mask of those whose t-coefficients below upto (all
+    of them when upto is None) vanish.  Coefficient j depends only on
+    coordinate levels <= j, so digits of levels not yet chosen may be 0."""
     term_coeffs, term_lens, term_exps, eq_offsets, res_len = packed
+    limit = res_len if upto is None else min(upto, res_len)
     chunk = idx.shape[0]
     digits = np.empty((n, r, chunk), dtype=np.int64)
     v = idx.copy()
@@ -118,17 +54,19 @@ def _ff_count_numpy_chunk(q, r, n, packed, idx):
     mask = np.ones(chunk, dtype=bool)
     n_eq = len(eq_offsets) - 1
     for e in range(n_eq):
-        acc = np.zeros((res_len, chunk), dtype=np.int64)
+        acc = np.zeros((limit, chunk), dtype=np.int64)
         for t in range(eq_offsets[e], eq_offsets[e + 1]):
-            cur = int(term_lens[t])
+            cur = min(int(term_lens[t]), limit)
             poly = np.broadcast_to(
                 term_coeffs[t, :cur, None], (cur, chunk)).copy()
             for i in range(n):
                 for _ in range(int(term_exps[t, i])):
-                    new_len = min(cur + r - 1, res_len)
+                    new_len = min(cur + r - 1, limit)
                     out = np.zeros((new_len, chunk), dtype=np.int64)
-                    for b in range(r):
-                        out[b:b + cur] = (out[b:b + cur] + poly * digits[i, b]) % q
+                    for b in range(min(r, new_len)):
+                        width = min(cur, new_len - b)
+                        out[b:b + width] = (out[b:b + width]
+                                            + poly[:width] * digits[i, b]) % q
                     poly, cur = out, new_len
             acc[:cur] = (acc[:cur] + poly) % q
         mask &= ~np.any(acc, axis=0)
@@ -168,43 +106,52 @@ def pack_equations(eq_terms, q, r, n):
     return term_coeffs, term_lens, term_exps, np.array(offsets, dtype=np.int64), res_len
 
 
-def ff_count(q, r, n, packed, threads=1, want_indices=False, chunk=1 << 15):
+def ff_count(q, r, n, packed, want_indices=False):
     """Count assignments solving every packed equation over F_q, exactly.
 
-    Returns count, or (count, indices array) when want_indices is set (the
-    numpy path is used in that case regardless of backend).
+    Depth-first t-adic lifting from index 0: level k adds each of the q^n
+    choices of the t^k coefficients of all n coordinates and keeps the
+    indices whose t-coefficients below k + 1 vanish; the last level checks
+    every coefficient.  Frontier and choices are sliced so that no array
+    holds more than LIFT_BLOCK indices.  Returns count, or (count, sorted
+    indices array) when want_indices is set.
     """
-    term_coeffs, term_lens, term_exps, eq_offsets, res_len = packed
-    total = q ** (r * n)
+    if q >= INT64_SAFE_MOD or q ** (r * n) > INT64_MAX:
+        raise CapExceededError(
+            f"q = {q}, r*n = {r * n}: assignment indices exceed int64")
+    choices = q ** n
+    step = min(choices, LIFT_BLOCK)
+    rows = max(1, LIFT_BLOCK // step)
+    digit_weights = q ** (np.arange(n, dtype=np.int64) * r)
+    leaves = []
 
-    if want_indices:
-        found = []
-        for s in range(0, total, chunk):
-            idx = np.arange(s, min(s + chunk, total), dtype=np.int64)
-            mask = _ff_count_numpy_chunk(q, r, n, packed, idx)
-            found.append(idx[mask])
-        indices = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
-        return len(indices), indices
+    def lift(frontier, k):
+        last = k >= r - 1
+        for c0 in range(0, choices, step):
+            c = np.arange(c0, min(c0 + step, choices), dtype=np.int64)
+            offsets = np.zeros_like(c)
+            for w in digit_weights:
+                offsets += (c % q) * w
+                c //= q
+            offsets *= q ** k
+            for f0 in range(0, len(frontier), rows):
+                cand = (frontier[f0:f0 + rows, None] + offsets).ravel()
+                mask = _ff_count_numpy_chunk(q, r, n, packed, cand,
+                                             None if last else k + 1)
+                if not mask.any():
+                    continue
+                if not last:
+                    lift(cand[mask], k + 1)
+                elif want_indices:
+                    leaves.append(cand[mask])
+                else:
+                    leaves.append(int(np.count_nonzero(mask)))
 
-    def run_range(s, e):
-        if HAVE_NUMBA:
-            return _ff_count_core(q, r, n, term_coeffs, term_lens, term_exps,
-                                  eq_offsets, res_len, s, e)
-        c = 0
-        for cs in range(s, e, chunk):
-            idx = np.arange(cs, min(cs + chunk, e), dtype=np.int64)
-            c += int(_ff_count_numpy_chunk(q, r, n, packed, idx).sum())
-        return c
-
-    if threads <= 1 or total < 4 * chunk:
-        return run_range(0, total)
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    block = -(-total // threads)
-    ranges = [(s, min(s + block, total)) for s in range(0, total, block)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return sum(ex.map(lambda se: run_range(*se), ranges))
+    lift(np.zeros(1, dtype=np.int64), 0)
+    if not want_indices:
+        return sum(leaves)
+    indices = np.sort(np.concatenate(leaves)) if leaves else np.zeros(0, dtype=np.int64)
+    return len(indices), indices
 
 
 # ---------------------------------------------------------------------------

@@ -31,18 +31,6 @@ from .errors import (
 )
 
 
-def _threads(args):
-    env = os.environ.get("NONARCH_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as err:
-            raise ConfigError(f"bad NONARCH_LAB_THREADS: {env!r}") from err
-    if args.threads:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
-
-
 def parse_range_list(text):
     """Comma-separated integers with inclusive a..b ranges: '2,5..7' -> [2,5,6,7]."""
     out = []
@@ -111,6 +99,8 @@ def input_schema(path):
     file as a configuration error (exit 2), not a traceback."""
     try:
         yield
+    except ConfigError:
+        raise
     except KeyError as err:
         raise ConfigError(f"{path}: missing key {err}") from err
     except (TypeError, ValueError) as err:
@@ -227,8 +217,8 @@ def cmd_heights(args, started):
 def cmd_taylor_check(args, started):
     from .taylor import ExhaustiveStrategy, SampledStrategy, check_Tr
 
-    data = load_json(args.input)
-    f = parse_polymap(data)
+    with input_schema(args.input):
+        f = parse_polymap(load_json(args.input))
     if f.domain is None:
         raise ConfigError("taylor-check input needs a domain and prime")
     if args.strategy == "sampled":
@@ -273,17 +263,17 @@ def cmd_det_cover(args, started):
 def cmd_count_ff(args, started):
     from .ffcount import CountRecord, estimate_delta, load_variety, enumerate_Xr, verify_bounds
 
-    X = load_variety(args.input)
+    with input_schema(args.input):
+        X = load_variety(args.input)
     qs = parse_range_list(args.q)
     rs = parse_range_list(args.r)
-    threads = _threads(args)
     records = []
     fits = {}
     bound_reports = {}
     for r in rs:
         counts = {}
         for q in qs:
-            counts[q] = enumerate_Xr(X, q, r, cap=args.cap, threads=threads)
+            counts[q] = enumerate_Xr(X, q, r, cap=args.cap)
         fit = None
         if len(qs) >= 2 and any(counts.values()):
             fit = estimate_delta(counts, r, X.n, mu_cap=args.mu_cap)
@@ -318,7 +308,8 @@ def cmd_count_ff(args, started):
 def cmd_expand_scheme(args, started):
     from .ffcount import expand_scheme, load_variety
 
-    X = load_variety(args.input)
+    with input_schema(args.input):
+        X = load_variety(args.input)
     equations = expand_scheme(X, args.q, args.r)
     names = [f"a_{i}_{g}" for i in range(X.n) for g in range(args.r)]
     report = {
@@ -340,9 +331,10 @@ def cmd_expand_scheme(args, started):
 def cmd_hilbert(args, started):
     from .hilbert import HilbertTable, HomIdeal, salberger_check, select_delta_alpha
 
-    data = load_json(args.input)
-    nvars = int(data["vars"])
-    gens = [parse_poly(g, nvars) for g in data["generators"]]
+    with input_schema(args.input):
+        data = load_json(args.input)
+        nvars = int(data["vars"])
+        gens = [parse_poly(g, nvars) for g in data["generators"]]
     if gens:
         ideal = HomIdeal(gens, s_pair_budget=args.budget)
         table = HilbertTable.from_ideal(ideal)
@@ -438,12 +430,10 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
+    def common(sp):
         sp.add_argument("--out", help="write the JSON report here (default stdout)")
         sp.add_argument("--threads", type=int, default=0,
-                        help="worker threads (env NONARCH_LAB_THREADS overrides)")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
+                        help="ignored; accepted so existing command lines still run")
 
     sp = sub.add_parser("bounds", help="determinant-method constants")
     sp.add_argument("--m", type=int, required=True)
@@ -470,6 +460,8 @@ def build_parser():
     sp.add_argument("--strategy", choices=["exhaustive", "sampled"],
                     default="exhaustive")
     sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="sample seed of the sampled strategy")
     common(sp)
     sp.set_defaults(func=cmd_taylor_check)
 

@@ -37,53 +37,31 @@ INF = float("inf")
 # ---------------------------------------------------------------------------
 
 def exact_det(rows):
-    """Determinant over Fractions by elimination; generic cofactor
-    expansion for other exact coefficient types (e.g. TruncatedPoly)."""
+    """Determinant of a square matrix of ints or Fractions, by elimination
+    over Q."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if any(len(r) != n for r in rows):
         raise ConfigError("determinant needs a square matrix")
-    if isinstance(rows[0][0], Fraction) or isinstance(rows[0][0], int):
-        m = [[Fraction(x) for x in r] for r in rows]
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] == 0:
-                    continue
-                factor = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] -= factor * m[c][k]
-        return det
-    return _cofactor_det(rows)
-
-
-def _cofactor_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = entry * _cofactor_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        zero = rows[0][0] - rows[0][0]
-        return zero
-    return acc
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c] == 0:
+                continue
+            factor = m[r][c] * inv
+            for k in range(c, n):
+                m[r][k] -= factor * m[c][k]
+    return det
 
 
 def rational_rank(rows):

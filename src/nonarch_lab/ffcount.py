@@ -1,7 +1,7 @@
-"""Function-field point counting: exhaustive enumeration of the degree-<r
-F_q[t]-points of a variety, the expanded scheme in r*n scalar variables,
-power-law fits of counts across field sizes, and checks of the dimension
-bounds delta <= r*m and delta <= r*(m-1) + ceil(r/d).
+"""Function-field point counting: exact counts of the degree-<r
+F_q[t]-points of a variety by t-adic lifting, the expanded scheme in r*n
+scalar variables, power-law fits of counts across field sizes, and checks
+of the dimension bounds delta <= r*m and delta <= r*(m-1) + ceil(r/d).
 
 The defining polynomials live in Z[t][X_1..X_n] and are reduced mod p per
 run; membership requires them to vanish identically in F_q[t], so the
@@ -98,13 +98,15 @@ def _decode(idx, q, r, n):
     return tuple(coeffs)
 
 
-def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False, threads=1):
+def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
     """Exact count of n-tuples of degree-<r polynomials over F_q solving
     every defining polynomial identically in F_q[t].
 
-    Runs on the packed int64 kernel (numba or numpy per backend); with
-    want_points the solutions are decoded into coefficient tuples
-    (ascending t-powers per coordinate).
+    Runs the t-adic lifting of the packed int64 kernel, which prunes a
+    branch as soon as a low t-coefficient fails; cap bounds the q^(r*n)
+    assignments the search ranges over.  With want_points the solutions
+    are decoded into coefficient tuples (ascending t-powers per
+    coordinate), in ascending assignment-index order.
     """
     if r < 1:
         raise ConfigError("need r >= 1")
@@ -117,11 +119,10 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False, threads=1):
         eq_terms.append([(list(tp.coeffs), exp) for exp, tp in terms])
     packed = _kernels.pack_equations(eq_terms, q, r, X.n)
     if want_points:
-        count, idx = _kernels.ff_count(q, r, X.n, packed, threads=threads,
-                                       want_indices=True)
+        count, idx = _kernels.ff_count(q, r, X.n, packed, want_indices=True)
         points = [_decode(int(i), q, r, X.n) for i in idx]
         return count, points
-    return _kernels.ff_count(q, r, X.n, packed, threads=threads)
+    return _kernels.ff_count(q, r, X.n, packed)
 
 
 def enumerate_Xr_direct(X, q, r, cap=10**6):
@@ -282,10 +283,12 @@ def verify_bounds(counts, X, r, mu_cap=64):
 
 
 def load_variety(path):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"malformed variety JSON at line {err.lineno}, "
-                              f"column {err.colno}: {err.msg}") from err
+    except FileNotFoundError as err:
+        raise ConfigError(f"no such file: {path}") from err
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"malformed variety JSON at line {err.lineno}, "
+                          f"column {err.colno}: {err.msg}") from err
     return VarietySpec.from_json(data)

@@ -194,6 +194,61 @@ def test_det_cover_malformed_exit_2(tmp_path, capsys):
     assert main(["det-cover", write(tmp_path, "no_m.json", bad_psi)]) == 2
 
 
+def test_count_ff_malformed_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "non.json", {k: v for k, v in YX3.items() if k != "n"})
+    assert main(["count-ff", path, "--q", "2,3", "--r", "1"]) == 2
+    assert "missing key 'n'" in capsys.readouterr().err
+    assert main(["count-ff", str(tmp_path / "absent.json"), "--q", "2", "--r", "1"]) == 2
+
+
+def test_expand_scheme_malformed_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "non.json", {k: v for k, v in YX3.items() if k != "n"})
+    assert main(["expand-scheme", path, "--q", "2", "--r", "2"]) == 2
+    assert "missing key 'n'" in capsys.readouterr().err
+
+
+def test_taylor_check_malformed_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "nom.json", {k: v for k, v in TR_X2.items() if k != "m"})
+    assert main(["taylor-check", path, "--r", "2", "--K", "5"]) == 2
+    assert "missing key 'm'" in capsys.readouterr().err
+
+
+def test_hilbert_malformed_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "novars.json", {"generators": CONIC_IDEAL["generators"]})
+    assert main(["hilbert", path, "--smax", "3"]) == 2
+    assert "missing key 'vars'" in capsys.readouterr().err
+    path = write(tmp_path, "arity.json", {"vars": 2, "generators": CONIC_IDEAL["generators"]})
+    assert main(["hilbert", path, "--smax", "3"]) == 2
+    assert "arity 3, expected 2" in capsys.readouterr().err
+
+
+def test_seed_only_on_taylor_check(tmp_path):
+    circle = write(tmp_path, "circle.json", CIRCLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["heights", circle, "--T", "2", "--seed", "1"])
+    assert exc.value.code == 2
+    tr = write(tmp_path, "map.json", TR_X2)
+    code, report = run_to_json(["taylor-check", tr, "--r", "2", "--strategy", "sampled",
+                                "--samples", "20", "--seed", "1"], tmp_path)
+    assert code == 0 and report["config"]["seed"] == 1
+    # reports of the other subcommands still carry seed 0
+    code, report = run_to_json(["heights", circle, "--T", "2"], tmp_path, "h.json")
+    assert code == 0 and report["config"]["seed"] == 0
+
+
+def test_threads_flag_accepted_and_ignored(tmp_path):
+    path = write(tmp_path, "yx3.json", YX3)
+    reports = []
+    for threads in ("1", "4"):
+        out = str(tmp_path / f"t{threads}.json")
+        assert main(["count-ff", path, "--q", "2,3", "--r", "1..3",
+                     "--threads", threads, "--out", out]) == 0
+        reports.append(open(out, "rb").read())
+    assert reports[0] == reports[1]
+    assert main(["bounds", "--m", "1", "--n", "2", "--d", "1", "--T", "10",
+                 "--p", "3", "--threads", "2", "--out", str(tmp_path / "b.json")]) == 0
+
+
 def test_cap_exit_3(tmp_path):
     path = write(tmp_path, "circle.json", CIRCLE)
     assert main(["heights", path, "--T", "5", "--cap", "3"]) == 3
@@ -235,13 +290,3 @@ def test_cli_entrypoint_subprocess():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["results"]["r"] == 6 and report["results"]["e"] == 15
-
-
-def test_threads_env_override(tmp_path, monkeypatch):
-    path = write(tmp_path, "yx3.json", YX3)
-    monkeypatch.setenv("NONARCH_LAB_THREADS", "2")
-    code, report = run_to_json(["count-ff", path, "--q", "2,3", "--r", "1..3"],
-                               tmp_path)
-    assert code == 0
-    monkeypatch.setenv("NONARCH_LAB_THREADS", "zzz")
-    assert main(["count-ff", path, "--q", "2", "--r", "1"]) == 2

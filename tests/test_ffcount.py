@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -37,16 +38,54 @@ def test_enumerate_matches_direct_and_oracle():
                 assert kernel == oracles.ff_graph_count(terms, X.n, q, r)
 
 
-def test_numpy_path_agrees_with_active_backend():
-    for X in (ELLIPTIC, PARAB_T):
-        for q, r in ((3, 2), (5, 2)):
-            packed_terms = [[(list(c), e) for e, c in poly.items()]
-                            for poly in X.polynomials]
-            packed = _kernels.pack_equations(packed_terms, q, r, X.n)
-            total = q ** (r * X.n)
-            idx = np.arange(total, dtype=np.int64)
-            mask = _kernels._ff_count_numpy_chunk(q, r, X.n, packed, idx)
-            assert int(mask.sum()) == enumerate_Xr(X, q, r)
+def _random_terms(rng, n, r):
+    """One random equation of 1-4 terms over Z[t]; some coefficients carry
+    t-powers, some have vanishing low t-coefficients."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 3) for _ in range(n))
+        coeff = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            coeff = [0] * rng.randint(1, r) + coeff
+        terms.append((coeff, exps))
+    return terms
+
+
+def _lift_cases(seed, count=80, max_states=4000):
+    rng = random.Random(seed)
+    cases = []
+    # unsolvable before the last level: 1 = 0 dies at level 0, t = 0 at level 1
+    cases.append((2, 3, 3, [[([1], (0, 0))]]))
+    cases.append((1, 2, 3, [[([1], (1,))], [([0, 1], (0,))]]))
+    cases.append((2, 2, 2, []))  # no equations: every assignment counts
+    while len(cases) < count:
+        n, q, r = rng.choice([1, 2, 3]), rng.choice([2, 3, 5]), rng.randint(1, 3)
+        if q ** (r * n) > max_states:
+            continue
+        n_eq = rng.choice([0, 1, 1, 2, 2])
+        cases.append((n, q, r, [_random_terms(rng, n, r) for _ in range(n_eq)]))
+    return cases
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_lifted_count_matches_full_range_and_oracle(block, monkeypatch):
+    # the t-adic lifting keeps exactly the full-range evaluator's solutions,
+    # in ascending order, and agrees with the raw convolution oracle
+    if block is not None:
+        monkeypatch.setattr(_kernels, "LIFT_BLOCK", block)
+    seen_empty = False
+    for n, q, r, eqs in _lift_cases(seed=20 + (block or 0)):
+        packed = _kernels.pack_equations(
+            [[([c % q for c in cs], e) for cs, e in terms] for terms in eqs], q, r, n)
+        idx = np.arange(q ** (r * n), dtype=np.int64)
+        want = idx[_kernels._ff_count_numpy_chunk(q, r, n, packed, idx)]
+        count, got = _kernels.ff_count(q, r, n, packed, want_indices=True)
+        assert count == len(got) == len(want), (n, q, r, eqs)
+        assert np.array_equal(got, want), (n, q, r, eqs)
+        assert _kernels.ff_count(q, r, n, packed) == count
+        assert count == oracles.ff_graph_count(eqs, n, q, r), (n, q, r, eqs)
+        seen_empty |= count == 0
+    assert seen_empty
 
 
 def test_want_points_decoding():

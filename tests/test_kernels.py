@@ -3,6 +3,7 @@ import pytest
 
 from nonarch_lab import _kernels
 from nonarch_lab.arith_core import Ball
+from nonarch_lab.errors import CapExceededError
 
 
 # (p, s) per case: the sweep modulus is p^s
@@ -87,14 +88,39 @@ def test_horner_values_matches_python():
     assert list(got) == want
 
 
-def test_ff_count_threads_deterministic():
-    from conftest import ELLIPTIC
+def test_ff_count_lift_blocks_agree(monkeypatch):
+    from conftest import ELLIPTIC, PARAB_T
 
-    terms = [[(list(c), e) for e, c in poly.items()] for poly in ELLIPTIC.polynomials]
-    packed = _kernels.pack_equations(terms, 5, 2, 2)
-    single = _kernels.ff_count(5, 2, 2, packed, threads=1)
-    multi = _kernels.ff_count(5, 2, 2, packed, threads=4, chunk=64)
-    assert single == multi
+    evaluate = _kernels._ff_count_numpy_chunk
+
+    def bounded(q, r, n, packed, idx, upto=None):
+        assert 0 < len(idx) <= _kernels.LIFT_BLOCK
+        return evaluate(q, r, n, packed, idx, upto)
+
+    monkeypatch.setattr(_kernels, "_ff_count_numpy_chunk", bounded)
+    for X, q, r in ((ELLIPTIC, 5, 2), (ELLIPTIC, 3, 3), (PARAB_T, 5, 3)):
+        terms = [[(list(c), e) for e, c in poly.items()] for poly in X.polynomials]
+        packed = _kernels.pack_equations(terms, q, r, X.n)
+        runs = []
+        for block in (1, 7, 1 << 15):
+            monkeypatch.setattr(_kernels, "LIFT_BLOCK", block)
+            count, idx = _kernels.ff_count(q, r, X.n, packed, want_indices=True)
+            assert count == _kernels.ff_count(q, r, X.n, packed)
+            runs.append((count, idx.tolist()))
+        assert runs[0] == runs[1] == runs[2] and runs[0][0] > 0
+
+
+def test_ff_count_int64_guard():
+    # x = 0 in one variable: one solution whatever the degree bound
+    packed = _kernels.pack_equations([[([1], (1,))]], 2, 62, 1)
+    assert _kernels.ff_count(2, 62, 1, packed, want_indices=True)[0] == 1
+    packed = _kernels.pack_equations([[([1], (1,))]], 2, 63, 1)
+    with pytest.raises(CapExceededError):
+        _kernels.ff_count(2, 63, 1, packed)  # 2^63 indices overflow int64
+    q = _kernels.INT64_SAFE_MOD
+    packed = _kernels.pack_equations([[([1], (1,))]], q, 1, 1)
+    with pytest.raises(CapExceededError):
+        _kernels.ff_count(q, 1, 1, packed)  # residue products overflow
 
 
 def test_int64_guard():
