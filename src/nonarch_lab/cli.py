@@ -261,27 +261,24 @@ def cmd_det_cover(args, started):
 
 
 def cmd_count_ff(args, started):
-    from .ffcount import CountRecord, estimate_delta, load_variety, enumerate_Xr, verify_bounds
+    from .ffcount import CountRecord, enumerate_Xr, load_variety, verify_bounds
 
     with input_schema(args.input):
         X = load_variety(args.input)
     qs = parse_range_list(args.q)
     rs = parse_range_list(args.r)
     records = []
-    fits = {}
     bound_reports = {}
     for r in rs:
         counts = {}
         for q in qs:
             counts[q] = enumerate_Xr(X, q, r, cap=args.cap)
-        fit = None
+        fit = (None, None, None)
         if len(qs) >= 2 and any(counts.values()):
-            fit = estimate_delta(counts, r, X.n, mu_cap=args.mu_cap)
-            fits[r] = fit
-            bound_reports[r] = verify_bounds(counts, X, r, mu_cap=args.mu_cap)
+            rep = bound_reports[r] = verify_bounds(counts, X, r, mu_cap=args.mu_cap)
+            fit = (rep.delta, rep.mu, rep.slack_sq)
         for q in qs:
-            delta, mu, slack = fit if fit else (None, None, None)
-            records.append(CountRecord(q, r, counts[q], delta, mu, slack))
+            records.append(CountRecord(q, r, counts[q], *fit))
     report = {
         "config": base_config(args, input=os.path.basename(args.input),
                               q=qs, r=rs, cap=args.cap, mu_cap=args.mu_cap),
@@ -335,6 +332,16 @@ def cmd_hilbert(args, started):
         data = load_json(args.input)
         nvars = int(data["vars"])
         gens = [parse_poly(g, nvars) for g in data["generators"]]
+    if args.salberger_m is not None:
+        salberger_s = parse_range_list(args.salberger_s)
+        if args.salberger_m < 0:
+            raise ConfigError(f"--salberger-m must be >= 0, got {args.salberger_m}")
+        if min(salberger_s) < 1:
+            raise ConfigError(
+                f"--salberger-s values must be >= 1, got {args.salberger_s!r}")
+    if args.select and min(args.select) < 1:
+        d, r = args.select
+        raise ConfigError(f"--select D R needs D >= 1 and R >= 1, got {d} {r}")
     if gens:
         ideal = HomIdeal(gens, s_pair_budget=args.budget)
         table = HilbertTable.from_ideal(ideal)
@@ -359,7 +366,7 @@ def cmd_hilbert(args, started):
     if args.salberger_m is not None:
         results["salberger"] = [
             salberger_check(table, s, args.salberger_m).to_json()
-            for s in parse_range_list(args.salberger_s)
+            for s in salberger_s
         ]
     if args.select:
         d, r = args.select

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith_core import val_factorial
+from .arith_core import is_prime, val_factorial
 from .errors import ConfigError
 
 
@@ -92,7 +92,10 @@ def alpha_bound(setup, T, p):
 
     Balls of valuative radius alpha then force every mu-point monomial
     determinant of height-T points to vanish.  Exact big-integer comparison.
+    p must be prime (for p = 0 or 1 the power never passes the bound).
     """
+    if not is_prime(p):
+        raise ConfigError(f"p = {p} is not prime")
     if T < 2:
         T = 2
     rhs = math.factorial(setup.mu) * T ** setup.V

@@ -223,20 +223,33 @@ def estimate_delta(counts, r, n, mu_cap=64):
     mu).  The least squared slack wins, ties broken by smaller delta then
     smaller mu.
 
+    For fixed delta the squared slack is a maximum over q of quadratics in
+    mu with positive leading coefficient q, so it is convex in mu, and its
+    values f(1), f(2), ... have nondecreasing differences.  The smallest k
+    with f(k) <= f(k+1) (or mu_cap when there is none) is therefore the
+    smallest minimizing mu, found by binary search in about 2*log2(mu_cap)
+    exact evaluations instead of mu_cap.
+
     counts: dict q -> exact count (>= 2 entries, not all zero).
     """
     if len(counts) < 2:
         raise ConfigError("need counts for at least two field sizes")
     if all(c == 0 for c in counts.values()):
         raise ConfigError("all counts are zero; nothing to fit")
+    if mu_cap < 1:
+        raise ConfigError(f"mu_cap must be >= 1, got {mu_cap}")
     best = None
     for delta in range(0, r * n + 1):
-        for k in range(1, mu_cap + 1):
-            mu = Fraction(k)
-            sq = _slack_sq(counts, delta, mu)
-            key = (sq, delta, mu)
-            if best is None or key < best:
-                best = key
+        lo, hi = 1, mu_cap
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _slack_sq(counts, delta, mid) <= _slack_sq(counts, delta, mid + 1):
+                hi = mid
+            else:
+                lo = mid + 1
+        key = (_slack_sq(counts, delta, lo), delta, Fraction(lo))
+        if best is None or key < best:
+            best = key
     sq, delta, mu = best
     return delta, mu, sq
 

@@ -11,7 +11,7 @@ is performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith_core import MultiPoly
@@ -33,7 +33,10 @@ def compare_order(a, b):
 
 
 def monomials_of_degree(nvars, s):
-    """Exponent vectors of total degree exactly s, grevlex-sorted."""
+    """Exponent vectors of total degree exactly s, grevlex-sorted; empty
+    for s < 0."""
+    if s < 0:
+        return []
     out = []
 
     def rec(prefix, remaining, slots):
@@ -200,10 +203,29 @@ class HomIdeal:
 @dataclass
 class HilbertTable:
     """Standard-monomial statistics of a homogeneous ideal, driven entirely
-    by the leading-term exponents (I and LT(I) share the Hilbert function)."""
+    by the leading-term exponents (I and LT(I) share the Hilbert function).
+
+    The standard monomials (those divisible by no element of lt_gens) form
+    an order ideal: every divisor of a standard monomial is standard.  So
+    the table walks the degrees in turn.  Degree 0 is the constant monomial
+    unless some leading term divides 1, and a monomial m of degree s+1 is
+    standard exactly when m is not in lt_gens and every degree-s divisor
+    m - unit_j (m_j > 0) is standard.  This holds for any lt_gens, minimal
+    or not: a proper divisor of m in lt_gens divides one of those degree-s
+    divisors, which is then not standard.
+
+    The walk keeps only its current degree's monomials, and caches H(s)
+    and the sums sigma_i(s) of every degree it has passed; all statistics
+    below read that cache.
+    """
 
     nvars: int
     lt_gens: list
+    _stats: list = field(default_factory=list, init=False, repr=False,
+                         compare=False)
+    _degree: int = field(default=-1, init=False, repr=False, compare=False)
+    _level: list = field(default_factory=list, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def from_ideal(cls, ideal):
@@ -213,23 +235,65 @@ class HilbertTable:
     def from_lt(cls, nvars, lt_gens):
         return cls(nvars, [tuple(e) for e in lt_gens])
 
-    def is_standard(self, exp):
-        return not any(_divides(g, exp) for g in self.lt_gens)
+    def _advance(self):
+        """Move the walk one degree up and cache that degree's H, sigma.
+
+        The level holds pairs (m, i) with i the last index at which m is
+        nonzero (0 for the constant), so that each monomial of the next
+        degree is generated once: from its divisor at its own last nonzero
+        index.  The divisors at the other nonzero indices are looked up."""
+        n = self.nvars
+        lt = {tuple(g) for g in self.lt_gens}
+        if self._degree < 0:
+            zero = (0,) * n
+            level = [] if zero in lt else [(zero, 0)]
+        else:
+            below = {e for e, _ in self._level}
+            level = []
+            for e, last in self._level:
+                for i in range(last, n):
+                    m = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    if m in lt:
+                        continue
+                    for j in range(i):
+                        if m[j] and m[:j] + (m[j] - 1,) + m[j + 1:] not in below:
+                            break
+                    else:
+                        level.append((m, i))
+        self._degree += 1
+        self._level = level
+        if self._degree == len(self._stats):
+            sig = tuple(map(sum, zip(*(e for e, _ in level))))
+            self._stats.append((len(level), sig if level else (0,) * n))
+
+    def _stat(self, s):
+        """(H(s), sigma(s)); (0, zeros) below degree 0."""
+        if s < 0:
+            return 0, (0,) * self.nvars
+        while len(self._stats) <= s:
+            self._advance()
+        return self._stats[s]
 
     def standard_monomials(self, s):
-        return [e for e in monomials_of_degree(self.nvars, s) if self.is_standard(e)]
+        """Standard monomials of degree s, in the monomials_of_degree order."""
+        if s < 0:
+            return []
+        if s < self._degree:
+            self._degree, self._level = -1, []
+        while self._degree < s:
+            self._advance()
+        return sorted((e for e, _ in self._level), key=grevlex_key)
 
     def hilbert_function(self, s):
-        return len(self.standard_monomials(s))
+        return self._stat(s)[0]
 
     def sigma(self, i, s):
         if not 0 <= i < self.nvars:
             raise ConfigError("variable index out of range")
-        return sum(e[i] for e in self.standard_monomials(s))
+        return self._stat(s)[1][i]
 
     def sigma_all(self, s):
-        mons = self.standard_monomials(s)
-        return tuple(sum(e[i] for e in mons) for i in range(self.nvars))
+        return self._stat(s)[1]
 
     def a_estimates(self, s):
         """Finite-s ratios sigma_i / (s * H(s)); they sum to 1 exactly."""

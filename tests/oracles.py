@@ -82,6 +82,16 @@ def monomials_exact_degree(nvars, s):
     return out
 
 
+def standard_monomials_filter(nvars, lt_gens, s):
+    """Exponent vectors of degree s divisible by no element of lt_gens, by
+    testing every monomial of degree s against every leading term; sorted
+    descending lexicographically, which at one degree is the grevlex order
+    of nonarch_lab.hilbert."""
+    mons = [m for m in monomials_exact_degree(nvars, s)
+            if not any(all(g <= e for g, e in zip(gen, m)) for gen in lt_gens)]
+    return sorted(mons, reverse=True)
+
+
 def hilbert_codimension(generators, nvars, s):
     """dim of the degree-s slice minus the rank of the generator multiples:
     the brute-force Hilbert function of a homogeneous ideal over Q.
@@ -103,6 +113,22 @@ def hilbert_codimension(generators, nvars, s):
                 row[col[tot]] += Fraction(cf)
             rows.append(row)
     return len(mons) - dense_rank(rows)
+
+
+def fit_delta_bruteforce(counts, r, n, mu_cap):
+    """(delta, mu, slack^2) with the least max_q (c - mu q^delta)^2 /
+    q^(2 delta - 1) over every delta in [0, r n] and every integer mu in
+    [1, mu_cap], ties to smaller delta then smaller mu: the full double
+    loop."""
+    best = None
+    for delta in range(r * n + 1):
+        for mu in range(1, mu_cap + 1):
+            sq = max(Fraction((c - mu * q ** delta) ** 2) * Fraction(q) ** (1 - 2 * delta)
+                     for q, c in counts.items())
+            if best is None or (sq, delta, mu) < best:
+                best = (sq, delta, mu)
+    sq, delta, mu = best
+    return delta, Fraction(mu), sq
 
 
 def permutation_det(rows):

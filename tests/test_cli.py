@@ -199,6 +199,23 @@ def test_count_ff_malformed_exit_2(tmp_path, capsys):
     assert main(["count-ff", path, "--q", "2,3", "--r", "1"]) == 2
     assert "missing key 'n'" in capsys.readouterr().err
     assert main(["count-ff", str(tmp_path / "absent.json"), "--q", "2", "--r", "1"]) == 2
+    path = write(tmp_path, "yx3.json", YX3)
+    assert main(["count-ff", path, "--q", "2,3", "--r", "1", "--mu-cap", "0"]) == 2
+    assert "mu_cap must be >= 1" in capsys.readouterr().err
+
+
+def test_bounds_nonprime_p_exit_2(capsys):
+    for p in ("0", "1", "4"):
+        argv = ["bounds", "--m", "1", "--n", "2", "--d", "1", "--T", "10", "--p", p]
+        assert main(argv) == 2, p
+        assert f"p = {p} is not prime" in capsys.readouterr().err
+
+
+def test_det_cover_nonprime_p_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "cover.json", COVER)
+    for p in ("0", "1"):
+        assert main(["det-cover", path, "--p", p]) == 2, p
+        assert f"p = {p} is not prime" in capsys.readouterr().err
 
 
 def test_expand_scheme_malformed_exit_2(tmp_path, capsys):
@@ -220,6 +237,15 @@ def test_hilbert_malformed_exit_2(tmp_path, capsys):
     path = write(tmp_path, "arity.json", {"vars": 2, "generators": CONIC_IDEAL["generators"]})
     assert main(["hilbert", path, "--smax", "3"]) == 2
     assert "arity 3, expected 2" in capsys.readouterr().err
+    path = write(tmp_path, "conic.json", CONIC_IDEAL)
+    for extra, named in ((["--salberger-m", "1", "--salberger-s", "0"], "--salberger-s"),
+                         (["--salberger-m", "1", "--salberger-s", "5,0..2"],
+                          "--salberger-s"),
+                         (["--salberger-m", "-1"], "--salberger-m"),
+                         (["--select", "0", "4"], "--select"),
+                         (["--select", "2", "0"], "--select")):
+        assert main(["hilbert", path, "--smax", "3"] + extra) == 2, extra
+        assert named in capsys.readouterr().err
 
 
 def test_seed_only_on_taylor_check(tmp_path):

@@ -87,6 +87,13 @@ def test_alpha_bound_examples():
     assert alpha_bound(setup, 2, 2) >= 1
 
 
+def test_alpha_bound_needs_prime_p():
+    setup = DetSetup.for_dims(1, 2, 1)
+    for p in (-3, 0, 1, 4, 9):
+        with pytest.raises(ConfigError, match="not prime"):
+            alpha_bound(setup, 10, p)
+
+
 def test_alpha_bound_minimal():
     for (m, n, d, T, p) in ((1, 2, 1, 10, 3), (1, 2, 2, 10, 3), (1, 1, 2, 50, 2),
                             (1, 2, 2, 100, 5)):

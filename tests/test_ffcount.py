@@ -183,6 +183,43 @@ def test_estimate_delta_validation():
         estimate_delta({2: 4}, 1, 2)
     with pytest.raises(ConfigError):
         estimate_delta({2: 0, 3: 0}, 1, 2)
+    for mu_cap in (0, -1):
+        with pytest.raises(ConfigError, match="mu_cap"):
+            estimate_delta({2: 4, 3: 9}, 1, 2, mu_cap=mu_cap)
+
+
+def test_estimate_delta_matches_bruteforce_fit():
+    # near-power-law counts mu0 * q^delta0 + noise, with mu0 on both sides
+    # of mu_cap; every fifth set is unstructured, and every fifth sits
+    # halfway between mu0 and mu0 + 1 over powers of 2, where the slack
+    # ties between two mu and the smaller must win
+    rng = random.Random(2014)
+    sizes = [2, 3, 4, 5, 7, 8, 9, 11, 13]
+    for case in range(400):
+        mu_cap = (1, 2, 5, 64)[case % 4]
+        r, n = rng.randint(1, 2), rng.randint(1, 2)
+        delta0, mu0 = rng.randint(0, r * n), rng.randint(1, 80)
+        if case % 5 == 3:
+            qs = rng.sample([2, 4, 8, 16], rng.randint(2, 3))
+            delta0 = max(delta0, 1)
+        else:
+            qs = rng.sample(sizes, rng.randint(2, 4))
+        counts = {}
+        for q in qs:
+            Q = q ** delta0
+            if case % 5 == 4:
+                counts[q] = rng.randint(0, 10 ** 4)
+            elif case % 5 == 3:
+                counts[q] = mu0 * Q + Q // 2
+            else:
+                width = max(1, Q // 2)
+                counts[q] = max(0, mu0 * Q + rng.randint(-width, width))
+        if not any(counts.values()):
+            counts[qs[0]] = 1
+        want = oracles.fit_delta_bruteforce(counts, r, n, mu_cap)
+        assert estimate_delta(counts, r, n, mu_cap=mu_cap) == want, (counts, r, n, mu_cap)
+    # mu = 1 and mu = 2 both give slack^2 1 at delta = 1
+    assert estimate_delta({2: 3, 4: 6}, 1, 1, mu_cap=5) == (1, Fraction(1), Fraction(1))
 
 
 def test_elliptic_hasse_window():

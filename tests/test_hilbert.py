@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -197,3 +198,74 @@ def test_select_needs_plane():
     table = HilbertTable.from_lt(4, [])
     with pytest.raises(ConfigError):
         select_delta_alpha(table, 2, 4)
+
+
+def test_monomials_of_degree_negative():
+    for nvars in (0, 1, 2, 3):
+        assert monomials_of_degree(nvars, -1) == []
+        assert monomials_of_degree(nvars, -3) == []
+    table = HilbertTable.from_lt(1, [])
+    assert table.standard_monomials(-1) == []
+    assert table.hilbert_function(-1) == 0 and table.sigma_all(-1) == (0,)
+
+
+def _assert_walk_matches_filter(nvars, lt_gens, smax=12):
+    walked = HilbertTable.from_lt(nvars, lt_gens)
+    stats = HilbertTable.from_lt(nvars, lt_gens)
+    for s in range(smax + 1):
+        want = oracles.standard_monomials_filter(nvars, lt_gens, s)
+        assert walked.standard_monomials(s) == want, (nvars, lt_gens, s)
+        sig = tuple(sum(e[i] for e in want) for i in range(nvars))
+        assert (stats.hilbert_function(s), stats.sigma_all(s)) == (len(want), sig)
+
+
+def test_walk_matches_filter_on_random_monomial_ideals():
+    rng = random.Random(20141)
+    for _ in range(80):
+        nvars = rng.randint(1, 4)
+        lt_gens = [tuple(rng.randint(0, 3) for _ in range(nvars))
+                   for _ in range(rng.randint(0, 4))]
+        _assert_walk_matches_filter(nvars, lt_gens)
+
+
+def test_walk_unit_zero_and_redundant_generators():
+    _assert_walk_matches_filter(3, [(0, 0, 0)])
+    _assert_walk_matches_filter(3, [(1, 0, 2), (0, 0, 0)])
+    for nvars in (1, 2, 3, 4):
+        _assert_walk_matches_filter(nvars, [])
+    # duplicates, and generators that are multiples of other generators
+    _assert_walk_matches_filter(
+        3, [(1, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 3), (0, 1, 3), (1, 2, 3)])
+    _assert_walk_matches_filter(4, [(0, 2, 0, 0), (0, 2, 1, 0), (0, 3, 0, 0)])
+    table = HilbertTable.from_lt(3, [(0, 0, 0)])
+    assert table.standard_monomials(0) == []
+    assert table.hilbert_function(5) == 0 and table.sigma_all(5) == (0, 0, 0)
+
+
+def test_walk_out_of_order():
+    lt_gens = [(0, 2, 0, 0), (0, 1, 1, 0), (1, 0, 2, 1)]
+    table = HilbertTable.from_lt(4, lt_gens)
+    for s in (10, 3, 11, 0, 11):
+        want = oracles.standard_monomials_filter(4, lt_gens, s)
+        got = table.standard_monomials(s)
+        assert got == want, s
+        got.clear()  # a fresh list: the table keeps its own
+        assert table.standard_monomials(s) == want
+        assert table.hilbert_function(s) == len(want)
+
+
+def _twisted_cubic_generators():
+    return [MultiPoly(4, {(1, 0, 1, 0): 1, (0, 2, 0, 0): -1}),
+            MultiPoly(4, {(0, 1, 0, 1): 1, (0, 0, 2, 0): -1}),
+            MultiPoly(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})]
+
+
+def test_twisted_cubic_hilbert_function():
+    gens = _twisted_cubic_generators()
+    table = HilbertTable.from_ideal(HomIdeal(gens))
+    for s in range(0, 61):
+        assert table.hilbert_function(s) == 3 * s + 1, s
+        assert sum(table.sigma_all(s)) == s * (3 * s + 1)
+    raw = [dict(g.terms) for g in gens]
+    for s in range(0, 9):
+        assert table.hilbert_function(s) == oracles.hilbert_codimension(raw, 4, s), s
