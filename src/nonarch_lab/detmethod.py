@@ -10,21 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .arith_core import (
-    Ball,
-    MultiPoly,
-    PadicNumber,
-    rational_residue,
-    val_fraction,
-)
+from .arith_core import Ball, MultiPoly, rational_residue, val_fraction
 from .combinatorics import DetSetup, alpha_bound
-from .errors import (
-    BoundViolation,
-    ConfigError,
-    FullRankError,
-    PrecisionError,
-)
+from .errors import BoundViolation, ConfigError, FullRankError
 from .heights import points_Z
 from .hilbert import delta_exponents
 from .taylor import ExhaustiveStrategy, check_Tr
@@ -33,142 +23,175 @@ INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra
+# exact linear algebra: fraction-free elimination over Z
 # ---------------------------------------------------------------------------
 
+def _cleared(vec):
+    """A vector of ints and Fractions as integer numerators over its common
+    denominator D: the vector times D, and D."""
+    dens = [x.denominator for x in vec]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (den // q) for x, q in zip(vec, dens)], den
+
+
+def _integer_rows(rows):
+    """Each row scaled to integers by its common denominator, and the
+    product of those scales.  Scaling a row by a nonzero integer keeps the
+    rank and multiplies the determinant by that integer."""
+    out = []
+    scale = 1
+    for row in rows:
+        ints, den = _cleared(row)
+        out.append(ints)
+        scale *= den
+    return out, scale
+
+
+def _bareiss(m):
+    """Bareiss elimination (Math. Comp. 1968) of integer rows, in place.
+
+    Returns (rank, sign of the row permutation, last pivot).  Columns are
+    taken left to right; one with no nonzero entry among the rows not yet
+    used is skipped.  After each pivot every remaining entry is a minor of
+    the row-permuted matrix on the pivot columns so far plus its own
+    column, so each division by the previous pivot is exact.  A skipped
+    column changes no entry and no pivot, which keeps that true.  For a
+    square matrix of full rank the last pivot is the determinant up to the
+    sign.
+    """
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(nc):
+        piv = next((r for r in range(rank, nr) if m[r][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top = m[rank]
+        pc = top[c]
+        for r in range(rank + 1, nr):
+            row = m[r]
+            f = row[c]
+            for k in range(c + 1, nc):
+                row[k] = (pc * row[k] - f * top[k]) // prev
+        prev = pc
+        rank += 1
+        if rank == nr:
+            break
+    return rank, sign, prev
+
+
 def exact_det(rows):
-    """Determinant of a square matrix of ints or Fractions, by elimination
-    over Q."""
+    """Determinant of a square matrix of ints or Fractions.
+
+    Each row is cleared of denominators (row scale s_i), the integer
+    determinant comes from Bareiss elimination with exact divisions, and
+    the result is det / prod(s_i) as a Fraction."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if any(len(r) != n for r in rows):
         raise ConfigError("determinant needs a square matrix")
-    m = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] == 0:
-                continue
-            factor = m[r][c] * inv
-            for k in range(c, n):
-                m[r][k] -= factor * m[c][k]
-    return det
+    m, scale = _integer_rows(rows)
+    rank, sign, last = _bareiss(m)
+    return Fraction(sign * last if rank == n else 0, scale)
 
 
 def rational_rank(rows):
-    """Exact rank of a matrix over Q."""
-    if not rows:
-        return 0
-    m = [[Fraction(x) for x in r] for r in rows]
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    for c in range(nc):
-        piv = next((r for r in range(rank, nr) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        for r in range(rank + 1, nr):
-            if m[r][c] == 0:
-                continue
-            factor = m[r][c] * inv
-            for k in range(c, nc):
-                m[r][k] -= factor * m[rank][k]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-@dataclass
-class PivotCertificate:
-    pivots: list  # (original row, original col, valuation)
-
-    def to_json(self):
-        return [{"row": r, "col": c, "valuation": v} for r, c, v in self.pivots]
-
-
-def rank_padic(rows, p=None, K=None):
-    """Rank by Gaussian elimination with minimal-valuation pivots.
-
-    Entries are PadicNumbers (Fractions are coerced when p is given).  The
-    result is provably correct when every elimination decision is
-    determinate at precision; a remaining block that is zero only at
-    precision (not exactly) raises PrecisionError.
-    """
-    from .arith_core import DEFAULT_PRECISION
-
-    K = K or DEFAULT_PRECISION
-    work = []
-    for r in rows:
-        row = []
-        for x in r:
-            if isinstance(x, PadicNumber):
-                row.append(x)
-            else:
-                if p is None:
-                    raise ConfigError("rational entries need an explicit prime")
-                row.append(PadicNumber.from_rational(Fraction(x), p, K))
-        work.append(row)
-    if not work:
-        return 0, PivotCertificate([])
-    nr, nc = len(work), len(work[0])
-    row_ids = list(range(nr))
-    pivots = []
-    rank = 0
-    for _step in range(min(nr, nc)):
-        best = None
-        pending = False
-        for i in range(rank, nr):
-            for j in range(nc):
-                x = work[i][j]
-                if x.is_exact_zero:
-                    continue
-                if x.is_zero_at_precision:
-                    pending = True
-                    continue
-                key = (x.ord(), i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            if pending:
-                raise PrecisionError(
-                    "rank indeterminate: remaining candidates are zero-at-precision")
-            break
-        v, i, j = best
-        work[rank], work[i] = work[i], work[rank]
-        row_ids[rank], row_ids[i] = row_ids[i], row_ids[rank]
-        pivots.append((row_ids[rank], j, v))
-        piv = work[rank][j]
-        for r2 in range(rank + 1, nr):
-            x = work[r2][j]
-            if x.is_exact_zero:
-                continue
-            factor = x / piv
-            work[r2] = [a - factor * b for a, b in zip(work[r2], work[rank])]
-        rank += 1
-    return rank, PivotCertificate(pivots)
+    """Exact rank of a matrix over Q: rows are cleared of denominators,
+    which keeps the rank, then reduced by Bareiss elimination on ints."""
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ConfigError("rank needs rows of equal length")
+    m, _ = _integer_rows(rows)
+    return _bareiss(m)[0]
 
 
 # ---------------------------------------------------------------------------
 # determinant estimate
 # ---------------------------------------------------------------------------
 
+def _monomial_matrix(cleared, exps, d):
+    """Integer monomial matrix, rows by exponent and columns by point, of
+    points given as (numerators a, common denominator D).  The column of a
+    point holds prod a_i^e_i * D^(d - |e|): the rational column
+    prod x_i^e_i scaled by D^d."""
+    spare = [d - sum(exp) for exp in exps]
+    cols = []
+    for a, den in cleared:
+        dpow = [1]
+        for _ in range(d):
+            dpow.append(dpow[-1] * den)
+        apow = []
+        for x in a:
+            pw = [1]
+            for _ in range(d):
+                pw.append(pw[-1] * x)
+            apow.append(pw)
+        col = []
+        for exp, s in zip(exps, spare):
+            t = dpow[s]
+            for pw, e in zip(apow, exp):
+                if e:
+                    t *= pw[e]
+            col.append(t)
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+def _integer_components(psi):
+    """Each component of psi as (L, degree, [(exp, L * coeff)]) with L the
+    lcm of its coefficient denominators, so every coefficient is an int."""
+    out = []
+    for comp in psi.components:
+        L = lcm(*(c.denominator for c in comp.terms.values()))
+        terms = [(exp, c.numerator * (L // c.denominator))
+                 for exp, c in comp.terms.items()]
+        out.append((L, comp.degree() or 0, terms))
+    return out
+
+
+def _eval_cleared(comps, point):
+    """psi(point) as (numerators, common denominator), in integers: with the
+    point written as b / E, component i is N_i / (L_i * E^deg_i) where
+    N_i = sum (L_i c_t) prod b^t E^(deg_i - |t|)."""
+    b, E = _cleared([x if isinstance(x, int) else Fraction(x) for x in point])
+    nums, dens = [], []
+    for L, deg, terms in comps:
+        acc = 0
+        for exp, c in terms:
+            t = c * E ** (deg - sum(exp))
+            for x, e in zip(b, exp):
+                if e:
+                    t *= x ** e
+            acc += t
+        nums.append(acc)
+        dens.append(L * E ** deg)
+    den = lcm(*dens)
+    a = [x * (den // q) for x, q in zip(nums, dens)]
+    g = gcd(den, *a)
+    return tuple(x // g for x in a), den // g
+
+
 @dataclass
 class MonomialMatrix:
+    """The matrix (psi(P_j)^alpha) of mu points, rows by exponent alpha and
+    columns by point.
+
+    `entries` holds it with denominators cleared column by column: column j
+    is the rational column times D_j^d, where D_j is the common denominator
+    of psi(P_j), so `entries` is an integer matrix.  `scale` is
+    prod_j D_j^d, and the rational determinant is det(entries) / scale.
+    """
+
     setup: DetSetup
     points: list
     exponents: list
-    entries: list  # rows indexed by exponents, columns by points
+    entries: list
+    scale: int
 
     @classmethod
     def build(cls, psi, points, d):
@@ -176,20 +199,15 @@ class MonomialMatrix:
         if len(points) != setup.mu:
             raise ConfigError(f"need mu={setup.mu} points, got {len(points)}")
         exps = delta_exponents(psi.n, d)
-        values = [psi.eval(pt) for pt in points]
-        entries = []
-        for alpha in exps:
-            row = []
-            for val in values:
-                prod = Fraction(1)
-                for comp, e in zip(val, alpha):
-                    prod *= Fraction(comp) ** e
-                row.append(prod)
-            entries.append(row)
-        return cls(setup, list(points), exps, entries)
+        comps = _integer_components(psi)
+        cleared = [_eval_cleared(comps, pt) for pt in points]
+        scale = 1
+        for _, den in cleared:
+            scale *= den ** d
+        return cls(setup, list(points), exps, _monomial_matrix(cleared, exps, d), scale)
 
     def determinant(self):
-        return exact_det(self.entries)
+        return exact_det(self.entries) / self.scale
 
 
 @dataclass
@@ -268,23 +286,25 @@ def auxiliary_polynomial(points, d, n=None):
     from a maximal-rank monomial submatrix augmented by the grevlex-smallest
     missing monomial row.
 
+    The monomial matrix is built in integers: point j, written as integer
+    numerators over its common denominator D_j, gives the rational column
+    times D_j^d.  Column scaling keeps every rank the greedy selections ask
+    for, and each signed minor on the selected columns is its integer
+    determinant divided by prod_{j in sel} D_j^d.
+
     Raises FullRankError when the monomial matrix has full rank D_n(d).
     """
     if not points:
         raise ConfigError("need at least one point")
     pts = [tuple(Fraction(c) for c in pt) for pt in points]
+    n = n if n is not None else len(pts[0])
+    if any(len(pt) != n for pt in pts):
+        raise ConfigError(f"every point needs {n} coordinates")
     if len(set(pts)) != len(pts):
         raise ConfigError("points must be pairwise distinct")
-    n = n if n is not None else len(pts[0])
     exps = delta_exponents(n, d)
-
-    def mono(pt, exp):
-        prod = Fraction(1)
-        for c, e in zip(pt, exp):
-            prod *= c ** e
-        return prod
-
-    full = [[mono(pt, exp) for pt in pts] for exp in exps]
+    cleared = [_cleared(pt) for pt in pts]
+    full = _monomial_matrix(cleared, exps, d)
 
     # greedy maximal independent point columns
     sel = []
@@ -309,11 +329,14 @@ def auxiliary_polynomial(points, d, n=None):
             break
     beta_idx = next(i for i in range(len(exps)) if i not in I)
 
+    scale = 1
+    for j in sel:
+        scale *= cleared[j][1] ** d
     rows_idx = sorted(I + [beta_idx])
     terms = {}
     for k, ri in enumerate(rows_idx):
         minor = [[full[rj][c] for c in sel] for rj in rows_idx if rj != ri]
-        coeff = exact_det(minor) if minor else Fraction(1)
+        coeff = exact_det(minor) / scale
         if k % 2:
             coeff = -coeff
         if coeff:
@@ -415,6 +438,9 @@ def cover_points(X, psi, T, d, p, cap=10**7, cert_K=None):
     nonempty balls is at most p^(alpha*m), and every auxiliary polynomial
     vanishes at its points.
     """
+    if psi.n != X.nvars:
+        raise ConfigError(
+            f"parametrization has {psi.n} components for a curve in {X.nvars} variables")
     setup = DetSetup.for_dims(psi.m, psi.n, d)
     alpha = alpha_bound(setup, T, p)
 

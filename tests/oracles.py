@@ -72,6 +72,85 @@ def dense_rank(rows):
     return rank
 
 
+def fraction_det(rows):
+    """Determinant over Q by Gaussian elimination on Fraction rows."""
+    n = len(rows)
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c] == 0:
+                continue
+            factor = m[r][c] * inv
+            for k in range(c, n):
+                m[r][k] -= factor * m[c][k]
+    return det
+
+
+def auxiliary_polynomial_fraction(points, d, n=None):
+    """The determinant method's auxiliary polynomial over Q, with every
+    rank and minor taken by Fraction elimination on the rational monomial
+    matrix: (terms, beta, beta_coeff, rank).  Raises the error types the
+    production routine raises."""
+    from nonarch_lab.errors import BoundViolation, ConfigError, FullRankError
+    from nonarch_lab.hilbert import delta_exponents
+
+    if not points:
+        raise ConfigError("need at least one point")
+    pts = [tuple(Fraction(c) for c in pt) for pt in points]
+    n = n if n is not None else len(pts[0])
+    if any(len(pt) != n for pt in pts):
+        raise ConfigError("point arity")
+    if len(set(pts)) != len(pts):
+        raise ConfigError("points must be pairwise distinct")
+    exps = delta_exponents(n, d)
+
+    def mono(pt, exp):
+        prod = Fraction(1)
+        for c, e in zip(pt, exp):
+            prod *= c ** e
+        return prod
+
+    full = [[mono(pt, exp) for pt in pts] for exp in exps]
+    sel = []
+    for j in range(len(pts)):
+        cand = sel + [j]
+        if dense_rank([[full[i][c] for c in cand] for i in range(len(exps))]) == len(cand):
+            sel.append(j)
+    a = len(sel)
+    if a >= len(exps):
+        raise FullRankError("full rank")
+    I = []
+    for i in range(len(exps)):
+        cand = I + [i]
+        if dense_rank([[full[r][c] for c in sel] for r in cand]) == len(cand):
+            I.append(i)
+        if len(I) == a:
+            break
+    beta_idx = next(i for i in range(len(exps)) if i not in I)
+    rows_idx = sorted(I + [beta_idx])
+    terms = {}
+    for k, ri in enumerate(rows_idx):
+        coeff = fraction_det([[full[rj][c] for c in sel] for rj in rows_idx if rj != ri])
+        if k % 2:
+            coeff = -coeff
+        if coeff:
+            terms[exps[ri]] = coeff
+    beta = exps[beta_idx]
+    beta_coeff = terms.get(beta, Fraction(0))
+    if not beta_coeff:
+        raise BoundViolation("lost pivot coefficient")
+    return terms, beta, beta_coeff, a
+
+
 def monomials_exact_degree(nvars, s):
     if nvars == 1:
         return [(s,)]

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import nonarch_lab
 from nonarch_lab.cli import main, parse_range_list
 from nonarch_lab.errors import ConfigError
 
@@ -194,6 +195,14 @@ def test_det_cover_malformed_exit_2(tmp_path, capsys):
     assert main(["det-cover", write(tmp_path, "no_m.json", bad_psi)]) == 2
 
 
+def test_det_cover_dimension_mismatch_exit_2(tmp_path, capsys):
+    psi3 = dict(COVER["psi"], n=3, components=COVER["psi"]["components"]
+                + [[{"exp": [3], "coeff": "1"}]])
+    path = write(tmp_path, "psi3.json", dict(COVER, psi=psi3))
+    assert main(["det-cover", path]) == 2
+    assert "3 components for a curve in 2 variables" in capsys.readouterr().err
+
+
 def test_count_ff_malformed_exit_2(tmp_path, capsys):
     path = write(tmp_path, "non.json", {k: v for k, v in YX3.items() if k != "n"})
     assert main(["count-ff", path, "--q", "2,3", "--r", "1"]) == 2
@@ -309,10 +318,14 @@ def test_corpus_runner(tmp_path):
 
 
 def test_cli_entrypoint_subprocess():
+    # the child finds the package where this test process found it
+    src = os.path.dirname(os.path.dirname(nonarch_lab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nonarch_lab.cli", "bounds", "--m", "1",
          "--n", "2", "--d", "2", "--T", "10", "--p", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["results"]["r"] == 6 and report["results"]["e"] == 15

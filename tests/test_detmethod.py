@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from nonarch_lab.arith_core import Ball, MultiPoly, PadicNumber
+from nonarch_lab.arith_core import Ball, MultiPoly
 from nonarch_lab.combinatorics import DetSetup, e_of
 from nonarch_lab.detmethod import (
     auxiliary_polynomial,
@@ -12,37 +12,14 @@ from nonarch_lab.detmethod import (
     cover_points,
     det_bound_check,
     exact_det,
-    rank_padic,
     rational_rank,
 )
-from nonarch_lab.errors import BoundViolation, FullRankError, PrecisionError
+from nonarch_lab.errors import BoundViolation, ConfigError, FullRankError
 from nonarch_lab.heights import SemialgSpec
 from nonarch_lab.taylor import PolyMap
 
 PSI_GRAPH = PolyMap(1, 2, [MultiPoly(1, {(1,): 1}), MultiPoly(1, {(2,): 1})])
 PARABOLA = SemialgSpec(2, [MultiPoly(2, {(0, 1): 1, (2, 0): -1})])
-
-
-def test_rank_padic_examples():
-    rank, cert = rank_padic([[1, 1], [3, 6]], p=3)
-    assert rank == 2
-    assert [c["valuation"] for c in cert.to_json()] == [0, 1]
-    assert rank_padic([[1, 2], [2, 4]], p=3)[0] == 1
-    assert rank_padic([[0, 0], [0, 0]], p=3)[0] == 0
-
-
-def test_rank_padic_pivot_rule():
-    # minimal-valuation pivot first: the unit 1 beats the 3s
-    rank, cert = rank_padic([[3, 1], [9, 6]], p=3)
-    assert rank == 2
-    assert cert.pivots[0][1] == 1 and cert.pivots[0][2] == 0
-
-
-def test_rank_padic_indeterminate():
-    zap = PadicNumber.zero_at_precision(3, floor=6)
-    one = PadicNumber.from_rational(1, 3)
-    with pytest.raises(PrecisionError):
-        rank_padic([[one, one], [one, one + zap]])
 
 
 def test_rank_agrees_with_rational_rank():
@@ -56,7 +33,6 @@ def test_rank_agrees_with_rational_rank():
             rows[-1] = [2 * x for x in rows[0]]
         expected = oracles.dense_rank(rows)
         assert rational_rank(rows) == expected
-        assert rank_padic(rows, p=rng.choice([2, 3, 5]))[0] == expected
 
 
 def test_exact_det_against_permutation_expansion():
@@ -195,3 +171,128 @@ def test_monomial_matrix_rows_match_delta():
     mm = MonomialMatrix.build(psi, [(i,) for i in range(6)], 2)
     assert len(mm.exponents) == 6 and len(mm.entries) == 6
     assert all(len(row) == 6 for row in mm.entries)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination against Fraction oracles
+# ---------------------------------------------------------------------------
+
+def _rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7, 11]))
+
+
+def test_rational_rank_matches_dense_rank():
+    rng = random.Random(45)
+    skipped = 0
+    for _ in range(450):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[_rational(rng) for _ in range(nc)] for _ in range(nr)]
+        # all-zero columns: a column with no pivot that Bareiss must skip
+        for c in rng.sample(range(nc), rng.randint(0, nc // 2)):
+            for row in rows:
+                row[c] = 0
+        # planted row dependencies
+        if nr >= 3 and rng.random() < 0.5:
+            a, b = _rational(rng), _rational(rng)
+            rows[rng.randrange(2, nr)] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        elif nr >= 2 and rng.random() < 0.3:
+            rows[-1] = [Fraction(3, 7) * x for x in rows[0]]
+        rank = oracles.dense_rank(rows)
+        assert rational_rank(rows) == rank, rows
+        first_zero = next((c for c in range(nc) if not any(r[c] for r in rows)), None)
+        if first_zero is not None and first_zero < nc - 1 and 1 < rank < nr:
+            skipped += 1
+    assert skipped >= 40  # the column skip ran mid-elimination often enough
+
+
+def test_exact_det_fraction_entries():
+    rng = random.Random(46)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        rows = [[_rational(rng) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.4:
+            rows[0][0] = 0  # forces a row swap
+        if n >= 2 and rng.random() < 0.25:
+            rows[-1] = [2 * x for x in rows[0]]
+        assert exact_det(rows) == oracles.permutation_det(rows)
+
+
+def test_auxiliary_polynomial_matches_fraction_oracle():
+    rng = random.Random(47)
+    found = 0
+    for _ in range(300):
+        n, d, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 12)
+        if rng.random() < 0.5:
+            # points on a rational curve, so that a polynomial often exists
+            xs = {_rational(rng) for _ in range(k)}
+            pts = [(x,) + tuple(x ** (i + 2) + i for i in range(n - 1)) for x in xs]
+        else:
+            pts = [tuple(_rational(rng) for _ in range(n)) for _ in range(k)]
+        try:
+            want = oracles.auxiliary_polynomial_fraction(pts, d, n)
+        except Exception as err:  # noqa: BLE001 - the type is compared
+            with pytest.raises(type(err)):
+                auxiliary_polynomial(pts, d, n)
+            continue
+        aux = auxiliary_polynomial(pts, d, n)
+        assert (aux.poly.terms, aux.beta, aux.beta_coeff, aux.rank) == want, pts
+        found += 1
+    assert found >= 100, found
+
+
+def test_monomial_matrix_determinant_rational():
+    from nonarch_lab.detmethod import MonomialMatrix
+
+    rng = random.Random(48)
+    nonzero = 0
+    for _ in range(150):
+        p, n, d = rng.choice([2, 3, 5]), rng.choice([1, 2]), rng.choice([1, 2])
+        alpha = rng.randint(0, 2)
+        ball = Ball(p, (0,), alpha)
+        psi = PolyMap(1, n, [MultiPoly(1, {(j,): _rational(rng) for j in range(3)})
+                             for _ in range(n)], domain=ball)
+        setup = DetSetup.for_dims(1, n, d)
+        pts = [(Fraction(p ** alpha * rng.randint(-20, 20), rng.choice([1, 7, 11, 13])),)
+               for _ in range(setup.mu)]
+        assert all(ball.contains(pt) for pt in pts)
+        mm = MonomialMatrix.build(psi, pts, d)
+        assert all(isinstance(x, int) for row in mm.entries for x in row)
+        values = [psi.eval(pt) for pt in pts]
+        rows = []
+        for exp in mm.exponents:
+            row = []
+            for val in values:
+                t = Fraction(1)
+                for v, e in zip(val, exp):
+                    t *= v ** e
+                row.append(t)
+            rows.append(row)
+        want = oracles.fraction_det(rows)
+        assert mm.determinant() == want
+        nonzero += want != 0
+    assert nonzero >= 100
+
+
+# ---------------------------------------------------------------------------
+# dimension mismatches are configuration errors
+# ---------------------------------------------------------------------------
+
+def test_auxiliary_polynomial_point_arity():
+    with pytest.raises(ConfigError):
+        auxiliary_polynomial([(1, 2, 3), (2, 3, 4)], 1, 2)
+    with pytest.raises(ConfigError):
+        auxiliary_polynomial([(1, 2), (2, 3), (3,)], 2)
+
+
+def test_rational_rank_ragged_rows():
+    with pytest.raises(ConfigError):
+        rational_rank([[1, 2], [3]])
+    with pytest.raises(ConfigError):
+        rational_rank([[1], [2, 3]])
+
+
+def test_cover_component_count_mismatch():
+    psi3 = PolyMap(1, 3, [MultiPoly(1, {(1,): 1}), MultiPoly(1, {(2,): 1}),
+                          MultiPoly(1, {(3,): 1})])
+    with pytest.raises(ConfigError):
+        cover_points(PARABOLA, psi3, 10, 2, 3)
