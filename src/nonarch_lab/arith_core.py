@@ -1,9 +1,11 @@
-"""Exact arithmetic core: Q_p elements at finite precision, residue values,
-balls with valuative radii, truncated polynomials over F_p and Q, and a
-sparse multivariate polynomial type.
+"""Exact arithmetic core: p-adic valuations and residues of exact
+rationals, balls with valuative radii in Z_p^m, truncated polynomials over
+F_p and Q, and a sparse multivariate polynomial type.
 
-Norms are never materialized as floats.  |x| <= |y| is decided as
-ord(x) >= ord(y); a ball of valuative radius alpha is {x : ord(x-c) >= alpha}.
+Q_p is modelled only through exact rationals: no element is ever carried
+at finite precision.  Norms are never materialized as floats.  |x| <= |y|
+is decided as ord(x) >= ord(y); a ball of valuative radius alpha is
+{x : ord(x-c) >= alpha}.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import math
 from fractions import Fraction
 
 from .errors import CapExceededError, PrecisionError, RingMismatchError
-
-DEFAULT_PRECISION = 64
 
 INF = math.inf
 
@@ -74,336 +74,8 @@ def rational_residue(x, p, k):
     return num * pow(den, -1, m) % m
 
 
-class PadicNumber:
-    """Element of Q_p with tracked valuation and relative precision.
-
-    A nonzero value is p^v * u with gcd(u, p) = 1 and 0 < u < p^K; the K
-    digits of the unit are the known digits.  Values built from exact
-    rationals keep an exact backing so arithmetic among them never loses
-    digits.  A value whose known digits all vanish is zero-at-precision:
-    only ord >= floor is known, and predicates needing its exact valuation
-    raise PrecisionError.
-    """
-
-    __slots__ = ("p", "v", "u", "K", "floor", "frac")
-
-    def __init__(self, p, v, u, K, floor=None, frac=None):
-        self.p = p
-        self.v = v
-        self.u = u
-        self.K = K
-        self.floor = floor
-        self.frac = frac
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, x, p, K=DEFAULT_PRECISION):
-        if not is_prime(p):
-            raise RingMismatchError(f"{p} is not prime")
-        x = Fraction(x)
-        if x == 0:
-            return cls(p, None, None, K, floor=None, frac=Fraction(0))
-        v = val_fraction(x, p)
-        unit = x / Fraction(p) ** v
-        u = rational_residue(unit, p, K)
-        return cls(p, v, u, K, frac=x)
-
-    @classmethod
-    def zero(cls, p, K=DEFAULT_PRECISION):
-        return cls(p, None, None, K, floor=None, frac=Fraction(0))
-
-    @classmethod
-    def zero_at_precision(cls, p, floor, K=DEFAULT_PRECISION):
-        """A value known only to satisfy ord >= floor."""
-        return cls(p, None, None, K, floor=floor, frac=None)
-
-    @classmethod
-    def from_unit(cls, p, v, u, K):
-        if K < 1:
-            raise PrecisionError("precision K must be >= 1")
-        u %= p ** K
-        if u == 0 or u % p == 0:
-            raise RingMismatchError("unit must be nonzero and prime to p")
-        return cls(p, v, u, K)
-
-    # -- classification ----------------------------------------------------
-
-    @property
-    def is_exact(self):
-        return self.frac is not None
-
-    @property
-    def is_exact_zero(self):
-        return self.frac is not None and self.frac == 0
-
-    @property
-    def is_zero_at_precision(self):
-        return self.v is None and self.frac is None
-
-    @property
-    def is_zeroish(self):
-        return self.v is None
-
-    def ord(self):
-        """Valuation; INF for exact zero; PrecisionError when unknown."""
-        if self.v is not None:
-            return self.v
-        if self.is_exact_zero:
-            return INF
-        raise PrecisionError(
-            f"valuation of zero-at-precision value (ord >= {self.floor}) is unknown")
-
-    def ord_lower_bound(self):
-        if self.v is not None:
-            return self.v
-        if self.is_exact_zero:
-            return INF
-        return self.floor
-
-    def abs_precision(self):
-        """The value is known modulo p^(abs_precision)."""
-        if self.is_exact_zero or self.is_exact:
-            return INF
-        if self.is_zero_at_precision:
-            return self.floor
-        return self.v + self.K
-
-    def unit_residue(self, k):
-        """Unit part modulo p^k."""
-        if self.is_zeroish:
-            raise PrecisionError("zero value has no unit")
-        if self.is_exact:
-            unit = self.frac / Fraction(self.p) ** self.v
-            return rational_residue(unit, self.p, k)
-        if k > self.K:
-            raise PrecisionError(f"need {k} unit digits, only {self.K} known")
-        return self.u % self.p ** k
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other):
-        if not isinstance(other, PadicNumber):
-            other = PadicNumber.from_rational(other, self.p, self.K)
-        elif other.p != self.p:
-            raise RingMismatchError(f"primes differ: {self.p} vs {other.p}")
-        return other
-
-    def _rep(self):
-        # integer representative modulo p^abs_precision (zero kinds -> 0)
-        if self.is_zeroish:
-            return 0
-        return self.u * self.p ** self.v if self.v >= 0 else None
-
-    def __add__(self, other):
-        other = self._check(other)
-        p = self.p
-        if self.is_exact and other.is_exact:
-            return PadicNumber.from_rational(self.frac + other.frac, p,
-                                             min(self.K, other.K))
-        na, nb = self.abs_precision(), other.abs_precision()
-        n = min(na, nb)
-        if n is INF:  # both exact handled above; exact zero + capped
-            return self if other.is_exact_zero else other
-        # shift to a common integer picture at absolute precision n
-        terms = []
-        for x in (self, other):
-            if x.is_zeroish:
-                continue
-            if x.v < 0 and not x.is_exact:
-                raise PrecisionError("negative-valuation capped addition unsupported")
-            terms.append(x.u * p ** x.v if x.v >= 0 else x.frac)
-        if n <= 0:
-            return PadicNumber.zero_at_precision(p, n)
-        m = p ** n
-        s = 0
-        for t in terms:
-            s = (s + (t if isinstance(t, int) else rational_residue(t, p, n))) % m
-        if s == 0:
-            return PadicNumber.zero_at_precision(p, n)
-        v = val_int(s, p)
-        k = n - v
-        if k < 1:
-            return PadicNumber.zero_at_precision(p, n)
-        return PadicNumber(p, v, (s // p ** v) % p ** k, k)
-
-    def __neg__(self):
-        if self.is_exact:
-            return PadicNumber.from_rational(-self.frac, self.p, self.K)
-        if self.is_zeroish:
-            return self
-        return PadicNumber(self.p, self.v, (-self.u) % self.p ** self.K, self.K)
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        p = self.p
-        if self.is_exact and other.is_exact:
-            return PadicNumber.from_rational(self.frac * other.frac, p,
-                                             min(self.K, other.K))
-        if self.is_exact_zero or other.is_exact_zero:
-            return PadicNumber.zero(p, min(self.K, other.K))
-        if self.is_zeroish or other.is_zeroish:
-            fa = self.ord_lower_bound() if self.is_zeroish else self.v
-            fb = other.ord_lower_bound() if other.is_zeroish else other.v
-            return PadicNumber.zero_at_precision(p, fa + fb)
-        k = min(self.K, other.K)
-        u = self.unit_residue(k) * other.unit_residue(k) % p ** k
-        return PadicNumber(p, self.v + other.v, u, k)
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        p = self.p
-        if other.is_exact_zero:
-            raise ZeroDivisionError("division by exact zero")
-        if other.is_zero_at_precision:
-            raise PrecisionError("division by zero-at-precision value")
-        if self.is_exact and other.is_exact:
-            return PadicNumber.from_rational(self.frac / other.frac, p,
-                                             min(self.K, other.K))
-        if self.is_exact_zero:
-            return PadicNumber.zero(p, self.K)
-        if self.is_zero_at_precision:
-            return PadicNumber.zero_at_precision(p, self.floor - other.v)
-        k = min(self.K, other.K)
-        m = p ** k
-        u = self.unit_residue(k) * pow(other.unit_residue(k), -1, m) % m
-        return PadicNumber(p, self.v - other.v, u, k)
-
-    def __pow__(self, e):
-        if e < 0:
-            return PadicNumber.from_rational(1, self.p, self.K) / self ** (-e)
-        out = PadicNumber.from_rational(1, self.p, self.K)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        """Indistinguishable at shared precision (exact values compare exactly)."""
-        if not isinstance(other, PadicNumber):
-            try:
-                other = PadicNumber.from_rational(other, self.p, self.K)
-            except (TypeError, ValueError):
-                return NotImplemented
-        if self.p != other.p:
-            return False
-        if self.is_exact and other.is_exact:
-            return self.frac == other.frac
-        n = min(self.abs_precision(), other.abs_precision())
-        if n is INF:
-            return self.is_exact_zero and other.is_exact_zero
-        ra = 0 if self.is_zeroish else self.u * self.p ** self.v
-        rb = 0 if other.is_zeroish else other.u * other.p ** other.v
-        if n <= 0:
-            return True
-        return (ra - rb) % self.p ** n == 0
-
-    def __hash__(self):
-        if self.is_exact:
-            return hash((self.p, self.frac))
-        return hash((self.p, self.v, self.floor))
-
-    def __repr__(self):
-        p = self.p
-        if self.is_exact_zero:
-            return f"PadicNumber(0, p={p})"
-        if self.is_zero_at_precision:
-            return f"PadicNumber(O({p}^{self.floor}))"
-        return f"PadicNumber({p}^{self.v}*{self.u} + O({p}^{self.v + self.K}), p={p})"
-
-
-class ResidueValue:
-    """Element of Z/p^depth, the target of the angular-component maps."""
-
-    __slots__ = ("p", "depth", "value")
-
-    def __init__(self, p, depth, value):
-        if depth < 1:
-            raise RingMismatchError("depth must be >= 1")
-        self.p = p
-        self.depth = depth
-        self.value = value % p ** depth
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p ** self.depth
-        return (self.p, self.depth, self.value) == (other.p, other.depth, other.value)
-
-    def __hash__(self):
-        return hash((self.p, self.depth, self.value))
-
-    def __mul__(self, other):
-        if self.p != other.p or self.depth != other.depth:
-            raise RingMismatchError("residue rings differ")
-        return ResidueValue(self.p, self.depth, self.value * other.value)
-
-    def __repr__(self):
-        return f"ResidueValue({self.value} mod {self.p}^{self.depth})"
-
-
-def ord_of(x):
-    """Valuation of a PadicNumber (INF for zero)."""
-    return x.ord()
-
-
-def norm_cmp(x, y):
-    """Compare |x| and |y|: returns -1, 0, or +1.
-
-    Decided purely on valuations: |x| <= |y| iff ord(x) >= ord(y).  Raises
-    PrecisionError when the answer depends on unknown digits.
-    """
-    if x.p != y.p:
-        raise RingMismatchError("primes differ")
-
-    def bounds(z):
-        # (lower bound on ord, exact ord or None)
-        if z.is_exact_zero:
-            return INF, INF
-        if z.is_zero_at_precision:
-            return z.floor, None
-        return z.v, z.v
-
-    la, ea = bounds(x)
-    lb, eb = bounds(y)
-    if ea is not None and eb is not None:
-        if ea == eb:
-            return 0
-        return -1 if ea > eb else 1
-    if ea is INF and eb is INF:
-        return 0
-    # one side has unknown valuation >= floor
-    if ea is None and eb is not None:
-        return -1 if la > eb else _indeterminate()
-    if eb is None and ea is not None:
-        return 1 if lb > ea else _indeterminate()
-    return _indeterminate()
-
-
-def _indeterminate():
-    raise PrecisionError("norm comparison depends on unknown digits")
-
-
-def ac(x, n):
-    """Angular component at modulus n: x * p^(-ord x) mod p^(v_p(n)+1).
-
-    Sends zero to zero; depth of the output is v_p(n) + 1.
-    """
-    if n < 1:
-        raise RingMismatchError("n must be a positive integer")
-    depth = val_int(n, x.p) + 1
-    if depth is INF:
-        raise RingMismatchError("n must be nonzero")
-    if x.is_exact_zero:
-        return ResidueValue(x.p, depth, 0)
-    if x.is_zero_at_precision:
-        raise PrecisionError("angular component of zero-at-precision value")
-    return ResidueValue(x.p, depth, x.unit_residue(depth))
-
-
 class Ball:
-    """Closed ball (box) of equal valuative radius alpha in Z_p^m.
+    """Closed ball (box) of equal valuative radius alpha in Z_p^m, p prime.
 
     Membership: ord(x_i - c_i) >= alpha for every coordinate.  Two balls of
     equal radius are identical or disjoint.
@@ -412,9 +84,11 @@ class Ball:
     __slots__ = ("p", "m", "alpha", "center", "_key")
 
     def __init__(self, p, center, alpha, m=None):
+        if not is_prime(p):
+            raise RingMismatchError(f"p = {p} is not prime")
         if alpha < 0:
             raise RingMismatchError("valuative radius must be >= 0")
-        center = tuple(self._coerce_coord(c) for c in center)
+        center = tuple(Fraction(c) for c in center)
         self.p = p
         self.m = len(center) if m is None else m
         if len(center) != self.m:
@@ -426,23 +100,8 @@ class Ball:
         self.center = center
         self._key = tuple(rational_residue(c, p, alpha) for c in center)
 
-    @staticmethod
-    def _coerce_coord(c):
-        if isinstance(c, PadicNumber):
-            if not c.is_exact:
-                raise PrecisionError("ball centers need exact coordinates")
-            return c.frac
-        return Fraction(c)
-
     def canonical_center(self):
         return self._key
-
-    def __eq__(self, other):
-        return (self.p, self.m, self.alpha, self._key) == \
-               (other.p, other.m, other.alpha, other._key)
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.alpha, self._key))
 
     def __repr__(self):
         return f"Ball(p={self.p}, center={self._key}, alpha={self.alpha})"
@@ -455,32 +114,6 @@ class Ball:
             if val_fraction(d, self.p) < self.alpha:
                 return False
         return True
-
-    def intersects(self, other):
-        if (self.p, self.m) != (other.p, other.m):
-            return False
-        a = min(self.alpha, other.alpha)
-        pa = self.p ** a
-        return all((x - y) % pa == 0 for x, y in
-                   zip(self.canonical_center(), other.canonical_center()))
-
-    def subdivide(self):
-        """The p^m disjoint sub-balls of radius alpha+1 partitioning self."""
-        p, a = self.p, self.alpha
-        out = []
-        digits = [0] * self.m
-        while True:
-            center = tuple(c + p ** a * d for c, d in zip(self._key, digits))
-            out.append(Ball(p, center, a + 1, self.m))
-            i = self.m - 1
-            while i >= 0:
-                digits[i] += 1
-                if digits[i] < p:
-                    break
-                digits[i] = 0
-                i -= 1
-            if i < 0:
-                return out
 
     def residue_count(self, K):
         return self.p ** ((K - self.alpha) * self.m)
@@ -507,10 +140,6 @@ class Ball:
                 i -= 1
             if i < 0:
                 return
-
-
-def subdivide(ball):
-    return ball.subdivide()
 
 
 # ---------------------------------------------------------------------------
@@ -752,14 +381,6 @@ class TruncatedPoly:
         parts = [f"{c}*t^{i}" if i else f"{c}"
                  for i, c in enumerate(self.coeffs) if not self.ring.is_zero(c)]
         return "TruncatedPoly(" + " + ".join(parts) + ")"
-
-
-def poly_ord_t(f):
-    return f.ord_t()
-
-
-def poly_mul(f, g):
-    return f * g
 
 
 def poly_eval(terms, args):

@@ -125,22 +125,6 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
     return _kernels.ff_count(q, r, X.n, packed)
 
 
-def enumerate_Xr_direct(X, q, r, cap=10**6):
-    """Reference enumeration through exact TruncatedPoly arithmetic; slow,
-    used to cross-check the kernels."""
-    total = q ** (r * X.n)
-    if total > cap:
-        raise CapExceededError(f"{total} exceeds cap {cap}")
-    ring = GF(q)
-    reduced = X.reduce_mod(q)
-    count = 0
-    for idx in range(total):
-        coords = [TruncatedPoly(ring, list(cs)) for cs in _decode(idx, q, r, X.n)]
-        if all(poly_eval(terms, coords).is_zero() for terms in reduced):
-            count += 1
-    return count
-
-
 def expand_scheme(X, q, r):
     """Substitute generic degree-<r polynomials and expand over F_q[t]:
     one scalar equation per t-power per defining polynomial (including

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith_core import MultiPoly, val_fraction
+from .arith_core import MultiPoly, is_prime, rational_residue, val_fraction
 from .errors import CapExceededError, ConfigError
 
 
@@ -94,18 +94,21 @@ class PadicConstraint:
     depth: int = 1
     value: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("ord_ge", "ac_eq"):
+            raise ConfigError(f"unknown constraint kind {self.kind!r}")
+        if self.kind == "ac_eq" and self.depth < 1:
+            raise ConfigError(f"ac_eq constraint needs depth >= 1, got {self.depth}")
+
     def holds(self, point, p):
         g = self.poly.eval(point)
         if self.kind == "ord_ge":
             return val_fraction(g, p) >= self.c
-        if self.kind == "ac_eq":
-            if g == 0:
-                return self.value % p ** self.depth == 0
-            v = val_fraction(g, p)
-            unit = g / Fraction(p) ** v
-            from .arith_core import rational_residue
-            return rational_residue(unit, p, self.depth) == self.value % p ** self.depth
-        raise ConfigError(f"unknown constraint kind {self.kind!r}")
+        if g == 0:
+            return self.value % p ** self.depth == 0
+        v = val_fraction(g, p)
+        unit = g / Fraction(p) ** v
+        return rational_residue(unit, p, self.depth) == self.value % p ** self.depth
 
 
 @dataclass
@@ -119,6 +122,13 @@ class SemialgSpec:
     p: int | None = None
     constraints: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.p is None:
+            if self.constraints:
+                raise ConfigError("p-adic constraints need a designated prime")
+        elif not is_prime(self.p):
+            raise ConfigError(f"padic p = {self.p} is not prime")
+
     def accepts(self, point):
         for eq in self.equations:
             if eq.eval(point) != 0:
@@ -127,8 +137,6 @@ class SemialgSpec:
             if ineq.eval(point) == 0:
                 return False
         for c in self.constraints:
-            if self.p is None:
-                raise ConfigError("p-adic constraints need a designated prime")
             if not c.holds(point, self.p):
                 return False
         return True

@@ -27,7 +27,6 @@ from . import _kernels
 from .arith_core import (
     Ball,
     MultiPoly,
-    TruncatedPoly,
     divided_derivative,
     gauss_valuation,
     rational_residue,
@@ -254,15 +253,6 @@ def _compositions(total, m):
     for first in range(total + 1):
         for rest in _compositions(total - first, m - 1):
             yield (first,) + rest
-
-
-def gauss_norm(obj, p):
-    """Valuation of the Gauss norm (min coefficient valuation; INF for 0)."""
-    if isinstance(obj, PolyMap):
-        return min((gauss_valuation(c, p) for c in obj.components), default=INF)
-    if isinstance(obj, (MultiPoly, TruncatedPoly)):
-        return gauss_valuation(obj, p)
-    raise ConfigError(f"unsupported object {type(obj)}")
 
 
 # ---------------------------------------------------------------------------

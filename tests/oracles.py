@@ -268,6 +268,23 @@ def ff_graph_count(poly_terms, n, q, r):
     return count
 
 
+def enumerate_Xr_direct(X, q, r):
+    """Count of the degree-<r F_q[t]-points of the VarietySpec X: every one
+    of the q^(r*n) coefficient assignments is evaluated with the package's
+    exact TruncatedPoly arithmetic, not with its lifting kernel."""
+    from nonarch_lab.arith_core import GF, TruncatedPoly, poly_eval
+
+    ring = GF(q)
+    reduced = X.reduce_mod(q)
+    count = 0
+    for flat in product(range(q), repeat=r * X.n):
+        coords = [TruncatedPoly(ring, list(flat[i * r:(i + 1) * r]))
+                  for i in range(X.n)]
+        if all(poly_eval(terms, coords).is_zero() for terms in reduced):
+            count += 1
+    return count
+
+
 def padic_val(x, p):
     x = Fraction(x)
     if x == 0:

@@ -9,16 +9,13 @@ from nonarch_lab.arith_core import (
     QQ,
     Ball,
     MultiPoly,
-    PadicNumber,
     TruncatedPoly,
-    ac,
     divided_derivative,
     gauss_valuation,
-    norm_cmp,
     poly_eval,
     rational_residue,
-    subdivide,
     val_factorial,
+    val_fraction,
     val_int,
 )
 from nonarch_lab.errors import PrecisionError, RingMismatchError
@@ -27,62 +24,11 @@ INF = math.inf
 
 
 def test_ord_examples():
-    assert PadicNumber.from_rational(18, 3).ord() == 2
-    assert PadicNumber.from_rational(0, 3).ord() == INF
-    assert PadicNumber.from_rational(75, 5).ord() == 2
-
-
-def test_norm_cmp_examples():
-    p18 = PadicNumber.from_rational(18, 3)
-    p6 = PadicNumber.from_rational(6, 3)
-    assert norm_cmp(p18, p6) == -1  # |18| < |6| in Q_3
-    assert norm_cmp(p18, p18) == 0
-    one = PadicNumber.from_rational(1, 3)
-    zero = PadicNumber.zero(3)
-    assert norm_cmp(one, zero) == 1
-
-
-def test_norm_cmp_indeterminate():
-    zap = PadicNumber.zero_at_precision(3, floor=5)
-    x = PadicNumber.from_rational(9, 3)  # ord 2 < floor -> determinate
-    assert norm_cmp(zap, x) == -1
-    y = PadicNumber.from_rational(3 ** 7, 3)  # ord 7 >= floor
-    with pytest.raises(PrecisionError):
-        norm_cmp(zap, y)
-    with pytest.raises(PrecisionError):
-        norm_cmp(zap, PadicNumber.zero_at_precision(3, floor=2))
-
-
-def test_ac_examples():
-    assert ac(PadicNumber.from_rational(18, 3), 1) == 2
-    res = ac(PadicNumber.from_rational(75, 5), 5)
-    assert res.depth == 2 and res.value == 3
-    assert ac(PadicNumber.zero(3), 1) == 0
-
-
-def test_ac_precision_guard():
-    x = PadicNumber.from_unit(3, 0, 2, K=1)
-    with pytest.raises(PrecisionError):
-        ac(x, 3)  # depth 2 needs 2 digits
-    with pytest.raises(PrecisionError):
-        ac(PadicNumber.zero_at_precision(3, 4), 1)
-
-
-def test_zero_at_precision_ord_unknown():
-    zap = PadicNumber.zero_at_precision(5, floor=3)
-    with pytest.raises(PrecisionError):
-        zap.ord()
-    assert zap.ord_lower_bound() == 3
-
-
-def test_arithmetic_exactness_and_capping():
-    a = PadicNumber.from_rational(Fraction(7, 4), 3, K=8)
-    b = PadicNumber.from_rational(Fraction(-7, 4), 3, K=8)
-    assert (a + b).is_exact_zero
-    capped = PadicNumber.from_unit(3, 0, 1 + 3 + 9, K=3)
-    diff = capped - capped
-    assert diff.is_zero_at_precision
-    assert diff.ord_lower_bound() == 3
+    assert val_fraction(18, 3) == 2
+    assert val_fraction(0, 3) == INF
+    assert val_fraction(Fraction(0), 3) == INF
+    assert val_fraction(75, 5) == 2
+    assert val_fraction(Fraction(5, 18), 3) == -2
 
 
 def test_ultrametric_law_random():
@@ -93,12 +39,11 @@ def test_ultrametric_law_random():
         xb = Fraction(rng.randint(-200, 200), rng.choice([1, 1, 2, 5, 7]))
         if xa == 0 or xb == 0 or xa + xb == 0:
             continue
-        a = PadicNumber.from_rational(xa, p)
-        b = PadicNumber.from_rational(xb, p)
-        s = a + b
-        assert s.ord() >= min(a.ord(), b.ord())
-        if a.ord() != b.ord():
-            assert s.ord() == min(a.ord(), b.ord())
+        va, vb = val_fraction(xa, p), val_fraction(xb, p)
+        s = val_fraction(xa + xb, p)
+        assert s >= min(va, vb)
+        if va != vb:
+            assert s == min(va, vb)
 
 
 def test_multiplicativity_random():
@@ -107,64 +52,7 @@ def test_multiplicativity_random():
     for _ in range(300):
         xa = Fraction(rng.randint(1, 500), rng.choice([1, 2, 3]))
         xb = Fraction(rng.randint(1, 500), rng.choice([1, 2, 3]))
-        a = PadicNumber.from_rational(xa, p)
-        b = PadicNumber.from_rational(xb, p)
-        assert (a * b).ord() == a.ord() + b.ord()
-        k = rng.randint(1, 3)
-        u = ac(a, p ** (k - 1))
-        v = ac(b, p ** (k - 1))
-        assert u * v == ac(a * b, p ** (k - 1))
-
-
-def test_ball_dichotomy_random():
-    rng = random.Random(73)
-    p = 3
-    for _ in range(1000):
-        alpha = rng.randint(0, 4)
-        c1 = tuple(rng.randint(0, 3 ** 5) for _ in range(2))
-        c2 = tuple(rng.randint(0, 3 ** 5) for _ in range(2))
-        b1 = Ball(p, c1, alpha)
-        b2 = Ball(p, c2, alpha)
-        if b1 == b2:
-            assert b1.intersects(b2)
-        else:
-            assert not b1.intersects(b2)
-
-
-def test_subdivide_partition():
-    for p, m in ((3, 1), (2, 2)):
-        ball = Ball(p, (0,) * m, 0)
-        parts = subdivide(ball)
-        assert len(parts) == p ** m
-        # residues at depth 2 partition exactly
-        seen = set()
-        for part in parts:
-            for res in part.residues(2):
-                assert res not in seen
-                seen.add(res)
-        assert seen == set(ball.residues(2))
-    ball = Ball(3, (0,), 0)
-    twice = [g for c in subdivide(ball) for g in subdivide(c)]
-    assert len(twice) == 9
-    assert all(b.alpha == 2 for b in twice)
-
-
-def test_subdivide_z3_example():
-    parts = subdivide(Ball(3, (0,), 0))
-    assert sorted(b.canonical_center()[0] for b in parts) == [0, 1, 2]
-    assert all(b.alpha == 1 for b in parts)
-
-
-def test_precision_soundness():
-    # recomputing a pipeline at K+10 agrees on the first K digits
-    for K in (6, 12):
-        def pipeline(prec):
-            a = PadicNumber.from_rational(Fraction(22, 7), 3, prec)
-            b = PadicNumber.from_rational(Fraction(-5, 4), 3, prec)
-            return (a * b + a) * b - a
-        lo, hi = pipeline(K), pipeline(K + 10)
-        assert lo.ord() == hi.ord()
-        assert lo.unit_residue(K) == hi.unit_residue(K)
+        assert val_fraction(xa * xb, p) == val_fraction(xa, p) + val_fraction(xb, p)
 
 
 def test_ball_membership_and_radius():
@@ -176,12 +64,10 @@ def test_ball_membership_and_radius():
         Ball(3, (Fraction(1, 3),), 1)  # center outside Z_p
 
 
-def test_ball_padic_center():
-    c = PadicNumber.from_rational(4, 3)
-    ball = Ball(3, (c,), 1)
-    assert ball.canonical_center() == (1,)
-    with pytest.raises(PrecisionError):
-        Ball(3, (PadicNumber.zero_at_precision(3, 2),), 1)
+def test_ball_rejects_nonprime_p():
+    for p in (-3, 0, 1, 4):
+        with pytest.raises(RingMismatchError, match=f"p = {p} is not prime"):
+            Ball(p, (0,), 1)
 
 
 def test_truncated_poly_examples():

@@ -239,6 +239,55 @@ def test_taylor_check_malformed_exit_2(tmp_path, capsys):
     assert "missing key 'm'" in capsys.readouterr().err
 
 
+def run_cli_subprocess(argv, timeout=30):
+    """Run the CLI in a child process that finds the package where this test
+    process found it; a hang fails the test at `timeout` seconds."""
+    src = os.path.dirname(os.path.dirname(nonarch_lab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "nonarch_lab.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def assert_config_error(argv, named, capsys, in_subprocess):
+    """argv exits 2 with a config error naming `named`, and no traceback."""
+    if in_subprocess:
+        proc = run_cli_subprocess(argv)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 2, err
+    assert "config error:" in err and "Traceback" not in err, err
+    assert named in err, err
+
+
+# without the prime check, p = 1 and a nonzero centre loop forever in val_int;
+# that case runs in a child process with a timeout
+@pytest.mark.parametrize("p", [-3, 0, 1, 4])
+def test_taylor_check_nonprime_p_exit_2(tmp_path, capsys, p):
+    path = write(tmp_path, "map.json",
+                 dict(TR_X2, p=p, domain={"center": ["1"], "alpha": 0}))
+    assert_config_error(["taylor-check", path, "--r", "2", "--K", "5"],
+                        f"p = {p} is not prime", capsys, in_subprocess=p == 1)
+
+
+ORD_X = {"poly": [{"exp": [1, 0], "coeff": "1"}], "kind": "ord_ge", "c": 1}
+
+
+@pytest.mark.parametrize("p, constraint, named", [
+    (0, ORD_X, "p = 0 is not prime"),
+    (1, ORD_X, "p = 1 is not prime"),
+    (4, ORD_X, "p = 4 is not prime"),
+    (3, {"poly": [{"exp": [1, 0], "coeff": "1"}], "kind": "ac_eq", "depth": -1,
+         "value": 1}, "depth >= 1, got -1"),
+], ids=["p0", "p1", "p4", "depth-1"])
+def test_heights_malformed_padic_exit_2(tmp_path, capsys, p, constraint, named):
+    path = write(tmp_path, "padic.json",
+                 dict(CIRCLE, padic={"p": p, "constraints": [constraint]}))
+    assert_config_error(["heights", path, "--T", "2"], named, capsys,
+                        in_subprocess=p == 1)
+
+
 def test_hilbert_malformed_exit_2(tmp_path, capsys):
     path = write(tmp_path, "novars.json", {"generators": CONIC_IDEAL["generators"]})
     assert main(["hilbert", path, "--smax", "3"]) == 2
@@ -318,14 +367,8 @@ def test_corpus_runner(tmp_path):
 
 
 def test_cli_entrypoint_subprocess():
-    # the child finds the package where this test process found it
-    src = os.path.dirname(os.path.dirname(nonarch_lab.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nonarch_lab.cli", "bounds", "--m", "1",
-         "--n", "2", "--d", "2", "--T", "10", "--p", "3"],
-        capture_output=True, text=True, env=env)
+    proc = run_cli_subprocess(["bounds", "--m", "1", "--n", "2", "--d", "2",
+                               "--T", "10", "--p", "3"])
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["results"]["r"] == 6 and report["results"]["e"] == 15

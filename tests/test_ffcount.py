@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import enumerate_Xr_direct
 from conftest import CIRCLE_FF, ELLIPTIC, HYPERB_T, LINE, PARAB_T, graph_variety
 from nonarch_lab import _kernels
 from nonarch_lab.errors import CapExceededError, ConfigError, RingMismatchError
@@ -12,7 +13,6 @@ from nonarch_lab.ffcount import (
     VarietySpec,
     count_expanded,
     enumerate_Xr,
-    enumerate_Xr_direct,
     estimate_delta,
     expand_scheme,
     verify_bounds,

@@ -142,6 +142,20 @@ def test_caps_and_validation(circle_curve):
         points_Q(SemialgSpec(5, []), 1)
     with pytest.raises(ConfigError):
         hk_poly(Fraction(1), 0, 5)
+    # the p-adic block is checked when the spec is built
+    x = MultiPoly(1, {(1,): 1})
+    ord_x = PadicConstraint(x, "ord_ge", 1)
+    for p in (-3, 0, 1, 4):
+        with pytest.raises(ConfigError, match=f"p = {p} is not prime"):
+            SemialgSpec(1, [], p=p, constraints=[ord_x])
+    for depth in (0, -1):
+        with pytest.raises(ConfigError, match="depth >= 1"):
+            PadicConstraint(x, "ac_eq", depth=depth)
+    with pytest.raises(ConfigError, match="unknown constraint kind"):
+        PadicConstraint(x, "ord_gt", 1)
+    # refused even when no candidate point ever reaches the constraint
+    with pytest.raises(ConfigError, match="designated prime"):
+        SemialgSpec(1, [x - 100], constraints=[ord_x])
 
 
 def _random_coeff(rng):

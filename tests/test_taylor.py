@@ -1,11 +1,10 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from nonarch_lab.arith_core import Ball, MultiPoly, QQ, TruncatedPoly
+from nonarch_lab.arith_core import Ball, MultiPoly
 from nonarch_lab.errors import CapExceededError, ConfigError, PrecisionError
 from nonarch_lab.taylor import (
     ExhaustiveStrategy,
@@ -14,7 +13,6 @@ from nonarch_lab.taylor import (
     check_Tr,
     compose,
     cr_norm,
-    gauss_norm,
     merge_residue_balls,
     power_compose,
     recheck_witness,
@@ -198,13 +196,6 @@ def test_merge_residue_balls():
     balls = merge_residue_balls({0, 1}, 2, 2)
     assert sorted((b.canonical_center()[0], b.alpha) for b in balls) \
         == [(0, 2), (1, 2)]
-
-
-def test_gauss_norm_examples():
-    assert gauss_norm(TruncatedPoly(QQ, [3, 9, 1]), 3) == 0
-    assert gauss_norm(TruncatedPoly(QQ, [3, 9]), 3) == 1
-    assert gauss_norm(TruncatedPoly(QQ, []), 3) == math.inf
-    assert gauss_norm(PolyMap.univariate([Fraction(1, 3)]), 3) == -1
 
 
 def test_verify_gauss0_examples():
