@@ -99,11 +99,24 @@ def test_check_tr_binomial_fails_with_witness():
     assert recheck_witness(BINOM2, 1, cert.witness, 2)
 
 
+def _deep_tr_cases(rng):
+    """Maps whose sweep modulus p^s is at least 2^31, on a ball of radius
+    about s: one that holds (c x^3 on p^alpha Z_p), one whose remainder
+    c (x - y)^2 fails at |x - y| = p^-alpha, and one whose remainder sweep
+    passes but whose divided derivative g_1 = c is not integral."""
+    for p, s, alpha in ((2, 31, 29), (2, 40, 38), (3, 20, 19)):
+        c = Fraction(rng.choice([1, -1]), p ** s)
+        k = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
+        yield p, 0, alpha, 1, [[k[0], k[1], 0, c]]
+        yield p, 1, alpha, 1, [[k[0], k[1], c]]
+        yield p, 0, alpha, 2, [[k[0], c, 0, 0, k[2]]]
+
+
 def test_check_tr_matches_exact_oracle():
     # p-denominators make s > 0, so the sweep runs modulo p^s; verdict and
     # witness must be those of the definition checked pair by pair
     rng = random.Random(12)
-    outcomes = set()
+    cases = []
     for _ in range(60):
         p = rng.choice([2, 3])
         ncomp = rng.choice([1, 1, 2])
@@ -113,27 +126,32 @@ def test_check_tr_matches_exact_oracle():
                           for _ in range(rng.randint(2, 6))])
         comps[0][rng.randrange(len(comps[0]))] = Fraction(rng.choice([1, -1, 2]), p)
         alpha = rng.choice([0, 1])
-        ball = Ball(p, (rng.randrange(p) if alpha else 0,), alpha)
-        f = PolyMap(1, ncomp, [MultiPoly(1, {(i,): c for i, c in enumerate(cs)})
-                               for cs in comps], domain=ball)
-        r = rng.randint(1, 3)
+        center = rng.randrange(p) if alpha else 0
+        cases.append((p, center, alpha, rng.randint(1, 3), comps))
+    deep = list(_deep_tr_cases(random.Random(31)))
+    outcomes = []
+    for p, center, alpha, r, comps in cases + deep:
+        ball = Ball(p, (center,), alpha)
+        f = PolyMap(1, len(comps), [MultiPoly(1, {(i,): c for i, c in enumerate(cs)})
+                                    for cs in comps], domain=ball)
         cert = check_Tr(f, r, ExhaustiveStrategy(lean=True))
         residues = [x[0] for x in ball.residues(cert.K)]
         want = oracles.tr_residue_oracle(comps, r, p, residues)
         wit = cert.witness
         if want is None:
             assert cert.verdict == "holds"
-            outcomes.add("holds")
+            outcomes.append("holds")
             continue
         assert cert.verdict == "fails"
         assert recheck_witness(f, r, wit, p)
-        outcomes.add(want[0])
+        outcomes.append(want[0])
         if want[0] == "remainder":
             assert (wit["kind"], wit["component"], wit["x"], wit["y"]) == want
         else:
             assert (wit["kind"], wit["component"], wit["order"], wit["y"],
                     wit["valuation"]) == (want[0], want[1], (want[2],), want[3], want[4])
-    assert outcomes == {"holds", "remainder", "cr_norm"}
+    assert set(outcomes[:len(cases)]) == {"holds", "remainder", "cr_norm"}
+    assert outcomes[len(cases):] == ["holds", "remainder", "cr_norm"] * 3
 
 
 def test_check_tr_x3_holds():
