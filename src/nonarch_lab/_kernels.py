@@ -8,8 +8,9 @@ coefficient of an equation involves only coordinate coefficients of degree
 pair sweep works modulo p^s (s the p-denominator exponent of the divided
 derivatives).  Both are block-vectorized numpy.
 
-Everything here is exact: moduli are kept small enough that int64 products
-cannot overflow (callers fall back to big-int Python code otherwise).
+Everything here is exact: int64 arrays are used only while products of two
+residues stay below 2^62 (int64_safe); past that the pair sweep runs the
+same code on numpy object arrays of Python ints.
 """
 
 from __future__ import annotations
@@ -171,7 +172,9 @@ SWEEP_BLOCK = 1 << 16  # int64 entries per block of the 2-D Horner
 def tr_pair_sweep(table, xs, mod, r):
     """First residue pair (y, x), x != y, at which the factored remainder is
     nonzero modulo mod, or (-1, -1); scan order is ascending y then
-    ascending x.  A 2-D Horner runs over blocks of y rows by all residues."""
+    ascending x.  A 2-D Horner runs over blocks of y rows by all residues.
+    table and xs are int64 arrays when int64_safe(mod), object arrays of
+    Python ints otherwise; the same code is exact on both."""
     if mod == 1:
         return -1, -1
     R, J = table.shape
@@ -194,30 +197,10 @@ def tr_pair_sweep(table, xs, mod, r):
     return -1, -1
 
 
-def tr_pair_sweep_bigint(table, xs, mod, r):
-    """Big-integer sweep for moduli beyond int64 safety; same contract as
-    tr_pair_sweep, with table[y][j] and xs Python ints."""
-    if mod == 1:
-        return -1, -1
-    R = len(xs)
-    for y in range(R):
-        coeffs = table[y]
-        for x in range(R):
-            if x == y:
-                continue
-            h = (xs[x] - xs[y]) % mod
-            val = 0
-            for j in range(len(coeffs) - 1, r - 1, -1):
-                val = (val * h + coeffs[j]) % mod
-            if val:
-                return y, x
-    return -1, -1
-
-
 def horner_values(coeffs_desc, xs, mod):
     """Evaluate one integer polynomial (descending coefficients) at all xs
-    modulo mod, vectorized."""
-    val = np.zeros(len(xs), dtype=np.int64)
+    modulo mod, vectorized, in the dtype of xs."""
+    val = np.zeros(len(xs), dtype=xs.dtype)
     for c in coeffs_desc:
         val = (val * xs + c) % mod
     return val

@@ -1,6 +1,6 @@
 """Exact arithmetic core: p-adic valuations and residues of exact
-rationals, balls with valuative radii in Z_p^m, truncated polynomials over
-F_p and Q, and a sparse multivariate polynomial type.
+rationals, balls with valuative radii in Z_p^m, the prime fields and Q,
+and the one polynomial type, sparse multivariate over either.
 
 Q_p is modelled only through exact rationals: no element is ever carried
 at finite precision.  Norms are never materialized as floats.  |x| <= |y|
@@ -143,7 +143,7 @@ class Ball:
 
 
 # ---------------------------------------------------------------------------
-# coefficient rings for truncated / sparse polynomials
+# coefficient rings for sparse polynomials
 # ---------------------------------------------------------------------------
 
 class GF:
@@ -235,178 +235,6 @@ class _RationalField:
 
 
 QQ = _RationalField()
-
-
-class OpRing:
-    """Ring adapter for coefficient objects carrying their own operators
-    (used when truncated polynomials have polynomial coefficients)."""
-
-    __slots__ = ("_zero", "_one")
-
-    def __init__(self, zero, one):
-        self._zero = zero
-        self._one = one
-
-    def coerce(self, x):
-        return x
-
-    def zero(self):
-        return self._zero
-
-    def one(self):
-        return self._one
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return not a
-
-    def __eq__(self, other):
-        return isinstance(other, OpRing)
-
-    def __hash__(self):
-        return hash("OpRing")
-
-
-class TruncatedPoly:
-    """Polynomial in t over a coefficient ring, stored densely.
-
-    Arithmetic is exact; multiplication extends the degree.  ord_t is the
-    index of the first nonzero coefficient (INF for the zero polynomial).
-    """
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        cs = [ring.coerce(c) for c in coeffs]
-        while cs and ring.is_zero(cs[-1]):
-            cs.pop()
-        self.ring = ring
-        self.coeffs = cs
-
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring, [])
-
-    @classmethod
-    def constant(cls, ring, c):
-        return cls(ring, [c])
-
-    @classmethod
-    def t(cls, ring):
-        return cls(ring, [ring.zero(), ring.one()])
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        """Degree in t; None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def ord_t(self):
-        if not self.coeffs:
-            return INF
-        for i, c in enumerate(self.coeffs):
-            if not self.ring.is_zero(c):
-                return i
-        return INF
-
-    def _match(self, other):
-        if isinstance(other, TruncatedPoly):
-            if other.ring != self.ring:
-                raise RingMismatchError("coefficient rings differ")
-            return other
-        return TruncatedPoly.constant(self.ring, self.ring.coerce(other))
-
-    def __add__(self, other):
-        other = self._match(other)
-        R = self.ring
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [R.zero()] * (n - len(self.coeffs))
-        b = other.coeffs + [R.zero()] * (n - len(other.coeffs))
-        return TruncatedPoly(R, [R.add(x, y) for x, y in zip(a, b)])
-
-    def __neg__(self):
-        R = self.ring
-        return TruncatedPoly(R, [R.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._match(other))
-
-    def __mul__(self, other):
-        other = self._match(other)
-        R = self.ring
-        if self.is_zero() or other.is_zero():
-            return TruncatedPoly.zero(R)
-        out = [R.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if R.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = R.add(out[i + j], R.mul(a, b))
-        return TruncatedPoly(R, out)
-
-    def __pow__(self, e):
-        out = TruncatedPoly.constant(self.ring, self.ring.one())
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        other = self._match(other)
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring, tuple(self.coeffs)))
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def coefficient(self, i):
-        return self.coeffs[i] if i < len(self.coeffs) else self.ring.zero()
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "TruncatedPoly(0)"
-        parts = [f"{c}*t^{i}" if i else f"{c}"
-                 for i, c in enumerate(self.coeffs) if not self.ring.is_zero(c)]
-        return "TruncatedPoly(" + " + ".join(parts) + ")"
-
-
-def poly_eval(terms, args):
-    """Evaluate a multivariate polynomial with TruncatedPoly coefficients at
-    TruncatedPoly arguments, exactly.
-
-    terms: iterable of (exponent tuple, TruncatedPoly coefficient).
-    """
-    args = tuple(args)
-    if not args:
-        raise RingMismatchError("need at least one argument")
-    ring = args[0].ring
-    acc = TruncatedPoly.zero(ring)
-    pow_cache = {}
-    for exp, coeff in terms:
-        if coeff.ring != ring:
-            raise RingMismatchError("coefficient/argument rings differ")
-        term = coeff
-        for j, e in enumerate(exp):
-            if e:
-                key = (j, e)
-                if key not in pow_cache:
-                    pow_cache[key] = args[j] ** e
-                term = term * pow_cache[key]
-        acc = acc + term
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +422,6 @@ def divided_derivative(f, beta):
 
 
 def gauss_valuation(f, p):
-    """Min coefficient valuation (the valuation of the Gauss norm); INF for 0."""
-    if isinstance(f, MultiPoly):
-        vals = [val_fraction(c, p) for c in f.terms.values()]
-    elif isinstance(f, TruncatedPoly):
-        vals = [val_fraction(c, p) for c in f.coeffs if c]
-    else:
-        raise RingMismatchError(f"unsupported object {type(f)}")
-    return min(vals, default=INF)
+    """Min coefficient valuation of a MultiPoly (the valuation of the Gauss
+    norm); INF for 0."""
+    return min((val_fraction(c, p) for c in f.terms.values()), default=INF)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .arith_core import GF, MultiPoly, OpRing, TruncatedPoly, poly_eval
+from .arith_core import GF, MultiPoly
 from .errors import CapExceededError, ConfigError
 
 
@@ -73,15 +73,20 @@ class VarietySpec:
         }
 
     def reduce_mod(self, q):
-        """Defining polynomials as (exp -> TruncatedPoly over GF(q)) terms."""
+        """Defining polynomials mod q, each a list of (t-coefficients mod q,
+        exp) terms, the format of _kernels.pack_equations: trailing zero
+        t-coefficients and zero terms are dropped.  Raises
+        RingMismatchError unless q is prime."""
         ring = GF(q)
         out = []
         for poly in self.polynomials:
             terms = []
             for exp, coeff in poly.items():
-                tp = TruncatedPoly(ring, list(coeff))
-                if not tp.is_zero():
-                    terms.append((exp, tp))
+                cs = [ring.coerce(c) for c in coeff]
+                while cs and not cs[-1]:
+                    cs.pop()
+                if cs:
+                    terms.append((cs, exp))
             out.append(terms)
         return out
 
@@ -113,11 +118,7 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
     total = q ** (r * X.n)
     if total > cap:
         raise CapExceededError(f"q^(r*n) = {total} exceeds cap {cap}")
-    reduced = X.reduce_mod(q)  # validates that q is prime
-    eq_terms = []
-    for terms in reduced:
-        eq_terms.append([(list(tp.coeffs), exp) for exp, tp in terms])
-    packed = _kernels.pack_equations(eq_terms, q, r, X.n)
+    packed = _kernels.pack_equations(X.reduce_mod(q), q, r, X.n)
     if want_points:
         count, idx = _kernels.ff_count(q, r, X.n, packed, want_indices=True)
         points = [_decode(int(i), q, r, X.n) for i in idx]
@@ -130,27 +131,33 @@ def expand_scheme(X, q, r):
     one scalar equation per t-power per defining polynomial (including
     t-powers >= r, which must vanish identically).
 
+    t is one more variable: each defining polynomial becomes a MultiPoly
+    in x_1..x_n, t, and x_i = sum_g a_{i,g} t^g is substituted into it.
     Returns a list of MultiPoly over GF(q) in the r*n coefficient variables
-    a_{i,gamma}, ordered variable-major: a_{1,0}, a_{1,1}, ..., a_{n,r-1}.
+    a_{i,gamma}, ordered variable-major: a_{1,0}, a_{1,1}, ..., a_{n,r-1};
+    per defining polynomial, one for each t-power with a term, ascending.
     """
+    if r < 1:
+        raise ConfigError("need r >= 1")
     ring = GF(q)
     nv = r * X.n
-    op = OpRing(MultiPoly(nv, {}, ring), MultiPoly.constant(nv, 1, ring))
     generic = []
     for i in range(X.n):
-        cs = [MultiPoly.variable(nv, i * r + g, ring) for g in range(r)]
-        generic.append(TruncatedPoly(op, cs))
+        terms = {}
+        for g in range(r):
+            exp = [0] * (nv + 1)
+            exp[i * r + g], exp[nv] = 1, g
+            terms[tuple(exp)] = 1
+        generic.append(MultiPoly(nv + 1, terms, ring))
+    generic.append(MultiPoly.variable(nv + 1, nv, ring))
     equations = []
     for poly in X.reduce_mod(q):
-        lifted = [(exp, TruncatedPoly(op, [MultiPoly.constant(nv, c, ring)
-                                           for c in tp.coeffs]))
-                  for exp, tp in poly]
-        if not lifted:
-            continue
-        value = poly_eval(lifted, generic)
-        for coeff in value.coeffs:
-            if coeff:
-                equations.append(coeff)
+        f = MultiPoly(X.n + 1, {exp + (k,): c for cs, exp in poly
+                                for k, c in enumerate(cs)}, ring)
+        by_power = {}
+        for exp, c in f.substitute(generic).terms.items():
+            by_power.setdefault(exp[nv], {})[exp[:nv]] = c
+        equations.extend(MultiPoly(nv, by_power[k], ring) for k in sorted(by_power))
     return equations
 
 

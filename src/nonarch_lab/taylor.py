@@ -439,20 +439,16 @@ def _check_tr_1d(f, r, strategy, ball):
     # every test below asks whether p^s divides a scaled value, so the
     # whole check runs modulo p^s; K only sets the number of residues
     mod = p ** s
-    use_kernel = _kernels.int64_safe(mod)
-    xs_mod = [x % mod for x in xs_list]
-    xs = np.array(xs_mod, dtype=np.int64) if use_kernel else xs_mod
+    dtype = np.int64 if _kernels.int64_safe(mod) else object
+    xs = np.array([x % mod for x in xs_list], dtype=dtype)
 
     for comp_idx, lists in enumerate(all_lists):
         J = len(lists)
-        table = _residue_table(lists, xs, p, s, use_kernel)
+        table = _residue_table(lists, xs, p, s)
 
         # remainder sweep first: the factored remainder must stay integral
         if J > r:
-            if use_kernel:
-                by, bx = _kernels.tr_pair_sweep(table, xs, mod, r)
-            else:
-                by, bx = _kernels.tr_pair_sweep_bigint(table, xs, mod, r)
+            by, bx = _kernels.tr_pair_sweep(table, xs, mod, r)
             if by >= 0:
                 witness = _remainder_witness(f, r, comp_idx,
                                              (xs_list[bx],), (xs_list[by],), p)
@@ -474,29 +470,19 @@ def _check_tr_1d(f, r, strategy, ball):
     return TrCertificate(f, r, ball, "holds", tag, K, None, provenance)
 
 
-def _residue_table(lists, xs, p, s, use_kernel):
-    """table[y, j] = p^s * g_j(xs[y]) modulo p^s, shape (R, J); all zeros
-    when s = 0."""
+def _residue_table(lists, xs, p, s):
+    """table[y, j] = p^s * g_j(xs[y]) modulo p^s, shape (R, J), in the
+    dtype of xs; all zeros when s = 0."""
     R, J = len(xs), len(lists)
+    table = np.zeros((R, J), dtype=xs.dtype)
     if s == 0:
-        return np.zeros((R, J), dtype=np.int64)
+        return table
     mod = p ** s
     scale = Fraction(p) ** s
-    scaled = [[rational_residue(c * scale, p, s) for c in gj] for gj in lists]
-    if use_kernel:
-        table = np.empty((R, J), dtype=np.int64)
-        for j, cs in enumerate(scaled):
-            table[:, j] = _kernels.horner_values(list(reversed(cs)), xs, mod)
-        return table
-    return np.array([[_horner_big(cs, x, mod) for cs in scaled] for x in xs],
-                    dtype=object)
-
-
-def _horner_big(coeffs, x, mod):
-    val = 0
-    for c in reversed(coeffs):
-        val = (val * x + c) % mod
-    return val
+    for j, gj in enumerate(lists):
+        cs = [rational_residue(c * scale, p, s) for c in reversed(gj)]
+        table[:, j] = _kernels.horner_values(cs, xs, mod)
+    return table
 
 
 def _cr_witness(f, comp_idx, order, y, p, valuation):

@@ -241,7 +241,7 @@ def polymul_mod(a, b, q):
 def ff_graph_count(poly_terms, n, q, r):
     """Count n-tuples of degree-<r polynomials over F_q killing every
     polynomial, with raw convolution arithmetic (independent of the
-    package's TruncatedPoly and kernels).
+    package's polynomial types and kernels).
 
     poly_terms: list of lists of (coeff_t_poly list, exponent tuple).
     """
@@ -268,21 +268,25 @@ def ff_graph_count(poly_terms, n, q, r):
     return count
 
 
-def enumerate_Xr_direct(X, q, r):
-    """Count of the degree-<r F_q[t]-points of the VarietySpec X: every one
-    of the q^(r*n) coefficient assignments is evaluated with the package's
-    exact TruncatedPoly arithmetic, not with its lifting kernel."""
-    from nonarch_lab.arith_core import GF, TruncatedPoly, poly_eval
-
-    ring = GF(q)
-    reduced = X.reduce_mod(q)
-    count = 0
-    for flat in product(range(q), repeat=r * X.n):
-        coords = [TruncatedPoly(ring, list(flat[i * r:(i + 1) * r]))
-                  for i in range(X.n)]
-        if all(poly_eval(terms, coords).is_zero() for terms in reduced):
-            count += 1
-    return count
+def tr_pair_sweep_scalar(table, xs, mod, r):
+    """First residue pair (y, x), x != y, with sum_{j>=r} table[y][j] *
+    (xs[x] - xs[y])^(j-r) nonzero modulo mod, or (-1, -1): one pair at a
+    time in ascending (y, x) order, by scalar Horner on Python ints."""
+    if mod == 1:
+        return -1, -1
+    R = len(xs)
+    for y in range(R):
+        coeffs = table[y]
+        for x in range(R):
+            if x == y:
+                continue
+            h = (xs[x] - xs[y]) % mod
+            val = 0
+            for j in range(len(coeffs) - 1, r - 1, -1):
+                val = (val * h + coeffs[j]) % mod
+            if val:
+                return y, x
+    return -1, -1
 
 
 def padic_val(x, p):

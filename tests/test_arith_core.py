@@ -6,13 +6,10 @@ import pytest
 
 from nonarch_lab.arith_core import (
     GF,
-    QQ,
     Ball,
     MultiPoly,
-    TruncatedPoly,
     divided_derivative,
     gauss_valuation,
-    poly_eval,
     rational_residue,
     val_factorial,
     val_fraction,
@@ -70,40 +67,9 @@ def test_ball_rejects_nonprime_p():
             Ball(p, (0,), 1)
 
 
-def test_truncated_poly_examples():
-    F2 = GF(2)
-    assert TruncatedPoly(F2, [0, 0, 1, 1]).ord_t() == 2
-    assert (TruncatedPoly(F2, [1, 1]) ** 2).coeffs == [1, 0, 1]  # Frobenius
-    assert TruncatedPoly(F2, []).ord_t() == INF
-    assert TruncatedPoly(F2, [0, 1]).degree() == 1
-
-
-def test_truncated_poly_ring_mismatch():
-    with pytest.raises(RingMismatchError):
-        TruncatedPoly(GF(2), [1]) + TruncatedPoly(GF(3), [1])
+def test_gf_rejects_nonprime_q():
     with pytest.raises(RingMismatchError):
         GF(4)
-
-
-def test_poly_eval_char2_example():
-    # y - x^2 at x = a0 + a1 t, y = b0 + b1 t over F_2:
-    # b0 + a0^2 + b1 t + a1^2 t^2  (signs collapse in char 2)
-    F2 = GF(2)
-    terms = [((0, 1), TruncatedPoly(F2, [1])), ((2, 0), TruncatedPoly(F2, [1]))]
-    for a0, a1, b0, b1 in ((1, 1, 0, 1), (0, 1, 1, 0), (1, 0, 1, 1)):
-        x = TruncatedPoly(F2, [a0, a1])
-        y = TruncatedPoly(F2, [b0, b1])
-        got = poly_eval(terms, (x, y))
-        want = TruncatedPoly(F2, [(b0 + a0 * a0) % 2, b1 % 2, (a1 * a1) % 2])
-        assert got == want
-
-
-def test_poly_exact_multiplication_extends_degree():
-    Q = QQ
-    f = TruncatedPoly(Q, [1, 2])
-    g = TruncatedPoly(Q, [0, 0, 3])
-    assert (f * g).degree() == 3
-    assert (f * g).coeffs == [Fraction(0), Fraction(0), Fraction(3), Fraction(6)]
 
 
 def test_multipoly_divided_derivative():
@@ -115,9 +81,9 @@ def test_multipoly_divided_derivative():
 
 
 def test_gauss_valuation():
-    assert gauss_valuation(TruncatedPoly(QQ, [3, 9, 1]), 3) == 0
-    assert gauss_valuation(TruncatedPoly(QQ, [3, 9]), 3) == 1
-    assert gauss_valuation(TruncatedPoly(QQ, []), 3) == INF
+    assert gauss_valuation(MultiPoly(1, {(0,): 3, (1,): 9, (2,): 1}), 3) == 0
+    assert gauss_valuation(MultiPoly(1, {(0,): 3, (1,): 9}), 3) == 1
+    assert gauss_valuation(MultiPoly(1, {}), 3) == INF
 
 
 def test_val_helpers():

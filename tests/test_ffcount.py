@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import enumerate_Xr_direct
 from conftest import CIRCLE_FF, ELLIPTIC, HYPERB_T, LINE, PARAB_T, graph_variety
 from nonarch_lab import _kernels
 from nonarch_lab.errors import CapExceededError, ConfigError, RingMismatchError
@@ -32,7 +31,6 @@ def test_enumerate_matches_direct_and_oracle():
         for q in (2, 3):
             for r in (1, 2):
                 kernel = enumerate_Xr(X, q, r)
-                assert kernel == enumerate_Xr_direct(X, q, r)
                 terms = [[(list(c), e) for e, c in poly.items()]
                          for poly in X.polynomials]
                 assert kernel == oracles.ff_graph_count(terms, X.n, q, r)

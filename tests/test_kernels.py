@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from nonarch_lab import _kernels
 from nonarch_lab.arith_core import Ball
 from nonarch_lab.errors import CapExceededError
@@ -25,18 +26,30 @@ def _sweep_case(seed, p, s, R=300, J=7, r=2):
     return xs, table, mod, r
 
 
+def _sweep(table, xs, mod, r):
+    """The kernel's first failing pair on the int64 table and on object
+    copies of it, both checked against the scalar oracle."""
+    want = oracles.tr_pair_sweep_scalar(table.tolist(), xs.tolist(), mod, r)
+    for dtype in (np.int64, object):
+        got = _kernels.tr_pair_sweep(table.astype(dtype), xs.astype(dtype), mod, r)
+        assert tuple(int(v) for v in got) == want, dtype
+    return want
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("case", [0, 1, 2])
 def test_pair_sweep_backends_agree(seed, case):
     p, s = SWEEP_CASES[case]
     xs, table, mod, r = _sweep_case(seed, p, s)
-    res_np = _kernels.tr_pair_sweep(table, xs, mod, r)
-    values = [list(map(int, row)) for row in table]
-    res_big = _kernels.tr_pair_sweep_bigint(values, [int(x) for x in xs],
-                                            mod, r)
-    assert tuple(int(v) for v in res_np) == tuple(res_big)
+    want = _sweep(table, xs, mod, r)
     # the witness lies past the first block of the 2-D Horner
-    assert res_big[0] >= _kernels.SWEEP_BLOCK // table.shape[0]
+    assert want[0] >= _kernels.SWEEP_BLOCK // table.shape[0]
+    # times p^64 modulo p^(s+64), past int64: p^64 * S vanishes modulo
+    # p^(s+64) exactly when S vanishes modulo p^s, so the witness stays
+    lift = p ** 64
+    got = _kernels.tr_pair_sweep(table.astype(object) * lift, xs.astype(object),
+                                 mod * lift, r)
+    assert tuple(int(v) for v in got) == want
 
 
 def test_pair_sweep_skips_diagonal_in_every_block():
@@ -48,8 +61,7 @@ def test_pair_sweep_skips_diagonal_in_every_block():
     xs[y] = 0
     table = np.zeros((R, 5), dtype=np.int64)
     table[y, 2:4] = 1
-    assert tuple(int(v) for v in _kernels.tr_pair_sweep(table, xs, 2, 2)) == (-1, -1)
-    assert _kernels.tr_pair_sweep_bigint(table.tolist(), xs.tolist(), 2, 2) == (-1, -1)
+    assert _sweep(table, xs, 2, 2) == (-1, -1)
 
 
 def test_pair_sweep_witness_order_is_lexicographic():
@@ -59,15 +71,13 @@ def test_pair_sweep_witness_order_is_lexicographic():
     table = np.zeros((4, 4), dtype=np.int64)
     table[2, 2] = 1   # S_y constant term nonzero mod p^s
     table[3, 2] = 1
-    assert tuple(int(v) for v in _kernels.tr_pair_sweep(table, xs, mod, 2)) == (2, 0)
-    assert _kernels.tr_pair_sweep_bigint(table.tolist(), xs.tolist(), mod, 2) == (2, 0)
+    assert _sweep(table, xs, mod, 2) == (2, 0)
     # within a row the first failing x wins: S_0(h) = h vanishes mod 3 at
     # x = 1 (h = 3) and is nonzero at x = 2 (h = 1)
     xs = np.array([0, 3, 1, 2], dtype=np.int64)
     table[:] = 0
     table[0, 3] = 1
-    assert tuple(int(v) for v in _kernels.tr_pair_sweep(table, xs, mod, 2)) == (0, 2)
-    assert _kernels.tr_pair_sweep_bigint(table.tolist(), xs.tolist(), mod, 2) == (0, 2)
+    assert _sweep(table, xs, mod, 2) == (0, 2)
 
 
 def test_pair_sweep_mod_one_is_vacuous():
@@ -75,8 +85,7 @@ def test_pair_sweep_mod_one_is_vacuous():
     rng = np.random.default_rng(5)
     xs = np.arange(50, dtype=np.int64)
     table = rng.integers(1, 100, size=(50, 6), dtype=np.int64)
-    assert tuple(_kernels.tr_pair_sweep(table, xs, 1, 2)) == (-1, -1)
-    assert _kernels.tr_pair_sweep_bigint(table.tolist(), xs.tolist(), 1, 2) == (-1, -1)
+    assert _sweep(table, xs, 1, 2) == (-1, -1)
 
 
 def test_horner_values_matches_python():
@@ -86,6 +95,10 @@ def test_horner_values_matches_python():
     got = _kernels.horner_values(coeffs, xs, mod)
     want = [(2 * x * x + 7) % mod for x in (0, 1, 5, 11)]
     assert list(got) == want
+    big = 3 ** 50  # past int64: the same Horner on Python ints
+    got = _kernels.horner_values(coeffs, xs.astype(object), big)
+    assert got.dtype == object
+    assert list(got) == [(2 * x * x + 7) % big for x in (0, 1, 5, 11)]
 
 
 def test_ff_count_lift_blocks_agree(monkeypatch):
