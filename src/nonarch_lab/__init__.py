@@ -4,7 +4,8 @@ counts over F_q[t], and Hilbert-function machinery.
 
 Everything is exact: valuations instead of float norms, Fractions instead
 of floats, big integers throughout.  The only numerics are block-vectorized
-numpy int64 modular kernels for the two hot enumeration loops.
+numpy modular kernels for the two hot enumeration loops, over int64 under
+an overflow guard and over Python-int object arrays past it.
 """
 
 __version__ = "0.1.0"

@@ -339,6 +339,8 @@ def cmd_hilbert(args, started):
         if min(salberger_s) < 1:
             raise ConfigError(
                 f"--salberger-s values must be >= 1, got {args.salberger_s!r}")
+    if args.smax < 0:
+        raise ConfigError(f"--smax must be >= 0, got {args.smax}")
     if args.select and min(args.select) < 1:
         d, r = args.select
         raise ConfigError(f"--select D R needs D >= 1 and R >= 1, got {d} {r}")

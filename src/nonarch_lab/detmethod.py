@@ -187,7 +187,6 @@ class MonomialMatrix:
     prod_j D_j^d, and the rational determinant is det(entries) / scale.
     """
 
-    setup: DetSetup
     points: list
     exponents: list
     entries: list
@@ -195,16 +194,17 @@ class MonomialMatrix:
 
     @classmethod
     def build(cls, psi, points, d):
-        setup = DetSetup.for_dims(psi.m, psi.n, d)
-        if len(points) != setup.mu:
-            raise ConfigError(f"need mu={setup.mu} points, got {len(points)}")
+        if d < 1:
+            raise ConfigError("need d >= 1")
         exps = delta_exponents(psi.n, d)
+        if len(points) != len(exps):
+            raise ConfigError(f"need mu={len(exps)} points, got {len(points)}")
         comps = _integer_components(psi)
         cleared = [_eval_cleared(comps, pt) for pt in points]
         scale = 1
         for _, den in cleared:
             scale *= den ** d
-        return cls(setup, list(points), exps, _monomial_matrix(cleared, exps, d), scale)
+        return cls(list(points), exps, _monomial_matrix(cleared, exps, d), scale)
 
     def determinant(self):
         return exact_det(self.entries) / self.scale

@@ -256,6 +256,8 @@ def points_Q(X, T, cap=10**7):
 
 def points_Z(X, T, cap=10**7):
     """Members of X with integer coordinates of absolute value <= T."""
+    if T < 0:
+        raise ConfigError(f"need T >= 0, got {T}")
     values = [Fraction(v) for v in range(-T, T + 1)]
     return _grid_points(X, values, cap)
 

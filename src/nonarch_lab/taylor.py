@@ -290,6 +290,10 @@ class SampledStrategy:
     samples: int = 1000
     K: int | None = None
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ConfigError(f"need samples >= 1, got {self.samples}")
+
     def tag(self, p, K):
         return f"sampled-mod-{p}^{K}-seed-{self.seed}"
 

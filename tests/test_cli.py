@@ -180,6 +180,9 @@ def test_heights_malformed_spec_exit_2(tmp_path, capsys):
     assert "missing key 'vars'" in capsys.readouterr().err
     path = write(tmp_path, "list.json", [CIRCLE])
     assert main(["heights", path, "--T", "2"]) == 2
+    path = write(tmp_path, "circle.json", CIRCLE)
+    assert_config_error(["heights", path, "--mode", "Z", "--T", "-3"], "need T >= 0",
+                        capsys, in_subprocess=False)
 
 
 def test_det_cover_malformed_exit_2(tmp_path, capsys):
@@ -231,12 +234,25 @@ def test_expand_scheme_malformed_exit_2(tmp_path, capsys):
     path = write(tmp_path, "non.json", {k: v for k, v in YX3.items() if k != "n"})
     assert main(["expand-scheme", path, "--q", "2", "--r", "2"]) == 2
     assert "missing key 'n'" in capsys.readouterr().err
+    path = write(tmp_path, "yx3.json", YX3)
+    for r in ("0", "-1"):
+        assert_config_error(["expand-scheme", path, "--q", "2", "--r", r], "need r >= 1",
+                            capsys, in_subprocess=False)
 
 
 def test_taylor_check_malformed_exit_2(tmp_path, capsys):
     path = write(tmp_path, "nom.json", {k: v for k, v in TR_X2.items() if k != "m"})
     assert main(["taylor-check", path, "--r", "2", "--K", "5"]) == 2
     assert "missing key 'm'" in capsys.readouterr().err
+    # -x/2 + x^2/2 on Z_2 fails T_1; no samples must not report "holds"
+    binom = {"m": 1, "n": 1, "p": 2,
+             "components": [[{"exp": [1], "coeff": "-1/2"}, {"exp": [2], "coeff": "1/2"}]],
+             "domain": {"center": ["0"], "alpha": 0}}
+    path = write(tmp_path, "binom.json", binom)
+    for samples in ("0", "-5"):
+        assert_config_error(["taylor-check", path, "--r", "1", "--strategy", "sampled",
+                             "--samples", samples], "need samples >= 1", capsys,
+                            in_subprocess=False)
 
 
 def run_cli_subprocess(argv, timeout=30):
@@ -301,7 +317,8 @@ def test_hilbert_malformed_exit_2(tmp_path, capsys):
                           "--salberger-s"),
                          (["--salberger-m", "-1"], "--salberger-m"),
                          (["--select", "0", "4"], "--select"),
-                         (["--select", "2", "0"], "--select")):
+                         (["--select", "2", "0"], "--select"),
+                         (["--smax", "-2"], "--smax")):
         assert main(["hilbert", path, "--smax", "3"] + extra) == 2, extra
         assert named in capsys.readouterr().err
 

@@ -171,6 +171,10 @@ def test_monomial_matrix_rows_match_delta():
     mm = MonomialMatrix.build(psi, [(i,) for i in range(6)], 2)
     assert len(mm.exponents) == 6 and len(mm.entries) == 6
     assert all(len(row) == 6 for row in mm.entries)
+    with pytest.raises(ConfigError, match="need mu=6 points, got 5"):
+        MonomialMatrix.build(psi, [(i,) for i in range(5)], 2)
+    with pytest.raises(ConfigError, match="need d >= 1"):
+        MonomialMatrix.build(psi, [(0,)], 0)
 
 
 # ---------------------------------------------------------------------------
