@@ -197,14 +197,5 @@ def tr_pair_sweep(table, xs, mod, r):
     return -1, -1
 
 
-def horner_values(coeffs_desc, xs, mod):
-    """Evaluate one integer polynomial (descending coefficients) at all xs
-    modulo mod, vectorized, in the dtype of xs."""
-    val = np.zeros(len(xs), dtype=xs.dtype)
-    for c in coeffs_desc:
-        val = (val * xs + c) % mod
-    return val
-
-
 def int64_safe(mod):
     return mod < INT64_SAFE_MOD

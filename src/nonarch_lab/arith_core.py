@@ -1,6 +1,6 @@
 """Exact arithmetic core: p-adic valuations and residues of exact
-rationals, balls with valuative radii in Z_p^m, the prime fields and Q,
-and the one polynomial type, sparse multivariate over either.
+rationals, balls with valuative radii in Z_p^m, and the one polynomial
+type, sparse multivariate over Q with plain Fraction coefficients.
 
 Q_p is modelled only through exact rationals: no element is ever carried
 at finite precision.  Norms are never materialized as floats.  |x| <= |y|
@@ -143,128 +143,32 @@ class Ball:
 
 
 # ---------------------------------------------------------------------------
-# coefficient rings for sparse polynomials
-# ---------------------------------------------------------------------------
-
-class GF:
-    """Prime field F_p with elements represented as ints in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        if not is_prime(p):
-            raise RingMismatchError(
-                f"q={p} is not prime; only prime fields are supported")
-        self.p = p
-
-    def coerce(self, x):
-        return x % self.p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def __eq__(self, other):
-        return isinstance(other, GF) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-class _RationalField:
-    """The rationals, with exact Fraction arithmetic."""
-
-    def coerce(self, x):
-        return Fraction(x)
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def __eq__(self, other):
-        return isinstance(other, _RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = _RationalField()
-
-
-# ---------------------------------------------------------------------------
-# sparse multivariate polynomials
+# sparse multivariate polynomials over Q
 # ---------------------------------------------------------------------------
 
 class MultiPoly:
-    """Sparse multivariate polynomial: exponent tuple -> coefficient."""
+    """Sparse multivariate polynomial over Q: exponent tuple -> Fraction."""
 
-    __slots__ = ("nvars", "terms", "ring")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None, ring=QQ):
+    def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.ring = ring
         cleaned = {}
         for exp, c in (terms or {}).items():
-            c = ring.coerce(c)
-            if not ring.is_zero(c):
+            c = Fraction(c)
+            if c:
                 cleaned[tuple(exp)] = c
         self.terms = cleaned
 
     @classmethod
-    def constant(cls, nvars, c, ring=QQ):
-        return cls(nvars, {(0,) * nvars: c}, ring)
+    def constant(cls, nvars, c):
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, nvars, i, ring=QQ):
+    def variable(cls, nvars, i):
         exp = [0] * nvars
         exp[i] = 1
-        return cls(nvars, {tuple(exp): ring.one()}, ring)
+        return cls(nvars, {tuple(exp): 1})
 
     def is_zero(self):
         return not self.terms
@@ -278,54 +182,50 @@ class MultiPoly:
 
     def _match(self, other):
         if isinstance(other, MultiPoly):
-            if other.nvars != self.nvars or other.ring != self.ring:
+            if other.nvars != self.nvars:
                 raise RingMismatchError("polynomial rings differ")
             return other
-        return MultiPoly.constant(self.nvars, self.ring.coerce(other), self.ring)
+        return MultiPoly.constant(self.nvars, other)
 
     def __add__(self, other):
         other = self._match(other)
-        R = self.ring
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = R.add(out.get(exp, R.zero()), c)
-            if R.is_zero(s):
-                out.pop(exp, None)
-            else:
+            s = out.get(exp, 0) + c
+            if s:
                 out[exp] = s
-        return MultiPoly(self.nvars, out, R)
+            else:
+                out.pop(exp, None)
+        return MultiPoly(self.nvars, out)
 
     def __neg__(self):
-        R = self.ring
-        return MultiPoly(self.nvars, {e: R.neg(c) for e, c in self.terms.items()}, R)
+        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._match(other))
 
     def __mul__(self, other):
         other = self._match(other)
-        R = self.ring
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                s = R.add(out.get(exp, R.zero()), R.mul(c1, c2))
-                if R.is_zero(s):
-                    out.pop(exp, None)
-                else:
+                s = out.get(exp, 0) + c1 * c2
+                if s:
                     out[exp] = s
-        return MultiPoly(self.nvars, out, R)
+                else:
+                    out.pop(exp, None)
+        return MultiPoly(self.nvars, out)
 
     def __rmul__(self, other):
         return self * other
 
     def scale(self, c):
-        R = self.ring
-        c = R.coerce(c)
-        return MultiPoly(self.nvars, {e: R.mul(v, c) for e, v in self.terms.items()}, R)
+        c = Fraction(c)
+        return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, e):
-        out = MultiPoly.constant(self.nvars, self.ring.one(), self.ring)
+        out = MultiPoly.constant(self.nvars, 1)
         base = self
         while e:
             if e & 1:
@@ -346,10 +246,9 @@ class MultiPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def eval(self, args):
-        """Evaluate at ring elements, exactly."""
-        R = self.ring
-        args = [R.coerce(a) for a in args]
-        acc = R.zero()
+        """Evaluate at rational arguments, exactly."""
+        args = [Fraction(a) for a in args]
+        acc = Fraction(0)
         pow_cache = {}
         for exp, c in self.terms.items():
             t = c
@@ -357,19 +256,18 @@ class MultiPoly:
                 if e:
                     key = (j, e)
                     if key not in pow_cache:
-                        pow_cache[key] = _ring_pow(R, args[j], e)
-                    t = R.mul(t, pow_cache[key])
-            acc = R.add(acc, t)
+                        pow_cache[key] = args[j] ** e
+                    t = t * pow_cache[key]
+            acc = acc + t
         return acc
 
     def substitute(self, args):
         """Substitute MultiPoly arguments for the variables."""
         nv = args[0].nvars
-        R = self.ring
-        acc = MultiPoly(nv, {}, R)
+        acc = MultiPoly(nv, {})
         pow_cache = {}
         for exp, c in self.terms.items():
-            t = MultiPoly.constant(nv, c, R)
+            t = MultiPoly.constant(nv, c)
             for j, e in enumerate(exp):
                 if e:
                     key = (j, e)
@@ -389,36 +287,16 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(parts) + ")"
 
 
-def _ring_pow(R, a, e):
-    out = R.one()
-    for _ in range(e):
-        out = R.mul(out, a)
-    return out
-
-
 def divided_derivative(f, beta):
-    """The divided derivative (1/beta!) d^beta f, exact on any ring where
-    binomial coefficients make sense (computed as integer binomials)."""
-    R = f.ring
+    """The divided derivative (1/beta!) d^beta f: each term c x^e becomes
+    C(e, beta) c x^(e - beta), with integer binomials."""
     out = {}
     for exp, c in f.terms.items():
-        coef = c
-        ok = True
-        new = []
-        for g, b in zip(exp, beta):
-            if g < b:
-                ok = False
-                break
-            coef = R.mul(coef, R.coerce(math.comb(g, b)))
-            new.append(g - b)
-        if ok and not R.is_zero(coef):
-            key = tuple(new)
-            s = R.add(out.get(key, R.zero()), coef)
-            if R.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return MultiPoly(f.nvars, out, R)
+        if all(g >= b for g, b in zip(exp, beta)):
+            for g, b in zip(exp, beta):
+                c = c * math.comb(g, b)
+            out[tuple(g - b for g, b in zip(exp, beta))] = c
+    return MultiPoly(f.nvars, out)
 
 
 def gauss_valuation(f, p):

@@ -96,6 +96,8 @@ def alpha_bound(setup, T, p):
     """
     if not is_prime(p):
         raise ConfigError(f"p = {p} is not prime")
+    if T < 0:
+        raise ConfigError(f"need T >= 0, got {T}")
     if T < 2:
         T = 2
     rhs = math.factorial(setup.mu) * T ** setup.V

@@ -11,14 +11,13 @@ powers >= r.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .arith_core import GF, MultiPoly
-from .errors import CapExceededError, ConfigError
+from .arith_core import MultiPoly, is_prime
+from .errors import CapExceededError, ConfigError, RingMismatchError
 
 
 @dataclass
@@ -77,12 +76,14 @@ class VarietySpec:
         exp) terms, the format of _kernels.pack_equations: trailing zero
         t-coefficients and zero terms are dropped.  Raises
         RingMismatchError unless q is prime."""
-        ring = GF(q)
+        if not is_prime(q):
+            raise RingMismatchError(
+                f"q={q} is not prime; only prime fields are supported")
         out = []
         for poly in self.polynomials:
             terms = []
             for exp, coeff in poly.items():
-                cs = [ring.coerce(c) for c in coeff]
+                cs = [c % q for c in coeff]
                 while cs and not cs[-1]:
                     cs.pop()
                 if cs:
@@ -115,6 +116,8 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
     """
     if r < 1:
         raise ConfigError("need r >= 1")
+    if cap < 0:
+        raise ConfigError(f"need cap >= 0, got {cap}")
     total = q ** (r * X.n)
     if total > cap:
         raise CapExceededError(f"q^(r*n) = {total} exceeds cap {cap}")
@@ -132,14 +135,16 @@ def expand_scheme(X, q, r):
     t-powers >= r, which must vanish identically).
 
     t is one more variable: each defining polynomial becomes a MultiPoly
-    in x_1..x_n, t, and x_i = sum_g a_{i,g} t^g is substituted into it.
-    Returns a list of MultiPoly over GF(q) in the r*n coefficient variables
+    in x_1..x_n, t, and x_i = sum_g a_{i,g} t^g is substituted into it over
+    Z; each coefficient is reduced mod q as the terms are grouped by their
+    t-power, and reduction Z -> F_q is a ring map.  Returns a list of
+    MultiPoly with coefficients in [0, q) in the r*n coefficient variables
     a_{i,gamma}, ordered variable-major: a_{1,0}, a_{1,1}, ..., a_{n,r-1};
-    per defining polynomial, one for each t-power with a term, ascending.
+    per defining polynomial, one for each t-power with a nonzero term mod
+    q, ascending.
     """
     if r < 1:
         raise ConfigError("need r >= 1")
-    ring = GF(q)
     nv = r * X.n
     generic = []
     for i in range(X.n):
@@ -148,31 +153,18 @@ def expand_scheme(X, q, r):
             exp = [0] * (nv + 1)
             exp[i * r + g], exp[nv] = 1, g
             terms[tuple(exp)] = 1
-        generic.append(MultiPoly(nv + 1, terms, ring))
-    generic.append(MultiPoly.variable(nv + 1, nv, ring))
+        generic.append(MultiPoly(nv + 1, terms))
+    generic.append(MultiPoly.variable(nv + 1, nv))
     equations = []
     for poly in X.reduce_mod(q):
         f = MultiPoly(X.n + 1, {exp + (k,): c for cs, exp in poly
-                                for k, c in enumerate(cs)}, ring)
+                                for k, c in enumerate(cs)})
         by_power = {}
         for exp, c in f.substitute(generic).terms.items():
-            by_power.setdefault(exp[nv], {})[exp[:nv]] = c
-        equations.extend(MultiPoly(nv, by_power[k], ring) for k in sorted(by_power))
+            if c % q:
+                by_power.setdefault(exp[nv], {})[exp[:nv]] = c % q
+        equations.extend(MultiPoly(nv, by_power[k]) for k in sorted(by_power))
     return equations
-
-
-def count_expanded(equations, q, r, n, cap=2 * 10**7):
-    """Independent oracle: exhaustive solution count of the expanded system
-    over F_q^(r*n), by direct evaluation of each scalar equation."""
-    nv = r * n
-    total = q ** nv
-    if total > cap:
-        raise CapExceededError(f"{total} assignments exceed cap {cap}")
-    count = 0
-    for assignment in itertools.product(range(q), repeat=nv):
-        if all(eq.eval(assignment) == 0 for eq in equations):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

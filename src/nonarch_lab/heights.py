@@ -155,6 +155,8 @@ def _grid_points(X, values, cap):
     """
     if X.nvars > 4:
         raise ConfigError("point enumeration is limited to n <= 4 variables")
+    if cap < 0:
+        raise ConfigError(f"need cap >= 0, got {cap}")
     total = len(values) ** X.nvars
     if total > cap:
         raise CapExceededError(f"candidate grid of size {total} exceeds cap {cap}")

@@ -117,6 +117,8 @@ def groebner(generators, s_pair_budget=10000):
     Plain Buchberger with an S-pair budget; exceeding it raises
     BudgetExceededError rather than truncating silently.
     """
+    if s_pair_budget < 0:
+        raise ConfigError(f"need S-pair budget >= 0, got {s_pair_budget}")
     basis = [g for g in generators if not g.is_zero()]
     if not basis:
         return []

@@ -2,21 +2,26 @@
 certificate: degree-(r-1) Taylor approximation with remainder |x-y|^r,
 verified exhaustively on residue classes.
 
-For a polynomial f the remainder f(x) - T_y(x) factors exactly as
-(x-y)^r * S(x,y) with S(x,y) = sum_{j>=r} g_j(y) (x-y)^(j-r), where g_j is
-the j-th divided derivative.  The remainder half of T_r is therefore the
-integrality of S, which is decidable on residues.  With s the
-p-denominator exponent of the divided derivatives, both halves ask only
-whether p^s divides p^s * g_j(y) (j <= r) and p^s * S(x,y); reduction
-modulo p^s is a ring map, so the univariate check is decided entirely
-modulo p^s, and an exhaustive sweep over residues mod p^K is a proof for
-all Z_p-points once K >= s (K only sets the number of residues).  When
-s = 0 nothing can fail.  The sweep runs on the int64 kernels; failures are
-re-checked in exact rational arithmetic and reported as witnesses.
+Every check reads one table of divided derivatives g_beta = (1/beta!)
+d^beta f per component, built once from the terms.  For a polynomial f
+the remainder f(x) - T_y(x) is sum_{|beta|>=r} g_beta(y) (x-y)^beta; in
+one variable it factors as (x-y)^r * S(x,y) with S(x,y) = sum_{j>=r}
+g_j(y) (x-y)^(j-r), so the remainder half of T_r is the integrality of S.
+With s the p-denominator exponent of the divided derivatives, the C^r
+half asks only whether p^s divides p^s * g_beta(y) (|beta| <= r), in any
+dimension, and in one variable the remainder half asks the same of
+p^s * S(x,y); reduction modulo p^s is a ring map, so these are decided on
+one residue table modulo p^s, and an exhaustive sweep over residues mod
+p^K is a proof for all Z_p-points once K >= s (K only sets the number of
+residues).  When s = 0 nothing can fail.  The univariate remainder sweep
+runs on the int64 kernels; the multivariate remainder is checked pair by
+pair in exact rationals.  Failures are re-checked in exact rational
+arithmetic and reported as witnesses.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,6 +36,7 @@ from .arith_core import (
     gauss_valuation,
     rational_residue,
     val_fraction,
+    val_int,
 )
 from .combinatorics import select_divisibility
 from .errors import CapExceededError, ConfigError, PrecisionError
@@ -215,28 +221,26 @@ def _unit(n, i):
     return tuple(e)
 
 
-def _shift_scale(poly, ball):
-    """poly(c + p^alpha * z) as a polynomial in z (exact)."""
-    p, a = ball.p, ball.alpha
-    nv = poly.nvars
-    args = [MultiPoly(nv, {(0,) * nv: Fraction(ball.center[i]),
-                           _unit(nv, i): Fraction(p) ** a})
+def _ball_gauss_valuation(g, ball):
+    """Gauss valuation of g(c + p^alpha * z) as a polynomial in z, for a
+    coefficient dict g (exact)."""
+    p, a, nv = ball.p, ball.alpha, ball.m
+    args = [MultiPoly(nv, {(0,) * nv: ball.center[i], _unit(nv, i): Fraction(p) ** a})
             for i in range(nv)]
-    return poly.substitute(args)
+    return gauss_valuation(MultiPoly(nv, g).substitute(args), p)
 
 
 def cr_norm(f, r, ball):
     """Valuation of the C^r-norm of f over the ball: recenter at the ball
     center, scale by p^alpha, and take the min coefficient valuation over
     all divided derivatives of order <= r.  Larger is smaller norm."""
-    p = ball.p
     best = INF
-    for comp in f.components:
-        for beta in _multi_indices(f.m, r):
-            dd = divided_derivative(comp, beta)
-            if dd.is_zero():
-                continue
-            best = min(best, gauss_valuation(_shift_scale(dd, ball), p))
+    for entries in _derivative_table(f):
+        for beta, g in entries:
+            if sum(beta) > r:
+                break
+            if g:
+                best = min(best, _ball_gauss_valuation(g, ball))
     return best
 
 
@@ -278,6 +282,9 @@ class ExhaustiveStrategy:
     pair_cap: int = 5 * 10**8
     lean: bool = False
 
+    def __post_init__(self):
+        _check_K(self.K)
+
     def tag(self, p, K):
         return f"exhaustive-mod-{p}^{K}"
 
@@ -293,9 +300,15 @@ class SampledStrategy:
     def __post_init__(self):
         if self.samples < 1:
             raise ConfigError(f"need samples >= 1, got {self.samples}")
+        _check_K(self.K)
 
     def tag(self, p, K):
         return f"sampled-mod-{p}^{K}-seed-{self.seed}"
+
+
+def _check_K(K):
+    if K is not None and K < 0:
+        raise ConfigError(f"need K >= 0, got {K}")
 
 
 @dataclass
@@ -303,7 +316,7 @@ class TrCertificate:
     subject: PolyMap
     r: int
     domain: object
-    verdict: str  # "holds" | "fails" | "indeterminate"
+    verdict: str  # "holds" | "fails"; a check that cannot decide raises
     strategy: str
     K: int
     witness: dict | None = None
@@ -334,33 +347,32 @@ def _json_exact(v):
     return str(v) if isinstance(v, Fraction) else v
 
 
-def _dense_univariate(poly):
-    deg = poly.degree()
-    if deg is None:
-        return [Fraction(0)]
-    out = [Fraction(0)] * (deg + 1)
-    for exp, c in poly.terms.items():
-        out[exp[0]] = c
-    return out
+def _derivative_table(f):
+    """Per component, the divided derivatives (beta, g_beta) for |beta| up
+    to the component's degree, in _multi_indices order; each g_beta is a
+    dict exponent -> coefficient.  One pass over the terms: c x^e adds
+    C(e, beta) c x^(e - beta) to g_beta for every beta <= e, and distinct
+    terms give distinct exponents."""
+    table = []
+    for comp in f.components:
+        derivs = {beta: {} for beta in _multi_indices(f.m, comp.degree() or 0)}
+        for exp, c in comp.terms.items():
+            for beta in itertools.product(*[range(e + 1) for e in exp]):
+                coef = c
+                for e, b in zip(exp, beta):
+                    if 0 < b < e:
+                        coef = coef * math.comb(e, b)
+                derivs[beta][tuple([e - b for e, b in zip(exp, beta)])] = coef
+        table.append(list(derivs.items()))
+    return table
 
 
-def _divided_lists(coeffs):
-    """g_j[i] = C(i+j, j) * c_{i+j}: coefficient lists of all divided
-    derivatives of a univariate polynomial."""
-    D = len(coeffs) - 1
-    lists = []
-    for j in range(D + 1):
-        lists.append([math.comb(i + j, j) * coeffs[i + j] for i in range(D - j + 1)])
-    return lists
-
-
-def _denominator_exponent(lists, p):
-    s = 0
-    for gj in lists:
-        for c in gj:
-            if c:
-                s = max(s, -min(0, val_fraction(c, p)))
-    return int(s)
+def _denominator_exponent(derivs, p):
+    """s, the largest exponent of p in a denominator of the divided
+    derivatives.  Integer binomials only cancel denominators, so it is
+    read off the order-0 entries, the coefficients themselves."""
+    return max((val_int(c.denominator, p) for entries in derivs
+                for c in entries[0][1].values()), default=0)
 
 
 def check_Tr(f, r, strategy=None, domain=None):
@@ -389,8 +401,6 @@ def check_Tr(f, r, strategy=None, domain=None):
             if c.verdict == "fails":
                 verdict, witness = "fails", c.witness
                 break
-            if c.verdict == "indeterminate":
-                verdict = "indeterminate"
         return TrCertificate(f, r, domain, verdict, certs[0].strategy,
                              certs[0].K, witness,
                              certs[0].provenance,
@@ -418,17 +428,12 @@ def _check_tr_1d(f, r, strategy, ball):
     p = ball.p
     provenance = "up-to-tail" if f.tail_floor is not None else "exact"
 
-    all_lists = []
-    s = 0
-    for comp in f.components:
-        lists = _divided_lists(_dense_univariate(comp))
-        all_lists.append(lists)
-        s = max(s, _denominator_exponent(lists, p))
-
+    derivs = _derivative_table(f)
+    s = _denominator_exponent(derivs, p)
     K = _default_K(strategy, ball, r, s)
 
     if isinstance(strategy, SampledStrategy):
-        return _check_tr_sampled(f, r, strategy, ball, K)
+        return _check_tr_sampled(f, r, strategy, ball, K, derivs)
 
     n_res = ball.residue_count(K)
     if n_res > strategy.residue_cap:
@@ -446,12 +451,11 @@ def _check_tr_1d(f, r, strategy, ball):
     dtype = np.int64 if _kernels.int64_safe(mod) else object
     xs = np.array([x % mod for x in xs_list], dtype=dtype)
 
-    for comp_idx, lists in enumerate(all_lists):
-        J = len(lists)
-        table = _residue_table(lists, xs, p, s)
+    for comp_idx, entries in enumerate(derivs):
+        table = _residue_table(entries, xs[:, None], p, s)
 
         # remainder sweep first: the factored remainder must stay integral
-        if J > r:
+        if len(entries) > r:
             by, bx = _kernels.tr_pair_sweep(table, xs, mod, r)
             if by >= 0:
                 witness = _remainder_witness(f, r, comp_idx,
@@ -464,37 +468,52 @@ def _check_tr_1d(f, r, strategy, ball):
         bad = table[:, :r + 1] != 0
         if bad.any():
             yi, j = divmod(int(bad.argmax()), bad.shape[1])
-            x = xs_list[yi]
-            v = val_fraction(sum(c * Fraction(x) ** i
-                                 for i, c in enumerate(lists[j])), p)
-            witness = _cr_witness(f, comp_idx, j, (x,), p, v)
-            return TrCertificate(f, r, ball, "fails", tag, K, witness,
-                                 provenance)
+            beta, g = entries[j]
+            y = (xs_list[yi],)
+            v = val_fraction(MultiPoly(1, g).eval(y), p)
+            return TrCertificate(f, r, ball, "fails", tag, K,
+                                 _cr_witness(comp_idx, beta, y, v), provenance)
 
     return TrCertificate(f, r, ball, "holds", tag, K, None, provenance)
 
 
-def _residue_table(lists, xs, p, s):
-    """table[y, j] = p^s * g_j(xs[y]) modulo p^s, shape (R, J), in the
-    dtype of xs; all zeros when s = 0."""
-    R, J = len(xs), len(lists)
-    table = np.zeros((R, J), dtype=xs.dtype)
+def _residue_table(entries, points, p, s):
+    """table[y, k] = p^s * g(points[y]) modulo p^s for the k-th entry
+    (beta, g) of one component of a _derivative_table, shape (R, len(entries)).
+    points is an (R, m) array of residues mod p^s, int64 when
+    int64_safe(p^s) and object otherwise; the table has its dtype.  All
+    zeros when s = 0."""
+    R, m = points.shape
+    table = np.zeros((R, len(entries)), dtype=points.dtype)
     if s == 0:
         return table
     mod = p ** s
-    scale = Fraction(p) ** s
-    for j, gj in enumerate(lists):
-        cs = [rational_residue(c * scale, p, s) for c in reversed(gj)]
-        table[:, j] = _kernels.horner_values(cs, xs, mod)
+    scale = Fraction(mod)
+    # powers[i][e] = points[:, i]^e mod p^s up to the top exponent of g_0,
+    # which bounds the exponents of every g_beta
+    powers = []
+    for i in range(m):
+        col = [np.ones(R, dtype=points.dtype)]
+        for _ in range(max((e[i] for e in entries[0][1]), default=0)):
+            col.append(col[-1] * points[:, i] % mod)
+        powers.append(col)
+    for k, (_beta, g) in enumerate(entries):
+        val = table[:, k]
+        for exp, c in g.items():
+            term = np.full(R, rational_residue(c * scale, p, s), dtype=points.dtype)
+            for i, e in enumerate(exp):
+                if e:
+                    term = term * powers[i][e] % mod
+            val += term
+            val %= mod
     return table
 
 
-def _cr_witness(f, comp_idx, order, y, p, valuation):
-    beta = (order,) if f.m == 1 else order
+def _cr_witness(comp_idx, beta, y, valuation):
     return {
         "kind": "cr_norm",
         "component": comp_idx,
-        "order": beta if isinstance(beta, tuple) else (beta,),
+        "order": beta,
         "y": y[0] if len(y) == 1 else y,
         "valuation": valuation,
     }
@@ -542,7 +561,7 @@ def _astuple(v):
     return tuple(v) if isinstance(v, (tuple, list)) else (v,)
 
 
-def _check_tr_sampled(f, r, strategy, ball, K):
+def _check_tr_sampled(f, r, strategy, ball, K, derivs):
     import random
 
     p = ball.p
@@ -551,7 +570,6 @@ def _check_tr_sampled(f, r, strategy, ball, K):
     tag = strategy.tag(p, K)
     width = ball.residue_count(K)
     xs = list(ball.residues(K)) if width <= 1 << 16 else None
-    derivs = _derivative_table(f, r)
     for _ in range(strategy.samples):
         if xs is not None:
             x = rng.choice(xs)
@@ -580,65 +598,59 @@ def _exact_pair_violation(f, r, x, y, p):
     return None
 
 
-def _derivative_table(f, order):
-    """Per component, the divided derivatives (beta, dd) for |beta| <= order,
-    in _multi_indices order; computed once per check."""
-    return [[(beta, divided_derivative(comp, beta))
-             for beta in _multi_indices(f.m, order)]
-            for comp in f.components]
-
-
 def _exact_point_violation(derivs, r, y, p):
-    """First order-<=r divided derivative of negative valuation at y, from a
-    _derivative_table of order >= r."""
+    """First order-<=r divided derivative of negative valuation at y, in
+    (component, beta) order, from a _derivative_table, as a witness."""
     y = tuple(Fraction(c) for c in y)
-    for ci, table in enumerate(derivs):
-        for beta, dd in table:
+    for ci, entries in enumerate(derivs):
+        for beta, g in entries:
             if sum(beta) > r:
                 break
-            v = val_fraction(dd.eval(y), p)
+            v = val_fraction(MultiPoly(len(y), g).eval(y), p)
             if v < 0:
-                return {"kind": "cr_norm", "component": ci, "order": beta,
-                        "y": y[0] if len(y) == 1 else y, "valuation": v}
+                return _cr_witness(ci, beta, y, v)
     return None
 
 
 def _check_tr_nd(f, r, strategy, ball):
-    """Multivariate exhaustive check: exact rational sweeps (small domains),
-    with the all-orders Gauss criterion as the remainder certificate when
-    the pair budget is tight."""
+    """Multivariate exhaustive check: the C^r half on the residue table
+    modulo p^s, then an exact rational sweep over residue pairs for the
+    remainder, which s = 0 makes unnecessary."""
     p = ball.p
     provenance = "up-to-tail" if f.tail_floor is not None else "exact"
+    derivs = _derivative_table(f)
     if isinstance(strategy, SampledStrategy):
         K = strategy.K if strategy.K is not None else ball.alpha * r + 4
-        return _check_tr_sampled(f, r, strategy, ball, K)
+        return _check_tr_sampled(f, r, strategy, ball, K, derivs)
 
-    deg = f.degree()
-    derivs = _derivative_table(f, max(r, deg))
-    s = 0
-    for table in derivs:
-        for _beta, dd in table:
-            for c in dd.terms.values():
-                s = max(s, -min(0, val_fraction(c, p)))
+    s = _denominator_exponent(derivs, p)
     K = _default_K(strategy, ball, r, s)
     tag = strategy.tag(p, K)
     n_res = ball.residue_count(K)
     if n_res > strategy.residue_cap:
         raise CapExceededError(f"{n_res} residues exceed cap")
+    residues = list(ball.residues(K))  # raises for K below the ball's radius
 
-    residues = list(ball.residues(K))
-    for y in residues:
-        bad = _exact_point_violation(derivs, r, y, p)
-        if bad is not None:
-            return TrCertificate(f, r, ball, "fails", tag, K, bad, provenance)
-
-    # all-orders Gauss criterion proves the remainder bound outright
-    gauss_ok = all(
-        gauss_valuation(_shift_scale(dd, ball), p) >= 0
-        for table in derivs for _beta, dd in table if not dd.is_zero())
-    if gauss_ok:
+    # all-orders Gauss criterion: with s = 0 every divided derivative has
+    # p-integral coefficients, so each has Gauss valuation >= 0 on every
+    # ball of Z_p^m; with s > 0 some term c x^e has ord(c) < 0 and g_e is
+    # the constant c, so the criterion holds exactly when s = 0
+    if s == 0:
         return TrCertificate(f, r, ball, "holds", tag, K, None, provenance,
                              detail={"remainder": "gauss-all-orders"})
+
+    # pointwise C^r bound: the first (y, component, beta) whose scaled
+    # value is nonzero mod p^s; the witness is rebuilt exactly at that y
+    mod = p ** s
+    dtype = np.int64 if _kernels.int64_safe(mod) else object
+    points = np.array([[c % mod for c in y] for y in residues], dtype=dtype)
+    bad = np.concatenate(
+        [_residue_table([(beta, g) for beta, g in entries if sum(beta) <= r],
+                        points, p, s) for entries in derivs], axis=1) != 0
+    if bad.any():
+        y = residues[int(bad.any(axis=1).argmax())]
+        return TrCertificate(f, r, ball, "fails", tag, K,
+                             _exact_point_violation(derivs, r, y, p), provenance)
 
     if n_res * n_res > strategy.pair_cap:
         raise CapExceededError("pair sweep exceeds cap")
@@ -647,18 +659,6 @@ def _check_tr_nd(f, r, strategy, ball):
             bad = _exact_pair_violation(f, r, x, y, p)
             if bad is not None:
                 return TrCertificate(f, r, ball, "fails", tag, K, bad, provenance)
-        # pairs hiding inside one residue class need the higher orders to
-        # carry margin -(|beta|-r)*K
-        yf = tuple(Fraction(c) for c in y)
-        for table in derivs:
-            for beta, dd in table:
-                if sum(beta) <= r:
-                    continue
-                v = val_fraction(dd.eval(yf), p)
-                if v < -(sum(beta) - r) * K:
-                    return TrCertificate(
-                        f, r, ball, "indeterminate", tag, K,
-                        {"kind": "precision", "order": beta, "y": y}, provenance)
     return TrCertificate(f, r, ball, "holds", tag, K, None, provenance)
 
 
@@ -692,23 +692,21 @@ def verify_gauss0(g, lam_val, a_val, p):
     if isinstance(g, PolyMap):
         if g.m != 1 or g.n != 1:
             raise ConfigError("verify_gauss0 expects a univariate map")
-        poly = g.components[0]
     else:
-        poly = g
-    coeffs = _dense_univariate(poly)
+        g = PolyMap(1, 1, [g])
+    derivs = _derivative_table(g)[0]
     # sup over the associated set of |g| equals max_i |c_i a^i|
     hyp = min((val_fraction(c, p) + i * a_val
-               for i, c in enumerate(coeffs) if c), default=INF)
+               for (i,), c in derivs[0][1].items()), default=INF)
     if hyp < lam_val:
         raise ConfigError(
             f"hypothesis |g| <= |lambda| not certifiable: Gauss valuation "
             f"{hyp} < {lam_val}")
-    lists = _divided_lists(coeffs)
     entries = []
     ok = True
-    for i in range(1, len(coeffs)):
+    for (i,), gi in derivs[1:]:
         lhs = min((val_fraction(c, p) + j * a_val
-                   for j, c in enumerate(lists[i]) if c), default=INF)
+                   for (j,), c in gi.items()), default=INF)
         rhs = lam_val - i * a_val
         good = lhs >= rhs
         ok = ok and good

@@ -7,7 +7,9 @@ arithmetic mod q) and never calls the code paths it checks.
 
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import comb, factorial, gcd
+
+from nonarch_lab.errors import CapExceededError
 
 
 def rationals_of_height(T):
@@ -356,3 +358,73 @@ def tr_residue_oracle(components, r, p, residues):
                 if v < 0:
                     return ("cr_norm", ci, j, y, v)
     return None
+
+
+def tr_check_oracle(components, r, p, center, alpha, K):
+    """First T_r violation of a polynomial map Z_p^m -> Z_p^n on the ball
+    center + p^alpha Z_p^m, over its residues mod p^K, straight from the
+    definition, or None.
+
+    components are dicts exponent tuple -> rational coefficient.  Residues
+    run over c_i + p^alpha * j_i with the last coordinate fastest.  First
+    every residue y must satisfy ord((1/beta!) d^beta f(y)) >= 0 for each
+    component and |beta| <= r (beta by total degree, then lexicographic);
+    then every ordered pair x != y, ascending (y, x), must satisfy
+    ord(f(x) - T_y(x)) >= r * min_i ord(x_i - y_i), with T_y the Taylor
+    polynomial of the orders < r at y.  Returns ("cr_norm", component,
+    beta, y, ord) or ("remainder", component, x, y, ord_lhs, bound_rhs).
+    """
+    m = len(center)
+    step = p ** alpha
+    residues = [tuple(c + step * j for c, j in zip(center, idx))
+                for idx in product(range(p ** (K - alpha)), repeat=m)]
+
+    def deriv_at(terms, beta, y):
+        # (1/beta!) d^beta of sum c x^e, term by term from the power rule
+        acc = Fraction(0)
+        for exp, c in terms.items():
+            if any(e < b for e, b in zip(exp, beta)):
+                continue
+            t = Fraction(c)
+            for e, b, yi in zip(exp, beta, y):
+                t *= Fraction(factorial(e), factorial(e - b) * factorial(b)) * Fraction(yi) ** (e - b)
+            acc += t
+        return acc
+
+    betas = sorted((b for b in product(range(r + 1), repeat=m) if sum(b) <= r),
+                   key=lambda b: (sum(b), b))
+    for y in residues:
+        for ci, terms in enumerate(components):
+            for beta in betas:
+                v = padic_val(deriv_at(terms, beta, y), p)
+                if v < 0:
+                    return ("cr_norm", ci, beta, y, v)
+    low = [b for b in betas if sum(b) < r]
+    for y in residues:
+        for x in residues:
+            if x == y:
+                continue
+            bound = r * min(padic_val(a - b, p) for a, b in zip(x, y))
+            for ci, terms in enumerate(components):
+                t_y = Fraction(0)
+                for beta in low:
+                    mono = Fraction(1)
+                    for a, b, k in zip(x, y, beta):
+                        mono *= Fraction(a - b) ** k
+                    t_y += deriv_at(terms, beta, y) * mono
+                lhs = padic_val(deriv_at(terms, (0,) * m, x) - t_y, p)
+                if lhs < bound:
+                    return ("remainder", ci, x, y, lhs, bound)
+    return None
+
+
+def count_expanded(equations, q, r, n, cap=2 * 10**7):
+    """Exhaustive solution count of an expanded scheme over F_q^(r*n): each
+    scalar equation has integer coefficients and is evaluated at every
+    assignment, which solves it when the value is 0 mod q."""
+    nv = r * n
+    total = q ** nv
+    if total > cap:
+        raise CapExceededError(f"{total} assignments exceed cap {cap}")
+    return sum(1 for a in product(range(q), repeat=nv)
+               if all(eq.eval(a) % q == 0 for eq in equations))

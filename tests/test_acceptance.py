@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import oracles
+from oracles import count_expanded
 from conftest import (
     CIRCLE_FF,
     ELLIPTIC,
@@ -19,7 +20,7 @@ from conftest import (
 from nonarch_lab.arith_core import Ball, MultiPoly
 from nonarch_lab.combinatorics import DetSetup, alpha_bound, e_of
 from nonarch_lab.detmethod import certify_components, cover_points, det_bound_check
-from nonarch_lab.ffcount import count_expanded, enumerate_Xr, estimate_delta, expand_scheme
+from nonarch_lab.ffcount import enumerate_Xr, estimate_delta, expand_scheme
 from nonarch_lab.heights import SemialgSpec, enumerate_heights, points_Q
 from nonarch_lab.hilbert import (
     HilbertTable,

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from nonarch_lab.arith_core import (
-    GF,
     Ball,
     MultiPoly,
     divided_derivative,
@@ -16,6 +15,7 @@ from nonarch_lab.arith_core import (
     val_int,
 )
 from nonarch_lab.errors import PrecisionError, RingMismatchError
+from nonarch_lab.ffcount import VarietySpec, expand_scheme
 
 INF = math.inf
 
@@ -68,8 +68,11 @@ def test_ball_rejects_nonprime_p():
 
 
 def test_gf_rejects_nonprime_q():
-    with pytest.raises(RingMismatchError):
-        GF(4)
+    X = VarietySpec(n=2, polynomials=[{(0, 1): (1,), (3, 0): (-1,)}])
+    with pytest.raises(RingMismatchError, match="q=4 is not prime"):
+        X.reduce_mod(4)
+    with pytest.raises(RingMismatchError, match="q=4 is not prime"):
+        expand_scheme(X, 4, 2)
 
 
 def test_multipoly_divided_derivative():

@@ -38,6 +38,12 @@ CONIC_IDEAL = {
     "generators": [[{"exp": [1, 0, 1], "coeff": "1"},
                     {"exp": [0, 2, 0], "coeff": "-1"}]],
 }
+TWISTED_CUBIC_IDEAL = {
+    "vars": 4,
+    "generators": [[{"exp": [1, 0, 1, 0], "coeff": "1"}, {"exp": [0, 2, 0, 0], "coeff": "-1"}],
+                   [{"exp": [1, 0, 0, 1], "coeff": "1"}, {"exp": [0, 1, 1, 0], "coeff": "-1"}],
+                   [{"exp": [0, 1, 0, 1], "coeff": "1"}, {"exp": [0, 0, 2, 0], "coeff": "-1"}]],
+}
 
 
 def write(tmp_path, name, data):
@@ -183,6 +189,8 @@ def test_heights_malformed_spec_exit_2(tmp_path, capsys):
     path = write(tmp_path, "circle.json", CIRCLE)
     assert_config_error(["heights", path, "--mode", "Z", "--T", "-3"], "need T >= 0",
                         capsys, in_subprocess=False)
+    assert_config_error(["heights", path, "--T", "2", "--cap", "-1"], "need cap >= 0",
+                        capsys, in_subprocess=False)
 
 
 def test_det_cover_malformed_exit_2(tmp_path, capsys):
@@ -196,6 +204,10 @@ def test_det_cover_malformed_exit_2(tmp_path, capsys):
     assert main(["det-cover", path, "--T", "10", "--out", str(tmp_path / "o.json")]) == 0
     bad_psi = dict(COVER, psi={k: v for k, v in COVER["psi"].items() if k != "m"})
     assert main(["det-cover", write(tmp_path, "no_m.json", bad_psi)]) == 2
+    path = write(tmp_path, "cover.json", COVER)
+    for flag, named in (("--K", "need K >= 0"), ("--cap", "need cap >= 0")):
+        assert_config_error(["det-cover", path, flag, "-1"], named, capsys,
+                            in_subprocess=False)
 
 
 def test_det_cover_dimension_mismatch_exit_2(tmp_path, capsys):
@@ -214,6 +226,8 @@ def test_count_ff_malformed_exit_2(tmp_path, capsys):
     path = write(tmp_path, "yx3.json", YX3)
     assert main(["count-ff", path, "--q", "2,3", "--r", "1", "--mu-cap", "0"]) == 2
     assert "mu_cap must be >= 1" in capsys.readouterr().err
+    assert_config_error(["count-ff", path, "--q", "2,3", "--r", "1", "--cap", "-1"],
+                        "need cap >= 0", capsys, in_subprocess=False)
 
 
 def test_bounds_nonprime_p_exit_2(capsys):
@@ -221,6 +235,8 @@ def test_bounds_nonprime_p_exit_2(capsys):
         argv = ["bounds", "--m", "1", "--n", "2", "--d", "1", "--T", "10", "--p", p]
         assert main(argv) == 2, p
         assert f"p = {p} is not prime" in capsys.readouterr().err
+    assert_config_error(["bounds", "--m", "1", "--n", "2", "--d", "1", "--T", "-5",
+                         "--p", "3"], "need T >= 0", capsys, in_subprocess=False)
 
 
 def test_det_cover_nonprime_p_exit_2(tmp_path, capsys):
@@ -253,6 +269,14 @@ def test_taylor_check_malformed_exit_2(tmp_path, capsys):
         assert_config_error(["taylor-check", path, "--r", "1", "--strategy", "sampled",
                              "--samples", samples], "need samples >= 1", capsys,
                             in_subprocess=False)
+    plane = {"m": 2, "n": 1, "p": 3, "components": [[{"exp": [2, 0], "coeff": "1"}]],
+             "domain": {"center": ["0", "0"], "alpha": 0}}
+    for data in (TR_X2, plane):
+        path = write(tmp_path, f"m{data['m']}.json", data)
+        for strategy in ("exhaustive", "sampled"):
+            assert_config_error(["taylor-check", path, "--r", "2", "--K", "-1",
+                                 "--strategy", strategy], "need K >= 0", capsys,
+                                in_subprocess=False)
 
 
 def run_cli_subprocess(argv, timeout=30):
@@ -321,6 +345,9 @@ def test_hilbert_malformed_exit_2(tmp_path, capsys):
                          (["--smax", "-2"], "--smax")):
         assert main(["hilbert", path, "--smax", "3"] + extra) == 2, extra
         assert named in capsys.readouterr().err
+    path = write(tmp_path, "twisted.json", TWISTED_CUBIC_IDEAL)
+    assert_config_error(["hilbert", path, "--budget", "-1"], "need S-pair budget >= 0",
+                        capsys, in_subprocess=False)
 
 
 def test_seed_only_on_taylor_check(tmp_path):

@@ -10,7 +10,6 @@ from nonarch_lab import _kernels
 from nonarch_lab.errors import CapExceededError, ConfigError, RingMismatchError
 from nonarch_lab.ffcount import (
     VarietySpec,
-    count_expanded,
     enumerate_Xr,
     estimate_delta,
     expand_scheme,
@@ -141,19 +140,19 @@ def test_expand_scheme_examples():
 
 def test_count_expanded_examples():
     eqs = expand_scheme(graph_variety(2), 2, 2)
-    assert count_expanded(eqs, 2, 2, 2) == 2
+    assert oracles.count_expanded(eqs, 2, 2, 2) == 2
     eqs = expand_scheme(LINE, 3, 2)
-    assert count_expanded(eqs, 3, 2, 2) == 9
-    assert count_expanded([], 2, 1, 2) == 4  # empty system
+    assert oracles.count_expanded(eqs, 3, 2, 2) == 9
+    assert oracles.count_expanded([], 2, 1, 2) == 4  # empty system
 
 
 def test_represent_identification():
-    # enumerate_Xr == count_expanded(expand_scheme) exactly
+    # enumerate_Xr == oracles.count_expanded(expand_scheme) exactly
     for X in FIVE_VARIETIES:
         for q in (2, 3, 5):
             for r in (1, 2, 3):
                 direct = enumerate_Xr(X, q, r)
-                expanded = count_expanded(expand_scheme(X, q, r), q, r, X.n)
+                expanded = oracles.count_expanded(expand_scheme(X, q, r), q, r, X.n)
                 assert direct == expanded, (X.name, q, r)
 
 
@@ -250,7 +249,7 @@ def test_caps_and_prime_validation():
     with pytest.raises(RingMismatchError):
         enumerate_Xr(ELLIPTIC, 4, 1)  # prime fields only
     with pytest.raises(CapExceededError):
-        count_expanded(expand_scheme(LINE, 3, 2), 3, 2, 2, cap=10)
+        oracles.count_expanded(expand_scheme(LINE, 3, 2), 3, 2, 2, cap=10)
 
 
 def test_json_roundtrip():

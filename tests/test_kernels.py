@@ -88,19 +88,6 @@ def test_pair_sweep_mod_one_is_vacuous():
     assert _sweep(table, xs, 1, 2) == (-1, -1)
 
 
-def test_horner_values_matches_python():
-    xs = np.array([0, 1, 5, 11], dtype=np.int64)
-    mod = 3 ** 5
-    coeffs = [2, 0, 7]  # descending: 2x^2 + 7
-    got = _kernels.horner_values(coeffs, xs, mod)
-    want = [(2 * x * x + 7) % mod for x in (0, 1, 5, 11)]
-    assert list(got) == want
-    big = 3 ** 50  # past int64: the same Horner on Python ints
-    got = _kernels.horner_values(coeffs, xs.astype(object), big)
-    assert got.dtype == object
-    assert list(got) == [(2 * x * x + 7) % big for x in (0, 1, 5, 11)]
-
-
 def test_ff_count_lift_blocks_agree(monkeypatch):
     from conftest import ELLIPTIC, PARAB_T
 

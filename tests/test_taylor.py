@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
-from nonarch_lab.arith_core import Ball, MultiPoly
+from nonarch_lab.arith_core import Ball, MultiPoly, divided_derivative
 from nonarch_lab.errors import CapExceededError, ConfigError, PrecisionError
 from nonarch_lab.taylor import (
     ExhaustiveStrategy,
     PolyMap,
     SampledStrategy,
+    _derivative_table,
+    _residue_table,
     check_Tr,
     compose,
     cr_norm,
@@ -152,6 +155,87 @@ def test_check_tr_matches_exact_oracle():
                     wit["valuation"]) == (want[0], want[1], (want[2],), want[3], want[4])
     assert set(outcomes[:len(cases)]) == {"holds", "remainder", "cr_norm"}
     assert outcomes[len(cases):] == ["holds", "remainder", "cr_norm"] * 3
+
+
+def _tr_2d_cases(rng):
+    """(p, center, alpha, K, r, components) on Z_p^2 balls with few residues:
+    fixed maps that hold by the Gauss criterion, hold only through the pair
+    loop and fail the remainder with integral C^r data; two C^r failures
+    whose modulus p^s is at least 2^31; then seeded random maps."""
+    yield 3, (1, 2), 1, 2, 2, [{(2, 0): 1, (1, 1): 2}, {(0, 3): -1, (0, 0): 4}]
+    yield 2, (0, 0), 1, 2, 1, [{(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)}]
+    yield 3, (0, 0), 1, 2, 2, [{(3, 0): Fraction(1, 9), (1, 1): 1}]
+    yield 2, (0, 0), 1, 2, 1, [{(0, 1): 1}, {(2, 0): Fraction(1, 4)}]
+    yield 2, (1, 0), 30, 31, 2, [{(1, 1): Fraction(1, 2 ** 31), (2, 0): 3}]
+    yield 3, (2, 0), 19, 20, 2, [{(0, 3): 1}, {(1, 1): Fraction(-1, 3 ** 20)}]
+    for _ in range(36):
+        p = rng.choice([2, 3])
+        comps = []
+        for _ in range(rng.choice([1, 1, 2])):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exp = (rng.randint(0, 3), rng.randint(0, 2))
+                terms[exp] = (Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+                              * Fraction(p) ** rng.choice([0, 0, 1, -1, -2]))
+            comps.append(terms)
+        s = max([0] + [-oracles.padic_val(c, p) for t in comps for c in t.values()])
+        K = max(s, 1) + (rng.choice([0, 1]) if p == 2 else 0)
+        alpha = max(0, K - rng.choice([1, 2] if p == 2 else [1]))
+        center = tuple(rng.choice([0, rng.randrange(p ** alpha)]) for _ in range(2))
+        yield p, center, alpha, K, rng.randint(1, 2), comps
+
+
+def test_check_tr_2d_matches_exact_oracle():
+    # verdict and witness of the exhaustive check on Z_p^2 balls must be
+    # those of the definition checked residue by residue and pair by pair
+    outcomes = []
+    for p, center, alpha, K, r, comps in _tr_2d_cases(random.Random(23)):
+        ball = Ball(p, center, alpha)
+        f = PolyMap(2, len(comps), [MultiPoly(2, t) for t in comps], domain=ball)
+        cert = check_Tr(f, r, ExhaustiveStrategy(K=K))
+        want = oracles.tr_check_oracle(comps, r, p, center, alpha, K)
+        wit = cert.witness
+        if want is None:
+            assert cert.verdict == "holds", (p, center, alpha, K, r, comps)
+            gauss = cert.detail.get("remainder") == "gauss-all-orders"
+            outcomes.append("holds-gauss" if gauss else "holds-pairs")
+            continue
+        assert cert.verdict == "fails", (p, center, alpha, K, r, comps)
+        assert recheck_witness(f, r, wit, p)
+        outcomes.append(want[0])
+        if want[0] == "remainder":
+            got = (wit["kind"], wit["component"], wit["x"], wit["y"],
+                   wit["ord_lhs"], wit["bound_rhs"])
+        else:
+            got = (wit["kind"], wit["component"], wit["order"], wit["y"],
+                   wit["valuation"])
+            assert all(isinstance(c, Fraction) for c in wit["y"])
+        assert got == want, (p, center, alpha, K, r, comps)
+    assert outcomes[:6] == ["holds-gauss", "holds-pairs", "remainder",
+                            "remainder", "cr_norm", "cr_norm"]
+    assert set(outcomes[6:]) >= {"holds-gauss", "holds-pairs", "cr_norm"}
+
+
+def test_residue_table_matches_python():
+    # the one-pass derivative table equals divided_derivative entry by
+    # entry, and the residue table holds p^s * g_beta(y) mod p^s on int64
+    # residues and, past int64, on object arrays of Python ints
+    comp = MultiPoly(2, {(2, 1): Fraction(1, 9), (0, 1): 2, (1, 0): Fraction(-1, 3)})
+    entries = _derivative_table(PolyMap(2, 1, [comp]))[0]
+    assert [beta for beta, _g in entries] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1),
+                                             (2, 0), (0, 3), (1, 2), (2, 1), (3, 0)]
+    for beta, g in entries:
+        assert g == divided_derivative(comp, beta).terms
+    pts = [(0, 1), (4, 7), (13, 2), (5, 0)]
+    for s, dtype in ((2, np.int64), (25, object)):
+        mod = 3 ** s
+        got = _residue_table(entries, np.array(pts, dtype=dtype), 3, s)
+        assert got.dtype == dtype and got.shape == (len(pts), len(entries))
+        for row, y in zip(got, pts):
+            for k, (_beta, g) in enumerate(entries):
+                v = mod * sum(c * Fraction(y[0]) ** e[0] * Fraction(y[1]) ** e[1]
+                              for e, c in g.items())
+                assert row[k] == v.numerator * pow(v.denominator, -1, mod) % mod
 
 
 def test_check_tr_x3_holds():
