@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -432,7 +433,10 @@ def cmd_corpus(args, started):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: parse_args fills a fresh
+    namespace on every call and no option has a mutable default."""
     ap = argparse.ArgumentParser(
         prog="nonarch-lab",
         description="Exact p-adic / function-field determinant-method lab")

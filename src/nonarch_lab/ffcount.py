@@ -192,12 +192,18 @@ class CountRecord:
 def _slack_sq(counts, delta, mu):
     """max over q of (count - mu*q^delta)^2 / q^(2*delta - 1): the square of
     the bound constant C in |count - mu q^delta| <= C q^(delta - 1/2),
-    exactly (square roots of q never materialize)."""
-    worst = Fraction(0)
+    exactly (square roots of q never materialize).  mu is an integer; each
+    value stays an integer fraction num/den, den > 0, and the maximum is
+    taken by cross-multiplication, so one Fraction is built per call."""
+    num, den = 0, 1
     for q, c in counts.items():
-        val = Fraction(c - mu * q ** delta) ** 2 / Fraction(q) ** (2 * delta - 1)
-        worst = max(worst, val)
-    return worst
+        if delta:
+            n, d = (c - mu * q ** delta) ** 2, q ** (2 * delta - 1)
+        else:
+            n, d = (c - mu) ** 2 * q, 1
+        if n * den > num * d:
+            num, den = n, d
+    return Fraction(num, den)
 
 
 def estimate_delta(counts, r, n, mu_cap=64):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .arith_core import MultiPoly, is_prime, rational_residue, val_fraction
 from .errors import CapExceededError, ConfigError
@@ -148,10 +148,11 @@ def _grid_points(X, values, cap):
 
     Fibre by fibre: at each prefix of the first n-1 coordinates the first
     equation whose specialization is not the zero polynomial gives an
-    integer polynomial in the last variable, whose roots among values come
-    from the rational-root theorem; only those candidates meet the full
-    X.accepts.  A fibre is scanned over all of values only when no equation
-    constrains it (no equations, or every one vanishes on the fibre).
+    integer polynomial in the last variable, whose roots among values are
+    read off in closed form up to degree 2 and by the rational-root theorem
+    beyond; only those candidates meet the full X.accepts.  A fibre is
+    scanned over all of values only when no equation constrains it (no
+    equations, or every one vanishes on the fibre).
     """
     if X.nvars > 4:
         raise ConfigError("point enumeration is limited to n <= 4 variables")
@@ -164,7 +165,7 @@ def _grid_points(X, values, cap):
         return [()] if X.accepts(()) else []
     last = X.nvars - 1
     fracs = [Fraction(v) for v in values]
-    index = {v: i for i, v in enumerate(fracs)}
+    index = {(v.numerator, v.denominator): i for i, v in enumerate(fracs)}
     max_num = max((abs(v.numerator) for v in fracs), default=0)
     max_den = max((v.denominator for v in fracs), default=1)
     fibrations, degrees = _integer_fibrations(X.equations, last)
@@ -214,39 +215,69 @@ def _integer_fibrations(equations, last):
 
 
 def _root_indices(coeffs, index, max_num, max_den):
-    """Ascending indices in `index` of the rational roots of the nonzero
+    """Ascending indices in `index`, keyed by (numerator, denominator) in
+    lowest terms with denominator > 0, of the rational roots of the nonzero
     integer polynomial sum coeffs[j] y^j.
 
-    A nonzero root r/s in lowest terms has r | coeffs[k] and s | coeffs[d]
-    for the lowest and highest nonzero coefficients; both are capped by the
-    largest numerator and denominator among the indexed values.
+    The factor y^k of the lowest nonzero coefficient gives the root 0; the
+    cofactor keeps a nonzero constant term.  A linear cofactor c + b y has
+    the one root -c/b; a quadratic one c + b y + a y^2 has rational roots
+    exactly when b^2 - 4ac is a square, (-b +- sqrt(b^2 - 4ac)) / 2a.  From
+    degree 3 on, a root r/s in lowest terms has r | coeffs[k] and s |
+    coeffs[d] for the lowest and highest nonzero coefficients, both capped
+    by the largest numerator and denominator among the indexed values.
     """
     nonzero = [j for j, c in enumerate(coeffs) if c]
     k, d = nonzero[0], nonzero[-1]
     hits = []
-    if k and 0 in index:
-        hits.append(index[0])
-    if d > k:
-        trail, lead = abs(coeffs[k]), abs(coeffs[d])
-        nums = [r for r in range(1, min(max_num, trail) + 1) if trail % r == 0]
-        for s in range(1, min(max_den, lead) + 1):
-            if lead % s:
-                continue
-            spow = [s ** e for e in range(d - k + 1)]
-            for r in nums:
-                if gcd(r, s) != 1:
-                    continue
-                for y in (r, -r):
-                    i = index.get(Fraction(y, s) if s > 1 else y)
-                    if i is None:
-                        continue
-                    acc = 0  # s^d * f(y/s) / y^k, by integer Horner
-                    for j in range(d, k - 1, -1):
-                        acc = acc * y + coeffs[j] * spow[d - j]
-                    if acc == 0:
-                        hits.append(i)
+    if k and (0, 1) in index:
+        hits.append(index[0, 1])
+    if d - k == 1:
+        roots = [_lowest_terms(-coeffs[k], coeffs[d])]
+    elif d - k == 2:
+        c, b, a = coeffs[k:d + 1]
+        disc = b * b - 4 * a * c
+        root = isqrt(disc) if disc >= 0 else -1
+        roots = ([] if root * root != disc else
+                 [_lowest_terms(-b - root, 2 * a), _lowest_terms(-b + root, 2 * a)])
+    elif d > k:
+        roots = _divisor_roots(coeffs, k, d, index, max_num, max_den)
+    else:
+        roots = []
+    hits.extend({index[y] for y in roots if y in index})
     hits.sort()
     return hits
+
+
+def _lowest_terms(num, den):
+    """num/den as (numerator, denominator) in lowest terms, den > 0."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
+
+
+def _divisor_roots(coeffs, k, d, index, max_num, max_den):
+    """Nonzero rational roots among the keys of `index` of sum coeffs[j]
+    y^j, lowest nonzero coefficient at k and highest at d (d - k >= 3),
+    by the rational-root theorem, as (numerator, denominator) pairs."""
+    trail, lead = abs(coeffs[k]), abs(coeffs[d])
+    nums = [r for r in range(1, min(max_num, trail) + 1) if trail % r == 0]
+    roots = []
+    for s in range(1, min(max_den, lead) + 1):
+        if lead % s:
+            continue
+        spow = [s ** e for e in range(d - k + 1)]
+        for r in nums:
+            if gcd(r, s) != 1:
+                continue
+            for y in (r, -r):
+                if (y, s) not in index:
+                    continue
+                acc = 0  # s^d * f(y/s) / y^k, by integer Horner
+                for j in range(d, k - 1, -1):
+                    acc = acc * y + coeffs[j] * spow[d - j]
+                if acc == 0:
+                    roots.append((y, s))
+    return roots
 
 
 def points_Q(X, T, cap=10**7):

@@ -414,7 +414,13 @@ def check_Tr(f, r, strategy=None, domain=None):
 
 
 def _default_K(strategy, ball, r, s):
+    """The modulus exponent K of a check on `ball`.  An explicit K below
+    the ball's valuative radius is a configuration error, decided before
+    any residue count is taken; one below s cannot conclude."""
     if strategy.K is not None:
+        if strategy.K < ball.alpha:
+            raise ConfigError(
+                f"K={strategy.K} below valuative radius {ball.alpha}")
         if strategy.K < s:
             raise PrecisionError(
                 f"K={strategy.K} below divided-derivative denominator exponent {s}")
@@ -619,17 +625,18 @@ def _check_tr_nd(f, r, strategy, ball):
     p = ball.p
     provenance = "up-to-tail" if f.tail_floor is not None else "exact"
     derivs = _derivative_table(f)
+    s = _denominator_exponent(derivs, p)
     if isinstance(strategy, SampledStrategy):
-        K = strategy.K if strategy.K is not None else ball.alpha * r + 4
+        K = (max(ball.alpha * r + 4, s + 2) if strategy.K is None
+             else _default_K(strategy, ball, r, s))
         return _check_tr_sampled(f, r, strategy, ball, K, derivs)
 
-    s = _denominator_exponent(derivs, p)
     K = _default_K(strategy, ball, r, s)
     tag = strategy.tag(p, K)
     n_res = ball.residue_count(K)
     if n_res > strategy.residue_cap:
         raise CapExceededError(f"{n_res} residues exceed cap")
-    residues = list(ball.residues(K))  # raises for K below the ball's radius
+    residues = list(ball.residues(K))
 
     # all-orders Gauss criterion: with s = 0 every divided derivative has
     # p-integral coefficients, so each has Gauss valuation >= 0 on every

@@ -196,6 +196,16 @@ def hilbert_codimension(generators, nvars, s):
     return len(mons) - dense_rank(rows)
 
 
+def slack_sq_fraction(counts, delta, mu):
+    """max over q of (count - mu*q^delta)^2 / q^(2*delta - 1), one Fraction
+    power and quotient per field size."""
+    worst = Fraction(0)
+    for q, c in counts.items():
+        val = Fraction(c - mu * q ** delta) ** 2 / Fraction(q) ** (2 * delta - 1)
+        worst = max(worst, val)
+    return worst
+
+
 def fit_delta_bruteforce(counts, r, n, mu_cap):
     """(delta, mu, slack^2) with the least max_q (c - mu q^delta)^2 /
     q^(2 delta - 1) over every delta in [0, r n] and every integer mu in
@@ -204,8 +214,7 @@ def fit_delta_bruteforce(counts, r, n, mu_cap):
     best = None
     for delta in range(r * n + 1):
         for mu in range(1, mu_cap + 1):
-            sq = max(Fraction((c - mu * q ** delta) ** 2) * Fraction(q) ** (1 - 2 * delta)
-                     for q, c in counts.items())
+            sq = slack_sq_fraction(counts, delta, mu)
             if best is None or (sq, delta, mu) < best:
                 best = (sq, delta, mu)
     sq, delta, mu = best
@@ -420,11 +429,28 @@ def tr_check_oracle(components, r, p, center, alpha, K):
 
 def count_expanded(equations, q, r, n, cap=2 * 10**7):
     """Exhaustive solution count of an expanded scheme over F_q^(r*n): each
-    scalar equation has integer coefficients and is evaluated at every
-    assignment, which solves it when the value is 0 mod q."""
+    scalar equation has integer coefficients, which are reduced mod q and
+    evaluated at every assignment with modular powers; the assignment
+    solves it when the value is 0 mod q."""
     nv = r * n
     total = q ** nv
     if total > cap:
         raise CapExceededError(f"{total} assignments exceed cap {cap}")
+    systems = []
+    for eq in equations:
+        terms = []
+        for exp, c in eq.terms.items():
+            assert Fraction(c).denominator == 1, c
+            terms.append((int(c) % q, [(i, e) for i, e in enumerate(exp) if e]))
+        systems.append(terms)
+
+    def solves(a, terms):
+        value = 0
+        for c, factors in terms:
+            for i, e in factors:
+                c = c * pow(a[i], e, q)
+            value += c
+        return value % q == 0
+
     return sum(1 for a in product(range(q), repeat=nv)
-               if all(eq.eval(a) % q == 0 for eq in equations))
+               if all(solves(a, terms) for terms in systems))

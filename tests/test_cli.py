@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import nonarch_lab
-from nonarch_lab.cli import main, parse_range_list
+from nonarch_lab.cli import build_parser, main, parse_range_list
 from nonarch_lab.errors import ConfigError
 
 CIRCLE = {
@@ -277,6 +277,75 @@ def test_taylor_check_malformed_exit_2(tmp_path, capsys):
             assert_config_error(["taylor-check", path, "--r", "2", "--K", "-1",
                                  "--strategy", strategy], "need K >= 0", capsys,
                                 in_subprocess=False)
+
+
+def test_taylor_check_K_below_radius_exit_2(tmp_path, capsys):
+    # x^2 on 9Z_3: K = 1 cannot name a residue class of the ball, a
+    # configuration error for every strategy and not an exhausted resource
+    ball9 = dict(TR_X2, domain={"center": ["0"], "alpha": 2})
+    plane9 = {"m": 2, "n": 1, "p": 3, "components": [[{"exp": [2, 0], "coeff": "1"}]],
+              "domain": {"center": ["0", "0"], "alpha": 2}}
+    for data in (ball9, plane9):
+        path = write(tmp_path, f"ball{data['m']}.json", data)
+        for strategy in ("exhaustive", "sampled"):
+            assert_config_error(["taylor-check", path, "--r", "2", "--K", "1",
+                                 "--strategy", strategy], "K=1 below valuative radius 2",
+                                capsys, in_subprocess=False)
+        code, report = run_to_json(["taylor-check", path, "--r", "2", "--K", "2"], tmp_path)
+        assert code == 0 and report["results"]["verdict"] == "holds"
+
+
+def test_taylor_check_sampled_multivariate_K_below_s(tmp_path, capsys):
+    # x^2/2 on Z_2^2 fails C^1 at (1, 0); with K = 0 the only residue is
+    # (0, 0), so the sampled path must reject K < s = 1 as the 1-D path does
+    half = {"m": 2, "n": 1, "p": 2, "components": [[{"exp": [2, 0], "coeff": "1/2"}]],
+            "domain": {"center": ["0", "0"], "alpha": 0}}
+    path = write(tmp_path, "half.json", half)
+    argv = ["taylor-check", path, "--r", "1", "--strategy", "sampled"]
+    assert main(argv + ["--K", "0"]) == 3
+    assert ("K=0 below divided-derivative denominator exponent 1"
+            in capsys.readouterr().err)
+    code, report = run_to_json(argv + ["--K", "1"], tmp_path)
+    assert code == 1 and report["results"]["verdict"] == "fails"
+    # the default K = max(alpha*r + 4, s + 2) = 4
+    code, report = run_to_json(argv, tmp_path)
+    assert code == 1 and report["results"]["K"] == 4
+
+
+def test_parser_built_once_and_reused(tmp_path):
+    # one argparse tree serves every main() call of a process: the bytes of
+    # each call equal those of a run on a freshly built tree, and no
+    # subcommand's defaults reach another's namespace
+    tr = write(tmp_path, "map.json", TR_X2)
+    yx3 = write(tmp_path, "yx3.json", YX3)
+    jobs = {
+        "bounds": ["bounds", "--m", "1", "--n", "2", "--d", "2", "--T", "10", "--p", "3"],
+        "taylor": ["taylor-check", tr, "--r", "2", "--strategy", "sampled",
+                   "--samples", "30", "--seed", "7"],
+        "count": ["count-ff", yx3, "--q", "2,3", "--r", "1..2", "--mu-cap", "9"],
+    }
+
+    def run(name):
+        out = str(tmp_path / f"{name}.json")
+        code = main(jobs[name] + ["--out", out])
+        with open(out, "rb") as fh:
+            return code, fh.read()
+
+    fresh = {}
+    for name in jobs:
+        build_parser.cache_clear()
+        fresh[name] = run(name)
+    assert build_parser() is build_parser()
+    for name in ("bounds", "taylor", "count", "bounds", "count", "taylor"):
+        assert run(name) == fresh[name], name
+    assert json.loads(fresh["bounds"][1])["config"]["seed"] == 0
+    assert json.loads(fresh["taylor"][1])["config"]["seed"] == 7
+    ap = build_parser()
+    seen = {name: vars(ap.parse_args(argv)) for name, argv in jobs.items()}
+    assert vars(ap.parse_args(jobs["bounds"])) == seen["bounds"]
+    assert not {"seed", "strategy", "samples", "K", "mu_cap", "q", "cap"} & set(seen["bounds"])
+    assert not {"seed", "strategy", "samples"} & set(seen["count"])
+    assert seen["count"]["mu_cap"] == 9 and seen["taylor"]["K"] is None
 
 
 def run_cli_subprocess(argv, timeout=30):

@@ -10,6 +10,7 @@ from nonarch_lab import _kernels
 from nonarch_lab.errors import CapExceededError, ConfigError, RingMismatchError
 from nonarch_lab.ffcount import (
     VarietySpec,
+    _slack_sq,
     enumerate_Xr,
     estimate_delta,
     expand_scheme,
@@ -217,6 +218,28 @@ def test_estimate_delta_matches_bruteforce_fit():
         assert estimate_delta(counts, r, n, mu_cap=mu_cap) == want, (counts, r, n, mu_cap)
     # mu = 1 and mu = 2 both give slack^2 1 at delta = 1
     assert estimate_delta({2: 3, 4: 6}, 1, 1, mu_cap=5) == (1, Fraction(1), Fraction(1))
+
+
+def test_integer_slack_matches_fraction_slack():
+    # the cross-multiplied integer maximum against one Fraction quotient
+    # per q, at every delta from 0 up, and fits whose best delta is 0
+    rng = random.Random(11)
+    for _ in range(300):
+        qs = rng.sample([2, 3, 4, 5, 7, 8, 9, 11, 13], rng.randint(2, 4))
+        counts = {q: rng.randint(0, 3000) for q in qs}
+        for delta in range(4):
+            for mu in (1, rng.randint(2, 80)):
+                assert (_slack_sq(counts, delta, mu)
+                        == oracles.slack_sq_fraction(counts, delta, mu)), (counts, delta, mu)
+    flat = 0
+    for _ in range(60):
+        qs = rng.sample([5, 7, 11, 13], 3)
+        counts = dict.fromkeys(qs, rng.randint(1, 60))
+        counts[qs[0]] += rng.choice((-1, 1))
+        want = oracles.fit_delta_bruteforce(counts, 1, 1, 64)
+        assert estimate_delta(counts, 1, 1, mu_cap=64) == want, counts
+        flat += want[0] == 0
+    assert flat >= 30
 
 
 def test_elliptic_hasse_window():

@@ -10,6 +10,7 @@ from nonarch_lab.heights import (
     NOT_FOUND,
     PadicConstraint,
     SemialgSpec,
+    _root_indices,
     enumerate_heights,
     h0,
     hk_poly,
@@ -268,3 +269,70 @@ def test_fibred_points_vanishing_fibres():
     # no equations: every fibre is scanned
     spec = SemialgSpec(2, [], [x - y])
     assert points_Z(spec, 4) == oracles.grid_points(spec, values)
+
+
+def _roots_by_evaluation(coeffs, values):
+    out = []
+    for i, v in enumerate(values):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * v + c
+        if acc == 0:
+            out.append(i)
+    return out
+
+
+def test_closed_form_roots_match_evaluation():
+    # linear and quadratic fibres times y^k, against evaluating the
+    # polynomial at every indexed value; most are built from rational
+    # factors so that roots land in the grid, the rest are random
+    for values in (list(enumerate_heights(6)), [Fraction(v) for v in range(-9, 10)]):
+        index = {(v.numerator, v.denominator): i for i, v in enumerate(values)}
+        max_num = max(abs(v.numerator) for v in values)
+        max_den = max(v.denominator for v in values)
+        rng = random.Random(len(values))
+
+        def factor():
+            a, b = rng.randint(-9, 9), rng.randint(1, 7)
+            return [-a, b] if rng.random() < 0.5 else [a, -b]
+
+        hit = 0
+        for case in range(1000):
+            degree, k = 1 + case % 2, rng.choice((0, 0, 1, 2))
+            if case % 3 == 2:
+                cof = [rng.randint(-30, 30) for _ in range(degree + 1)]
+                cof[-1] = cof[-1] or -1
+                cof[0] = cof[0] or 1
+            else:
+                cof = factor()
+                if degree == 2:
+                    lin = factor() if case % 7 else cof
+                    cof = [cof[0] * lin[0], cof[0] * lin[1] + cof[1] * lin[0],
+                           cof[1] * lin[1]]
+                scale = rng.choice((1, -1, 2, -3))
+                cof = [scale * c for c in cof]
+                if cof[0] == 0:  # a factor with root 0 belongs to y^k
+                    continue
+            coeffs = [0] * k + cof
+            want = _roots_by_evaluation(coeffs, values)
+            assert _root_indices(coeffs, index, max_num, max_den) == want, coeffs
+            hit += bool(want)
+        assert hit > 300
+    values = list(enumerate_heights(4))
+    index = {(v.numerator, v.denominator): i for i, v in enumerate(values)}
+    cases = [
+        [1, -2, 1],      # (y - 1)^2, double root
+        [0, 0, 4, 4, 1],  # y^2 (y + 2)^2
+        [1, 0, 1],       # y^2 + 1, negative discriminant
+        [-2, 0, 1],      # y^2 - 2, non-square discriminant
+        [3, -1, -2],     # -(2y + 3)(y - 1), negative leading coefficient
+        [0, 2, -3],      # y (2 - 3y), root 0 and a proper fraction
+        [0, 0, 0, 5],    # 5 y^3: only the root 0
+        [7],             # a nonzero constant: no root
+        [0, -6, 1, 1],   # y (y + 3)(y - 2), a quadratic cofactor
+    ]
+    for coeffs in cases:
+        assert _root_indices(coeffs, index, 4, 4) == _roots_by_evaluation(coeffs, values)
+    # the divisor search for degree >= 3: y^3 - y, (2y - 1)^3
+    for coeffs in ([0, -1, 0, 1], [-1, 6, -12, 8], [1, 0, 0, 1]):
+        assert _root_indices(coeffs, index, 4, 4) == _roots_by_evaluation(coeffs, values)

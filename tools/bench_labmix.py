@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Seconds of the three repeated stages of the `lab-mix` benchmark workload.
+
+Run from anywhere; --root names the source checkout to measure (default:
+the checkout this script sits in), so two commits can be timed by the same
+script:
+
+    python3 tools/bench_labmix.py --reps 15
+    python3 tools/bench_labmix.py --root ../other-checkout --reps 15
+
+The inputs are those of `perfbench/workloads.py`.  Each stage runs once to
+warm up, then --reps times:
+
+  parser          one `cli.build_parser()` call, as every `cli.main()` makes
+                  it
+  fit             `ffcount.verify_bounds` for every r of the two `count-ff`
+                  jobs (x + y = 0 over q = 2, 3, 5 and y = x^2 + tx over
+                  q = 2, 3, r = 1..4); the counts are computed once, outside
+                  the timing
+  grid-circle-Q10 `heights._grid_points` for x^2 + y^2 = 1 over the
+                  rationals of height <= 10
+  grid-parabola-Z100
+                  `heights._grid_points` for y = x^2 over the integers of
+                  absolute value <= 100 (the curve of `det-cover`)
+
+The output is one JSON object: per stage, the median over repetitions in
+raw seconds of this host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+
+def _stages(workloads):
+    from nonarch_lab import cli, ffcount, heights
+
+    fits = []
+    for data, qs in ((workloads.LINE, (2, 3, 5)), (workloads.PARABOLA_T, (2, 3))):
+        X = ffcount.VarietySpec.from_json(data)
+        for r in range(1, 5):
+            fits.append((X, r, {q: ffcount.enumerate_Xr(X, q, r) for q in qs}))
+
+    def fit():
+        for X, r, counts in fits:
+            ffcount.verify_bounds(counts, X, r)
+
+    circle = cli.parse_semialg(workloads.CIRCLE)
+    parabola = cli.parse_semialg(workloads.COVER["curve"])
+    heights_10 = list(heights.enumerate_heights(10))
+    integers_100 = [Fraction(v) for v in range(-100, 101)]
+    return {
+        "parser": cli.build_parser,
+        "fit": fit,
+        "grid-circle-Q10": lambda: heights._grid_points(circle, heights_10, 10**7),
+        "grid-parabola-Z100": lambda: heights._grid_points(parabola, integers_100, 10**7),
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
+    ap.add_argument("--reps", type=int, default=15)
+    args = ap.parse_args(argv)
+
+    root = Path(args.root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+
+    out = {}
+    for name, stage in _stages(workloads).items():
+        stage()
+        samples = []
+        for _ in range(args.reps):
+            t0 = time.perf_counter()
+            stage()
+            samples.append(time.perf_counter() - t0)
+        out[name] = float(f"{statistics.median(samples):.4g}")
+    print(json.dumps({"root": str(root), "reps": args.reps, "stages": out}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
