@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CapExceededError, PrecisionError, RingMismatchError
+import numpy as np
+
+from .errors import PrecisionError, RingMismatchError
 
 INF = math.inf
 
@@ -78,7 +80,8 @@ class Ball:
     """Closed ball (box) of equal valuative radius alpha in Z_p^m, p prime.
 
     Membership: ord(x_i - c_i) >= alpha for every coordinate.  Two balls of
-    equal radius are identical or disjoint.
+    equal radius are identical or disjoint.  The residue classes mod p^K
+    (K >= alpha) are built at once as one integer array by residue_array.
     """
 
     __slots__ = ("p", "m", "alpha", "center", "_key")
@@ -107,39 +110,37 @@ class Ball:
         return f"Ball(p={self.p}, center={self._key}, alpha={self.alpha})"
 
     def contains(self, point):
+        """x lies in the ball when each coordinate is p-integral and
+        congruent to the centre modulo p^alpha: num = key * den mod p^alpha
+        for x = num/den in lowest terms, den a unit."""
         if len(point) != self.m:
             return False
-        for x, c in zip(point, self.center):
-            d = Fraction(x) - c
-            if val_fraction(d, self.p) < self.alpha:
+        p, step = self.p, self.p ** self.alpha
+        for x, k in zip(point, self._key):
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            num, den = x.numerator, x.denominator
+            if den % p == 0 or (num - k * den) % step:
                 return False
         return True
 
     def residue_count(self, K):
         return self.p ** ((K - self.alpha) * self.m)
 
-    def residues(self, K, cap=None):
-        """Integer representative tuples mod p^K of the ball's residue classes."""
+    def residue_array(self, K):
+        """The ball's residue representatives mod p^K as an (R, m) array:
+        key + p^alpha * digits, digits running over [0, p^(K-alpha))^m with
+        the last coordinate fastest.  int64 when every representative is
+        below 2^62, an object array of Python ints otherwise."""
         if K < self.alpha:
             raise PrecisionError(f"K={K} below valuative radius {self.alpha}")
-        total = self.residue_count(K)
-        if cap is not None and total > cap:
-            raise CapExceededError(f"{total} residues exceed cap {cap}")
-        p, a = self.p, self.alpha
-        step = p ** a
-        width = p ** (K - a)
-        idx = [0] * self.m
-        while True:
-            yield tuple(c + step * j for c, j in zip(self._key, idx))
-            i = self.m - 1
-            while i >= 0:
-                idx[i] += 1
-                if idx[i] < width:
-                    break
-                idx[i] = 0
-                i -= 1
-            if i < 0:
-                return
+        step = self.p ** self.alpha
+        width = self.p ** (K - self.alpha)
+        digits = np.indices((width,) * self.m).reshape(self.m, width ** self.m).T
+        top = max(self._key, default=0) + step * (width - 1)
+        if top < 1 << 62:
+            return np.array(self._key, dtype=np.int64) + step * digits
+        return np.array(self._key, dtype=object) + step * digits.astype(object)
 
 
 # ---------------------------------------------------------------------------

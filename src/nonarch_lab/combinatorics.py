@@ -9,6 +9,7 @@ mu! * T^V; no real number rho is ever materialized.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,7 +75,10 @@ class DetSetup:
     epsilon: Fraction
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def for_dims(cls, m, n, d):
+        """The setup of (m, n, d), built once per process (the dataclass is
+        frozen, so callers share it)."""
         if m < 1 or n < 1 or d < 1:
             raise ConfigError("need m, n, d >= 1")
         mu = delta_count(n, d)

@@ -129,8 +129,10 @@ class SemialgSpec:
         elif not is_prime(self.p):
             raise ConfigError(f"padic p = {self.p} is not prime")
 
-    def accepts(self, point):
-        for eq in self.equations:
+    def accepts(self, point, known=0):
+        """Whether point lies in the set; the first `known` equations are
+        taken to vanish there already (a fibre solved by equation known-1)."""
+        for eq in self.equations[known:]:
             if eq.eval(point) != 0:
                 return False
         for ineq in self.inequations:
@@ -150,9 +152,12 @@ def _grid_points(X, values, cap):
     equation whose specialization is not the zero polynomial gives an
     integer polynomial in the last variable, whose roots among values are
     read off in closed form up to degree 2 and by the rational-root theorem
-    beyond; only those candidates meet the full X.accepts.  A fibre is
-    scanned over all of values only when no equation constrains it (no
-    equations, or every one vanishes on the fibre).
+    beyond.  The equations up to the solving one vanish at those candidates
+    (the earlier ones on the whole fibre), so only the later equations, the
+    inequations and the p-adic constraints are checked.  A fibre is
+    scanned over all of values, each point through the full X.accepts, only
+    when no equation constrains it (no equations, or every one vanishes on
+    the fibre).
     """
     if X.nvars > 4:
         raise ConfigError("point enumeration is limited to n <= 4 variables")
@@ -177,8 +182,8 @@ def _grid_points(X, values, cap):
     out = []
     for prefix_idx in itertools.product(scan, repeat=last):
         rows = [powers[i][vi] for i, vi in enumerate(prefix_idx)]
-        candidates = scan
-        for terms, width in fibrations:
+        candidates, known = scan, 0
+        for solving, (terms, width) in enumerate(fibrations):
             coeffs = [0] * width
             for j, c, exps in terms:
                 for row, e in zip(rows, exps):
@@ -186,11 +191,12 @@ def _grid_points(X, values, cap):
                 coeffs[j] += c
             if any(coeffs):
                 candidates = _root_indices(coeffs, index, max_num, max_den)
+                known = solving + 1
                 break
         prefix = tuple(values[vi] for vi in prefix_idx)
         for i in candidates:
             point = prefix + (values[i],)
-            if X.accepts(point):
+            if X.accepts(point, known):
                 out.append(point)
     return out
 

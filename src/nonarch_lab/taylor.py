@@ -135,13 +135,14 @@ class PowerPreimage:
         p, alpha = self.base.p, self.base.alpha
         j = max(alpha, 1)
         # membership of a residue class mod p^j equals membership of its
-        # representative: b*x^N - b*u^N is divisible by p^j on the class
-        members = set()
-        c = self.base.center[0]
-        b = self.b[0]
-        for u in range(p ** j):
-            if val_fraction(b * Fraction(u) ** self.N - c, p) >= alpha:
-                members.add(u)
+        # representative: b*x^N - b*u^N is divisible by p^j on the class.
+        # b*u^N - c = (b_n c_d u^N - c_n b_d) / (b_d c_d), so u is a member
+        # when p^(alpha + v_p(b_d c_d)) divides the integer numerator
+        b, c = self.b[0], self.base.center[0]
+        lead, const = b.numerator * c.denominator, c.numerator * b.denominator
+        mod = p ** (alpha + val_int(b.denominator * c.denominator, p))
+        members = {u for u in range(p ** j)
+                   if (lead * pow(u, self.N, mod) - const) % mod == 0}
         return merge_residue_balls(members, p, j)
 
 
@@ -448,14 +449,13 @@ def _check_tr_1d(f, r, strategy, ball):
     if n_res * n_res * len(f.components) > strategy.pair_cap:
         raise CapExceededError("pair sweep exceeds cap")
 
-    xs_list = [x[0] for x in ball.residues(K)]
+    residues = ball.residue_array(K)[:, 0]
     tag = strategy.tag(p, K)
 
     # every test below asks whether p^s divides a scaled value, so the
     # whole check runs modulo p^s; K only sets the number of residues
     mod = p ** s
-    dtype = np.int64 if _kernels.int64_safe(mod) else object
-    xs = np.array([x % mod for x in xs_list], dtype=dtype)
+    xs = _reduce(residues, mod)
 
     for comp_idx, entries in enumerate(derivs):
         table = _residue_table(entries, xs[:, None], p, s)
@@ -464,8 +464,8 @@ def _check_tr_1d(f, r, strategy, ball):
         if len(entries) > r:
             by, bx = _kernels.tr_pair_sweep(table, xs, mod, r)
             if by >= 0:
-                witness = _remainder_witness(f, r, comp_idx,
-                                             (xs_list[bx],), (xs_list[by],), p)
+                witness = _remainder_witness(f, r, comp_idx, (int(residues[bx]),),
+                                             (int(residues[by]),), p)
                 return TrCertificate(f, r, ball, "fails", tag, K, witness,
                                      provenance)
 
@@ -475,12 +475,20 @@ def _check_tr_1d(f, r, strategy, ball):
         if bad.any():
             yi, j = divmod(int(bad.argmax()), bad.shape[1])
             beta, g = entries[j]
-            y = (xs_list[yi],)
+            y = (int(residues[yi]),)
             v = val_fraction(MultiPoly(1, g).eval(y), p)
             return TrCertificate(f, r, ball, "fails", tag, K,
                                  _cr_witness(comp_idx, beta, y, v), provenance)
 
     return TrCertificate(f, r, ball, "holds", tag, K, None, provenance)
+
+
+def _reduce(residues, mod):
+    """A residue array modulo p^s: int64 when int64_safe(p^s), an object
+    array of Python ints otherwise, whatever the dtype of the residues."""
+    if _kernels.int64_safe(mod):
+        return (residues % mod).astype(np.int64, copy=False)
+    return residues.astype(object) % mod
 
 
 def _residue_table(entries, points, p, s):
@@ -575,11 +583,14 @@ def _check_tr_sampled(f, r, strategy, ball, K, derivs):
     provenance = "up-to-tail" if f.tail_floor is not None else "exact"
     tag = strategy.tag(p, K)
     width = ball.residue_count(K)
-    xs = list(ball.residues(K)) if width <= 1 << 16 else None
+    # choice(seq) is seq[_randbelow(len(seq))], so drawing row indices
+    # draws the same residues as choosing from the list of rows
+    residues = ball.residue_array(K) if width <= 1 << 16 else None
+    rows = range(width)
     for _ in range(strategy.samples):
-        if xs is not None:
-            x = rng.choice(xs)
-            y = rng.choice(xs)
+        if residues is not None:
+            x = tuple(residues[rng.choice(rows)].tolist())
+            y = tuple(residues[rng.choice(rows)].tolist())
         else:
             x = tuple(c + p ** ball.alpha * rng.randrange(p ** (K - ball.alpha))
                       for c in ball.canonical_center())
@@ -619,9 +630,10 @@ def _exact_point_violation(derivs, r, y, p):
 
 
 def _check_tr_nd(f, r, strategy, ball):
-    """Multivariate exhaustive check: the C^r half on the residue table
-    modulo p^s, then an exact rational sweep over residue pairs for the
-    remainder, which s = 0 makes unnecessary."""
+    """Multivariate exhaustive check: s = 0 holds by the Gauss all-orders
+    criterion before any residue is built; otherwise the residue array
+    mod p^K feeds the C^r half on the residue table modulo p^s, then an
+    exact rational sweep over residue pairs for the remainder."""
     p = ball.p
     provenance = "up-to-tail" if f.tail_floor is not None else "exact"
     derivs = _derivative_table(f)
@@ -636,7 +648,6 @@ def _check_tr_nd(f, r, strategy, ball):
     n_res = ball.residue_count(K)
     if n_res > strategy.residue_cap:
         raise CapExceededError(f"{n_res} residues exceed cap")
-    residues = list(ball.residues(K))
 
     # all-orders Gauss criterion: with s = 0 every divided derivative has
     # p-integral coefficients, so each has Gauss valuation >= 0 on every
@@ -649,18 +660,19 @@ def _check_tr_nd(f, r, strategy, ball):
     # pointwise C^r bound: the first (y, component, beta) whose scaled
     # value is nonzero mod p^s; the witness is rebuilt exactly at that y
     mod = p ** s
-    dtype = np.int64 if _kernels.int64_safe(mod) else object
-    points = np.array([[c % mod for c in y] for y in residues], dtype=dtype)
+    res = ball.residue_array(K)
+    points = _reduce(res, mod)
     bad = np.concatenate(
         [_residue_table([(beta, g) for beta, g in entries if sum(beta) <= r],
                         points, p, s) for entries in derivs], axis=1) != 0
     if bad.any():
-        y = residues[int(bad.any(axis=1).argmax())]
+        y = tuple(res[int(bad.any(axis=1).argmax())].tolist())
         return TrCertificate(f, r, ball, "fails", tag, K,
                              _exact_point_violation(derivs, r, y, p), provenance)
 
     if n_res * n_res > strategy.pair_cap:
         raise CapExceededError("pair sweep exceeds cap")
+    residues = list(map(tuple, res.tolist()))
     for y in residues:
         for x in residues:
             bad = _exact_pair_violation(f, r, x, y, p)

@@ -369,6 +369,110 @@ def tr_residue_oracle(components, r, p, residues):
     return None
 
 
+def ball_residues(ball, K):
+    """Integer representative tuples mod p^K of a ball's residue classes,
+    key + p^alpha * digits with the last coordinate fastest, one tuple at a
+    time by counting the digits up like an odometer."""
+    p, a = ball.p, ball.alpha
+    step = p ** a
+    width = p ** (K - a)
+    key = ball.canonical_center()
+    idx = [0] * ball.m
+    while True:
+        yield tuple(c + step * j for c, j in zip(key, idx))
+        i = ball.m - 1
+        while i >= 0:
+            idx[i] += 1
+            if idx[i] < width:
+                break
+            idx[i] = 0
+            i -= 1
+        if i < 0:
+            return
+
+
+def ball_contains(p, center, alpha, point):
+    """ord(x_i - c_i) >= alpha for every coordinate, in Fractions."""
+    return all(padic_val(Fraction(x) - Fraction(c), p) >= alpha
+               for x, c in zip(point, center))
+
+
+def power_preimage_residues(p, N, b, c, alpha):
+    """Residues u mod p^max(alpha, 1) with ord(b u^N - c) >= alpha, each
+    tested in Fractions."""
+    return {u for u in range(p ** max(alpha, 1))
+            if padic_val(Fraction(b) * Fraction(u) ** N - Fraction(c), p) >= alpha}
+
+
+def _deriv_at(terms, beta, y):
+    """(1/beta!) d^beta of sum c x^e at y, term by term from the power rule."""
+    acc = Fraction(0)
+    for exp, c in terms.items():
+        if any(e < b for e, b in zip(exp, beta)):
+            continue
+        t = Fraction(c)
+        for e, b, yi in zip(exp, beta, y):
+            t *= Fraction(factorial(e), factorial(e - b) * factorial(b)) * Fraction(yi) ** (e - b)
+        acc += t
+    return acc
+
+
+def _betas(m, r):
+    return sorted((b for b in product(range(r + 1), repeat=m) if sum(b) <= r),
+                  key=lambda b: (sum(b), b))
+
+
+def _cr_violation(components, r, p, y):
+    """("cr_norm", component, beta, y, ord) for the first component and
+    |beta| <= r with ord((1/beta!) d^beta f(y)) < 0, or None."""
+    for ci, terms in enumerate(components):
+        for beta in _betas(len(y), r):
+            v = padic_val(_deriv_at(terms, beta, y), p)
+            if v < 0:
+                return ("cr_norm", ci, beta, y, v)
+    return None
+
+
+def _remainder_violation(components, r, p, x, y):
+    """("remainder", component, x, y, ord_lhs, bound_rhs) for the first
+    component with ord(f(x) - T_y(x)) < r * min_i ord(x_i - y_i), or None
+    (also for x = y)."""
+    if x == y:
+        return None
+    low = [b for b in _betas(len(y), r) if sum(b) < r]
+    bound = r * min(padic_val(a - b, p) for a, b in zip(x, y))
+    for ci, terms in enumerate(components):
+        t_y = Fraction(0)
+        for beta in low:
+            mono = Fraction(1)
+            for a, b, k in zip(x, y, beta):
+                mono *= Fraction(a - b) ** k
+            t_y += _deriv_at(terms, beta, y) * mono
+        lhs = padic_val(_deriv_at(terms, (0,) * len(y), x) - t_y, p)
+        if lhs < bound:
+            return ("remainder", ci, x, y, lhs, bound)
+    return None
+
+
+def tr_sampled_oracle(components, r, ball, K, seed, samples):
+    """First T_r violation found by the seeded sampled check: each sample
+    draws x then y with random.Random(seed).choice from the list of
+    ball_residues(ball, K), checks the remainder at (x, y), then the C^r
+    bound at y; formats as tr_check_oracle, or None."""
+    import random
+
+    rng = random.Random(seed)
+    residues = list(ball_residues(ball, K))
+    for _ in range(samples):
+        x = rng.choice(residues)
+        y = rng.choice(residues)
+        bad = (_remainder_violation(components, r, ball.p, x, y)
+               or _cr_violation(components, r, ball.p, y))
+        if bad is not None:
+            return bad
+    return None
+
+
 def tr_check_oracle(components, r, p, center, alpha, K):
     """First T_r violation of a polynomial map Z_p^m -> Z_p^n on the ball
     center + p^alpha Z_p^m, over its residues mod p^K, straight from the
@@ -387,43 +491,15 @@ def tr_check_oracle(components, r, p, center, alpha, K):
     step = p ** alpha
     residues = [tuple(c + step * j for c, j in zip(center, idx))
                 for idx in product(range(p ** (K - alpha)), repeat=m)]
-
-    def deriv_at(terms, beta, y):
-        # (1/beta!) d^beta of sum c x^e, term by term from the power rule
-        acc = Fraction(0)
-        for exp, c in terms.items():
-            if any(e < b for e, b in zip(exp, beta)):
-                continue
-            t = Fraction(c)
-            for e, b, yi in zip(exp, beta, y):
-                t *= Fraction(factorial(e), factorial(e - b) * factorial(b)) * Fraction(yi) ** (e - b)
-            acc += t
-        return acc
-
-    betas = sorted((b for b in product(range(r + 1), repeat=m) if sum(b) <= r),
-                   key=lambda b: (sum(b), b))
     for y in residues:
-        for ci, terms in enumerate(components):
-            for beta in betas:
-                v = padic_val(deriv_at(terms, beta, y), p)
-                if v < 0:
-                    return ("cr_norm", ci, beta, y, v)
-    low = [b for b in betas if sum(b) < r]
+        bad = _cr_violation(components, r, p, y)
+        if bad is not None:
+            return bad
     for y in residues:
         for x in residues:
-            if x == y:
-                continue
-            bound = r * min(padic_val(a - b, p) for a, b in zip(x, y))
-            for ci, terms in enumerate(components):
-                t_y = Fraction(0)
-                for beta in low:
-                    mono = Fraction(1)
-                    for a, b, k in zip(x, y, beta):
-                        mono *= Fraction(a - b) ** k
-                    t_y += deriv_at(terms, beta, y) * mono
-                lhs = padic_val(deriv_at(terms, (0,) * m, x) - t_y, p)
-                if lhs < bound:
-                    return ("remainder", ci, x, y, lhs, bound)
+            bad = _remainder_violation(components, r, p, x, y)
+            if bad is not None:
+                return bad
     return None
 
 

@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import oracles
 from nonarch_lab.arith_core import (
     Ball,
     MultiPoly,
@@ -101,8 +103,61 @@ def test_val_helpers():
 
 def test_residue_enumeration_deterministic():
     ball = Ball(3, (1,), 1)
-    first = list(ball.residues(3))
-    second = list(ball.residues(3))
-    assert first == second
-    assert len(first) == 9
-    assert all(x[0] % 3 == 1 for x in first)
+    first = ball.residue_array(3)
+    assert first.tolist() == ball.residue_array(3).tolist()
+    assert first.shape == (9, 1)
+    assert all(x % 3 == 1 for x in first[:, 0])
+    with pytest.raises(PrecisionError):
+        ball.residue_array(0)
+
+
+def test_residue_array_matches_odometer():
+    # row for row the order of the one-tuple-at-a-time enumeration, for
+    # m = 1..3, alpha = 0..2 and nonzero centres
+    rng = random.Random(5)
+    for m in (1, 2, 3):
+        for alpha in (0, 1, 2):
+            for p in (2, 3, 5):
+                center = tuple(Fraction(rng.randint(1, 40), rng.choice([1, 1, 7]))
+                               for _ in range(m))
+                ball = Ball(p, center, alpha)
+                for K in range(alpha, alpha + 3):
+                    got = ball.residue_array(K)
+                    want = [list(t) for t in oracles.ball_residues(ball, K)]
+                    assert got.dtype == np.int64 and got.shape == (len(want), m)
+                    assert got.tolist() == want, (p, center, alpha, K)
+
+
+def test_residue_array_dtype_boundary():
+    # int64 while the top representative is below 2^62, Python ints past it
+    below = Ball(2, (1,), 60).residue_array(62)
+    assert below.dtype == np.int64
+    assert below[:, 0].tolist() == [1 + j * 2 ** 60 for j in range(4)]
+    above = Ball(2, (1, 3), 61).residue_array(63)
+    assert above.dtype == object
+    assert above.tolist() == [list(t) for t in oracles.ball_residues(Ball(2, (1, 3), 61), 63)]
+    assert all(type(c) is int for row in above for c in row)
+    assert int(above[-1, 1]) == 3 + 3 * 2 ** 61 >= 2 ** 62
+
+
+def test_ball_contains_matches_definition():
+    rng = random.Random(9)
+    inside = 0
+    for _ in range(400):
+        p = rng.choice([2, 3, 5])
+        m = rng.choice([1, 2])
+        alpha = rng.randint(0, 3)
+        center = tuple(Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 7, 11]))
+                       for _ in range(m))
+        if any(c.denominator % p == 0 for c in center):
+            continue
+        ball = Ball(p, center, alpha)
+        point = tuple(c + Fraction(p ** rng.randint(0, 4) * rng.randint(-9, 9),
+                                   rng.choice([1, 1, 2, 3, 5, 13]))
+                      if rng.random() < 0.8 else rng.randint(-50, 50)
+                      for c in center)
+        want = oracles.ball_contains(p, center, alpha, point)
+        assert ball.contains(point) == want, (p, center, alpha, point)
+        inside += want
+    assert 50 < inside < 350, inside
+    assert not Ball(3, (0,), 1).contains((0, 0))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -128,3 +129,16 @@ def test_setup_dataclass():
     assert (setup.mu, setup.r, setup.e, setup.V) == (6, 6, 15, 8)
     assert setup.epsilon == Fraction(8, 15)
     assert setup.check_bracketing()
+
+
+def test_setup_built_once_per_dims():
+    # one frozen setup per (m, n, d), shared by every caller; bad dimensions
+    # raise on every call, never a cached value
+    setup = DetSetup.for_dims(1, 2, 2)
+    assert DetSetup.for_dims(1, 2, 2) is setup
+    assert DetSetup.for_dims(1, 2, 3) is not setup
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setup.r = 1
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            DetSetup.for_dims(0, 2, 2)

@@ -10,6 +10,7 @@ from nonarch_lab.heights import (
     NOT_FOUND,
     PadicConstraint,
     SemialgSpec,
+    _grid_points,
     _root_indices,
     enumerate_heights,
     h0,
@@ -269,6 +270,37 @@ def test_fibred_points_vanishing_fibres():
     # no equations: every fibre is scanned
     spec = SemialgSpec(2, [], [x - y])
     assert points_Z(spec, 4) == oracles.grid_points(spec, values)
+
+
+def test_solved_fibres_check_only_later_conditions():
+    # systems of 2-3 equations, an inequation and p-adic constraints: a root
+    # of the solving equation must still meet every later equation, the
+    # inequations and the constraints
+    rng = random.Random(88)
+    nonempty = rejected = 0
+    for case in range(40):
+        n = rng.choice([2, 2, 3])
+        T = rng.randint(2, 5 if n == 2 else 3)
+        values = ([Fraction(v) for v in range(-T, T + 1)] if case % 2
+                  else list(enumerate_heights(T)))
+        first = _random_equation(rng, n, values)
+        eqs = [first]
+        for _ in range(rng.randint(1, 2)):
+            eqs.append(rng.choice([first * _random_poly(rng, n, max_terms=2),
+                                   first + _random_equation(rng, n, values),
+                                   _random_equation(rng, n, values)]))
+        rng.shuffle(eqs)
+        ineqs = [_random_poly(rng, n, max_terms=2)]
+        p = rng.choice([2, 3])
+        constraints = [PadicConstraint(_random_poly(rng, n, max_deg=1, max_terms=2),
+                                       "ord_ge", rng.randint(-1, 1))]
+        spec = SemialgSpec(n, eqs, ineqs, p, constraints)
+        want = oracles.grid_points(spec, values)
+        assert _grid_points(spec, values, 10**6) == want, spec
+        nonempty += bool(want)
+        loose = SemialgSpec(n, eqs[:1], [], p, [])
+        rejected += len(oracles.grid_points(loose, values)) > len(want)
+    assert nonempty >= 8 and rejected >= 20, (nonempty, rejected)
 
 
 def _roots_by_evaluation(coeffs, values):

@@ -130,5 +130,7 @@ def test_int64_guard():
 
 def test_residues_feed_kernels():
     ball = Ball(3, (1,), 1)
-    xs = np.array([x[0] for x in ball.residues(4)], dtype=np.int64)
+    xs = ball.residue_array(4)[:, 0]
+    assert xs.dtype == np.int64
+    assert xs.tolist() == [x[0] for x in oracles.ball_residues(ball, 4)]
     assert len(xs) == 27 and int(xs[0]) == 1

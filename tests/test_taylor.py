@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from nonarch_lab.errors import CapExceededError, ConfigError, PrecisionError
 from nonarch_lab.taylor import (
     ExhaustiveStrategy,
     PolyMap,
+    PowerPreimage,
     SampledStrategy,
     _derivative_table,
     _residue_table,
@@ -138,7 +140,7 @@ def test_check_tr_matches_exact_oracle():
         f = PolyMap(1, len(comps), [MultiPoly(1, {(i,): c for i, c in enumerate(cs)})
                                     for cs in comps], domain=ball)
         cert = check_Tr(f, r, ExhaustiveStrategy(lean=True))
-        residues = [x[0] for x in ball.residues(cert.K)]
+        residues = [x[0] for x in oracles.ball_residues(ball, cert.K)]
         want = oracles.tr_residue_oracle(comps, r, p, residues)
         wit = cert.witness
         if want is None:
@@ -368,3 +370,109 @@ def test_certificate_json_roundtrip():
     cert = check_Tr(X2, 2, ExhaustiveStrategy(K=5))
     blob = cert.to_json()
     assert blob["verdict"] == "holds" and blob["K"] == 5
+
+
+def test_failing_witnesses_serialize_with_int_coordinates():
+    # witness coordinates read back from residue arrays are Python ints,
+    # on int64 residues and on object arrays for a modulus p^s >= 2^31
+    cases = [
+        (BINOM2, 1, 5),
+        (PolyMap.univariate([Fraction(1, 3), 1], domain=Z3), 1, 3),
+        (PolyMap.univariate([0, 0, Fraction(1, 2 ** 31)], domain=Ball(2, (1,), 29)), 1, 31),
+        (PolyMap.univariate([Fraction(1, 2 ** 31)], domain=Ball(2, (1,), 29)), 1, 31),
+        (PolyMap(2, 1, [MultiPoly(2, {(3, 0): Fraction(1, 9), (1, 1): 1})],
+                 domain=Ball(3, (0, 0), 1)), 2, 2),
+    ]
+    kinds = []
+    for f, r, K in cases:
+        cert = check_Tr(f, r, ExhaustiveStrategy(K=K))
+        assert cert.verdict == "fails"
+        kinds.append((f.m, cert.witness["kind"]))
+        for key in ("x", "y") if cert.witness["kind"] == "remainder" else ("y",):
+            coord = cert.witness[key]
+            assert all(type(c) is int for c in (coord if f.m > 1 else (coord,)))
+        json.dumps(cert.to_json())
+    assert kinds == [(1, "remainder"), (1, "cr_norm"), (1, "remainder"), (1, "cr_norm"),
+                     (2, "remainder")]
+
+
+def _sampled_cases():
+    # (components as exponent dicts, r, ball, K, seed)
+    yield [{(2,): 1}], 2, Z3, 5, 11
+    yield [{(1,): Fraction(-1, 2), (2,): Fraction(1, 2)}], 1, Z2, 5, 11
+    yield [{(3,): Fraction(1, 9), (0,): 1}], 2, Ball(3, (1,), 1), 4, 4
+    yield [{(1, 1): 1, (2, 0): 1}], 2, Ball(3, (0, 0), 0), 3, 2
+    yield [{(1, 1): Fraction(1, 3)}], 1, Ball(3, (1, 2), 1), 3, 7
+    yield [{(3, 0): Fraction(1, 9), (1, 1): 1}], 2, Ball(3, (0, 0), 1), 3, 5
+    yield [{(0, 1): 1}, {(2, 0): Fraction(1, 4)}], 1, Ball(2, (0, 1), 0), 3, 3
+    rng = random.Random(41)
+    for _ in range(20):
+        p, m = rng.choice([2, 3]), rng.choice([1, 2])
+        comps = [{tuple(rng.randint(0, 3) for _ in range(m)):
+                  Fraction(rng.choice([-2, -1, 1, 3])) * Fraction(p) ** rng.choice([0, 0, -1])
+                  for _ in range(rng.randint(1, 3))}
+                 for _ in range(rng.choice([1, 2]))]
+        alpha = rng.choice([0, 1])
+        ball = Ball(p, tuple(rng.randrange(p) * alpha for _ in range(m)), alpha)
+        yield comps, rng.randint(1, 2), ball, alpha + 2, rng.randrange(100)
+
+
+def test_sampled_check_matches_list_oracle():
+    # drawing row indices of the residue array reproduces a stream that
+    # draws from the list of residue tuples, verdict and witness alike
+    outcomes = set()
+    for comps, r, ball, K, seed in _sampled_cases():
+        f = PolyMap(ball.m, len(comps), [MultiPoly(ball.m, t) for t in comps],
+                    domain=ball)
+        cert = check_Tr(f, r, SampledStrategy(seed=seed, samples=60, K=K))
+        want = oracles.tr_sampled_oracle(comps, r, ball, K, seed, 60)
+        wit = cert.witness
+        if want is None:
+            assert cert.verdict == "holds", (comps, r, ball, K)
+            outcomes.add("holds")
+            continue
+        assert cert.verdict == "fails", (comps, r, ball, K)
+        outcomes.add(want[0])
+
+        def coords(v):
+            return tuple(Fraction(c) for c in (v if isinstance(v, tuple) else (v,)))
+
+        if want[0] == "remainder":
+            got = ("remainder", wit["component"], coords(wit["x"]), coords(wit["y"]),
+                   wit["ord_lhs"], wit["bound_rhs"])
+            want = want[:2] + (coords(want[2]), coords(want[3])) + want[4:]
+        else:
+            got = ("cr_norm", wit["component"], wit["order"], coords(wit["y"]),
+                   wit["valuation"])
+            want = want[:3] + (coords(want[3]),) + want[4:]
+        assert got == want, (comps, r, ball, K)
+    assert outcomes == {"holds", "remainder", "cr_norm"}
+
+
+def test_power_preimage_balls_match_fraction_test():
+    # the integer divisibility test picks the same residues, hence the same
+    # maximal balls, as ord(b u^N - c) >= alpha in Fractions, also for b
+    # with p in its denominator and centres with denominators
+    rng = random.Random(19)
+    kinds = set()
+    for _ in range(150):
+        p = rng.choice([2, 3, 5])
+        N = rng.choice([1, 2, 3, 4, 9, 16, 27])
+        alpha = rng.randint(0, 3)
+        b = Fraction(rng.choice([1, -1, 2, 3, 5, 7]) * p ** rng.randint(0, 1),
+                     rng.choice([1, 1, 2, 3, 5, 4, 9]))
+        c = Fraction(rng.randint(-20, 20), rng.choice([1, 1, 7, 11]))
+        if c.denominator % p == 0:
+            continue
+        base = Ball(p, (c,), alpha)
+        dom = PowerPreimage(base, N, (b,))
+        j = max(alpha, 1)
+        members = oracles.power_preimage_residues(p, N, b, c, alpha)
+        want = [(ball.canonical_center(), ball.alpha)
+                for ball in merge_residue_balls(members, p, j)]
+        got = [(ball.canonical_center(), ball.alpha) for ball in dom.maximal_balls()]
+        assert got == want, (p, N, b, c, alpha)
+        kinds.add("empty" if not members else "full" if len(members) == p ** j
+                  else "part")
+        kinds.add("non-integral b" if b.denominator % p == 0 and members else "")
+    assert kinds >= {"empty", "full", "part", "non-integral b"}

@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Seconds of the T_r stages of the `tr-deep` benchmark workload.
+
+Run from anywhere; --root names the source checkout to measure (default:
+the checkout this script sits in), so two commits can be timed by the same
+script:
+
+    python3 tools/bench_tr.py --reps 15
+    python3 tools/bench_tr.py --root ../other-checkout --reps 15
+
+The inputs are those of `perfbench/workloads.py`: the twelve gauss1a suites
+(p = 2, 3; r = 2, 3; g = x, x^2, x^2 + px; K = 8) and the degree-7 map on
+1 + 3Z_3 at r = 3, K = 8.  Each stage runs once to warm up, then --reps
+times, over all thirteen checks:
+
+  residue-build  the residues mod p^K of every checked ball as an integer
+                 array (`Ball.residue_array`; checkouts that predate it
+                 collect the `Ball.residues` tuples into an array)
+  residue-table  `taylor._residue_table` of every component on its residues
+                 modulo p^s
+  pair-sweep     `_kernels.tr_pair_sweep` on those tables (every tr-deep
+                 map has s = 0, so each call returns at once)
+  preimage-balls `PowerPreimage.maximal_balls` of the twelve suites
+  total          the thirteen library calls whole: `taylor.verify_gauss1a`
+                 per suite and `taylor.check_Tr` of the degree-7 map
+
+The output is one JSON object: per stage, the median over repetitions in
+raw seconds of this host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+
+def _stages(workloads):
+    import numpy as np
+
+    from nonarch_lab import _kernels, cli, taylor
+    from nonarch_lab.arith_core import Ball
+    from nonarch_lab.combinatorics import select_divisibility
+
+    K = 8
+    suites, preimages, checks = [], [], []  # checks: (map, r, ball)
+    for p in (2, 3):
+        for r in (2, 3):
+            k = select_divisibility(p, r, 2 * r)
+            N = p ** (k * r)
+            pre = taylor.PowerPreimage(Ball(p, (Fraction(1),), k + 1), N, (Fraction(1),))
+            preimages.append(pre)
+            for coeffs in ([0, 1], [0, 0, 1], [0, p, 1]):
+                g = taylor.PolyMap.univariate(coeffs)
+                suites.append((g, r, p))
+                gN = taylor.power_compose(g, N, 1)
+                checks += [(gN, r, ball) for ball in pre.maximal_balls()]
+    deg7 = cli.parse_polymap(workloads.TR_DEG7)
+    checks.append((deg7, 3, deg7.domain))
+
+    def build(ball):
+        if hasattr(ball, "residue_array"):
+            return ball.residue_array(K)
+        return np.array(list(ball.residues(K)))
+
+    sweeps = []
+    for f, r, ball in checks:
+        derivs = taylor._derivative_table(f)
+        s = taylor._denominator_exponent(derivs, ball.p)
+        mod = ball.p ** s
+        xs = build(ball)[:, 0] % mod
+        for entries in derivs:
+            sweeps.append((entries, xs, ball.p, s, mod, r))
+    tables = [(taylor._residue_table(entries, xs[:, None], p, s), xs, mod, r)
+              for entries, xs, p, s, mod, r in sweeps]
+
+    def residue_build():
+        for _f, _r, ball in checks:
+            build(ball)
+
+    def residue_table():
+        for entries, xs, p, s, _mod, _r in sweeps:
+            taylor._residue_table(entries, xs[:, None], p, s)
+
+    def pair_sweep():
+        for table, xs, mod, r in tables:
+            _kernels.tr_pair_sweep(table, xs, mod, r)
+
+    def preimage_balls():
+        for pre in preimages:
+            pre.maximal_balls()
+
+    def total():
+        for g, r, p in suites:
+            taylor.verify_gauss1a(g, r, p, i_max=2 * r, K=K)
+        taylor.check_Tr(deg7, 3, taylor.ExhaustiveStrategy(K=K))
+
+    return {"residue-build": residue_build, "residue-table": residue_table,
+            "pair-sweep": pair_sweep, "preimage-balls": preimage_balls,
+            "total": total}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
+    ap.add_argument("--reps", type=int, default=15)
+    args = ap.parse_args(argv)
+
+    root = Path(args.root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+
+    out = {}
+    for name, stage in _stages(workloads).items():
+        stage()
+        samples = []
+        for _ in range(args.reps):
+            t0 = time.perf_counter()
+            stage()
+            samples.append(time.perf_counter() - t0)
+        out[name] = float(f"{statistics.median(samples):.4g}")
+    print(json.dumps({"root": str(root), "reps": args.reps, "stages": out}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
