@@ -299,8 +299,3 @@ def divided_derivative(f, beta):
             out[tuple(g - b for g, b in zip(exp, beta))] = c
     return MultiPoly(f.nvars, out)
 
-
-def gauss_valuation(f, p):
-    """Min coefficient valuation of a MultiPoly (the valuation of the Gauss
-    norm); INF for 0."""
-    return min((val_fraction(c, p) for c in f.terms.values()), default=INF)

@@ -1,22 +1,25 @@
-"""Taylor polynomials, exact C^r-norms via Gauss norms, and the T_r
-certificate: degree-(r-1) Taylor approximation with remainder |x-y|^r,
-verified exhaustively on residue classes.
+"""Exact C^r-norms over balls and the T_r certificate: degree-(r-1)
+Taylor approximation with remainder |x-y|^r, verified exhaustively on
+residue classes.
 
 Every check reads one table of divided derivatives g_beta = (1/beta!)
 d^beta f per component, built once from the terms.  For a polynomial f
-the remainder f(x) - T_y(x) is sum_{|beta|>=r} g_beta(y) (x-y)^beta; in
-one variable it factors as (x-y)^r * S(x,y) with S(x,y) = sum_{j>=r}
-g_j(y) (x-y)^(j-r), so the remainder half of T_r is the integrality of S.
-With s the p-denominator exponent of the divided derivatives, the C^r
-half asks only whether p^s divides p^s * g_beta(y) (|beta| <= r), in any
-dimension, and in one variable the remainder half asks the same of
-p^s * S(x,y); reduction modulo p^s is a ring map, so these are decided on
-one residue table modulo p^s, and an exhaustive sweep over residues mod
-p^K is a proof for all Z_p-points once K >= s (K only sets the number of
-residues).  When s = 0 nothing can fail.  The univariate remainder sweep
-runs on the int64 kernels; the multivariate remainder is checked pair by
-pair in exact rationals.  Failures are re-checked in exact rational
-arithmetic and reported as witnesses.
+the remainder f(x) - T_y(x) is sum_{|beta|>=r} g_beta(y) (x-y)^beta.
+With s the p-denominator exponent of the coefficients of f, the C^r half
+asks only whether p^s divides p^s * g_beta(y) (|beta| <= r); reduction
+modulo p^s is a ring map, so it is decided on the table modulo p^s.
+When s = 0 nothing can fail and the table is not built.
+
+In one variable the remainder factors as (x-y)^r * S(x,y) with
+S = sum_{j>=r} g_j(y) (x-y)^(j-r), and the pair sweep asks whether
+p^s * S vanishes modulo p^s on every residue pair mod p^K.  In several
+variables write x = y + p^v u with u primitive: once the C^r half holds,
+the bound at (x, y) asks whether sum_{|beta|>r} p^s g_beta(y)
+p^(v(|beta|-r)) u^beta vanishes modulo p^s, which depends only on y and
+x - y modulo p^s; the verdict is decided on those classes, and only a
+failure lists the residues mod p^K, to name the first failing pair.
+Witness ords are exact, from the same table.  Every exhaustive verdict
+with K >= s is a proof for all Z_p-points of the ball.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .arith_core import (
     Ball,
     MultiPoly,
     divided_derivative,
-    gauss_valuation,
     rational_residue,
     val_fraction,
     val_int,
@@ -167,81 +169,25 @@ def merge_residue_balls(residues, p, depth):
     return balls
 
 
-class TaylorPolynomial:
-    """Divided-derivative Taylor data of a map at a base point."""
-
-    __slots__ = ("base", "order", "coeffs", "m")
-
-    def __init__(self, base, order, coeffs, m):
-        self.base = tuple(Fraction(b) for b in base)
-        self.order = order  # degree bound is order-1
-        self.coeffs = coeffs  # tuple (per component) of dicts alpha -> Fraction
-        self.m = m
-
-    def eval(self, point):
-        point = tuple(Fraction(x) for x in point)
-        h = tuple(x - b for x, b in zip(point, self.base))
-        out = []
-        for comp in self.coeffs:
-            acc = Fraction(0)
-            for alpha, c in comp.items():
-                if sum(alpha) >= self.order:
-                    continue
-                t = c
-                for hi, a in zip(h, alpha):
-                    t *= hi ** a
-                acc += t
-            out.append(acc)
-        return tuple(out)
-
-
-def taylor_poly(f, y, r):
-    """Exact Taylor data of f at y: coefficients are the divided
-    derivatives (1/alpha!) d^alpha f(y), obtained by basis shift."""
-    if r < 1:
-        raise ConfigError("need r >= 1")
-    y = tuple(Fraction(c) for c in y)
-    coeffs = []
-    for comp in f.components:
-        shifted = _shift(comp, y)
-        coeffs.append(dict(shifted.terms))
-    return TaylorPolynomial(y, r, tuple(coeffs), f.m)
-
-
-def _shift(poly, y):
-    """Coefficients of poly(y + h) as a polynomial in h."""
-    args = [MultiPoly(poly.nvars, {(0,) * poly.nvars: Fraction(y[i]),
-                                   _unit(poly.nvars, i): Fraction(1)})
-            for i in range(poly.nvars)]
-    return poly.substitute(args)
-
-
-def _unit(n, i):
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
-
-
-def _ball_gauss_valuation(g, ball):
-    """Gauss valuation of g(c + p^alpha * z) as a polynomial in z, for a
-    coefficient dict g (exact)."""
-    p, a, nv = ball.p, ball.alpha, ball.m
-    args = [MultiPoly(nv, {(0,) * nv: ball.center[i], _unit(nv, i): Fraction(p) ** a})
-            for i in range(nv)]
-    return gauss_valuation(MultiPoly(nv, g).substitute(args), p)
-
-
 def cr_norm(f, r, ball):
-    """Valuation of the C^r-norm of f over the ball: recenter at the ball
-    center, scale by p^alpha, and take the min coefficient valuation over
-    all divided derivatives of order <= r.  Larger is smaller norm."""
+    """Valuation of the C^r-norm of f over the ball: the least coefficient
+    valuation, over the divided derivatives g_b with |b| <= r, of
+    g_b(c + p^alpha z) as a polynomial in z.  Its z^beta coefficient is
+    p^(alpha |beta|) C(b + beta, beta) g_(b+beta)(c), so the table
+    evaluated once at the centre c gives every one.  Larger is smaller
+    norm."""
+    p, a = ball.p, ball.alpha
     best = INF
     for entries in _derivative_table(f):
-        for beta, g in entries:
-            if sum(beta) > r:
+        at_c = [(gamma, val_fraction(MultiPoly(ball.m, g).eval(ball.center), p))
+                for gamma, g in entries]
+        for b, _g in entries:
+            if sum(b) > r:
                 break
-            if g:
-                best = min(best, _ball_gauss_valuation(g, ball))
+            for gamma, v in at_c:
+                if all(gi >= bi for gi, bi in zip(gamma, b)):
+                    best = min(best, v + a * (sum(gamma) - sum(b)) + sum(
+                        val_int(math.comb(gi, bi), p) for gi, bi in zip(gamma, b)))
     return best
 
 
@@ -264,23 +210,24 @@ def _compositions(total, m):
 # T_r certification
 # ---------------------------------------------------------------------------
 
+RESIDUE_CAP = 20000  # residues mod p^K an exhaustive check may list
+PAIR_CAP = 5 * 10**8  # residue pairs, or classes of pairs, it may test
+
+
 @dataclass
 class ExhaustiveStrategy:
-    """Check every residue pair of the domain modulo p^K.
-
-    For polynomial maps this is a proof for all Z_p-points of the domain:
-    with s the p-denominator exponent of the divided derivatives and
-    K >= s, every verdict is conclusive for the whole residue class.  In
-    one variable the values are carried modulo p^s, not p^(K+s): K only
-    sets the number of residues swept.  The default K is alpha*r + 8;
-    `lean` drops it to the minimal conclusive s + 2, which keeps residue
-    counts small when certificates are only a stepping stone (determinant
-    runs).
+    """Decide T_r on every residue class of the domain: a proof for all
+    Z_p-points once K >= s (s the p-denominator exponent of the
+    coefficients), with values carried modulo p^s.  In one variable the
+    remainder sweep runs over the residue pairs mod p^K.  In several
+    variables the verdict is taken on classes modulo p^s whatever K is,
+    and only a failure lists the residues mod p^K, to find its witness.
+    The default K is alpha*r + 8; `lean` drops it to the minimal
+    conclusive s + 2, which keeps residue counts small when certificates
+    are only a stepping stone (determinant runs).
     """
 
     K: int | None = None
-    residue_cap: int = 20000
-    pair_cap: int = 5 * 10**8
     lean: bool = False
 
     def __post_init__(self):
@@ -368,12 +315,12 @@ def _derivative_table(f):
     return table
 
 
-def _denominator_exponent(derivs, p):
+def _denominator_exponent(f, p):
     """s, the largest exponent of p in a denominator of the divided
-    derivatives.  Integer binomials only cancel denominators, so it is
-    read off the order-0 entries, the coefficients themselves."""
-    return max((val_int(c.denominator, p) for entries in derivs
-                for c in entries[0][1].values()), default=0)
+    derivatives of f.  Integer binomials only cancel denominators, so it is
+    read off the coefficients of f themselves."""
+    return max((val_int(c.denominator, p) for comp in f.components
+                for c in comp.terms.values()), default=0)
 
 
 def check_Tr(f, r, strategy=None, domain=None):
@@ -381,9 +328,9 @@ def check_Tr(f, r, strategy=None, domain=None):
     at most 1 on the domain together with |f(x) - T_y(x)| <= |x-y|^r for
     all x, y.
 
-    The exhaustive strategy enumerates residues mod p^K; for polynomial f
-    the verdict then covers every Z_p-point of the domain (not only the
-    representatives).  Witnesses are re-checked in exact arithmetic.
+    The exhaustive strategy decides on residue classes; for polynomial f
+    the verdict covers every Z_p-point of the domain (not only the
+    representatives).  Witnesses are computed in exact arithmetic.
     """
     if r < 1:
         raise ConfigError("need r >= 1")
@@ -407,11 +354,22 @@ def check_Tr(f, r, strategy=None, domain=None):
                              certs[0].provenance,
                              detail={"balls": len(balls)})
     ball = domain
-    p = ball.p
-
-    if f.m == 1:
-        return _check_tr_1d(f, r, strategy, ball)
-    return _check_tr_nd(f, r, strategy, ball)
+    s = _denominator_exponent(f, ball.p)
+    sampled = isinstance(strategy, SampledStrategy)
+    if sampled and f.m > 1 and strategy.K is None:
+        K = max(ball.alpha * r + 4, s + 2)
+    else:
+        K = _default_K(strategy, ball, r, s)
+    if s == 0 and (sampled or f.m > 1):
+        # every divided derivative is p-integral: nothing can fail
+        witness = None
+    elif sampled:
+        witness = _check_tr_sampled(f, r, strategy, ball, K)
+    else:
+        witness = (_check_tr_1d if f.m == 1 else _check_tr_nd)(f, r, ball, K, s)
+    return TrCertificate(f, r, ball, "holds" if witness is None else "fails",
+                         strategy.tag(ball.p, K), K, witness,
+                         "up-to-tail" if f.tail_floor is not None else "exact")
 
 
 def _default_K(strategy, ball, r, s):
@@ -431,43 +389,40 @@ def _default_K(strategy, ball, r, s):
     return max(ball.alpha * r + 8, s + 2, ball.alpha + 1)
 
 
-def _check_tr_1d(f, r, strategy, ball):
+def _check_tr_1d(f, r, ball, K, s):
+    """First violation on the residues mod p^K, per component: the
+    remainder sweep, then the pointwise C^r bound; or None."""
     p = ball.p
-    provenance = "up-to-tail" if f.tail_floor is not None else "exact"
-
-    derivs = _derivative_table(f)
-    s = _denominator_exponent(derivs, p)
-    K = _default_K(strategy, ball, r, s)
-
-    if isinstance(strategy, SampledStrategy):
-        return _check_tr_sampled(f, r, strategy, ball, K, derivs)
-
     n_res = ball.residue_count(K)
-    if n_res > strategy.residue_cap:
-        raise CapExceededError(
-            f"{n_res} residues exceed cap {strategy.residue_cap}")
-    if n_res * n_res * len(f.components) > strategy.pair_cap:
+    if n_res > RESIDUE_CAP:
+        raise CapExceededError(f"{n_res} residues exceed cap {RESIDUE_CAP}")
+    if n_res * n_res * len(f.components) > PAIR_CAP:
         raise CapExceededError("pair sweep exceeds cap")
 
     residues = ball.residue_array(K)[:, 0]
-    tag = strategy.tag(p, K)
-
     # every test below asks whether p^s divides a scaled value, so the
     # whole check runs modulo p^s; K only sets the number of residues
     mod = p ** s
     xs = _reduce(residues, mod)
 
-    for comp_idx, entries in enumerate(derivs):
-        table = _residue_table(entries, xs[:, None], p, s)
+    derivs = _derivative_table(f) if s else None
+    for comp_idx, comp in enumerate(f.components):
+        if s == 0:
+            # nothing can fail: the sweep returns at once at modulus 1, on
+            # a zero table of the shape (R, deg + 1) a real one would have
+            table = np.zeros((len(xs), (comp.degree() or 0) + 1), dtype=xs.dtype)
+        else:
+            entries = derivs[comp_idx]
+            table = _residue_table(entries, xs[:, None], p, s)
 
-        # remainder sweep first: the factored remainder must stay integral
-        if len(entries) > r:
+        # remainder sweep first: the factored remainder must stay integral;
+        # earlier components passed every pair, so the exact re-check
+        # names this one
+        if table.shape[1] > r:
             by, bx = _kernels.tr_pair_sweep(table, xs, mod, r)
             if by >= 0:
-                witness = _remainder_witness(f, r, comp_idx, (int(residues[bx]),),
+                return _exact_pair_violation(derivs, r, (int(residues[bx]),),
                                              (int(residues[by]),), p)
-                return TrCertificate(f, r, ball, "fails", tag, K, witness,
-                                     provenance)
 
         # pointwise C^r bound: the first (y, j <= r) whose scaled value is
         # nonzero mod p^s; its exact valuation goes into the witness
@@ -476,11 +431,9 @@ def _check_tr_1d(f, r, strategy, ball):
             yi, j = divmod(int(bad.argmax()), bad.shape[1])
             beta, g = entries[j]
             y = (int(residues[yi]),)
-            v = val_fraction(MultiPoly(1, g).eval(y), p)
-            return TrCertificate(f, r, ball, "fails", tag, K,
-                                 _cr_witness(comp_idx, beta, y, v), provenance)
-
-    return TrCertificate(f, r, ball, "holds", tag, K, None, provenance)
+            return _cr_witness(comp_idx, beta, y,
+                               val_fraction(MultiPoly(1, g).eval(y), p))
+    return None
 
 
 def _reduce(residues, mod):
@@ -495,12 +448,9 @@ def _residue_table(entries, points, p, s):
     """table[y, k] = p^s * g(points[y]) modulo p^s for the k-th entry
     (beta, g) of one component of a _derivative_table, shape (R, len(entries)).
     points is an (R, m) array of residues mod p^s, int64 when
-    int64_safe(p^s) and object otherwise; the table has its dtype.  All
-    zeros when s = 0."""
+    int64_safe(p^s) and object otherwise; the table has its dtype."""
     R, m = points.shape
     table = np.zeros((R, len(entries)), dtype=points.dtype)
-    if s == 0:
-        return table
     mod = p ** s
     scale = Fraction(mod)
     # powers[i][e] = points[:, i]^e mod p^s up to the top exponent of g_0,
@@ -533,35 +483,30 @@ def _cr_witness(comp_idx, beta, y, valuation):
     }
 
 
-def _remainder_witness(f, r, comp_idx, x, y, p):
-    lhs, rhs = _remainder_ords(f, r, comp_idx, x, y, p)
-    return {
-        "kind": "remainder",
-        "component": comp_idx,
-        "x": x[0] if len(x) == 1 else x,
-        "y": y[0] if len(y) == 1 else y,
-        "ord_lhs": lhs,
-        "bound_rhs": rhs,
-    }
-
-
-def _remainder_ords(f, r, comp_idx, x, y, p):
-    """Exact ord of f(x) - T_y(x) and of |x-y|^r, for the witness record."""
+def _remainder_ords(entries, r, x, y, p):
+    """Exact ord of f(x) - sum_{|beta|<r} g_beta(y) (x-y)^beta and of
+    |x-y|^r, from one component's entries of a _derivative_table (f is
+    g_0, the first entry)."""
     x = tuple(Fraction(c) for c in x)
     y = tuple(Fraction(c) for c in y)
-    tp = taylor_poly(f, y, r)
-    fx = f.components[comp_idx].eval(x)
-    tx = tp.eval(x)[comp_idx]
-    lhs = val_fraction(fx - tx, p)
-    v = min(val_fraction(a - b, p) for a, b in zip(x, y))
-    return lhs, r * v
+    h = [a - b for a, b in zip(x, y)]
+    diff = MultiPoly(len(x), entries[0][1]).eval(x)
+    for beta, g in entries:
+        if sum(beta) >= r:
+            break
+        term = MultiPoly(len(y), g).eval(y)
+        for hi, b in zip(h, beta):
+            term *= hi ** b
+        diff -= term
+    return val_fraction(diff, p), r * min(val_fraction(hi, p) for hi in h)
 
 
 def recheck_witness(f, r, witness, p):
     """Re-verify a failure witness in exact rational arithmetic."""
     if witness["kind"] == "remainder":
-        lhs, rhs = _remainder_ords(f, r, witness["component"],
-                                   _astuple(witness["x"]), _astuple(witness["y"]), p)
+        entries = _derivative_table(f)[witness["component"]]
+        lhs, rhs = _remainder_ords(entries, r, _astuple(witness["x"]),
+                                   _astuple(witness["y"]), p)
         return lhs < rhs
     if witness["kind"] == "cr_norm":
         comp = f.components[witness["component"]]
@@ -575,13 +520,13 @@ def _astuple(v):
     return tuple(v) if isinstance(v, (tuple, list)) else (v,)
 
 
-def _check_tr_sampled(f, r, strategy, ball, K, derivs):
+def _check_tr_sampled(f, r, strategy, ball, K):
+    """First violation among seeded residue pairs mod p^K, or None."""
     import random
 
     p = ball.p
     rng = random.Random(strategy.seed)
-    provenance = "up-to-tail" if f.tail_floor is not None else "exact"
-    tag = strategy.tag(p, K)
+    derivs = _derivative_table(f)
     width = ball.residue_count(K)
     # choice(seq) is seq[_randbelow(len(seq))], so drawing row indices
     # draws the same residues as choosing from the list of rows
@@ -596,22 +541,25 @@ def _check_tr_sampled(f, r, strategy, ball, K, derivs):
                       for c in ball.canonical_center())
             y = tuple(c + p ** ball.alpha * rng.randrange(p ** (K - ball.alpha))
                       for c in ball.canonical_center())
-        bad = _exact_pair_violation(f, r, x, y, p)
+        bad = (_exact_pair_violation(derivs, r, x, y, p)
+               or _exact_point_violation(derivs, r, y, p))
         if bad is not None:
-            return TrCertificate(f, r, ball, "fails", tag, K, bad, provenance)
-        bad = _exact_point_violation(derivs, r, y, p)
-        if bad is not None:
-            return TrCertificate(f, r, ball, "fails", tag, K, bad, provenance)
-    return TrCertificate(f, r, ball, "holds", tag, K, None, provenance)
+            return bad
+    return None
 
 
-def _exact_pair_violation(f, r, x, y, p):
+def _exact_pair_violation(derivs, r, x, y, p):
+    """First component whose remainder bound fails at (x, y), as a
+    witness, from a _derivative_table; or None."""
     if tuple(x) == tuple(y):
         return None
-    for ci in range(f.n):
-        lhs, rhs = _remainder_ords(f, r, ci, x, y, p)
+    for ci, entries in enumerate(derivs):
+        lhs, rhs = _remainder_ords(entries, r, x, y, p)
         if lhs < rhs:
-            return _remainder_witness(f, r, ci, x, y, p)
+            return {"kind": "remainder", "component": ci,
+                    "x": x[0] if len(x) == 1 else x,
+                    "y": y[0] if len(y) == 1 else y,
+                    "ord_lhs": lhs, "bound_rhs": rhs}
     return None
 
 
@@ -629,56 +577,98 @@ def _exact_point_violation(derivs, r, y, p):
     return None
 
 
-def _check_tr_nd(f, r, strategy, ball):
-    """Multivariate exhaustive check: s = 0 holds by the Gauss all-orders
-    criterion before any residue is built; otherwise the residue array
-    mod p^K feeds the C^r half on the residue table modulo p^s, then an
-    exact rational sweep over residue pairs for the remainder."""
-    p = ball.p
-    provenance = "up-to-tail" if f.tail_floor is not None else "exact"
+def _check_tr_nd(f, r, ball, K, s):
+    """First violation of a multivariate map, decided on residue classes
+    modulo p^s, or None: the C^r half on y mod p^max(s, alpha) over all
+    components first, then the remainder half on the classes of y and of
+    x - y.  The first failing y in ball order mod p^K is the first failing
+    y-class, so only a remainder failure lists the residues mod p^K."""
+    p, m, alpha = ball.p, ball.m, ball.alpha
+    # with s > alpha there are p^(m(s - alpha)) y-classes and as many
+    # difference classes
+    n_cls = p ** (m * max(s - alpha, 0))
+    if n_cls * n_cls > PAIR_CAP:
+        raise CapExceededError(
+            f"{n_cls}^2 residue-class pairs mod p^{s} exceed cap {PAIR_CAP}")
     derivs = _derivative_table(f)
-    s = _denominator_exponent(derivs, p)
-    if isinstance(strategy, SampledStrategy):
-        K = (max(ball.alpha * r + 4, s + 2) if strategy.K is None
-             else _default_K(strategy, ball, r, s))
-        return _check_tr_sampled(f, r, strategy, ball, K, derivs)
-
-    K = _default_K(strategy, ball, r, s)
-    tag = strategy.tag(p, K)
-    n_res = ball.residue_count(K)
-    if n_res > strategy.residue_cap:
-        raise CapExceededError(f"{n_res} residues exceed cap")
-
-    # all-orders Gauss criterion: with s = 0 every divided derivative has
-    # p-integral coefficients, so each has Gauss valuation >= 0 on every
-    # ball of Z_p^m; with s > 0 some term c x^e has ord(c) < 0 and g_e is
-    # the constant c, so the criterion holds exactly when s = 0
-    if s == 0:
-        return TrCertificate(f, r, ball, "holds", tag, K, None, provenance,
-                             detail={"remainder": "gauss-all-orders"})
-
-    # pointwise C^r bound: the first (y, component, beta) whose scaled
-    # value is nonzero mod p^s; the witness is rebuilt exactly at that y
+    low = [sum(sum(beta) <= r for beta, _g in entries) for entries in derivs]
     mod = p ** s
-    res = ball.residue_array(K)
-    points = _reduce(res, mod)
-    bad = np.concatenate(
-        [_residue_table([(beta, g) for beta, g in entries if sum(beta) <= r],
-                        points, p, s) for entries in derivs], axis=1) != 0
-    if bad.any():
-        y = tuple(res[int(bad.any(axis=1).argmax())].tolist())
-        return TrCertificate(f, r, ball, "fails", tag, K,
-                             _exact_point_violation(derivs, r, y, p), provenance)
+    ys = ball.residue_array(max(s, alpha))
+    points = _reduce(ys, mod)
+    tables = [_residue_table(entries, points, p, s) for entries in derivs]
 
-    if n_res * n_res > strategy.pair_cap:
-        raise CapExceededError("pair sweep exceeds cap")
-    residues = list(map(tuple, res.tolist()))
-    for y in residues:
-        for x in residues:
-            bad = _exact_pair_violation(f, r, x, y, p)
-            if bad is not None:
-                return TrCertificate(f, r, ball, "fails", tag, K, bad, provenance)
-    return TrCertificate(f, r, ball, "holds", tag, K, None, provenance)
+    bad = np.concatenate([t[:, :n] for t, n in zip(tables, low)], axis=1) != 0
+    if bad.any():
+        y = tuple(ys[int(bad.any(axis=1).argmax())].tolist())
+        return _exact_point_violation(derivs, r, y, p)
+    if s <= alpha:
+        # every |beta| > r term carries p^(v(|beta|-r)) with v >= alpha >= s
+        return None
+
+    # differences x - y = p^alpha d, 0 <= d_i < p^(s - alpha), last
+    # coordinate fastest
+    width = p ** (s - alpha)
+    diffs = np.indices((width,) * m).reshape(m, n_cls).T
+    weights = [_difference_weights(entries[n:], r, diffs, p, s, alpha)
+               for entries, n in zip(derivs, low)]
+
+    def remainder_bad(y0, y1):
+        """bad[y, j]: the bound fails at (y, y + p^alpha diffs[j]) for some
+        component, y over the y-classes y0..y1-1."""
+        bad = np.zeros((y1 - y0, n_cls), dtype=bool)
+        for t, n, w in zip(tables, low, weights):
+            val = np.zeros((y1 - y0, n_cls), dtype=t.dtype)
+            for k in range(len(w)):
+                val += t[y0:y1, n + k, None] * w[k]
+                val %= mod
+            bad |= val != 0
+        return bad
+
+    rows = max(1, _kernels.SWEEP_BLOCK // n_cls)
+    for y0 in range(0, len(ys), rows):
+        bad = remainder_bad(y0, min(y0 + rows, len(ys)))
+        if bad.any():
+            yi = y0 + int(bad.any(axis=1).argmax())
+            break
+    else:
+        return None
+
+    # the first x in ball order mod p^K whose difference class fails at y
+    n_res = ball.residue_count(K)
+    if n_res > RESIDUE_CAP:
+        raise CapExceededError(f"{n_res} residues exceed cap {RESIDUE_CAP}")
+    res = ball.residue_array(K)
+    d = (res - ys[yi]) % mod // p ** alpha
+    j = np.zeros(len(res), dtype=np.int64)
+    for i in range(m):
+        j = j * width + d[:, i].astype(np.int64)
+    xi = int(remainder_bad(yi, yi + 1)[0][j].argmax())
+    return _exact_pair_violation(derivs, r, tuple(res[xi].tolist()),
+                                 tuple(ys[yi].tolist()), p)
+
+
+def _difference_weights(high, r, diffs, p, s, alpha):
+    """w[k, j] = p^(v(|beta|-r)) u^beta mod p^s for the k-th entry (beta, g)
+    of `high` (those with |beta| > r) and h_j = p^alpha diffs[j] = p^v u,
+    u primitive; 0 for h_j = 0.  Once the C^r half holds, sum_k p^s
+    g_beta(y) w[k, j] is p^s (f(y + h_j) - T_y(y + h_j)) / p^(rv) mod p^s,
+    zero exactly when the bound holds at (y, y + h_j)."""
+    mod = p ** s
+    dtype = np.int64 if _kernels.int64_safe(mod) else object
+    rel = np.zeros(len(diffs), dtype=np.int64)  # v - alpha where d != 0
+    for e in range(1, s - alpha):
+        rel[(diffs % p ** e == 0).all(axis=1)] = e
+    u = (diffs // (p ** rel)[:, None]).astype(dtype)
+    v = alpha + rel
+    pw = np.array([p ** e % mod for e in range(s + 1)], dtype=dtype)
+    w = np.zeros((len(high), len(diffs)), dtype=dtype)
+    for k, (beta, _g) in enumerate(high):
+        col = pw[np.minimum(v * (sum(beta) - r), s)] * diffs.any(axis=1)
+        for i, b in enumerate(beta):
+            for _ in range(b):
+                col = col * u[:, i] % mod
+        w[k] = col
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +743,7 @@ class Gauss1aReport:
                 "all_hold": self.all_hold}
 
 
-def verify_gauss1a(g, r, p, i_max, b=1, K=8, residue_cap=20000):
+def verify_gauss1a(g, r, p, i_max, b=1, K=8):
     """Compose g with x -> x^N for the divisibility rule n = p^k,
     k = max(1, ceil(v_p(i_max!)/r)), N = n^r, and run the exhaustive T_r
     check on each maximal ball of {x : x^N in b*(1+nM)}.
@@ -778,6 +768,5 @@ def verify_gauss1a(g, r, p, i_max, b=1, K=8, residue_cap=20000):
     gN = power_compose(gmap, N, 1)
     pre = PowerPreimage(B, N, (Fraction(1),))
     balls = pre.maximal_balls()
-    certs = [check_Tr(gN, r, ExhaustiveStrategy(K=K, residue_cap=residue_cap),
-                      ball) for ball in balls]
+    certs = [check_Tr(gN, r, ExhaustiveStrategy(K=K), ball) for ball in balls]
     return Gauss1aReport(n, N, k, balls, certs)

@@ -10,7 +10,6 @@ from nonarch_lab.arith_core import (
     Ball,
     MultiPoly,
     divided_derivative,
-    gauss_valuation,
     rational_residue,
     val_factorial,
     val_fraction,
@@ -83,12 +82,6 @@ def test_multipoly_divided_derivative():
     assert dd.terms == {(2,): Fraction(6)}  # C(4,2)
     g = MultiPoly(2, {(2, 1): Fraction(3)})
     assert divided_derivative(g, (1, 1)).terms == {(1, 0): Fraction(6)}
-
-
-def test_gauss_valuation():
-    assert gauss_valuation(MultiPoly(1, {(0,): 3, (1,): 9, (2,): 1}), 3) == 0
-    assert gauss_valuation(MultiPoly(1, {(0,): 3, (1,): 9}), 3) == 1
-    assert gauss_valuation(MultiPoly(1, {}), 3) == INF
 
 
 def test_val_helpers():

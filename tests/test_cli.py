@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import nonarch_lab
+import oracles
 from nonarch_lab.cli import build_parser, main, parse_range_list
 from nonarch_lab.errors import ConfigError
 
@@ -122,6 +124,47 @@ def test_taylor_check_multivariate_cr_witness(tmp_path):
     assert wit["kind"] == "cr_norm"
     assert wit["order"] == [2, 0] and wit["valuation"] == -1
     assert wit["y"] == ["0", "0"]
+
+
+def _map_json(p, alpha, terms):
+    """taylor-check input for one component on p^alpha Z_p^2, from
+    (exponent, coefficient string) terms."""
+    return {"m": 2, "n": 1, "p": p,
+            "components": [[{"exp": list(e), "coeff": c} for e, c in terms]],
+            "domain": {"center": ["0", "0"], "alpha": alpha}}
+
+
+def test_taylor_check_multivariate_default_K_holds(tmp_path):
+    # decided on classes mod p^s, both maps hold at their default K although
+    # p^(m(K - alpha)) is far above the residue cap: (x^2 + xy + y^2 + y^3)/3
+    # on 3Z_3^2 has s = 1 <= alpha, and x^2 y + y^3 + 3x on Z_3^2 has s = 0
+    baseline = _map_json(3, 1, [((2, 0), "1/3"), ((1, 1), "1/3"), ((0, 2), "1/3"),
+                                ((0, 3), "1/3")])
+    integral = _map_json(3, 0, [((2, 1), "1"), ((0, 3), "1"), ((1, 0), "3")])
+    for name, data, r, K in (("baseline", baseline, 1, 9), ("integral", integral, 2, 8)):
+        path = write(tmp_path, f"{name}.json", data)
+        code, report = run_to_json(["taylor-check", path, "--r", str(r)], tmp_path,
+                                   f"{name}-out.json")
+        assert code == 0, name
+        assert (report["results"]["verdict"], report["results"]["K"]) == ("holds", K)
+
+
+def test_taylor_check_multivariate_witness_scan_cap(tmp_path, capsys):
+    # (x - y)^2 / 4 on 2Z_2^2 at r = 1 keeps its C^1 data integral and fails
+    # the remainder at v = 1; only the scan for the failing x lists the
+    # residues mod 2^K, so the residue cap binds there: 2^14 = 16384 of them
+    # at K = 8 give the oracle's witness, 2^16 = 65536 at K = 9 exit 3
+    data = _map_json(2, 1, [((2, 0), "1/4"), ((1, 1), "-1/2"), ((0, 2), "1/4")])
+    path = write(tmp_path, "diff.json", data)
+    code, report = run_to_json(["taylor-check", path, "--r", "1", "--K", "8"], tmp_path)
+    assert code == 1
+    wit = report["results"]["witness"]
+    comps = [{(2, 0): Fraction(1, 4), (1, 1): Fraction(-1, 2), (0, 2): Fraction(1, 4)}]
+    want = oracles.tr_check_oracle(comps, 1, 2, (0, 0), 1, 8)
+    assert (wit["kind"], wit["component"], tuple(wit["x"]), tuple(wit["y"]),
+            wit["ord_lhs"], wit["bound_rhs"]) == want
+    assert main(["taylor-check", path, "--r", "1", "--K", "9"]) == 3
+    assert "65536 residues exceed cap 20000" in capsys.readouterr().err
 
 
 def test_count_ff_cli(tmp_path):

@@ -21,7 +21,6 @@ from nonarch_lab.taylor import (
     merge_residue_balls,
     power_compose,
     recheck_witness,
-    taylor_poly,
     verify_gauss0,
     verify_gauss1a,
 )
@@ -32,30 +31,6 @@ Z3 = Ball(3, (0,), 0)
 X2 = PolyMap.univariate([0, 0, 1], domain=Z3)
 X3 = PolyMap.univariate([0, 0, 0, 1], domain=Z3)
 BINOM2 = PolyMap.univariate([0, Fraction(-1, 2), Fraction(1, 2)], domain=Z2)
-
-
-def test_taylor_poly_examples():
-    tp = taylor_poly(X2, (1,), 2)
-    assert tp.coeffs[0][(0,)] == 1 and tp.coeffs[0][(1,)] == 2
-    assert tp.eval((1,)) == (1,)          # evaluation at base point returns f(y)
-    assert tp.eval((4,)) == (1 + 2 * 3,)  # degree <2 truncation
-
-    tp0 = taylor_poly(X2, (0,), 3)
-    assert tp0.eval((7,)) == (49,)        # full polynomial reproduced
-
-    tp3 = taylor_poly(X3, (1,), 2)
-    assert tp3.eval((1 + 5,)) == (1 + 3 * 5,)
-
-
-def test_taylor_reproduces_polynomial():
-    rng = random.Random(5)
-    for _ in range(20):
-        coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
-        f = PolyMap.univariate(coeffs)
-        y = rng.randint(-4, 4)
-        tp = taylor_poly(f, (y,), len(coeffs))  # order deg+1
-        for x in (-3, 0, 2, 7):
-            assert tp.eval((x,)) == f.eval((x,))
 
 
 def test_cr_norm_examples():
@@ -160,16 +135,23 @@ def test_check_tr_matches_exact_oracle():
 
 
 def _tr_2d_cases(rng):
-    """(p, center, alpha, K, r, components) on Z_p^2 balls with few residues:
-    fixed maps that hold by the Gauss criterion, hold only through the pair
-    loop and fail the remainder with integral C^r data; two C^r failures
-    whose modulus p^s is at least 2^31; then seeded random maps."""
+    """(p, center, alpha, K, r, components) on Z_p^2 and Z_p^3 balls with
+    few residues: fixed maps that hold with p-integral coefficients, hold
+    with s > 0 and fail the remainder with integral C^r data; two C^r
+    failures whose modulus p^s is at least 2^31; a remainder failure at
+    that modulus; a remainder failure and a map that holds with s > alpha
+    on Z_2^3; then seeded random maps and a seeded remainder family."""
     yield 3, (1, 2), 1, 2, 2, [{(2, 0): 1, (1, 1): 2}, {(0, 3): -1, (0, 0): 4}]
     yield 2, (0, 0), 1, 2, 1, [{(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)}]
     yield 3, (0, 0), 1, 2, 2, [{(3, 0): Fraction(1, 9), (1, 1): 1}]
     yield 2, (0, 0), 1, 2, 1, [{(0, 1): 1}, {(2, 0): Fraction(1, 4)}]
     yield 2, (1, 0), 30, 31, 2, [{(1, 1): Fraction(1, 2 ** 31), (2, 0): 3}]
     yield 3, (2, 0), 19, 20, 2, [{(0, 3): 1}, {(1, 1): Fraction(-1, 3 ** 20)}]
+    # (x0 - x1)^2 / 2^31: C^1 data integral on x0 = x1 = 5 mod 2^30
+    yield 2, (5, 5), 30, 31, 1, [{(2, 0): Fraction(1, 2 ** 31), (1, 1): Fraction(-1, 2 ** 30),
+                                  (0, 2): Fraction(1, 2 ** 31)}]
+    yield 2, (0, 0, 0), 1, 2, 1, [{(0, 1, 1): 1, (2, 0, 0): Fraction(1, 4)}]
+    yield 2, (0, 0, 0), 1, 3, 1, [{(4, 0, 0): Fraction(1, 8), (1, 1, 1): 1}]
     for _ in range(36):
         p = rng.choice([2, 3])
         comps = []
@@ -185,26 +167,58 @@ def _tr_2d_cases(rng):
         alpha = max(0, K - rng.choice([1, 2] if p == 2 else [1]))
         center = tuple(rng.choice([0, rng.randrange(p ** alpha)]) for _ in range(2))
         yield p, center, alpha, K, rng.randint(1, 2), comps
+    yield from _remainder_family(rng, 80)
+
+
+def _remainder_family(rng, count):
+    """Maps on balls with alpha >= 1 and a centre divisible by p, whose
+    terms c x^e have e_i in {0, p} and ord(c) = delta - alpha |e|, delta
+    mostly r * alpha - 1: p divides the binomials C(e, beta), which keeps
+    the C^r half while the remainder can fail.  Some components also get
+    a p-integral term.  Only maps with at most 81 residues mod p^K."""
+    while count:
+        p, m = rng.choice([(2, 2), (2, 3), (3, 2)])
+        alpha, r = rng.choice([1, 1, 2]), rng.choice([1, 1, 2])
+        comps = []
+        for _ in range(rng.choice([1, 1, 2])):
+            terms = {}
+            for _ in range(rng.randint(1, 2)):
+                exp = [rng.choice([0, p]) for _ in range(m)]
+                exp[rng.randrange(m)] = p
+                delta = rng.choice([r * alpha - 1, rng.randint(0, r * alpha)])
+                terms[tuple(exp)] = (Fraction(rng.choice([-1, 1, 3]))
+                                     * Fraction(p) ** (delta - alpha * sum(exp)))
+            if rng.random() < 0.5:
+                terms[tuple(rng.randint(0, 2) for _ in range(m))] = rng.choice([1, 2, p])
+            comps.append(terms)
+        s = max(-oracles.padic_val(c, p) for t in comps for c in t.values())
+        K = max(s, alpha + 1)
+        if p ** (m * (K - alpha)) > 81:
+            continue
+        count -= 1
+        yield p, tuple(rng.choice([0, p]) % p ** alpha for _ in range(m)), alpha, K, r, comps
 
 
 def test_check_tr_2d_matches_exact_oracle():
-    # verdict and witness of the exhaustive check on Z_p^2 balls must be
-    # those of the definition checked residue by residue and pair by pair
+    # verdict and witness of the exhaustive check on Z_p^m balls (m = 2, 3)
+    # must be those of the definition checked residue by residue and pair
+    # by pair, also where the classes mod p^s need Python ints
     outcomes = []
     for p, center, alpha, K, r, comps in _tr_2d_cases(random.Random(23)):
+        m = len(center)
         ball = Ball(p, center, alpha)
-        f = PolyMap(2, len(comps), [MultiPoly(2, t) for t in comps], domain=ball)
+        f = PolyMap(m, len(comps), [MultiPoly(m, t) for t in comps], domain=ball)
         cert = check_Tr(f, r, ExhaustiveStrategy(K=K))
         want = oracles.tr_check_oracle(comps, r, p, center, alpha, K)
         wit = cert.witness
         if want is None:
             assert cert.verdict == "holds", (p, center, alpha, K, r, comps)
-            gauss = cert.detail.get("remainder") == "gauss-all-orders"
-            outcomes.append("holds-gauss" if gauss else "holds-pairs")
+            integral = all(Fraction(c).denominator % p for t in comps for c in t.values())
+            outcomes.append(("holds-integral" if integral else "holds", m))
             continue
         assert cert.verdict == "fails", (p, center, alpha, K, r, comps)
         assert recheck_witness(f, r, wit, p)
-        outcomes.append(want[0])
+        outcomes.append((want[0], m))
         if want[0] == "remainder":
             got = (wit["kind"], wit["component"], wit["x"], wit["y"],
                    wit["ord_lhs"], wit["bound_rhs"])
@@ -213,9 +227,13 @@ def test_check_tr_2d_matches_exact_oracle():
                    wit["valuation"])
             assert all(isinstance(c, Fraction) for c in wit["y"])
         assert got == want, (p, center, alpha, K, r, comps)
-    assert outcomes[:6] == ["holds-gauss", "holds-pairs", "remainder",
-                            "remainder", "cr_norm", "cr_norm"]
-    assert set(outcomes[6:]) >= {"holds-gauss", "holds-pairs", "cr_norm"}
+    assert [kind for kind, _m in outcomes[:9]] == [
+        "holds-integral", "holds", "remainder", "remainder", "cr_norm", "cr_norm",
+        "remainder", "remainder", "holds"]
+    assert set(outcomes[9:45]) >= {("holds-integral", 2), ("holds", 2), ("cr_norm", 2)}
+    family = outcomes[45:]
+    assert family.count(("remainder", 2)) + family.count(("remainder", 3)) >= 20
+    assert set(family) >= {("remainder", 3), ("holds", 3), ("cr_norm", 3), ("holds", 2)}
 
 
 def test_residue_table_matches_python():
@@ -355,7 +373,7 @@ def test_multivariate_check():
 
 def test_cap_and_precision_guards():
     with pytest.raises(CapExceededError):
-        check_Tr(X2, 2, ExhaustiveStrategy(K=12, residue_cap=100))
+        check_Tr(X2, 2, ExhaustiveStrategy(K=12))
     with pytest.raises(PrecisionError):
         check_Tr(BINOM2, 1, ExhaustiveStrategy(K=0))
 

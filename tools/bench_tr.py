@@ -10,19 +10,20 @@ script:
 
 The inputs are those of `perfbench/workloads.py`: the twelve gauss1a suites
 (p = 2, 3; r = 2, 3; g = x, x^2, x^2 + px; K = 8) and the degree-7 map on
-1 + 3Z_3 at r = 3, K = 8.  Each stage runs once to warm up, then --reps
-times, over all thirteen checks:
+1 + 3Z_3 at r = 3, K = 8; plus one multivariate map.  Each stage runs once
+to warm up, then --reps times; the first four over all thirteen checks:
 
   residue-build  the residues mod p^K of every checked ball as an integer
                  array (`Ball.residue_array`; checkouts that predate it
                  collect the `Ball.residues` tuples into an array)
-  residue-table  `taylor._residue_table` of every component on its residues
-                 modulo p^s
-  pair-sweep     `_kernels.tr_pair_sweep` on those tables (every tr-deep
-                 map has s = 0, so each call returns at once)
+  pair-sweep     `_kernels.tr_pair_sweep` on every component's table
+                 (`taylor._residue_table` modulo p^s, zeros when s = 0;
+                 every tr-deep map has s = 0, so each call returns at once)
   preimage-balls `PowerPreimage.maximal_balls` of the twelve suites
   total          the thirteen library calls whole: `taylor.verify_gauss1a`
                  per suite and `taylor.check_Tr` of the degree-7 map
+  nd-K2, nd-K3   `taylor.check_Tr` of (x^2 + xy + y^2 + y^3)/3 on 3Z_3^2
+                 at r = 1 and K = 2, 3 (it holds)
 
 The output is one JSON object: per stage, the median over repetitions in
 raw seconds of this host.
@@ -43,7 +44,7 @@ def _stages(workloads):
     import numpy as np
 
     from nonarch_lab import _kernels, cli, taylor
-    from nonarch_lab.arith_core import Ball
+    from nonarch_lab.arith_core import Ball, MultiPoly, val_int
     from nonarch_lab.combinatorics import select_divisibility
 
     K = 8
@@ -67,24 +68,25 @@ def _stages(workloads):
             return ball.residue_array(K)
         return np.array(list(ball.residues(K)))
 
-    sweeps = []
+    tables = []
     for f, r, ball in checks:
-        derivs = taylor._derivative_table(f)
-        s = taylor._denominator_exponent(derivs, ball.p)
+        s = max(val_int(c.denominator, ball.p) for comp in f.components
+                for c in comp.terms.values())
         mod = ball.p ** s
         xs = build(ball)[:, 0] % mod
-        for entries in derivs:
-            sweeps.append((entries, xs, ball.p, s, mod, r))
-    tables = [(taylor._residue_table(entries, xs[:, None], p, s), xs, mod, r)
-              for entries, xs, p, s, mod, r in sweeps]
+        for ci, comp in enumerate(f.components):
+            table = (taylor._residue_table(taylor._derivative_table(f)[ci],
+                                           xs[:, None], ball.p, s) if s
+                     else np.zeros((len(xs), comp.degree() + 1), dtype=xs.dtype))
+            tables.append((table, xs, mod, r))
+    third = Fraction(1, 3)
+    nd_map = taylor.PolyMap(2, 1, [MultiPoly(2, {(2, 0): third, (1, 1): third,
+                                                 (0, 2): third, (0, 3): third})],
+                            domain=Ball(3, (0, 0), 1))
 
     def residue_build():
         for _f, _r, ball in checks:
             build(ball)
-
-    def residue_table():
-        for entries, xs, p, s, _mod, _r in sweeps:
-            taylor._residue_table(entries, xs[:, None], p, s)
 
     def pair_sweep():
         for table, xs, mod, r in tables:
@@ -99,9 +101,12 @@ def _stages(workloads):
             taylor.verify_gauss1a(g, r, p, i_max=2 * r, K=K)
         taylor.check_Tr(deg7, 3, taylor.ExhaustiveStrategy(K=K))
 
-    return {"residue-build": residue_build, "residue-table": residue_table,
-            "pair-sweep": pair_sweep, "preimage-balls": preimage_balls,
-            "total": total}
+    def nd(K):
+        return lambda: taylor.check_Tr(nd_map, 1, taylor.ExhaustiveStrategy(K=K))
+
+    return {"residue-build": residue_build, "pair-sweep": pair_sweep,
+            "preimage-balls": preimage_balls, "total": total,
+            "nd-K2": nd(2), "nd-K3": nd(3)}
 
 
 def main(argv=None):
