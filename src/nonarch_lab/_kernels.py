@@ -2,11 +2,13 @@
 
 Two loops dominate runtime in this package: the count of F_q[t]-points of
 a variety, and the residue-pair sweep behind exhaustive Taylor-approximation
-checks.  The F_q[t] count lifts assignments level by level in t (the t^k
-coefficient of an equation involves only coordinate coefficients of degree
-<= k) and prunes every branch whose low coefficients do not vanish.  The
-pair sweep works modulo p^s (s the p-denominator exponent of the divided
-derivatives).  Both are block-vectorized numpy.
+checks.  The F_q[t] count reads the equations as VarietySpec.reduce_mod
+gives them, the format expand_scheme reads too.  It lifts assignments
+level by level in t (the t^k coefficient of an equation involves only
+coordinate coefficients of degree <= k) and prunes every branch whose low
+coefficients do not vanish.  The pair sweep works modulo p^s (s the
+p-denominator exponent of the divided derivatives).  Both are
+block-vectorized numpy.
 
 Everything here is exact: int64 arrays are used only while products of two
 residues stay below 2^62 (int64_safe); past that the pair sweep runs the
@@ -31,20 +33,20 @@ def backend():
 # ---------------------------------------------------------------------------
 # F_q[t] point-count kernel
 #
-# Equations are packed as flat term tables: term_coeffs[t] holds the t-adic
-# coefficients (mod q) of the term's F_q[t]-coefficient, term_exps[t] the
-# monomial exponents, eq_offsets delimits equations.  An assignment index
-# encodes the n*r coordinate coefficients in base q: the digit at position
-# i*r + g is the t^g coefficient of coordinate i.
+# Equations come in the reduced format of VarietySpec.reduce_mod: per
+# equation a list of (cs, exps) terms, cs the t-adic coefficients (mod q)
+# of the term's F_q[t]-coefficient and exps its monomial exponents.  An
+# assignment index encodes the n*r coordinate coefficients in base q: the
+# digit at position i*r + g is the t^g coefficient of coordinate i.
 # ---------------------------------------------------------------------------
 
-def _ff_count_numpy_chunk(q, r, n, packed, idx, upto=None):
+def _ff_count_numpy_chunk(q, r, n, equations, idx, upto=None):
     """Vectorized evaluation of all equations on a chunk of assignment
     indices; returns the mask of those whose t-coefficients below upto (all
     of them when upto is None) vanish.  Coefficient j depends only on
-    coordinate levels <= j, so digits of levels not yet chosen may be 0."""
-    term_coeffs, term_lens, term_exps, eq_offsets, res_len = packed
-    limit = res_len if upto is None else min(upto, res_len)
+    coordinate levels <= j, so digits of levels not yet chosen may be 0.
+    Each equation is expanded only up to its own length, the largest
+    len(cs) + sum(exps) * (r - 1) over its terms."""
     chunk = idx.shape[0]
     digits = np.empty((n, r, chunk), dtype=np.int64)
     v = idx.copy()
@@ -53,15 +55,17 @@ def _ff_count_numpy_chunk(q, r, n, packed, idx, upto=None):
             digits[i, g] = v % q
             v //= q
     mask = np.ones(chunk, dtype=bool)
-    n_eq = len(eq_offsets) - 1
-    for e in range(n_eq):
+    for terms in equations:
+        limit = max((len(cs) + sum(exps) * (r - 1) for cs, exps in terms),
+                    default=0)
+        if upto is not None:
+            limit = min(limit, upto)
         acc = np.zeros((limit, chunk), dtype=np.int64)
-        for t in range(eq_offsets[e], eq_offsets[e + 1]):
-            cur = min(int(term_lens[t]), limit)
-            poly = np.broadcast_to(
-                term_coeffs[t, :cur, None], (cur, chunk)).copy()
-            for i in range(n):
-                for _ in range(int(term_exps[t, i])):
+        for cs, exps in terms:
+            cur = min(len(cs), limit)
+            poly = np.array(cs[:cur], dtype=np.int64)[:, None]
+            for i, e in enumerate(exps):
+                for _ in range(e):
                     new_len = min(cur + r - 1, limit)
                     out = np.zeros((new_len, chunk), dtype=np.int64)
                     for b in range(min(r, new_len)):
@@ -76,39 +80,9 @@ def _ff_count_numpy_chunk(q, r, n, packed, idx, upto=None):
     return mask
 
 
-def pack_equations(eq_terms, q, r, n):
-    """Pack [(coeff_list_mod_q, exp_tuple), ...] per equation into flat
-    int64 tables; returns (term_coeffs, term_lens, term_exps, eq_offsets,
-    res_len)."""
-    all_terms = []
-    offsets = [0]
-    for terms in eq_terms:
-        all_terms.extend(terms)
-        offsets.append(len(all_terms))
-    if not all_terms:
-        return (np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=np.int64),
-                np.zeros((0, n), dtype=np.int64),
-                np.array(offsets, dtype=np.int64), 1)
-    res_len = 1
-    clen_max = 1
-    for coeffs, exps in all_terms:
-        clen = max(len(coeffs), 1)
-        clen_max = max(clen_max, clen)
-        deg = clen - 1 + sum(exps) * (r - 1)
-        res_len = max(res_len, deg + 1)
-    term_coeffs = np.zeros((len(all_terms), max(clen_max, res_len)), dtype=np.int64)
-    term_lens = np.zeros(len(all_terms), dtype=np.int64)
-    term_exps = np.zeros((len(all_terms), n), dtype=np.int64)
-    for t, (coeffs, exps) in enumerate(all_terms):
-        cs = [c % q for c in coeffs] or [0]
-        term_coeffs[t, :len(cs)] = cs
-        term_lens[t] = len(cs)
-        term_exps[t] = exps
-    return term_coeffs, term_lens, term_exps, np.array(offsets, dtype=np.int64), res_len
-
-
-def ff_count(q, r, n, packed, want_indices=False):
-    """Count assignments solving every packed equation over F_q, exactly.
+def ff_count(q, r, n, equations, want_indices=False):
+    """Count assignments solving every equation over F_q, exactly;
+    equations in the reduced format above.
 
     Depth-first t-adic lifting from index 0: level k adds each of the q^n
     choices of the t^k coefficients of all n coordinates and keeps the
@@ -137,7 +111,7 @@ def ff_count(q, r, n, packed, want_indices=False):
             offsets *= q ** k
             for f0 in range(0, len(frontier), rows):
                 cand = (frontier[f0:f0 + rows, None] + offsets).ravel()
-                mask = _ff_count_numpy_chunk(q, r, n, packed, cand,
+                mask = _ff_count_numpy_chunk(q, r, n, equations, cand,
                                              None if last else k + 1)
                 if not mask.any():
                     continue

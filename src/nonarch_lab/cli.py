@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     FullRankError,
     PrecisionError,
+    config_int,
 )
 
 
@@ -70,7 +71,7 @@ def parse_fraction(v):
 def parse_poly(data, nvars):
     terms = {}
     for term in data:
-        exp = tuple(int(e) for e in term["exp"])
+        exp = tuple(config_int(e, "exponent", 0) for e in term["exp"])
         if len(exp) != nvars:
             raise ConfigError(f"exponent {exp} has arity {len(exp)}, expected {nvars}")
         terms[exp] = terms.get(exp, Fraction(0)) + parse_fraction(term["coeff"])

@@ -1,4 +1,5 @@
-"""Error taxonomy shared by all modules.
+"""Error taxonomy shared by all modules, and the integer check that input
+fields pass before use.
 
 Exit-code mapping used by the CLI: BoundViolation -> 1, ConfigError -> 2,
 cap/precision/budget exhaustion -> 3.
@@ -7,6 +8,16 @@ cap/precision/budget exhaustion -> 3.
 
 class ConfigError(ValueError):
     """Invalid configuration or malformed input."""
+
+
+def config_int(value, what, least=None):
+    """value when it is an integer (not a bool) of at least `least`; a
+    ConfigError naming `what` otherwise.  int() would read 1.5 as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 class RingMismatchError(ConfigError):

@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import _kernels
 from .arith_core import MultiPoly, is_prime
-from .errors import CapExceededError, ConfigError, RingMismatchError
+from .errors import CapExceededError, ConfigError, RingMismatchError, config_int
 
 
 @dataclass
@@ -25,9 +26,10 @@ class VarietySpec:
     """Closed subscheme of A^n over Z[t] with declared geometry.
 
     polynomials: list of sparse polynomials, each a dict mapping an exponent
-    tuple (length n) to a t-polynomial given as a tuple of integers
-    (c_0, c_1, ...).  Declared m, d and irreducibility are user assertions
-    echoed in reports, never recomputed.
+    tuple (length n, entries integers >= 0) to a t-polynomial given as a
+    tuple of integers (c_0, c_1, ...).  Declared m >= 0, d >= 1 and
+    irreducibility are user assertions echoed in reports, never
+    recomputed.
     """
 
     n: int
@@ -38,24 +40,31 @@ class VarietySpec:
     name: str = ""
 
     def __post_init__(self):
+        config_int(self.n, "n", 0)
+        config_int(self.m, "m", 0)
+        config_int(self.d, "d", 1)
         cleaned = []
         for poly in self.polynomials:
             terms = {}
             for exp, coeff in poly.items():
-                exp = tuple(int(e) for e in exp)
+                exp = tuple(config_int(e, "exponent", 0) for e in exp)
                 if len(exp) != self.n:
                     raise ConfigError("exponent arity mismatch")
-                terms[exp] = tuple(int(c) for c in coeff)
+                terms[exp] = tuple(config_int(c, "coefficient") for c in coeff)
             cleaned.append(terms)
         self.polynomials = cleaned
 
     @classmethod
     def from_json(cls, data):
+        """Terms with the same exponent are summed."""
         polys = []
         for poly in data["polynomials"]:
             terms = {}
             for term in poly:
-                terms[tuple(term["exp"])] = tuple(term["coeff"])
+                exp = tuple(term["exp"])
+                coeff = [config_int(c, "coefficient") for c in term["coeff"]]
+                terms[exp] = tuple(a + b for a, b in zip_longest(
+                    terms.get(exp, ()), coeff, fillvalue=0))
             polys.append(terms)
         return cls(n=data["n"], polynomials=polys, m=data.get("m", 1),
                    d=data.get("d", 1), irreducible=data.get("irreducible", False),
@@ -73,9 +82,9 @@ class VarietySpec:
 
     def reduce_mod(self, q):
         """Defining polynomials mod q, each a list of (t-coefficients mod q,
-        exp) terms, the format of _kernels.pack_equations: trailing zero
-        t-coefficients and zero terms are dropped.  Raises
-        RingMismatchError unless q is prime."""
+        exp) terms: trailing zero t-coefficients and zero terms are
+        dropped.  Both _kernels.ff_count and expand_scheme read this
+        format.  Raises RingMismatchError unless q is prime."""
         if not is_prime(q):
             raise RingMismatchError(
                 f"q={q} is not prime; only prime fields are supported")
@@ -108,7 +117,7 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
     """Exact count of n-tuples of degree-<r polynomials over F_q solving
     every defining polynomial identically in F_q[t].
 
-    Runs the t-adic lifting of the packed int64 kernel, which prunes a
+    Runs the t-adic lifting of the int64 kernel, which prunes a
     branch as soon as a low t-coefficient fails; cap bounds the q^(r*n)
     assignments the search ranges over.  With want_points the solutions
     are decoded into coefficient tuples (ascending t-powers per
@@ -121,12 +130,12 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
     total = q ** (r * X.n)
     if total > cap:
         raise CapExceededError(f"q^(r*n) = {total} exceeds cap {cap}")
-    packed = _kernels.pack_equations(X.reduce_mod(q), q, r, X.n)
+    equations = X.reduce_mod(q)
     if want_points:
-        count, idx = _kernels.ff_count(q, r, X.n, packed, want_indices=True)
+        count, idx = _kernels.ff_count(q, r, X.n, equations, want_indices=True)
         points = [_decode(int(i), q, r, X.n) for i in idx]
         return count, points
-    return _kernels.ff_count(q, r, X.n, packed)
+    return _kernels.ff_count(q, r, X.n, equations)
 
 
 def expand_scheme(X, q, r):

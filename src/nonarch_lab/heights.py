@@ -38,28 +38,19 @@ def h0(x):
     return max(abs(x.numerator), x.denominator, 1)
 
 
-def hk_poly(x, k, T_max, cap=10**8):
+def hk_poly(x, k, T_max):
     """Minimal H_0 over nonzero integer tuples (a_0..a_k) with
     sum a_i x^i = 0 and H_0 <= T_max; NOT_FOUND encodes '> T_max'.
 
-    Scans candidate heights h = 1..T_max and exhausts the tuples with
-    H_0 exactly h, so the first hit is minimal.
+    For x = a/b in lowest terms every such relation is b*X - a times an
+    integer polynomial, by Gauss's lemma.  Its lowest and highest nonzero
+    coefficients are multiples of a and of b (nonzero integers when x = 0),
+    so the minimum is h0(x), reached by b*X - a itself.
     """
     if k < 1 or T_max < 1:
         raise ConfigError("need k >= 1 and T_max >= 1")
-    x = Fraction(x)
-    powers = [x ** i for i in range(k + 1)]
-    seen = 0
-    for h in range(1, T_max + 1):
-        seen += (2 * h + 1) ** (k + 1)
-        if seen > cap:
-            raise CapExceededError(f"hk_poly search exceeded cap {cap}")
-        for a in itertools.product(range(-h, h + 1), repeat=k + 1):
-            if max(abs(c) for c in a) != h:
-                continue
-            if sum(c * pw for c, pw in zip(a, powers)) == 0:
-                return h
-    return NOT_FOUND
+    h = h0(x)
+    return h if h <= T_max else NOT_FOUND
 
 
 def enumerate_heights(T):

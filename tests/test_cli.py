@@ -462,6 +462,62 @@ def test_hilbert_malformed_exit_2(tmp_path, capsys):
                         capsys, in_subprocess=False)
 
 
+def _exponent_input(command, e):
+    """A small input of `command` with one exponent equal to e: x^e + y
+    over Z[t], x^e - y over Q (as a curve, a cover's curve or an ideal
+    generator), or the map x^e."""
+    if command in ("count-ff", "expand-scheme"):
+        return {"n": 2, "polynomials": [[{"exp": [e, 0], "coeff": [1]},
+                                         {"exp": [0, 1], "coeff": [1]}]]}
+    poly = [{"exp": [e, 0], "coeff": "1"}, {"exp": [0, 1], "coeff": "-1"}]
+    if command == "heights":
+        return {"vars": 2, "equations": [poly]}
+    if command == "det-cover":
+        return dict(COVER, curve={"vars": 2, "equations": [poly]})
+    if command == "hilbert":
+        return {"vars": 2, "generators": [poly]}
+    return dict(TR_X2, components=[[{"exp": [e], "coeff": "1"}]])
+
+
+EXPONENT_ARGV = {
+    "count-ff": ["--q", "3", "--r", "1"],
+    "det-cover": [],
+    "expand-scheme": ["--q", "3", "--r", "2"],
+    "heights": ["--T", "5"],
+    "hilbert": ["--smax", "3"],
+    "taylor-check": ["--r", "2", "--K", "5"],
+}
+
+
+# unchecked, x^-1 + y made expand-scheme loop forever in MultiPoly.__pow__;
+# that case runs in a child process with a timeout
+@pytest.mark.parametrize("e", [-1, 1.5])
+@pytest.mark.parametrize("command", sorted(EXPONENT_ARGV))
+def test_exponent_not_natural_exit_2(tmp_path, capsys, command, e):
+    path = write(tmp_path, "input.json", _exponent_input(command, e))
+    assert_config_error([command, path] + EXPONENT_ARGV[command], "exponent must be",
+                        capsys, in_subprocess=command == "expand-scheme")
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("coeff", 1.5, "coefficient must be an integer, got 1.5"),
+    ("n", -1, "n must be >= 0, got -1"),
+    ("m", -1, "m must be >= 0, got -1"),
+    ("d", 0, "d must be >= 1, got 0"),
+], ids=["coeff", "n", "m", "d"])
+@pytest.mark.parametrize("command", ["count-ff", "expand-scheme"])
+def test_variety_fields_exit_2(tmp_path, capsys, command, field, value, named):
+    if field == "coeff":
+        data = dict(YX3, polynomials=[[{"exp": [0, 1], "coeff": [value]},
+                                       {"exp": [3, 0], "coeff": [-1]}]])
+    else:
+        data = dict(YX3, **{field: value})
+    path = write(tmp_path, "variety.json", data)
+    argv = [command, path] + (["--q", "2,3", "--r", "1..2"] if command == "count-ff"
+                              else ["--q", "2", "--r", "2"])
+    assert_config_error(argv, named, capsys, in_subprocess=False)
+
+
 def test_seed_only_on_taylor_check(tmp_path):
     circle = write(tmp_path, "circle.json", CIRCLE)
     with pytest.raises(SystemExit) as exc:

@@ -62,6 +62,11 @@ def _lift_cases(seed, count=80, max_states=4000):
             continue
         n_eq = rng.choice([0, 1, 1, 2, 2])
         cases.append((n, q, r, [_random_terms(rng, n, r) for _ in range(n_eq)]))
+    # 3x + 3t = 0 is identically zero mod 3, as is an equation without
+    # terms (reduce_mod's form of it): every assignment counts
+    cases.append((1, 3, 2, [[([3], (1,)), ([0, 3], (0,))], []]))
+    # the constant equation 2 = 0 fails at level 0 whatever x is
+    cases.append((2, 3, 2, [[([1], (1, 0))], [([2], (0, 0))]]))
     return cases
 
 
@@ -73,17 +78,41 @@ def test_lifted_count_matches_full_range_and_oracle(block, monkeypatch):
         monkeypatch.setattr(_kernels, "LIFT_BLOCK", block)
     seen_empty = False
     for n, q, r, eqs in _lift_cases(seed=20 + (block or 0)):
-        packed = _kernels.pack_equations(
-            [[([c % q for c in cs], e) for cs, e in terms] for terms in eqs], q, r, n)
+        reduced = [[([c % q for c in cs], e) for cs, e in terms] for terms in eqs]
         idx = np.arange(q ** (r * n), dtype=np.int64)
-        want = idx[_kernels._ff_count_numpy_chunk(q, r, n, packed, idx)]
-        count, got = _kernels.ff_count(q, r, n, packed, want_indices=True)
+        want = idx[_kernels._ff_count_numpy_chunk(q, r, n, reduced, idx)]
+        count, got = _kernels.ff_count(q, r, n, reduced, want_indices=True)
         assert count == len(got) == len(want), (n, q, r, eqs)
         assert np.array_equal(got, want), (n, q, r, eqs)
-        assert _kernels.ff_count(q, r, n, packed) == count
+        assert _kernels.ff_count(q, r, n, reduced) == count
         assert count == oracles.ff_graph_count(eqs, n, q, r), (n, q, r, eqs)
         seen_empty |= count == 0
     assert seen_empty
+
+
+def test_from_json_sums_repeated_exponents():
+    # x*1 + 5 + x*(2 + t^2) is (3 + t^2) x + 5, not (2 + t^2) x + 5
+    X = VarietySpec.from_json({"n": 1, "polynomials": [[
+        {"exp": [1], "coeff": [1]}, {"exp": [0], "coeff": [5]},
+        {"exp": [1], "coeff": [2, 0, 1]}]]})
+    assert X.polynomials == [{(1,): (3, 0, 1), (0,): (5,)}]
+    # x*1 + x*2 = 3x vanishes identically mod 3; 2x alone only at x = 0
+    X = VarietySpec.from_json({"n": 1, "polynomials": [[
+        {"exp": [1], "coeff": [1]}, {"exp": [1], "coeff": [2]}]]})
+    assert enumerate_Xr(X, 3, 2) == 9
+
+
+@pytest.mark.parametrize("args, named", [
+    ((1, [{(-1,): (1,)}]), "exponent must be >= 0"),
+    ((1, [{(1.5,): (1,)}]), "exponent must be an integer"),
+    ((1, [{(1,): (1.5,)}]), "coefficient must be an integer"),
+    ((-1, []), "n must be >= 0"),
+    ((1, [], -1), "m must be >= 0"),
+    ((1, [], 1, 0), "d must be >= 1"),
+], ids=["exp-negative", "exp-fraction", "coeff-fraction", "n", "m", "d"])
+def test_variety_spec_rejects_malformed_fields(args, named):
+    with pytest.raises(ConfigError, match=named):
+        VarietySpec(*args)
 
 
 def test_want_points_decoding():

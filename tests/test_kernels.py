@@ -93,34 +93,30 @@ def test_ff_count_lift_blocks_agree(monkeypatch):
 
     evaluate = _kernels._ff_count_numpy_chunk
 
-    def bounded(q, r, n, packed, idx, upto=None):
+    def bounded(q, r, n, equations, idx, upto=None):
         assert 0 < len(idx) <= _kernels.LIFT_BLOCK
-        return evaluate(q, r, n, packed, idx, upto)
+        return evaluate(q, r, n, equations, idx, upto)
 
     monkeypatch.setattr(_kernels, "_ff_count_numpy_chunk", bounded)
     for X, q, r in ((ELLIPTIC, 5, 2), (ELLIPTIC, 3, 3), (PARAB_T, 5, 3)):
-        terms = [[(list(c), e) for e, c in poly.items()] for poly in X.polynomials]
-        packed = _kernels.pack_equations(terms, q, r, X.n)
+        equations = X.reduce_mod(q)
         runs = []
         for block in (1, 7, 1 << 15):
             monkeypatch.setattr(_kernels, "LIFT_BLOCK", block)
-            count, idx = _kernels.ff_count(q, r, X.n, packed, want_indices=True)
-            assert count == _kernels.ff_count(q, r, X.n, packed)
+            count, idx = _kernels.ff_count(q, r, X.n, equations, want_indices=True)
+            assert count == _kernels.ff_count(q, r, X.n, equations)
             runs.append((count, idx.tolist()))
         assert runs[0] == runs[1] == runs[2] and runs[0][0] > 0
 
 
 def test_ff_count_int64_guard():
     # x = 0 in one variable: one solution whatever the degree bound
-    packed = _kernels.pack_equations([[([1], (1,))]], 2, 62, 1)
-    assert _kernels.ff_count(2, 62, 1, packed, want_indices=True)[0] == 1
-    packed = _kernels.pack_equations([[([1], (1,))]], 2, 63, 1)
+    x = [[([1], (1,))]]
+    assert _kernels.ff_count(2, 62, 1, x, want_indices=True)[0] == 1
     with pytest.raises(CapExceededError):
-        _kernels.ff_count(2, 63, 1, packed)  # 2^63 indices overflow int64
-    q = _kernels.INT64_SAFE_MOD
-    packed = _kernels.pack_equations([[([1], (1,))]], q, 1, 1)
+        _kernels.ff_count(2, 63, 1, x)  # 2^63 indices overflow int64
     with pytest.raises(CapExceededError):
-        _kernels.ff_count(q, 1, 1, packed)  # residue products overflow
+        _kernels.ff_count(_kernels.INT64_SAFE_MOD, 1, 1, x)  # residue products overflow
 
 
 def test_int64_guard():

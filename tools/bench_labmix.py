@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Seconds of the three repeated stages of the `lab-mix` benchmark workload.
+"""Seconds of the repeated stages of the `lab-mix` benchmark workload, and of
+the F_q[t] counts of `lab-mix` and `ff-sparse`.
 
 Run from anywhere; --root names the source checkout to measure (default:
 the checkout this script sits in), so two commits can be timed by the same
@@ -17,6 +18,9 @@ warm up, then --reps times:
                   jobs (x + y = 0 over q = 2, 3, 5 and y = x^2 + tx over
                   q = 2, 3, r = 1..4); the counts are computed once, outside
                   the timing
+  count-labmix    the 20 `ffcount.enumerate_Xr` calls of those two jobs
+  count-elliptic  the 12 `ffcount.enumerate_Xr` calls of `ff-sparse`:
+                  y^2 = x^3 - x over q = 5, 7, 11, 13, r = 1..3
   grid-circle-Q10 `heights._grid_points` for x^2 + y^2 = 1 over the
                   rationals of height <= 10
   grid-parabola-Z100
@@ -41,11 +45,15 @@ from pathlib import Path
 def _stages(workloads):
     from nonarch_lab import cli, ffcount, heights
 
-    fits = []
-    for data, qs in ((workloads.LINE, (2, 3, 5)), (workloads.PARABOLA_T, (2, 3))):
+    def count_table(data, qs, rs):
         X = ffcount.VarietySpec.from_json(data)
-        for r in range(1, 5):
-            fits.append((X, r, {q: ffcount.enumerate_Xr(X, q, r) for q in qs}))
+        return [(X, r, {q: ffcount.enumerate_Xr(X, q, r) for q in qs}) for r in rs]
+
+    def count_labmix():
+        return (count_table(workloads.LINE, (2, 3, 5), range(1, 5))
+                + count_table(workloads.PARABOLA_T, (2, 3), range(1, 5)))
+
+    fits = count_labmix()
 
     def fit():
         for X, r, counts in fits:
@@ -58,6 +66,8 @@ def _stages(workloads):
     return {
         "parser": cli.build_parser,
         "fit": fit,
+        "count-labmix": count_labmix,
+        "count-elliptic": lambda: count_table(workloads.ELLIPTIC, (5, 7, 11, 13), range(1, 4)),
         "grid-circle-Q10": lambda: heights._grid_points(circle, heights_10, 10**7),
         "grid-parabola-Z100": lambda: heights._grid_points(parabola, integers_100, 10**7),
     }
