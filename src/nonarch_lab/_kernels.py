@@ -10,14 +10,16 @@ coefficients do not vanish.  The pair sweep works modulo p^s (s the
 p-denominator exponent of the divided derivatives).  Both are
 block-vectorized numpy.
 
+Throughout the package, numpy is imported inside the functions that build
+arrays, never at module top, so subcommands that build no array start
+without it.
+
 Everything here is exact: int64 arrays are used only while products of two
 residues stay below 2^62 (int64_safe); past that the pair sweep runs the
 same code on numpy object arrays of Python ints.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import CapExceededError
 
@@ -47,6 +49,8 @@ def _ff_count_numpy_chunk(q, r, n, equations, idx, upto=None):
     coordinate levels <= j, so digits of levels not yet chosen may be 0.
     Each equation is expanded only up to its own length, the largest
     len(cs) + sum(exps) * (r - 1) over its terms."""
+    import numpy as np
+
     chunk = idx.shape[0]
     digits = np.empty((n, r, chunk), dtype=np.int64)
     v = idx.copy()
@@ -91,6 +95,8 @@ def ff_count(q, r, n, equations, want_indices=False):
     holds more than LIFT_BLOCK indices.  Returns count, or (count, sorted
     indices array) when want_indices is set.
     """
+    import numpy as np
+
     if q >= INT64_SAFE_MOD or q ** (r * n) > INT64_MAX:
         raise CapExceededError(
             f"q = {q}, r*n = {r * n}: assignment indices exceed int64")
@@ -149,6 +155,8 @@ def tr_pair_sweep(table, xs, mod, r):
     ascending x.  A 2-D Horner runs over blocks of y rows by all residues.
     table and xs are int64 arrays when int64_safe(mod), object arrays of
     Python ints otherwise; the same code is exact on both."""
+    import numpy as np
+
     if mod == 1:
         return -1, -1
     R, J = table.shape

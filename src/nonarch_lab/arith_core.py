@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import PrecisionError, RingMismatchError
 
 INF = math.inf
@@ -132,6 +130,8 @@ class Ball:
         key + p^alpha * digits, digits running over [0, p^(K-alpha))^m with
         the last coordinate fastest.  int64 when every representative is
         below 2^62, an object array of Python ints otherwise."""
+        import numpy as np
+
         if K < self.alpha:
             raise PrecisionError(f"K={K} below valuative radius {self.alpha}")
         step = self.p ** self.alpha

@@ -112,21 +112,21 @@ def input_schema(path):
 def parse_semialg(data):
     from .heights import PadicConstraint, SemialgSpec
 
-    nvars = int(data["vars"])
+    nvars = config_int(data["vars"], "vars")
     eqs = [parse_poly(p, nvars) for p in data.get("equations", [])]
     ineqs = [parse_poly(p, nvars) for p in data.get("inequations", [])]
     p = None
     constraints = []
     padic = data.get("padic")
     if padic:
-        p = int(padic["p"])
+        p = config_int(padic["p"], "padic.p")
         for c in padic.get("constraints", []):
             constraints.append(PadicConstraint(
                 poly=parse_poly(c["poly"], nvars),
                 kind=c["kind"],
-                c=int(c.get("c", 0)),
-                depth=int(c.get("depth", 1)),
-                value=int(c.get("value", 0)),
+                c=config_int(c.get("c", 0), "constraint c"),
+                depth=config_int(c.get("depth", 1), "constraint depth"),
+                value=config_int(c.get("value", 0), "constraint value"),
             ))
     return SemialgSpec(nvars, eqs, ineqs, p, constraints)
 
@@ -134,14 +134,14 @@ def parse_semialg(data):
 def parse_polymap(data):
     from .taylor import PolyMap
 
-    m, n = int(data["m"]), int(data["n"])
+    m, n = config_int(data["m"], "m"), config_int(data["n"], "n")
     comps = [parse_poly(c, m) for c in data["components"]]
     domain = None
     if "domain" in data:
         dom = data["domain"]
-        p = int(data["p"])
+        p = config_int(data["p"], "p")
         center = [parse_fraction(c) for c in dom["center"]]
-        domain = Ball(p, center, int(dom.get("alpha", 0)), m)
+        domain = Ball(p, center, config_int(dom.get("alpha", 0), "domain.alpha"), m)
     return PolyMap(m, n, comps, domain=domain,
                    tail_floor=data.get("tail_floor"))
 
@@ -245,10 +245,12 @@ def cmd_det_cover(args, started):
     with input_schema(args.input):
         curve = parse_semialg(data["curve"])
         psi = parse_polymap(data["psi"])
-        T = args.T if args.T is not None else int(data["T"])
-        d = args.d if args.d is not None else int(data["d"])
-        p = args.p if args.p is not None else int(data["p"])
+        T = args.T if args.T is not None else config_int(data["T"], "T")
+        d = args.d if args.d is not None else config_int(data["d"], "d")
+        p = args.p if args.p is not None else config_int(data["p"], "p")
         cert_K = args.K if args.K is not None else data.get("precision")
+        if cert_K is not None:
+            config_int(cert_K, "precision")
     cover = cover_points(curve, psi, T, d, p, cap=args.cap, cert_K=cert_K)
     report = {
         "config": base_config(args, input=os.path.basename(args.input),
@@ -332,7 +334,7 @@ def cmd_hilbert(args, started):
 
     with input_schema(args.input):
         data = load_json(args.input)
-        nvars = int(data["vars"])
+        nvars = config_int(data["vars"], "vars")
         gens = [parse_poly(g, nvars) for g in data["generators"]]
     if args.salberger_m is not None:
         salberger_s = parse_range_list(args.salberger_s)

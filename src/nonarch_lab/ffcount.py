@@ -43,6 +43,9 @@ class VarietySpec:
         config_int(self.n, "n", 0)
         config_int(self.m, "m", 0)
         config_int(self.d, "d", 1)
+        if not isinstance(self.irreducible, bool):
+            raise ConfigError(
+                f"irreducible must be true or false, got {self.irreducible!r}")
         cleaned = []
         for poly in self.polynomials:
             terms = {}

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import _kernels
 from .arith_core import (
     Ball,
@@ -392,6 +390,8 @@ def _default_K(strategy, ball, r, s):
 def _check_tr_1d(f, r, ball, K, s):
     """First violation on the residues mod p^K, per component: the
     remainder sweep, then the pointwise C^r bound; or None."""
+    import numpy as np
+
     p = ball.p
     n_res = ball.residue_count(K)
     if n_res > RESIDUE_CAP:
@@ -439,6 +439,8 @@ def _check_tr_1d(f, r, ball, K, s):
 def _reduce(residues, mod):
     """A residue array modulo p^s: int64 when int64_safe(p^s), an object
     array of Python ints otherwise, whatever the dtype of the residues."""
+    import numpy as np
+
     if _kernels.int64_safe(mod):
         return (residues % mod).astype(np.int64, copy=False)
     return residues.astype(object) % mod
@@ -449,6 +451,8 @@ def _residue_table(entries, points, p, s):
     (beta, g) of one component of a _derivative_table, shape (R, len(entries)).
     points is an (R, m) array of residues mod p^s, int64 when
     int64_safe(p^s) and object otherwise; the table has its dtype."""
+    import numpy as np
+
     R, m = points.shape
     table = np.zeros((R, len(entries)), dtype=points.dtype)
     mod = p ** s
@@ -583,6 +587,8 @@ def _check_tr_nd(f, r, ball, K, s):
     components first, then the remainder half on the classes of y and of
     x - y.  The first failing y in ball order mod p^K is the first failing
     y-class, so only a remainder failure lists the residues mod p^K."""
+    import numpy as np
+
     p, m, alpha = ball.p, ball.m, ball.alpha
     # with s > alpha there are p^(m(s - alpha)) y-classes and as many
     # difference classes
@@ -653,6 +659,8 @@ def _difference_weights(high, r, diffs, p, s, alpha):
     u primitive; 0 for h_j = 0.  Once the C^r half holds, sum_k p^s
     g_beta(y) w[k, j] is p^s (f(y + h_j) - T_y(y + h_j)) / p^(rv) mod p^s,
     zero exactly when the bound holds at (y, y + h_j)."""
+    import numpy as np
+
     mod = p ** s
     dtype = np.int64 if _kernels.int64_safe(mod) else object
     rel = np.zeros(len(diffs), dtype=np.int64)  # v - alpha where d != 0

@@ -391,14 +391,20 @@ def test_parser_built_once_and_reused(tmp_path):
     assert seen["count"]["mu_cap"] == 9 and seen["taylor"]["K"] is None
 
 
-def run_cli_subprocess(argv, timeout=30):
-    """Run the CLI in a child process that finds the package where this test
-    process found it; a hang fails the test at `timeout` seconds."""
+def run_python_subprocess(args, timeout=30):
+    """Run a fresh interpreter on args in a child process that finds the
+    package where this test process found it; a hang fails the test at
+    `timeout` seconds."""
     src = os.path.dirname(os.path.dirname(nonarch_lab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "nonarch_lab.cli"] + argv,
+    return subprocess.run([sys.executable] + args,
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def run_cli_subprocess(argv, timeout=30):
+    """Run the CLI in a child process (see run_python_subprocess)."""
+    return run_python_subprocess(["-m", "nonarch_lab.cli"] + argv, timeout)
 
 
 def assert_config_error(argv, named, capsys, in_subprocess):
@@ -504,7 +510,10 @@ def test_exponent_not_natural_exit_2(tmp_path, capsys, command, e):
     ("n", -1, "n must be >= 0, got -1"),
     ("m", -1, "m must be >= 0, got -1"),
     ("d", 0, "d must be >= 1, got 0"),
-], ids=["coeff", "n", "m", "d"])
+    ("irreducible", "false", "irreducible must be true or false, got 'false'"),
+    ("irreducible", 0, "irreducible must be true or false, got 0"),
+    ("irreducible", 1, "irreducible must be true or false, got 1"),
+], ids=["coeff", "n", "m", "d", "irreducible-str", "irreducible-0", "irreducible-1"])
 @pytest.mark.parametrize("command", ["count-ff", "expand-scheme"])
 def test_variety_fields_exit_2(tmp_path, capsys, command, field, value, named):
     if field == "coeff":
@@ -516,6 +525,89 @@ def test_variety_fields_exit_2(tmp_path, capsys, command, field, value, named):
     argv = [command, path] + (["--q", "2,3", "--r", "1..2"] if command == "count-ff"
                               else ["--q", "2", "--r", "2"])
     assert_config_error(argv, named, capsys, in_subprocess=False)
+
+
+AC_X = {"poly": [{"exp": [1, 0], "coeff": "1"}], "kind": "ac_eq", "depth": 1,
+        "value": 1}
+
+# per command: a valid input and the arguments that run it
+INTEGER_FIELD_INPUTS = {
+    "det-cover": (COVER, []),
+    "heights": (dict(CIRCLE, padic={"p": 3, "constraints": [ORD_X, AC_X]}), ["--T", "2"]),
+    "hilbert": (CONIC_IDEAL, ["--smax", "3"]),
+    "taylor-check": (TR_X2, ["--r", "2", "--K", "5"]),
+}
+
+# int() would truncate each of these to an integer and run on
+INTEGER_FIELD_CASES = [
+    ("heights", ("vars",), 2.7, "vars must be an integer, got 2.7"),
+    ("heights", ("padic", "p"), 3.5, "padic.p must be an integer, got 3.5"),
+    ("heights", ("padic", "constraints", 0, "c"), 1.5,
+     "constraint c must be an integer, got 1.5"),
+    ("heights", ("padic", "constraints", 1, "depth"), 1.5,
+     "constraint depth must be an integer, got 1.5"),
+    ("heights", ("padic", "constraints", 1, "value"), 0.5,
+     "constraint value must be an integer, got 0.5"),
+    ("taylor-check", ("m",), 1.5, "m must be an integer, got 1.5"),
+    ("taylor-check", ("n",), 1.5, "n must be an integer, got 1.5"),
+    ("taylor-check", ("p",), 3.9, "p must be an integer, got 3.9"),
+    ("taylor-check", ("domain", "alpha"), 0.5, "domain.alpha must be an integer, got 0.5"),
+    ("det-cover", ("T",), 100.9, "T must be an integer, got 100.9"),
+    ("det-cover", ("d",), 2.5, "d must be an integer, got 2.5"),
+    ("det-cover", ("p",), 3.5, "p must be an integer, got 3.5"),
+    ("det-cover", ("precision",), 4.5, "precision must be an integer, got 4.5"),
+    ("hilbert", ("vars",), 3.5, "vars must be an integer, got 3.5"),
+]
+
+
+@pytest.mark.parametrize("command, field, value, named", INTEGER_FIELD_CASES,
+                         ids=[f"{c}-{f[-1]}" for c, f, _v, _n in INTEGER_FIELD_CASES])
+def test_integer_fields_not_integer_exit_2(tmp_path, capsys, command, field, value, named):
+    data, argv = INTEGER_FIELD_INPUTS[command]
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    path = write(tmp_path, "input.json", data)
+    assert_config_error([command, path] + argv, named, capsys, in_subprocess=False)
+
+
+NUMPY_PROBE = """\
+import importlib, json, pkgutil, sys
+import nonarch_lab
+from nonarch_lab.cli import main
+for info in pkgutil.iter_modules(nonarch_lab.__path__):
+    importlib.import_module("nonarch_lab." + info.name)
+steps = [["import", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    steps.append([argv[0], main(argv), "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_loaded_only_by_array_subcommands(tmp_path):
+    # importing the package and running the subcommands that build no array
+    # leave numpy unloaded; taylor-check loads it at its first array
+    runs = [
+        ["heights", write(tmp_path, "circle.json", CIRCLE), "--T", "3"],
+        ["hilbert", write(tmp_path, "conic.json", CONIC_IDEAL), "--smax", "3"],
+        ["bounds", "--m", "1", "--n", "2", "--d", "1", "--T", "10", "--p", "3"],
+        ["expand-scheme", write(tmp_path, "yx3.json", YX3), "--q", "2", "--r", "2"],
+        ["taylor-check", write(tmp_path, "map.json", TR_X2), "--r", "2", "--K", "5"],
+    ]
+    out = str(tmp_path / "out.json")
+    proc = run_python_subprocess(
+        ["-c", NUMPY_PROBE, json.dumps([argv + ["--out", out] for argv in runs])])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import", None, False],
+        ["heights", 0, False],
+        ["hilbert", 0, False],
+        ["bounds", 0, False],
+        ["expand-scheme", 0, False],
+        ["taylor-check", 0, True],
+    ]
 
 
 def test_seed_only_on_taylor_check(tmp_path):
