@@ -5,6 +5,17 @@ expand-scheme, hilbert, corpus.  Reports are deterministic JSON (exact
 values serialized as strings, no floats); tabular summaries go to CSV.
 Exit codes: 1 for a violated bound, 2 for configuration errors, 3 for
 cap/precision/budget exhaustion.
+
+`main` is the one report path.  Each subparser names, by `set_defaults`,
+its subcommand `func` and its input reader `read` (None for `bounds`).
+`main` runs `read(args)` under `input_schema`, so a missing key or a
+mistyped value exits 2, then calls `func(args, parsed input)`, which
+returns ``(config fields, results, exit code, CSV rows or None)`` and
+writes nothing.  `main` builds the ``{config, version, results}`` envelope,
+whose config holds `subcommand`, `seed`, the input's basename and the
+subcommand's fields, emits it with one `elapsed` line on stderr, writes
+`--csv` when given and maps exceptions to exit codes.  `corpus` writes no
+report: it reruns `main` on each case and diffs the bytes.
 """
 
 from __future__ import annotations
@@ -142,8 +153,10 @@ def parse_polymap(data):
         p = config_int(data["p"], "p")
         center = [parse_fraction(c) for c in dom["center"]]
         domain = Ball(p, center, config_int(dom.get("alpha", 0), "domain.alpha"), m)
-    return PolyMap(m, n, comps, domain=domain,
-                   tail_floor=data.get("tail_floor"))
+    tail_floor = data.get("tail_floor")
+    if tail_floor is not None:
+        config_int(tail_floor, "tail_floor", 0)
+    return PolyMap(m, n, comps, domain=domain, tail_floor=tail_floor)
 
 
 def emit_report(report, args, started):
@@ -159,68 +172,75 @@ def emit_report(report, args, started):
 
 def write_csv(path, rows):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in rows:
-            w.writerow(row)
-
-
-def base_config(args, **extra):
-    cfg = {"subcommand": args.command, "seed": getattr(args, "seed", 0)}
-    cfg.update(extra)
-    return cfg
+        csv.writer(fh).writerows(rows)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# input readers: each takes the parsed arguments and runs under input_schema.
+# They look load_json, parse_* and load_variety up when called, so a wrapper
+# set on those module attributes after build_parser has run still applies.
 # ---------------------------------------------------------------------------
 
-def cmd_bounds(args, started):
+def read_variety(args):
+    from .ffcount import load_variety
+
+    return load_variety(args.input)
+
+
+def read_cover(args):
+    """The cover's curve, psi, T, d, p and certificate precision, with the
+    --T/--d/--p/--K options overriding the input's fields."""
+    data = load_json(args.input)
+    curve = parse_semialg(data["curve"])
+    psi = parse_polymap(data["psi"])
+    T = args.T if args.T is not None else config_int(data["T"], "T")
+    d = args.d if args.d is not None else config_int(data["d"], "d")
+    p = args.p if args.p is not None else config_int(data["p"], "p")
+    cert_K = args.K if args.K is not None else data.get("precision")
+    if cert_K is not None:
+        config_int(cert_K, "precision")
+    return curve, psi, T, d, p, cert_K
+
+
+def read_ideal(args):
+    data = load_json(args.input)
+    nvars = config_int(data["vars"], "vars")
+    return nvars, [parse_poly(g, nvars) for g in data["generators"]]
+
+
+# ---------------------------------------------------------------------------
+# subcommands: cmd(args, parsed input) -> (config fields, results, exit
+# code, CSV rows or None)
+# ---------------------------------------------------------------------------
+
+def cmd_bounds(args, _parsed):
     setup = DetSetup.for_dims(args.m, args.n, args.d)
     alpha = alpha_bound(setup, args.T, args.p)
-    report = {
-        "config": base_config(args, m=args.m, n=args.n, d=args.d,
-                              T=args.T, p=args.p),
-        "version": __version__,
-        "results": {
-            "m": setup.m, "n": setup.n, "d": setup.d, "mu": setup.mu,
-            "r": setup.r, "e": setup.e, "V": setup.V,
-            "epsilon": str(setup.epsilon),
-            "alpha": alpha,
-        },
+    results = {
+        "m": setup.m, "n": setup.n, "d": setup.d, "mu": setup.mu,
+        "r": setup.r, "e": setup.e, "V": setup.V,
+        "epsilon": str(setup.epsilon),
+        "alpha": alpha,
     }
-    emit_report(report, args, started)
-    return 0
+    return dict(m=args.m, n=args.n, d=args.d, T=args.T, p=args.p), results, 0, None
 
 
-def cmd_heights(args, started):
+def cmd_heights(args, spec):
     from .heights import points_k, points_Q, points_Z
 
-    with input_schema(args.input):
-        spec = parse_semialg(load_json(args.input))
     if args.mode == "Z":
         pts = points_Z(spec, args.T, cap=args.cap)
     elif args.mode == "k":
         pts = points_k(spec, args.k, args.T, cap=args.cap)
     else:
         pts = points_Q(spec, args.T, cap=args.cap)
-    report = {
-        "config": base_config(args, input=os.path.basename(args.input),
-                              T=args.T, mode=args.mode, k=args.k, cap=args.cap),
-        "version": __version__,
-        "results": {
-            "count": len(pts),
-            "points": [[str(c) for c in pt] for pt in pts],
-        },
-    }
-    emit_report(report, args, started)
-    return 0
+    results = {"count": len(pts), "points": [[str(c) for c in pt] for pt in pts]}
+    return dict(T=args.T, mode=args.mode, k=args.k, cap=args.cap), results, 0, None
 
 
-def cmd_taylor_check(args, started):
+def cmd_taylor_check(args, f):
     from .taylor import ExhaustiveStrategy, SampledStrategy, check_Tr
 
-    with input_schema(args.input):
-        f = parse_polymap(load_json(args.input))
     if f.domain is None:
         raise ConfigError("taylor-check input needs a domain and prime")
     if args.strategy == "sampled":
@@ -228,47 +248,21 @@ def cmd_taylor_check(args, started):
     else:
         strategy = ExhaustiveStrategy(K=args.K)
     cert = check_Tr(f, args.r, strategy)
-    report = {
-        "config": base_config(args, input=os.path.basename(args.input),
-                              r=args.r, K=args.K, strategy=args.strategy),
-        "version": __version__,
-        "results": cert.to_json(),
-    }
-    emit_report(report, args, started)
-    return 0 if cert.verdict == "holds" else 1
+    return (dict(r=args.r, K=args.K, strategy=args.strategy), cert.to_json(),
+            0 if cert.verdict == "holds" else 1, None)
 
 
-def cmd_det_cover(args, started):
+def cmd_det_cover(args, cover_input):
     from .detmethod import cover_points
 
-    data = load_json(args.input)
-    with input_schema(args.input):
-        curve = parse_semialg(data["curve"])
-        psi = parse_polymap(data["psi"])
-        T = args.T if args.T is not None else config_int(data["T"], "T")
-        d = args.d if args.d is not None else config_int(data["d"], "d")
-        p = args.p if args.p is not None else config_int(data["p"], "p")
-        cert_K = args.K if args.K is not None else data.get("precision")
-        if cert_K is not None:
-            config_int(cert_K, "precision")
+    curve, psi, T, d, p, cert_K = cover_input
     cover = cover_points(curve, psi, T, d, p, cap=args.cap, cert_K=cert_K)
-    report = {
-        "config": base_config(args, input=os.path.basename(args.input),
-                              T=T, d=d, p=p),
-        "version": __version__,
-        "results": cover.to_json(),
-    }
-    emit_report(report, args, started)
-    if args.csv:
-        write_csv(args.csv, cover.csv_rows(p))
-    return 0
+    return dict(T=T, d=d, p=p), cover.to_json(), 0, cover.csv_rows(p)
 
 
-def cmd_count_ff(args, started):
-    from .ffcount import CountRecord, enumerate_Xr, load_variety, verify_bounds
+def cmd_count_ff(args, X):
+    from .ffcount import CountRecord, enumerate_Xr, verify_bounds
 
-    with input_schema(args.input):
-        X = load_variety(args.input)
     qs = parse_range_list(args.q)
     rs = parse_range_list(args.r)
     records = []
@@ -283,59 +277,40 @@ def cmd_count_ff(args, started):
             fit = (rep.delta, rep.mu, rep.slack_sq)
         for q in qs:
             records.append(CountRecord(q, r, counts[q], *fit))
-    report = {
-        "config": base_config(args, input=os.path.basename(args.input),
-                              q=qs, r=rs, cap=args.cap, mu_cap=args.mu_cap),
-        "version": __version__,
-        "results": {
-            "records": [rec.to_json() for rec in records],
-            "bounds": {str(r): rep.to_json() for r, rep in bound_reports.items()},
-        },
+    results = {
+        "records": [rec.to_json() for rec in records],
+        "bounds": {str(r): rep.to_json() for r, rep in bound_reports.items()},
     }
-    emit_report(report, args, started)
-    if args.csv:
-        rows = [("q", "r", "count", "delta", "mu", "slack_sq")]
-        for rec in records:
-            rows.append((rec.q, rec.r, rec.count,
-                         "" if rec.delta is None else rec.delta,
-                         "" if rec.mu is None else str(rec.mu),
-                         "" if rec.slack_sq is None else str(rec.slack_sq)))
-        write_csv(args.csv, rows)
+    rows = [("q", "r", "count", "delta", "mu", "slack_sq")]
+    for rec in records:
+        rows.append((rec.q, rec.r, rec.count,
+                     "" if rec.delta is None else rec.delta,
+                     "" if rec.mu is None else str(rec.mu),
+                     "" if rec.slack_sq is None else str(rec.slack_sq)))
     ok = all(rep.trivial_ok and (rep.motivic_ok is not False)
              for rep in bound_reports.values())
-    return 0 if ok else 1
+    return (dict(q=qs, r=rs, cap=args.cap, mu_cap=args.mu_cap), results,
+            0 if ok else 1, rows)
 
 
-def cmd_expand_scheme(args, started):
-    from .ffcount import expand_scheme, load_variety
+def cmd_expand_scheme(args, X):
+    from .ffcount import expand_scheme
 
-    with input_schema(args.input):
-        X = load_variety(args.input)
     equations = expand_scheme(X, args.q, args.r)
-    names = [f"a_{i}_{g}" for i in range(X.n) for g in range(args.r)]
-    report = {
-        "config": base_config(args, input=os.path.basename(args.input),
-                              q=args.q, r=args.r),
-        "version": __version__,
-        "results": {
-            "variables": names,
-            "equations": [
-                [{"exp": list(e), "coeff": int(c)} for e, c in sorted(eq.terms.items())]
-                for eq in equations
-            ],
-        },
+    results = {
+        "variables": [f"a_{i}_{g}" for i in range(X.n) for g in range(args.r)],
+        "equations": [
+            [{"exp": list(e), "coeff": int(c)} for e, c in sorted(eq.terms.items())]
+            for eq in equations
+        ],
     }
-    emit_report(report, args, started)
-    return 0
+    return dict(q=args.q, r=args.r), results, 0, None
 
 
-def cmd_hilbert(args, started):
+def cmd_hilbert(args, ideal_input):
     from .hilbert import HilbertTable, HomIdeal, salberger_check, select_delta_alpha
 
-    with input_schema(args.input):
-        data = load_json(args.input)
-        nvars = config_int(data["vars"], "vars")
-        gens = [parse_poly(g, nvars) for g in data["generators"]]
+    nvars, gens = ideal_input
     if args.salberger_m is not None:
         salberger_s = parse_range_list(args.salberger_s)
         if args.salberger_m < 0:
@@ -356,14 +331,14 @@ def cmd_hilbert(args, started):
         table = HilbertTable.from_lt(nvars, [])
         gb = []
     per_degree = []
+    rows = [("s", "H") + tuple(f"sigma_{i}" for i in range(nvars))
+            + tuple(f"ratio_{i}" for i in range(nvars))]
     for s in range(1, args.smax + 1):
         H = table.hilbert_function(s)
-        sig = table.sigma_all(s)
-        ratios = table.a_estimates(s) if H else None
-        per_degree.append({
-            "s": s, "H": H, "sigma": list(sig),
-            "ratios": [str(x) for x in ratios] if ratios else None,
-        })
+        sig = list(table.sigma_all(s))
+        ratios = [str(x) for x in table.a_estimates(s)] if H else None
+        per_degree.append({"s": s, "H": H, "sigma": sig, "ratios": ratios or None})
+        rows.append((s, H, *sig, *(ratios or [""] * nvars)))
     results = {
         "lt_generators": [list(e) for e in table.lt_gens],
         "groebner_basis": gb,
@@ -380,53 +355,57 @@ def cmd_hilbert(args, started):
         mu, e = table.mu_e(delta)
         results["selection"] = {"d": d, "r": r, "delta": delta, "alpha": alpha,
                                 "mu": mu, "e": e}
-    report = {
-        "config": base_config(args, input=os.path.basename(args.input),
-                              smax=args.smax),
-        "version": __version__,
-        "results": results,
-    }
-    emit_report(report, args, started)
-    if args.csv:
-        rows = [("s", "H") + tuple(f"sigma_{i}" for i in range(nvars))
-                + tuple(f"ratio_{i}" for i in range(nvars))]
-        for entry in per_degree:
-            ratios = entry["ratios"] or [""] * nvars
-            rows.append((entry["s"], entry["H"], *entry["sigma"], *ratios))
-        write_csv(args.csv, rows)
-    return 0
+    return dict(smax=args.smax), results, 0, rows
 
 
-def cmd_corpus(args, started):
-    """Rerun every golden config in a directory and diff byte-exactly."""
+def read_corpus_case(case):
+    """(argv, expected report bytes, expected exit code) of one corpus case;
+    a missing or malformed field or expected file is a config error."""
+    path = os.path.join(case, "cmd.json")
+    spec = load_json(path)
+    if not isinstance(spec, dict) or "argv" not in spec:
+        raise ConfigError(f"{path}: needs an object with an argv list")
+    argv = spec["argv"]
+    if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        raise ConfigError(f"{path}: argv must be a list of strings, got {argv!r}")
+    expected = spec.get("expected", "expected.json")
+    if not isinstance(expected, str):
+        raise ConfigError(f"{path}: expected must be a file name, got {expected!r}")
+    code = config_int(spec.get("exit_code", 0), f"{path}: exit_code")
+    try:
+        with open(os.path.join(case, expected), "rb") as fh:
+            return argv, fh.read(), code
+    except OSError as err:
+        raise ConfigError(f"{case}: cannot read expected file: {err}") from err
+
+
+def cmd_corpus(args):
+    """Rerun every golden config in a directory and diff byte-exactly.  An
+    argv that argparse rejects exits 2 for its case, and the run goes on."""
     import tempfile
 
-    cases = []
-    for root, _dirs, files in os.walk(args.directory):
-        if "cmd.json" in files:
-            cases.append(root)
-    cases.sort()
+    cases = sorted(root for root, _dirs, files in os.walk(args.directory)
+                   if "cmd.json" in files)
     if not cases:
         print(f"warning: no cases under {args.directory}", file=sys.stderr)
         print("corpus: 0 cases, all passed")
         return 0
+    specs = [read_corpus_case(case) for case in cases]
     failures = 0
-    for case in cases:
-        spec = load_json(os.path.join(case, "cmd.json"))
-        expected_path = os.path.join(case, spec.get("expected", "expected.json"))
-        with open(expected_path, "rb") as fh:
-            expected = fh.read()
+    for case, (argv, expected, want_code) in zip(cases, specs):
         with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
             tmp_path = tmp.name
         try:
-            code = main(spec["argv"] + ["--out", tmp_path])
+            try:
+                code = main(argv + ["--out", tmp_path])
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
             with open(tmp_path, "rb") as fh:
                 got = fh.read()
         finally:
             os.unlink(tmp_path)
-        ok = got == expected and code == spec.get("exit_code", 0)
-        status = "pass" if ok else "FAIL"
-        print(f"{status}  {os.path.relpath(case, args.directory)}")
+        ok = got == expected and code == want_code
+        print(f"{'pass' if ok else 'FAIL'}  {os.path.relpath(case, args.directory)}")
         if not ok:
             failures += 1
     print(f"corpus: {len(cases)} cases, {len(cases) - failures} passed, "
@@ -458,7 +437,7 @@ def build_parser():
     sp.add_argument("--T", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     common(sp)
-    sp.set_defaults(func=cmd_bounds)
+    sp.set_defaults(func=cmd_bounds, read=None)
 
     sp = sub.add_parser("heights", help="bounded-height point enumeration")
     sp.add_argument("input", help="SemialgSpec JSON")
@@ -467,7 +446,8 @@ def build_parser():
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--cap", type=int, default=10**7)
     common(sp)
-    sp.set_defaults(func=cmd_heights)
+    sp.set_defaults(func=cmd_heights,
+                    read=lambda args: parse_semialg(load_json(args.input)))
 
     sp = sub.add_parser("taylor-check", help="T_r certificate for a PolyMap")
     sp.add_argument("input", help="PolyMap JSON")
@@ -479,7 +459,8 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0,
                     help="sample seed of the sampled strategy")
     common(sp)
-    sp.set_defaults(func=cmd_taylor_check)
+    sp.set_defaults(func=cmd_taylor_check,
+                    read=lambda args: parse_polymap(load_json(args.input)))
 
     sp = sub.add_parser("det-cover", help="end-to-end determinant-method cover")
     sp.add_argument("input", help="JSON with curve, psi, T, d, p")
@@ -491,7 +472,7 @@ def build_parser():
     sp.add_argument("--cap", type=int, default=10**7)
     sp.add_argument("--csv", help="CSV summary path")
     common(sp)
-    sp.set_defaults(func=cmd_det_cover)
+    sp.set_defaults(func=cmd_det_cover, read=read_cover)
 
     sp = sub.add_parser("count-ff", help="F_q[t] point counts and delta fits")
     sp.add_argument("input", help="variety JSON")
@@ -501,14 +482,14 @@ def build_parser():
     sp.add_argument("--mu-cap", type=int, default=64)
     sp.add_argument("--csv", help="CSV table path")
     common(sp)
-    sp.set_defaults(func=cmd_count_ff)
+    sp.set_defaults(func=cmd_count_ff, read=read_variety)
 
     sp = sub.add_parser("expand-scheme", help="expanded scheme in r*n variables")
     sp.add_argument("input", help="variety JSON")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     common(sp)
-    sp.set_defaults(func=cmd_expand_scheme)
+    sp.set_defaults(func=cmd_expand_scheme, read=read_variety)
 
     sp = sub.add_parser("hilbert", help="Hilbert table of a homogeneous ideal")
     sp.add_argument("input", help="ideal JSON")
@@ -519,22 +500,37 @@ def build_parser():
     sp.add_argument("--salberger-s", default="10,20,30")
     sp.add_argument("--csv", help="CSV table path")
     common(sp)
-    sp.set_defaults(func=cmd_hilbert)
+    sp.set_defaults(func=cmd_hilbert, read=read_ideal)
 
     sp = sub.add_parser("corpus", help="rerun golden configs and diff")
     sp.add_argument("directory")
     common(sp)
-    sp.set_defaults(func=cmd_corpus)
 
     return ap
 
 
 def main(argv=None):
+    """Parse argv, read the input, run the subcommand and write its report
+    and CSV; the exit code of the run, or of the error that stopped it."""
     started = time.monotonic()
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, started)
+        if args.command == "corpus":
+            return cmd_corpus(args)
+        parsed = None
+        if args.read is not None:
+            with input_schema(args.input):
+                parsed = args.read(args)
+        fields, results, code, rows = args.func(args, parsed)
+        config = {"subcommand": args.command, "seed": getattr(args, "seed", 0)}
+        if args.read is not None:
+            config["input"] = os.path.basename(args.input)
+        config.update(fields)
+        emit_report({"config": config, "version": __version__, "results": results},
+                    args, started)
+        if getattr(args, "csv", None):
+            write_csv(args.csv, rows)
+        return code
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
@@ -267,7 +267,6 @@ class TrCertificate:
     K: int
     witness: dict | None = None
     provenance: str = "exact"
-    detail: dict = field(default_factory=dict)
 
     @property
     def holds(self):
@@ -333,25 +332,13 @@ def check_Tr(f, r, strategy=None, domain=None):
     if r < 1:
         raise ConfigError("need r >= 1")
     strategy = strategy or ExhaustiveStrategy()
-    domain = domain if domain is not None else f.domain
-    if domain is None:
+    ball = domain if domain is not None else f.domain
+    if ball is None:
         raise ConfigError("no domain declared and none supplied")
-    if isinstance(domain, PowerPreimage):
-        balls = domain.maximal_balls()
-        if not balls:
-            raise ConfigError("empty domain")
-        certs = [check_Tr(f, r, strategy, ball) for ball in balls]
-        verdict = "holds"
-        witness = None
-        for c in certs:
-            if c.verdict == "fails":
-                verdict, witness = "fails", c.witness
-                break
-        return TrCertificate(f, r, domain, verdict, certs[0].strategy,
-                             certs[0].K, witness,
-                             certs[0].provenance,
-                             detail={"balls": len(balls)})
-    ball = domain
+    if not isinstance(ball, Ball):
+        raise ConfigError(
+            f"check_Tr needs a Ball domain, got {type(ball).__name__}; "
+            "check each ball of its maximal_balls() instead")
     s = _denominator_exponent(f, ball.p)
     sampled = isinstance(strategy, SampledStrategy)
     if sampled and f.m > 1 and strategy.K is None:

@@ -557,6 +557,10 @@ INTEGER_FIELD_CASES = [
     ("det-cover", ("p",), 3.5, "p must be an integer, got 3.5"),
     ("det-cover", ("precision",), 4.5, "precision must be an integer, got 4.5"),
     ("hilbert", ("vars",), 3.5, "vars must be an integer, got 3.5"),
+    ("taylor-check", ("tail_floor",), "x", "tail_floor must be an integer, got 'x'"),
+    ("taylor-check", ("tail_floor",), 1.5, "tail_floor must be an integer, got 1.5"),
+    ("taylor-check", ("tail_floor",), -1, "tail_floor must be >= 0, got -1"),
+    ("taylor-check", ("tail_floor",), [1], "tail_floor must be an integer, got [1]"),
 ]
 
 
@@ -668,6 +672,116 @@ def test_corpus_runner(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["corpus", str(empty)]) == 0
+
+
+def write_corpus_case(corpus, name, cmd, expected=None):
+    case = corpus / name
+    case.mkdir(parents=True)
+    (case / "cmd.json").write_text(cmd if isinstance(cmd, str) else json.dumps(cmd))
+    if expected is not None:
+        (case / "expected.json").write_bytes(expected)
+
+
+BOUNDS_ARGV = ["bounds", "--m", "1", "--n", "2", "--d", "1", "--T", "10", "--p", "3"]
+
+
+@pytest.mark.parametrize("cmd, expected, named", [
+    ({"argv": BOUNDS_ARGV}, None, "cannot read expected file"),
+    ({"argv": "bounds"}, b"", "argv must be a list of strings"),
+    ({"argv": ["bounds", 3]}, b"", "argv must be a list of strings"),
+    ({}, b"", "needs an object with an argv list"),
+    ([], b"", "needs an object with an argv list"),
+    ("{", b"", "malformed JSON"),
+    ({"argv": BOUNDS_ARGV, "expected": 5}, b"", "expected must be a file name"),
+    ({"argv": BOUNDS_ARGV, "exit_code": "0"}, b"", "exit_code must be an integer"),
+], ids=["no-expected", "argv-str", "argv-int", "no-argv", "not-object",
+        "bad-json", "expected-int", "exit-code-str"])
+def test_corpus_malformed_case_exit_2(tmp_path, capsys, cmd, expected, named):
+    # a malformed case is a config error naming the case, before any case runs
+    corpus = tmp_path / "corpus"
+    write_corpus_case(corpus, "a-good", {"argv": BOUNDS_ARGV}, b"")
+    write_corpus_case(corpus, "b-bad", cmd, expected)
+    code = main(["corpus", str(corpus)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "", (out, err)
+    assert "config error:" in err and "Traceback" not in err, err
+    assert named in err and "b-bad" in err, err
+
+
+def test_corpus_argparse_rejection_is_case_exit_2(tmp_path, capsys):
+    # argparse rejecting a case's argv gives that case exit code 2, compared
+    # with its exit_code; the cases after it still run
+    corpus = tmp_path / "corpus"
+    expected = str(tmp_path / "bounds.json")
+    assert main(BOUNDS_ARGV + ["--out", expected]) == 0
+    report = open(expected, "rb").read()
+    write_corpus_case(corpus, "a-rejected", {"argv": ["bounds", "--m", "x"], "exit_code": 2},
+                      b"")
+    write_corpus_case(corpus, "b-rejected-wrong-code", {"argv": ["nope"]}, b"")
+    write_corpus_case(corpus, "c-bounds", {"argv": BOUNDS_ARGV}, report)
+    capsys.readouterr()
+    assert main(["corpus", str(corpus)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["pass  a-rejected", "FAIL  b-rejected-wrong-code",
+                                "pass  c-bounds", "corpus: 3 cases, 2 passed, 1 failed"]
+
+
+# per subcommand: its input, the arguments after the input path, and the
+# exact CSV bytes it writes
+CSV_CASES = {
+    "count-ff": (YX3, ["--q", "2,3", "--r", "1..4"],
+                 b"q,r,count,delta,mu,slack_sq\r\n2,1,2,1,1,0\r\n3,1,3,1,1,0\r\n"
+                 b"2,2,2,1,1,0\r\n3,2,3,1,1,0\r\n2,3,2,1,1,0\r\n3,3,3,1,1,0\r\n"
+                 b"2,4,4,2,1,0\r\n3,4,9,2,1,0\r\n"),
+    "det-cover": (COVER, [],
+                  b"ball_id,n_points,poly_degree,beta_coeff_valuation\r\n0,1,1,0\r\n"
+                  b"1,1,1,0\r\n2,1,1,0\r\n3,1,1,0\r\n6,1,1,0\r\n7,1,1,0\r\n"
+                  b"8,1,1,0\r\n"),
+    "hilbert": (CONIC_IDEAL, ["--smax", "4"],
+                b"s,H,sigma_0,sigma_1,sigma_2,ratio_0,ratio_1,ratio_2\r\n"
+                b"1,3,1,1,1,1/3,1/3,1/3\r\n2,5,4,2,4,2/5,1/5,2/5\r\n"
+                b"3,7,9,3,9,3/7,1/7,3/7\r\n4,9,16,4,16,4/9,1/9,4/9\r\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_CASES))
+def test_csv_bytes_pinned(tmp_path, command):
+    data, argv, want = CSV_CASES[command]
+    path = write(tmp_path, "input.json", data)
+    csv_path = tmp_path / "table.csv"
+    code = main([command, path] + argv + ["--out", str(tmp_path / "out.json"),
+                                          "--csv", str(csv_path)])
+    assert code == 0
+    assert csv_path.read_bytes() == want
+
+
+# per report-writing subcommand: its input (None for bounds) and arguments
+REPORT_RUNS = {
+    "bounds": (None, BOUNDS_ARGV[1:]),
+    "heights": (CIRCLE, ["--T", "2"]),
+    "taylor-check": (TR_X2, ["--r", "2", "--K", "5"]),
+    "det-cover": (COVER, ["--csv", "cover.csv"]),
+    "count-ff": (YX3, ["--q", "2,3", "--r", "1..2", "--csv", "counts.csv"]),
+    "expand-scheme": (YX3, ["--q", "2", "--r", "2"]),
+    "hilbert": (CONIC_IDEAL, ["--smax", "3", "--csv", "table.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_RUNS))
+def test_report_envelope(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    data, argv = REPORT_RUNS[command]
+    path = [] if data is None else [write(tmp_path, f"{command}-in.json", data)]
+    assert main([command] + path + argv) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert set(report) == {"config", "version", "results"}
+    assert report["version"] == nonarch_lab.__version__
+    config = report["config"]
+    assert config["subcommand"] == command and config["seed"] == 0
+    assert config.get("input") == (None if data is None else f"{command}-in.json")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("elapsed "), err
 
 
 def test_cli_entrypoint_subprocess():

@@ -302,6 +302,10 @@ def test_power_compose_domain_preimage():
     balls = fN.domain.maximal_balls()
     assert len(balls) == 1
     assert balls[0].alpha == 1 and balls[0].canonical_center() == (1,)
+    # check_Tr takes one ball; a preimage domain is checked ball by ball
+    with pytest.raises(ConfigError, match=r"maximal_balls\(\)"):
+        check_Tr(fN, 1)
+    assert check_Tr(fN, 1, domain=balls[0]).holds
 
 
 def test_merge_residue_balls():
