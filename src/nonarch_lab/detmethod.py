@@ -12,14 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith_core import Ball, MultiPoly, rational_residue, val_fraction
+from .arith_core import INF, Ball, MultiPoly, rational_residue, val_fraction
 from .combinatorics import DetSetup, alpha_bound
 from .errors import BoundViolation, ConfigError, FullRankError
 from .heights import points_Z
 from .hilbert import delta_exponents
 from .taylor import ExhaustiveStrategy, check_Tr
-
-INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +155,22 @@ def _integer_components(psi):
 def _eval_cleared(comps, point):
     """psi(point) as (numerators, common denominator), in integers: with the
     point written as b / E, component i is N_i / (L_i * E^deg_i) where
-    N_i = sum (L_i c_t) prod b^t E^(deg_i - |t|)."""
+    N_i = sum (L_i c_t) prod b^t E^(deg_i - |t|).  An integral point (E = 1)
+    takes no powers of E, and an integral image no common denominator."""
     b, E = _cleared([x if isinstance(x, int) else Fraction(x) for x in point])
     nums, dens = [], []
     for L, deg, terms in comps:
         acc = 0
         for exp, c in terms:
-            t = c * E ** (deg - sum(exp))
+            t = c if E == 1 else c * E ** (deg - sum(exp))
             for x, e in zip(b, exp):
                 if e:
                     t *= x ** e
             acc += t
         nums.append(acc)
-        dens.append(L * E ** deg)
+        dens.append(L if E == 1 else L * E ** deg)
+    if all(q == 1 for q in dens):
+        return tuple(nums), 1
     den = lcm(*dens)
     a = [x * (den // q) for x, q in zip(nums, dens)]
     g = gcd(den, *a)
@@ -188,7 +189,7 @@ class MonomialMatrix:
     """
 
     points: list
-    exponents: list
+    exponents: tuple
     entries: list
     scale: int
 
@@ -207,7 +208,9 @@ class MonomialMatrix:
         return cls(list(points), exps, _monomial_matrix(cleared, exps, d), scale)
 
     def determinant(self):
-        return exact_det(self.entries) / self.scale
+        # entries are integers already: no row needs clearing
+        rank, sign, last = _bareiss([row[:] for row in self.entries])
+        return Fraction(sign * last if rank == len(self.entries) else 0, self.scale)
 
 
 @dataclass
@@ -289,8 +292,17 @@ def auxiliary_polynomial(points, d, n=None):
     The monomial matrix is built in integers: point j, written as integer
     numerators over its common denominator D_j, gives the rational column
     times D_j^d.  Column scaling keeps every rank the greedy selections ask
-    for, and each signed minor on the selected columns is its integer
-    determinant divided by prod_{j in sel} D_j^d.
+    for.  The greedy selections give a independent point columns `sel`
+    and a independent monomial rows I; beta is the first row not in I, so
+    it sits at position beta in the sorted rows I + [beta].  The
+    coefficient vector spans the one-dimensional left kernel of those a + 1
+    rows on `sel`, and comes from one fraction-free elimination: Bareiss
+    on the augmented system [M_I^T | m_beta] gives D = det of the
+    row-permuted M_I^T, and back-substitution with exact divisions gives
+    y = D * x for M_I^T x = m_beta.  With t = (-1)^beta times the sign of
+    the row permutation, c_beta = t * D and c_I = -t * y are the signed
+    a x a minors of the cofactor expansion; each is divided by
+    prod_{j in sel} D_j^d.
 
     Raises FullRankError when the monomial matrix has full rank D_n(d).
     """
@@ -329,18 +341,24 @@ def auxiliary_polynomial(points, d, n=None):
             break
     beta_idx = next(i for i in range(len(exps)) if i not in I)
 
+    # [M_I^T | m_beta] on the selected columns, one row per selected point
+    m = [[full[i][c] for i in I] + [full[beta_idx][c]] for c in sel]
+    _, sign, D = _bareiss(m)
+    y = [0] * a
+    for i in range(a - 1, -1, -1):
+        row = m[i]
+        acc = D * row[a]
+        for k in range(i + 1, a):
+            acc -= row[k] * y[k]
+        y[i] = acc // row[i]
+
     scale = 1
     for j in sel:
         scale *= cleared[j][1] ** d
-    rows_idx = sorted(I + [beta_idx])
-    terms = {}
-    for k, ri in enumerate(rows_idx):
-        minor = [[full[rj][c] for c in sel] for rj in rows_idx if rj != ri]
-        coeff = exact_det(minor) / scale
-        if k % 2:
-            coeff = -coeff
-        if coeff:
-            terms[exps[ri]] = coeff
+    t = -sign if beta_idx % 2 else sign
+    coeffs = dict(zip(I, (Fraction(-t * v, scale) for v in y)))
+    coeffs[beta_idx] = Fraction(t * D, scale)
+    terms = {exps[i]: coeffs[i] for i in sorted(coeffs) if coeffs[i]}
     poly = MultiPoly(n, terms)
     beta = exps[beta_idx]
     beta_coeff = poly.terms.get(beta, Fraction(0))

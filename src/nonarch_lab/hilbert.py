@@ -10,6 +10,7 @@ is performed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,13 +54,12 @@ def monomials_of_degree(nvars, s):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def delta_exponents(n, d):
-    """Exponent vectors in N^n of total degree <= d, grevlex-sorted."""
-    out = []
-    for s in range(d + 1):
-        out.extend(monomials_of_degree(n, s))
-    out.sort(key=grevlex_key)
-    return out
+    """Exponent vectors in N^n of total degree <= d, grevlex-sorted, as a
+    tuple computed once per (n, d)."""
+    # grevlex compares total degree first, so the degrees concatenate
+    return tuple(exp for s in range(d + 1) for exp in monomials_of_degree(n, s))
 
 
 # ---------------------------------------------------------------------------

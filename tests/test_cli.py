@@ -107,6 +107,15 @@ def test_taylor_check_cli(tmp_path):
     assert report["results"]["witness"]["x"] == 2
 
 
+def test_taylor_check_integral_1d_default_K_past_cap(tmp_path):
+    # x^2 on Z_5 at r = 2: the default K = 8 gives 5^8 = 390625 residues,
+    # past the residue cap, but every divided derivative is 5-integral
+    path = write(tmp_path, "x2p5.json", dict(TR_X2, p=5))
+    code, report = run_to_json(["taylor-check", path, "--r", "2"], tmp_path)
+    assert code == 0
+    assert (report["results"]["verdict"], report["results"]["K"]) == ("holds", 8)
+
+
 def test_taylor_check_multivariate_cr_witness(tmp_path):
     # x^2/2 + y over Z_2^2: the second divided derivative in x is 1/2, so
     # the report carries a cr_norm witness at a 2-D point of Fractions

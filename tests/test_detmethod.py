@@ -16,6 +16,7 @@ from nonarch_lab.detmethod import (
 )
 from nonarch_lab.errors import BoundViolation, ConfigError, FullRankError
 from nonarch_lab.heights import SemialgSpec
+from nonarch_lab.hilbert import delta_exponents
 from nonarch_lab.taylor import PolyMap
 
 PSI_GRAPH = PolyMap(1, 2, [MultiPoly(1, {(1,): 1}), MultiPoly(1, {(2,): 1})])
@@ -223,7 +224,8 @@ def test_exact_det_fraction_entries():
 
 def test_auxiliary_polynomial_matches_fraction_oracle():
     rng = random.Random(47)
-    found = 0
+    found = fractional = 0
+    parities = set()
     for _ in range(300):
         n, d, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 12)
         if rng.random() < 0.5:
@@ -241,7 +243,15 @@ def test_auxiliary_polynomial_matches_fraction_oracle():
         aux = auxiliary_polynomial(pts, d, n)
         assert (aux.poly.terms, aux.beta, aux.beta_coeff, aux.rank) == want, pts
         found += 1
+        # every row before beta is in the support, so beta's position in
+        # the sorted support rows is its grevlex index
+        parities.add(delta_exponents(n, d).index(aux.beta) % 2)
+        fractional += any(Fraction(c).denominator != 1 for pt in pts for c in pt)
     assert found >= 100, found
+    # the sign (-1)^k of c_beta is exercised both ways, and the column
+    # scales D_j^d differ from 1
+    assert parities == {0, 1}
+    assert fractional >= 50, fractional
 
 
 def test_monomial_matrix_determinant_rational():

@@ -11,6 +11,8 @@ from nonarch_lab.hilbert import (
     HilbertTable,
     HomIdeal,
     compare_order,
+    delta_exponents,
+    grevlex_key,
     groebner,
     leading_term,
     monomials_of_degree,
@@ -207,6 +209,16 @@ def test_monomials_of_degree_negative():
     table = HilbertTable.from_lt(1, [])
     assert table.standard_monomials(-1) == []
     assert table.hilbert_function(-1) == 0 and table.sigma_all(-1) == (0,)
+
+
+def test_delta_exponents_is_sorted_union_of_degrees():
+    for n in range(1, 4):
+        for d in range(5):
+            want = sorted((e for s in range(d + 1) for e in monomials_of_degree(n, s)),
+                          key=grevlex_key)
+            got = delta_exponents(n, d)
+            assert isinstance(got, tuple) and list(got) == want, (n, d)
+            assert delta_exponents(n, d) is got  # computed once per (n, d)
 
 
 def _assert_walk_matches_filter(nvars, lt_gens, smax=12):

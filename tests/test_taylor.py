@@ -376,10 +376,32 @@ def test_multivariate_check():
 
 
 def test_cap_and_precision_guards():
+    # the residue cap binds where a divided derivative has a p-denominator
     with pytest.raises(CapExceededError):
-        check_Tr(X2, 2, ExhaustiveStrategy(K=12))
+        check_Tr(BINOM2, 1, ExhaustiveStrategy(K=16))
     with pytest.raises(PrecisionError):
         check_Tr(BINOM2, 1, ExhaustiveStrategy(K=0))
+
+
+def test_integral_1d_map_past_the_residue_cap_holds(monkeypatch):
+    # s = 0: nothing can fail.  Within the cap the zero-table sweep still
+    # runs (139^2 = 19321 residues); past it (149^2 = 22201) the check
+    # holds without a table or a sweep
+    from nonarch_lab import _kernels
+
+    sweeps = []
+    real = _kernels.tr_pair_sweep
+
+    def counted(table, xs, mod, r):
+        sweeps.append(len(xs))
+        return real(table, xs, mod, r)
+
+    monkeypatch.setattr(_kernels, "tr_pair_sweep", counted)
+    for p, want in ((139, [19321]), (149, [])):
+        f = PolyMap.univariate([0, 0, 1], domain=Ball(p, (0,), 0))
+        sweeps.clear()
+        cert = check_Tr(f, 1, ExhaustiveStrategy(K=2))
+        assert (cert.verdict, cert.K, sweeps) == ("holds", 2, want), p
 
 
 def test_tail_floor_provenance():

@@ -14,9 +14,11 @@ stages, by timing wrappers put on module attributes (the way the benchmark
 tracer wraps them):
 
   build   `detmethod.MonomialMatrix.build`
-  linalg  `detmethod.exact_det` and `detmethod.rational_rank`
+  linalg  `detmethod._bareiss`, the one elimination kernel behind every
+          rank, determinant and auxiliary-polynomial solve
   other   the rest of the job, including the monomial matrix that
-          `auxiliary_polynomial` builds inline
+          `auxiliary_polynomial` builds inline and the clearing of
+          denominators before each elimination
 
 Only outermost calls count, so no time is counted twice.  The output is
 one JSON object: per job, the median over repetitions of each stage and of
@@ -52,8 +54,7 @@ def _install_timers(detmethod, acc):
                 depth[0] -= 1
         return wrapper
 
-    detmethod.exact_det = timed(detmethod.exact_det, "linalg")
-    detmethod.rational_rank = timed(detmethod.rational_rank, "linalg")
+    detmethod._bareiss = timed(detmethod._bareiss, "linalg")
     build = detmethod.MonomialMatrix.build.__func__
     detmethod.MonomialMatrix.build = classmethod(timed(build, "build"))
 
