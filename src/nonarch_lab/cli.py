@@ -4,14 +4,16 @@ Subcommands: bounds, heights, taylor-check, det-cover, count-ff,
 expand-scheme, hilbert, corpus.  Reports are deterministic JSON (exact
 values serialized as strings, no floats); tabular summaries go to CSV.
 Exit codes: 1 for a violated bound, 2 for configuration errors, 3 for
-cap/precision/budget exhaustion.
+cap/precision/budget exhaustion and for an `indeterminate` T_r verdict
+(a sampled run that found no violation, which proves nothing).
 
 `main` is the one report path.  Each subparser names, by `set_defaults`,
 its subcommand `func` and its input reader `read` (None for `bounds`).
 `main` runs `read(args)` under `input_schema`, so a missing key or a
 mistyped value exits 2, then calls `func(args, parsed input)`, which
 returns ``(config fields, results, exit code, CSV rows or None)`` and
-writes nothing.  `main` builds the ``{config, version, results}`` envelope,
+writes nothing (but `taylor-check`'s stderr note on an `indeterminate`
+verdict).  `main` builds the ``{config, version, results}`` envelope,
 whose config holds `subcommand`, `seed`, the input's basename and the
 subcommand's fields, emits it with one `elapsed` line on stderr, writes
 `--csv` when given and maps exceptions to exit codes.  `corpus` writes no
@@ -248,8 +250,12 @@ def cmd_taylor_check(args, f):
     else:
         strategy = ExhaustiveStrategy(K=args.K)
     cert = check_Tr(f, args.r, strategy)
-    return (dict(r=args.r, K=args.K, strategy=args.strategy), cert.to_json(),
-            0 if cert.verdict == "holds" else 1, None)
+    if cert.verdict == "indeterminate":
+        print(f"indeterminate: no violation in {args.samples} sampled residue pairs "
+              f"mod {f.domain.p}^{cert.K}, which proves nothing; "
+              "--strategy exhaustive decides", file=sys.stderr)
+    code = {"holds": 0, "fails": 1, "indeterminate": 3}[cert.verdict]
+    return dict(r=args.r, K=args.K, strategy=args.strategy), cert.to_json(), code, None
 
 
 def cmd_det_cover(args, cover_input):

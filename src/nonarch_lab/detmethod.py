@@ -8,6 +8,7 @@ per parameter ball covering all enumerated points of bounded height.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -100,11 +101,16 @@ def exact_det(rows):
 
 
 def rational_rank(rows):
-    """Exact rank of a matrix over Q: rows are cleared of denominators,
-    which keeps the rank, then reduced by Bareiss elimination on ints."""
+    """Exact rank of a matrix over Q by Bareiss elimination on ints.  Rows
+    of plain ints (every call from auxiliary_polynomial) are eliminated on
+    a copy as they are; any other rows, bools included, are first cleared
+    of denominators, which keeps the rank."""
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError("rank needs rows of equal length")
-    m, _ = _integer_rows(rows)
+    if all(type(x) is int for row in rows for x in row):
+        m = [list(row) for row in rows]
+    else:
+        m, _ = _integer_rows(rows)
     return _bareiss(m)[0]
 
 
@@ -112,30 +118,38 @@ def rational_rank(rows):
 # determinant estimate
 # ---------------------------------------------------------------------------
 
-def _monomial_matrix(cleared, exps, d):
-    """Integer monomial matrix, rows by exponent and columns by point, of
-    points given as (numerators a, common denominator D).  The column of a
-    point holds prod a_i^e_i * D^(d - |e|): the rational column
-    prod x_i^e_i scaled by D^d."""
-    spare = [d - sum(exp) for exp in exps]
+@functools.lru_cache(maxsize=None)
+def _monomial_plan(n, d):
+    """How to build the monomials of delta_exponents(n, d) one product at a
+    time: for each exponent after the constant, (k, i) with exponent k
+    equal to it minus the i-th unit vector (i its first nonzero
+    coordinate), and for every exponent its spare degree d - |e|.  Degrees
+    come in ascending order, so k always names an earlier exponent."""
+    exps = delta_exponents(n, d)
+    index = {e: k for k, e in enumerate(exps)}
+    steps = []
+    for e in exps[1:]:
+        i = next(j for j, x in enumerate(e) if x)
+        steps.append((index[e[:i] + (e[i] - 1,) + e[i + 1:]], i))
+    return tuple(steps), tuple(d - sum(e) for e in exps)
+
+
+def _monomial_matrix(cleared, n, d):
+    """Integer monomial matrix, rows by the exponents of delta_exponents(n,
+    d) and columns by point, of points given as (numerators a, common
+    denominator D).  The column of a point holds prod a_i^e_i * D^(d - |e|):
+    the rational column prod x_i^e_i scaled by D^d.  Each monomial is one
+    product with an earlier one (_monomial_plan), and the powers of D are
+    taken only when D != 1."""
+    steps, spare = _monomial_plan(n, d)
     cols = []
     for a, den in cleared:
-        dpow = [1]
-        for _ in range(d):
-            dpow.append(dpow[-1] * den)
-        apow = []
-        for x in a:
-            pw = [1]
-            for _ in range(d):
-                pw.append(pw[-1] * x)
-            apow.append(pw)
-        col = []
-        for exp, s in zip(exps, spare):
-            t = dpow[s]
-            for pw, e in zip(apow, exp):
-                if e:
-                    t *= pw[e]
-            col.append(t)
+        col = [1]
+        for k, i in steps:
+            col.append(col[k] * a[i])
+        if den != 1:
+            dpow = [den ** k for k in range(d + 1)]
+            col = [t * dpow[s] for t, s in zip(col, spare)]
         cols.append(col)
     return [list(row) for row in zip(*cols)]
 
@@ -155,9 +169,13 @@ def _integer_components(psi):
 def _eval_cleared(comps, point):
     """psi(point) as (numerators, common denominator), in integers: with the
     point written as b / E, component i is N_i / (L_i * E^deg_i) where
-    N_i = sum (L_i c_t) prod b^t E^(deg_i - |t|).  An integral point (E = 1)
+    N_i = sum (L_i c_t) prod b^t E^(deg_i - |t|).  A point of plain ints is
+    b itself with E = 1, and no Fraction is made for it; an integral point
     takes no powers of E, and an integral image no common denominator."""
-    b, E = _cleared([x if isinstance(x, int) else Fraction(x) for x in point])
+    if all(type(x) is int for x in point):
+        b, E = point, 1
+    else:
+        b, E = _cleared([x if isinstance(x, int) else Fraction(x) for x in point])
     nums, dens = [], []
     for L, deg, terms in comps:
         acc = 0
@@ -205,7 +223,7 @@ class MonomialMatrix:
         scale = 1
         for _, den in cleared:
             scale *= den ** d
-        return cls(list(points), exps, _monomial_matrix(cleared, exps, d), scale)
+        return cls(list(points), exps, _monomial_matrix(cleared, psi.n, d), scale)
 
     def determinant(self):
         # entries are integers already: no row needs clearing
@@ -316,7 +334,7 @@ def auxiliary_polynomial(points, d, n=None):
         raise ConfigError("points must be pairwise distinct")
     exps = delta_exponents(n, d)
     cleared = [_cleared(pt) for pt in pts]
-    full = _monomial_matrix(cleared, exps, d)
+    full = _monomial_matrix(cleared, n, d)
 
     # greedy maximal independent point columns
     sel = []

@@ -8,7 +8,8 @@ the remainder f(x) - T_y(x) is sum_{|beta|>=r} g_beta(y) (x-y)^beta.
 With s the p-denominator exponent of the coefficients of f, the C^r half
 asks only whether p^s divides p^s * g_beta(y) (|beta| <= r); reduction
 modulo p^s is a ring map, so it is decided on the table modulo p^s.
-When s = 0 nothing can fail and the table is not built.
+When s = 0 nothing can fail, and neither the table nor the residues are
+built.
 
 In one variable the remainder factors as (x-y)^r * S(x,y) with
 S = sum_{j>=r} g_j(y) (x-y)^(j-r), and the pair sweep asks whether
@@ -237,7 +238,9 @@ class ExhaustiveStrategy:
 
 @dataclass
 class SampledStrategy:
-    """Seeded random residue pairs; a falsifier, not a proof."""
+    """Seeded random residue pairs; a falsifier, not a proof.  A run that
+    finds no violation is "indeterminate", unless s = 0, where nothing
+    can fail and the verdict "holds" is a proof."""
 
     seed: int = 0
     samples: int = 1000
@@ -262,7 +265,10 @@ class TrCertificate:
     subject: PolyMap
     r: int
     domain: object
-    verdict: str  # "holds" | "fails"; a check that cannot decide raises
+    # "holds" | "fails" | "indeterminate" (a sampled run that found no
+    # violation on a map with s > 0); an exhaustive check that cannot
+    # decide raises
+    verdict: str
     strategy: str
     K: int
     witness: dict | None = None
@@ -327,7 +333,9 @@ def check_Tr(f, r, strategy=None, domain=None):
 
     The exhaustive strategy decides on residue classes; for polynomial f
     the verdict covers every Z_p-point of the domain (not only the
-    representatives).  Witnesses are computed in exact arithmetic.
+    representatives).  The sampled strategy only refutes: without a
+    violation its verdict is "indeterminate" unless s = 0.  Witnesses are
+    computed in exact arithmetic.
     """
     if r < 1:
         raise ConfigError("need r >= 1")
@@ -352,8 +360,14 @@ def check_Tr(f, r, strategy=None, domain=None):
         witness = _check_tr_sampled(f, r, strategy, ball, K)
     else:
         witness = (_check_tr_1d if f.m == 1 else _check_tr_nd)(f, r, ball, K, s)
-    return TrCertificate(f, r, ball, "holds" if witness is None else "fails",
-                         strategy.tag(ball.p, K), K, witness,
+    if witness is not None:
+        verdict = "fails"
+    elif sampled and s:
+        # samples without a violation prove nothing once something can fail
+        verdict = "indeterminate"
+    else:
+        verdict = "holds"
+    return TrCertificate(f, r, ball, verdict, strategy.tag(ball.p, K), K, witness,
                          "up-to-tail" if f.tail_floor is not None else "exact")
 
 
@@ -376,7 +390,8 @@ def _default_K(strategy, ball, r, s):
 
 def _check_tr_1d(f, r, ball, K, s):
     """First violation on the residues mod p^K, per component: the
-    remainder sweep, then the pointwise C^r bound; or None."""
+    remainder sweep, then the pointwise C^r bound; or None.  With s = 0
+    nothing can fail, and no residue or table is built."""
     import numpy as np
 
     p = ball.p
@@ -389,21 +404,26 @@ def _check_tr_1d(f, r, ball, K, s):
     if n_res * n_res * len(f.components) > PAIR_CAP:
         raise CapExceededError("pair sweep exceeds cap")
 
+    if s == 0:
+        # nothing can fail, so neither the residues nor the table are
+        # built; the sweep still gets the zero table of shape (R, deg + 1)
+        # a real one would have, at modulus 1, where it returns at once
+        for comp in f.components:
+            width = (comp.degree() or 0) + 1
+            if width > r:
+                zeros = np.zeros((n_res, width), dtype=np.int64)
+                _kernels.tr_pair_sweep(zeros, zeros[:, 0], 1, r)
+        return None
+
     residues = ball.residue_array(K)[:, 0]
     # every test below asks whether p^s divides a scaled value, so the
     # whole check runs modulo p^s; K only sets the number of residues
     mod = p ** s
     xs = _reduce(residues, mod)
 
-    derivs = _derivative_table(f) if s else None
-    for comp_idx, comp in enumerate(f.components):
-        if s == 0:
-            # nothing can fail: the sweep returns at once at modulus 1, on
-            # a zero table of the shape (R, deg + 1) a real one would have
-            table = np.zeros((len(xs), (comp.degree() or 0) + 1), dtype=xs.dtype)
-        else:
-            entries = derivs[comp_idx]
-            table = _residue_table(entries, xs[:, None], p, s)
+    derivs = _derivative_table(f)
+    for comp_idx, entries in enumerate(derivs):
+        table = _residue_table(entries, xs[:, None], p, s)
 
         # remainder sweep first: the factored remainder must stay integral;
         # earlier components passed every pair, so the exact re-check

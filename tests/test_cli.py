@@ -364,6 +364,22 @@ def test_taylor_check_sampled_multivariate_K_below_s(tmp_path, capsys):
     assert code == 1 and report["results"]["K"] == 4
 
 
+def test_taylor_check_sampled_without_violation_exit_3(tmp_path, capsys):
+    # x^3/3 on 3Z_3 has s = 1 and satisfies T_1: a sampled run that draws
+    # no violation proves nothing, so it reports "indeterminate" and exits
+    # 3 naming the samples drawn; the exhaustive check proves "holds"
+    cube = {"m": 1, "n": 1, "p": 3, "components": [[{"exp": [3], "coeff": "1/3"}]],
+            "domain": {"center": ["0"], "alpha": 1}}
+    path = write(tmp_path, "cube.json", cube)
+    argv = ["taylor-check", path, "--r", "1", "--strategy", "sampled", "--samples", "25"]
+    code, report = run_to_json(argv, tmp_path)
+    assert code == 3
+    assert (report["results"]["verdict"], report["results"]["witness"]) == ("indeterminate", None)
+    assert "no violation in 25 sampled residue pairs" in capsys.readouterr().err
+    code, report = run_to_json(["taylor-check", path, "--r", "1"], tmp_path)
+    assert code == 0 and report["results"]["verdict"] == "holds"
+
+
 def test_parser_built_once_and_reused(tmp_path):
     # one argparse tree serves every main() call of a process: the bytes of
     # each call equal those of a run on a freshly built tree, and no

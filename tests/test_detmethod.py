@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -285,6 +286,97 @@ def test_monomial_matrix_determinant_rational():
         assert mm.determinant() == want
         nonzero += want != 0
     assert nonzero >= 100
+
+
+# ---------------------------------------------------------------------------
+# integer fast paths against direct oracles
+# ---------------------------------------------------------------------------
+
+def test_monomial_matrix_matches_product_oracle():
+    # one product per entry from the cached plan, and D^(d - |e|) only where
+    # D != 1, equal prod a_i^e_i * D^(d - |e|) taken directly
+    from nonarch_lab.detmethod import _monomial_matrix
+
+    rng = random.Random(49)
+    dens = set()
+    for n in range(1, 4):
+        for d in range(1, 5):
+            exps = delta_exponents(n, d)
+            for _ in range(3):
+                cleared = [(tuple(rng.randint(-7, 7) for _ in range(n)),
+                            rng.choice([1, 1, 2, 3, 10]))
+                           for _ in range(rng.randint(1, 6))]
+                want = []
+                for exp in exps:
+                    row = []
+                    for a, den in cleared:
+                        t = den ** (d - sum(exp))
+                        for x, e in zip(a, exp):
+                            t *= x ** e
+                        row.append(t)
+                    want.append(row)
+                assert _monomial_matrix(cleared, n, d) == want, (n, d, cleared)
+                dens.update(den for _, den in cleared)
+    assert 1 in dens and len(dens) > 1
+
+
+def test_eval_cleared_matches_psi_eval(monkeypatch):
+    # int, Fraction and mixed points give psi(point) as reduced numerators
+    # over one denominator; a point of plain ints is never cleared
+    from nonarch_lab import detmethod
+
+    cleared_calls = []
+    real = detmethod._cleared
+
+    def counted(vec):
+        cleared_calls.append(tuple(vec))
+        return real(vec)
+
+    monkeypatch.setattr(detmethod, "_cleared", counted)
+    rng = random.Random(50)
+    kinds = set()
+    for _ in range(200):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        comps = [MultiPoly(m, {tuple(rng.randint(0, 3) for _ in range(m)): _rational(rng)
+                               for _ in range(rng.randint(1, 4))})
+                 for _ in range(n)]
+        psi = PolyMap(m, n, comps)
+        kind = rng.choice(["int", "fraction", "mixed"])
+        point = tuple(rng.randint(-9, 9) if kind == "int" or (kind == "mixed" and i % 2)
+                      else _rational(rng) for i in range(m))
+        cleared_calls.clear()
+        nums, den = detmethod._eval_cleared(detmethod._integer_components(psi), point)
+        assert tuple(Fraction(x, den) for x in nums) == psi.eval(point), (comps, point)
+        assert den >= 1 and gcd(den, *nums) == 1
+        if kind == "int":
+            assert cleared_calls == []
+        kinds.add(kind)
+    assert kinds == {"int", "fraction", "mixed"}
+
+
+def test_rational_rank_int_fraction_and_bool_rows():
+    # all-int rows go to elimination uncleared, rows with a Fraction or a
+    # bool are cleared first; the rank is the dense rank either way, and the
+    # caller's rows are left as they were
+    rng = random.Random(51)
+    seen = set()
+    for _ in range(300):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        kind = rng.choice(["int", "fraction", "bool"])
+        rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+        if nr >= 2 and rng.random() < 0.5:
+            rows[-1] = [3 * x - y for x, y in zip(rows[0], rows[1])]
+        i, j = rng.randrange(nr), rng.randrange(nc)
+        if kind == "fraction":
+            rows[i][j] = _rational(rng)
+        elif kind == "bool":
+            rows[i][j] = rng.choice([True, False])
+        before = [row[:] for row in rows]
+        assert rational_rank(rows) == oracles.dense_rank(rows), rows
+        assert rows == before and all(type(a) is type(b) for r0, r1 in zip(rows, before)
+                                      for a, b in zip(r0, r1))
+        seen.add(kind)
+    assert seen == {"int", "fraction", "bool"}
 
 
 # ---------------------------------------------------------------------------

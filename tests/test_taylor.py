@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -358,11 +359,28 @@ def test_verify_gauss1a_precondition():
 
 
 def test_sampled_strategy():
+    # s = 0: nothing can fail, so a sampled "holds" is a proof
     cert = check_Tr(X2, 2, SampledStrategy(seed=11, samples=200))
     assert cert.holds and cert.strategy.startswith("sampled-")
     bad = check_Tr(BINOM2, 1, SampledStrategy(seed=11, samples=500))
     assert bad.verdict == "fails"
     assert recheck_witness(BINOM2, 1, bad.witness, 2)
+
+
+def test_sampled_run_without_violation_is_indeterminate():
+    # (1/5) prod_{i<=5} (x_i^4 - 1) on Z_5^5 is integral unless every x_i
+    # is divisible by 5, so 20 samples miss its failures; the exhaustive
+    # check refutes T_1 with a C^r witness at 0, where f = -1/5
+    terms = {}
+    for sel in itertools.product((0, 1), repeat=5):
+        terms[tuple(4 * b for b in sel)] = Fraction((-1) ** (5 - sum(sel)), 5)
+    f = PolyMap(5, 1, [MultiPoly(5, terms)], domain=Ball(5, (0,) * 5, 0))
+    for seed in range(5):
+        cert = check_Tr(f, 1, SampledStrategy(seed=seed, samples=20))
+        assert (cert.verdict, cert.holds, cert.witness) == ("indeterminate", False, None)
+        assert cert.to_json()["verdict"] == "indeterminate"
+    witness = {"kind": "cr_norm", "component": 0, "order": (0,) * 5, "y": (0,) * 5}
+    assert recheck_witness(f, 1, witness, 5)
 
 
 def test_multivariate_check():
@@ -402,6 +420,31 @@ def test_integral_1d_map_past_the_residue_cap_holds(monkeypatch):
         sweeps.clear()
         cert = check_Tr(f, 1, ExhaustiveStrategy(K=2))
         assert (cert.verdict, cert.K, sweeps) == ("holds", 2, want), p
+
+
+def test_integral_1d_map_within_the_residue_cap_builds_no_residues(monkeypatch):
+    # s = 0 inside the cap: the verdict holds without listing a residue;
+    # each component with deg + 1 > r still hands the sweep a zero table of
+    # shape (p^(K - alpha), deg + 1), at modulus 1
+    from nonarch_lab import taylor
+
+    def no_residues(self, K):
+        raise AssertionError("residue array built")
+
+    monkeypatch.setattr(Ball, "residue_array", no_residues)
+    sweeps = []
+    real = taylor._kernels.tr_pair_sweep
+
+    def spy(table, xs, mod, r):
+        sweeps.append((table.shape, xs.shape, mod, int(np.count_nonzero(table))))
+        return real(table, xs, mod, r)
+
+    monkeypatch.setattr(taylor._kernels, "tr_pair_sweep", spy)
+    comps = [{(3,): 1, (1,): 2}, {(1,): 1}, {(0,): 7}, {(4,): Fraction(1, 2)}]
+    f = PolyMap(1, 4, [MultiPoly(1, t) for t in comps], domain=Ball(5, (2,), 1))
+    cert = check_Tr(f, 2, ExhaustiveStrategy(K=4))
+    assert cert.verdict == "holds" and cert.K == 4
+    assert sweeps == [((125, 4), (125,), 1, 0), ((125, 5), (125,), 1, 0)]
 
 
 def test_tail_floor_provenance():
@@ -449,6 +492,8 @@ def _sampled_cases():
     yield [{(1, 1): Fraction(1, 3)}], 1, Ball(3, (1, 2), 1), 3, 7
     yield [{(3, 0): Fraction(1, 9), (1, 1): 1}], 2, Ball(3, (0, 0), 1), 3, 5
     yield [{(0, 1): 1}, {(2, 0): Fraction(1, 4)}], 1, Ball(2, (0, 1), 0), 3, 3
+    # x^3/3 on 3Z_3 has s = 1 and satisfies T_1: indeterminate when sampled
+    yield [{(3,): Fraction(1, 3)}], 1, Ball(3, (0,), 1), 3, 5
     rng = random.Random(41)
     for _ in range(20):
         p, m = rng.choice([2, 3]), rng.choice([1, 2])
@@ -472,8 +517,13 @@ def test_sampled_check_matches_list_oracle():
         want = oracles.tr_sampled_oracle(comps, r, ball, K, seed, 60)
         wit = cert.witness
         if want is None:
-            assert cert.verdict == "holds", (comps, r, ball, K)
-            outcomes.add("holds")
+            # no violation drawn: a proof only when no coefficient has a
+            # p-denominator (s = 0)
+            s = any(Fraction(c).denominator % ball.p == 0
+                    for t in comps for c in t.values())
+            verdict = "indeterminate" if s else "holds"
+            assert (cert.verdict, wit) == (verdict, None), (comps, r, ball, K)
+            outcomes.add(verdict)
             continue
         assert cert.verdict == "fails", (comps, r, ball, K)
         outcomes.add(want[0])
@@ -490,7 +540,7 @@ def test_sampled_check_matches_list_oracle():
                    wit["valuation"])
             want = want[:3] + (coords(want[3]),) + want[4:]
         assert got == want, (comps, r, ball, K)
-    assert outcomes == {"holds", "remainder", "cr_norm"}
+    assert outcomes == {"holds", "indeterminate", "remainder", "cr_norm"}
 
 
 def test_power_preimage_balls_match_fraction_test():

@@ -9,10 +9,12 @@ script:
     python3 tools/bench_detmethod.py --root ../other-checkout --seed 3 --reps 15
 
 Each job of `perfbench/workloads.py`'s `cover` list runs once to warm up,
-then --reps times.  Every repetition splits the job's wall time into three
+then --reps times.  Every repetition splits the job's wall time into four
 stages, by timing wrappers put on module attributes (the way the benchmark
 tracer wraps them):
 
+  certify `detmethod.certify_components`, the T_r certificate of each
+          component (one `check_Tr` per component)
   build   `detmethod.MonomialMatrix.build`
   linalg  `detmethod._bareiss`, the one elimination kernel behind every
           rank, determinant and auxiliary-polynomial solve
@@ -54,6 +56,7 @@ def _install_timers(detmethod, acc):
                 depth[0] -= 1
         return wrapper
 
+    detmethod.certify_components = timed(detmethod.certify_components, "certify")
     detmethod._bareiss = timed(detmethod._bareiss, "linalg")
     build = detmethod.MonomialMatrix.build.__func__
     detmethod.MonomialMatrix.build = classmethod(timed(build, "build"))
@@ -71,7 +74,8 @@ def main(argv=None):
     import workloads
     from nonarch_lab import detmethod
 
-    acc = {"build": 0.0, "linalg": 0.0}
+    stages = ("certify", "build", "linalg")
+    acc = dict.fromkeys(stages, 0.0)
     _install_timers(detmethod, acc)
     out = {}
     with tempfile.TemporaryDirectory(prefix="bench_detmethod_") as workdir:
@@ -79,16 +83,16 @@ def main(argv=None):
         jobs, _ = workloads.build_jobs("cover", workdir, args.seed)
         for job in jobs:
             job.run()
-            samples = {"total": [], "build": [], "linalg": [], "other": []}
+            samples = {k: [] for k in ("total",) + stages + ("other",)}
             for _ in range(args.reps):
-                acc["build"] = acc["linalg"] = 0.0
+                acc.update(dict.fromkeys(stages, 0.0))
                 t0 = time.perf_counter()
                 job.run()
                 total = time.perf_counter() - t0
                 samples["total"].append(total)
-                samples["build"].append(acc["build"])
-                samples["linalg"].append(acc["linalg"])
-                samples["other"].append(total - acc["build"] - acc["linalg"])
+                for k in stages:
+                    samples[k].append(acc[k])
+                samples["other"].append(total - sum(acc.values()))
             out[job.id] = {k: round(statistics.median(v), 6) for k, v in samples.items()}
     print(json.dumps({"root": str(root), "seed": args.seed, "reps": args.reps,
                       "jobs": out}, indent=2))
