@@ -150,13 +150,7 @@ def _grid_points(X, values, cap):
     when no equation constrains it (no equations, or every one vanishes on
     the fibre).
     """
-    if X.nvars > 4:
-        raise ConfigError("point enumeration is limited to n <= 4 variables")
-    if cap < 0:
-        raise ConfigError(f"need cap >= 0, got {cap}")
-    total = len(values) ** X.nvars
-    if total > cap:
-        raise CapExceededError(f"candidate grid of size {total} exceeds cap {cap}")
+    _check_grid(X, len(values), cap)
     if X.nvars == 0:
         return [()] if X.accepts(()) else []
     last = X.nvars - 1
@@ -190,6 +184,48 @@ def _grid_points(X, values, cap):
             if X.accepts(point, known):
                 out.append(point)
     return out
+
+
+def _check_grid(X, width, cap, at_least=False):
+    """Refuse a grid of width^n candidates over the cap; `at_least` marks
+    width as a lower bound on the number of values."""
+    if X.nvars > 4:
+        raise ConfigError("point enumeration is limited to n <= 4 variables")
+    if cap < 0:
+        raise ConfigError(f"need cap >= 0, got {cap}")
+    total = width ** X.nvars
+    if total > cap:
+        size = f"at least {total}" if at_least else total
+        raise CapExceededError(f"candidate grid of size {size} exceeds cap {cap}")
+
+
+def _height_grid(X, T, cap):
+    """The rationals of height <= T, built only once the grid they span
+    fits the cap.  There are 4 * sum_{h<=T} phi(h) - 1 of them: 0 and +-1
+    at height 1, and +-a/h, +-h/a for each a < h prime to h above.  The
+    2T+1 integers among them bound the grid from below, and the count
+    stops once the grid it spans passes the cap."""
+    if T < 1:
+        raise ConfigError("need T >= 1")
+    _check_grid(X, 2 * T + 1, cap, at_least=True)
+    width = -1
+    for h in range(1, T + 1):
+        width += 4 * _totient(h)
+        if width ** X.nvars > cap:
+            _check_grid(X, width, cap, at_least=h < T)
+    return list(enumerate_heights(T))
+
+
+def _totient(h):
+    """Euler's phi(h), by trial division."""
+    phi, rest, q = h, h, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            phi -= phi // q
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    return phi - phi // rest if rest > 1 else phi
 
 
 def _integer_fibrations(equations, last):
@@ -280,14 +316,14 @@ def _divisor_roots(coeffs, k, d, index, max_num, max_den):
 def points_Q(X, T, cap=10**7):
     """Members of X with rational coordinates of height <= T, in the
     deterministic grid order."""
-    values = list(enumerate_heights(T))
-    return _grid_points(X, values, cap)
+    return _grid_points(X, _height_grid(X, T, cap), cap)
 
 
 def points_Z(X, T, cap=10**7):
     """Members of X with integer coordinates of absolute value <= T."""
     if T < 0:
         raise ConfigError(f"need T >= 0, got {T}")
+    _check_grid(X, 2 * T + 1, cap)
     values = [Fraction(v) for v in range(-T, T + 1)]
     return _grid_points(X, values, cap)
 
@@ -302,4 +338,4 @@ def points_k(X, k, T, cap=10**7):
     """
     if k < 1:
         raise ConfigError("need k >= 1")
-    return _grid_points(X, list(enumerate_heights(T)), cap)
+    return _grid_points(X, _height_grid(X, T, cap), cap)

@@ -3,13 +3,15 @@ Taylor approximation with remainder |x-y|^r, verified exhaustively on
 residue classes.
 
 Every check reads one table of divided derivatives g_beta = (1/beta!)
-d^beta f per component, built once from the terms.  For a polynomial f
-the remainder f(x) - T_y(x) is sum_{|beta|>=r} g_beta(y) (x-y)^beta.
-With s the p-denominator exponent of the coefficients of f, the C^r half
-asks only whether p^s divides p^s * g_beta(y) (|beta| <= r); reduction
-modulo p^s is a ring map, so it is decided on the table modulo p^s.
-When s = 0 nothing can fail, and neither the table nor the residues are
-built.
+d^beta f per component, built once from the terms.  It lists only the
+beta below some exponent of the component, the g_beta that are not
+identically zero, and beta = 0 always, ordered by (|beta|, beta), so the
+C^r entries (|beta| <= r) come first.  For a polynomial f the remainder
+f(x) - T_y(x) is sum_{|beta|>=r} g_beta(y) (x-y)^beta.  With s the
+p-denominator exponent of the coefficients of f, the C^r half asks only
+whether p^s divides p^s * g_beta(y) (|beta| <= r); reduction modulo p^s
+is a ring map, so it is decided on the table modulo p^s.  When s = 0
+nothing can fail, and neither the table nor the residues are built.
 
 In one variable the remainder factors as (x-y)^r * S(x,y) with
 S = sum_{j>=r} g_j(y) (x-y)^(j-r), and the pair sweep asks whether
@@ -17,7 +19,8 @@ p^s * S vanishes modulo p^s on every residue pair mod p^K.  In several
 variables write x = y + p^v u with u primitive: once the C^r half holds,
 the bound at (x, y) asks whether sum_{|beta|>r} p^s g_beta(y)
 p^(v(|beta|-r)) u^beta vanishes modulo p^s, which depends only on y and
-x - y modulo p^s; the verdict is decided on those classes, and only a
+x - y modulo p^s; the verdict is decided on those classes, the
+remainder columns are built only after the C^r columns pass, and only a
 failure lists the residues mod p^K, to name the first failing pair.
 Witness ords are exact, from the same table.  Every exhaustive verdict
 with K >= s is a proof for all Z_p-points of the ball.
@@ -190,21 +193,6 @@ def cr_norm(f, r, ball):
     return best
 
 
-def _multi_indices(m, up_to):
-    for total in range(up_to + 1):
-        for combo in _compositions(total, m):
-            yield combo
-
-
-def _compositions(total, m):
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, m - 1):
-            yield (first,) + rest
-
-
 # ---------------------------------------------------------------------------
 # T_r certification
 # ---------------------------------------------------------------------------
@@ -299,22 +287,24 @@ def _json_exact(v):
 
 
 def _derivative_table(f):
-    """Per component, the divided derivatives (beta, g_beta) for |beta| up
-    to the component's degree, in _multi_indices order; each g_beta is a
-    dict exponent -> coefficient.  One pass over the terms: c x^e adds
-    C(e, beta) c x^(e - beta) to g_beta for every beta <= e, and distinct
-    terms give distinct exponents."""
+    """Per component, the divided derivatives (beta, g_beta) for the beta
+    that lie below some exponent of the component, and beta = 0 always,
+    ordered by (|beta|, beta); each g_beta is a dict exponent ->
+    coefficient.  The beta left out have g_beta = 0; in one variable none
+    is, up to the degree.  One pass over the terms: c x^e adds C(e, beta)
+    c x^(e - beta) to g_beta for every beta <= e, and distinct terms give
+    distinct exponents."""
     table = []
     for comp in f.components:
-        derivs = {beta: {} for beta in _multi_indices(f.m, comp.degree() or 0)}
+        derivs = {(0,) * f.m: {}}
         for exp, c in comp.terms.items():
             for beta in itertools.product(*[range(e + 1) for e in exp]):
                 coef = c
                 for e, b in zip(exp, beta):
                     if 0 < b < e:
                         coef = coef * math.comb(e, b)
-                derivs[beta][tuple([e - b for e, b in zip(exp, beta)])] = coef
-        table.append(list(derivs.items()))
+                derivs.setdefault(beta, {})[tuple([e - b for e, b in zip(exp, beta)])] = coef
+        table.append(sorted(derivs.items(), key=lambda item: (sum(item[0]), item[0])))
     return table
 
 
@@ -422,7 +412,7 @@ def _check_tr_1d(f, r, ball, K, s):
     xs = _reduce(residues, mod)
 
     derivs = _derivative_table(f)
-    for comp_idx, entries in enumerate(derivs):
+    for entries in derivs:
         table = _residue_table(entries, xs[:, None], p, s)
 
         # remainder sweep first: the factored remainder must stay integral;
@@ -434,15 +424,12 @@ def _check_tr_1d(f, r, ball, K, s):
                 return _exact_pair_violation(derivs, r, (int(residues[bx]),),
                                              (int(residues[by]),), p)
 
-        # pointwise C^r bound: the first (y, j <= r) whose scaled value is
-        # nonzero mod p^s; its exact valuation goes into the witness
-        bad = table[:, :r + 1] != 0
+        # pointwise C^r bound at the first y with a nonzero scaled value of
+        # order <= r; earlier components passed every y, so the exact
+        # re-check names this one
+        bad = (table[:, :r + 1] != 0).any(axis=1)
         if bad.any():
-            yi, j = divmod(int(bad.argmax()), bad.shape[1])
-            beta, g = entries[j]
-            y = (int(residues[yi]),)
-            return _cr_witness(comp_idx, beta, y,
-                               val_fraction(MultiPoly(1, g).eval(y), p))
+            return _exact_point_violation(derivs, r, (int(residues[int(bad.argmax())]),), p)
     return None
 
 
@@ -458,21 +445,23 @@ def _reduce(residues, mod):
 
 def _residue_table(entries, points, p, s):
     """table[y, k] = p^s * g(points[y]) modulo p^s for the k-th entry
-    (beta, g) of one component of a _derivative_table, shape (R, len(entries)).
-    points is an (R, m) array of residues mod p^s, int64 when
-    int64_safe(p^s) and object otherwise; the table has its dtype."""
+    (beta, g) of `entries`, a run of one component's _derivative_table (the
+    C^r entries, |beta| <= r, or the remainder entries after them), shape
+    (R, len(entries)).  points is an (R, m) array of residues mod p^s,
+    int64 when int64_safe(p^s) and object otherwise; the table has its
+    dtype."""
     import numpy as np
 
     R, m = points.shape
     table = np.zeros((R, len(entries)), dtype=points.dtype)
     mod = p ** s
     scale = Fraction(mod)
-    # powers[i][e] = points[:, i]^e mod p^s up to the top exponent of g_0,
-    # which bounds the exponents of every g_beta
+    # powers[i][e] = points[:, i]^e mod p^s up to the top exponent of
+    # variable i in the given entries
     powers = []
     for i in range(m):
         col = [np.ones(R, dtype=points.dtype)]
-        for _ in range(max((e[i] for e in entries[0][1]), default=0)):
+        for _ in range(max((e[i] for _beta, g in entries for e in g), default=0)):
             col.append(col[-1] * points[:, i] % mod)
         powers.append(col)
     for k, (_beta, g) in enumerate(entries):
@@ -485,16 +474,6 @@ def _residue_table(entries, points, p, s):
             val += term
             val %= mod
     return table
-
-
-def _cr_witness(comp_idx, beta, y, valuation):
-    return {
-        "kind": "cr_norm",
-        "component": comp_idx,
-        "order": beta,
-        "y": y[0] if len(y) == 1 else y,
-        "valuation": valuation,
-    }
 
 
 def _remainder_ords(entries, r, x, y, p):
@@ -556,7 +535,7 @@ def _check_tr_sampled(f, r, strategy, ball, K):
             y = tuple(c + p ** ball.alpha * rng.randrange(p ** (K - ball.alpha))
                       for c in ball.canonical_center())
         bad = (_exact_pair_violation(derivs, r, x, y, p)
-               or _exact_point_violation(derivs, r, y, p))
+               or _exact_point_violation(derivs, r, tuple(map(Fraction, y)), p))
         if bad is not None:
             return bad
     return None
@@ -579,24 +558,29 @@ def _exact_pair_violation(derivs, r, x, y, p):
 
 def _exact_point_violation(derivs, r, y, p):
     """First order-<=r divided derivative of negative valuation at y, in
-    (component, beta) order, from a _derivative_table, as a witness."""
-    y = tuple(Fraction(c) for c in y)
+    (component, beta) order, from a _derivative_table, as a witness; only
+    the C^r entries at the head of each component are read.  y is kept as
+    given: ints from the 1-D check, Fractions from the others."""
     for ci, entries in enumerate(derivs):
         for beta, g in entries:
             if sum(beta) > r:
                 break
             v = val_fraction(MultiPoly(len(y), g).eval(y), p)
             if v < 0:
-                return _cr_witness(ci, beta, y, v)
+                return {"kind": "cr_norm", "component": ci, "order": beta,
+                        "y": y[0] if len(y) == 1 else y, "valuation": v}
     return None
 
 
 def _check_tr_nd(f, r, ball, K, s):
     """First violation of a multivariate map, decided on residue classes
     modulo p^s, or None: the C^r half on y mod p^max(s, alpha) over all
-    components first, then the remainder half on the classes of y and of
-    x - y.  The first failing y in ball order mod p^K is the first failing
-    y-class, so only a remainder failure lists the residues mod p^K."""
+    components first, from the |beta| <= r columns alone, then the
+    remainder half on the classes of y and of x - y, whose columns and
+    difference weights are built only once the C^r half holds and
+    s > alpha.  The first failing y in ball order mod p^K is the first
+    failing y-class, so only a remainder failure lists the residues mod
+    p^K."""
     import numpy as np
 
     p, m, alpha = ball.p, ball.m, ball.alpha
@@ -607,15 +591,17 @@ def _check_tr_nd(f, r, ball, K, s):
         raise CapExceededError(
             f"{n_cls}^2 residue-class pairs mod p^{s} exceed cap {PAIR_CAP}")
     derivs = _derivative_table(f)
+    # each component's entries split at `low`: the C^r entries (|beta| <= r)
+    # first, the remainder entries after them
     low = [sum(sum(beta) <= r for beta, _g in entries) for entries in derivs]
     mod = p ** s
     ys = ball.residue_array(max(s, alpha))
     points = _reduce(ys, mod)
-    tables = [_residue_table(entries, points, p, s) for entries in derivs]
 
-    bad = np.concatenate([t[:, :n] for t, n in zip(tables, low)], axis=1) != 0
+    bad = np.concatenate([_residue_table(entries[:n], points, p, s)
+                          for entries, n in zip(derivs, low)], axis=1) != 0
     if bad.any():
-        y = tuple(ys[int(bad.any(axis=1).argmax())].tolist())
+        y = tuple(map(Fraction, ys[int(bad.any(axis=1).argmax())].tolist()))
         return _exact_point_violation(derivs, r, y, p)
     if s <= alpha:
         # every |beta| > r term carries p^(v(|beta|-r)) with v >= alpha >= s
@@ -625,6 +611,7 @@ def _check_tr_nd(f, r, ball, K, s):
     # coordinate fastest
     width = p ** (s - alpha)
     diffs = np.indices((width,) * m).reshape(m, n_cls).T
+    tables = [_residue_table(entries[n:], points, p, s) for entries, n in zip(derivs, low)]
     weights = [_difference_weights(entries[n:], r, diffs, p, s, alpha)
                for entries, n in zip(derivs, low)]
 
@@ -632,10 +619,10 @@ def _check_tr_nd(f, r, ball, K, s):
         """bad[y, j]: the bound fails at (y, y + p^alpha diffs[j]) for some
         component, y over the y-classes y0..y1-1."""
         bad = np.zeros((y1 - y0, n_cls), dtype=bool)
-        for t, n, w in zip(tables, low, weights):
+        for t, w in zip(tables, weights):
             val = np.zeros((y1 - y0, n_cls), dtype=t.dtype)
             for k in range(len(w)):
-                val += t[y0:y1, n + k, None] * w[k]
+                val += t[y0:y1, k, None] * w[k]
                 val %= mod
             bad |= val != 0
         return bad

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from nonarch_lab import heights
 from nonarch_lab.arith_core import MultiPoly
 from nonarch_lab.errors import CapExceededError, ConfigError
 from nonarch_lab.heights import (
@@ -252,6 +253,36 @@ def test_fibred_points_match_grid_oracle(n, mode, T_max):
         with pytest.raises(CapExceededError):
             enumerate_points(spec, T, cap=size - 1)
     assert nonempty >= 5
+
+
+def test_grid_cap_is_decided_before_the_grid_is_built(parabola_curve, monkeypatch):
+    # the cap is read off the size of the grid, so a grid over it is
+    # refused before its values are built or reach _grid_points
+    grid_points = heights._grid_points
+
+    def checked(X, values, cap):
+        if len(values) ** X.nvars > cap:
+            pytest.fail(f"{len(values)} values built for a grid over cap {cap}")
+        return grid_points(X, values, cap)
+
+    monkeypatch.setattr(heights, "_grid_points", checked)
+    with pytest.raises(CapExceededError, match="size 400040001 exceeds"):
+        points_Z(parabola_curve, 10**4, cap=10**7)
+    # (2T+1)^2 = 160801 fits the cap, so the count of heights decides
+    for enumerate_points in (points_Q, lambda X, T, cap: points_k(X, 2, T, cap)):
+        with pytest.raises(CapExceededError, match="size at least"):
+            enumerate_points(parabola_curve, 200, cap=10**7)
+    with pytest.raises(CapExceededError, match="at least 4004001 exceeds cap 1000000"):
+        points_Q(parabola_curve, 1000, cap=10**6)
+    # the grid counts 4 * sum_{h<=T} phi(h) - 1 rationals, to the last one
+    x = MultiPoly(1, {(1,): 1})
+    for T in (1, 2, 3, 10, 57):
+        size = len(list(enumerate_heights(T)))
+        spec = SemialgSpec(1, [x * x - 4])
+        assert points_Q(spec, T, cap=size) == oracles.grid_points(
+            spec, list(enumerate_heights(T)))
+        with pytest.raises(CapExceededError, match=f" {size} exceeds cap {size - 1}$"):
+            points_Q(spec, T, cap=size - 1)
 
 
 def test_fibred_points_vanishing_fibres():

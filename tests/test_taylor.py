@@ -238,15 +238,21 @@ def test_check_tr_2d_matches_exact_oracle():
 
 
 def test_residue_table_matches_python():
-    # the one-pass derivative table equals divided_derivative entry by
-    # entry, and the residue table holds p^s * g_beta(y) mod p^s on int64
-    # residues and, past int64, on object arrays of Python ints
+    # the one-pass derivative table lists the beta below some exponent, in
+    # (|beta|, beta) order, and equals divided_derivative entry by entry;
+    # every beta it leaves out has g_beta = 0.  The residue table holds
+    # p^s * g_beta(y) mod p^s on int64 residues and, past int64, on object
+    # arrays of Python ints
     comp = MultiPoly(2, {(2, 1): Fraction(1, 9), (0, 1): 2, (1, 0): Fraction(-1, 3)})
     entries = _derivative_table(PolyMap(2, 1, [comp]))[0]
-    assert [beta for beta, _g in entries] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1),
-                                             (2, 0), (0, 3), (1, 2), (2, 1), (3, 0)]
+    assert [beta for beta, _g in entries] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0),
+                                             (2, 1)]
     for beta, g in entries:
         assert g == divided_derivative(comp, beta).terms
+    listed = {beta for beta, _g in entries}
+    for beta in itertools.product(range(4), repeat=2):
+        if sum(beta) <= 3 and beta not in listed:
+            assert divided_derivative(comp, beta).is_zero(), beta
     pts = [(0, 1), (4, 7), (13, 2), (5, 0)]
     for s, dtype in ((2, np.int64), (25, object)):
         mod = 3 ** s
@@ -381,6 +387,60 @@ def test_sampled_run_without_violation_is_indeterminate():
         assert cert.to_json()["verdict"] == "indeterminate"
     witness = {"kind": "cr_norm", "component": 0, "order": (0,) * 5, "y": (0,) * 5}
     assert recheck_witness(f, 1, witness, 5)
+
+
+def test_cr_half_builds_only_the_cr_columns(monkeypatch):
+    # the same map fails the C^r half at 0; of its 3125 divided derivatives
+    # (53130 multi-indices up to degree 20) the check builds residue
+    # columns for the 6 with |beta| <= 1 only
+    from nonarch_lab import taylor
+
+    terms = {}
+    for sel in itertools.product((0, 1), repeat=5):
+        terms[tuple(4 * b for b in sel)] = Fraction((-1) ** (5 - sum(sel)), 5)
+    f = PolyMap(5, 1, [MultiPoly(5, terms)], domain=Ball(5, (0,) * 5, 0))
+    real = taylor._residue_table
+
+    def cr_columns_only(entries, points, p, s):
+        if len(entries) > 6:
+            raise AssertionError(f"{len(entries)} residue columns built")
+        return real(entries, points, p, s)
+
+    monkeypatch.setattr(taylor, "_residue_table", cr_columns_only)
+    cert = check_Tr(f, 1)
+    assert cert.verdict == "fails"
+    assert cert.witness == {"kind": "cr_norm", "component": 0, "order": (0,) * 5,
+                            "y": (Fraction(0),) * 5, "valuation": -1}
+    assert recheck_witness(f, 1, cert.witness, 5)
+
+
+def test_zero_component_keeps_its_beta_0_entry():
+    # an identically zero component still has g_0 = 0 in the table, which
+    # the remainder re-check reads as f; the second component fails, and
+    # verdict and witness are the definition's: in one variable per
+    # component, remainder before C^r; in two, C^r over all components first
+    zero = MultiPoly(1, {})
+    f = PolyMap(1, 2, [zero, MultiPoly(1, {(2,): Fraction(1, 2), (1,): Fraction(-1, 2)})],
+                domain=Z2)
+    assert _derivative_table(f)[0] == [((0,), {})]
+    cert = check_Tr(f, 1, ExhaustiveStrategy(K=3))
+    want = oracles.tr_residue_oracle([[], [0, Fraction(-1, 2), Fraction(1, 2)]], 1, 2,
+                                     range(8))
+    assert want == ("remainder", 1, 2, 0)
+    wit = cert.witness
+    assert (cert.verdict, wit["kind"], wit["component"], wit["x"], wit["y"]) == (
+        "fails",) + want
+    assert recheck_witness(f, 1, wit, 2)
+
+    comps = [{}, {(1, 1): Fraction(1, 3)}]
+    f = PolyMap(2, 2, [MultiPoly(2, t) for t in comps], domain=Ball(3, (0, 0), 0))
+    cert = check_Tr(f, 1, ExhaustiveStrategy(K=2))
+    want = oracles.tr_check_oracle(comps, 1, 3, (0, 0), 0, 2)
+    assert want == ("cr_norm", 1, (1, 0), (0, 1), -1)
+    wit = cert.witness
+    assert cert.verdict == "fails"
+    assert (wit["kind"], wit["component"], wit["order"], wit["y"], wit["valuation"]) == want
+    assert recheck_witness(f, 1, wit, 3)
 
 
 def test_multivariate_check():

@@ -10,12 +10,12 @@ script:
 
 The inputs are those of `perfbench/workloads.py`: the twelve gauss1a suites
 (p = 2, 3; r = 2, 3; g = x, x^2, x^2 + px; K = 8) and the degree-7 map on
-1 + 3Z_3 at r = 3, K = 8; plus one multivariate map.  Each stage runs once
-to warm up, then --reps times; the first four over all thirteen checks:
+1 + 3Z_3 at r = 3, K = 8; plus two multivariate maps.  Each stage runs
+once to warm up, then --reps times; the first four over all thirteen
+checks:
 
   residue-build  the residues mod p^K of every checked ball as an integer
-                 array (`Ball.residue_array`; checkouts that predate it
-                 collect the `Ball.residues` tuples into an array)
+                 array (`Ball.residue_array`)
   pair-sweep     `_kernels.tr_pair_sweep` on every component's table
                  (`taylor._residue_table` modulo p^s, zeros when s = 0;
                  every tr-deep map has s = 0, so each call returns at once)
@@ -24,6 +24,9 @@ to warm up, then --reps times; the first four over all thirteen checks:
                  per suite and `taylor.check_Tr` of the degree-7 map
   nd-K2, nd-K3   `taylor.check_Tr` of (x^2 + xy + y^2 + y^3)/3 on 3Z_3^2
                  at r = 1 and K = 2, 3 (it holds)
+  nd-xy81        `taylor.check_Tr` of xy + x^3 y^4/81 on 3Z_3^2 at r = 1
+                 and the default K (it holds with s = 4 > alpha = 1, so
+                 the remainder half runs on the classes mod 3^4)
 
 The output is one JSON object: per stage, the median over repetitions in
 raw seconds of this host.
@@ -63,17 +66,12 @@ def _stages(workloads):
     deg7 = cli.parse_polymap(workloads.TR_DEG7)
     checks.append((deg7, 3, deg7.domain))
 
-    def build(ball):
-        if hasattr(ball, "residue_array"):
-            return ball.residue_array(K)
-        return np.array(list(ball.residues(K)))
-
     tables = []
     for f, r, ball in checks:
         s = max(val_int(c.denominator, ball.p) for comp in f.components
                 for c in comp.terms.values())
         mod = ball.p ** s
-        xs = build(ball)[:, 0] % mod
+        xs = ball.residue_array(K)[:, 0] % mod
         for ci, comp in enumerate(f.components):
             table = (taylor._residue_table(taylor._derivative_table(f)[ci],
                                            xs[:, None], ball.p, s) if s
@@ -83,10 +81,12 @@ def _stages(workloads):
     nd_map = taylor.PolyMap(2, 1, [MultiPoly(2, {(2, 0): third, (1, 1): third,
                                                  (0, 2): third, (0, 3): third})],
                             domain=Ball(3, (0, 0), 1))
+    xy81 = taylor.PolyMap(2, 1, [MultiPoly(2, {(1, 1): 1, (3, 4): Fraction(1, 81)})],
+                          domain=Ball(3, (0, 0), 1))
 
     def residue_build():
         for _f, _r, ball in checks:
-            build(ball)
+            ball.residue_array(K)
 
     def pair_sweep():
         for table, xs, mod, r in tables:
@@ -106,7 +106,8 @@ def _stages(workloads):
 
     return {"residue-build": residue_build, "pair-sweep": pair_sweep,
             "preimage-balls": preimage_balls, "total": total,
-            "nd-K2": nd(2), "nd-K3": nd(3)}
+            "nd-K2": nd(2), "nd-K3": nd(3),
+            "nd-xy81": lambda: taylor.check_Tr(xy81, 1)}
 
 
 def main(argv=None):
