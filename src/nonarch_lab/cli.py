@@ -125,7 +125,7 @@ def input_schema(path):
 def parse_semialg(data):
     from .heights import PadicConstraint, SemialgSpec
 
-    nvars = config_int(data["vars"], "vars")
+    nvars = config_int(data["vars"], "vars", 0)
     eqs = [parse_poly(p, nvars) for p in data.get("equations", [])]
     ineqs = [parse_poly(p, nvars) for p in data.get("inequations", [])]
     p = None
@@ -206,7 +206,7 @@ def read_cover(args):
 
 def read_ideal(args):
     data = load_json(args.input)
-    nvars = config_int(data["vars"], "vars")
+    nvars = config_int(data["vars"], "vars", 0)
     return nvars, [parse_poly(g, nvars) for g in data["generators"]]
 
 

@@ -2,6 +2,11 @@
 statistics of standard monomials, and the (delta, alpha) selection for the
 curve-case determinant argument.
 
+H(s) and the exponent sums sigma_i(s) of the standard monomials come in
+closed form from the multigraded Hilbert numerator of LT(I), one
+polynomial computed by a memoized recursion over the minimal leading-term
+generators (hilbert_numerator); no monomial of degree s is listed.
+
 The fixed monomial order is degree-first; at equal degree the monomial with
 the larger exponent at the first differing index is the smaller one (a
 reverse graded lexicographic order up to reindexing).  No reindexing search
@@ -79,6 +84,16 @@ def _divides(a, b):
 
 def _quot(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _minimalize(gens):
+    """The minimal generators of the monomial ideal spanned by gens, as a
+    sorted tuple: a proper divisor has lower degree, so it comes first."""
+    minimal = []
+    for g in sorted(set(gens), key=sum):
+        if not any(_divides(h, g) for h in minimal):
+            minimal.append(g)
+    return tuple(sorted(minimal))
 
 
 def _mono_mul(f, exp, coeff):
@@ -190,43 +205,64 @@ class HomIdeal:
 
     def leading_exponents(self):
         """Minimal monomial generators of LT(I)."""
-        lts = [leading_term(g)[0] for g in self.groebner_basis()]
-        minimal = []
-        for e in sorted(lts, key=grevlex_key):
-            if not any(_divides(f, e) for f in minimal):
-                minimal.append(e)
-        return minimal
+        return sorted(_minimalize(leading_term(g)[0] for g in self.groebner_basis()),
+                      key=grevlex_key)
 
 
 # ---------------------------------------------------------------------------
 # Hilbert tables
 # ---------------------------------------------------------------------------
 
+def _numerator(G, memo):
+    """N(G) of hilbert_numerator for a minimalized generator tuple G."""
+    if G not in memo:
+        *rest, g = G
+        rest = tuple(rest)
+        out = dict(_numerator(rest, memo))
+        colon = _minimalize(tuple(max(x, y) - y for x, y in zip(h, g)) for h in rest)
+        for a, c in _numerator(colon, memo).items():
+            ag = tuple(x + y for x, y in zip(a, g))
+            out[ag] = out.get(ag, 0) - c
+            if not out[ag]:
+                del out[ag]
+        memo[G] = out
+    return memo[G]
+
+
+def hilbert_numerator(nvars, lt_gens):
+    """The multigraded Hilbert numerator {a: c_a} of the monomial ideal
+    spanned by lt_gens: the sum of x^m over the standard monomials m is
+    sum_a c_a x^a / prod_i (1 - x_i) (Bayer-Stillman; Bigatti).
+
+    One recursion over the minimal generators G, memoized on G:
+    N(()) = 1, and N(G + (g,)) = N(G) - x^g N(G : g) with the colon ideal
+    G : g = (max(h, g) - g for h in G), minimalized again.  A zero
+    generator (the unit ideal) leaves N = 0 by the same recursion."""
+    return _numerator(_minimalize(tuple(g) for g in lt_gens), {(): {(0,) * nvars: 1}})
+
+
 @dataclass
 class HilbertTable:
     """Standard-monomial statistics of a homogeneous ideal, driven entirely
     by the leading-term exponents (I and LT(I) share the Hilbert function).
 
-    The standard monomials (those divisible by no element of lt_gens) form
-    an order ideal: every divisor of a standard monomial is standard.  So
-    the table walks the degrees in turn.  Degree 0 is the constant monomial
-    unless some leading term divides 1, and a monomial m of degree s+1 is
-    standard exactly when m is not in lt_gens and every degree-s divisor
-    m - unit_j (m_j > 0) is standard.  This holds for any lt_gens, minimal
-    or not: a proper divisor of m in lt_gens divides one of those degree-s
-    divisors, which is then not standard.
+    The standard monomials are those divisible by no element of lt_gens.
+    Their generating function is N / prod_i (1 - x_i), N = sum_a c_a x^a
+    the hilbert_numerator of lt_gens, computed once.  A term c_a x^a
+    contributes x^a times every monomial u of degree k = s - |a| >= 0, of
+    which there are C(k + n - 1, n - 1), and the u_i of which sum to
+    C(k + n - 1, n).  So, in n >= 1 variables,
 
-    The walk keeps only its current degree's monomials, and caches H(s)
-    and the sums sigma_i(s) of every degree it has passed; all statistics
-    below read that cache.
+        H(s)       = sum_a c_a C(k + n - 1, n - 1),
+        sigma_i(s) = sum_a c_a (a_i C(k + n - 1, n - 1) + C(k + n - 1, n)),
+
+    and with n = 0 the only monomial is 1, of degree 0.  (H(s), sigma(s))
+    is cached per degree, so all statistics below share one evaluation.
     """
 
     nvars: int
     lt_gens: list
-    _stats: list = field(default_factory=list, init=False, repr=False,
-                         compare=False)
-    _degree: int = field(default=-1, init=False, repr=False, compare=False)
-    _level: list = field(default_factory=list, init=False, repr=False,
+    _stats: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     @classmethod
@@ -237,54 +273,33 @@ class HilbertTable:
     def from_lt(cls, nvars, lt_gens):
         return cls(nvars, [tuple(e) for e in lt_gens])
 
-    def _advance(self):
-        """Move the walk one degree up and cache that degree's H, sigma.
-
-        The level holds pairs (m, i) with i the last index at which m is
-        nonzero (0 for the constant), so that each monomial of the next
-        degree is generated once: from its divisor at its own last nonzero
-        index.  The divisors at the other nonzero indices are looked up."""
-        n = self.nvars
-        lt = {tuple(g) for g in self.lt_gens}
-        if self._degree < 0:
-            zero = (0,) * n
-            level = [] if zero in lt else [(zero, 0)]
-        else:
-            below = {e for e, _ in self._level}
-            level = []
-            for e, last in self._level:
-                for i in range(last, n):
-                    m = e[:i] + (e[i] + 1,) + e[i + 1:]
-                    if m in lt:
-                        continue
-                    for j in range(i):
-                        if m[j] and m[:j] + (m[j] - 1,) + m[j + 1:] not in below:
-                            break
-                    else:
-                        level.append((m, i))
-        self._degree += 1
-        self._level = level
-        if self._degree == len(self._stats):
-            sig = tuple(map(sum, zip(*(e for e, _ in level))))
-            self._stats.append((len(level), sig if level else (0,) * n))
+    @functools.cached_property
+    def _terms(self):
+        """(|a|, a, c_a) for each term c_a x^a of the Hilbert numerator."""
+        numerator = hilbert_numerator(self.nvars, self.lt_gens)
+        return [(sum(a), a, c) for a, c in numerator.items()]
 
     def _stat(self, s):
         """(H(s), sigma(s)); (0, zeros) below degree 0."""
-        if s < 0:
-            return 0, (0,) * self.nvars
-        while len(self._stats) <= s:
-            self._advance()
+        n = self.nvars
+        if s not in self._stats:
+            H, sig = 0, [0] * n
+            for deg, a, c in self._terms:
+                k = s - deg
+                if k < 0:
+                    continue
+                count, spread = ((math.comb(k + n - 1, n - 1), math.comb(k + n - 1, n))
+                                 if n else (int(k == 0), 0))
+                H += c * count
+                for i in range(n):
+                    sig[i] += c * (a[i] * count + spread)
+            self._stats[s] = H, tuple(sig)
         return self._stats[s]
 
     def standard_monomials(self, s):
         """Standard monomials of degree s, in the monomials_of_degree order."""
-        if s < 0:
-            return []
-        if s < self._degree:
-            self._degree, self._level = -1, []
-        while self._degree < s:
-            self._advance()
-        return sorted((e for e, _ in self._level), key=grevlex_key)
+        return [m for m in monomials_of_degree(self.nvars, s)
+                if not any(_divides(g, m) for g in self.lt_gens)]
 
     def hilbert_function(self, s):
         return self._stat(s)[0]
@@ -303,12 +318,6 @@ class HilbertTable:
         if s < 1 or H == 0:
             raise ConfigError("need s >= 1 with H(s) > 0")
         return tuple(Fraction(x, s * H) for x in self.sigma_all(s))
-
-    def a_extrapolated(self, s):
-        """Two-point Richardson extrapolation 2*ratio(2s) - ratio(s)."""
-        r1 = self.a_estimates(s)
-        r2 = self.a_estimates(2 * s)
-        return tuple(2 * b - a for a, b in zip(r1, r2))
 
     def mu_e(self, delta):
         """Curve-case constants: mu = H(delta), e = mu(mu-1)/2."""

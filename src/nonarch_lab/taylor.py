@@ -611,9 +611,14 @@ def _check_tr_nd(f, r, ball, K, s):
     # coordinate fastest
     width = p ** (s - alpha)
     diffs = np.indices((width,) * m).reshape(m, n_cls).T
-    tables = [_residue_table(entries[n:], points, p, s) for entries, n in zip(derivs, low)]
-    weights = [_difference_weights(entries[n:], r, diffs, p, s, alpha)
-               for entries, n in zip(derivs, low)]
+    tables, weights = [], []
+    for entries, n in zip(derivs, low):
+        t = _residue_table(entries[n:], points, p, s)
+        w = _difference_weights(entries[n:], r, diffs, p, s, alpha)
+        # a term whose column or weight row is 0 mod p^s adds nothing
+        keep = (t != 0).any(axis=0) & (w != 0).any(axis=1)
+        tables.append(t[:, keep])
+        weights.append(w[keep])
 
     def remainder_bad(y0, y1):
         """bad[y, j]: the bound fails at (y, y + p^alpha diffs[j]) for some

@@ -154,8 +154,8 @@ def auxiliary_polynomial_fraction(points, d, n=None):
 
 
 def monomials_exact_degree(nvars, s):
-    if nvars == 1:
-        return [(s,)]
+    if nvars == 0:
+        return [()] if s == 0 else []
     out = []
     for e in range(s + 1):
         for rest in monomials_exact_degree(nvars - 1, s - e):

@@ -602,6 +602,19 @@ def test_integer_fields_not_integer_exit_2(tmp_path, capsys, command, field, val
     assert_config_error([command, path] + argv, named, capsys, in_subprocess=False)
 
 
+
+@pytest.mark.parametrize("command, data", [("heights", {"vars": -1, "equations": []}),
+                                           ("hilbert", {"vars": -2, "generators": []})],
+                         ids=["heights", "hilbert"])
+def test_negative_vars_exit_2(tmp_path, capsys, command, data):
+    # a negative variable count is malformed input: without the check,
+    # heights raised a ValueError (exit 1) and hilbert printed an empty table
+    argv = INTEGER_FIELD_INPUTS[command][1]
+    path = write(tmp_path, "input.json", data)
+    value = data["vars"]
+    assert_config_error([command, path] + argv, f"vars must be >= 0, got {value}",
+                        capsys, in_subprocess=False)
+
 NUMPY_PROBE = """\
 import importlib, json, pkgutil, sys
 import nonarch_lab

@@ -5,15 +5,18 @@ import pytest
 
 import oracles
 from conftest import conic_generator, cuspidal_generator, power_curve_generator
+from nonarch_lab import hilbert
 from nonarch_lab.arith_core import MultiPoly
 from nonarch_lab.errors import BudgetExceededError, ConfigError
 from nonarch_lab.hilbert import (
     HilbertTable,
     HomIdeal,
+    _minimalize,
     compare_order,
     delta_exponents,
     grevlex_key,
     groebner,
+    hilbert_numerator,
     leading_term,
     monomials_of_degree,
     normal_form,
@@ -126,11 +129,12 @@ def test_a_estimates_conic():
 
 
 def test_a_extrapolation_sharper_than_finite_s():
+    # two-point Richardson extrapolation 2 ratio(2s) - ratio(s)
     table = HilbertTable.from_ideal(HomIdeal([conic_generator()]))
     target = (Fraction(1, 2), Fraction(0), Fraction(1, 2))
     for s in (5, 10):
         plain = table.a_estimates(s)
-        extra = table.a_extrapolated(s)
+        extra = tuple(2 * b - a for a, b in zip(plain, table.a_estimates(2 * s)))
         assert sum(extra) == 1
         for i in range(3):
             assert abs(extra[i] - target[i]) <= abs(plain[i] - target[i])
@@ -221,49 +225,116 @@ def test_delta_exponents_is_sorted_union_of_degrees():
             assert delta_exponents(n, d) is got  # computed once per (n, d)
 
 
-def _assert_walk_matches_filter(nvars, lt_gens, smax=12):
-    walked = HilbertTable.from_lt(nvars, lt_gens)
-    stats = HilbertTable.from_lt(nvars, lt_gens)
+def _assert_table_matches_filter(nvars, lt_gens, smax=12):
+    table = HilbertTable.from_lt(nvars, lt_gens)
     for s in range(smax + 1):
         want = oracles.standard_monomials_filter(nvars, lt_gens, s)
-        assert walked.standard_monomials(s) == want, (nvars, lt_gens, s)
+        assert table.standard_monomials(s) == want, (nvars, lt_gens, s)
         sig = tuple(sum(e[i] for e in want) for i in range(nvars))
-        assert (stats.hilbert_function(s), stats.sigma_all(s)) == (len(want), sig)
+        assert (table.hilbert_function(s), table.sigma_all(s)) == (len(want), sig)
 
 
-def test_walk_matches_filter_on_random_monomial_ideals():
+def test_table_matches_filter_on_random_monomial_ideals():
     rng = random.Random(20141)
-    for _ in range(80):
+    for _ in range(200):
         nvars = rng.randint(1, 4)
         lt_gens = [tuple(rng.randint(0, 3) for _ in range(nvars))
-                   for _ in range(rng.randint(0, 4))]
-        _assert_walk_matches_filter(nvars, lt_gens)
+                   for _ in range(rng.randint(0, 5))]
+        _assert_table_matches_filter(nvars, lt_gens, smax=15)
 
 
-def test_walk_unit_zero_and_redundant_generators():
-    _assert_walk_matches_filter(3, [(0, 0, 0)])
-    _assert_walk_matches_filter(3, [(1, 0, 2), (0, 0, 0)])
+def test_table_unit_zero_and_redundant_generators():
+    _assert_table_matches_filter(3, [(0, 0, 0)])
+    _assert_table_matches_filter(3, [(1, 0, 2), (0, 0, 0)])
     for nvars in (1, 2, 3, 4):
-        _assert_walk_matches_filter(nvars, [])
+        _assert_table_matches_filter(nvars, [])
     # duplicates, and generators that are multiples of other generators
-    _assert_walk_matches_filter(
+    _assert_table_matches_filter(
         3, [(1, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 3), (0, 1, 3), (1, 2, 3)])
-    _assert_walk_matches_filter(4, [(0, 2, 0, 0), (0, 2, 1, 0), (0, 3, 0, 0)])
+    _assert_table_matches_filter(4, [(0, 2, 0, 0), (0, 2, 1, 0), (0, 3, 0, 0)])
     table = HilbertTable.from_lt(3, [(0, 0, 0)])
     assert table.standard_monomials(0) == []
     assert table.hilbert_function(5) == 0 and table.sigma_all(5) == (0, 0, 0)
+    assert hilbert_numerator(3, [(0, 0, 0), (1, 0, 0)]) == {}
 
 
-def test_walk_out_of_order():
+def test_table_out_of_order():
     lt_gens = [(0, 2, 0, 0), (0, 1, 1, 0), (1, 0, 2, 1)]
     table = HilbertTable.from_lt(4, lt_gens)
     for s in (10, 3, 11, 0, 11):
         want = oracles.standard_monomials_filter(4, lt_gens, s)
         got = table.standard_monomials(s)
         assert got == want, s
-        got.clear()  # a fresh list: the table keeps its own
+        got.clear()  # a fresh list: the table keeps none
         assert table.standard_monomials(s) == want
         assert table.hilbert_function(s) == len(want)
+        sig = tuple(sum(e[i] for e in want) for i in range(4))
+        assert table.sigma_all(s) == sig
+
+
+def test_table_no_variables():
+    # n = 0: the only monomial is 1, of degree 0
+    _assert_table_matches_filter(0, [])
+    _assert_table_matches_filter(0, [()])
+    free = HilbertTable.from_lt(0, [])
+    unit = HilbertTable.from_lt(0, [()])
+    assert [free.hilbert_function(s) for s in range(-2, 4)] == [0, 0, 1, 0, 0, 0]
+    assert [unit.hilbert_function(s) for s in range(-2, 4)] == [0] * 6
+    for table in (free, unit):
+        assert all(table.sigma_all(s) == () for s in range(-2, 4))
+        assert table.standard_monomials(-1) == []
+        assert table.standard_monomials(1) == []
+    assert free.standard_monomials(0) == [()] and unit.standard_monomials(0) == []
+    assert hilbert_numerator(0, []) == {(): 1} and hilbert_numerator(0, [()]) == {}
+
+
+def test_table_one_variable():
+    # (x^d): the monomials x^s with s < d; d = 0 is the unit ideal
+    assert [HilbertTable.from_lt(1, []).sigma_all(s) for s in range(4)] == [
+        (0,), (1,), (2,), (3,)]
+    for d in range(4):
+        table = HilbertTable.from_lt(1, [(d,), (d + 2,)])
+        assert hilbert_numerator(1, [(d,), (d + 2,)]) == ({(0,): 1, (d,): -1}
+                                                           if d else {})
+        for s in range(-1, 8):
+            assert table.hilbert_function(s) == int(0 <= s < d), (d, s)
+            assert table.sigma_all(s) == (s if 0 <= s < d else 0,), (d, s)
+            assert table.standard_monomials(s) == ([(s,)] if 0 <= s < d else [])
+
+
+def test_minimalize():
+    assert _minimalize([(1, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 3), (0, 1, 3)]) == (
+        (0, 0, 3), (1, 1, 0))
+    assert _minimalize([(1, 0, 2), (0, 0, 0), (2, 2, 2)]) == ((0, 0, 0),)
+    assert _minimalize([]) == ()
+
+
+def test_numerator_recursion_sees_only_minimal_generators(monkeypatch):
+    # every generator set the recursion visits is minimal and sorted, and
+    # (x1, ..., x4)^4 in P^4 visits few of them (39; over 1,000 when the
+    # colon ideals are not minimalized)
+    seen = []
+    numerator = hilbert._numerator
+
+    def spy(G, memo):
+        seen.append(G)
+        return numerator(G, memo)
+
+    monkeypatch.setattr(hilbert, "_numerator", spy)
+    gens = [(0,) + e for e in monomials_of_degree(4, 4)]
+    hilbert_numerator(5, gens)
+    assert len(set(seen)) <= 100
+    for G in set(seen):
+        assert list(G) == sorted(set(G)), G
+        assert not any(g != h and all(x <= y for x, y in zip(g, h))
+                       for g in G for h in G), G
+
+
+def test_fourth_power_of_maximal_ideal_matches_filter():
+    # (x1, ..., x4)^4 in P^4: 35 generators, x0 free
+    gens = [(0,) + e for e in monomials_of_degree(4, 4)]
+    assert len(gens) == 35
+    _assert_table_matches_filter(5, gens, smax=8)
 
 
 def _twisted_cubic_generators():
@@ -275,9 +346,22 @@ def _twisted_cubic_generators():
 def test_twisted_cubic_hilbert_function():
     gens = _twisted_cubic_generators()
     table = HilbertTable.from_ideal(HomIdeal(gens))
-    for s in range(0, 61):
+    for s in range(0, 501):
         assert table.hilbert_function(s) == 3 * s + 1, s
         assert sum(table.sigma_all(s)) == s * (3 * s + 1)
     raw = [dict(g.terms) for g in gens]
     for s in range(0, 9):
         assert table.hilbert_function(s) == oracles.hilbert_codimension(raw, 4, s), s
+
+
+def test_quadric_surface_closed_form_to_200():
+    # x0 x3 - x1 x2: LT(I) = (x1 x2) in this order, H(s) = (s + 1)^2
+    ideal = HomIdeal([MultiPoly(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})])
+    table = HilbertTable.from_ideal(ideal)
+    assert table.lt_gens == [(0, 1, 1, 0)]
+    for s in range(0, 201):
+        assert table.hilbert_function(s) == (s + 1) ** 2, s
+        assert sum(table.sigma_all(s)) == s * (s + 1) ** 2, s
+    for s in range(0, 7):
+        want = oracles.standard_monomials_filter(4, table.lt_gens, s)
+        assert table.sigma_all(s) == tuple(sum(e[i] for e in want) for i in range(4))

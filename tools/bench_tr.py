@@ -27,6 +27,8 @@ checks:
   nd-xy81        `taylor.check_Tr` of xy + x^3 y^4/81 on 3Z_3^2 at r = 1
                  and the default K (it holds with s = 4 > alpha = 1, so
                  the remainder half runs on the classes mod 3^4)
+  nd-xy243       the same with x^3 y^4/3^5 (s = 5, classes mod 3^5; 9 of
+                 its 17 remainder terms are zero mod 3^5)
 
 The output is one JSON object: per stage, the median over repetitions in
 raw seconds of this host.
@@ -81,8 +83,8 @@ def _stages(workloads):
     nd_map = taylor.PolyMap(2, 1, [MultiPoly(2, {(2, 0): third, (1, 1): third,
                                                  (0, 2): third, (0, 3): third})],
                             domain=Ball(3, (0, 0), 1))
-    xy81 = taylor.PolyMap(2, 1, [MultiPoly(2, {(1, 1): 1, (3, 4): Fraction(1, 81)})],
-                          domain=Ball(3, (0, 0), 1))
+    xy81, xy243 = (taylor.PolyMap(2, 1, [MultiPoly(2, {(1, 1): 1, (3, 4): Fraction(1, q)})],
+                                  domain=Ball(3, (0, 0), 1)) for q in (81, 243))
 
     def residue_build():
         for _f, _r, ball in checks:
@@ -107,7 +109,8 @@ def _stages(workloads):
     return {"residue-build": residue_build, "pair-sweep": pair_sweep,
             "preimage-balls": preimage_balls, "total": total,
             "nd-K2": nd(2), "nd-K3": nd(3),
-            "nd-xy81": lambda: taylor.check_Tr(xy81, 1)}
+            "nd-xy81": lambda: taylor.check_Tr(xy81, 1),
+            "nd-xy243": lambda: taylor.check_Tr(xy243, 1)}
 
 
 def main(argv=None):
