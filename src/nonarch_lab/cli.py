@@ -271,6 +271,12 @@ def cmd_count_ff(args, X):
 
     qs = parse_range_list(args.q)
     rs = parse_range_list(args.r)
+    for flag, values in (("--q", qs), ("--r", rs)):
+        seen = set()
+        for v in values:
+            if v in seen:
+                raise ConfigError(f"{flag} lists {v} more than once")
+            seen.add(v)
     records = []
     bound_reports = {}
     for r in rs:

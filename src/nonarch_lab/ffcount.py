@@ -120,9 +120,11 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
     """Exact count of n-tuples of degree-<r polynomials over F_q solving
     every defining polynomial identically in F_q[t].
 
-    Runs the t-adic lifting of the int64 kernel, which prunes a
-    branch as soon as a low t-coefficient fails; cap bounds the q^(r*n)
-    assignments the search ranges over.  With want_points the solutions
+    Runs the t-adic lifting of the int64 kernel, which extends a jet
+    only by the level-k coefficients at which each equation's t^k
+    coefficient vanishes and checks the t-powers >= r on the full
+    assignments; cap bounds the q^(r*n) assignments the search ranges
+    over, whatever the lifting visits.  With want_points the solutions
     are decoded into coefficient tuples (ascending t-powers per
     coordinate), in ascending assignment-index order.
     """
@@ -146,36 +148,19 @@ def expand_scheme(X, q, r):
     one scalar equation per t-power per defining polynomial (including
     t-powers >= r, which must vanish identically).
 
-    t is one more variable: each defining polynomial becomes a MultiPoly
-    in x_1..x_n, t, and x_i = sum_g a_{i,g} t^g is substituted into it over
-    Z; each coefficient is reduced mod q as the terms are grouped by their
-    t-power, and reduction Z -> F_q is a ring map.  Returns a list of
-    MultiPoly with coefficients in [0, q) in the r*n coefficient variables
-    a_{i,gamma}, ordered variable-major: a_{1,0}, a_{1,1}, ..., a_{n,r-1};
-    per defining polynomial, one for each t-power with a nonzero term mod
-    q, ascending.
+    Each defining polynomial is expanded under x_i = sum_g a_{i,g} t^g by
+    _kernels.expand, the integer expansion mod q whose powers below r the
+    lifting kernel reads.  Returns a list of MultiPoly with coefficients
+    in [0, q) in the r*n coefficient variables a_{i,gamma}, ordered
+    variable-major: a_{1,0}, a_{1,1}, ..., a_{n,r-1}; per defining
+    polynomial, one for each t-power with a nonzero term mod q, ascending.
     """
     if r < 1:
         raise ConfigError("need r >= 1")
-    nv = r * X.n
-    generic = []
-    for i in range(X.n):
-        terms = {}
-        for g in range(r):
-            exp = [0] * (nv + 1)
-            exp[i * r + g], exp[nv] = 1, g
-            terms[tuple(exp)] = 1
-        generic.append(MultiPoly(nv + 1, terms))
-    generic.append(MultiPoly.variable(nv + 1, nv))
     equations = []
-    for poly in X.reduce_mod(q):
-        f = MultiPoly(X.n + 1, {exp + (k,): c for cs, exp in poly
-                                for k, c in enumerate(cs)})
-        by_power = {}
-        for exp, c in f.substitute(generic).terms.items():
-            if c % q:
-                by_power.setdefault(exp[nv], {})[exp[:nv]] = c % q
-        equations.extend(MultiPoly(nv, by_power[k]) for k in sorted(by_power))
+    for terms in X.reduce_mod(q):
+        by_power = _kernels.expand(q, r, X.n, terms)
+        equations.extend(MultiPoly(r * X.n, by_power[k]) for k in sorted(by_power))
     return equations
 
 
@@ -204,9 +189,9 @@ class CountRecord:
 def _slack_sq(counts, delta, mu):
     """max over q of (count - mu*q^delta)^2 / q^(2*delta - 1): the square of
     the bound constant C in |count - mu q^delta| <= C q^(delta - 1/2),
-    exactly (square roots of q never materialize).  mu is an integer; each
-    value stays an integer fraction num/den, den > 0, and the maximum is
-    taken by cross-multiplication, so one Fraction is built per call."""
+    exactly (square roots of q never materialize), as an integer pair
+    (num, den) with den > 0.  mu is an integer; the maximum is taken by
+    cross-multiplication, so no Fraction is built."""
     num, den = 0, 1
     for q, c in counts.items():
         if delta:
@@ -215,7 +200,12 @@ def _slack_sq(counts, delta, mu):
             n, d = (c - mu) ** 2 * q, 1
         if n * den > num * d:
             num, den = n, d
-    return Fraction(num, den)
+    return num, den
+
+
+def _below(a, b):
+    """a < b for integer pairs (num, den) with den > 0."""
+    return a[0] * b[1] < b[0] * a[1]
 
 
 def estimate_delta(counts, r, n, mu_cap=64):
@@ -228,8 +218,12 @@ def estimate_delta(counts, r, n, mu_cap=64):
     mu with positive leading coefficient q, so it is convex in mu, and its
     values f(1), f(2), ... have nondecreasing differences.  The smallest k
     with f(k) <= f(k+1) (or mu_cap when there is none) is therefore the
-    smallest minimizing mu, found by binary search in about 2*log2(mu_cap)
-    exact evaluations instead of mu_cap.
+    smallest minimizing mu, found by binary search instead of mu_cap
+    exact evaluations.  The per-q quadratic is least at c/q^delta, so f
+    strictly decreases up to the least of these ratios and does not
+    decrease past the largest: the search runs between their floor and
+    ceiling only.  The slacks stay integer pairs compared by
+    cross-multiplication; only the winning (mu, slack) become Fractions.
 
     counts: dict q -> exact count (>= 2 entries, not all zero).
     """
@@ -241,18 +235,20 @@ def estimate_delta(counts, r, n, mu_cap=64):
         raise ConfigError(f"mu_cap must be >= 1, got {mu_cap}")
     best = None
     for delta in range(0, r * n + 1):
-        lo, hi = 1, mu_cap
+        lo = min(mu_cap, max(1, min(c // q ** delta for q, c in counts.items())))
+        hi = min(mu_cap, max(1, max(-(-c // q ** delta) for q, c in counts.items())))
         while lo < hi:
             mid = (lo + hi) // 2
-            if _slack_sq(counts, delta, mid) <= _slack_sq(counts, delta, mid + 1):
-                hi = mid
-            else:
+            if _below(_slack_sq(counts, delta, mid + 1), _slack_sq(counts, delta, mid)):
                 lo = mid + 1
-        key = (_slack_sq(counts, delta, lo), delta, Fraction(lo))
-        if best is None or key < best:
-            best = key
+            else:
+                hi = mid
+        sq = _slack_sq(counts, delta, lo)
+        # delta ascends, so a tie keeps the smaller delta
+        if best is None or _below(sq, best[0]):
+            best = (sq, delta, lo)
     sq, delta, mu = best
-    return delta, mu, sq
+    return delta, Fraction(mu), Fraction(*sq)
 
 
 @dataclass

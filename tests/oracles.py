@@ -530,3 +530,34 @@ def count_expanded(equations, q, r, n, cap=2 * 10**7):
 
     return sum(1 for a in product(range(q), repeat=nv)
                if all(solves(a, terms) for terms in systems))
+
+
+def expand_scheme_substitute(X, q, r):
+    """The expanded scheme of a VarietySpec by MultiPoly substitution: t is
+    one more variable, each defining polynomial mod q becomes a MultiPoly
+    in x_1..x_n, t, x_i = sum_g a_{i,g} t^g is substituted into it over Z,
+    and the terms are grouped by t-power with coefficients reduced mod q.
+    One MultiPoly per t-power with a nonzero term, ascending, per defining
+    polynomial, in the variables a_{1,0}, ..., a_{n,r-1}."""
+    from nonarch_lab.arith_core import MultiPoly
+
+    nv = r * X.n
+    generic = []
+    for i in range(X.n):
+        terms = {}
+        for g in range(r):
+            exp = [0] * (nv + 1)
+            exp[i * r + g], exp[nv] = 1, g
+            terms[tuple(exp)] = 1
+        generic.append(MultiPoly(nv + 1, terms))
+    generic.append(MultiPoly.variable(nv + 1, nv))
+    equations = []
+    for poly in X.reduce_mod(q):
+        f = MultiPoly(X.n + 1, {exp + (k,): c for cs, exp in poly
+                                for k, c in enumerate(cs)})
+        by_power = {}
+        for exp, c in f.substitute(generic).terms.items():
+            if c % q:
+                by_power.setdefault(exp[nv], {})[exp[:nv]] = c % q
+        equations.extend(MultiPoly(nv, by_power[k]) for k in sorted(by_power))
+    return equations

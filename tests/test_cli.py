@@ -282,6 +282,19 @@ def test_count_ff_malformed_exit_2(tmp_path, capsys):
                         "need cap >= 0", capsys, in_subprocess=False)
 
 
+@pytest.mark.parametrize("q, r, named", [
+    ("2,3,2", "1,1", "--q lists 2 more than once"),
+    ("2,3", "1..3,2", "--r lists 2 more than once"),
+    ("2..5,3", "1", "--q lists 3 more than once"),
+])
+def test_count_ff_repeated_value_exit_2(tmp_path, capsys, q, r, named):
+    # a repeated q or r would run every count again and emit a record per
+    # repetition; it is rejected before any count runs
+    path = write(tmp_path, "yx3.json", YX3)
+    assert_config_error(["count-ff", path, "--q", q, "--r", r], named,
+                        capsys, in_subprocess=False)
+
+
 def test_bounds_nonprime_p_exit_2(capsys):
     for p in ("0", "1", "4"):
         argv = ["bounds", "--m", "1", "--n", "2", "--d", "1", "--T", "10", "--p", p]

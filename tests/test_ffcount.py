@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nonarch_lab.ffcount import (
     enumerate_Xr,
     estimate_delta,
     expand_scheme,
+    load_variety,
     verify_bounds,
 )
 
@@ -70,6 +72,52 @@ def _lift_cases(seed, count=80, max_states=4000):
     return cases
 
 
+def _structured_cases(seed, count=40, max_states=3000):
+    """Lifting cases whose level-k coefficients are not just linear: a
+    degree-6 term x^2 y^3 z, the node y^2 = x^2 (x + 1), whose Jacobian
+    vanishes at the origin, the cusp, t-coefficients that start past t^0,
+    zero and constant equations, and seeded random equations of degree up
+    to 6 in up to three variables."""
+    rng = random.Random(seed)
+    node = [([1], (0, 2)), ([-1], (3, 0)), ([-1], (2, 0))]
+    cusp = [([1], (0, 2)), ([-1], (3, 0))]
+    sextic = [([1], (2, 3, 1)), ([1, 0, 2], (0, 0, 1)), ([0, 1], (1, 0, 0))]
+    cases = [
+        (2, 3, 3, [node]), (2, 5, 2, [node]), (2, 7, 2, [node]), (2, 2, 4, [node]),
+        (2, 3, 3, [cusp]), (2, 5, 2, [cusp]),
+        (3, 2, 3, [sextic]), (3, 3, 2, [sextic]), (3, 5, 1, [sextic]),
+        (3, 2, 3, [[([1], (2, 3, 1))]]),
+        # x^2 y^3 z alongside an equation that only starts at t^2
+        (3, 2, 3, [[([1], (2, 3, 1)), ([1], (0, 0, 0))], [([0, 0, 1], (1, 0, 0))]]),
+        # the node plus t times a line, and t^2 alone: fails at level 2
+        (2, 3, 3, [node + [([0, 1], (1, 0))]]), (1, 3, 3, [[([0, 0, 1], (0,))]]),
+        (1, 3, 2, [[([0, 0, 1], (0,))]]),  # t^2 = 0 is only seen past t^(r-1)
+        # an equation without terms, and 3x^2, which is zero mod 3
+        (2, 3, 2, [[], node]), (2, 3, 2, [[([3], (2, 0))], node]),
+        (2, 5, 2, [[([0, 0, 0, 4], (0, 0))]]),  # 4t^3 = 0, a leaf-only failure
+        (2, 3, 2, [node, [([2], (0, 0))]]),
+    ]
+    while len(cases) < count:
+        n, q, r = rng.choice([1, 2, 3]), rng.choice([2, 3, 5, 7]), rng.randint(1, 4)
+        if q ** (r * n) > max_states:
+            continue
+        eqs = []
+        for _ in range(rng.choice([1, 1, 2])):
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                degree = rng.randint(0, 6)
+                exps = [0] * n
+                for _ in range(degree):
+                    exps[rng.randrange(n)] += 1
+                coeff = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+                if rng.random() < 0.3:
+                    coeff = [0] * rng.randint(1, r) + coeff
+                terms.append((coeff, tuple(exps)))
+            eqs.append(terms)
+        cases.append((n, q, r, eqs))
+    return cases
+
+
 @pytest.mark.parametrize("block", [1, 7, None])
 def test_lifted_count_matches_full_range_and_oracle(block, monkeypatch):
     # the t-adic lifting keeps exactly the full-range evaluator's solutions,
@@ -77,7 +125,8 @@ def test_lifted_count_matches_full_range_and_oracle(block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(_kernels, "LIFT_BLOCK", block)
     seen_empty = False
-    for n, q, r, eqs in _lift_cases(seed=20 + (block or 0)):
+    for n, q, r, eqs in (_lift_cases(seed=20 + (block or 0))
+                         + _structured_cases(seed=21 + (block or 0))):
         reduced = [[([c % q for c in cs], e) for cs, e in terms] for terms in eqs]
         idx = np.arange(q ** (r * n), dtype=np.int64)
         want = idx[_kernels._ff_count_numpy_chunk(q, r, n, reduced, idx)]
@@ -166,6 +215,37 @@ def test_expand_scheme_examples():
         {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1},
         {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1},
     ]
+
+
+def _random_variety(rng):
+    n = rng.randint(1, 3)
+    polys = []
+    for _ in range(rng.randint(1, 2)):
+        poly = {}
+        for _ in range(rng.randint(0, 4)):
+            exp = tuple(rng.randint(0, 3) for _ in range(n))
+            poly[exp] = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 3)))
+        polys.append(poly)
+    return VarietySpec(n, polys)
+
+
+def test_expand_scheme_matches_substitution():
+    # the integer expansion equals MultiPoly substitution with t as one
+    # more variable, term for term and in the same order of equations, on
+    # the shipped varieties and on seeded ones (zero polynomials, terms
+    # that vanish mod q, t-coefficients)
+    shipped = sorted(Path(__file__).resolve().parent.parent.glob("varieties/*.json"))
+    assert len(shipped) >= 5
+    cases = [(load_variety(str(path)), q, r) for path in shipped
+             for q in (2, 3, 5) for r in (1, 2, 3)]
+    rng = random.Random(2021)
+    cases += [(_random_variety(rng), rng.choice([2, 3, 5, 7]), rng.randint(1, 3))
+              for _ in range(120)]
+    for X, q, r in cases:
+        got = expand_scheme(X, q, r)
+        want = oracles.expand_scheme_substitute(X, q, r)
+        assert [eq.nvars for eq in got] == [eq.nvars for eq in want]
+        assert [eq.terms for eq in got] == [eq.terms for eq in want], (X, q, r)
 
 
 def test_count_expanded_examples():
@@ -258,7 +338,9 @@ def test_integer_slack_matches_fraction_slack():
         counts = {q: rng.randint(0, 3000) for q in qs}
         for delta in range(4):
             for mu in (1, rng.randint(2, 80)):
-                assert (_slack_sq(counts, delta, mu)
+                num, den = _slack_sq(counts, delta, mu)
+                assert den > 0
+                assert (Fraction(num, den)
                         == oracles.slack_sq_fraction(counts, delta, mu)), (counts, delta, mu)
     flat = 0
     for _ in range(60):

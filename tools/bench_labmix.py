@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Seconds of the repeated stages of the `lab-mix` benchmark workload, and of
-the F_q[t] counts of `lab-mix` and `ff-sparse`.
+"""Seconds of the repeated stages of the `lab-mix` benchmark workload, of
+the F_q[t] counts of `lab-mix` and `ff-sparse` and of three deeper ones,
+and of `expand_scheme`.
 
 Run from anywhere; --root names the source checkout to measure (default:
 the checkout this script sits in), so two commits can be timed by the same
@@ -8,6 +9,7 @@ script:
 
     python3 tools/bench_labmix.py --reps 15
     python3 tools/bench_labmix.py --root ../other-checkout --reps 15
+    python3 tools/bench_labmix.py --stages fit,count-labmix --reps 30
 
 The inputs are those of `perfbench/workloads.py`.  Each stage runs once to
 warm up, then --reps times:
@@ -21,6 +23,11 @@ warm up, then --reps times:
   count-labmix    the 20 `ffcount.enumerate_Xr` calls of those two jobs
   count-elliptic  the 12 `ffcount.enumerate_Xr` calls of `ff-sparse`:
                   y^2 = x^3 - x over q = 5, 7, 11, 13, r = 1..3
+  count-deep      `ffcount.enumerate_Xr` on y^2 = x^3 - x at (q, r) =
+                  (13, 4), (7, 6) and (13, 5), with the q^(r*n) cap raised
+                  past 13^10
+  expand-scheme   `ffcount.expand_scheme` on y^2 = x^3 - x at q = 5, r = 3,
+                  the input of `lab-mix`'s `expand-scheme` job
   grid-circle-Q10 `heights._grid_points` for x^2 + y^2 = 1 over the
                   rationals of height <= 10
   grid-parabola-Z100
@@ -59,6 +66,7 @@ def _stages(workloads):
         for X, r, counts in fits:
             ffcount.verify_bounds(counts, X, r)
 
+    elliptic = ffcount.VarietySpec.from_json(workloads.ELLIPTIC)
     circle = cli.parse_semialg(workloads.CIRCLE)
     parabola = cli.parse_semialg(workloads.COVER["curve"])
     heights_10 = list(heights.enumerate_heights(10))
@@ -68,6 +76,9 @@ def _stages(workloads):
         "fit": fit,
         "count-labmix": count_labmix,
         "count-elliptic": lambda: count_table(workloads.ELLIPTIC, (5, 7, 11, 13), range(1, 4)),
+        "count-deep": lambda: [ffcount.enumerate_Xr(elliptic, q, r, cap=13 ** 10)
+                               for q, r in ((13, 4), (7, 6), (13, 5))],
+        "expand-scheme": lambda: ffcount.expand_scheme(elliptic, 5, 3),
         "grid-circle-Q10": lambda: heights._grid_points(circle, heights_10, 10**7),
         "grid-parabola-Z100": lambda: heights._grid_points(parabola, integers_100, 10**7),
     }
@@ -77,14 +88,23 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
     ap.add_argument("--reps", type=int, default=15)
+    ap.add_argument("--stages", help="comma-separated stage names to run "
+                    "(default: all)")
     args = ap.parse_args(argv)
 
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
 
+    stages = _stages(workloads)
+    if args.stages:
+        names = args.stages.split(",")
+        unknown = sorted(set(names) - set(stages))
+        if unknown:
+            ap.error(f"unknown stages {unknown}; known: {sorted(stages)}")
+        stages = {name: stages[name] for name in names}
     out = {}
-    for name, stage in _stages(workloads).items():
+    for name, stage in stages.items():
         stage()
         samples = []
         for _ in range(args.reps):
