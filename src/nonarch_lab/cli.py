@@ -43,6 +43,7 @@ from .errors import (
     FullRankError,
     PrecisionError,
     config_int,
+    load_json,
 )
 
 
@@ -94,18 +95,6 @@ def parse_poly(data, nvars):
 def poly_to_json(poly):
     return [{"exp": list(e), "coeff": str(c)}
             for e, c in sorted(poly.terms.items())]
-
-
-def load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as err:
-        raise ConfigError(f"no such file: {path}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(
-            f"malformed JSON in {path} at line {err.lineno}, column {err.colno}: "
-            f"{err.msg}") from err
 
 
 @contextmanager

@@ -1,13 +1,32 @@
-"""Error taxonomy shared by all modules, and the integer check that input
-fields pass before use.
+"""Error taxonomy shared by all modules, the one reader of JSON input
+files, and the integer check that input fields pass before use.
 
 Exit-code mapping used by the CLI: BoundViolation -> 1, ConfigError -> 2,
 cap/precision/budget exhaustion -> 3.
 """
 
+import json
+
 
 class ConfigError(ValueError):
     """Invalid configuration or malformed input."""
+
+
+def load_json(path):
+    """The JSON document in the file at `path`.  A file that cannot be read
+    (missing, a directory, no permission) or does not parse is a
+    ConfigError naming the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError as err:
+        raise ConfigError(f"no such file: {path}") from err
+    except OSError as err:
+        raise ConfigError(f"cannot read {path}: {err.strerror or err}") from err
+    except json.JSONDecodeError as err:
+        raise ConfigError(
+            f"malformed JSON in {path} at line {err.lineno}, column {err.colno}: "
+            f"{err.msg}") from err
 
 
 def config_int(value, what, least=None):

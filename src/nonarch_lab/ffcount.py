@@ -11,14 +11,14 @@ powers >= r.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
 from . import _kernels
 from .arith_core import MultiPoly, is_prime
-from .errors import CapExceededError, ConfigError, RingMismatchError, config_int
+from .errors import (CapExceededError, ConfigError, RingMismatchError, config_int,
+                     load_json)
 
 
 @dataclass
@@ -293,12 +293,4 @@ def verify_bounds(counts, X, r, mu_cap=64):
 
 
 def load_variety(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError as err:
-        raise ConfigError(f"no such file: {path}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"malformed variety JSON at line {err.lineno}, "
-                          f"column {err.colno}: {err.msg}") from err
-    return VarietySpec.from_json(data)
+    return VarietySpec.from_json(load_json(path))

@@ -13,17 +13,18 @@ whether p^s divides p^s * g_beta(y) (|beta| <= r); reduction modulo p^s
 is a ring map, so it is decided on the table modulo p^s.  When s = 0
 nothing can fail, and neither the table nor the residues are built.
 
-In one variable the remainder factors as (x-y)^r * S(x,y) with
-S = sum_{j>=r} g_j(y) (x-y)^(j-r), and the pair sweep asks whether
-p^s * S vanishes modulo p^s on every residue pair mod p^K.  In several
-variables write x = y + p^v u with u primitive: once the C^r half holds,
-the bound at (x, y) asks whether sum_{|beta|>r} p^s g_beta(y)
+Verdict and witness depend only on s and alpha, not on the precision K:
+a check runs on the residues mod p^min(K, K*), K* = max(s, alpha) + 1,
+and reports the K it was given.  In one variable the remainder factors
+as (x-y)^r * S(x,y) with S = sum_{j>=r} g_j(y) (x-y)^(j-r), and the pair
+sweep asks whether p^s * S vanishes modulo p^s on those residue pairs.
+In several variables write x = y + p^v u with u primitive: once the C^r
+half holds, the bound at (x, y) asks whether sum_{|beta|>r} p^s g_beta(y)
 p^(v(|beta|-r)) u^beta vanishes modulo p^s, which depends only on y and
-x - y modulo p^s; the verdict is decided on those classes, the
-remainder columns are built only after the C^r columns pass, and only a
-failure lists the residues mod p^K, to name the first failing pair.
-Witness ords are exact, from the same table.  Every exhaustive verdict
-with K >= s is a proof for all Z_p-points of the ball.
+x - y modulo p^s; verdict and witness are found on those classes, and the
+remainder columns are built only after the C^r columns pass.  Witness
+ords are exact, from the same table.  Every exhaustive verdict is a proof
+for all Z_p-points of the ball.
 """
 
 from __future__ import annotations
@@ -197,21 +198,17 @@ def cr_norm(f, r, ball):
 # T_r certification
 # ---------------------------------------------------------------------------
 
-RESIDUE_CAP = 20000  # residues mod p^K an exhaustive check may list
-PAIR_CAP = 5 * 10**8  # residue pairs, or classes of pairs, it may test
+PAIR_CAP = 5 * 10**8  # residue pairs, or classes of pairs, a check may test
+ZERO_TABLE_ROWS = 20000  # s = 0: rows of the zero tables a 1-D check sweeps
 
 
 @dataclass
 class ExhaustiveStrategy:
     """Decide T_r on every residue class of the domain: a proof for all
     Z_p-points once K >= s (s the p-denominator exponent of the
-    coefficients), with values carried modulo p^s.  In one variable the
-    remainder sweep runs over the residue pairs mod p^K.  In several
-    variables the verdict is taken on classes modulo p^s whatever K is,
-    and only a failure lists the residues mod p^K, to find its witness.
-    The default K is alpha*r + 8; `lean` drops it to the minimal
-    conclusive s + 2, which keeps residue counts small when certificates
-    are only a stepping stone (determinant runs).
+    coefficients), with values carried modulo p^s.  The default K is
+    alpha*r + 8; `lean` drops it to s + 2.  Past max(s, alpha) + 1, K sets
+    only the reported K and the rows of a 1-D check's s = 0 zero tables.
     """
 
     K: int | None = None
@@ -349,7 +346,7 @@ def check_Tr(f, r, strategy=None, domain=None):
     elif sampled:
         witness = _check_tr_sampled(f, r, strategy, ball, K)
     else:
-        witness = (_check_tr_1d if f.m == 1 else _check_tr_nd)(f, r, ball, K, s)
+        witness = _check_tr_1d(f, r, ball, K, s) if f.m == 1 else _check_tr_nd(f, r, ball, s)
     if witness is not None:
         verdict = "fails"
     elif sampled and s:
@@ -379,39 +376,39 @@ def _default_K(strategy, ball, r, s):
 
 
 def _check_tr_1d(f, r, ball, K, s):
-    """First violation on the residues mod p^K, per component: the
-    remainder sweep, then the pointwise C^r bound; or None.  With s = 0
-    nothing can fail, and no residue or table is built."""
+    """First violation on the residues mod p^min(K, K*), per component:
+    the remainder sweep, then the pointwise C^r bound; or None.  Both
+    depend on y and x mod p^s only, but for the skipped x = y, so the first
+    failure mod p^K has y = key + p^alpha d, d < P = p^(K* - 1 - alpha), and
+    x below that too, or x = y + p^alpha P when the class x = y mod p^s
+    fails: both lie among the residues mod p^K*.  With s = 0 nothing can
+    fail, and no residue or table is built."""
     import numpy as np
 
     p = ball.p
-    n_res = ball.residue_count(K)
-    if n_res > RESIDUE_CAP:
-        if s == 0:
-            # every divided derivative is p-integral: nothing can fail
-            return None
-        raise CapExceededError(f"{n_res} residues exceed cap {RESIDUE_CAP}")
-    if n_res * n_res * len(f.components) > PAIR_CAP:
-        raise CapExceededError("pair sweep exceeds cap")
-
     if s == 0:
-        # nothing can fail, so neither the residues nor the table are
-        # built; the sweep still gets the zero table of shape (R, deg + 1)
-        # a real one would have, at modulus 1, where it returns at once
-        for comp in f.components:
-            width = (comp.degree() or 0) + 1
-            if width > r:
-                zeros = np.zeros((n_res, width), dtype=np.int64)
-                _kernels.tr_pair_sweep(zeros, zeros[:, 0], 1, r)
+        # up to ZERO_TABLE_ROWS the sweep gets the zero table of shape
+        # (p^(K - alpha), deg + 1) at modulus 1, where it returns at once
+        n_res = ball.residue_count(K)
+        if n_res <= ZERO_TABLE_ROWS:
+            for comp in f.components:
+                width = (comp.degree() or 0) + 1
+                if width > r:
+                    zeros = np.zeros((n_res, width), dtype=np.int64)
+                    _kernels.tr_pair_sweep(zeros, zeros[:, 0], 1, r)
         return None
 
+    K = min(K, max(s, ball.alpha) + 1)
+    derivs = _derivative_table(f)
+    n_res = ball.residue_count(K)
+    pairs = n_res * n_res * sum(len(entries) > r for entries in derivs)
+    if pairs > PAIR_CAP:
+        raise CapExceededError(f"{pairs} residue pairs mod p^{K} exceed cap {PAIR_CAP}")
+
     residues = ball.residue_array(K)[:, 0]
-    # every test below asks whether p^s divides a scaled value, so the
-    # whole check runs modulo p^s; K only sets the number of residues
+    # every test asks whether p^s divides a scaled value: all runs mod p^s
     mod = p ** s
     xs = _reduce(residues, mod)
-
-    derivs = _derivative_table(f)
     for entries in derivs:
         table = _residue_table(entries, xs[:, None], p, s)
 
@@ -572,15 +569,15 @@ def _exact_point_violation(derivs, r, y, p):
     return None
 
 
-def _check_tr_nd(f, r, ball, K, s):
+def _check_tr_nd(f, r, ball, s):
     """First violation of a multivariate map, decided on residue classes
     modulo p^s, or None: the C^r half on y mod p^max(s, alpha) over all
     components first, from the |beta| <= r columns alone, then the
     remainder half on the classes of y and of x - y, whose columns and
     difference weights are built only once the C^r half holds and
-    s > alpha.  The first failing y in ball order mod p^K is the first
-    failing y-class, so only a remainder failure lists the residues mod
-    p^K."""
+    s > alpha.  Whatever K is, the first failing y in ball order is the
+    first failing y-class, and so is the first failing x: the class
+    x = y mod p^s cannot fail once the C^r half holds."""
     import numpy as np
 
     p, m, alpha = ball.p, ball.m, ball.alpha
@@ -620,14 +617,20 @@ def _check_tr_nd(f, r, ball, K, s):
         tables.append(t[:, keep])
         weights.append(w[keep])
 
+    # an int64 sum takes `per` products before a reduction, the largest
+    # count with (mod - 1) + per (mod - 1)^2 < 2^63; Python ints take one
+    per = (1 if points.dtype == object
+           else (_kernels.INT64_MAX - (mod - 1)) // (mod - 1) ** 2)
+
     def remainder_bad(y0, y1):
         """bad[y, j]: the bound fails at (y, y + p^alpha diffs[j]) for some
         component, y over the y-classes y0..y1-1."""
         bad = np.zeros((y1 - y0, n_cls), dtype=bool)
         for t, w in zip(tables, weights):
             val = np.zeros((y1 - y0, n_cls), dtype=t.dtype)
-            for k in range(len(w)):
-                val += t[y0:y1, k, None] * w[k]
+            for k0 in range(0, len(w), per):
+                for k in range(k0, min(k0 + per, len(w))):
+                    val += t[y0:y1, k, None] * w[k]
                 val %= mod
             bad |= val != 0
         return bad
@@ -641,17 +644,11 @@ def _check_tr_nd(f, r, ball, K, s):
     else:
         return None
 
-    # the first x in ball order mod p^K whose difference class fails at y
-    n_res = ball.residue_count(K)
-    if n_res > RESIDUE_CAP:
-        raise CapExceededError(f"{n_res} residues exceed cap {RESIDUE_CAP}")
-    res = ball.residue_array(K)
-    d = (res - ys[yi]) % mod // p ** alpha
-    j = np.zeros(len(res), dtype=np.int64)
-    for i in range(m):
-        j = j * width + d[:, i].astype(np.int64)
+    # the first x in ball order whose difference class fails at y; the
+    # digits of ys[k] are diffs[k], so its class is diffs[k] - diffs[yi]
+    j = np.ravel_multi_index(((diffs - diffs[yi]) % width).T, (width,) * m)
     xi = int(remainder_bad(yi, yi + 1)[0][j].argmax())
-    return _exact_pair_violation(derivs, r, tuple(res[xi].tolist()),
+    return _exact_pair_violation(derivs, r, tuple(ys[xi].tolist()),
                                  tuple(ys[yi].tolist()), p)
 
 

@@ -160,20 +160,22 @@ def test_taylor_check_multivariate_default_K_holds(tmp_path):
 
 def test_taylor_check_multivariate_witness_scan_cap(tmp_path, capsys):
     # (x - y)^2 / 4 on 2Z_2^2 at r = 1 keeps its C^1 data integral and fails
-    # the remainder at v = 1; only the scan for the failing x lists the
-    # residues mod 2^K, so the residue cap binds there: 2^14 = 16384 of them
-    # at K = 8 give the oracle's witness, 2^16 = 65536 at K = 9 exit 3
+    # the remainder at v = 1; the failing x is found among the classes mod
+    # 2^s, so no listing mod 2^K caps the scan: K = 9 and K = 12 (2^16 and
+    # 2^22 residues) give the witness of K = 8, the oracle's
     data = _map_json(2, 1, [((2, 0), "1/4"), ((1, 1), "-1/2"), ((0, 2), "1/4")])
     path = write(tmp_path, "diff.json", data)
-    code, report = run_to_json(["taylor-check", path, "--r", "1", "--K", "8"], tmp_path)
-    assert code == 1
-    wit = report["results"]["witness"]
     comps = [{(2, 0): Fraction(1, 4), (1, 1): Fraction(-1, 2), (0, 2): Fraction(1, 4)}]
     want = oracles.tr_check_oracle(comps, 1, 2, (0, 0), 1, 8)
-    assert (wit["kind"], wit["component"], tuple(wit["x"]), tuple(wit["y"]),
-            wit["ord_lhs"], wit["bound_rhs"]) == want
-    assert main(["taylor-check", path, "--r", "1", "--K", "9"]) == 3
-    assert "65536 residues exceed cap 20000" in capsys.readouterr().err
+    assert want[2:4] == ((0, 2), (0, 0))
+    for K in (8, 9, 12):
+        code, report = run_to_json(["taylor-check", path, "--r", "1", "--K", str(K)],
+                                   tmp_path, f"out{K}.json")
+        assert code == 1, K
+        wit = report["results"]["witness"]
+        assert (wit["kind"], wit["component"], tuple(wit["x"]), tuple(wit["y"]),
+                wit["ord_lhs"], wit["bound_rhs"]) == want, K
+        assert report["results"]["K"] == K
 
 
 def test_count_ff_cli(tmp_path):
@@ -280,6 +282,19 @@ def test_count_ff_malformed_exit_2(tmp_path, capsys):
     assert "mu_cap must be >= 1" in capsys.readouterr().err
     assert_config_error(["count-ff", path, "--q", "2,3", "--r", "1", "--cap", "-1"],
                         "need cap >= 0", capsys, in_subprocess=False)
+
+
+@pytest.mark.parametrize("argv", [["taylor-check", "--r", "1"],
+                                  ["count-ff", "--q", "2,3", "--r", "1"]],
+                         ids=["taylor-check", "count-ff"])
+def test_unreadable_input_path_exit_2(tmp_path, capsys, argv):
+    # a directory, or a path through a regular file, cannot be opened: a
+    # config error naming the path (exit 2), not a traceback and exit 1
+    blocker = tmp_path / "file.json"
+    blocker.write_text("{}")
+    for path, named in ((tmp_path, "Is a directory"), (blocker / "map.json", "Not a directory")):
+        assert_config_error(argv[:1] + [str(path)] + argv[1:],
+                            f"cannot read {path}: {named}", capsys, in_subprocess=False)
 
 
 @pytest.mark.parametrize("q, r, named", [

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -454,11 +455,165 @@ def test_multivariate_check():
 
 
 def test_cap_and_precision_guards():
-    # the residue cap binds where a divided derivative has a p-denominator
-    with pytest.raises(CapExceededError):
-        check_Tr(BINOM2, 1, ExhaustiveStrategy(K=16))
+    # no residue cap: at K = 16 the check runs on the residues mod
+    # 2^(max(s, alpha) + 1) = 4, and reports the K it was asked for
+    cert = check_Tr(BINOM2, 1, ExhaustiveStrategy(K=16))
+    assert (cert.verdict, cert.K, cert.witness["x"], cert.witness["y"]) == (
+        "fails", 16, 2, 0)
     with pytest.raises(PrecisionError):
         check_Tr(BINOM2, 1, ExhaustiveStrategy(K=0))
+
+
+def _shifted_monomial(c, e, coef):
+    """coef * prod_i (x_i - c_i)^e_i as an exponent dict."""
+    terms = {}
+    for low in itertools.product(*[range(ei + 1) for ei in e]):
+        term = Fraction(coef)
+        for ci, ei, li in zip(c, e, low):
+            term *= math.comb(ei, li) * (-ci) ** (ei - li)
+        terms[low] = terms.get(low, 0) + term
+    return terms
+
+
+def _holding_with_s_above_alpha(rng, m):
+    """(p, center, alpha, r, components) that hold with s > alpha:
+    (x - c)^e / p^s on c + p^alpha Z_p^m with alpha < s <= alpha (|e| - r)
+    keeps every g_beta (|beta| <= r) integral, and each remainder term
+    g_beta(y) h^beta (|beta| > r, h = p^v u, v >= alpha) has ord at least
+    alpha (|e| - r) - s + r v >= r v; plus a p-integral polynomial.  s -
+    alpha <= 4 / m keeps the p^(m(s - alpha)) classes few."""
+    p, alpha, r = rng.choice([2, 3]), rng.choice([1, 2]), rng.choice([1, 2])
+    e = tuple(rng.randint(0, 3) for _ in range(m))
+    while sum(e) < r + 2:
+        e = tuple(ei + (i == rng.randrange(m)) for i, ei in enumerate(e))
+    s = rng.randint(alpha + 1, min(alpha * (sum(e) - r), alpha + 4 // m))
+    c = tuple(rng.randrange(p ** alpha) for _ in range(m))
+    terms = _shifted_monomial(c, e, Fraction(rng.choice([1, -1, 2]), p ** s))
+    for _ in range(2):
+        exp = tuple(rng.randint(0, 3) for _ in range(m))
+        terms[exp] = terms.get(exp, 0) + rng.randint(-5, 5)
+    return p, c, alpha, r, [{k: v for k, v in terms.items() if v}]
+
+
+def _k_free_cases(rng):
+    """(p, center, alpha, r, components) with s > 0: seeded 1-D maps with up
+    to two components, 1-D and 2-D maps built to hold with s > alpha, and
+    members of the multivariate remainder family."""
+    for _ in range(40):
+        p, alpha = rng.choice([2, 3, 5]), rng.choice([0, 1, 2])
+        comps = [{(i,): Fraction(rng.randint(-4, 4)) * Fraction(p) ** rng.choice([0, 0, 1, -1, -2])
+                  for i in range(rng.randint(2, 6))}
+                 for _ in range(rng.choice([1, 1, 2]))]
+        comps[0][(rng.randint(0, 5),)] = Fraction(rng.choice([1, -1, 2]), p)
+        yield p, (rng.randrange(p ** alpha),), alpha, rng.randint(1, 3), comps
+    for m in (1, 1, 2):
+        for _ in range(6):
+            yield _holding_with_s_above_alpha(rng, m)
+    for p, center, alpha, _K, r, comps in _remainder_family(rng, 20):
+        yield p, center, alpha, r, comps
+
+
+def test_certificate_does_not_depend_on_K_past_K_star():
+    # verdict and witness depend only on s and alpha: the certificate at
+    # K* + j equals the one at K* = max(s, alpha) + 1 but for K and the tag
+    seen = set()
+    for p, center, alpha, r, comps in _k_free_cases(random.Random(29)):
+        m = len(center)
+        f = PolyMap(m, len(comps), [MultiPoly(m, t) for t in comps],
+                    domain=Ball(p, center, alpha))
+        s = max(-oracles.padic_val(c, p) for t in comps for c in t.values())
+        k_star = max(s, alpha) + 1
+        base = check_Tr(f, r, ExhaustiveStrategy(K=k_star)).to_json()
+        for j in (1, 2, 3):
+            got = check_Tr(f, r, ExhaustiveStrategy(K=k_star + j)).to_json()
+            assert (got["K"], got["strategy"]) == (k_star + j, f"exhaustive-mod-{p}^{k_star + j}")
+            assert dict(got, K=k_star, strategy=base["strategy"]) == base, (p, center, alpha,
+                                                                          r, comps, j)
+        kind = base["witness"]["kind"] if base["witness"] else "holds"
+        seen.add((m > 1, kind, kind == "holds" and s > alpha))
+    assert seen >= {(False, "remainder", False), (False, "cr_norm", False),
+                    (False, "holds", True), (True, "remainder", False),
+                    (True, "holds", True)}
+
+
+def test_diagonal_class_witness_needs_K_star():
+    # x^3/3 on 7 + 9Z_3 at r = 3: s = 1, alpha = 2.  g_3 = 1/3 is not
+    # integral, so the class x = y mod 3, x != y, fails the remainder; its
+    # first member x = 16 lies among the residues mod 3^3 = 3^K* but not
+    # mod 3^2, where the first failure is the C^r bound at 7
+    f = PolyMap.univariate([0, 0, 0, Fraction(1, 3)], domain=Ball(3, (7,), 2))
+    cert = check_Tr(f, 3, ExhaustiveStrategy(K=2))
+    assert cert.witness == {"kind": "cr_norm", "component": 0, "order": (0,), "y": 7,
+                            "valuation": -1}
+    for K in range(3, 9):
+        cert = check_Tr(f, 3, ExhaustiveStrategy(K=K))
+        assert (cert.K, cert.witness) == (K, {"kind": "remainder", "component": 0, "x": 16,
+                                              "y": 7, "ord_lhs": 5, "bound_rhs": 6})
+        assert recheck_witness(f, 3, cert.witness, 3)
+
+
+def test_1d_pair_cap_counts_the_pairs_swept():
+    # x^2 / 2^s on Z_2 at r = 1 and its default K = s + 2: the sweep runs
+    # mod 2^(s + 1), 2^(2s + 2) pairs; s = 13 is within the cap of 5*10^8
+    # and fails at once, s = 14 is past it
+    def square_over(s):
+        return PolyMap.univariate([0, 0, Fraction(1, 2 ** s)], domain=Z2)
+
+    cert = check_Tr(square_over(13), 1)
+    assert (cert.K, cert.witness["kind"], cert.witness["x"], cert.witness["y"]) == (
+        15, "remainder", 1, 0)
+    with pytest.raises(CapExceededError,
+                       match=r"^1073741824 residue pairs mod p\^15 exceed cap 500000000$"):
+        check_Tr(square_over(14), 1)
+
+
+def test_integral_1d_maps_are_decided_before_the_pair_cap(monkeypatch):
+    # x^2 and x on Z_139 at K = 2: two sweeps of 139^2 = 19321 residues
+    # would pass the pair cap, but s = 0, so nothing can fail; each
+    # component still hands the sweep its zero table
+    from nonarch_lab import _kernels
+
+    sweeps = []
+    real = _kernels.tr_pair_sweep
+
+    def counted(table, xs, mod, r):
+        sweeps.append((table.shape, mod))
+        return real(table, xs, mod, r)
+
+    monkeypatch.setattr(_kernels, "tr_pair_sweep", counted)
+    f = PolyMap(1, 2, [MultiPoly(1, {(2,): 1}), MultiPoly(1, {(1,): 1})],
+                domain=Ball(139, (0,), 0))
+    cert = check_Tr(f, 1, ExhaustiveStrategy(K=2))
+    assert (cert.verdict, cert.K) == ("holds", 2)
+    assert sweeps == [((19321, 3), 1), ((19321, 2), 1)]
+
+
+def test_remainder_sum_reduces_before_int64_overflow(monkeypatch):
+    # p^s = 7^11 lies just below 2^31: a reduced value plus two products of
+    # residues stays below 2^63, plus three does not.  On 1 + 7^10 Z_7 x
+    # 2 + 7^10 Z_7 at r = 2, -(x - c)^e / 7^10 for the four |e| = 3 and
+    # (x - c)^(2, 2) / 7^11 hold; at y = c the four |beta| = 3 columns are
+    # 7^11 - 7 and at u = (3, 3) every weight is 6 * 7^10, so a sum of
+    # three unreduced products would wrap, flag a pair the exact re-check
+    # then clears, and skip the classes after it
+    from nonarch_lab import taylor
+
+    mod = 7 ** 11
+    assert (mod - 1) + 2 * (mod - 1) ** 2 < 2 ** 63 <= (mod - 1) + 3 * (mod - 1) ** 2
+    c = (1, 2)
+    terms = {}
+    for e, coef in (((3, 0), -1), ((2, 1), -1), ((1, 2), -1), ((0, 3), -1), ((2, 2), Fraction(1, 7))):
+        for k, v in _shifted_monomial(c, e, coef / Fraction(7 ** 10)).items():
+            terms[k] = terms.get(k, 0) + v
+    terms = {k: v for k, v in terms.items() if v}
+    f = PolyMap(2, 1, [MultiPoly(2, terms)], domain=Ball(7, c, 10))
+    assert oracles.tr_check_oracle([terms], 2, 7, c, 10, 11) is None
+
+    def no_flagged_pair(*args):
+        raise AssertionError("the remainder sweep flagged a pair")
+
+    monkeypatch.setattr(taylor, "_exact_pair_violation", no_flagged_pair)
+    assert check_Tr(f, 2, ExhaustiveStrategy(K=11)).verdict == "holds"
 
 
 def test_integral_1d_map_past_the_residue_cap_holds(monkeypatch):

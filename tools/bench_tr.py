@@ -10,9 +10,9 @@ script:
 
 The inputs are those of `perfbench/workloads.py`: the twelve gauss1a suites
 (p = 2, 3; r = 2, 3; g = x, x^2, x^2 + px; K = 8) and the degree-7 map on
-1 + 3Z_3 at r = 3, K = 8; plus two multivariate maps.  Each stage runs
-once to warm up, then --reps times; the first four over all thirteen
-checks:
+1 + 3Z_3 at r = 3, K = 8; plus three multivariate maps and two in one
+variable.  Each stage runs once to warm up, then --reps times; the first
+four over all thirteen checks:
 
   residue-build  the residues mod p^K of every checked ball as an integer
                  array (`Ball.residue_array`)
@@ -29,6 +29,9 @@ checks:
                  the remainder half runs on the classes mod 3^4)
   nd-xy243       the same with x^3 y^4/3^5 (s = 5, classes mod 3^5; 9 of
                  its 17 remainder terms are zero mod 3^5)
+  1d-highK       `taylor.check_Tr` at r = 1 of (x^2 - x)/2 on Z_2 at K = 14
+                 and of (x^5 - x)/5 on Z_5 at K = 6, both failing (s = 1:
+                 a check that lists the residues mod p^K pays for K)
 
 The output is one JSON object: per stage, the median over repetitions in
 raw seconds of this host.
@@ -85,6 +88,10 @@ def _stages(workloads):
                             domain=Ball(3, (0, 0), 1))
     xy81, xy243 = (taylor.PolyMap(2, 1, [MultiPoly(2, {(1, 1): 1, (3, 4): Fraction(1, q)})],
                                   domain=Ball(3, (0, 0), 1)) for q in (81, 243))
+    binomial = taylor.PolyMap.univariate([0, Fraction(-1, 2), Fraction(1, 2)],
+                                         domain=Ball(2, (0,), 0))
+    quintic = taylor.PolyMap.univariate([0, Fraction(-1, 5), 0, 0, 0, Fraction(1, 5)],
+                                        domain=Ball(5, (0,), 0))
 
     def residue_build():
         for _f, _r, ball in checks:
@@ -106,11 +113,16 @@ def _stages(workloads):
     def nd(K):
         return lambda: taylor.check_Tr(nd_map, 1, taylor.ExhaustiveStrategy(K=K))
 
+    def high_k():
+        taylor.check_Tr(binomial, 1, taylor.ExhaustiveStrategy(K=14))
+        taylor.check_Tr(quintic, 1, taylor.ExhaustiveStrategy(K=6))
+
     return {"residue-build": residue_build, "pair-sweep": pair_sweep,
             "preimage-balls": preimage_balls, "total": total,
             "nd-K2": nd(2), "nd-K3": nd(3),
             "nd-xy81": lambda: taylor.check_Tr(xy81, 1),
-            "nd-xy243": lambda: taylor.check_Tr(xy243, 1)}
+            "nd-xy243": lambda: taylor.check_Tr(xy243, 1),
+            "1d-highK": high_k}
 
 
 def main(argv=None):
