@@ -3,15 +3,15 @@
 Two loops dominate runtime in this package: the count of F_q[t]-points of
 a variety, and the residue-pair sweep behind exhaustive Taylor-approximation
 checks.  The F_q[t] count reads the equations as VarietySpec.reduce_mod
-gives them and expands them once, in integers mod q, by expand (which
-expand_scheme reads too).  It lifts assignments level by level in t: at
-level k the t-coefficients below k already vanish on the frontier, so only
-the t^k coefficient is evaluated, and for k >= 1 it is affine in the new
-digits, [t^k]F(x^{<k} + a_k t^k) = [t^k]F(x^{<k}) + J(a_0)·a_k.  A block of
-frontier jets times level-k choices is then one outer product per group of
-monomials; the coefficients past t^(r-1) are checked on the survivors of
-the last level.  The pair sweep works modulo p^s (s the p-denominator
-exponent of the divided derivatives).  Both are block-vectorized numpy.
+gives them and lifts assignments level by level in t: at level k the
+t-coefficients below k already vanish on the frontier, so only the t^k
+coefficient is evaluated, and for k >= 1 it is affine in the new digits,
+[t^k]F(x^{<k} + a_k t^k) = [t^k]F(x^{<k}) + J(a_0)·a_k.  One evaluator,
+_series, gives every coefficient the count checks, as truncated t-series
+convolutions of the digit columns the lifting carries: the levels, J and
+the t-powers past t^(r-1) on the survivors of the last level.  The pair
+sweep works modulo p^s (s the p-denominator exponent of the divided
+derivatives).  Both are block-vectorized numpy.
 
 Throughout the package, numpy is imported inside the functions that build
 arrays, never at module top, so subcommands that build no array start
@@ -28,7 +28,7 @@ from .errors import CapExceededError
 
 INT64_SAFE_MOD = 1 << 31  # products of two residues stay below 2^62
 INT64_MAX = (1 << 63) - 1
-LIFT_BLOCK = 1 << 15  # assignment indices per array in the t-adic lifting
+LIFT_BLOCK = 1 << 15  # extensions per block in the t-adic lifting
 
 
 def backend():
@@ -41,155 +41,66 @@ def backend():
 # Equations come in the reduced format of VarietySpec.reduce_mod: per
 # equation a list of (cs, exps) terms, cs the t-adic coefficients (mod q)
 # of the term's F_q[t]-coefficient and exps its monomial exponents.  An
-# assignment index encodes the n*r coordinate coefficients in base q: the
-# digit at position i*r + g is the t^g coefficient a_{i,g} of coordinate i.
-# Monomials in these r*n variables are exponent tuples in the same
-# variable-major order, a_{1,0}, a_{1,1}, ..., a_{n,r-1}.
+# assignment is held as a digit column of n*r entries: the entry at
+# i*r + g is the t^g coefficient a_{i,g} of coordinate i.  Its index, in
+# base q with the same digit order, is formed only for the solutions.
 # ---------------------------------------------------------------------------
 
-def expand(q, r, n, terms, below=None):
-    """t-expansion of one reduced equation under x_i = sum_{g<r} a_{i,g} t^g,
-    in integers mod q: a dict mapping each t-power k to the t^k coefficient,
-    itself a dict monomial -> nonzero coefficient mod q.  Powers with no
-    nonzero term are absent, and so are powers >= below when it is given
-    (no term of a power < below is lost: factors only raise the t-power).
-    Reduction Z -> F_q is a ring map, so reducing as the products are
-    formed changes nothing."""
-    zero = (0,) * (r * n)
-    acc = {}
+def _series(q, r, terms, digits, known, lo, hi):
+    """The t^lo .. t^(hi-1) coefficients mod q of one reduced equation at
+    the assignments whose digit columns are `digits` (shape (n*r, N)), as
+    an array of shape (hi - lo, N).  Coordinate i is read as the truncated
+    t-series sum_{g<known} a_{i,g} t^g, so only the digits of the first
+    `known` levels matter.  Each term is its t-coefficients times one
+    convolution per factor, cut at t^hi, and the last factor forms only the
+    coefficients from t^lo on.  Both operands of every product are reduced
+    mod q, and each product is added to a reduced value, so int64 holds
+    every value whenever q < 2^31."""
+    import numpy as np
+
+    out = np.zeros((hi - lo, digits.shape[1]), dtype=np.int64)
     for cs, exps in terms:
-        poly = {(k, zero): c for k, c in enumerate(cs[:below]) if c}
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                prod = {}
-                for (k, mono), c in poly.items():
-                    for g in range(r if below is None else min(r, below - k)):
-                        v = i * r + g
-                        key = (k + g, mono[:v] + (mono[v] + 1,) + mono[v + 1:])
-                        prod[key] = prod.get(key, 0) + c
-                poly = {key: c % q for key, c in prod.items()}
-        for key, c in poly.items():
-            acc[key] = acc.get(key, 0) + c
-    by_power = {}
-    for (k, mono), c in acc.items():
-        if c % q:
-            by_power.setdefault(k, {})[mono] = c % q
-    return by_power
-
-
-def _expansion_length(terms, r):
-    """One more than the highest t-power an equation's expansion can reach."""
-    return max((len(cs) + sum(exps) * (r - 1) for cs, exps in terms), default=0)
-
-
-def _ff_count_numpy_chunk(q, r, n, equations, idx, upto=None):
-    """Vectorized evaluation of all equations on a chunk of assignment
-    indices; returns the mask of those whose t-coefficients below upto (all
-    of them when upto is None) vanish.  Coefficient j depends only on
-    coordinate levels <= j, so digits of levels not yet chosen may be 0.
-    Each equation is expanded only up to its own length.  The lifting
-    calls it on its last-level survivors; it is also the full-range
-    evaluator the tests compare the lifting with."""
-    import numpy as np
-
-    chunk = idx.shape[0]
-    digits = np.empty((n, r, chunk), dtype=np.int64)
-    v = idx.copy()
-    for i in range(n):
-        for g in range(r):
-            digits[i, g] = v % q
-            v //= q
-    mask = np.ones(chunk, dtype=bool)
-    for terms in equations:
-        limit = _expansion_length(terms, r)
-        if upto is not None:
-            limit = min(limit, upto)
-        acc = np.zeros((limit, chunk), dtype=np.int64)
-        for cs, exps in terms:
-            cur = min(len(cs), limit)
-            poly = np.array(cs[:cur], dtype=np.int64)[:, None]
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    new_len = min(cur + r - 1, limit)
-                    out = np.zeros((new_len, chunk), dtype=np.int64)
-                    for b in range(min(r, new_len)):
-                        width = min(cur, new_len - b)
-                        out[b:b + width] = (out[b:b + width]
-                                            + poly[:width] * digits[i, b]) % q
-                    poly, cur = out, new_len
-            acc[:cur] = (acc[:cur] + poly) % q
-        mask &= ~np.any(acc, axis=0)
-        if not mask.any():
-            break
-    return mask
-
-
-def _level_terms(q, r, n, equations):
-    """Per level k < r, per equation with a t^k term: its t^k coefficient
-    with the terms grouped by their level-k factor, a list of pairs
-    (level-k factors, [(coefficient, lower factors), ...]), factors being
-    (variable, exponent) pairs; the level-k variable of coordinate i is
-    named by i, a lower one by its position i*r + g.  For k >= 1 the t^k
-    coefficient is affine in the level-k digits,
-    [t^k]F(x^{<k} + a_k t^k) = [t^k]F(x^{<k}) + J(a_0)·a_k, so each
-    level-k factor is () or one digit to the first power."""
-    levels = [[] for _ in range(r)]
-    for terms in equations:
-        for k, monos in expand(q, r, n, terms, below=r).items():
-            groups = {}
-            for mono, c in monos.items():
-                new = tuple([(i, e) for i, e in enumerate(mono[k::r]) if e])
-                old = [(v, e) for v, e in enumerate(mono) if e and v % r < k]
-                groups.setdefault(new, []).append((c, old))
-            levels[k].append(list(groups.items()))
-    return levels
-
-
-def _lift_mask(q, equations, jets, choices):
-    """Mask of shape (jets, choices) of the extensions at which the t^k
-    coefficient of every equation vanishes; equations are one level of
-    _level_terms, jets holds the frontier's digit columns with shape
-    (n*r, nf, 1) and choices the level-k digits with shape (n, nc).  Each
-    group adds one outer product, its lower factor over the frontier
-    times its level-k factor over the choices; a factor with no digit
-    stays a Python int.  Both operands of every product are reduced mod q
-    first and a sum only adds reduced values, so int64 holds every value
-    whenever q < 2^31."""
-    import numpy as np
-
-    ok = np.ones((jets.shape[1], choices.shape[1]), dtype=bool)
-    for groups in equations:
-        val = 0
-        for new, old in groups:
-            low = 0
-            for c, factors in old:
-                term = c
-                for v, e in factors:
-                    for _ in range(e):
-                        term = term % q * jets[v]
-                low = low + term % q
-            for i, e in new:
-                for _ in range(e):
-                    low = low % q * choices[i]
-            val = val + low % q
-        ok &= val % q == 0
-    return ok
+        factors = [i for i, e in enumerate(exps) for _ in range(e)]
+        # series holds the t^off .. t^(off + len(series) - 1) coefficients
+        off = next((k for k, c in enumerate(cs) if c), hi)
+        series = np.array(cs[off:hi], dtype=np.int64)[:, None]
+        for j, i in enumerate(factors):
+            if not len(series):
+                break
+            start = max(off, lo if j == len(factors) - 1 else 0)
+            end = min(off + len(series) + known - 1, hi)
+            prod = np.zeros((max(end - start, 0), digits.shape[1]), dtype=np.int64)
+            for g in range(known):
+                a, b = max(start, off + g), min(end, off + len(series) + g)
+                if a < b:
+                    view = prod[a - start:b - start]
+                    view += series[a - off - g:b - off - g] * digits[i * r + g]
+                    view %= q
+            series, off = prod, start
+        a, b = max(lo, off), min(hi, off + len(series))
+        if a < b:
+            view = out[a - lo:b - lo]
+            view += series[a - off:b - off]
+            view %= q
+    return out
 
 
 def ff_count(q, r, n, equations, want_indices=False):
     """Count assignments solving every equation over F_q, exactly;
     equations in the reduced format above.
 
-    Depth-first t-adic lifting from the empty jet.  Level k extends each
-    frontier jet (its digits of levels < k, under which the t-coefficients
-    below k of every equation vanish) by each of the q^n choices of the
-    t^k coefficients of all n coordinates, and keeps the extensions whose
-    t^k coefficients vanish: only that coefficient can newly fail, and it
-    is evaluated from _level_terms, one outer product per group.  The
-    frontier's digit columns and indices are carried down the recursion.
-    Survivors of level r - 1 go through _ff_count_numpy_chunk with only
-    the equations whose expansion reaches past t^(r-1): their t-powers
-    >= r are all it can newly find nonzero.  Frontier and choices are
+    Depth-first t-adic lifting from the empty jet, on digit columns.
+    Level k extends each frontier jet (its digits of levels < k, under
+    which the t-coefficients below k of every equation vanish) by each of
+    the q^n choices a_k of the t^k coefficients of all n coordinates, and
+    keeps the extensions whose t^k coefficients vanish: only that
+    coefficient can newly fail.  Level 0 evaluates it on the choices.  For
+    k >= 1 it is affine in a_k, [t^k]F(x^{<k} + a_k t^k) = [t^k]F(x^{<k})
+    + J(a_0)·a_k, with J(a_0) the partial derivatives at t^0: both are
+    evaluated once per block of jets, and a block of jets times choices is
+    a broadcast of base + J·a_k.  The survivors of the last level are
+    checked on the t-powers >= r of the equations whose expansion reaches
+    that far.  _series computes every coefficient.  Jets and choices are
     sliced so that no block holds more than LIFT_BLOCK extensions.
     Returns count, or (count, sorted indices array) when want_indices is
     set.
@@ -199,13 +110,24 @@ def ff_count(q, r, n, equations, want_indices=False):
     if q >= INT64_SAFE_MOD or q ** (r * n) > INT64_MAX:
         raise CapExceededError(
             f"q = {q}, r*n = {r * n}: assignment indices exceed int64")
-    levels = _level_terms(q, r, n, equations)
-    tails = [terms for terms in equations if _expansion_length(terms, r) > r]
+    # per equation, (i, terms of [t^0] dF/dx_i) for each x_i it has; and
+    # (terms, one past its highest t-power) for those that pass t^(r-1)
+    jacobian, tails = [], []
+    for terms in equations:
+        row = []
+        for i in range(n):
+            d = [([exps[i] * cs[0] % q], exps[:i] + (exps[i] - 1,) + exps[i + 1:])
+                 for cs, exps in terms if cs and exps[i] * cs[0] % q]
+            if d:
+                row.append((i, d))
+        jacobian.append(row)
+        top = max((len(cs) + sum(exps) * (r - 1) for cs, exps in terms), default=0)
+        if top > r:
+            tails.append((terms, top))
     choices = q ** n
     step = min(choices, LIFT_BLOCK)
     rows = max(1, LIFT_BLOCK // step)
-    digit_weights = q ** (np.arange(n, dtype=np.int64) * r)
-    leaves = []
+    found = []
 
     def choice_block(c0):
         c = np.arange(c0, min(c0 + step, choices), dtype=np.int64)
@@ -213,34 +135,59 @@ def ff_count(q, r, n, equations, want_indices=False):
         for i in range(n):
             digits[i] = c % q
             c //= q
-        return digits, digit_weights @ digits
+        return digits
 
     # the only block unless q^n > LIFT_BLOCK; past that every jet runs
     # through all blocks in turn, so they are rebuilt rather than held
     first = choice_block(0)
 
-    def lift(idx, digits, k):
-        for f0 in range(0, len(idx), rows):
-            jets = digits[:, f0:f0 + rows]
-            for c0 in range(0, choices, step):
-                new, offsets = first if c0 == 0 else choice_block(c0)
-                f, c = np.nonzero(_lift_mask(q, levels[k], jets[:, :, None], new))
-                if not len(f):
-                    continue
-                sub = idx[f0 + f] + offsets[c] * q ** k
-                if k < r - 1:
-                    sub_digits = jets[:, f]
-                    sub_digits[k::r] = new[:, c]
-                    lift(sub, sub_digits, k + 1)
-                    continue
-                if tails:
-                    sub = sub[_ff_count_numpy_chunk(q, r, n, tails, sub)]
-                leaves.append(sub if want_indices else len(sub))
+    def choice_blocks():
+        for c0 in range(0, choices, step):
+            yield first if c0 == 0 else choice_block(c0)
 
-    lift(np.zeros(1, dtype=np.int64), np.zeros((r * n, 1), dtype=np.int64), 0)
+    def vanishing(jets, known, lo, checks):
+        """The columns of jets at which each (terms, hi) of checks has its
+        t^lo .. t^(hi-1) coefficients zero."""
+        for terms, hi in checks:
+            jets = jets[:, ~_series(q, r, terms, jets, known, lo, hi).any(axis=0)]
+            if not jets.shape[1]:
+                break
+        return jets
+
+    def lift(jets, k):
+        if k == r:
+            jets = vanishing(jets, r, r, tails)
+            found.append(q ** np.arange(r * n, dtype=np.int64) @ jets
+                         if want_indices else jets.shape[1])
+            return
+        for f0 in range(0, jets.shape[1], rows):
+            block = jets[:, f0:f0 + rows]
+            base = [_series(q, r, terms, block, k, k, k + 1)[0] for terms in equations]
+            jac = [[(i, _series(q, r, d, block, 1, 0, 1)[0]) for i, d in row]
+                   for row in jacobian]
+            for new in choice_blocks():
+                ok = np.ones((block.shape[1], new.shape[1]), dtype=bool)
+                for b, row in zip(base, jac):
+                    val = b[:, None]
+                    for i, d in row:
+                        val = (val + d[:, None] * new[i]) % q
+                    ok &= val == 0
+                f, c = np.nonzero(ok)
+                if len(f):
+                    sub = block[:, f]
+                    sub[k::r] = new[:, c]
+                    lift(sub, k + 1)
+
+    level0 = [(terms, 1) for terms in equations]
+    for new in choice_blocks():
+        jets = np.zeros((r * n, new.shape[1]), dtype=np.int64)
+        jets[::r] = new
+        jets = vanishing(jets, 1, 0, level0)
+        if jets.shape[1]:
+            lift(jets, 1)
     if not want_indices:
-        return sum(leaves)
-    indices = np.sort(np.concatenate(leaves)) if leaves else np.zeros(0, dtype=np.int64)
+        return sum(found)
+    indices = np.sort(np.concatenate(found)) if found else np.zeros(0, dtype=np.int64)
     return len(indices), indices
 
 

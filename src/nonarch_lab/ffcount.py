@@ -123,9 +123,10 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
     Runs the t-adic lifting of the int64 kernel, which extends a jet
     only by the level-k coefficients at which each equation's t^k
     coefficient vanishes and checks the t-powers >= r on the full
-    assignments; cap bounds the q^(r*n) assignments the search ranges
-    over, whatever the lifting visits.  With want_points the solutions
-    are decoded into coefficient tuples (ascending t-powers per
+    assignments, every coefficient a truncated t-series convolution of
+    the jet's digits; cap bounds the q^(r*n) assignments the search
+    ranges over, whatever the lifting visits.  With want_points the
+    solutions are decoded into coefficient tuples (ascending t-powers per
     coordinate), in ascending assignment-index order.
     """
     if r < 1:
@@ -143,23 +144,53 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
     return _kernels.ff_count(q, r, X.n, equations)
 
 
+def expand(q, r, n, terms):
+    """t-expansion of one reduced equation under x_i = sum_{g<r} a_{i,g} t^g,
+    in integers mod q: a dict mapping each t-power k to the t^k coefficient,
+    itself a dict monomial -> nonzero coefficient mod q, monomials being
+    exponent tuples in the r*n variables a_{1,0}, a_{1,1}, ..., a_{n,r-1}.
+    Powers with no nonzero term are absent.  Reduction Z -> F_q is a ring
+    map, so reducing as the products are formed changes nothing."""
+    zero = (0,) * (r * n)
+    acc = {}
+    for cs, exps in terms:
+        poly = {(k, zero): c for k, c in enumerate(cs) if c}
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                prod = {}
+                for (k, mono), c in poly.items():
+                    for g in range(r):
+                        v = i * r + g
+                        key = (k + g, mono[:v] + (mono[v] + 1,) + mono[v + 1:])
+                        prod[key] = prod.get(key, 0) + c
+                poly = {key: c % q for key, c in prod.items()}
+        for key, c in poly.items():
+            acc[key] = acc.get(key, 0) + c
+    by_power = {}
+    for (k, mono), c in acc.items():
+        if c % q:
+            by_power.setdefault(k, {})[mono] = c % q
+    return by_power
+
+
 def expand_scheme(X, q, r):
     """Substitute generic degree-<r polynomials and expand over F_q[t]:
     one scalar equation per t-power per defining polynomial (including
     t-powers >= r, which must vanish identically).
 
     Each defining polynomial is expanded under x_i = sum_g a_{i,g} t^g by
-    _kernels.expand, the integer expansion mod q whose powers below r the
-    lifting kernel reads.  Returns a list of MultiPoly with coefficients
-    in [0, q) in the r*n coefficient variables a_{i,gamma}, ordered
-    variable-major: a_{1,0}, a_{1,1}, ..., a_{n,r-1}; per defining
-    polynomial, one for each t-power with a nonzero term mod q, ascending.
+    expand, in integers mod q.  The lifting kernel reads no expansion: it
+    evaluates the same coefficients as t-series at each assignment.
+    Returns a list of MultiPoly with coefficients in [0, q) in the r*n
+    coefficient variables a_{i,gamma}, ordered variable-major: a_{1,0},
+    a_{1,1}, ..., a_{n,r-1}; per defining polynomial, one for each t-power
+    with a nonzero term mod q, ascending.
     """
     if r < 1:
         raise ConfigError("need r >= 1")
     equations = []
     for terms in X.reduce_mod(q):
-        by_power = _kernels.expand(q, r, X.n, terms)
+        by_power = expand(q, r, X.n, terms)
         equations.extend(MultiPoly(r * X.n, by_power[k]) for k in sorted(by_power))
     return equations
 

@@ -44,7 +44,7 @@ from .arith_core import (
     val_int,
 )
 from .combinatorics import select_divisibility
-from .errors import CapExceededError, ConfigError, PrecisionError
+from .errors import BoundViolation, CapExceededError, ConfigError, PrecisionError
 
 INF = math.inf
 
@@ -418,15 +418,17 @@ def _check_tr_1d(f, r, ball, K, s):
         if table.shape[1] > r:
             by, bx = _kernels.tr_pair_sweep(table, xs, mod, r)
             if by >= 0:
-                return _exact_pair_violation(derivs, r, (int(residues[bx]),),
-                                             (int(residues[by]),), p)
+                x, y = (int(residues[bx]),), (int(residues[by]),)
+                return _confirmed(_exact_pair_violation(derivs, r, x, y, p),
+                                  f"the pair x = {x[0]}, y = {y[0]}")
 
         # pointwise C^r bound at the first y with a nonzero scaled value of
         # order <= r; earlier components passed every y, so the exact
         # re-check names this one
         bad = (table[:, :r + 1] != 0).any(axis=1)
         if bad.any():
-            return _exact_point_violation(derivs, r, (int(residues[int(bad.argmax())]),), p)
+            y = (int(residues[int(bad.argmax())]),)
+            return _confirmed(_exact_point_violation(derivs, r, y, p), f"the point y = {y[0]}")
     return None
 
 
@@ -538,6 +540,17 @@ def _check_tr_sampled(f, r, strategy, ball, K):
     return None
 
 
+def _confirmed(witness, flagged):
+    """The exact re-check's witness at what a modular sweep flagged.  The
+    two decide the same bound, so a re-check that clears the flagged pair
+    or point is a BoundViolation, never a verdict: returning its None
+    would report "holds" and hide every later failure."""
+    if witness is None:
+        raise BoundViolation(
+            f"the modular sweep flags {flagged}, which the exact re-check clears")
+    return witness
+
+
 def _exact_pair_violation(derivs, r, x, y, p):
     """First component whose remainder bound fails at (x, y), as a
     witness, from a _derivative_table; or None."""
@@ -598,8 +611,9 @@ def _check_tr_nd(f, r, ball, s):
     bad = np.concatenate([_residue_table(entries[:n], points, p, s)
                           for entries, n in zip(derivs, low)], axis=1) != 0
     if bad.any():
-        y = tuple(map(Fraction, ys[int(bad.any(axis=1).argmax())].tolist()))
-        return _exact_point_violation(derivs, r, y, p)
+        y = tuple(ys[int(bad.any(axis=1).argmax())].tolist())
+        return _confirmed(_exact_point_violation(derivs, r, tuple(map(Fraction, y)), p),
+                          f"the point y = {y}")
     if s <= alpha:
         # every |beta| > r term carries p^(v(|beta|-r)) with v >= alpha >= s
         return None
@@ -648,8 +662,8 @@ def _check_tr_nd(f, r, ball, s):
     # digits of ys[k] are diffs[k], so its class is diffs[k] - diffs[yi]
     j = np.ravel_multi_index(((diffs - diffs[yi]) % width).T, (width,) * m)
     xi = int(remainder_bad(yi, yi + 1)[0][j].argmax())
-    return _exact_pair_violation(derivs, r, tuple(ys[xi].tolist()),
-                                 tuple(ys[yi].tolist()), p)
+    x, y = tuple(ys[xi].tolist()), tuple(ys[yi].tolist())
+    return _confirmed(_exact_pair_violation(derivs, r, x, y, p), f"the pair x = {x}, y = {y}")
 
 
 def _difference_weights(high, r, diffs, p, s, alpha):

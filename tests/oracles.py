@@ -279,6 +279,40 @@ def ff_graph_count(poly_terms, n, q, r):
     return count
 
 
+def ff_count_full_range(q, r, n, equations, idx):
+    """Mask of the assignment indices `idx` (an int64 array, base-q digits
+    a_{i,g} at position i*r + g) at which every equation in
+    VarietySpec.reduce_mod's format vanishes identically: numpy
+    convolutions of whole t-series, every t-power of each equation at
+    once, with the digits decoded from the indices.  The full-range
+    reference the t-adic lifting is compared with."""
+    import numpy as np
+
+    chunk = idx.shape[0]
+    digits = np.empty((n, r, chunk), dtype=np.int64)
+    v = idx.copy()
+    for i in range(n):
+        for g in range(r):
+            digits[i, g] = v % q
+            v //= q
+    mask = np.ones(chunk, dtype=bool)
+    for terms in equations:
+        limit = max((len(cs) + sum(exps) * (r - 1) for cs, exps in terms), default=0)
+        acc = np.zeros((limit, chunk), dtype=np.int64)
+        for cs, exps in terms:
+            cur = len(cs)
+            poly = np.array(cs, dtype=np.int64)[:, None]
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    out = np.zeros((cur + r - 1, chunk), dtype=np.int64)
+                    for b in range(r):
+                        out[b:b + cur] = (out[b:b + cur] + poly * digits[i, b]) % q
+                    poly, cur = out, cur + r - 1
+            acc[:cur] = (acc[:cur] + poly) % q
+        mask &= ~np.any(acc, axis=0)
+    return mask
+
+
 def tr_pair_sweep_scalar(table, xs, mod, r):
     """First residue pair (y, x), x != y, with sum_{j>=r} table[y][j] *
     (xs[x] - xs[y])^(j-r) nonzero modulo mod, or (-1, -1): one pair at a

@@ -72,12 +72,14 @@ def _lift_cases(seed, count=80, max_states=4000):
     return cases
 
 
-def _structured_cases(seed, count=40, max_states=3000):
+def _structured_cases(seed, count=44, max_states=3000):
     """Lifting cases whose level-k coefficients are not just linear: a
     degree-6 term x^2 y^3 z, the node y^2 = x^2 (x + 1), whose Jacobian
     vanishes at the origin, the cusp, t-coefficients that start past t^0,
-    zero and constant equations, and seeded random equations of degree up
-    to 6 in up to three variables."""
+    zero and constant equations, the many-factor terms of x^4 y^4 + x and
+    x^2 y^2 z^2 - 1, whose last factor is cut to the coefficients asked
+    for, and seeded random equations of degree up to 6 in up to three
+    variables."""
     rng = random.Random(seed)
     node = [([1], (0, 2)), ([-1], (3, 0)), ([-1], (2, 0))]
     cusp = [([1], (0, 2)), ([-1], (3, 0))]
@@ -96,6 +98,9 @@ def _structured_cases(seed, count=40, max_states=3000):
         (2, 3, 2, [[], node]), (2, 3, 2, [[([3], (2, 0))], node]),
         (2, 5, 2, [[([0, 0, 0, 4], (0, 0))]]),  # 4t^3 = 0, a leaf-only failure
         (2, 3, 2, [node, [([2], (0, 0))]]),
+        (2, 5, 2, [[([1], (4, 4)), ([1], (1, 0))]]), (2, 3, 3, [[([1], (4, 4)), ([1], (1, 0))]]),
+        (3, 3, 2, [[([1], (2, 2, 2)), ([-1], (0, 0, 0))]]),
+        (3, 2, 3, [[([1], (2, 2, 2)), ([-1], (0, 0, 0))]]),
     ]
     while len(cases) < count:
         n, q, r = rng.choice([1, 2, 3]), rng.choice([2, 3, 5, 7]), rng.randint(1, 4)
@@ -129,7 +134,7 @@ def test_lifted_count_matches_full_range_and_oracle(block, monkeypatch):
                          + _structured_cases(seed=21 + (block or 0))):
         reduced = [[([c % q for c in cs], e) for cs, e in terms] for terms in eqs]
         idx = np.arange(q ** (r * n), dtype=np.int64)
-        want = idx[_kernels._ff_count_numpy_chunk(q, r, n, reduced, idx)]
+        want = idx[oracles.ff_count_full_range(q, r, n, reduced, idx)]
         count, got = _kernels.ff_count(q, r, n, reduced, want_indices=True)
         assert count == len(got) == len(want), (n, q, r, eqs)
         assert np.array_equal(got, want), (n, q, r, eqs)

@@ -91,26 +91,18 @@ def test_pair_sweep_mod_one_is_vacuous():
 def test_ff_count_lift_blocks_agree(monkeypatch):
     from conftest import ELLIPTIC, PARAB_T
 
-    evaluate, extend = _kernels._ff_count_numpy_chunk, _kernels._lift_mask
-    blocks = []
+    series = _kernels._series
+    widths = []
 
-    def bounded(q, r, n, equations, idx, upto=None):
-        assert 0 < len(idx) <= _kernels.LIFT_BLOCK
-        return evaluate(q, r, n, equations, idx, upto)
+    def bounded(q, r, terms, digits, known, lo, hi):
+        # every coefficient is evaluated on one block of jets, of level-0
+        # choices or of last-level survivors: never empty, never more
+        # than LIFT_BLOCK digit columns
+        assert 1 <= digits.shape[1] <= _kernels.LIFT_BLOCK
+        widths.append(digits.shape[1])
+        return series(q, r, terms, digits, known, lo, hi)
 
-    def bounded_lift(q, equations, jets, choices):
-        # one frontier block times one choice block: the digit columns,
-        # the choice digits and the mask all stay within LIFT_BLOCK
-        mask = extend(q, equations, jets, choices)
-        assert mask.shape == (jets.shape[1], choices.shape[1])
-        assert 0 < mask.size <= _kernels.LIFT_BLOCK
-        assert jets.shape[1] * jets.shape[2] <= _kernels.LIFT_BLOCK
-        assert choices.shape[1] <= _kernels.LIFT_BLOCK
-        blocks.append(mask.size)
-        return mask
-
-    monkeypatch.setattr(_kernels, "_ff_count_numpy_chunk", bounded)
-    monkeypatch.setattr(_kernels, "_lift_mask", bounded_lift)
+    monkeypatch.setattr(_kernels, "_series", bounded)
     for X, q, r in ((ELLIPTIC, 5, 2), (ELLIPTIC, 3, 3), (PARAB_T, 5, 3)):
         equations = X.reduce_mod(q)
         runs = []
@@ -120,7 +112,7 @@ def test_ff_count_lift_blocks_agree(monkeypatch):
             assert count == _kernels.ff_count(q, r, X.n, equations)
             runs.append((count, idx.tolist()))
         assert runs[0] == runs[1] == runs[2] and runs[0][0] > 0
-    assert 1 in blocks and 7 in blocks  # the small blocks were exercised
+    assert 1 in widths and 7 in widths  # the small blocks were exercised
 
 
 def test_ff_count_int64_guard():

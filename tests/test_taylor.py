@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from nonarch_lab.arith_core import Ball, MultiPoly, divided_derivative
-from nonarch_lab.errors import CapExceededError, ConfigError, PrecisionError
+from nonarch_lab.errors import BoundViolation, CapExceededError, ConfigError, PrecisionError
 from nonarch_lab.taylor import (
     ExhaustiveStrategy,
     PolyMap,
@@ -614,6 +614,47 @@ def test_remainder_sum_reduces_before_int64_overflow(monkeypatch):
 
     monkeypatch.setattr(taylor, "_exact_pair_violation", no_flagged_pair)
     assert check_Tr(f, 2, ExhaustiveStrategy(K=11)).verdict == "holds"
+
+
+@pytest.mark.parametrize("f, r, K, recheck", [
+    (BINOM2, 1, 5, "_exact_pair_violation"),
+    # 1/3 + x on Z_3 at r = 1: the remainder holds, g_0 fails at y = 0
+    (PolyMap.univariate([Fraction(1, 3), 1], domain=Z3), 1, 2, "_exact_point_violation"),
+    (PolyMap(2, 1, [MultiPoly(2, {(1, 1): Fraction(1, 3)})], domain=Ball(3, (0, 0), 0)),
+     1, 2, "_exact_point_violation"),
+    (PolyMap(2, 1, [MultiPoly(2, {(3, 0): Fraction(1, 9), (1, 1): 1})], domain=Ball(3, (0, 0), 1)),
+     2, 2, "_exact_pair_violation"),
+], ids=["1d-remainder", "1d-cr", "2d-cr", "2d-remainder"])
+def test_sweep_flag_the_exact_recheck_clears_is_a_violation(f, r, K, recheck, monkeypatch):
+    # each map fails where the modular sweep flags it; an exact re-check
+    # that clears the flagged pair or point must not turn into "holds"
+    from nonarch_lab import taylor
+
+    assert check_Tr(f, r, ExhaustiveStrategy(K=K)).verdict == "fails"
+    monkeypatch.setattr(taylor, recheck, lambda *args: None)
+    flagged = "pair" if recheck == "_exact_pair_violation" else "point"
+    with pytest.raises(BoundViolation, match=f"flags the {flagged} .* the exact re-check clears"):
+        check_Tr(f, r, ExhaustiveStrategy(K=K))
+
+
+@pytest.mark.parametrize("terms, x", [
+    ({(0, 6): Fraction(4, 243), (0, 3): Fraction(-1, 9)}, (0, 6)),
+    ({(0, 6): Fraction(1, 243), (0, 3): Fraction(4, 9)}, (0, 3)),
+])
+def test_multivariate_locator_reads_the_class_of_x_minus_y(terms, x):
+    # on 3Z_3^2 at r = 2 (s = 5, alpha = 1) the failing difference classes
+    # of these maps are not symmetric under u -> -u: the locator must take
+    # the class of x - y, not of y - x, to find the first failing x
+    ball = Ball(3, (0, 0), 1)
+    f = PolyMap(2, 1, [MultiPoly(2, terms)], domain=ball)
+    want = oracles.tr_check_oracle([terms], 2, 3, (0, 0), 1, 3)
+    assert want == ("remainder", 0, x, (0, 0), 1, 2)
+    cert = check_Tr(f, 2)
+    wit = cert.witness
+    assert cert.verdict == "fails" and cert.K >= 5
+    assert (wit["kind"], wit["component"], wit["x"], wit["y"], wit["ord_lhs"],
+            wit["bound_rhs"]) == want
+    assert recheck_witness(f, 2, wit, 3)
 
 
 def test_integral_1d_map_past_the_residue_cap_holds(monkeypatch):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Seconds of the repeated stages of the `lab-mix` benchmark workload, of
 the F_q[t] counts of `lab-mix` and `ff-sparse` and of three deeper ones,
-and of `expand_scheme`.
+of two dense ones, and of `expand_scheme`.
 
 Run from anywhere; --root names the source checkout to measure (default:
 the checkout this script sits in), so two commits can be timed by the same
@@ -26,6 +26,11 @@ warm up, then --reps times:
   count-deep      `ffcount.enumerate_Xr` on y^2 = x^3 - x at (q, r) =
                   (13, 4), (7, 6) and (13, 5), with the q^(r*n) cap raised
                   past 13^10
+  count-dense     `ffcount.enumerate_Xr` on x^4 y^4 + x = 0 at (q, r) =
+                  (5, 5) and on x^2 y^2 z^2 = 1 at (3, 3): many-factor terms
+                  whose t-powers past the lifting levels hold thousands of
+                  monomials, so an evaluator that expands them into
+                  monomials blows up
   expand-scheme   `ffcount.expand_scheme` on y^2 = x^3 - x at q = 5, r = 3,
                   the input of `lab-mix`'s `expand-scheme` job
   grid-circle-Q10 `heights._grid_points` for x^2 + y^2 = 1 over the
@@ -67,6 +72,8 @@ def _stages(workloads):
             ffcount.verify_bounds(counts, X, r)
 
     elliptic = ffcount.VarietySpec.from_json(workloads.ELLIPTIC)
+    dense = [(ffcount.VarietySpec(2, [{(4, 4): (1,), (1, 0): (1,)}]), 5, 5),
+             (ffcount.VarietySpec(3, [{(2, 2, 2): (1,), (0, 0, 0): (-1,)}]), 3, 3)]
     circle = cli.parse_semialg(workloads.CIRCLE)
     parabola = cli.parse_semialg(workloads.COVER["curve"])
     heights_10 = list(heights.enumerate_heights(10))
@@ -78,6 +85,7 @@ def _stages(workloads):
         "count-elliptic": lambda: count_table(workloads.ELLIPTIC, (5, 7, 11, 13), range(1, 4)),
         "count-deep": lambda: [ffcount.enumerate_Xr(elliptic, q, r, cap=13 ** 10)
                                for q, r in ((13, 4), (7, 6), (13, 5))],
+        "count-dense": lambda: [ffcount.enumerate_Xr(X, q, r) for X, q, r in dense],
         "expand-scheme": lambda: ffcount.expand_scheme(elliptic, 5, 3),
         "grid-circle-Q10": lambda: heights._grid_points(circle, heights_10, 10**7),
         "grid-parabola-Z100": lambda: heights._grid_points(parabola, integers_100, 10**7),
