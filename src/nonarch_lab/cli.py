@@ -150,11 +150,21 @@ def parse_polymap(data):
     return PolyMap(m, n, comps, domain=domain, tail_floor=tail_floor)
 
 
+@contextmanager
+def writable(path, **kwargs):
+    """path opened for writing; an OSError becomes a ConfigError naming it."""
+    try:
+        with open(path, "w", **kwargs) as fh:
+            yield fh
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
+
+
 def emit_report(report, args, started):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
+        with writable(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -162,7 +172,7 @@ def emit_report(report, args, started):
 
 
 def write_csv(path, rows):
-    with open(path, "w", newline="") as fh:
+    with writable(path, newline="") as fh:
         csv.writer(fh).writerows(rows)
 
 
@@ -219,6 +229,7 @@ def cmd_bounds(args, _parsed):
 def cmd_heights(args, spec):
     from .heights import points_k, points_Q, points_Z
 
+    config_int(args.k, "--k", 1)
     if args.mode == "Z":
         pts = points_Z(spec, args.T, cap=args.cap)
     elif args.mode == "k":
@@ -258,6 +269,7 @@ def cmd_det_cover(args, cover_input):
 def cmd_count_ff(args, X):
     from .ffcount import CountRecord, enumerate_Xr, verify_bounds
 
+    config_int(args.mu_cap, "--mu-cap", 1)
     qs = parse_range_list(args.q)
     rs = parse_range_list(args.r)
     for flag, values in (("--q", qs), ("--r", rs)):
@@ -321,6 +333,7 @@ def cmd_hilbert(args, ideal_input):
                 f"--salberger-s values must be >= 1, got {args.salberger_s!r}")
     if args.smax < 0:
         raise ConfigError(f"--smax must be >= 0, got {args.smax}")
+    config_int(args.budget, "--budget", 0)
     if args.select and min(args.select) < 1:
         d, r = args.select
         raise ConfigError(f"--select D R needs D >= 1 and R >= 1, got {d} {r}")

@@ -5,7 +5,9 @@ height of x at degree k is the minimal H_0 over nonzero integer tuples a
 with sum a_i x^i = 0.  Point sets of polynomially-defined subsets of Q^n
 are enumerated exactly over the candidate grid of rationals of height <= T,
 fibre by fibre: the first n-1 coordinates run over the grid and the last
-one is read off as a rational root of an integer polynomial.
+one is read off as a rational root of an integer polynomial.  The grid is
+a list of integer (numerator, denominator) pairs in every mode; Fractions
+are built only for the points a fibre offers to the set's membership test.
 """
 
 from __future__ import annotations
@@ -54,25 +56,18 @@ def hk_poly(x, k, T_max):
 
 
 def enumerate_heights(T):
-    """All rationals with h0 <= T, each exactly once, ordered by
-    (h0, |numerator|, sign, denominator)."""
+    """All rationals with h0 <= T, each once, as (numerator, denominator)
+    pairs in lowest terms with denominator > 0, ordered by (h0, |numerator|,
+    sign, denominator): 0, 1, -1, then at each h >= 2 +-a/h for the a < h
+    prime to h, ascending, then h/b and then -h/b for the b < h prime to h."""
     if T < 1:
         raise ConfigError("need T >= 1")
-    for h in range(1, T + 1):
-        batch = set()
-        if h == 1:
-            batch.update([Fraction(0), Fraction(1), Fraction(-1)])
-        else:
-            for a in range(1, h + 1):
-                if gcd(a, h) == 1:
-                    batch.add(Fraction(a, h))
-                    batch.add(Fraction(-a, h))
-            for b in range(1, h):
-                if gcd(h, b) == 1:
-                    batch.add(Fraction(h, b))
-                    batch.add(Fraction(-h, b))
-        for q in sorted(batch, key=lambda q: (abs(q.numerator), q < 0, q.denominator)):
-            yield q
+    yield from ((0, 1), (1, 1), (-1, 1))
+    for h in range(2, T + 1):
+        coprime = [a for a in range(1, h) if gcd(a, h) == 1]
+        yield from ((sa, h) for a in coprime for sa in (a, -a))
+        yield from ((h, b) for b in coprime)
+        yield from ((-h, b) for b in coprime)
 
 
 @dataclass(frozen=True)
@@ -136,8 +131,9 @@ class SemialgSpec:
 
 
 def _grid_points(X, values, cap):
-    """Members of X in values^n, in itertools.product order (values are
-    distinct rationals).
+    """Members of X in values^n as tuples of Fractions, in itertools.product
+    order; values are distinct (numerator, denominator) pairs in lowest terms
+    with denominator > 0.
 
     Fibre by fibre: at each prefix of the first n-1 coordinates the first
     equation whose specialization is not the zero polynomial gives an
@@ -148,21 +144,21 @@ def _grid_points(X, values, cap):
     inequations and the p-adic constraints are checked.  A fibre is
     scanned over all of values, each point through the full X.accepts, only
     when no equation constrains it (no equations, or every one vanishes on
-    the fibre).
+    the fibre).  Fractions are built only for the prefix of a fibre with
+    candidates and for each candidate point.
     """
     _check_grid(X, len(values), cap)
     if X.nvars == 0:
         return [()] if X.accepts(()) else []
     last = X.nvars - 1
-    fracs = [Fraction(v) for v in values]
-    index = {(v.numerator, v.denominator): i for i, v in enumerate(fracs)}
-    max_num = max((abs(v.numerator) for v in fracs), default=0)
-    max_den = max((v.denominator for v in fracs), default=1)
+    index = {v: i for i, v in enumerate(values)}
+    max_num = max((abs(num) for num, _ in values), default=0)
+    max_den = max((den for _, den in values), default=1)
     fibrations, degrees = _integer_fibrations(X.equations, last)
     # powers[i][vi][e] = num^e * den^(D_i - e) for the value vi in slot i,
     # so every term is scaled by the same prod den_i^(D_i)
-    powers = [[[v.numerator ** e * v.denominator ** (D - e) for e in range(D + 1)]
-               for v in fracs] for D in degrees]
+    powers = [[[num ** e * den ** (D - e) for e in range(D + 1)]
+               for num, den in values] for D in degrees]
     scan = range(len(values))
     out = []
     for prefix_idx in itertools.product(scan, repeat=last):
@@ -178,9 +174,11 @@ def _grid_points(X, values, cap):
                 candidates = _root_indices(coeffs, index, max_num, max_den)
                 known = solving + 1
                 break
-        prefix = tuple(values[vi] for vi in prefix_idx)
+        if not candidates:
+            continue
+        prefix = tuple(Fraction(*values[vi]) for vi in prefix_idx)
         for i in candidates:
-            point = prefix + (values[i],)
+            point = prefix + (Fraction(*values[i]),)
             if X.accepts(point, known):
                 out.append(point)
     return out
@@ -324,8 +322,7 @@ def points_Z(X, T, cap=10**7):
     if T < 0:
         raise ConfigError(f"need T >= 0, got {T}")
     _check_grid(X, 2 * T + 1, cap)
-    values = [Fraction(v) for v in range(-T, T + 1)]
-    return _grid_points(X, values, cap)
+    return _grid_points(X, [(v, 1) for v in range(-T, T + 1)], cap)
 
 
 def points_k(X, k, T, cap=10**7):

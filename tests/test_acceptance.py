@@ -242,7 +242,7 @@ def test_criterion_12_heights_oracle_equivalence():
     pts = points_Q(circle, 5)
     ok = len(pts) == 12 and sorted(pts) == oracles.circle_points(5)
     for T in range(1, 51):
-        mine = list(enumerate_heights(T))
+        mine = [Fraction(*v) for v in enumerate_heights(T)]
         if len(mine) != len(set(mine)) or set(mine) != oracles.rationals_of_height(T):
             ok = False
             break

@@ -279,7 +279,7 @@ def test_count_ff_malformed_exit_2(tmp_path, capsys):
     assert main(["count-ff", str(tmp_path / "absent.json"), "--q", "2", "--r", "1"]) == 2
     path = write(tmp_path, "yx3.json", YX3)
     assert main(["count-ff", path, "--q", "2,3", "--r", "1", "--mu-cap", "0"]) == 2
-    assert "mu_cap must be >= 1" in capsys.readouterr().err
+    assert "--mu-cap must be >= 1" in capsys.readouterr().err
     assert_config_error(["count-ff", path, "--q", "2,3", "--r", "1", "--cap", "-1"],
                         "need cap >= 0", capsys, in_subprocess=False)
 
@@ -517,8 +517,36 @@ def test_hilbert_malformed_exit_2(tmp_path, capsys):
         assert main(["hilbert", path, "--smax", "3"] + extra) == 2, extra
         assert named in capsys.readouterr().err
     path = write(tmp_path, "twisted.json", TWISTED_CUBIC_IDEAL)
-    assert_config_error(["hilbert", path, "--budget", "-1"], "need S-pair budget >= 0",
+    assert_config_error(["hilbert", path, "--budget", "-1"], "--budget must be >= 0",
                         capsys, in_subprocess=False)
+
+
+@pytest.mark.parametrize("command,argv,named", [
+    ("heights", ["--mode", "Q", "--k", "0", "--T", "2"], "--k must be >= 1, got 0"),
+    ("count-ff", ["--q", "5", "--r", "1", "--mu-cap", "0"], "--mu-cap must be >= 1, got 0"),
+    ("hilbert", ["--budget", "-1"], "--budget must be >= 0, got -1"),
+], ids=["heights-k", "count-ff-mu-cap", "hilbert-budget"])
+def test_options_checked_when_the_run_does_not_read_them(tmp_path, capsys, command,
+                                                         argv, named):
+    # Q mode reads no --k, one field size fits no mu, and an ideal without
+    # generators runs no S-pair: each option is still checked up front
+    data = {"heights": CIRCLE, "count-ff": YX3,
+            "hilbert": {"vars": 3, "generators": []}}[command]
+    assert_config_error([command, write(tmp_path, "input.json", data)] + argv, named,
+                        capsys, in_subprocess=False)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_out_or_csv_exit_2(tmp_path, capsys, flag):
+    # a directory as the report path, a file in a missing directory as the CSV
+    if flag == "--out":
+        argv = ["heights", write(tmp_path, "circle.json", CIRCLE), "--T", "3"]
+        target = str(tmp_path)
+    else:
+        argv = ["hilbert", write(tmp_path, "conic.json", CONIC_IDEAL)]
+        target = str(tmp_path / "absent" / "table.csv")
+    assert_config_error(argv + [flag, target], f"cannot write {target}", capsys,
+                        in_subprocess=True)
 
 
 def _exponent_input(command, e):

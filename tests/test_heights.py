@@ -64,21 +64,26 @@ def test_hk_properties():
             prev = val
 
 
+def _fractions(pairs):
+    return [Fraction(*v) for v in pairs]
+
+
+def _pairs(fractions):
+    return [(v.numerator, v.denominator) for v in fractions]
+
+
 def test_enumerate_heights_small():
-    assert list(enumerate_heights(1)) == [0, 1, -1]
-    assert set(enumerate_heights(2)) == {Fraction(0), Fraction(1), Fraction(-1),
-                                         Fraction(2), Fraction(-2),
-                                         Fraction(1, 2), Fraction(-1, 2)}
+    assert list(enumerate_heights(1)) == [(0, 1), (1, 1), (-1, 1)]
+    assert list(enumerate_heights(2)) == [(0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2),
+                                          (2, 1), (-2, 1)]
 
 
 def test_enumerate_heights_against_oracle():
+    # the oracle's rationals, sorted by (h0, |num|, sign, den), in lowest terms
     for T in range(1, 31):
-        mine = list(enumerate_heights(T))
-        assert len(mine) == len(set(mine))  # no repeats
-        assert set(mine) == oracles.rationals_of_height(T)
-        assert all(h0(q) <= T for q in mine)
-    # deterministic order
-    assert list(enumerate_heights(7)) == list(enumerate_heights(7))
+        want = sorted(oracles.rationals_of_height(T), key=lambda q: (
+            h0(q), abs(q.numerator), q.numerator < 0, q.denominator))
+        assert list(enumerate_heights(T)) == _pairs(want), T
 
 
 def test_points_circle_example(circle_curve):
@@ -242,7 +247,7 @@ def test_fibred_points_match_grid_oracle(n, mode, T_max):
             values = [Fraction(v) for v in range(-T, T + 1)]
             enumerate_points = points_Z
         else:
-            values = list(enumerate_heights(T))
+            values = _fractions(enumerate_heights(T))
             enumerate_points = points_Q
         spec = _random_spec(rng, n, values)
         want = oracles.grid_points(spec, values)
@@ -280,9 +285,25 @@ def test_grid_cap_is_decided_before_the_grid_is_built(parabola_curve, monkeypatc
         size = len(list(enumerate_heights(T)))
         spec = SemialgSpec(1, [x * x - 4])
         assert points_Q(spec, T, cap=size) == oracles.grid_points(
-            spec, list(enumerate_heights(T)))
+            spec, _fractions(enumerate_heights(T)))
         with pytest.raises(CapExceededError, match=f" {size} exceeds cap {size - 1}$"):
             points_Q(spec, T, cap=size - 1)
+
+
+def test_grid_builds_fractions_only_for_offered_points(parabola_curve, monkeypatch):
+    # the grid runs on integer pairs: a Fraction is built for the prefix of
+    # a fibre with candidates and for each candidate, never per grid value
+    built = 0
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return Fraction(*args)
+
+    monkeypatch.setattr(heights, "Fraction", counted)
+    T = 2000
+    assert len(points_Z(parabola_curve, T, cap=10**8)) == 89  # |x| <= 44
+    assert built < 2 * T + 1, built
 
 
 def test_fibred_points_vanishing_fibres():
@@ -294,7 +315,7 @@ def test_fibred_points_vanishing_fibres():
     assert len(points_Z(spec, 4)) == 2 * 9 - 1
     # the second equation decides where the first vanishes
     spec = SemialgSpec(2, [(x - 1) * (2 * y - 1), x * x - 1, x + y * y - 2])
-    assert points_Q(spec, 3) == oracles.grid_points(spec, list(enumerate_heights(3)))
+    assert points_Q(spec, 3) == oracles.grid_points(spec, _fractions(enumerate_heights(3)))
     assert points_Q(spec, 3) == [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))]
     # no equations: every fibre is scanned
     spec = SemialgSpec(2, [], [x - y])
@@ -311,7 +332,7 @@ def test_solved_fibres_check_only_later_conditions():
         n = rng.choice([2, 2, 3])
         T = rng.randint(2, 5 if n == 2 else 3)
         values = ([Fraction(v) for v in range(-T, T + 1)] if case % 2
-                  else list(enumerate_heights(T)))
+                  else _fractions(enumerate_heights(T)))
         first = _random_equation(rng, n, values)
         eqs = [first]
         for _ in range(rng.randint(1, 2)):
@@ -325,7 +346,7 @@ def test_solved_fibres_check_only_later_conditions():
                                        "ord_ge", rng.randint(-1, 1))]
         spec = SemialgSpec(n, eqs, ineqs, p, constraints)
         want = oracles.grid_points(spec, values)
-        assert _grid_points(spec, values, 10**6) == want, spec
+        assert _grid_points(spec, _pairs(values), 10**6) == want, spec
         nonempty += bool(want)
         loose = SemialgSpec(n, eqs[:1], [], p, [])
         rejected += len(oracles.grid_points(loose, values)) > len(want)
@@ -347,7 +368,7 @@ def test_closed_form_roots_match_evaluation():
     # linear and quadratic fibres times y^k, against evaluating the
     # polynomial at every indexed value; most are built from rational
     # factors so that roots land in the grid, the rest are random
-    for values in (list(enumerate_heights(6)), [Fraction(v) for v in range(-9, 10)]):
+    for values in (_fractions(enumerate_heights(6)), [Fraction(v) for v in range(-9, 10)]):
         index = {(v.numerator, v.denominator): i for i, v in enumerate(values)}
         max_num = max(abs(v.numerator) for v in values)
         max_den = max(v.denominator for v in values)
@@ -379,7 +400,7 @@ def test_closed_form_roots_match_evaluation():
             assert _root_indices(coeffs, index, max_num, max_den) == want, coeffs
             hit += bool(want)
         assert hit > 300
-    values = list(enumerate_heights(4))
+    values = _fractions(enumerate_heights(4))
     index = {(v.numerator, v.denominator): i for i, v in enumerate(values)}
     cases = [
         [1, -2, 1],      # (y - 1)^2, double root

@@ -34,10 +34,18 @@ warm up, then --reps times:
   expand-scheme   `ffcount.expand_scheme` on y^2 = x^3 - x at q = 5, r = 3,
                   the input of `lab-mix`'s `expand-scheme` job
   grid-circle-Q10 `heights._grid_points` for x^2 + y^2 = 1 over the
-                  rationals of height <= 10
+                  rationals of height <= 10, as the (numerator, denominator)
+                  pairs of `heights.enumerate_heights`
   grid-parabola-Z100
                   `heights._grid_points` for y = x^2 over the integers of
-                  absolute value <= 100 (the curve of `det-cover`)
+                  absolute value <= 100, as pairs (v, 1) (the curve of
+                  `det-cover`)
+  points-parabola-Z20000
+                  `heights.points_Z` for y = x^2 at T = 2*10^4, with the cap
+                  raised past the (2T+1)^2 grid: 40,001 fibres, 283 points
+  points-circle-Q100
+                  `heights.points_Q` for x^2 + y^2 = 1 at T = 100, with the
+                  cap raised past the grid of 12,175^2 candidates
 
 The output is one JSON object: per stage, the median over repetitions in
 raw seconds of this host.
@@ -50,7 +58,6 @@ import json
 import statistics
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 
@@ -77,7 +84,7 @@ def _stages(workloads):
     circle = cli.parse_semialg(workloads.CIRCLE)
     parabola = cli.parse_semialg(workloads.COVER["curve"])
     heights_10 = list(heights.enumerate_heights(10))
-    integers_100 = [Fraction(v) for v in range(-100, 101)]
+    integers_100 = [(v, 1) for v in range(-100, 101)]
     return {
         "parser": cli.build_parser,
         "fit": fit,
@@ -89,6 +96,8 @@ def _stages(workloads):
         "expand-scheme": lambda: ffcount.expand_scheme(elliptic, 5, 3),
         "grid-circle-Q10": lambda: heights._grid_points(circle, heights_10, 10**7),
         "grid-parabola-Z100": lambda: heights._grid_points(parabola, integers_100, 10**7),
+        "points-parabola-Z20000": lambda: heights.points_Z(parabola, 2 * 10**4, cap=10**10),
+        "points-circle-Q100": lambda: heights.points_Q(circle, 100, cap=10**10),
     }
 
 
