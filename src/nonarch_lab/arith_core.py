@@ -79,7 +79,8 @@ class Ball:
 
     Membership: ord(x_i - c_i) >= alpha for every coordinate.  Two balls of
     equal radius are identical or disjoint.  The residue classes mod p^K
-    (K >= alpha) are built at once as one integer array by residue_array.
+    (K >= alpha) are listed here alone: `digits` gives their digit rows,
+    `representative` the exact representative of one row.
     """
 
     __slots__ = ("p", "m", "alpha", "center", "_key")
@@ -125,22 +126,21 @@ class Ball:
     def residue_count(self, K):
         return self.p ** ((K - self.alpha) * self.m)
 
-    def residue_array(self, K):
-        """The ball's residue representatives mod p^K as an (R, m) array:
-        key + p^alpha * digits, digits running over [0, p^(K-alpha))^m with
-        the last coordinate fastest.  int64 when every representative is
-        below 2^62, an object array of Python ints otherwise."""
+    def digits(self, K):
+        """The digit rows d of the residue classes key + p^alpha * d mod p^K
+        as one (R, m) int64 array: d over [0, p^(K-alpha))^m in ball order,
+        the last coordinate fastest."""
         import numpy as np
 
         if K < self.alpha:
             raise PrecisionError(f"K={K} below valuative radius {self.alpha}")
-        step = self.p ** self.alpha
         width = self.p ** (K - self.alpha)
-        digits = np.indices((width,) * self.m).reshape(self.m, width ** self.m).T
-        top = max(self._key, default=0) + step * (width - 1)
-        if top < 1 << 62:
-            return np.array(self._key, dtype=np.int64) + step * digits
-        return np.array(self._key, dtype=object) + step * digits.astype(object)
+        return np.indices((width,) * self.m).reshape(self.m, width ** self.m).T
+
+    def representative(self, d):
+        """key + p^alpha * d for one digit row d, as a tuple of Python ints."""
+        step = self.p ** self.alpha
+        return tuple(k + step * int(j) for k, j in zip(self._key, d))
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,15 @@ returns ``(config fields, results, exit code, CSV rows or None)`` and
 writes nothing (but `taylor-check`'s stderr note on an `indeterminate`
 verdict).  `main` builds the ``{config, version, results}`` envelope,
 whose config holds `subcommand`, `seed`, the input's basename and the
-subcommand's fields, emits it with one `elapsed` line on stderr, writes
-`--csv` when given and maps exceptions to exit codes.  `corpus` writes no
-report: it reruns `main` on each case and diffs the bytes.
+subcommand's fields, emits it with one `elapsed` line on stderr and the
+`--csv` rows when given, and maps exceptions to exit codes.  `corpus`
+writes no report: it reruns `main` on each case and diffs the bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -160,20 +161,20 @@ def writable(path, **kwargs):
         raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
 
 
-def emit_report(report, args, started):
+def emit_report(report, args, started, rows=None):
+    """Write the report to --out (default stdout), its `elapsed` line to
+    stderr and the CSV rows to --csv.  Both paths are opened before
+    anything is written, so one that cannot be written exits 2 with
+    nothing emitted."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with writable(out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)
-
-
-def write_csv(path, rows):
-    with writable(path, newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    out, table = getattr(args, "out", None), getattr(args, "csv", None)
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(writable(out)) if out else sys.stdout
+        csv_fh = files.enter_context(writable(table, newline="")) if table else None
+        fh.write(text)
+        print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)
+        if csv_fh:
+            csv.writer(csv_fh).writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +246,10 @@ def cmd_taylor_check(args, f):
 
     if f.domain is None:
         raise ConfigError("taylor-check input needs a domain and prime")
-    if args.strategy == "sampled":
-        strategy = SampledStrategy(seed=args.seed, samples=args.samples, K=args.K)
-    else:
-        strategy = ExhaustiveStrategy(K=args.K)
+    # built under either strategy, so --samples is checked whether or not
+    # the run reads it
+    sampled = SampledStrategy(seed=args.seed, samples=args.samples, K=args.K)
+    strategy = sampled if args.strategy == "sampled" else ExhaustiveStrategy(K=args.K)
     cert = check_Tr(f, args.r, strategy)
     if cert.verdict == "indeterminate":
         print(f"indeterminate: no violation in {args.samples} sampled residue pairs "
@@ -324,13 +325,11 @@ def cmd_hilbert(args, ideal_input):
     from .hilbert import HilbertTable, HomIdeal, salberger_check, select_delta_alpha
 
     nvars, gens = ideal_input
-    if args.salberger_m is not None:
-        salberger_s = parse_range_list(args.salberger_s)
-        if args.salberger_m < 0:
-            raise ConfigError(f"--salberger-m must be >= 0, got {args.salberger_m}")
-        if min(salberger_s) < 1:
-            raise ConfigError(
-                f"--salberger-s values must be >= 1, got {args.salberger_s!r}")
+    salberger_s = parse_range_list(args.salberger_s)
+    if min(salberger_s) < 1:
+        raise ConfigError(f"--salberger-s values must be >= 1, got {args.salberger_s!r}")
+    if args.salberger_m is not None and args.salberger_m < 0:
+        raise ConfigError(f"--salberger-m must be >= 0, got {args.salberger_m}")
     if args.smax < 0:
         raise ConfigError(f"--smax must be >= 0, got {args.smax}")
     config_int(args.budget, "--budget", 0)
@@ -541,9 +540,7 @@ def main(argv=None):
             config["input"] = os.path.basename(args.input)
         config.update(fields)
         emit_report({"config": config, "version": __version__, "results": results},
-                    args, started)
-        if getattr(args, "csv", None):
-            write_csv(args.csv, rows)
+                    args, started, rows)
         return code
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

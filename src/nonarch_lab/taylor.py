@@ -382,9 +382,7 @@ def _check_tr_1d(f, r, ball, K, s):
     failure mod p^K has y = key + p^alpha d, d < P = p^(K* - 1 - alpha), and
     x below that too, or x = y + p^alpha P when the class x = y mod p^s
     fails: both lie among the residues mod p^K*.  With s = 0 nothing can
-    fail, and no residue or table is built."""
-    import numpy as np
-
+    fail: no residue is listed, and numpy loads only for the zero tables."""
     p = ball.p
     if s == 0:
         # up to ZERO_TABLE_ROWS the sweep gets the zero table of shape
@@ -394,6 +392,8 @@ def _check_tr_1d(f, r, ball, K, s):
             for comp in f.components:
                 width = (comp.degree() or 0) + 1
                 if width > r:
+                    import numpy as np
+
                     zeros = np.zeros((n_res, width), dtype=np.int64)
                     _kernels.tr_pair_sweep(zeros, zeros[:, 0], 1, r)
         return None
@@ -405,20 +405,20 @@ def _check_tr_1d(f, r, ball, K, s):
     if pairs > PAIR_CAP:
         raise CapExceededError(f"{pairs} residue pairs mod p^{K} exceed cap {PAIR_CAP}")
 
-    residues = ball.residue_array(K)[:, 0]
+    digits = ball.digits(K)
     # every test asks whether p^s divides a scaled value: all runs mod p^s
     mod = p ** s
-    xs = _reduce(residues, mod)
+    points = _points(ball, digits, mod)
     for entries in derivs:
-        table = _residue_table(entries, xs[:, None], p, s)
+        table = _residue_table(entries, points, p, s)
 
         # remainder sweep first: the factored remainder must stay integral;
         # earlier components passed every pair, so the exact re-check
         # names this one
         if table.shape[1] > r:
-            by, bx = _kernels.tr_pair_sweep(table, xs, mod, r)
+            by, bx = _kernels.tr_pair_sweep(table, points[:, 0], mod, r)
             if by >= 0:
-                x, y = (int(residues[bx]),), (int(residues[by]),)
+                x, y = ball.representative(digits[bx]), ball.representative(digits[by])
                 return _confirmed(_exact_pair_violation(derivs, r, x, y, p),
                                   f"the pair x = {x[0]}, y = {y[0]}")
 
@@ -427,19 +427,20 @@ def _check_tr_1d(f, r, ball, K, s):
         # re-check names this one
         bad = (table[:, :r + 1] != 0).any(axis=1)
         if bad.any():
-            y = (int(residues[int(bad.argmax())]),)
+            y = ball.representative(digits[int(bad.argmax())])
             return _confirmed(_exact_point_violation(derivs, r, y, p), f"the point y = {y[0]}")
     return None
 
 
-def _reduce(residues, mod):
-    """A residue array modulo p^s: int64 when int64_safe(p^s), an object
-    array of Python ints otherwise, whatever the dtype of the residues."""
+def _points(ball, digits, mod):
+    """(key + p^alpha * digits) mod p^s for the ball's digit rows, int64
+    when int64_safe(p^s) and Python ints otherwise; the digits take that
+    dtype, and both factors are reduced, before any product."""
     import numpy as np
 
-    if _kernels.int64_safe(mod):
-        return (residues % mod).astype(np.int64, copy=False)
-    return residues.astype(object) % mod
+    dtype = np.int64 if _kernels.int64_safe(mod) else object
+    key = np.array([k % mod for k in ball.canonical_center()], dtype=dtype)
+    return (key + ball.p ** ball.alpha % mod * (digits.astype(dtype) % mod)) % mod
 
 
 def _residue_table(entries, points, p, s):
@@ -513,26 +514,25 @@ def _astuple(v):
 
 
 def _check_tr_sampled(f, r, strategy, ball, K):
-    """First violation among seeded residue pairs mod p^K, or None."""
+    """First violation among seeded residue pairs mod p^K, or None.  Up to
+    2^16 classes a point is one drawn class index decoded into its digits
+    in ball order, past that one drawn digit per coordinate."""
     import random
 
-    p = ball.p
+    p, m = ball.p, ball.m
     rng = random.Random(strategy.seed)
     derivs = _derivative_table(f)
-    width = ball.residue_count(K)
-    # choice(seq) is seq[_randbelow(len(seq))], so drawing row indices
-    # draws the same residues as choosing from the list of rows
-    residues = ball.residue_array(K) if width <= 1 << 16 else None
-    rows = range(width)
+    width = p ** (K - ball.alpha)
+    count = width ** m
+
+    def draw():
+        if count <= 1 << 16:
+            i = rng.randrange(count)
+            return ball.representative([i // width ** (m - 1 - j) % width for j in range(m)])
+        return ball.representative([rng.randrange(width) for _ in range(m)])
+
     for _ in range(strategy.samples):
-        if residues is not None:
-            x = tuple(residues[rng.choice(rows)].tolist())
-            y = tuple(residues[rng.choice(rows)].tolist())
-        else:
-            x = tuple(c + p ** ball.alpha * rng.randrange(p ** (K - ball.alpha))
-                      for c in ball.canonical_center())
-            y = tuple(c + p ** ball.alpha * rng.randrange(p ** (K - ball.alpha))
-                      for c in ball.canonical_center())
+        x, y = draw(), draw()
         bad = (_exact_pair_violation(derivs, r, x, y, p)
                or _exact_point_violation(derivs, r, tuple(map(Fraction, y)), p))
         if bad is not None:
@@ -605,27 +605,26 @@ def _check_tr_nd(f, r, ball, s):
     # first, the remainder entries after them
     low = [sum(sum(beta) <= r for beta, _g in entries) for entries in derivs]
     mod = p ** s
-    ys = ball.residue_array(max(s, alpha))
-    points = _reduce(ys, mod)
+    # the y-classes; with s > alpha the same rows are the difference
+    # classes x - y = p^alpha d, 0 <= d_i < p^(s - alpha)
+    digits = ball.digits(max(s, alpha))
+    points = _points(ball, digits, mod)
 
     bad = np.concatenate([_residue_table(entries[:n], points, p, s)
                           for entries, n in zip(derivs, low)], axis=1) != 0
     if bad.any():
-        y = tuple(ys[int(bad.any(axis=1).argmax())].tolist())
+        y = ball.representative(digits[int(bad.any(axis=1).argmax())])
         return _confirmed(_exact_point_violation(derivs, r, tuple(map(Fraction, y)), p),
                           f"the point y = {y}")
     if s <= alpha:
         # every |beta| > r term carries p^(v(|beta|-r)) with v >= alpha >= s
         return None
 
-    # differences x - y = p^alpha d, 0 <= d_i < p^(s - alpha), last
-    # coordinate fastest
     width = p ** (s - alpha)
-    diffs = np.indices((width,) * m).reshape(m, n_cls).T
     tables, weights = [], []
     for entries, n in zip(derivs, low):
         t = _residue_table(entries[n:], points, p, s)
-        w = _difference_weights(entries[n:], r, diffs, p, s, alpha)
+        w = _difference_weights(entries[n:], r, digits, p, s, alpha)
         # a term whose column or weight row is 0 mod p^s adds nothing
         keep = (t != 0).any(axis=0) & (w != 0).any(axis=1)
         tables.append(t[:, keep])
@@ -637,7 +636,7 @@ def _check_tr_nd(f, r, ball, s):
            else (_kernels.INT64_MAX - (mod - 1)) // (mod - 1) ** 2)
 
     def remainder_bad(y0, y1):
-        """bad[y, j]: the bound fails at (y, y + p^alpha diffs[j]) for some
+        """bad[y, j]: the bound fails at (y, y + p^alpha digits[j]) for some
         component, y over the y-classes y0..y1-1."""
         bad = np.zeros((y1 - y0, n_cls), dtype=bool)
         for t, w in zip(tables, weights):
@@ -650,19 +649,19 @@ def _check_tr_nd(f, r, ball, s):
         return bad
 
     rows = max(1, _kernels.SWEEP_BLOCK // n_cls)
-    for y0 in range(0, len(ys), rows):
-        bad = remainder_bad(y0, min(y0 + rows, len(ys)))
+    for y0 in range(0, n_cls, rows):
+        bad = remainder_bad(y0, min(y0 + rows, n_cls))
         if bad.any():
             yi = y0 + int(bad.any(axis=1).argmax())
             break
     else:
         return None
 
-    # the first x in ball order whose difference class fails at y; the
-    # digits of ys[k] are diffs[k], so its class is diffs[k] - diffs[yi]
-    j = np.ravel_multi_index(((diffs - diffs[yi]) % width).T, (width,) * m)
+    # the first x in ball order whose difference class fails at y: the
+    # class of x = digits[k] is digits[k] - digits[yi]
+    j = np.ravel_multi_index(((digits - digits[yi]) % width).T, (width,) * m)
     xi = int(remainder_bad(yi, yi + 1)[0][j].argmax())
-    x, y = tuple(ys[xi].tolist()), tuple(ys[yi].tolist())
+    x, y = ball.representative(digits[xi]), ball.representative(digits[yi])
     return _confirmed(_exact_pair_violation(derivs, r, x, y, p), f"the pair x = {x}, y = {y}")
 
 

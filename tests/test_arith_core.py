@@ -96,17 +96,17 @@ def test_val_helpers():
 
 def test_residue_enumeration_deterministic():
     ball = Ball(3, (1,), 1)
-    first = ball.residue_array(3)
-    assert first.tolist() == ball.residue_array(3).tolist()
-    assert first.shape == (9, 1)
-    assert all(x % 3 == 1 for x in first[:, 0])
+    first = ball.digits(3)
+    assert first.tolist() == ball.digits(3).tolist() == [[j] for j in range(9)]
+    assert all(x % 3 == 1 for (x,) in map(ball.representative, first))
     with pytest.raises(PrecisionError):
-        ball.residue_array(0)
+        ball.digits(0)
 
 
-def test_residue_array_matches_odometer():
-    # row for row the order of the one-tuple-at-a-time enumeration, for
-    # m = 1..3, alpha = 0..2 and nonzero centres
+def test_digits_match_odometer():
+    # digit rows and their representatives, row for row, in the order of
+    # the one-tuple-at-a-time enumeration, for m = 1..3, alpha = 0..2 and
+    # nonzero centres
     rng = random.Random(5)
     for m in (1, 2, 3):
         for alpha in (0, 1, 2):
@@ -115,22 +115,28 @@ def test_residue_array_matches_odometer():
                                for _ in range(m))
                 ball = Ball(p, center, alpha)
                 for K in range(alpha, alpha + 3):
-                    got = ball.residue_array(K)
-                    want = [list(t) for t in oracles.ball_residues(ball, K)]
+                    got = ball.digits(K)
+                    want = list(oracles.ball_residues(ball, K))
                     assert got.dtype == np.int64 and got.shape == (len(want), m)
-                    assert got.tolist() == want, (p, center, alpha, K)
+                    key, step = ball.canonical_center(), p ** alpha
+                    assert got.tolist() == [[(c - k) // step for c, k in zip(t, key)]
+                                            for t in want], (p, center, alpha, K)
+                    assert list(map(ball.representative, got)) == want, (p, center, alpha, K)
 
 
-def test_residue_array_dtype_boundary():
-    # int64 while the top representative is below 2^62, Python ints past it
-    below = Ball(2, (1,), 60).residue_array(62)
-    assert below.dtype == np.int64
-    assert below[:, 0].tolist() == [1 + j * 2 ** 60 for j in range(4)]
-    above = Ball(2, (1, 3), 61).residue_array(63)
-    assert above.dtype == object
-    assert above.tolist() == [list(t) for t in oracles.ball_residues(Ball(2, (1, 3), 61), 63)]
-    assert all(type(c) is int for row in above for c in row)
-    assert int(above[-1, 1]) == 3 + 3 * 2 ** 61 >= 2 ** 62
+def test_representatives_exact_past_2_62():
+    # the digits stay small int64 whatever the radius; the representatives
+    # are exact Python ints past 2^62 and 2^63
+    for ball, K in ((Ball(2, (1, 3), 61), 63), (Ball(2, (1,), 63), 65),
+                    (Ball(3, (2, 5), 40), 41), (Ball(5, (Fraction(1, 2),), 28), 30)):
+        digits = ball.digits(K)
+        assert digits.dtype == np.int64 and digits.max() < ball.p ** (K - ball.alpha)
+        reps = list(map(ball.representative, digits))
+        assert reps == list(oracles.ball_residues(ball, K))
+        assert all(type(c) is int for rep in reps for c in rep)
+        assert max(map(max, reps)) >= 2 ** 62
+    top = Ball(2, (1, 3), 61).representative((3, 3))
+    assert top == (1 + 3 * 2 ** 61, 3 + 3 * 2 ** 61)
 
 
 def test_ball_contains_matches_definition():

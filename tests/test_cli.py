@@ -525,12 +525,18 @@ def test_hilbert_malformed_exit_2(tmp_path, capsys):
     ("heights", ["--mode", "Q", "--k", "0", "--T", "2"], "--k must be >= 1, got 0"),
     ("count-ff", ["--q", "5", "--r", "1", "--mu-cap", "0"], "--mu-cap must be >= 1, got 0"),
     ("hilbert", ["--budget", "-1"], "--budget must be >= 0, got -1"),
-], ids=["heights-k", "count-ff-mu-cap", "hilbert-budget"])
+    ("hilbert", ["--salberger-s", "0"], "--salberger-s values must be >= 1, got '0'"),
+    ("hilbert", ["--salberger-s", "abc"], "bad integer 'abc'"),
+    ("taylor-check", ["--r", "2", "--samples", "0"], "need samples >= 1, got 0"),
+], ids=["heights-k", "count-ff-mu-cap", "hilbert-budget", "hilbert-salberger-s-0",
+        "hilbert-salberger-s-abc", "taylor-check-samples"])
 def test_options_checked_when_the_run_does_not_read_them(tmp_path, capsys, command,
                                                          argv, named):
-    # Q mode reads no --k, one field size fits no mu, and an ideal without
-    # generators runs no S-pair: each option is still checked up front
-    data = {"heights": CIRCLE, "count-ff": YX3,
+    # Q mode reads no --k, one field size fits no mu, an ideal without
+    # generators runs no S-pair, a run without --salberger-m reads no
+    # --salberger-s and the exhaustive strategy draws no sample: each option
+    # is still checked up front
+    data = {"heights": CIRCLE, "count-ff": YX3, "taylor-check": TR_X2,
             "hilbert": {"vars": 3, "generators": []}}[command]
     assert_config_error([command, write(tmp_path, "input.json", data)] + argv, named,
                         capsys, in_subprocess=False)
@@ -547,6 +553,24 @@ def test_unwritable_out_or_csv_exit_2(tmp_path, capsys, flag):
         target = str(tmp_path / "absent" / "table.csv")
     assert_config_error(argv + [flag, target], f"cannot write {target}", capsys,
                         in_subprocess=True)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_emits_nothing(tmp_path, flag):
+    # both paths are opened before anything is written: the exit 2 of an
+    # unwritable --csv comes with no report on stdout and no elapsed line,
+    # and that of an unwritable --out writes no CSV
+    argv = ["hilbert", write(tmp_path, "conic.json", CONIC_IDEAL)]
+    table = tmp_path / "table.csv"
+    if flag == "--out":
+        argv += ["--out", str(tmp_path), "--csv", str(table)]
+    else:
+        argv += ["--csv", str(tmp_path / "absent" / "table.csv")]
+    proc = run_cli_subprocess(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "elapsed" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith("config error: cannot write"), proc.stderr
+    assert not table.exists()
 
 
 def _exponent_input(command, e):
@@ -705,6 +729,29 @@ def test_numpy_loaded_only_by_array_subcommands(tmp_path):
         ["bounds", 0, False],
         ["expand-scheme", 0, False],
         ["taylor-check", 0, True],
+    ]
+
+
+def test_det_cover_and_sampled_check_start_without_numpy(tmp_path):
+    # the cover's integral certificates and a sampled check on a 2-D map
+    # with p-denominators list no residue class as an array: numpy stays
+    # unloaded through both
+    half = {"m": 2, "n": 1, "p": 2,
+            "components": [[{"exp": [2, 0], "coeff": "1/2"}, {"exp": [0, 1], "coeff": "1"}]],
+            "domain": {"center": ["0", "0"], "alpha": 0}}
+    runs = [
+        ["det-cover", write(tmp_path, "cover.json", COVER)],
+        ["taylor-check", write(tmp_path, "half.json", half), "--r", "2",
+         "--strategy", "sampled"],
+    ]
+    out = str(tmp_path / "out.json")
+    proc = run_python_subprocess(
+        ["-c", NUMPY_PROBE, json.dumps([argv + ["--out", out] for argv in runs])])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import", None, False],
+        ["det-cover", 0, False],
+        ["taylor-check", 1, False],
     ]
 
 

@@ -131,8 +131,19 @@ def test_int64_guard():
 
 
 def test_residues_feed_kernels():
+    # the sweep's residues mod p^s, from the ball's digit rows: int64 when
+    # int64_safe(p^s), Python ints otherwise, equal to the representatives
+    # reduced mod p^s
+    from nonarch_lab.taylor import _points
+
     ball = Ball(3, (1,), 1)
-    xs = ball.residue_array(4)[:, 0]
-    assert xs.dtype == np.int64
-    assert xs.tolist() == [x[0] for x in oracles.ball_residues(ball, 4)]
-    assert len(xs) == 27 and int(xs[0]) == 1
+    digits = ball.digits(4)
+    assert digits.dtype == np.int64 and len(digits) == 27
+    want = [x for (x,) in oracles.ball_residues(ball, 4)]
+    assert ball.representative(digits[0]) == (1,)
+    for s, dtype in ((2, np.int64), (25, object)):
+        xs = _points(ball, digits, 3 ** s)[:, 0]
+        assert xs.dtype == dtype and xs.tolist() == [x % 3 ** s for x in want]
+        assert all(type(x) is int for x in xs.tolist())
+        zeros = np.zeros((27, 3), dtype=dtype)
+        assert _kernels.tr_pair_sweep(zeros, xs, 3 ** s, 1) == (-1, -1)

@@ -657,6 +657,52 @@ def test_multivariate_locator_reads_the_class_of_x_minus_y(terms, x):
     assert recheck_witness(f, 2, wit, 3)
 
 
+def test_multivariate_map_on_a_ball_of_step_past_2_63(tmp_path):
+    # 0 < s <= alpha with p^alpha >= 2^63: one class per coordinate mod
+    # p^max(s, alpha), whose representative is key + p^alpha * 0 and whose
+    # values mod p^s must be formed without an int64 product of the step
+    from nonarch_lab.cli import main
+
+    rng = random.Random(31)
+    outcomes = []
+    for p, alpha in ((3, 40), (2, 63), (5, 28)):
+        assert p ** alpha >= 2 ** 63
+        for _ in range(4):
+            m = rng.choice([2, 3]) if p == 2 else 2
+            comps = [{tuple(rng.randint(0, 3) for _ in range(m)):
+                      Fraction(rng.choice([-2, -1, 1, 3]), p ** rng.choice([0, 1, 2]))
+                      for _ in range(rng.randint(1, 3))} for _ in range(rng.choice([1, 2]))]
+            comps[0][(1,) * m] = Fraction(1, p)  # s >= 1
+            center = tuple(rng.randrange(p ** alpha) for _ in range(m))
+            f = PolyMap(m, len(comps), [MultiPoly(m, t) for t in comps],
+                        domain=Ball(p, center, alpha))
+            for r in (1, 2):
+                cert = check_Tr(f, r)
+                want = oracles.tr_check_oracle(comps, r, p, center, alpha, alpha + 1)
+                wit = cert.witness
+                if want is None:
+                    assert cert.verdict == "holds", (p, center, alpha, r, comps)
+                    outcomes.append("holds")
+                    continue
+                assert cert.verdict == "fails" and recheck_witness(f, r, wit, p)
+                assert (wit["kind"], wit["component"], wit["order"], wit["y"],
+                        wit["valuation"]) == want, (p, center, alpha, r, comps)
+                outcomes.append(want[0])
+    assert len(outcomes) == 24 and set(outcomes) == {"holds", "cr_norm"}
+
+    # xy + y^3/3 on (2, 1) + 3^40 Z_3^2 at r = 1: y^3/3 is not 3-integral
+    # at (2, 1), an exit 1 with its witness
+    data = {"m": 2, "n": 1, "p": 3,
+            "components": [[{"exp": [1, 1], "coeff": "1"}, {"exp": [0, 3], "coeff": "1/3"}]],
+            "domain": {"center": ["2", "1"], "alpha": 40}}
+    path, out = tmp_path / "map.json", tmp_path / "out.json"
+    path.write_text(json.dumps(data))
+    assert main(["taylor-check", str(path), "--r", "1", "--out", str(out)]) == 1
+    wit = json.loads(out.read_text())["results"]["witness"]
+    assert wit == {"kind": "cr_norm", "component": 0, "order": [0, 0], "y": ["2", "1"],
+                   "valuation": -1}
+
+
 def test_integral_1d_map_past_the_residue_cap_holds(monkeypatch):
     # s = 0: nothing can fail.  Within the cap the zero-table sweep still
     # runs (139^2 = 19321 residues); past it (149^2 = 22201) the check
@@ -685,9 +731,9 @@ def test_integral_1d_map_within_the_residue_cap_builds_no_residues(monkeypatch):
     from nonarch_lab import taylor
 
     def no_residues(self, K):
-        raise AssertionError("residue array built")
+        raise AssertionError("residue digits listed")
 
-    monkeypatch.setattr(Ball, "residue_array", no_residues)
+    monkeypatch.setattr(Ball, "digits", no_residues)
     sweeps = []
     real = taylor._kernels.tr_pair_sweep
 
@@ -716,8 +762,8 @@ def test_certificate_json_roundtrip():
 
 
 def test_failing_witnesses_serialize_with_int_coordinates():
-    # witness coordinates read back from residue arrays are Python ints,
-    # on int64 residues and on object arrays for a modulus p^s >= 2^31
+    # witness coordinates are the Python-int class representatives, under
+    # int64 residues and under object arrays for a modulus p^s >= 2^31
     cases = [
         (BINOM2, 1, 5),
         (PolyMap.univariate([Fraction(1, 3), 1], domain=Z3), 1, 3),
@@ -763,7 +809,7 @@ def _sampled_cases():
 
 
 def test_sampled_check_matches_list_oracle():
-    # drawing row indices of the residue array reproduces a stream that
+    # decoding a drawn class index into its digits reproduces a stream that
     # draws from the list of residue tuples, verdict and witness alike
     outcomes = set()
     for comps, r, ball, K, seed in _sampled_cases():

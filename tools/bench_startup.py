@@ -10,7 +10,8 @@ Run from anywhere; --before names the checkout to compare against and
 
 The inputs are those of `perfbench/workloads.py`, and each subcommand runs
 as one `lab-mix` job runs it, except `det-cover`, which runs the `cover`
-job.  Two baselines go with them:
+job, and `taylor-check-sampled`, the `lab-mix` 2-D half map under the
+sampled strategy, which no job runs.  Two baselines go with them:
 
   python-pass  `python -c pass`, the interpreter alone
   import-all   `import` of every module of the package, no subcommand
@@ -64,6 +65,8 @@ CASES = [
                                    "--r", "1..4"]),
     ("taylor-check", "lab-mix", CLI + ["taylor-check", "tr_x2.json", "--r", "2",
                                        "--K", "5"]),
+    ("taylor-check-sampled", None, CLI + ["taylor-check", "tr_2d_half.json", "--r", "2",
+                                          "--strategy", "sampled"]),
     ("det-cover", "cover", CLI + ["det-cover", "cover.json"]),
 ]
 

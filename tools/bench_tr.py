@@ -14,10 +14,11 @@ The inputs are those of `perfbench/workloads.py`: the twelve gauss1a suites
 variable.  Each stage runs once to warm up, then --reps times; the first
 four over all thirteen checks:
 
-  residue-build  the residues mod p^K of every checked ball as an integer
-                 array (`Ball.residue_array`)
-  pair-sweep     `_kernels.tr_pair_sweep` on every component's table
-                 (`taylor._residue_table` modulo p^s, zeros when s = 0;
+  residue-build  the digit rows of the residue classes mod p^K of every
+                 checked ball (`Ball.digits`)
+  pair-sweep     `_kernels.tr_pair_sweep` on every component's table, over
+                 the residues mod p^s of those rows (`taylor._points`;
+                 `taylor._residue_table` modulo p^s, zeros when s = 0;
                  every tr-deep map has s = 0, so each call returns at once)
   preimage-balls `PowerPreimage.maximal_balls` of the twelve suites
   total          the thirteen library calls whole: `taylor.verify_gauss1a`
@@ -76,7 +77,7 @@ def _stages(workloads):
         s = max(val_int(c.denominator, ball.p) for comp in f.components
                 for c in comp.terms.values())
         mod = ball.p ** s
-        xs = ball.residue_array(K)[:, 0] % mod
+        xs = taylor._points(ball, ball.digits(K), mod)[:, 0]
         for ci, comp in enumerate(f.components):
             table = (taylor._residue_table(taylor._derivative_table(f)[ci],
                                            xs[:, None], ball.p, s) if s
@@ -95,7 +96,7 @@ def _stages(workloads):
 
     def residue_build():
         for _f, _r, ball in checks:
-            ball.residue_array(K)
+            ball.digits(K)
 
     def pair_sweep():
         for table, xs, mod, r in tables:
