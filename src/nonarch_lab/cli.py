@@ -48,8 +48,9 @@ from .errors import (
 )
 
 
-def parse_range_list(text):
-    """Comma-separated integers with inclusive a..b ranges: '2,5..7' -> [2,5,6,7]."""
+def parse_range_list(text, flag):
+    """Comma-separated integers with inclusive a..b ranges: '2,5..7' ->
+    [2,5,6,7].  Errors name the option `flag` the text was given to."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -60,17 +61,17 @@ def parse_range_list(text):
             try:
                 a, b = int(a), int(b)
             except ValueError as err:
-                raise ConfigError(f"bad range {part!r}") from err
+                raise ConfigError(f"{flag}: bad range {part!r}") from err
             if b < a:
-                raise ConfigError(f"empty range {part!r}")
+                raise ConfigError(f"{flag}: empty range {part!r}")
             out.extend(range(a, b + 1))
         else:
             try:
                 out.append(int(part))
             except ValueError as err:
-                raise ConfigError(f"bad integer {part!r}") from err
+                raise ConfigError(f"{flag}: bad integer {part!r}") from err
     if not out:
-        raise ConfigError(f"empty list {text!r}")
+        raise ConfigError(f"{flag}: empty list {text!r}")
     return out
 
 
@@ -271,8 +272,8 @@ def cmd_count_ff(args, X):
     from .ffcount import CountRecord, enumerate_Xr, verify_bounds
 
     config_int(args.mu_cap, "--mu-cap", 1)
-    qs = parse_range_list(args.q)
-    rs = parse_range_list(args.r)
+    qs = parse_range_list(args.q, "--q")
+    rs = parse_range_list(args.r, "--r")
     for flag, values in (("--q", qs), ("--r", rs)):
         seen = set()
         for v in values:
@@ -325,7 +326,7 @@ def cmd_hilbert(args, ideal_input):
     from .hilbert import HilbertTable, HomIdeal, salberger_check, select_delta_alpha
 
     nvars, gens = ideal_input
-    salberger_s = parse_range_list(args.salberger_s)
+    salberger_s = parse_range_list(args.salberger_s, "--salberger-s")
     if min(salberger_s) < 1:
         raise ConfigError(f"--salberger-s values must be >= 1, got {args.salberger_s!r}")
     if args.salberger_m is not None and args.salberger_m < 0:

@@ -1,6 +1,6 @@
 """Exact C^r-norms over balls and the T_r certificate: degree-(r-1)
-Taylor approximation with remainder |x-y|^r, verified exhaustively on
-residue classes.
+Taylor approximation with remainder |x-y|^r, verified exhaustively: on
+residue classes in one variable, on Mahler test sets in several.
 
 Every check reads one table of divided derivatives g_beta = (1/beta!)
 d^beta f per component, built once from the terms.  It lists only the
@@ -13,18 +13,22 @@ whether p^s divides p^s * g_beta(y) (|beta| <= r); reduction modulo p^s
 is a ring map, so it is decided on the table modulo p^s.  When s = 0
 nothing can fail, and neither the table nor the residues are built.
 
-Verdict and witness depend only on s and alpha, not on the precision K:
-a check runs on the residues mod p^min(K, K*), K* = max(s, alpha) + 1,
-and reports the K it was given.  In one variable the remainder factors
-as (x-y)^r * S(x,y) with S = sum_{j>=r} g_j(y) (x-y)^(j-r), and the pair
-sweep asks whether p^s * S vanishes modulo p^s on those residue pairs.
-In several variables write x = y + p^v u with u primitive: once the C^r
-half holds, the bound at (x, y) asks whether sum_{|beta|>r} p^s g_beta(y)
-p^(v(|beta|-r)) u^beta vanishes modulo p^s, which depends only on y and
-x - y modulo p^s; verdict and witness are found on those classes, and the
-remainder columns are built only after the C^r columns pass.  Witness
-ords are exact, from the same table.  Every exhaustive verdict is a proof
-for all Z_p-points of the ball.
+Verdict and witness depend only on s and alpha, not on the precision K,
+which a check reports as given.  In one variable the remainder factors as
+(x-y)^r * S(x,y) with S = sum_{j>=r} g_j(y) (x-y)^(j-r), and the pair
+sweep asks whether p^s * S vanishes modulo p^s on the residue pairs mod
+p^min(K, K*), K* = max(s, alpha) + 1.  In several variables put y = key +
+p^alpha z and x - y = p^v u, alpha <= v < s: once the C^r half holds, the
+bound at (x, y) asks whether sum_{|beta|>r} p^s g_beta(y) p^(v(|beta|-r))
+u^beta vanishes modulo p^s.  Each value tested is a polynomial in z (and
+u) with p-integral coefficients, of period p^(s-alpha) in z_i (p^(s-v) in
+u_i), so by Mahler's criterion it vanishes everywhere once it vanishes on
+the box of min(degree + 1, period) points per coordinate; and the first
+failing y in ball order lies in that box, since a slice that fails at
+some digit fails at one inside it.  All u are tested, not only primitive
+ones: u = p^j u' gives p^(jr) times the level-(v + j) sum.  Witness ords
+are exact, from the same table.  Every exhaustive verdict is a proof for
+all Z_p-points of the ball.
 """
 
 from __future__ import annotations
@@ -198,17 +202,18 @@ def cr_norm(f, r, ball):
 # T_r certification
 # ---------------------------------------------------------------------------
 
-PAIR_CAP = 5 * 10**8  # residue pairs, or classes of pairs, a check may test
+PAIR_CAP = 5 * 10**8  # residue pairs a 1-D check sweeps, evaluations a multivariate one makes
 ZERO_TABLE_ROWS = 20000  # s = 0: rows of the zero tables a 1-D check sweeps
 
 
 @dataclass
 class ExhaustiveStrategy:
-    """Decide T_r on every residue class of the domain: a proof for all
-    Z_p-points once K >= s (s the p-denominator exponent of the
-    coefficients), with values carried modulo p^s.  The default K is
-    alpha*r + 8; `lean` drops it to s + 2.  Past max(s, alpha) + 1, K sets
-    only the reported K and the rows of a 1-D check's s = 0 zero tables.
+    """Decide T_r for every Z_p-point of the domain once K >= s (s the
+    p-denominator exponent of the coefficients), with values carried modulo
+    p^s: on the residue classes in one variable, on Mahler test sets in
+    several, where K is only reported.  The default K is alpha*r + 8;
+    `lean` drops it to s + 2.  Past max(s, alpha) + 1, K sets only the
+    reported K and the rows of a 1-D check's s = 0 zero tables.
     """
 
     K: int | None = None
@@ -583,112 +588,102 @@ def _exact_point_violation(derivs, r, y, p):
 
 
 def _check_tr_nd(f, r, ball, s):
-    """First violation of a multivariate map, decided on residue classes
-    modulo p^s, or None: the C^r half on y mod p^max(s, alpha) over all
-    components first, from the |beta| <= r columns alone, then the
-    remainder half on the classes of y and of x - y, whose columns and
-    difference weights are built only once the C^r half holds and
-    s > alpha.  Whatever K is, the first failing y in ball order is the
-    first failing y-class, and so is the first failing x: the class
-    x = y mod p^s cannot fail once the C^r half holds."""
-    import numpy as np
-
+    """First violation of a multivariate map, or None, on Mahler test sets
+    in Python ints: the C^r half over all components first, then, once it
+    holds and s > alpha, the remainder half at each level v in [alpha, s),
+    and the first failing x among the classes of x - y mod p^s, for the
+    first failing y alone.  Each y tested counts its columns towards
+    PAIR_CAP, and each x class scanned counts one."""
     p, m, alpha = ball.p, ball.m, ball.alpha
-    # with s > alpha there are p^(m(s - alpha)) y-classes and as many
-    # difference classes
-    n_cls = p ** (m * max(s - alpha, 0))
-    if n_cls * n_cls > PAIR_CAP:
-        raise CapExceededError(
-            f"{n_cls}^2 residue-class pairs mod p^{s} exceed cap {PAIR_CAP}")
+    mod, period = p ** s, p ** max(s - alpha, 0)
     derivs = _derivative_table(f)
     # each component's entries split at `low`: the C^r entries (|beta| <= r)
     # first, the remainder entries after them
     low = [sum(sum(beta) <= r for beta, _g in entries) for entries in derivs]
-    mod = p ** s
-    # the y-classes; with s > alpha the same rows are the difference
-    # classes x - y = p^alpha d, 0 <= d_i < p^(s - alpha)
-    digits = ball.digits(max(s, alpha))
-    points = _points(ball, digits, mod)
+    count = 0
 
-    bad = np.concatenate([_residue_table(entries[:n], points, p, s)
-                          for entries, n in zip(derivs, low)], axis=1) != 0
-    if bad.any():
-        y = ball.representative(digits[int(bad.any(axis=1).argmax())])
+    def spend(n):
+        nonlocal count
+        count += n
+        if count > PAIR_CAP:
+            raise CapExceededError(f"{count} evaluations mod p^{s} exceed cap {PAIR_CAP}")
+
+    def reduced(g):
+        # p^s g mod p^s as (coefficient, exponent) pairs, zeros left out
+        terms = ((rational_residue(c * mod, p, s), exp) for exp, c in g.items())
+        return [(c, exp) for c, exp in terms if c]
+
+    def value(terms, rows):
+        total = 0
+        for c, exp in terms:
+            for row, e in zip(rows, exp):
+                c *= row[e]
+            total += c
+        return total % mod
+
+    def powers(point, top):
+        return [[pow(x, e, mod) for e in range(d + 1)] for x, d in zip(point, top)]
+
+    cr = [t for entries, n in zip(derivs, low) for _beta, g in entries[:n]
+          if (t := reduced(g))]
+    # g_0 = f is a C^r entry, and a remainder entry's nonzero terms come from
+    # f's with smaller exponents: these degrees bound both halves
+    top = [max((exp[i] for t in cr for _c, exp in t), default=0) for i in range(m)]
+    box = [range(min(d + 1, period)) for d in top]
+
+    def cr_fails(z):
+        spend(len(cr))
+        rows = powers(ball.representative(z), top)
+        return any(value(t, rows) for t in cr)
+
+    z = next(filter(cr_fails, itertools.product(*box)), None)
+    if z is not None:
+        y = ball.representative(z)
         return _confirmed(_exact_point_violation(derivs, r, tuple(map(Fraction, y)), p),
                           f"the point y = {y}")
     if s <= alpha:
         # every |beta| > r term carries p^(v(|beta|-r)) with v >= alpha >= s
         return None
 
-    width = p ** (s - alpha)
-    tables, weights = [], []
-    for entries, n in zip(derivs, low):
-        t = _residue_table(entries[n:], points, p, s)
-        w = _difference_weights(entries[n:], r, digits, p, s, alpha)
-        # a term whose column or weight row is 0 mod p^s adds nothing
-        keep = (t != 0).any(axis=0) & (w != 0).any(axis=1)
-        tables.append(t[:, keep])
-        weights.append(w[keep])
+    high = [[(beta, t) for beta, g in entries[n:] if (t := reduced(g))]
+            for entries, n in zip(derivs, low)]
+    utop = [max((beta[i] for h in high for beta, _t in h), default=0) for i in range(m)]
+    uboxes = {v: list(itertools.product(*[range(min(d + 1, p ** (s - v))) for d in utop]))
+              for v in range(alpha, s)}
+    urows = {u: powers(u, utop) for u in uboxes[alpha]}  # the largest u-box
+    columns = sum(map(len, uboxes.values()))
 
-    # an int64 sum takes `per` products before a reduction, the largest
-    # count with (mod - 1) + per (mod - 1)^2 < 2^63; Python ints take one
-    per = (1 if points.dtype == object
-           else (_kernels.INT64_MAX - (mod - 1)) // (mod - 1) ** 2)
+    def sums(z):
+        # per level v, each component's remainder sum at y = key + p^alpha z
+        # as (coefficient, beta) terms; v(|beta| - r) >= s leaves a term out
+        rows = powers(ball.representative(z), top)
+        vals = [[(value(t, rows), beta) for beta, t in h] for h in high]
+        return {v: [[(c, beta) for a, beta in comp
+                     if (c := a * pow(p, v * (sum(beta) - r), mod) % mod)] for comp in vals]
+                for v in uboxes}
 
-    def remainder_bad(y0, y1):
-        """bad[y, j]: the bound fails at (y, y + p^alpha digits[j]) for some
-        component, y over the y-classes y0..y1-1."""
-        bad = np.zeros((y1 - y0, n_cls), dtype=bool)
-        for t, w in zip(tables, weights):
-            val = np.zeros((y1 - y0, n_cls), dtype=t.dtype)
-            for k0 in range(0, len(w), per):
-                for k in range(k0, min(k0 + per, len(w))):
-                    val += t[y0:y1, k, None] * w[k]
-                val %= mod
-            bad |= val != 0
-        return bad
+    def remainder_fails(z):
+        spend(columns)
+        at = sums(z)
+        return any(value(comp, urows[u]) for v, us in uboxes.items() for u in us
+                   for comp in at[v])
 
-    rows = max(1, _kernels.SWEEP_BLOCK // n_cls)
-    for y0 in range(0, n_cls, rows):
-        bad = remainder_bad(y0, min(y0 + rows, n_cls))
-        if bad.any():
-            yi = y0 + int(bad.any(axis=1).argmax())
-            break
-    else:
+    z = next(filter(remainder_fails, itertools.product(*box)), None)
+    if z is None:
         return None
-
-    # the first x in ball order whose difference class fails at y: the
-    # class of x = digits[k] is digits[k] - digits[yi]
-    j = np.ravel_multi_index(((digits - digits[yi]) % width).T, (width,) * m)
-    xi = int(remainder_bad(yi, yi + 1)[0][j].argmax())
-    x, y = ball.representative(digits[xi]), ball.representative(digits[yi])
+    at = sums(z)
+    # the first x in ball order whose class x - y = p^alpha delta = p^v u,
+    # u primitive, fails at y
+    for d in itertools.product(range(period), repeat=m):
+        spend(1)
+        delta = [(a - b) % period for a, b in zip(d, z)]
+        if any(delta):
+            j = min(val_int(c, p) for c in delta if c)
+            rows = powers([c // p ** j for c in delta], utop)
+            if any(value(comp, rows) for comp in at[alpha + j]):
+                break
+    x, y = ball.representative(d), ball.representative(z)
     return _confirmed(_exact_pair_violation(derivs, r, x, y, p), f"the pair x = {x}, y = {y}")
-
-
-def _difference_weights(high, r, diffs, p, s, alpha):
-    """w[k, j] = p^(v(|beta|-r)) u^beta mod p^s for the k-th entry (beta, g)
-    of `high` (those with |beta| > r) and h_j = p^alpha diffs[j] = p^v u,
-    u primitive; 0 for h_j = 0.  Once the C^r half holds, sum_k p^s
-    g_beta(y) w[k, j] is p^s (f(y + h_j) - T_y(y + h_j)) / p^(rv) mod p^s,
-    zero exactly when the bound holds at (y, y + h_j)."""
-    import numpy as np
-
-    mod = p ** s
-    dtype = np.int64 if _kernels.int64_safe(mod) else object
-    rel = np.zeros(len(diffs), dtype=np.int64)  # v - alpha where d != 0
-    for e in range(1, s - alpha):
-        rel[(diffs % p ** e == 0).all(axis=1)] = e
-    u = (diffs // (p ** rel)[:, None]).astype(dtype)
-    v = alpha + rel
-    pw = np.array([p ** e % mod for e in range(s + 1)], dtype=dtype)
-    w = np.zeros((len(high), len(diffs)), dtype=dtype)
-    for k, (beta, _g) in enumerate(high):
-        col = pw[np.minimum(v * (sum(beta) - r), s)] * diffs.any(axis=1)
-        for i, b in enumerate(beta):
-            for _ in range(b):
-                col = col * u[:, i] % mod
-        w[k] = col
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -62,13 +62,28 @@ def run_to_json(argv, tmp_path, name="out.json"):
 
 
 def test_parse_range_list():
-    assert parse_range_list("2,3,5") == [2, 3, 5]
-    assert parse_range_list("1..4") == [1, 2, 3, 4]
-    assert parse_range_list("2,4..6") == [2, 4, 5, 6]
-    with pytest.raises(ConfigError):
-        parse_range_list("5..2")
-    with pytest.raises(ConfigError):
-        parse_range_list("x")
+    assert parse_range_list("2,3,5", "--q") == [2, 3, 5]
+    assert parse_range_list("1..4", "--q") == [1, 2, 3, 4]
+    assert parse_range_list("2,4..6", "--q") == [2, 4, 5, 6]
+    with pytest.raises(ConfigError, match=r"^--r: empty range '5\.\.2'$"):
+        parse_range_list("5..2", "--r")
+    with pytest.raises(ConfigError, match=r"^--q: bad integer 'x'$"):
+        parse_range_list("x", "--q")
+
+
+@pytest.mark.parametrize("command, argv, named", [
+    ("count-ff", ["--q", "2,x", "--r", "1"], "--q: bad integer 'x'"),
+    ("count-ff", ["--q", "2", "--r", "1..y"], "--r: bad range '1..y'"),
+    ("count-ff", ["--q", "2", "--r", "3..1"], "--r: empty range '3..1'"),
+    ("count-ff", ["--q", ",", "--r", "1"], "--q: empty list ','"),
+    ("hilbert", ["--salberger-m", "1", "--salberger-s", "4,x"],
+     "--salberger-s: bad integer 'x'"),
+], ids=["q-integer", "r-range", "r-empty-range", "q-empty-list", "salberger-s-integer"])
+def test_list_option_errors_name_the_option(tmp_path, capsys, command, argv, named):
+    # a command line with several list options says which one is malformed
+    data = {"count-ff": YX3, "hilbert": CONIC_IDEAL}[command]
+    assert_config_error([command, write(tmp_path, "input.json", data)] + argv, named,
+                        capsys, in_subprocess=False)
 
 
 def test_bounds_example(tmp_path):
@@ -176,6 +191,27 @@ def test_taylor_check_multivariate_witness_scan_cap(tmp_path, capsys):
         assert (wit["kind"], wit["component"], tuple(wit["x"]), tuple(wit["y"]),
                 wit["ord_lhs"], wit["bound_rhs"]) == want, K
         assert report["results"]["K"] == K
+
+
+@pytest.mark.parametrize("k, code, witness", [
+    (6, 0, None),
+    (8, 1, {"kind": "cr_norm", "component": 0, "order": [0, 0], "y": ["3", "3"],
+            "valuation": -1}),
+    (10, 1, {"kind": "cr_norm", "component": 0, "order": [0, 0], "y": ["3", "3"],
+             "valuation": -3}),
+])
+def test_taylor_check_xy_plus_x3y4_over_3_to_the_k(tmp_path, k, code, witness):
+    # xy + x^3 y^4 / 3^k on 3Z_3^2 at r = 1 has 3^(2(k - 1)) classes mod 3^k
+    # per coordinate pair, so listing the pairs of classes passes any cap;
+    # its test sets have 20 points.  k = 6 holds; from k = 8 on g_0 =
+    # 9 + 3^7 / 3^k is not integral at y = (3, 3), the first point in ball
+    # order where it is not
+    data = _map_json(3, 1, [((1, 1), "1"), ((3, 4), f"1/{3 ** k}")])
+    path = write(tmp_path, f"xy{k}.json", data)
+    got, report = run_to_json(["taylor-check", path, "--r", "1"], tmp_path, f"out{k}.json")
+    assert got == code
+    assert report["results"]["verdict"] == ("holds" if code == 0 else "fails")
+    assert report["results"]["witness"] == witness
 
 
 def test_count_ff_cli(tmp_path):
@@ -733,9 +769,9 @@ def test_numpy_loaded_only_by_array_subcommands(tmp_path):
 
 
 def test_det_cover_and_sampled_check_start_without_numpy(tmp_path):
-    # the cover's integral certificates and a sampled check on a 2-D map
-    # with p-denominators list no residue class as an array: numpy stays
-    # unloaded through both
+    # the cover's integral certificates, and a sampled and an exhaustive
+    # check on a 2-D map with p-denominators, list no residue class as an
+    # array: numpy stays unloaded through all three
     half = {"m": 2, "n": 1, "p": 2,
             "components": [[{"exp": [2, 0], "coeff": "1/2"}, {"exp": [0, 1], "coeff": "1"}]],
             "domain": {"center": ["0", "0"], "alpha": 0}}
@@ -743,6 +779,7 @@ def test_det_cover_and_sampled_check_start_without_numpy(tmp_path):
         ["det-cover", write(tmp_path, "cover.json", COVER)],
         ["taylor-check", write(tmp_path, "half.json", half), "--r", "2",
          "--strategy", "sampled"],
+        ["taylor-check", str(tmp_path / "half.json"), "--r", "2", "--K", "3"],
     ]
     out = str(tmp_path / "out.json")
     proc = run_python_subprocess(
@@ -751,6 +788,7 @@ def test_det_cover_and_sampled_check_start_without_numpy(tmp_path):
     assert json.loads(proc.stdout) == [
         ["import", None, False],
         ["det-cover", 0, False],
+        ["taylor-check", 1, False],
         ["taylor-check", 1, False],
     ]
 

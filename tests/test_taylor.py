@@ -392,23 +392,25 @@ def test_sampled_run_without_violation_is_indeterminate():
 
 def test_cr_half_builds_only_the_cr_columns(monkeypatch):
     # the same map fails the C^r half at 0; of its 3125 divided derivatives
-    # (53130 multi-indices up to degree 20) the check builds residue
-    # columns for the 6 with |beta| <= 1 only
+    # (53130 multi-indices up to degree 20) the check reduces mod 5 the
+    # coefficients of the 6 with |beta| <= 1 only: the 32 terms of g_0 and
+    # the 16 of each g_(e_i)
     from nonarch_lab import taylor
 
     terms = {}
     for sel in itertools.product((0, 1), repeat=5):
         terms[tuple(4 * b for b in sel)] = Fraction((-1) ** (5 - sum(sel)), 5)
     f = PolyMap(5, 1, [MultiPoly(5, terms)], domain=Ball(5, (0,) * 5, 0))
-    real = taylor._residue_table
+    reduced = []
+    real = taylor.rational_residue
 
-    def cr_columns_only(entries, points, p, s):
-        if len(entries) > 6:
-            raise AssertionError(f"{len(entries)} residue columns built")
-        return real(entries, points, p, s)
+    def counted(x, p, k):
+        reduced.append(x)
+        return real(x, p, k)
 
-    monkeypatch.setattr(taylor, "_residue_table", cr_columns_only)
+    monkeypatch.setattr(taylor, "rational_residue", counted)
     cert = check_Tr(f, 1)
+    assert len(reduced) == 32 + 5 * 16
     assert cert.verdict == "fails"
     assert cert.witness == {"kind": "cr_norm", "component": 0, "order": (0,) * 5,
                             "y": (Fraction(0),) * 5, "valuation": -1}
@@ -589,13 +591,14 @@ def test_integral_1d_maps_are_decided_before_the_pair_cap(monkeypatch):
 
 
 def test_remainder_sum_reduces_before_int64_overflow(monkeypatch):
-    # p^s = 7^11 lies just below 2^31: a reduced value plus two products of
+    # a regression test from when the remainder sum ran in int64: p^s =
+    # 7^11 lies just below 2^31, so a reduced value plus two products of
     # residues stays below 2^63, plus three does not.  On 1 + 7^10 Z_7 x
     # 2 + 7^10 Z_7 at r = 2, -(x - c)^e / 7^10 for the four |e| = 3 and
-    # (x - c)^(2, 2) / 7^11 hold; at y = c the four |beta| = 3 columns are
+    # (x - c)^(2, 2) / 7^11 hold; at y = c the four |beta| = 3 values are
     # 7^11 - 7 and at u = (3, 3) every weight is 6 * 7^10, so a sum of
-    # three unreduced products would wrap, flag a pair the exact re-check
-    # then clears, and skip the classes after it
+    # three products that wrapped would flag a pair the exact re-check then
+    # clears
     from nonarch_lab import taylor
 
     mod = 7 ** 11
@@ -614,6 +617,63 @@ def test_remainder_sum_reduces_before_int64_overflow(monkeypatch):
 
     monkeypatch.setattr(taylor, "_exact_pair_violation", no_flagged_pair)
     assert check_Tr(f, 2, ExhaustiveStrategy(K=11)).verdict == "holds"
+
+
+@pytest.mark.parametrize("p, alpha, r, terms, want", [
+    # y^2 / 2 is 1/2 at odd y: the z-box of y ends at the period 2
+    (2, 0, 1, {(1, 2): Fraction(1, 2)}, ("cr_norm", 0, (1, 0), (0, 1), -1)),
+    # g_(1,0) = C(y, 2) / 5 vanishes at y = 0, 1 and first fails at y = 2,
+    # the degree of y, below the period 5
+    (5, 0, 1, {(1, 2): Fraction(1, 10), (1, 1): Fraction(-1, 10)},
+     ("cr_norm", 0, (1, 0), (0, 2), -1)),
+    # (x - y)^2 / 4: at v = 1 the u-box ends at the period 2
+    (2, 1, 1, {(2, 0): Fraction(1, 4), (1, 1): Fraction(-1, 2), (0, 2): Fraction(1, 4)},
+     ("remainder", 0, (0, 2), (0, 0), 0, 1)),
+    # x y^3 / 27 at r = 2: at y = 0 the remainder sum is u_0 u_1^3 / 27,
+    # zero unless u_0 reaches its degree 1, below the period 9 at v = 1
+    (3, 1, 2, {(1, 3): Fraction(1, 27)}, ("remainder", 0, (3, 3), (0, 0), 1, 2)),
+], ids=["z-period", "z-degree", "u-period", "u-degree"])
+def test_last_point_of_each_test_box_decides(p, alpha, r, terms, want):
+    # each map's first failure needs the last point of one test box, cut
+    # at the period or at the degree: a box one point short reports
+    # another witness or "holds"
+    f = PolyMap(2, 1, [MultiPoly(2, terms)], domain=Ball(p, (0, 0), alpha))
+    s = max(-oracles.padic_val(c, p) for c in terms.values())
+    assert oracles.tr_check_oracle([terms], r, p, (0, 0), alpha, max(s, alpha) + 1) == want
+    wit = check_Tr(f, r).witness
+    if want[0] == "remainder":
+        got = (wit["kind"], wit["component"], wit["x"], wit["y"], wit["ord_lhs"],
+               wit["bound_rhs"])
+    else:
+        got = (wit["kind"], wit["component"], wit["order"], wit["y"], wit["valuation"])
+    assert got == want
+    assert recheck_witness(f, r, wit, p)
+
+
+@pytest.mark.parametrize("p, terms, evaluations, verdict", [
+    # xy + x^3 y^4 / 3^6 on 3Z_3^2 holds: 20 test points of y, each with 3
+    # C^r columns and then 20 + 20 + 20 + 20 + 9 remainder columns over v =
+    # 1..5
+    (3, {(1, 1): 1, (3, 4): Fraction(1, 3 ** 6)}, 20 * 3 + 20 * 89, "holds"),
+    # (x - y)^2 / 4 on 2Z_2^2 fails the remainder at y = 0: 4 points of y
+    # with 3 C^r columns, 4 remainder columns at y = 0, then the x classes
+    # (0, 0) and (0, 1)
+    (2, {(2, 0): Fraction(1, 4), (1, 1): Fraction(-1, 2), (0, 2): Fraction(1, 4)},
+     4 * 3 + 4 + 2, "fails"),
+], ids=["holds", "fails-in-the-x-scan"])
+def test_multivariate_cap_counts_the_evaluations_made(p, terms, evaluations, verdict,
+                                                      monkeypatch):
+    # PAIR_CAP bounds the evaluations a multivariate check makes: a cap at
+    # their count decides, one below it stops at the last of them
+    from nonarch_lab import taylor
+
+    f = PolyMap(2, 1, [MultiPoly(2, terms)], domain=Ball(p, (0, 0), 1))
+    monkeypatch.setattr(taylor, "PAIR_CAP", evaluations)
+    assert check_Tr(f, 1).verdict == verdict
+    monkeypatch.setattr(taylor, "PAIR_CAP", evaluations - 1)
+    with pytest.raises(CapExceededError, match=rf"^{evaluations} evaluations mod p\^\d+ "
+                                               rf"exceed cap {evaluations - 1}$"):
+        check_Tr(f, 1)
 
 
 @pytest.mark.parametrize("f, r, K, recheck", [

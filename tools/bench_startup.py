@@ -10,8 +10,9 @@ Run from anywhere; --before names the checkout to compare against and
 
 The inputs are those of `perfbench/workloads.py`, and each subcommand runs
 as one `lab-mix` job runs it, except `det-cover`, which runs the `cover`
-job, and `taylor-check-sampled`, the `lab-mix` 2-D half map under the
-sampled strategy, which no job runs.  Two baselines go with them:
+job, `taylor-check-2d`, the `lab-mix` 2-D half map, and
+`taylor-check-sampled`, the same map under the sampled strategy, which no
+job runs.  Two baselines go with them:
 
   python-pass  `python -c pass`, the interpreter alone
   import-all   `import` of every module of the package, no subcommand
@@ -34,6 +35,7 @@ of rounds the --after checkout won.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -65,6 +67,8 @@ CASES = [
                                    "--r", "1..4"]),
     ("taylor-check", "lab-mix", CLI + ["taylor-check", "tr_x2.json", "--r", "2",
                                        "--K", "5"]),
+    ("taylor-check-2d", "lab-mix", CLI + ["taylor-check", "tr_2d_half.json", "--r", "2",
+                                          "--K", "3"]),
     ("taylor-check-sampled", None, CLI + ["taylor-check", "tr_2d_half.json", "--r", "2",
                                           "--strategy", "sampled"]),
     ("det-cover", "cover", CLI + ["det-cover", "cover.json"]),
@@ -96,13 +100,20 @@ def run(root, args, workdir, env):
 
 
 def describe(root):
-    """The checkout's commit, and whether its tracked files differ from it."""
+    """The checkout's commit, and whether its tracked files differ from it;
+    for a tree outside git (an exported copy), "no git commit".  Either way
+    the sha256 of its src/nonarch_lab/*.py, in name order, names the code
+    that ran."""
     def git(*args):
         return subprocess.run(["git", "-C", str(root)] + list(args), capture_output=True,
                               text=True).stdout.strip()
-    commit = git("rev-parse", "--short", "HEAD") or "unknown"
-    return commit + (" with uncommitted changes" if git("status", "--porcelain",
-                                                        "--untracked-files=no") else "")
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "nonarch_lab").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    commit = git("rev-parse", "--short", "HEAD") or "no git commit"
+    if commit != "no git commit" and git("status", "--porcelain", "--untracked-files=no"):
+        commit += " with uncommitted changes"
+    return f"{commit}, src sha256 {digest.hexdigest()[:16]}"
 
 
 def summary(samples):

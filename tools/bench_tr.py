@@ -24,12 +24,14 @@ four over all thirteen checks:
   total          the thirteen library calls whole: `taylor.verify_gauss1a`
                  per suite and `taylor.check_Tr` of the degree-7 map
   nd-K2, nd-K3   `taylor.check_Tr` of (x^2 + xy + y^2 + y^3)/3 on 3Z_3^2
-                 at r = 1 and K = 2, 3 (it holds)
+                 at r = 1 and K = 2, 3 (it holds; s = 1 = alpha, so only
+                 the C^r half runs, at the one test point of y)
   nd-xy81        `taylor.check_Tr` of xy + x^3 y^4/81 on 3Z_3^2 at r = 1
-                 and the default K (it holds with s = 4 > alpha = 1, so
-                 the remainder half runs on the classes mod 3^4)
-  nd-xy243       the same with x^3 y^4/3^5 (s = 5, classes mod 3^5; 9 of
-                 its 17 remainder terms are zero mod 3^5)
+                 and the default K (it holds with s = 4 > alpha = 1: 20
+                 test points of y, each with 3 C^r columns and then 49
+                 remainder columns over v = 1..3)
+  nd-xy243       the same with x^3 y^4/3^5 (s = 5: 20 test points of y,
+                 each with 3 C^r and 69 remainder columns over v = 1..4)
   1d-highK       `taylor.check_Tr` at r = 1 of (x^2 - x)/2 on Z_2 at K = 14
                  and of (x^5 - x)/5 on Z_5 at K = 6, both failing (s = 1:
                  a check that lists the residues mod p^K pays for K)
