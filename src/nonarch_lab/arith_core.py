@@ -13,21 +13,43 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import PrecisionError, RingMismatchError
+from .errors import ConfigError, PrecisionError, RingMismatchError
 
 INF = math.inf
 
+# Miller-Rabin to the first 13 prime bases decides every n below
+# MR_EXACT_BELOW (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+# below 41^2 every composite has a factor in MR_BASES: a set lookup decides
+_SMALL_PRIMES = frozenset(range(2, 41 ** 2)).difference(
+    *(range(b * b, 41 ** 2, b) for b in MR_BASES))
+
 
 def is_prime(n):
-    if n < 2:
+    """Whether the integer n is prime: a lookup below 41^2, above it trial
+    division by MR_BASES and then deterministic Miller-Rabin to those
+    bases.  A composite is always named; a probable prime of at least
+    MR_EXACT_BELOW, which those bases do not prove, is a ConfigError."""
+    if n < 41 ** 2:
+        return n in _SMALL_PRIMES
+    if any(n % b == 0 for b in MR_BASES):
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    k = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^k, d odd
+    d = (n - 1) >> k
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= MR_EXACT_BELOW:
+        raise ConfigError(f"cannot prove {n} prime: Miller-Rabin to the first 13 "
+                          f"prime bases is exact only below {MR_EXACT_BELOW}")
     return True
 
 

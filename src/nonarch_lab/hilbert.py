@@ -342,6 +342,8 @@ def salberger_check(table, s, m, slack=None):
     (default slack 2/s).  Assumes the variety meets x_0 = 0 properly."""
     slack = Fraction(2, s) if slack is None else Fraction(slack)
     H = table.hilbert_function(s)
+    if H == 0:
+        raise ConfigError(f"the Salberger check needs H(s) > 0; H({s}) = 0")
     sig = table.sigma_all(s)
     ratio = Fraction(sum(sig[1:]), s * H)
     bound = Fraction(m, m + 1) + slack

@@ -391,7 +391,11 @@ def _check_tr_1d(f, r, ball, K, s):
     p = ball.p
     if s == 0:
         # up to ZERO_TABLE_ROWS the sweep gets the zero table of shape
-        # (p^(K - alpha), deg + 1) at modulus 1, where it returns at once
+        # (p^(K - alpha), deg + 1) at modulus 1, where it returns at once;
+        # p^(K - alpha) >= 2^(K - alpha) exceeds it for a long exponent,
+        # so a huge K never forms the power
+        if K - ball.alpha >= ZERO_TABLE_ROWS.bit_length():
+            return None
         n_res = ball.residue_count(K)
         if n_res <= ZERO_TABLE_ROWS:
             for comp in f.components:

@@ -7,15 +7,17 @@ import pytest
 
 import oracles
 from nonarch_lab.arith_core import (
+    MR_EXACT_BELOW,
     Ball,
     MultiPoly,
     divided_derivative,
+    is_prime,
     rational_residue,
     val_factorial,
     val_fraction,
     val_int,
 )
-from nonarch_lab.errors import PrecisionError, RingMismatchError
+from nonarch_lab.errors import ConfigError, PrecisionError, RingMismatchError
 from nonarch_lab.ffcount import VarietySpec, expand_scheme
 
 INF = math.inf
@@ -66,6 +68,37 @@ def test_ball_rejects_nonprime_p():
     for p in (-3, 0, 1, 4):
         with pytest.raises(RingMismatchError, match=f"p = {p} is not prime"):
             Ball(p, (0,), 1)
+
+
+def test_is_prime_matches_trial_division():
+    sieve = bytearray([1]) * 10**5
+    sieve[:2] = b"\0\0"
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, 10**5, d)))
+    assert [n for n in range(-5, 10**5) if is_prime(n)] == [
+        n for n in range(2, 10**5) if sieve[n]]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5, 7
+    (3825123056546413051, False),  # to the bases 2 .. 23
+    (318665857834031151167461, False),  # to the bases 2 .. 37
+    (10**14 + 31, True),
+    (10**18 + 3, True),
+    (2**61 - 1, True),
+])
+def test_is_prime_strong_pseudoprimes_and_large_primes(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_to_guess_past_the_proven_bound():
+    # MR_EXACT_BELOW itself is a strong pseudoprime to all 13 bases
+    for n in (MR_EXACT_BELOW, 2**89 - 1):
+        with pytest.raises(ConfigError, match="cannot prove"):
+            is_prime(n)
+    # a composite is named at any size
+    assert not is_prime(MR_EXACT_BELOW + 2) and not is_prime(2**89 + 1)
 
 
 def test_gf_rejects_nonprime_q():

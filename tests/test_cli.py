@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -969,3 +970,48 @@ def test_cli_entrypoint_subprocess():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["results"]["r"] == 6 and report["results"]["e"] == 15
+
+
+@pytest.mark.parametrize("ideal", [
+    {"vars": 3, "generators": [[{"exp": [0, 0, 0], "coeff": "1"}]]},
+    {"vars": 0, "generators": []},
+], ids=["unit-ideal", "no-variables"])
+def test_hilbert_salberger_check_with_zero_hilbert_function_exit_2(tmp_path, capsys, ideal):
+    # H(s) = 0 at every s >= 1: the ratio sigma / (s * H(s)) is undefined
+    path = write(tmp_path, "ideal.json", ideal)
+    assert_config_error(["hilbert", path, "--smax", "3", "--salberger-m", "1"],
+                        "H(10) = 0", capsys, in_subprocess=False)
+
+
+def test_taylor_check_s0_huge_K_holds_promptly(tmp_path):
+    # s = 0: the zero-table limit is decided without forming p^(K - alpha)
+    path = write(tmp_path, "map.json", TR_X2)
+    proc = run_cli_subprocess(["taylor-check", path, "--r", "1", "--K", str(10**9)],
+                              timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)["results"]
+    assert (res["verdict"], res["K"]) == ("holds", 10**9)
+
+
+LARGE_PRIME = 10**18 + 3
+LINE_Q = {"n": 2, "m": 1, "d": 1, "irreducible": True,
+          "polynomials": [[{"exp": [1, 0], "coeff": [1]}, {"exp": [0, 1], "coeff": [1]}]]}
+
+
+@pytest.mark.parametrize("prime, code", [(LARGE_PRIME, 0), (2**89 - 1, 2)],
+                         ids=["1e18+3", "M89-past-bound"])
+@pytest.mark.parametrize("command", ["bounds", "expand-scheme"])
+def test_large_prime_decided_within_a_second(tmp_path, command, prime, code):
+    # trial division took minutes on 10^18 + 3; a probable prime past the
+    # bound of the deterministic Miller-Rabin test is a config error
+    argv = (["bounds", "--m", "1", "--n", "2", "--d", "2", "--T", "100", "--p", str(prime)]
+            if command == "bounds" else
+            ["expand-scheme", write(tmp_path, "line.json", LINE_Q), "--q", str(prime),
+             "--r", "1"])
+    t0 = time.perf_counter()
+    proc = run_cli_subprocess(argv, timeout=10)
+    assert time.perf_counter() - t0 < 1, argv
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert "cannot prove" in proc.stderr

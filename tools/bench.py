@@ -1,0 +1,641 @@
+#!/usr/bin/env python3
+"""Seconds of the stages of the lab's jobs, one suite or all five, for one
+checkout or for two run alternately.
+
+Run from anywhere.  --root names the checkout to measure (default: the one
+this script sits in); the program and `perfbench/workloads.py` are imported
+from it, and the inputs are those of `perfbench/workloads.py`:
+
+    python3 tools/bench.py tr --reps 15
+    python3 tools/bench.py labmix --stages fit,count-labmix --reps 30
+    python3 tools/bench.py all --reps 1
+    python3 tools/bench.py hilbert --before ../parent-checkout --rounds 4 \\
+        --reps 5 --out BENCH_hilbert.json
+
+SUITE is one of `tr`, `labmix`, `detmethod`, `hilbert`, `startup` (each
+described, stage by stage, by its function below) or `all`.  Every stage
+runs once untimed to warm up, then --reps times (default: per suite); its
+value is the median, in raw seconds of this host.  A stage that splits its
+time (detmethod, hilbert) reports each part.
+
+With --before, each of --rounds rounds runs the suite once per checkout,
+each in a fresh interpreter running this script, and the checkout that
+goes first alternates between rounds.  Per stage and checkout the report
+gives the round values, their median and quartiles, and `after_wins`, the
+number of rounds in which the --root checkout took less.  Both checkouts
+are named by `describe`.  The JSON goes to stdout and, with --out, to a
+file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
+
+
+def tr(ctx):
+    """Seconds of the T_r stages of the `tr-deep` benchmark workload.
+
+    The inputs are the twelve gauss1a suites (p = 2, 3; r = 2, 3; g = x,
+    x^2, x^2 + px; K = 8) and the degree-7 map on 1 + 3Z_3 at r = 3, K = 8;
+    plus three multivariate maps and two in one variable.  The first four
+    stages run over all thirteen checks:
+
+      residue-build  the digit rows of the residue classes mod p^K of every
+                     checked ball (`Ball.digits`)
+      pair-sweep     `_kernels.tr_pair_sweep` on every component's table,
+                     over the residues mod p^s of those rows
+                     (`taylor._points`; `taylor._residue_table` modulo p^s,
+                     zeros when s = 0; every tr-deep map has s = 0, so each
+                     call returns at once)
+      preimage-balls `PowerPreimage.maximal_balls` of the twelve suites
+      total          the thirteen library calls whole:
+                     `taylor.verify_gauss1a` per suite and `taylor.check_Tr`
+                     of the degree-7 map
+      nd-K2, nd-K3   `taylor.check_Tr` of (x^2 + xy + y^2 + y^3)/3 on
+                     3Z_3^2 at r = 1 and K = 2, 3 (it holds; s = 1 = alpha,
+                     so only the C^r half runs, at the one test point of y)
+      nd-xy81        `taylor.check_Tr` of xy + x^3 y^4/81 on 3Z_3^2 at
+                     r = 1 and the default K (it holds with s = 4 >
+                     alpha = 1: 20 test points of y, each with 3 C^r
+                     columns and then 49 remainder columns over v = 1..3)
+      nd-xy243       the same with x^3 y^4/3^5 (s = 5: 20 test points of y,
+                     each with 3 C^r and 69 remainder columns over v = 1..4)
+      1d-highK       `taylor.check_Tr` at r = 1 of (x^2 - x)/2 on Z_2 at
+                     K = 14 and of (x^5 - x)/5 on Z_5 at K = 6, both failing
+                     (s = 1: a check that lists the residues mod p^K pays
+                     for K)
+    """
+    import numpy as np
+
+    from nonarch_lab import _kernels, cli, taylor
+    from nonarch_lab.arith_core import Ball, MultiPoly, val_int
+    from nonarch_lab.combinatorics import select_divisibility
+
+    sweep, check_Tr, verify = _kernels.tr_pair_sweep, taylor.check_Tr, taylor.verify_gauss1a
+    Exhaustive = taylor.ExhaustiveStrategy
+    # bound here, so a renamed one fails the build even where no s > 0 calls it
+    residue_table, derivative_table = taylor._residue_table, taylor._derivative_table
+    K = 8
+    suites, preimages, checks = [], [], []  # checks: (map, r, ball)
+    for p in (2, 3):
+        for r in (2, 3):
+            k = select_divisibility(p, r, 2 * r)
+            N = p ** (k * r)
+            pre = taylor.PowerPreimage(Ball(p, (Fraction(1),), k + 1), N, (Fraction(1),))
+            preimages.append(pre)
+            for coeffs in ([0, 1], [0, 0, 1], [0, p, 1]):
+                g = taylor.PolyMap.univariate(coeffs)
+                suites.append((g, r, p))
+                gN = taylor.power_compose(g, N, 1)
+                checks += [(gN, r, ball) for ball in pre.maximal_balls()]
+    deg7 = cli.parse_polymap(ctx.workloads.TR_DEG7)
+    checks.append((deg7, 3, deg7.domain))
+
+    tables = []
+    for f, r, ball in checks:
+        s = max(val_int(c.denominator, ball.p) for comp in f.components
+                for c in comp.terms.values())
+        mod = ball.p ** s
+        xs = taylor._points(ball, ball.digits(K), mod)[:, 0]
+        for ci, comp in enumerate(f.components):
+            table = (residue_table(derivative_table(f)[ci], xs[:, None], ball.p, s) if s
+                     else np.zeros((len(xs), comp.degree() + 1), dtype=xs.dtype))
+            tables.append((table, xs, mod, r))
+    third = Fraction(1, 3)
+    nd_map = taylor.PolyMap(2, 1, [MultiPoly(2, {(2, 0): third, (1, 1): third,
+                                                 (0, 2): third, (0, 3): third})],
+                            domain=Ball(3, (0, 0), 1))
+    xy81, xy243 = (taylor.PolyMap(2, 1, [MultiPoly(2, {(1, 1): 1, (3, 4): Fraction(1, q)})],
+                                  domain=Ball(3, (0, 0), 1)) for q in (81, 243))
+    binomial = taylor.PolyMap.univariate([0, Fraction(-1, 2), Fraction(1, 2)],
+                                         domain=Ball(2, (0,), 0))
+    quintic = taylor.PolyMap.univariate([0, Fraction(-1, 5), 0, 0, 0, Fraction(1, 5)],
+                                        domain=Ball(5, (0,), 0))
+
+    def residue_build():
+        for _f, _r, ball in checks:
+            ball.digits(K)
+
+    def pair_sweep():
+        for table, xs, mod, r in tables:
+            sweep(table, xs, mod, r)
+
+    def preimage_balls():
+        for pre in preimages:
+            pre.maximal_balls()
+
+    def total():
+        for g, r, p in suites:
+            verify(g, r, p, i_max=2 * r, K=K)
+        check_Tr(deg7, 3, Exhaustive(K=K))
+
+    def nd(K):
+        return lambda: check_Tr(nd_map, 1, Exhaustive(K=K))
+
+    def high_k():
+        check_Tr(binomial, 1, Exhaustive(K=14))
+        check_Tr(quintic, 1, Exhaustive(K=6))
+
+    return {"residue-build": residue_build, "pair-sweep": pair_sweep,
+            "preimage-balls": preimage_balls, "total": total,
+            "nd-K2": nd(2), "nd-K3": nd(3),
+            "nd-xy81": lambda: check_Tr(xy81, 1),
+            "nd-xy243": lambda: check_Tr(xy243, 1),
+            "1d-highK": high_k}
+
+
+def labmix(ctx):
+    """Seconds of the repeated stages of the `lab-mix` benchmark workload,
+    of the F_q[t] counts of `lab-mix` and `ff-sparse` and of three deeper
+    ones, of two dense ones, and of `expand_scheme`.
+
+      parser          one `cli.build_parser()` call, as every `cli.main()`
+                      makes it
+      fit             `ffcount.verify_bounds` for every r of the two
+                      `count-ff` jobs (x + y = 0 over q = 2, 3, 5 and
+                      y = x^2 + tx over q = 2, 3, r = 1..4); the counts are
+                      computed once, outside the timing
+      count-labmix    the 20 `ffcount.enumerate_Xr` calls of those two jobs
+      count-elliptic  the 12 `ffcount.enumerate_Xr` calls of `ff-sparse`:
+                      y^2 = x^3 - x over q = 5, 7, 11, 13, r = 1..3
+      count-deep      `ffcount.enumerate_Xr` on y^2 = x^3 - x at (q, r) =
+                      (13, 4), (7, 6) and (13, 5), with the q^(r*n) cap
+                      raised past 13^10
+      count-dense     `ffcount.enumerate_Xr` on x^4 y^4 + x = 0 at (q, r) =
+                      (5, 5) and on x^2 y^2 z^2 = 1 at (3, 3): many-factor
+                      terms whose t-powers past the lifting levels hold
+                      thousands of monomials, so an evaluator that expands
+                      them into monomials blows up
+      expand-scheme   `ffcount.expand_scheme` on y^2 = x^3 - x at q = 5,
+                      r = 3, the input of `lab-mix`'s `expand-scheme` job
+      grid-circle-Q10 `heights._grid_points` for x^2 + y^2 = 1 over the
+                      rationals of height <= 10, as the (numerator,
+                      denominator) pairs of `heights.enumerate_heights`
+      grid-parabola-Z100
+                      `heights._grid_points` for y = x^2 over the integers
+                      of absolute value <= 100, as pairs (v, 1) (the curve
+                      of `det-cover`)
+      points-parabola-Z20000
+                      `heights.points_Z` for y = x^2 at T = 2*10^4, with the
+                      cap raised past the (2T+1)^2 grid: 40,001 fibres, 283
+                      points
+      points-circle-Q100
+                      `heights.points_Q` for x^2 + y^2 = 1 at T = 100, with
+                      the cap raised past the grid of 12,175^2 candidates
+    """
+    from nonarch_lab import cli, ffcount, heights
+
+    w = ctx.workloads
+    enumerate_Xr, verify_bounds, expand_scheme = (
+        ffcount.enumerate_Xr, ffcount.verify_bounds, ffcount.expand_scheme)
+    grid_points, points_Z, points_Q = heights._grid_points, heights.points_Z, heights.points_Q
+
+    def count_table(data, qs, rs):
+        X = ffcount.VarietySpec.from_json(data)
+        return [(X, r, {q: enumerate_Xr(X, q, r) for q in qs}) for r in rs]
+
+    def count_labmix():
+        return (count_table(w.LINE, (2, 3, 5), range(1, 5))
+                + count_table(w.PARABOLA_T, (2, 3), range(1, 5)))
+
+    fits = count_labmix()
+
+    def fit():
+        for X, r, counts in fits:
+            verify_bounds(counts, X, r)
+
+    elliptic = ffcount.VarietySpec.from_json(w.ELLIPTIC)
+    dense = [(ffcount.VarietySpec(2, [{(4, 4): (1,), (1, 0): (1,)}]), 5, 5),
+             (ffcount.VarietySpec(3, [{(2, 2, 2): (1,), (0, 0, 0): (-1,)}]), 3, 3)]
+    circle = cli.parse_semialg(w.CIRCLE)
+    parabola = cli.parse_semialg(w.COVER["curve"])
+    heights_10 = list(heights.enumerate_heights(10))
+    integers_100 = [(v, 1) for v in range(-100, 101)]
+    return {
+        "parser": cli.build_parser,
+        "fit": fit,
+        "count-labmix": count_labmix,
+        "count-elliptic": lambda: count_table(w.ELLIPTIC, (5, 7, 11, 13), range(1, 4)),
+        "count-deep": lambda: [enumerate_Xr(elliptic, q, r, cap=13 ** 10)
+                               for q, r in ((13, 4), (7, 6), (13, 5))],
+        "count-dense": lambda: [enumerate_Xr(X, q, r) for X, q, r in dense],
+        "expand-scheme": lambda: expand_scheme(elliptic, 5, 3),
+        "grid-circle-Q10": lambda: grid_points(circle, heights_10, 10**7),
+        "grid-parabola-Z100": lambda: grid_points(parabola, integers_100, 10**7),
+        "points-parabola-Z20000": lambda: points_Z(parabola, 2 * 10**4, cap=10**10),
+        "points-circle-Q100": lambda: points_Q(circle, 100, cap=10**10),
+    }
+
+
+def detmethod(ctx):
+    """Per-stage seconds of the jobs of the `cover` benchmark workload
+    (--seed seeds its determinant-valuation trials), one stage per job.
+
+    Each run splits the job's wall time into four parts, by timing wrappers
+    put on module attributes for the run (the way the benchmark tracer
+    wraps them), next to the job's total:
+
+      certify `detmethod.certify_components`, the T_r certificate of each
+              component (one `check_Tr` per component)
+      build   `detmethod.MonomialMatrix.build`
+      linalg  `detmethod._bareiss`, the one elimination kernel behind every
+              rank, determinant and auxiliary-polynomial solve
+      other   the rest of the job, including the monomial matrix that
+              `auxiliary_polynomial` builds inline and the clearing of
+              denominators before each elimination
+
+    Only outermost calls count, so no time is counted twice.
+    """
+    from nonarch_lab import detmethod as dm
+
+    acc, depth = {}, [0]
+
+    def timed(fn, part):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if depth[0]:
+                return fn(*args, **kwargs)
+            depth[0] += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                acc[part] += time.perf_counter() - t0
+                depth[0] -= 1
+        return wrapper
+
+    targets = [("certify", dm, "certify_components"),
+               ("build", dm.MonomialMatrix, "build"),
+               ("linalg", dm, "_bareiss")]
+    originals = [(owner, name, vars(owner)[name]) for _, owner, name in targets]
+    timers = [(owner, name, classmethod(timed(fn.__func__, part))
+               if isinstance(fn, classmethod) else timed(fn, part))
+              for (part, _, _), (owner, name, fn) in zip(targets, originals)]
+
+    def stage(job):
+        def run():
+            acc.update(dict.fromkeys((part for part, _, _ in targets), 0.0))
+            for owner, name, fn in timers:
+                setattr(owner, name, fn)
+            t0 = time.perf_counter()
+            try:
+                job.run()
+            finally:
+                total = time.perf_counter() - t0
+                for owner, name, fn in originals:
+                    setattr(owner, name, fn)
+            return {"total": total, **acc, "other": total - sum(acc.values())}
+        return run
+
+    jobs, _ = ctx.workloads.build_jobs("cover", str(ctx.workdir), ctx.seed)
+    return {job.id: stage(job) for job in jobs}
+
+
+def hilbert(ctx):
+    """Seconds of the Hilbert-table stage and of the `hilbert` CLI end to
+    end, per case.
+
+    The cases are the `hilbert` subcommand on
+
+      twisted-30, twisted-300  the twisted cubic of `perfbench/workloads.py`
+                               (a lab-mix input) at --smax 30 and 300
+      conic-300                the conic of `perfbench/workloads.py` at
+                               --smax 300 --select 2 4 --salberger-m 1
+      quadric-150              x0 x3 - x1 x2 in P^3 at --smax 150
+
+    and each is timed two ways:
+
+      table  in process, the Groebner basis computed beforehand:
+             `HilbertTable.from_ideal` and every table read that `hilbert`
+             makes (H, sigma and the ratios for s = 1..smax, the Salberger
+             checks and the (delta, alpha) selection when asked for)
+      cli    `python -m nonarch_lab.cli hilbert ...` in a fresh
+             interpreter, report and CSV written to files; the sha256 of
+             both is kept, so two checkouts can be checked for the same
+             bytes (`same_bytes`)
+    """
+    from nonarch_lab import cli
+    from nonarch_lab.hilbert import (HilbertTable, HomIdeal, salberger_check,
+                                     select_delta_alpha)
+
+    from_ideal = HilbertTable.from_ideal
+
+    quadric = {"vars": 4, "generators": [
+        [{"exp": [1, 0, 0, 1], "coeff": "1"}, {"exp": [0, 1, 1, 0], "coeff": "-1"}]]}
+    (ctx.workdir / "quadric.json").write_text(json.dumps(quadric))
+    select = ["--select", "2", "4", "--salberger-m", "1"]
+    env = dict(os.environ, PYTHONPATH=str(ctx.root / "src"))
+
+    def case(name, infile, smax, extra):
+        data = json.loads((ctx.workdir / infile).read_text())
+        ideal = HomIdeal([cli.parse_poly(g, data["vars"]) for g in data["generators"]])
+        ideal.groebner_basis()
+        argv = [sys.executable, "-m", "nonarch_lab.cli", "hilbert", infile,
+                "--smax", str(smax), *extra, "--out", "report.json", "--csv", "table.csv"]
+
+        def table_reads():
+            table = from_ideal(ideal)
+            for s in range(1, smax + 1):
+                if table.hilbert_function(s):
+                    table.sigma_all(s)
+                    table.a_estimates(s)
+            if extra:
+                for s in (10, 20, 30):
+                    salberger_check(table, s, 1)
+                select_delta_alpha(table, 2, 4)
+
+        def run():
+            t0 = time.perf_counter()
+            table_reads()
+            t1 = time.perf_counter()
+            subprocess.run(argv, cwd=ctx.workdir, env=env, check=True, timeout=600,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            t2 = time.perf_counter()
+            digest = hashlib.sha256(b"".join((ctx.workdir / f).read_bytes()
+                                             for f in ("report.json", "table.csv")))
+            ctx.facts[name] = {"sha256": digest.hexdigest()}
+            return {"table": t1 - t0, "cli": t2 - t1}
+        return run
+
+    return {name: case(name, *spec) for name, *spec in [
+        ("twisted-30", "twisted_cubic.json", 30, []),
+        ("twisted-300", "twisted_cubic.json", 300, []),
+        ("conic-300", "conic.json", 300, select),
+        ("quadric-150", "quadric.json", 150, []),
+    ]}
+
+
+STARTUP_MODULES = ("_kernels", "arith_core", "cli", "combinatorics", "detmethod",
+                   "errors", "ffcount", "heights", "hilbert", "taylor")
+
+REPORT_NUMPY = ("import atexit, sys; atexit.register(lambda: sys.stderr.write("
+                "'\\nnumpy loaded: %s\\n' % ('numpy' in sys.modules))); ")
+
+
+def startup(ctx):
+    """Cold wall time of each CLI subcommand in a fresh interpreter.
+
+    Each subcommand runs as one `lab-mix` job runs it, except `det-cover`,
+    which runs the `cover` job, `taylor-check-2d`, the `lab-mix` 2-D half
+    map, and `taylor-check-sampled`, the same map under the sampled
+    strategy, which no job runs.  Two baselines go with them:
+
+      python-pass  `python -c pass`, the interpreter alone
+      import-all   `import` of every module of the package, no subcommand
+
+    Every case runs `python -m nonarch_lab.cli ...` (or `python -c ...`)
+    with PYTHONPATH at the checkout's `src`, from the directory holding the
+    inputs.  Bytecode is cached: the children write and read it under one
+    temporary PYTHONPYCACHEPREFIX (PYTHONDONTWRITEBYTECODE is unset for
+    them), and the untimed warm-up run of each case fills it, so no timed
+    run pays for compiling and a stale `__pycache__` in the tree is never
+    read.  That warm-up also records the case's exit code, which every
+    timed run must repeat, and whether it left numpy loaded.
+    """
+    cli = ["-m", "nonarch_lab.cli"]
+    cases = [
+        ("python-pass", None, ["-c", "pass"]),
+        ("import-all", None,
+         ["-c", "import " + ", ".join(f"nonarch_lab.{m}" for m in STARTUP_MODULES)]),
+        ("bounds", "lab-mix", cli + ["bounds", "--m", "1", "--n", "2", "--d", "2",
+                                     "--T", "100", "--p", "3"]),
+        ("heights", "lab-mix", cli + ["heights", "circle.json", "--mode", "Q", "--T", "10"]),
+        ("hilbert", "lab-mix", cli + ["hilbert", "conic.json", "--select", "2", "4",
+                                      "--salberger-m", "1"]),
+        ("expand-scheme", "lab-mix", cli + ["expand-scheme", "elliptic.json", "--q", "5",
+                                            "--r", "3"]),
+        ("count-ff", "lab-mix", cli + ["count-ff", "line.json", "--q", "2,3,5",
+                                       "--r", "1..4"]),
+        ("taylor-check", "lab-mix", cli + ["taylor-check", "tr_x2.json", "--r", "2",
+                                           "--K", "5"]),
+        ("taylor-check-2d", "lab-mix", cli + ["taylor-check", "tr_2d_half.json", "--r", "2",
+                                              "--K", "3"]),
+        ("taylor-check-sampled", None, cli + ["taylor-check", "tr_2d_half.json", "--r", "2",
+                                              "--strategy", "sampled"]),
+        ("det-cover", "cover", cli + ["det-cover", "cover.json"]),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ctx.root / "src"),
+               PYTHONPYCACHEPREFIX=str(ctx.workdir / "pycache"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+
+    def run(args):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable] + args, cwd=ctx.workdir, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+        return proc.returncode, proc.stderr, time.perf_counter() - t0
+
+    def case(name, workload, args):
+        def stage():
+            if name not in ctx.facts:  # the warm-up, run as `python -c`
+                code = args[1] if args[0] == "-c" else (
+                    f"import runpy; runpy.run_module({args[1]!r}, run_name='__main__', "
+                    "alter_sys=True)")
+                exit_code, err, _ = run(["-c", REPORT_NUMPY + code] + args[2:])
+                loaded = err.rstrip().rsplit("\n", 1)[-1]
+                if not loaded.startswith("numpy loaded: "):
+                    raise SystemExit(f"{name}: exit {exit_code}\n{err[-1000:]}")
+                ctx.facts[name] = {"command": " ".join(["python"] + args),
+                                   "workload": workload, "exit": exit_code,
+                                   "numpy_loaded": loaded == "numpy loaded: True"}
+                return None
+            exit_code, err, seconds = run(args)
+            if exit_code != ctx.facts[name]["exit"]:
+                raise SystemExit(f"{name}: exit {exit_code}\n{err[-1000:]}")
+            return {"s": seconds}
+        return stage
+
+    return {name: case(name, workload, args) for name, workload, args in cases}
+
+
+# --- harness ---------------------------------------------------------------
+
+# name: (stage-table builder, default --reps, whether a stage's runs return
+# their own {part: seconds} rather than being timed whole)
+SUITES = {"tr": (tr, 15, False), "labmix": (labmix, 15, False),
+          "detmethod": (detmethod, 15, True), "hilbert": (hilbert, 5, True),
+          "startup": (startup, 5, True)}
+
+
+def load(root):
+    """perfbench/workloads.py of the checkout at root, with the program
+    imported from the same checkout."""
+    for path in (root / "perfbench", root / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import workloads
+
+    return workloads
+
+
+def build(name, root, workdir, seed):
+    """The suite's stage table {stage: callable} at the checkout at root, its
+    inputs written to workdir, and the dict its stages record facts in;
+    no stage runs."""
+    workloads = load(root)
+    workloads.write_inputs(str(workdir))
+    ctx = SimpleNamespace(root=root, workloads=workloads, workdir=Path(workdir),
+                          seed=seed, facts={})
+    return SUITES[name][0](ctx), ctx.facts
+
+
+def sig(x):
+    return float(f"{x:.4g}")
+
+
+def sample(stage, reps, split):
+    """One untimed warm-up, then reps runs: {part: [seconds]}; a stage that
+    does not split is timed whole, as part "s"."""
+    stage()
+    runs = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        parts = stage()
+        runs.append(parts if split else {"s": time.perf_counter() - t0})
+    return {part: [run[part] for run in runs] for part in runs[0]}
+
+
+def measure(name, root, reps, seed, only):
+    """{stage: {part: median seconds, "facts": ...}} of one suite, run in
+    this interpreter; `only` is a list of stage names or None."""
+    with tempfile.TemporaryDirectory(prefix=f"bench_{name}_") as tmp:
+        stages, facts = build(name, root, tmp, seed)
+        unknown = sorted(set(only or ()) - set(stages))
+        if unknown:
+            raise SystemExit(f"{name}: unknown stages {unknown}; known: {list(stages)}")
+        out = {}
+        for stage in only or stages:
+            out[stage] = {part: sig(statistics.median(values))
+                          for part, values in sample(stages[stage], reps,
+                                                     SUITES[name][2]).items()}
+            if stage in facts:
+                out[stage]["facts"] = facts[stage]
+    return out
+
+
+def summary(values):
+    q1, q2, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                  if len(values) > 1 else values * 3)
+    return {"values": values, "median": sig(q2), "q1": sig(q1), "q3": sig(q3)}
+
+
+def compare(name, roots, rounds, child_args):
+    """Before/after values per stage and part, one per round; each round
+    measures both checkouts in fresh interpreters, alternating which goes
+    first."""
+    runs = {side: [] for side in roots}
+    for i in range(rounds):
+        for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
+            proc = subprocess.run([sys.executable, __file__, name, "--root",
+                                   str(roots[side]), *child_args],
+                                  capture_output=True, text=True)
+            if proc.returncode:
+                raise SystemExit(f"{name} at {roots[side]}: exit {proc.returncode}\n"
+                                 f"{proc.stderr[-2000:]}")
+            runs[side].append(json.loads(proc.stdout)["suites"][name]["stages"])
+    out = {}
+    for stage, first in runs["after"][0].items():
+        entry = {}
+        for part in [part for part in first if part != "facts"]:
+            values = {side: [run[stage][part] for run in runs[side]] for side in roots}
+            entry[part] = {side: summary(v) for side, v in values.items()}
+            entry[part]["after_wins"] = sum(a < b for a, b in
+                                            zip(values["after"], values["before"]))
+        if "facts" in first:
+            entry["facts"] = {side: runs[side][0][stage]["facts"] for side in roots}
+            if "sha256" in first["facts"]:
+                entry["same_bytes"] = len({run[stage]["facts"]["sha256"]
+                                           for side in roots for run in runs[side]}) == 1
+        out[stage] = entry
+    return out
+
+
+def describe(root):
+    """The checkout's commit, and whether its tracked files differ from it;
+    for a tree outside git (an exported copy), "no git commit".  Either way
+    the sha256 of its src/nonarch_lab/*.py, in name order, names the code
+    that ran."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root)] + list(args), capture_output=True,
+                              text=True).stdout.strip()
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "nonarch_lab").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    commit = git("rev-parse", "--short", "HEAD") or "no git commit"
+    if commit != "no git commit" and git("status", "--porcelain", "--untracked-files=no"):
+        commit += " with uncommitted changes"
+    return f"{commit}, src sha256 {digest.hexdigest()[:16]}"
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("suite", choices=[*SUITES, "all"])
+    ap.add_argument("--stages", help="comma-separated stage names of one suite "
+                    "(default: all)")
+    ap.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
+                    help="checkout to measure (default: this script's)")
+    ap.add_argument("--before", help="checkout compared against, run alternately")
+    ap.add_argument("--rounds", type=int, default=4, help="rounds of --before")
+    ap.add_argument("--reps", type=int, help="timed runs per stage after one warm-up "
+                    f"(default: {', '.join(f'{s} {r}' for s, (_, r, _) in SUITES.items())})")
+    ap.add_argument("--seed", type=int, default=3, help="seed of the detmethod trials")
+    ap.add_argument("--out", help="write the JSON here as well as to stdout")
+    args = ap.parse_args(argv)
+    if args.reps is not None and args.reps < 1 or args.rounds < 1:
+        ap.error("--reps and --rounds must be >= 1")
+    if args.stages and args.suite == "all":
+        ap.error("--stages names stages of one suite")
+
+    root = Path(args.root).resolve()
+    script = ["python3 tools/bench.py", args.suite]
+    script += ["--stages", args.stages] if args.stages else []
+    script += ["--before <checkout>", f"--rounds {args.rounds}"] if args.before else []
+    script += [f"--reps {args.reps}"] if args.reps else []
+    out = {"script": " ".join(script + [f"--seed {args.seed}"])}
+    if args.before:
+        roots = {"before": Path(args.before).resolve(), "after": root}
+        out.update({side: describe(path) for side, path in roots.items()})
+    else:
+        out["checkout"] = describe(root)
+    out["machine"] = (f"{os.cpu_count()} CPUs, {platform.system()} {platform.machine()}, "
+                      f"Python {platform.python_version()}, raw seconds (not probe-scaled)")
+    out["statistic"] = "per stage and part, the median over --reps runs after one untimed " \
+        "warm-up" + (f"; with --before, per checkout the values of {args.rounds} rounds, "
+                     "each in a fresh interpreter, the checkout that runs first "
+                     "alternating, their median and quartiles, and after_wins, the "
+                     "rounds in which --root took less" if args.before else "")
+    out["suites"] = {}
+    for name in SUITES if args.suite == "all" else [args.suite]:
+        fn, default_reps, _ = SUITES[name]
+        reps = args.reps or default_reps
+        if args.before:
+            child = ["--reps", str(reps), "--seed", str(args.seed)]
+            child += ["--stages", args.stages] if args.stages else []
+            stages = compare(name, roots, args.rounds, child)
+        else:
+            stages = measure(name, root, reps, args.seed,
+                             args.stages.split(",") if args.stages else None)
+        out["suites"][name] = {"what": " ".join(fn.__doc__.split("\n\n")[0].split()),
+                               "reps": reps, "stages": stages}
+    text = json.dumps(out, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
