@@ -4,20 +4,19 @@ Subcommands: bounds, heights, taylor-check, det-cover, count-ff,
 expand-scheme, hilbert, corpus.  Reports are deterministic JSON (exact
 values serialized as strings, no floats); tabular summaries go to CSV.
 Exit codes: 1 for a violated bound, 2 for configuration errors, 3 for
-cap/precision/budget exhaustion and for an `indeterminate` T_r verdict
-(a sampled run that found no violation, which proves nothing).
+cap/precision/budget exhaustion.
 
 `main` is the one report path.  Each subparser names, by `set_defaults`,
 its subcommand `func` and its input reader `read` (None for `bounds`).
 `main` runs `read(args)` under `input_schema`, so a missing key or a
 mistyped value exits 2, then calls `func(args, parsed input)`, which
 returns ``(config fields, results, exit code, CSV rows or None)`` and
-writes nothing (but `taylor-check`'s stderr note on an `indeterminate`
-verdict).  `main` builds the ``{config, version, results}`` envelope,
-whose config holds `subcommand`, `seed`, the input's basename and the
-subcommand's fields, emits it with one `elapsed` line on stderr and the
-`--csv` rows when given, and maps exceptions to exit codes.  `corpus`
-writes no report: it reruns `main` on each case and diffs the bytes.
+writes nothing.  `main` builds the ``{config, version, results}``
+envelope, whose config holds `subcommand`, `seed` (always 0), the input's
+basename and the subcommand's fields, emits it with one `elapsed` line on
+stderr and the `--csv` rows when given, and maps exceptions to exit
+codes.  `corpus` writes no report: it reruns `main` on each case and
+diffs the bytes.
 """
 
 from __future__ import annotations
@@ -243,21 +242,14 @@ def cmd_heights(args, spec):
 
 
 def cmd_taylor_check(args, f):
-    from .taylor import ExhaustiveStrategy, SampledStrategy, check_Tr
+    from .taylor import check_Tr
 
     if f.domain is None:
         raise ConfigError("taylor-check input needs a domain and prime")
-    # built under either strategy, so --samples is checked whether or not
-    # the run reads it
-    sampled = SampledStrategy(seed=args.seed, samples=args.samples, K=args.K)
-    strategy = sampled if args.strategy == "sampled" else ExhaustiveStrategy(K=args.K)
-    cert = check_Tr(f, args.r, strategy)
-    if cert.verdict == "indeterminate":
-        print(f"indeterminate: no violation in {args.samples} sampled residue pairs "
-              f"mod {f.domain.p}^{cert.K}, which proves nothing; "
-              "--strategy exhaustive decides", file=sys.stderr)
-    code = {"holds": 0, "fails": 1, "indeterminate": 3}[cert.verdict]
-    return dict(r=args.r, K=args.K, strategy=args.strategy), cert.to_json(), code, None
+    cert = check_Tr(f, args.r, K=args.K)
+    # "strategy" is a fixed field: the check has one route
+    return (dict(r=args.r, K=args.K, strategy="exhaustive"), cert.to_json(),
+            0 if cert.holds else 1, None)
 
 
 def cmd_det_cover(args, cover_input):
@@ -374,7 +366,8 @@ def cmd_hilbert(args, ideal_input):
 
 def read_corpus_case(case):
     """(argv, expected report bytes, expected exit code) of one corpus case;
-    a missing or malformed field or expected file is a config error."""
+    a missing or malformed field or expected file, or an argv that runs
+    corpus, is a config error."""
     path = os.path.join(case, "cmd.json")
     spec = load_json(path)
     if not isinstance(spec, dict) or "argv" not in spec:
@@ -382,6 +375,10 @@ def read_corpus_case(case):
     argv = spec["argv"]
     if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
         raise ConfigError(f"{path}: argv must be a list of strings, got {argv!r}")
+    if next((a for a in argv if not a.startswith("-")), None) == "corpus":
+        # a nested corpus writes no report to compare, and one that reaches
+        # this case again recurses
+        raise ConfigError(f"{path}: argv runs corpus, which writes no report")
     expected = spec.get("expected", "expected.json")
     if not isinstance(expected, str):
         raise ConfigError(f"{path}: expected must be a file name, got {expected!r}")
@@ -467,11 +464,6 @@ def build_parser():
     sp.add_argument("input", help="PolyMap JSON")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--K", type=int, default=None)
-    sp.add_argument("--strategy", choices=["exhaustive", "sampled"],
-                    default="exhaustive")
-    sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="sample seed of the sampled strategy")
     common(sp)
     sp.set_defaults(func=cmd_taylor_check,
                     read=lambda args: parse_polymap(load_json(args.input)))
@@ -536,7 +528,8 @@ def main(argv=None):
             with input_schema(args.input):
                 parsed = args.read(args)
         fields, results, code, rows = args.func(args, parsed)
-        config = {"subcommand": args.command, "seed": getattr(args, "seed", 0)}
+        # "seed" is a fixed field: no subcommand draws samples
+        config = {"subcommand": args.command, "seed": 0}
         if args.read is not None:
             config["input"] = os.path.basename(args.input)
         config.update(fields)

@@ -18,7 +18,7 @@ from .combinatorics import DetSetup, alpha_bound
 from .errors import BoundViolation, ConfigError, FullRankError
 from .heights import points_Z
 from .hilbert import delta_exponents
-from .taylor import ExhaustiveStrategy, check_Tr
+from .taylor import check_Tr
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def certify_components(psi, r, ball, K=None):
     out = []
     for comp in psi.components:
         single = PolyMap(psi.m, 1, [comp], domain=ball)
-        out.append(check_Tr(single, r, ExhaustiveStrategy(K=K, lean=K is None), ball))
+        out.append(check_Tr(single, r, ball, K=K, lean=K is None))
     return out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith_core import MultiPoly, is_prime, rational_residue, val_fraction
+from .arith_core import MultiPoly, is_prime, val_fraction, val_int
 from .errors import CapExceededError, ConfigError
 
 
@@ -90,11 +90,13 @@ class PadicConstraint:
         g = self.poly.eval(point)
         if self.kind == "ord_ge":
             return val_fraction(g, p) >= self.c
+        # ac_p(g) = value mod p^depth, decided by valuation so that p^depth
+        # is never formed: g = 0 passes when p^depth divides value, and
+        # otherwise its unit part u when p^depth divides u - value
         if g == 0:
-            return self.value % p ** self.depth == 0
-        v = val_fraction(g, p)
-        unit = g / Fraction(p) ** v
-        return rational_residue(unit, p, self.depth) == self.value % p ** self.depth
+            return val_int(self.value, p) >= self.depth
+        unit = g / Fraction(p) ** val_fraction(g, p)
+        return val_fraction(unit - self.value, p) >= self.depth
 
 
 @dataclass

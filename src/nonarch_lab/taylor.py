@@ -27,8 +27,8 @@ the box of min(degree + 1, period) points per coordinate; and the first
 failing y in ball order lies in that box, since a slice that fails at
 some digit fails at one inside it.  All u are tested, not only primitive
 ones: u = p^j u' gives p^(jr) times the level-(v + j) sum.  Witness ords
-are exact, from the same table.  Every exhaustive verdict is a proof for
-all Z_p-points of the ball.
+are exact, from the same table.  Every verdict is a proof for all
+Z_p-points of the ball.
 """
 
 from __future__ import annotations
@@ -207,57 +207,11 @@ ZERO_TABLE_ROWS = 20000  # s = 0: rows of the zero tables a 1-D check sweeps
 
 
 @dataclass
-class ExhaustiveStrategy:
-    """Decide T_r for every Z_p-point of the domain once K >= s (s the
-    p-denominator exponent of the coefficients), with values carried modulo
-    p^s: on the residue classes in one variable, on Mahler test sets in
-    several, where K is only reported.  The default K is alpha*r + 8;
-    `lean` drops it to s + 2.  Past max(s, alpha) + 1, K sets only the
-    reported K and the rows of a 1-D check's s = 0 zero tables.
-    """
-
-    K: int | None = None
-    lean: bool = False
-
-    def __post_init__(self):
-        _check_K(self.K)
-
-    def tag(self, p, K):
-        return f"exhaustive-mod-{p}^{K}"
-
-
-@dataclass
-class SampledStrategy:
-    """Seeded random residue pairs; a falsifier, not a proof.  A run that
-    finds no violation is "indeterminate", unless s = 0, where nothing
-    can fail and the verdict "holds" is a proof."""
-
-    seed: int = 0
-    samples: int = 1000
-    K: int | None = None
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ConfigError(f"need samples >= 1, got {self.samples}")
-        _check_K(self.K)
-
-    def tag(self, p, K):
-        return f"sampled-mod-{p}^{K}-seed-{self.seed}"
-
-
-def _check_K(K):
-    if K is not None and K < 0:
-        raise ConfigError(f"need K >= 0, got {K}")
-
-
-@dataclass
 class TrCertificate:
     subject: PolyMap
     r: int
     domain: object
-    # "holds" | "fails" | "indeterminate" (a sampled run that found no
-    # violation on a map with s > 0); an exhaustive check that cannot
-    # decide raises
+    # "holds" | "fails"; a check that cannot decide raises
     verdict: str
     strategy: str
     K: int
@@ -318,20 +272,24 @@ def _denominator_exponent(f, p):
                 for c in comp.terms.values()), default=0)
 
 
-def check_Tr(f, r, strategy=None, domain=None):
+def check_Tr(f, r, domain=None, K=None, lean=False):
     """Certify (or refute, with a witness) the T_r property of f: C^r-norm
     at most 1 on the domain together with |f(x) - T_y(x)| <= |x-y|^r for
     all x, y.
 
-    The exhaustive strategy decides on residue classes; for polynomial f
-    the verdict covers every Z_p-point of the domain (not only the
-    representatives).  The sampled strategy only refutes: without a
-    violation its verdict is "indeterminate" unless s = 0.  Witnesses are
-    computed in exact arithmetic.
+    The check is exhaustive, with values carried modulo p^s (s the
+    p-denominator exponent of the coefficients): on the residue classes in
+    one variable, on Mahler test sets in several.  For polynomial f the
+    verdict covers every Z_p-point of the domain (not only the
+    representatives), and witnesses are computed in exact arithmetic.  K
+    is the reported modulus exponent, K >= s; the default is alpha*r + 8,
+    and `lean` drops it to s + 2.  Past max(s, alpha) + 1, K sets only the
+    reported K and the rows of a 1-D check's s = 0 zero tables.
     """
+    if K is not None and K < 0:
+        raise ConfigError(f"need K >= 0, got {K}")
     if r < 1:
         raise ConfigError("need r >= 1")
-    strategy = strategy or ExhaustiveStrategy()
     ball = domain if domain is not None else f.domain
     if ball is None:
         raise ConfigError("no domain declared and none supplied")
@@ -340,42 +298,28 @@ def check_Tr(f, r, strategy=None, domain=None):
             f"check_Tr needs a Ball domain, got {type(ball).__name__}; "
             "check each ball of its maximal_balls() instead")
     s = _denominator_exponent(f, ball.p)
-    sampled = isinstance(strategy, SampledStrategy)
-    if sampled and f.m > 1 and strategy.K is None:
-        K = max(ball.alpha * r + 4, s + 2)
+    K = _default_K(K, lean, ball, r, s)
+    if f.m == 1:
+        witness = _check_tr_1d(f, r, ball, K, s)
     else:
-        K = _default_K(strategy, ball, r, s)
-    if s == 0 and (sampled or f.m > 1):
-        # every divided derivative is p-integral: nothing can fail
-        witness = None
-    elif sampled:
-        witness = _check_tr_sampled(f, r, strategy, ball, K)
-    else:
-        witness = _check_tr_1d(f, r, ball, K, s) if f.m == 1 else _check_tr_nd(f, r, ball, s)
-    if witness is not None:
-        verdict = "fails"
-    elif sampled and s:
-        # samples without a violation prove nothing once something can fail
-        verdict = "indeterminate"
-    else:
-        verdict = "holds"
-    return TrCertificate(f, r, ball, verdict, strategy.tag(ball.p, K), K, witness,
+        # with s = 0 every divided derivative is p-integral: nothing can fail
+        witness = _check_tr_nd(f, r, ball, s) if s else None
+    return TrCertificate(f, r, ball, "holds" if witness is None else "fails",
+                         f"exhaustive-mod-{ball.p}^{K}", K, witness,
                          "up-to-tail" if f.tail_floor is not None else "exact")
 
 
-def _default_K(strategy, ball, r, s):
+def _default_K(K, lean, ball, r, s):
     """The modulus exponent K of a check on `ball`.  An explicit K below
     the ball's valuative radius is a configuration error, decided before
     any residue count is taken; one below s cannot conclude."""
-    if strategy.K is not None:
-        if strategy.K < ball.alpha:
-            raise ConfigError(
-                f"K={strategy.K} below valuative radius {ball.alpha}")
-        if strategy.K < s:
-            raise PrecisionError(
-                f"K={strategy.K} below divided-derivative denominator exponent {s}")
-        return strategy.K
-    if getattr(strategy, "lean", False):
+    if K is not None:
+        if K < ball.alpha:
+            raise ConfigError(f"K={K} below valuative radius {ball.alpha}")
+        if K < s:
+            raise PrecisionError(f"K={K} below divided-derivative denominator exponent {s}")
+        return K
+    if lean:
         return max(s + 2, ball.alpha + 1)
     return max(ball.alpha * r + 8, s + 2, ball.alpha + 1)
 
@@ -520,33 +464,6 @@ def recheck_witness(f, r, witness, p):
 
 def _astuple(v):
     return tuple(v) if isinstance(v, (tuple, list)) else (v,)
-
-
-def _check_tr_sampled(f, r, strategy, ball, K):
-    """First violation among seeded residue pairs mod p^K, or None.  Up to
-    2^16 classes a point is one drawn class index decoded into its digits
-    in ball order, past that one drawn digit per coordinate."""
-    import random
-
-    p, m = ball.p, ball.m
-    rng = random.Random(strategy.seed)
-    derivs = _derivative_table(f)
-    width = p ** (K - ball.alpha)
-    count = width ** m
-
-    def draw():
-        if count <= 1 << 16:
-            i = rng.randrange(count)
-            return ball.representative([i // width ** (m - 1 - j) % width for j in range(m)])
-        return ball.representative([rng.randrange(width) for _ in range(m)])
-
-    for _ in range(strategy.samples):
-        x, y = draw(), draw()
-        bad = (_exact_pair_violation(derivs, r, x, y, p)
-               or _exact_point_violation(derivs, r, tuple(map(Fraction, y)), p))
-        if bad is not None:
-            return bad
-    return None
 
 
 def _confirmed(witness, flagged):
@@ -787,5 +704,5 @@ def verify_gauss1a(g, r, p, i_max, b=1, K=8):
     gN = power_compose(gmap, N, 1)
     pre = PowerPreimage(B, N, (Fraction(1),))
     balls = pre.maximal_balls()
-    certs = [check_Tr(gN, r, ExhaustiveStrategy(K=K), ball) for ball in balls]
+    certs = [check_Tr(gN, r, ball, K=K) for ball in balls]
     return Gauss1aReport(n, N, k, balls, certs)

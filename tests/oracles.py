@@ -403,6 +403,19 @@ def tr_residue_oracle(components, r, p, residues):
     return None
 
 
+def ac_eq_residue_rule(g, p, depth, value):
+    """Whether the angular component of the rational g at `depth` is
+    `value`, by residues mod p^depth: g = 0 passes when value is 0 mod
+    p^depth, and otherwise the unit part g / p^v(g) must be value mod
+    p^depth."""
+    mod = p ** depth
+    g = Fraction(g)
+    if g == 0:
+        return value % mod == 0
+    unit = g / Fraction(p) ** padic_val(g, p)
+    return unit.numerator * pow(unit.denominator, -1, mod) % mod == value % mod
+
+
 def ball_residues(ball, K):
     """Integer representative tuples mod p^K of a ball's residue classes,
     key + p^alpha * digits with the last coordinate fastest, one tuple at a
@@ -485,25 +498,6 @@ def _remainder_violation(components, r, p, x, y):
         lhs = padic_val(_deriv_at(terms, (0,) * len(y), x) - t_y, p)
         if lhs < bound:
             return ("remainder", ci, x, y, lhs, bound)
-    return None
-
-
-def tr_sampled_oracle(components, r, ball, K, seed, samples):
-    """First T_r violation found by the seeded sampled check: each sample
-    draws x then y with random.Random(seed).choice from the list of
-    ball_residues(ball, K), checks the remainder at (x, y), then the C^r
-    bound at y; formats as tr_check_oracle, or None."""
-    import random
-
-    rng = random.Random(seed)
-    residues = list(ball_residues(ball, K))
-    for _ in range(samples):
-        x = rng.choice(residues)
-        y = rng.choice(residues)
-        bad = (_remainder_violation(components, r, ball.p, x, y)
-               or _cr_violation(components, r, ball.p, y))
-        if bad is not None:
-            return bad
     return None
 
 

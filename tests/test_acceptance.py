@@ -29,7 +29,6 @@ from nonarch_lab.hilbert import (
     select_delta_alpha,
 )
 from nonarch_lab.taylor import (
-    ExhaustiveStrategy,
     PolyMap,
     check_Tr,
     compose,
@@ -195,11 +194,11 @@ def test_criterion_09_end_to_end_cover():
 def test_criterion_10_tr_suite():
     ok = True
     x2 = PolyMap.univariate([0, 0, 1], domain=Ball(3, (0,), 0))
-    if not check_Tr(x2, 2, ExhaustiveStrategy(K=5)).holds:
+    if not check_Tr(x2, 2, K=5).holds:
         ok = False
     binom = PolyMap.univariate([0, Fraction(-1, 2), Fraction(1, 2)],
                                domain=Ball(2, (0,), 0))
-    cert = check_Tr(binom, 1, ExhaustiveStrategy(K=5))
+    cert = check_Tr(binom, 1, K=5)
     if cert.verdict != "fails" or (cert.witness["x"], cert.witness["y"]) != (2, 0):
         ok = False
 
@@ -213,14 +212,13 @@ def test_criterion_10_tr_suite():
         g = PolyMap.univariate(
             [rng.randint(-9, 9) for _ in range(rng.randint(2, 4))], domain=ball)
         r = rng.choice([2, 3])
-        strat = ExhaustiveStrategy(K=5)
-        if not (check_Tr(f, r, strat).holds and check_Tr(g, r, strat).holds):
+        if not (check_Tr(f, r, K=5).holds and check_Tr(g, r, K=5).holds):
             continue
         pairs += 1
-        if not check_Tr(compose(g, f), r, strat).holds:      # Lemma on products
+        if not check_Tr(compose(g, f), r, K=5).holds:      # Lemma on products
             ok = False
         for ell in range(1, r):                               # downward closure
-            if not (check_Tr(f, ell, strat).holds and check_Tr(g, ell, strat).holds):
+            if not (check_Tr(f, ell, K=5).holds and check_Tr(g, ell, K=5).holds):
                 ok = False
     report(10, "T_r suite: x^2 holds, binomial witness (2,0), 100 compositions + downward closure", ok)
 

@@ -377,72 +377,64 @@ def test_taylor_check_malformed_exit_2(tmp_path, capsys):
     path = write(tmp_path, "nom.json", {k: v for k, v in TR_X2.items() if k != "m"})
     assert main(["taylor-check", path, "--r", "2", "--K", "5"]) == 2
     assert "missing key 'm'" in capsys.readouterr().err
-    # -x/2 + x^2/2 on Z_2 fails T_1; no samples must not report "holds"
-    binom = {"m": 1, "n": 1, "p": 2,
-             "components": [[{"exp": [1], "coeff": "-1/2"}, {"exp": [2], "coeff": "1/2"}]],
-             "domain": {"center": ["0"], "alpha": 0}}
-    path = write(tmp_path, "binom.json", binom)
-    for samples in ("0", "-5"):
-        assert_config_error(["taylor-check", path, "--r", "1", "--strategy", "sampled",
-                             "--samples", samples], "need samples >= 1", capsys,
-                            in_subprocess=False)
     plane = {"m": 2, "n": 1, "p": 3, "components": [[{"exp": [2, 0], "coeff": "1"}]],
              "domain": {"center": ["0", "0"], "alpha": 0}}
     for data in (TR_X2, plane):
         path = write(tmp_path, f"m{data['m']}.json", data)
-        for strategy in ("exhaustive", "sampled"):
-            assert_config_error(["taylor-check", path, "--r", "2", "--K", "-1",
-                                 "--strategy", strategy], "need K >= 0", capsys,
-                                in_subprocess=False)
+        assert_config_error(["taylor-check", path, "--r", "2", "--K", "-1"], "need K >= 0",
+                            capsys, in_subprocess=False)
 
 
 def test_taylor_check_K_below_radius_exit_2(tmp_path, capsys):
     # x^2 on 9Z_3: K = 1 cannot name a residue class of the ball, a
-    # configuration error for every strategy and not an exhausted resource
+    # configuration error and not an exhausted resource
     ball9 = dict(TR_X2, domain={"center": ["0"], "alpha": 2})
     plane9 = {"m": 2, "n": 1, "p": 3, "components": [[{"exp": [2, 0], "coeff": "1"}]],
               "domain": {"center": ["0", "0"], "alpha": 2}}
     for data in (ball9, plane9):
         path = write(tmp_path, f"ball{data['m']}.json", data)
-        for strategy in ("exhaustive", "sampled"):
-            assert_config_error(["taylor-check", path, "--r", "2", "--K", "1",
-                                 "--strategy", strategy], "K=1 below valuative radius 2",
-                                capsys, in_subprocess=False)
+        assert_config_error(["taylor-check", path, "--r", "2", "--K", "1"],
+                            "K=1 below valuative radius 2", capsys, in_subprocess=False)
         code, report = run_to_json(["taylor-check", path, "--r", "2", "--K", "2"], tmp_path)
         assert code == 0 and report["results"]["verdict"] == "holds"
 
 
-def test_taylor_check_sampled_multivariate_K_below_s(tmp_path, capsys):
-    # x^2/2 on Z_2^2 fails C^1 at (1, 0); with K = 0 the only residue is
-    # (0, 0), so the sampled path must reject K < s = 1 as the 1-D path does
+def test_taylor_check_multivariate_K_below_s(tmp_path, capsys):
+    # x^2/2 on Z_2^2 fails C^1 at (1, 0); K = 0 names only the residue
+    # (0, 0), so a multivariate check rejects K < s = 1 as the 1-D one does
     half = {"m": 2, "n": 1, "p": 2, "components": [[{"exp": [2, 0], "coeff": "1/2"}]],
             "domain": {"center": ["0", "0"], "alpha": 0}}
     path = write(tmp_path, "half.json", half)
-    argv = ["taylor-check", path, "--r", "1", "--strategy", "sampled"]
+    argv = ["taylor-check", path, "--r", "1"]
     assert main(argv + ["--K", "0"]) == 3
     assert ("K=0 below divided-derivative denominator exponent 1"
             in capsys.readouterr().err)
     code, report = run_to_json(argv + ["--K", "1"], tmp_path)
     assert code == 1 and report["results"]["verdict"] == "fails"
-    # the default K = max(alpha*r + 4, s + 2) = 4
+    # the default K = max(alpha*r + 8, s + 2, alpha + 1) = 8
     code, report = run_to_json(argv, tmp_path)
-    assert code == 1 and report["results"]["K"] == 4
+    assert code == 1 and report["results"]["K"] == 8
 
 
-def test_taylor_check_sampled_without_violation_exit_3(tmp_path, capsys):
-    # x^3/3 on 3Z_3 has s = 1 and satisfies T_1: a sampled run that draws
-    # no violation proves nothing, so it reports "indeterminate" and exits
-    # 3 naming the samples drawn; the exhaustive check proves "holds"
+def test_taylor_check_x3_over_3_holds(tmp_path):
+    # x^3/3 on 3Z_3 has s = 1 and satisfies T_1: the check proves "holds"
     cube = {"m": 1, "n": 1, "p": 3, "components": [[{"exp": [3], "coeff": "1/3"}]],
             "domain": {"center": ["0"], "alpha": 1}}
     path = write(tmp_path, "cube.json", cube)
-    argv = ["taylor-check", path, "--r", "1", "--strategy", "sampled", "--samples", "25"]
-    code, report = run_to_json(argv, tmp_path)
-    assert code == 3
-    assert (report["results"]["verdict"], report["results"]["witness"]) == ("indeterminate", None)
-    assert "no violation in 25 sampled residue pairs" in capsys.readouterr().err
     code, report = run_to_json(["taylor-check", path, "--r", "1"], tmp_path)
-    assert code == 0 and report["results"]["verdict"] == "holds"
+    assert code == 0
+    assert (report["results"]["verdict"], report["results"]["witness"]) == ("holds", None)
+
+
+@pytest.mark.parametrize("option", [["--strategy", "sampled"], ["--samples", "5"],
+                                    ["--seed", "1"]], ids=["strategy", "samples", "seed"])
+def test_taylor_check_has_no_sampling_options(tmp_path, option):
+    # the check has one route: options that chose or seeded a sampled one
+    # are unknown arguments
+    path = write(tmp_path, "map.json", TR_X2)
+    with pytest.raises(SystemExit) as exc:
+        main(["taylor-check", path, "--r", "2"] + option)
+    assert exc.value.code == 2
 
 
 def test_parser_built_once_and_reused(tmp_path):
@@ -453,8 +445,7 @@ def test_parser_built_once_and_reused(tmp_path):
     yx3 = write(tmp_path, "yx3.json", YX3)
     jobs = {
         "bounds": ["bounds", "--m", "1", "--n", "2", "--d", "2", "--T", "10", "--p", "3"],
-        "taylor": ["taylor-check", tr, "--r", "2", "--strategy", "sampled",
-                   "--samples", "30", "--seed", "7"],
+        "taylor": ["taylor-check", tr, "--r", "2", "--K", "5"],
         "count": ["count-ff", yx3, "--q", "2,3", "--r", "1..2", "--mu-cap", "9"],
     }
 
@@ -472,13 +463,14 @@ def test_parser_built_once_and_reused(tmp_path):
     for name in ("bounds", "taylor", "count", "bounds", "count", "taylor"):
         assert run(name) == fresh[name], name
     assert json.loads(fresh["bounds"][1])["config"]["seed"] == 0
-    assert json.loads(fresh["taylor"][1])["config"]["seed"] == 7
+    assert json.loads(fresh["taylor"][1])["config"]["K"] == 5
     ap = build_parser()
     seen = {name: vars(ap.parse_args(argv)) for name, argv in jobs.items()}
     assert vars(ap.parse_args(jobs["bounds"])) == seen["bounds"]
     assert not {"seed", "strategy", "samples", "K", "mu_cap", "q", "cap"} & set(seen["bounds"])
     assert not {"seed", "strategy", "samples"} & set(seen["count"])
-    assert seen["count"]["mu_cap"] == 9 and seen["taylor"]["K"] is None
+    assert not {"seed", "strategy", "samples", "mu_cap"} & set(seen["taylor"])
+    assert seen["count"]["mu_cap"] == 9 and seen["taylor"]["K"] == 5
 
 
 def run_python_subprocess(args, timeout=30):
@@ -536,6 +528,19 @@ def test_heights_malformed_padic_exit_2(tmp_path, capsys, p, constraint, named):
                         in_subprocess=p == 1)
 
 
+def test_heights_ac_eq_of_large_depth_runs(tmp_path):
+    # ac_eq is decided by valuation: depth 10^9 forms no 5^(10^9), and of
+    # the circle's integer points only x = 1 has unit part 1 mod 5^(10^9)
+    ac = {"poly": [{"exp": [1, 0], "coeff": "1"}], "kind": "ac_eq", "depth": 10**9,
+          "value": 1}
+    path = write(tmp_path, "deep.json", dict(CIRCLE, padic={"p": 5, "constraints": [ac]}))
+    proc = run_cli_subprocess(["heights", path, "--mode", "Z", "--T", "10"], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["points"] == [["1", "0"]]
+    elapsed = float(proc.stderr.split()[-1].rstrip("s"))
+    assert elapsed < 1.0, proc.stderr
+
+
 def test_hilbert_malformed_exit_2(tmp_path, capsys):
     path = write(tmp_path, "novars.json", {"generators": CONIC_IDEAL["generators"]})
     assert main(["hilbert", path, "--smax", "3"]) == 2
@@ -564,16 +569,14 @@ def test_hilbert_malformed_exit_2(tmp_path, capsys):
     ("hilbert", ["--budget", "-1"], "--budget must be >= 0, got -1"),
     ("hilbert", ["--salberger-s", "0"], "--salberger-s values must be >= 1, got '0'"),
     ("hilbert", ["--salberger-s", "abc"], "bad integer 'abc'"),
-    ("taylor-check", ["--r", "2", "--samples", "0"], "need samples >= 1, got 0"),
 ], ids=["heights-k", "count-ff-mu-cap", "hilbert-budget", "hilbert-salberger-s-0",
-        "hilbert-salberger-s-abc", "taylor-check-samples"])
+        "hilbert-salberger-s-abc"])
 def test_options_checked_when_the_run_does_not_read_them(tmp_path, capsys, command,
                                                          argv, named):
     # Q mode reads no --k, one field size fits no mu, an ideal without
-    # generators runs no S-pair, a run without --salberger-m reads no
-    # --salberger-s and the exhaustive strategy draws no sample: each option
-    # is still checked up front
-    data = {"heights": CIRCLE, "count-ff": YX3, "taylor-check": TR_X2,
+    # generators runs no S-pair and a run without --salberger-m reads no
+    # --salberger-s: each option is still checked up front
+    data = {"heights": CIRCLE, "count-ff": YX3,
             "hilbert": {"vars": 3, "generators": []}}[command]
     assert_config_error([command, write(tmp_path, "input.json", data)] + argv, named,
                         capsys, in_subprocess=False)
@@ -769,18 +772,16 @@ def test_numpy_loaded_only_by_array_subcommands(tmp_path):
     ]
 
 
-def test_det_cover_and_sampled_check_start_without_numpy(tmp_path):
-    # the cover's integral certificates, and a sampled and an exhaustive
-    # check on a 2-D map with p-denominators, list no residue class as an
-    # array: numpy stays unloaded through all three
+def test_det_cover_and_multivariate_check_start_without_numpy(tmp_path):
+    # the cover's integral certificates, and a check on a 2-D map with
+    # p-denominators, list no residue class as an array: numpy stays
+    # unloaded through both
     half = {"m": 2, "n": 1, "p": 2,
             "components": [[{"exp": [2, 0], "coeff": "1/2"}, {"exp": [0, 1], "coeff": "1"}]],
             "domain": {"center": ["0", "0"], "alpha": 0}}
     runs = [
         ["det-cover", write(tmp_path, "cover.json", COVER)],
-        ["taylor-check", write(tmp_path, "half.json", half), "--r", "2",
-         "--strategy", "sampled"],
-        ["taylor-check", str(tmp_path / "half.json"), "--r", "2", "--K", "3"],
+        ["taylor-check", write(tmp_path, "half.json", half), "--r", "2", "--K", "3"],
     ]
     out = str(tmp_path / "out.json")
     proc = run_python_subprocess(
@@ -790,20 +791,21 @@ def test_det_cover_and_sampled_check_start_without_numpy(tmp_path):
         ["import", None, False],
         ["det-cover", 0, False],
         ["taylor-check", 1, False],
-        ["taylor-check", 1, False],
     ]
 
 
-def test_seed_only_on_taylor_check(tmp_path):
+def test_seed_is_a_fixed_config_field(tmp_path):
+    # no subcommand takes --seed, and every report carries "seed": 0;
+    # taylor-check's config also carries "strategy": "exhaustive"
     circle = write(tmp_path, "circle.json", CIRCLE)
     with pytest.raises(SystemExit) as exc:
         main(["heights", circle, "--T", "2", "--seed", "1"])
     assert exc.value.code == 2
     tr = write(tmp_path, "map.json", TR_X2)
-    code, report = run_to_json(["taylor-check", tr, "--r", "2", "--strategy", "sampled",
-                                "--samples", "20", "--seed", "1"], tmp_path)
-    assert code == 0 and report["config"]["seed"] == 1
-    # reports of the other subcommands still carry seed 0
+    code, report = run_to_json(["taylor-check", tr, "--r", "2"], tmp_path)
+    assert code == 0 and report["config"]["seed"] == 0
+    assert report["config"]["strategy"] == "exhaustive"
+    assert report["results"]["strategy"] == "exhaustive-mod-3^8"
     code, report = run_to_json(["heights", circle, "--T", "2"], tmp_path, "h.json")
     assert code == 0 and report["config"]["seed"] == 0
 
@@ -886,6 +888,19 @@ def test_corpus_malformed_case_exit_2(tmp_path, capsys, cmd, expected, named):
     assert code == 2 and out == "", (out, err)
     assert "config error:" in err and "Traceback" not in err, err
     assert named in err and "b-bad" in err, err
+
+
+def test_corpus_case_that_runs_corpus_exit_2(tmp_path, capsys):
+    # a nested corpus writes no report, and one run on its own directory
+    # would recurse: the case is rejected before any case runs
+    corpus = tmp_path / "corpus"
+    write_corpus_case(corpus, "a-good", {"argv": BOUNDS_ARGV}, b"")
+    write_corpus_case(corpus, "b-self", {"argv": ["corpus", str(corpus)]}, b"")
+    code = main(["corpus", str(corpus)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "", (out, err)
+    assert "config error:" in err and "Traceback" not in err, err
+    assert "argv runs corpus" in err and "b-self" in err, err
 
 
 def test_corpus_argparse_rejection_is_case_exit_2(tmp_path, capsys):

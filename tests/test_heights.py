@@ -127,6 +127,29 @@ def test_ac_constraint():
     assert {pt[0] for pt in pts} == want
 
 
+def test_ac_eq_by_valuation_matches_the_residue_rule():
+    # ac_eq is decided by valuation, with no p^depth formed; it agrees with
+    # comparing residues mod p^depth, also for g = 0, negative values and
+    # unit parts with a denominator
+    rng = random.Random(29)
+    x = MultiPoly(1, {(1,): 1})
+    seen = set()
+    for _ in range(5000):
+        p, depth, value = rng.choice([2, 3, 5, 7]), rng.randint(1, 4), rng.randint(-60, 60)
+        if rng.random() < 0.1:
+            g = Fraction(0)
+        else:
+            # near value mod p^depth half of the time, so that both verdicts occur
+            num = (value + p ** rng.randint(0, depth + 1) * rng.randint(-3, 3)
+                   if rng.random() < 0.5 else rng.randint(-60, 60))
+            den = rng.choice([1, 1 + p ** depth, rng.randint(1, 30)])
+            g = Fraction(num, den) * Fraction(p) ** rng.randint(-2, 2)
+        got = PadicConstraint(x, "ac_eq", depth=depth, value=value).holds((g,), p)
+        assert got == oracles.ac_eq_residue_rule(g, p, depth, value), (g, p, depth, value)
+        seen.add((got, g == 0))
+    assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+
 def test_points_subset_and_monotone(parabola_curve):
     zpts = points_Z(parabola_curve, 8)
     qpts = points_Q(parabola_curve, 8)

@@ -22,7 +22,7 @@ STAGES = {
     "hilbert": ["twisted-30", "twisted-300", "conic-300", "quadric-150"],
     "startup": ["python-pass", "import-all", "bounds", "heights", "hilbert",
                 "expand-scheme", "count-ff", "taylor-check", "taylor-check-2d",
-                "taylor-check-sampled", "det-cover"],
+                "det-cover"],
 }
 
 

@@ -77,6 +77,9 @@ def tr(ctx):
                      K = 14 and of (x^5 - x)/5 on Z_5 at K = 6, both failing
                      (s = 1: a check that lists the residues mod p^K pays
                      for K)
+
+    The stages pass K to `check_Tr` as a keyword, so --before needs a
+    checkout whose `check_Tr` takes one.
     """
     import numpy as np
 
@@ -85,7 +88,6 @@ def tr(ctx):
     from nonarch_lab.combinatorics import select_divisibility
 
     sweep, check_Tr, verify = _kernels.tr_pair_sweep, taylor.check_Tr, taylor.verify_gauss1a
-    Exhaustive = taylor.ExhaustiveStrategy
     # bound here, so a renamed one fails the build even where no s > 0 calls it
     residue_table, derivative_table = taylor._residue_table, taylor._derivative_table
     K = 8
@@ -140,14 +142,14 @@ def tr(ctx):
     def total():
         for g, r, p in suites:
             verify(g, r, p, i_max=2 * r, K=K)
-        check_Tr(deg7, 3, Exhaustive(K=K))
+        check_Tr(deg7, 3, K=K)
 
     def nd(K):
-        return lambda: check_Tr(nd_map, 1, Exhaustive(K=K))
+        return lambda: check_Tr(nd_map, 1, K=K)
 
     def high_k():
-        check_Tr(binomial, 1, Exhaustive(K=14))
-        check_Tr(quintic, 1, Exhaustive(K=6))
+        check_Tr(binomial, 1, K=14)
+        check_Tr(quintic, 1, K=6)
 
     return {"residue-build": residue_build, "pair-sweep": pair_sweep,
             "preimage-balls": preimage_balls, "total": total,
@@ -389,9 +391,8 @@ def startup(ctx):
     """Cold wall time of each CLI subcommand in a fresh interpreter.
 
     Each subcommand runs as one `lab-mix` job runs it, except `det-cover`,
-    which runs the `cover` job, `taylor-check-2d`, the `lab-mix` 2-D half
-    map, and `taylor-check-sampled`, the same map under the sampled
-    strategy, which no job runs.  Two baselines go with them:
+    which runs the `cover` job, and `taylor-check-2d`, the `lab-mix` 2-D
+    half map.  Two baselines go with them:
 
       python-pass  `python -c pass`, the interpreter alone
       import-all   `import` of every module of the package, no subcommand
@@ -423,8 +424,6 @@ def startup(ctx):
                                            "--K", "5"]),
         ("taylor-check-2d", "lab-mix", cli + ["taylor-check", "tr_2d_half.json", "--r", "2",
                                               "--K", "3"]),
-        ("taylor-check-sampled", None, cli + ["taylor-check", "tr_2d_half.json", "--r", "2",
-                                              "--strategy", "sampled"]),
         ("det-cover", "cover", cli + ["det-cover", "cover.json"]),
     ]
     env = dict(os.environ, PYTHONPATH=str(ctx.root / "src"),
