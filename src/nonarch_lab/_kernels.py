@@ -9,7 +9,11 @@ coefficient is evaluated, and for k >= 1 it is affine in the new digits,
 [t^k]F(x^{<k} + a_k t^k) = [t^k]F(x^{<k}) + J(a_0)·a_k.  One evaluator,
 _series, gives every coefficient the count checks, as truncated t-series
 convolutions of the digit columns the lifting carries: the levels, J and
-the t-powers past t^(r-1) on the survivors of the last level.  The pair
+the t-powers past t^(r-1) on the survivors of the last level.  The depth-k
+frontier of that lift, read with its digits below k, holds the degree-<k
+candidates, so one lift per field size counts every requested degree
+bound: each smaller bound k gets its t-powers past t^(k-1) checked on the
+jets that reach depth k, which are then lifted further.  The pair
 sweep works modulo p^s (s the p-denominator exponent of the divided
 derivatives).  Both are block-vectorized numpy.
 
@@ -85,7 +89,7 @@ def _series(q, r, terms, digits, known, lo, hi):
     return out
 
 
-def ff_count(q, r, n, equations, want_indices=False):
+def ff_count(q, r, n, equations, want_indices=False, below=None):
     """Count assignments solving every equation over F_q, exactly;
     equations in the reduced format above.
 
@@ -104,15 +108,32 @@ def ff_count(q, r, n, equations, want_indices=False):
     sliced so that no block holds more than LIFT_BLOCK extensions.
     Returns count, or (count, sorted indices array) when want_indices is
     set.
+
+    The frontier at depth k < r holds, read with its digits below k, the
+    degree-<k assignments whose t-powers below k vanish, so the same lift
+    counts every smaller degree bound on the way: below maps such bounds
+    k to counts, and each block of jets that reaches a depth k in below
+    gets the check that ff_count(q, k, ...) runs on its last level, the
+    t-powers >= k with the digits below k, adds its survivors to below[k]
+    and is lifted further whole.  Keys outside 1..r-1 are left alone.
     """
     import numpy as np
 
     if q >= INT64_SAFE_MOD or q ** (r * n) > INT64_MAX:
         raise CapExceededError(
             f"q = {q}, r*n = {r * n}: assignment indices exceed int64")
-    # per equation, (i, terms of [t^0] dF/dx_i) for each x_i it has; and
-    # (terms, one past its highest t-power) for those that pass t^(r-1)
-    jacobian, tails = [], []
+    def tail_checks(k):
+        """(terms, one past its highest t-power) of each equation whose
+        expansion at degree bound k passes t^(k-1)."""
+        out = []
+        for terms in equations:
+            top = max((len(cs) + sum(exps) * (k - 1) for cs, exps in terms), default=0)
+            if top > k:
+                out.append((terms, top))
+        return out
+
+    # per equation, (i, terms of [t^0] dF/dx_i) for each x_i it has
+    jacobian = []
     for terms in equations:
         row = []
         for i in range(n):
@@ -121,9 +142,8 @@ def ff_count(q, r, n, equations, want_indices=False):
             if d:
                 row.append((i, d))
         jacobian.append(row)
-        top = max((len(cs) + sum(exps) * (r - 1) for cs, exps in terms), default=0)
-        if top > r:
-            tails.append((terms, top))
+    tails = {k: tail_checks(k) for k in below or () if 1 <= k < r}
+    tails[r] = tail_checks(r)
     choices = q ** n
     step = min(choices, LIFT_BLOCK)
     rows = max(1, LIFT_BLOCK // step)
@@ -155,8 +175,10 @@ def ff_count(q, r, n, equations, want_indices=False):
         return jets
 
     def lift(jets, k):
+        if k < r and k in tails:
+            below[k] += vanishing(jets, k, k, tails[k]).shape[1]
         if k == r:
-            jets = vanishing(jets, r, r, tails)
+            jets = vanishing(jets, r, r, tails[r])
             found.append(q ** np.arange(r * n, dtype=np.int64) @ jets
                          if want_indices else jets.shape[1])
             return

@@ -43,6 +43,7 @@ from .errors import (
     FullRankError,
     PrecisionError,
     config_int,
+    config_list,
     load_json,
 )
 
@@ -86,7 +87,8 @@ def parse_fraction(v):
 def parse_poly(data, nvars):
     terms = {}
     for term in data:
-        exp = tuple(config_int(e, "exponent", 0) for e in term["exp"])
+        exp = tuple(config_int(e, "exponent", 0)
+                    for e in config_list(term["exp"], "exponent"))
         if len(exp) != nvars:
             raise ConfigError(f"exponent {exp} has arity {len(exp)}, expected {nvars}")
         terms[exp] = terms.get(exp, Fraction(0)) + parse_fraction(term["coeff"])
@@ -274,10 +276,12 @@ def cmd_count_ff(args, X):
             seen.add(v)
     records = []
     bound_reports = {}
+    # one lift per q counts every r of rs at once; the loop reads them
+    by_q = {q: dict.fromkeys(rs) for q in qs}
     for r in rs:
         counts = {}
         for q in qs:
-            counts[q] = enumerate_Xr(X, q, r, cap=args.cap)
+            counts[q] = enumerate_Xr(X, q, r, cap=args.cap, counts=by_q[q])
         fit = (None, None, None)
         if len(qs) >= 2 and any(counts.values()):
             rep = bound_reports[r] = verify_bounds(counts, X, r, mu_cap=args.mu_cap)

@@ -1,5 +1,6 @@
 """Error taxonomy shared by all modules, the one reader of JSON input
-files, and the integer check that input fields pass before use.
+files, and the integer and list checks that input fields pass before
+use.
 
 Exit-code mapping used by the CLI: BoundViolation -> 1, ConfigError -> 2,
 cap/precision/budget exhaustion -> 3.
@@ -36,6 +37,15 @@ def config_int(value, what, least=None):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ConfigError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def config_list(value, what):
+    """value when it is a list (or tuple); a ConfigError naming `what` and
+    the whole value otherwise.  Iterating a string would read it one
+    character at a time."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
     return value
 
 

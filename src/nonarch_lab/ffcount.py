@@ -18,7 +18,7 @@ from itertools import zip_longest
 from . import _kernels
 from .arith_core import MultiPoly, is_prime
 from .errors import (CapExceededError, ConfigError, RingMismatchError, config_int,
-                     load_json)
+                     config_list, load_json)
 
 
 @dataclass
@@ -64,8 +64,9 @@ class VarietySpec:
         for poly in data["polynomials"]:
             terms = {}
             for term in poly:
-                exp = tuple(term["exp"])
-                coeff = [config_int(c, "coefficient") for c in term["coeff"]]
+                exp = tuple(config_list(term["exp"], "exponent"))
+                coeff = [config_int(c, "coefficient")
+                         for c in config_list(term["coeff"], "coefficient")]
                 terms[exp] = tuple(a + b for a, b in zip_longest(
                     terms.get(exp, ()), coeff, fillvalue=0))
             polys.append(terms)
@@ -116,7 +117,7 @@ def _decode(idx, q, r, n):
     return tuple(coeffs)
 
 
-def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
+def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False, counts=None):
     """Exact count of n-tuples of degree-<r polynomials over F_q solving
     every defining polynomial identically in F_q[t].
 
@@ -125,9 +126,18 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
     coefficient vanishes and checks the t-powers >= r on the full
     assignments, every coefficient a truncated t-series convolution of
     the jet's digits; cap bounds the q^(r*n) assignments the search
-    ranges over, whatever the lifting visits.  With want_points the
-    solutions are decoded into coefficient tuples (ascending t-powers per
-    coordinate), in ascending assignment-index order.
+    ranges over, whatever the lifting visits, and is checked first.  With
+    want_points the solutions are decoded into coefficient tuples
+    (ascending t-powers per coordinate), in ascending assignment-index
+    order.
+
+    counts, when given, is a dict keyed by the degree bounds the caller
+    will ask for at this q, each mapped to its count or None.  A call
+    whose r has no count yet makes one lift, to the largest unfilled key
+    whose q^(k*n) the cap admits (r when there is none), which counts r
+    and every unfilled key below on the way and stores them all; a call
+    whose r has a count returns it.  want_points neither reads nor fills
+    counts.
     """
     if r < 1:
         raise ConfigError("need r >= 1")
@@ -136,12 +146,23 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False):
     total = q ** (r * X.n)
     if total > cap:
         raise CapExceededError(f"q^(r*n) = {total} exceeds cap {cap}")
-    equations = X.reduce_mod(q)
     if want_points:
+        equations = X.reduce_mod(q)
         count, idx = _kernels.ff_count(q, r, X.n, equations, want_indices=True)
         points = [_decode(int(i), q, r, X.n) for i in idx]
         return count, points
-    return _kernels.ff_count(q, r, X.n, equations)
+    if counts is None:
+        counts = {}
+    if counts.get(r) is None:
+        equations = X.reduce_mod(q)
+        limit = min(cap, _kernels.INT64_MAX)
+        pending = {k for k, c in counts.items()
+                   if c is None and k >= 1 and q ** (k * X.n) <= limit} | {r}
+        top = max(pending)
+        below = dict.fromkeys((k for k in pending if k < top), 0)
+        counts[top] = _kernels.ff_count(q, top, X.n, equations, below=below)
+        counts.update(below)
+    return counts[r]
 
 
 def expand(q, r, n, terms):

@@ -284,6 +284,13 @@ def test_heights_malformed_spec_exit_2(tmp_path, capsys):
                         capsys, in_subprocess=False)
 
 
+def test_heights_string_exponent_exit_2(tmp_path, capsys):
+    # a string is not a list of exponents: named whole, not read as 'a'
+    bad = dict(CIRCLE, equations=[[{"exp": "ab", "coeff": "1"}]])
+    assert_config_error(["heights", write(tmp_path, "c.json", bad), "--T", "2"],
+                        "exponent must be a list, got 'ab'", capsys, in_subprocess=False)
+
+
 def test_det_cover_malformed_exit_2(tmp_path, capsys):
     for key in ("curve", "psi", "T", "d", "p"):
         data = {k: v for k, v in COVER.items() if k != key}
@@ -319,6 +326,34 @@ def test_count_ff_malformed_exit_2(tmp_path, capsys):
     assert "--mu-cap must be >= 1" in capsys.readouterr().err
     assert_config_error(["count-ff", path, "--q", "2,3", "--r", "1", "--cap", "-1"],
                         "need cap >= 0", capsys, in_subprocess=False)
+
+
+def test_count_ff_string_coefficients_exit_2(tmp_path, capsys):
+    # a string is not a list of t-coefficients: named whole, not read as '1'
+    bad = dict(YX3, polynomials=[[{"exp": [0, 1], "coeff": "12"}]])
+    assert_config_error(["count-ff", write(tmp_path, "v.json", bad), "--q", "2,3", "--r", "1"],
+                        "coefficient must be a list, got '12'", capsys, in_subprocess=False)
+
+
+def test_count_ff_one_lift_per_field_size(tmp_path, capsys, monkeypatch):
+    # each q lifts once, to the largest r its q^(r*n) cap admits; the
+    # first r past the cap exits 3 with the message it always had
+    from nonarch_lab import _kernels
+
+    kernel, lifts = _kernels.ff_count, []
+
+    def recorded(q, r, n, equations, want_indices=False, below=None):
+        lifts.append((q, r))
+        return kernel(q, r, n, equations, want_indices, below)
+
+    monkeypatch.setattr(_kernels, "ff_count", recorded)
+    path = write(tmp_path, "yx3.json", YX3)
+    assert main(["count-ff", path, "--q", "2,3", "--r", "1..5", "--cap", "1000"]) == 3
+    err = capsys.readouterr().err
+    assert err == "resource error: q^(r*n) = 6561 exceeds cap 1000\n", err
+    assert lifts == [(2, 4), (3, 3)]
+    assert_config_error(["count-ff", path, "--q", "2,3", "--r", "3,0"], "need r >= 1",
+                        capsys, in_subprocess=False)
 
 
 @pytest.mark.parametrize("argv", [["taylor-check", "--r", "1"],

@@ -144,6 +144,77 @@ def test_lifted_count_matches_full_range_and_oracle(block, monkeypatch):
     assert seen_empty
 
 
+def _variety(n, eqs):
+    """The VarietySpec of a lifting case's equations."""
+    return VarietySpec.from_json({"n": n, "polynomials": [
+        [{"exp": list(exps), "coeff": list(cs)} for cs, exps in terms] for terms in eqs]})
+
+
+# 1 = 0 dies at level 0; t^2 = 0 dies in the tail at r <= 2 and in the lift
+# at level 2 for r >= 3; with n = 0 there is one assignment, the empty one
+DEGENERATE = [(2, 3, 4, [[([1], (0, 0))]]), (1, 3, 4, [[([0, 0, 1], (0,))]]),
+              (0, 5, 4, []), (0, 2, 3, [[([0, 1], ())]]), (0, 3, 3, [[([3], ())]])]
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_shared_lift_counts_every_r(block, monkeypatch):
+    # one lift per field size, read for every degree bound the caller asks
+    # for in any order, gives per-r enumerate_Xr and the raw oracle
+    if block is not None:
+        monkeypatch.setattr(_kernels, "LIFT_BLOCK", block)
+    rng = random.Random(40 + (block or 0))
+    lifts = []
+    kernel = _kernels.ff_count
+
+    def recorded(q, r, n, equations, want_indices=False, below=None):
+        lifts.append(r)
+        return kernel(q, r, n, equations, want_indices, below)
+
+    cases = (DEGENERATE + _lift_cases(seed=22 + (block or 0), count=40)
+             + _structured_cases(seed=23 + (block or 0), count=30))
+    for n, q, top, eqs in cases:
+        X = _variety(n, eqs)
+        rs = rng.sample(range(1, top + 1), rng.randint(1, top))
+        if top == 4 and rng.random() < 0.5:
+            rs = [4, 2, 3]
+        want = {r: oracles.ff_graph_count(eqs, n, q, r) for r in rs}
+        assert want == {r: enumerate_Xr(X, q, r) for r in rs}, (n, q, eqs)
+        counts = dict.fromkeys(rs)
+        monkeypatch.setattr(_kernels, "ff_count", recorded)
+        lifts.clear()
+        got = {r: enumerate_Xr(X, q, r, counts=counts) for r in rs}
+        monkeypatch.setattr(_kernels, "ff_count", kernel)
+        assert got == want == counts, (n, q, rs, eqs)
+        assert lifts == [max(rs)], (n, q, rs, eqs)
+
+
+def test_shared_lift_stops_at_the_cap(monkeypatch):
+    # the first call lifts to the largest bound the cap admits and no
+    # further; a bound past the cap raises on its own call, as before
+    kernel, lifts = _kernels.ff_count, []
+
+    def recorded(q, r, n, equations, want_indices=False, below=None):
+        lifts.append((r, dict(below or {})))
+        return kernel(q, r, n, equations, want_indices, below)
+
+    monkeypatch.setattr(_kernels, "ff_count", recorded)
+    counts = dict.fromkeys([1, 2, 3, 4, 5])
+    assert enumerate_Xr(LINE, 3, 1, cap=3 ** 6, counts=counts) == 3
+    assert counts == {1: 3, 2: 9, 3: 27, 4: None, 5: None}
+    assert lifts == [(3, {1: 0, 2: 0})]
+    assert enumerate_Xr(LINE, 3, 3, cap=3 ** 6, counts=counts) == 27
+    with pytest.raises(CapExceededError, match="q\\^\\(r\\*n\\) = 6561 exceeds cap 729"):
+        enumerate_Xr(LINE, 3, 4, cap=3 ** 6, counts=counts)
+    assert len(lifts) == 1 and counts[4] is None
+    # want_points lifts alone and leaves counts as they are
+    assert enumerate_Xr(LINE, 3, 2, cap=3 ** 6, want_points=True, counts=counts)[0] == 9
+    assert lifts[1] == (2, {}) and counts[4] is None
+    # keys outside 1..r-1 of the kernel's below are left alone
+    below = {0: 7, 2: 0, 3: 0, 9: 5}
+    assert kernel(3, 3, 2, LINE.reduce_mod(3), below=below) == 27
+    assert below == {0: 7, 2: 9, 3: 0, 9: 5}
+
+
 def test_from_json_sums_repeated_exponents():
     # x*1 + 5 + x*(2 + t^2) is (3 + t^2) x + 5, not (2 + t^2) x + 5
     X = VarietySpec.from_json({"n": 1, "polynomials": [[

@@ -171,6 +171,9 @@ def labmix(ctx):
                       y = x^2 + tx over q = 2, 3, r = 1..4); the counts are
                       computed once, outside the timing
       count-labmix    the 20 `ffcount.enumerate_Xr` calls of those two jobs
+      count-ff-cli    those two `count-ff` jobs whole, run in this
+                      interpreter through `cli.main` as the benchmark runs
+                      them: parsing, counts, fits and report
       count-elliptic  the 12 `ffcount.enumerate_Xr` calls of `ff-sparse`:
                       y^2 = x^3 - x over q = 5, 7, 11, 13, r = 1..3
       count-deep      `ffcount.enumerate_Xr` on y^2 = x^3 - x at (q, r) =
@@ -214,6 +217,14 @@ def labmix(ctx):
                 + count_table(w.PARABOLA_T, (2, 3), range(1, 5)))
 
     fits = count_labmix()
+    jobs, _ = w.build_jobs("lab-mix", str(ctx.workdir), ctx.seed)
+    count_ff_jobs = [job for job in jobs if job.id.startswith("count-ff-")]
+
+    def count_ff_cli():
+        for job in count_ff_jobs:
+            code, _ = job.run()
+            if code:
+                raise SystemExit(f"{job.id}: exit {code}")
 
     def fit():
         for X, r, counts in fits:
@@ -230,6 +241,7 @@ def labmix(ctx):
         "parser": cli.build_parser,
         "fit": fit,
         "count-labmix": count_labmix,
+        "count-ff-cli": count_ff_cli,
         "count-elliptic": lambda: count_table(w.ELLIPTIC, (5, 7, 11, 13), range(1, 4)),
         "count-deep": lambda: [enumerate_Xr(elliptic, q, r, cap=13 ** 10)
                                for q, r in ((13, 4), (7, 6), (13, 5))],
