@@ -100,9 +100,9 @@ class Ball:
     """Closed ball (box) of equal valuative radius alpha in Z_p^m, p prime.
 
     Membership: ord(x_i - c_i) >= alpha for every coordinate.  Two balls of
-    equal radius are identical or disjoint.  The residue classes mod p^K
-    (K >= alpha) are listed here alone: `digits` gives their digit rows,
-    `representative` the exact representative of one row.
+    equal radius are identical or disjoint.  The residue class with digit
+    tuple d, key + p^alpha * d, has its exact representative from
+    `representative`; `residue_count` counts the classes mod p^K.
     """
 
     __slots__ = ("p", "m", "alpha", "center", "_key")
@@ -148,19 +148,8 @@ class Ball:
     def residue_count(self, K):
         return self.p ** ((K - self.alpha) * self.m)
 
-    def digits(self, K):
-        """The digit rows d of the residue classes key + p^alpha * d mod p^K
-        as one (R, m) int64 array: d over [0, p^(K-alpha))^m in ball order,
-        the last coordinate fastest."""
-        import numpy as np
-
-        if K < self.alpha:
-            raise PrecisionError(f"K={K} below valuative radius {self.alpha}")
-        width = self.p ** (K - self.alpha)
-        return np.indices((width,) * self.m).reshape(self.m, width ** self.m).T
-
     def representative(self, d):
-        """key + p^alpha * d for one digit row d, as a tuple of Python ints."""
+        """key + p^alpha * d for one digit tuple d, as a tuple of Python ints."""
         step = self.p ** self.alpha
         return tuple(k + step * int(j) for k, j in zip(self._key, d))
 

@@ -86,7 +86,7 @@ def parse_fraction(v):
 
 def parse_poly(data, nvars):
     terms = {}
-    for term in data:
+    for term in config_list(data, "polynomial"):
         exp = tuple(config_int(e, "exponent", 0)
                     for e in config_list(term["exp"], "exponent"))
         if len(exp) != nvars:
@@ -118,14 +118,15 @@ def parse_semialg(data):
     from .heights import PadicConstraint, SemialgSpec
 
     nvars = config_int(data["vars"], "vars", 0)
-    eqs = [parse_poly(p, nvars) for p in data.get("equations", [])]
-    ineqs = [parse_poly(p, nvars) for p in data.get("inequations", [])]
+    eqs = [parse_poly(p, nvars) for p in config_list(data.get("equations", []), "equations")]
+    ineqs = [parse_poly(p, nvars)
+             for p in config_list(data.get("inequations", []), "inequations")]
     p = None
     constraints = []
     padic = data.get("padic")
     if padic:
         p = config_int(padic["p"], "padic.p")
-        for c in padic.get("constraints", []):
+        for c in config_list(padic.get("constraints", []), "padic.constraints"):
             constraints.append(PadicConstraint(
                 poly=parse_poly(c["poly"], nvars),
                 kind=c["kind"],
@@ -140,12 +141,12 @@ def parse_polymap(data):
     from .taylor import PolyMap
 
     m, n = config_int(data["m"], "m"), config_int(data["n"], "n")
-    comps = [parse_poly(c, m) for c in data["components"]]
+    comps = [parse_poly(c, m) for c in config_list(data["components"], "components")]
     domain = None
     if "domain" in data:
         dom = data["domain"]
         p = config_int(data["p"], "p")
-        center = [parse_fraction(c) for c in dom["center"]]
+        center = [parse_fraction(c) for c in config_list(dom["center"], "domain.center")]
         domain = Ball(p, center, config_int(dom.get("alpha", 0), "domain.alpha"), m)
     tail_floor = data.get("tail_floor")
     if tail_floor is not None:
@@ -209,7 +210,7 @@ def read_cover(args):
 def read_ideal(args):
     data = load_json(args.input)
     nvars = config_int(data["vars"], "vars", 0)
-    return nvars, [parse_poly(g, nvars) for g in data["generators"]]
+    return nvars, [parse_poly(g, nvars) for g in config_list(data["generators"], "generators")]
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,9 @@ class VarietySpec:
     def from_json(cls, data):
         """Terms with the same exponent are summed."""
         polys = []
-        for poly in data["polynomials"]:
+        for poly in config_list(data["polynomials"], "polynomials"):
             terms = {}
-            for term in poly:
+            for term in config_list(poly, "polynomial"):
                 exp = tuple(config_list(term["exp"], "exponent"))
                 coeff = [config_int(c, "coefficient")
                          for c in config_list(term["coeff"], "coefficient")]

@@ -1,6 +1,7 @@
 """Exact C^r-norms over balls and the T_r certificate: degree-(r-1)
-Taylor approximation with remainder |x-y|^r, verified exhaustively: on
-residue classes in one variable, on Mahler test sets in several.
+Taylor approximation with remainder |x-y|^r, verified exhaustively: the
+C^r half on Mahler test sets, the remainder by a pair sweep over the
+residue classes in one variable and on Mahler test sets in several.
 
 Every check reads one table of divided derivatives g_beta = (1/beta!)
 d^beta f per component, built once from the terms.  It lists only the
@@ -10,25 +11,29 @@ C^r entries (|beta| <= r) come first.  For a polynomial f the remainder
 f(x) - T_y(x) is sum_{|beta|>=r} g_beta(y) (x-y)^beta.  With s the
 p-denominator exponent of the coefficients of f, the C^r half asks only
 whether p^s divides p^s * g_beta(y) (|beta| <= r); reduction modulo p^s
-is a ring map, so it is decided on the table modulo p^s.  When s = 0
-nothing can fail, and neither the table nor the residues are built.
+is a ring map, so it is decided on the table modulo p^s.  One evaluator
+serves every check: _scaled reduces a g_beta once to the coefficient
+residues of p^s * g_beta mod p^s, and _value evaluates them in Python ints
+from the modular _powers of a point.  When s = 0 nothing can fail, and
+neither the table nor the residues are built.
 
 Verdict and witness depend only on s and alpha, not on the precision K,
-which a check reports as given.  In one variable the remainder factors as
-(x-y)^r * S(x,y) with S = sum_{j>=r} g_j(y) (x-y)^(j-r), and the pair
-sweep asks whether p^s * S vanishes modulo p^s on the residue pairs mod
-p^min(K, K*), K* = max(s, alpha) + 1.  In several variables put y = key +
-p^alpha z and x - y = p^v u, alpha <= v < s: once the C^r half holds, the
-bound at (x, y) asks whether sum_{|beta|>r} p^s g_beta(y) p^(v(|beta|-r))
-u^beta vanishes modulo p^s.  Each value tested is a polynomial in z (and
-u) with p-integral coefficients, of period p^(s-alpha) in z_i (p^(s-v) in
-u_i), so by Mahler's criterion it vanishes everywhere once it vanishes on
-the box of min(degree + 1, period) points per coordinate; and the first
-failing y in ball order lies in that box, since a slice that fails at
-some digit fails at one inside it.  All u are tested, not only primitive
-ones: u = p^j u' gives p^(jr) times the level-(v + j) sum.  Witness ords
-are exact, from the same table.  Every verdict is a proof for all
-Z_p-points of the ball.
+which a check reports as given.  Put y = key + p^alpha z.  Each value
+tested is a polynomial in z with p-integral coefficients, of period
+p^(s-alpha) in z_i, so by Mahler's criterion it vanishes everywhere once
+it vanishes on the box of min(degree + 1, period) points per coordinate;
+and the first failing y in ball order lies in that box, since a slice
+that fails at some digit fails at one inside it: _first_failure scans it.
+In one variable the remainder factors as (x-y)^r * S(x,y) with S =
+sum_{j>=r} g_j(y) (x-y)^(j-r), and the pair sweep asks whether p^s * S
+vanishes modulo p^s on the residue pairs mod p^min(K, K*), K* = max(s,
+alpha) + 1.  In several variables put x - y = p^v u, alpha <= v < s: once
+the C^r half holds, the bound at (x, y) asks whether sum_{|beta|>r} p^s
+g_beta(y) p^(v(|beta|-r)) u^beta vanishes modulo p^s, a polynomial in z
+and u of period p^(s-v) in u_i, tested on the same kind of box.  All u
+are tested, not only primitive ones: u = p^j u' gives p^(jr) times the
+level-(v + j) sum.  Witness ords are exact, from the same table.  Every
+verdict is a proof for all Z_p-points of the ball.
 """
 
 from __future__ import annotations
@@ -325,13 +330,16 @@ def _default_K(K, lean, ball, r, s):
 
 
 def _check_tr_1d(f, r, ball, K, s):
-    """First violation on the residues mod p^min(K, K*), per component:
-    the remainder sweep, then the pointwise C^r bound; or None.  Both
-    depend on y and x mod p^s only, but for the skipped x = y, so the first
-    failure mod p^K has y = key + p^alpha d, d < P = p^(K* - 1 - alpha), and
-    x below that too, or x = y + p^alpha P when the class x = y mod p^s
-    fails: both lie among the residues mod p^K*.  With s = 0 nothing can
-    fail: no residue is listed, and numpy loads only for the zero tables."""
+    """First violation per component, or None: the remainder sweep over
+    the residues mod p^min(K, K*), then the pointwise C^r bound on the
+    Mahler box of y.  Both depend on y and x mod p^s only, but for the
+    skipped x = y, so the first failing pair mod p^K has y = key + p^alpha
+    d, d < P = p^(K* - 1 - alpha), and x below that too, or x = y + p^alpha
+    P when the class x = y mod p^s fails: both lie among the residues mod
+    p^K*.  The sweep's table holds p^s * g_j(x) mod p^s from _scaled and
+    _value, one row per residue x with its powers formed once; numpy holds
+    only the array the sweep is given.  With s = 0 nothing can fail: no
+    residue is listed, and numpy loads only for the zero tables."""
     p = ball.p
     if s == 0:
         # up to ZERO_TABLE_ROWS the sweep gets the zero table of shape
@@ -358,75 +366,75 @@ def _check_tr_1d(f, r, ball, K, s):
     if pairs > PAIR_CAP:
         raise CapExceededError(f"{pairs} residue pairs mod p^{K} exceed cap {PAIR_CAP}")
 
-    digits = ball.digits(K)
     # every test asks whether p^s divides a scaled value: all runs mod p^s
-    mod = p ** s
-    points = _points(ball, digits, mod)
+    mod, period = p ** s, p ** max(s - ball.alpha, 0)
+    xs = [ball.representative((d,))[0] % mod for d in range(p ** (K - ball.alpha))]
     for entries in derivs:
-        table = _residue_table(entries, points, p, s)
+        terms = [_scaled(g, p, s) for _beta, g in entries]
+        top = [len(entries) - 1]  # the degree: every power of y up to it is listed
 
         # remainder sweep first: the factored remainder must stay integral;
         # earlier components passed every pair, so the exact re-check
         # names this one
-        if table.shape[1] > r:
-            by, bx = _kernels.tr_pair_sweep(table, points[:, 0], mod, r)
+        if len(terms) > r:
+            import numpy as np
+
+            dtype = np.int64 if _kernels.int64_safe(mod) else object
+            table = [[_value(t, rows, mod) for t in terms]
+                     for rows in (_powers((x,), top, mod) for x in xs)]
+            by, bx = _kernels.tr_pair_sweep(np.array(table, dtype=dtype),
+                                            np.array(xs, dtype=dtype), mod, r)
             if by >= 0:
-                x, y = ball.representative(digits[bx]), ball.representative(digits[by])
+                x, y = ball.representative((bx,)), ball.representative((by,))
                 return _confirmed(_exact_pair_violation(derivs, r, x, y, p),
                                   f"the pair x = {x[0]}, y = {y[0]}")
 
         # pointwise C^r bound at the first y with a nonzero scaled value of
         # order <= r; earlier components passed every y, so the exact
         # re-check names this one
-        bad = (table[:, :r + 1] != 0).any(axis=1)
-        if bad.any():
-            y = ball.representative(digits[int(bad.argmax())])
+        z = _first_failure(terms[:r + 1], ball, top, mod, [range(min(top[0] + 1, period))])
+        if z is not None:
+            y = ball.representative(z)
             return _confirmed(_exact_point_violation(derivs, r, y, p), f"the point y = {y[0]}")
     return None
 
 
-def _points(ball, digits, mod):
-    """(key + p^alpha * digits) mod p^s for the ball's digit rows, int64
-    when int64_safe(p^s) and Python ints otherwise; the digits take that
-    dtype, and both factors are reduced, before any product."""
-    import numpy as np
-
-    dtype = np.int64 if _kernels.int64_safe(mod) else object
-    key = np.array([k % mod for k in ball.canonical_center()], dtype=dtype)
-    return (key + ball.p ** ball.alpha % mod * (digits.astype(dtype) % mod)) % mod
-
-
-def _residue_table(entries, points, p, s):
-    """table[y, k] = p^s * g(points[y]) modulo p^s for the k-th entry
-    (beta, g) of `entries`, a run of one component's _derivative_table (the
-    C^r entries, |beta| <= r, or the remainder entries after them), shape
-    (R, len(entries)).  points is an (R, m) array of residues mod p^s,
-    int64 when int64_safe(p^s) and object otherwise; the table has its
-    dtype."""
-    import numpy as np
-
-    R, m = points.shape
-    table = np.zeros((R, len(entries)), dtype=points.dtype)
+def _scaled(g, p, s):
+    """p^s * g modulo p^s as (coefficient, exponent) pairs, zero terms
+    left out, for one divided derivative g of a _derivative_table."""
     mod = p ** s
-    scale = Fraction(mod)
-    # powers[i][e] = points[:, i]^e mod p^s up to the top exponent of
-    # variable i in the given entries
-    powers = []
-    for i in range(m):
-        col = [np.ones(R, dtype=points.dtype)]
-        for _ in range(max((e[i] for _beta, g in entries for e in g), default=0)):
-            col.append(col[-1] * points[:, i] % mod)
-        powers.append(col)
-    for k, (_beta, g) in enumerate(entries):
-        val = table[:, k]
-        for exp, c in g.items():
-            term = np.full(R, rational_residue(c * scale, p, s), dtype=points.dtype)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * powers[i][e] % mod
-            val += term
-            val %= mod
-    return table
+    terms = ((rational_residue(c * mod, p, s), exp) for exp, c in g.items())
+    return [(c, exp) for c, exp in terms if c]
+
+
+def _powers(point, top, mod):
+    """rows[i][e] = point[i]^e mod `mod` for e <= top[i]."""
+    return [[pow(x, e, mod) for e in range(d + 1)] for x, d in zip(point, top)]
+
+
+def _value(terms, rows, mod):
+    """The value mod `mod` of the (coefficient, exponent) terms at the
+    point whose _powers are rows."""
+    total = 0
+    for c, exp in terms:
+        for row, e in zip(rows, exp):
+            c *= row[e]
+        total += c
+    return total % mod
+
+
+def _first_failure(terms, ball, top, mod, box, spend=None):
+    """The first z of the product of the ranges in box, in ball order, at
+    which one of the term lists (from _scaled, exponents of variable i up
+    to top[i]) is nonzero at y = key + p^alpha z; or None.  spend, when
+    given, is told the number of lists evaluated at each z."""
+    for z in itertools.product(*box):
+        if spend is not None:
+            spend(len(terms))
+        rows = _powers(ball.representative(z), top, mod)
+        if any(_value(t, rows, mod) for t in terms):
+            return z
+    return None
 
 
 def _remainder_ords(entries, r, x, y, p):
@@ -529,35 +537,14 @@ def _check_tr_nd(f, r, ball, s):
         if count > PAIR_CAP:
             raise CapExceededError(f"{count} evaluations mod p^{s} exceed cap {PAIR_CAP}")
 
-    def reduced(g):
-        # p^s g mod p^s as (coefficient, exponent) pairs, zeros left out
-        terms = ((rational_residue(c * mod, p, s), exp) for exp, c in g.items())
-        return [(c, exp) for c, exp in terms if c]
-
-    def value(terms, rows):
-        total = 0
-        for c, exp in terms:
-            for row, e in zip(rows, exp):
-                c *= row[e]
-            total += c
-        return total % mod
-
-    def powers(point, top):
-        return [[pow(x, e, mod) for e in range(d + 1)] for x, d in zip(point, top)]
-
     cr = [t for entries, n in zip(derivs, low) for _beta, g in entries[:n]
-          if (t := reduced(g))]
+          if (t := _scaled(g, p, s))]
     # g_0 = f is a C^r entry, and a remainder entry's nonzero terms come from
     # f's with smaller exponents: these degrees bound both halves
     top = [max((exp[i] for t in cr for _c, exp in t), default=0) for i in range(m)]
     box = [range(min(d + 1, period)) for d in top]
 
-    def cr_fails(z):
-        spend(len(cr))
-        rows = powers(ball.representative(z), top)
-        return any(value(t, rows) for t in cr)
-
-    z = next(filter(cr_fails, itertools.product(*box)), None)
+    z = _first_failure(cr, ball, top, mod, box, spend)
     if z is not None:
         y = ball.representative(z)
         return _confirmed(_exact_point_violation(derivs, r, tuple(map(Fraction, y)), p),
@@ -566,19 +553,19 @@ def _check_tr_nd(f, r, ball, s):
         # every |beta| > r term carries p^(v(|beta|-r)) with v >= alpha >= s
         return None
 
-    high = [[(beta, t) for beta, g in entries[n:] if (t := reduced(g))]
+    high = [[(beta, t) for beta, g in entries[n:] if (t := _scaled(g, p, s))]
             for entries, n in zip(derivs, low)]
     utop = [max((beta[i] for h in high for beta, _t in h), default=0) for i in range(m)]
     uboxes = {v: list(itertools.product(*[range(min(d + 1, p ** (s - v))) for d in utop]))
               for v in range(alpha, s)}
-    urows = {u: powers(u, utop) for u in uboxes[alpha]}  # the largest u-box
+    urows = {u: _powers(u, utop, mod) for u in uboxes[alpha]}  # the largest u-box
     columns = sum(map(len, uboxes.values()))
 
     def sums(z):
         # per level v, each component's remainder sum at y = key + p^alpha z
         # as (coefficient, beta) terms; v(|beta| - r) >= s leaves a term out
-        rows = powers(ball.representative(z), top)
-        vals = [[(value(t, rows), beta) for beta, t in h] for h in high]
+        rows = _powers(ball.representative(z), top, mod)
+        vals = [[(_value(t, rows, mod), beta) for beta, t in h] for h in high]
         return {v: [[(c, beta) for a, beta in comp
                      if (c := a * pow(p, v * (sum(beta) - r), mod) % mod)] for comp in vals]
                 for v in uboxes}
@@ -586,7 +573,7 @@ def _check_tr_nd(f, r, ball, s):
     def remainder_fails(z):
         spend(columns)
         at = sums(z)
-        return any(value(comp, urows[u]) for v, us in uboxes.items() for u in us
+        return any(_value(comp, urows[u], mod) for v, us in uboxes.items() for u in us
                    for comp in at[v])
 
     z = next(filter(remainder_fails, itertools.product(*box)), None)
@@ -600,8 +587,8 @@ def _check_tr_nd(f, r, ball, s):
         delta = [(a - b) % period for a, b in zip(d, z)]
         if any(delta):
             j = min(val_int(c, p) for c in delta if c)
-            rows = powers([c // p ** j for c in delta], utop)
-            if any(value(comp, rows) for comp in at[alpha + j]):
+            rows = _powers([c // p ** j for c in delta], utop, mod)
+            if any(_value(comp, rows, mod) for comp in at[alpha + j]):
                 break
     x, y = ball.representative(d), ball.representative(z)
     return _confirmed(_exact_pair_violation(derivs, r, x, y, p), f"the pair x = {x}, y = {y}")

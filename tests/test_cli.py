@@ -757,6 +757,40 @@ def test_integer_fields_not_integer_exit_2(tmp_path, capsys, command, field, val
     assert_config_error([command, path] + argv, named, capsys, in_subprocess=False)
 
 
+# iterating a string would read it one character at a time: "12" as the
+# centre (1, 2) of a two-variable ball, "0" as the centre 0 of det-cover's psi
+LIST_FIELD_CASES = [
+    ("taylor-check", ("domain", "center"), "12", "domain.center must be a list, got '12'"),
+    ("det-cover", ("psi", "domain", "center"), "0", "domain.center must be a list, got '0'"),
+    ("taylor-check", ("components",), "x", "components must be a list, got 'x'"),
+    ("taylor-check", ("components", 0), "x", "polynomial must be a list, got 'x'"),
+    ("det-cover", ("psi", "components"), "x", "components must be a list, got 'x'"),
+    ("heights", ("equations",), "x", "equations must be a list, got 'x'"),
+    ("heights", ("inequations",), "x", "inequations must be a list, got 'x'"),
+    ("heights", ("padic", "constraints"), "x", "padic.constraints must be a list, got 'x'"),
+    ("hilbert", ("generators",), "x", "generators must be a list, got 'x'"),
+    ("count-ff", ("polynomials",), "x", "polynomials must be a list, got 'x'"),
+    ("count-ff", ("polynomials", 0), "x", "polynomial must be a list, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("command, field, value, named", LIST_FIELD_CASES,
+                         ids=["-".join(map(str, [c, *f])) for c, f, _v, _n in LIST_FIELD_CASES])
+def test_list_fields_not_list_exit_2(tmp_path, capsys, command, field, value, named):
+    inputs = dict(INTEGER_FIELD_INPUTS, **{
+        "taylor-check": (dict(TR_X2, m=2, components=[[{"exp": [1, 1], "coeff": "1/3"}]],
+                              domain={"center": ["1", "2"], "alpha": 0}), ["--r", "1"]),
+        "count-ff": (YX3, ["--q", "2,3", "--r", "1"])})
+    data, argv = inputs[command]
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    path = write(tmp_path, "input.json", data)
+    assert_config_error([command, path] + argv, named, capsys, in_subprocess=False)
+
+
 
 @pytest.mark.parametrize("command, data", [("heights", {"vars": -1, "equations": []}),
                                            ("hilbert", {"vars": -2, "generators": []})],

@@ -130,20 +130,30 @@ def test_int64_guard():
     assert not _kernels.int64_safe(2 ** 40)
 
 
-def test_residues_feed_kernels():
-    # the sweep's residues mod p^s, from the ball's digit rows: int64 when
-    # int64_safe(p^s), Python ints otherwise, equal to the representatives
-    # reduced mod p^s
-    from nonarch_lab.taylor import _points
+def test_sweep_gets_residues_mod_p_s(monkeypatch):
+    # a one-variable check hands the sweep the residues mod p^s of its
+    # ball's classes mod p^(s + 1), in ball order, and a table of the same
+    # length: int64 when int64_safe(p^s), Python ints in object arrays past
+    # it
+    from fractions import Fraction
 
-    ball = Ball(3, (1,), 1)
-    digits = ball.digits(4)
-    assert digits.dtype == np.int64 and len(digits) == 27
-    want = [x for (x,) in oracles.ball_residues(ball, 4)]
-    assert ball.representative(digits[0]) == (1,)
-    for s, dtype in ((2, np.int64), (25, object)):
-        xs = _points(ball, digits, 3 ** s)[:, 0]
-        assert xs.dtype == dtype and xs.tolist() == [x % 3 ** s for x in want]
-        assert all(type(x) is int for x in xs.tolist())
-        zeros = np.zeros((27, 3), dtype=dtype)
-        assert _kernels.tr_pair_sweep(zeros, xs, 3 ** s, 1) == (-1, -1)
+    from nonarch_lab.taylor import PolyMap, check_Tr
+
+    calls = []
+    real = _kernels.tr_pair_sweep
+
+    def spy(table, xs, mod, r):
+        calls.append((table.dtype, xs.dtype, table.shape, xs.tolist(), mod))
+        return real(table, xs, mod, r)
+
+    monkeypatch.setattr(_kernels, "tr_pair_sweep", spy)
+    for s, alpha, dtype in ((2, 1, np.int64), (25, 24, object)):
+        ball = Ball(3, (1,), alpha)
+        f = PolyMap.univariate([0, 0, 0, Fraction(1, 3 ** s)], domain=ball)
+        calls.clear()
+        check_Tr(f, 1)
+        want = [x % 3 ** s for (x,) in oracles.ball_residues(ball, s + 1)]
+        assert len(want) == 3 ** (s + 1 - alpha)
+        [(table_dtype, xs_dtype, shape, xs, mod)] = calls
+        assert (table_dtype, xs_dtype, shape, mod) == (dtype, dtype, (len(want), 4), 3 ** s)
+        assert xs == want and all(type(x) is int for x in xs)

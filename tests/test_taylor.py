@@ -13,8 +13,11 @@ from nonarch_lab.errors import BoundViolation, CapExceededError, ConfigError, Pr
 from nonarch_lab.taylor import (
     PolyMap,
     PowerPreimage,
+    _astuple,
     _derivative_table,
-    _residue_table,
+    _powers,
+    _scaled,
+    _value,
     check_Tr,
     compose,
     cr_norm,
@@ -236,12 +239,12 @@ def test_check_tr_2d_matches_exact_oracle():
     assert set(family) >= {("remainder", 3), ("holds", 3), ("cr_norm", 3), ("holds", 2)}
 
 
-def test_residue_table_matches_python():
+def test_scaled_values_match_fractions():
     # the one-pass derivative table lists the beta below some exponent, in
     # (|beta|, beta) order, and equals divided_derivative entry by entry;
-    # every beta it leaves out has g_beta = 0.  The residue table holds
-    # p^s * g_beta(y) mod p^s on int64 residues and, past int64, on object
-    # arrays of Python ints
+    # every beta it leaves out has g_beta = 0.  _scaled and _value give
+    # p^s * g_beta(y) mod p^s in Python ints, below int64_safe(p^s) and past
+    # it, on points given in full or reduced mod p^s
     comp = MultiPoly(2, {(2, 1): Fraction(1, 9), (0, 1): 2, (1, 0): Fraction(-1, 3)})
     entries = _derivative_table(PolyMap(2, 1, [comp]))[0]
     assert [beta for beta, _g in entries] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0),
@@ -252,16 +255,20 @@ def test_residue_table_matches_python():
     for beta in itertools.product(range(4), repeat=2):
         if sum(beta) <= 3 and beta not in listed:
             assert divided_derivative(comp, beta).is_zero(), beta
-    pts = [(0, 1), (4, 7), (13, 2), (5, 0)]
-    for s, dtype in ((2, np.int64), (25, object)):
+    pts = [(0, 1), (4, 7), (13, 2), (5, 0), (3 ** 30 + 2, 2 ** 70 - 1)]
+    for s in (2, 19, 25):
         mod = 3 ** s
-        got = _residue_table(entries, np.array(pts, dtype=dtype), 3, s)
-        assert got.dtype == dtype and got.shape == (len(pts), len(entries))
-        for row, y in zip(got, pts):
-            for k, (_beta, g) in enumerate(entries):
+        assert (mod < 2 ** 31) == (s < 20)
+        for y in pts:
+            for _beta, g in entries:
+                terms = _scaled(g, 3, s)
+                assert all(0 < c < mod for c, _e in terms)
                 v = mod * sum(c * Fraction(y[0]) ** e[0] * Fraction(y[1]) ** e[1]
                               for e, c in g.items())
-                assert row[k] == v.numerator * pow(v.denominator, -1, mod) % mod
+                want = v.numerator * pow(v.denominator, -1, mod) % mod
+                for point in (y, [c % mod for c in y]):
+                    got = _value(terms, _powers(point, (2, 1), mod), mod)
+                    assert type(got) is int and got == want, (s, y, g)
 
 
 def test_check_tr_x3_holds():
@@ -619,20 +626,25 @@ def test_remainder_sum_reduces_before_int64_overflow(monkeypatch):
     # x y^3 / 27 at r = 2: at y = 0 the remainder sum is u_0 u_1^3 / 27,
     # zero unless u_0 reaches its degree 1, below the period 9 at v = 1
     (3, 1, 2, {(1, 3): Fraction(1, 27)}, ("remainder", 0, (3, 3), (0, 0), 1, 2)),
-], ids=["z-period", "z-degree", "u-period", "u-degree"])
+    # one variable, (3y^5 + y^6) / 2 at r = 3: the remainder sweep holds, and
+    # g_1 = (15y^4 + 6y^5) / 2 is 0 at y = 0 and first fails at y = 1, where
+    # the box of y ends at the period 2, below the degree 6
+    (2, 0, 3, {(5,): Fraction(3, 2), (6,): Fraction(1, 2)}, ("cr_norm", 0, (1,), (1,), -1)),
+], ids=["z-period", "z-degree", "u-period", "u-degree", "1d-period"])
 def test_last_point_of_each_test_box_decides(p, alpha, r, terms, want):
     # each map's first failure needs the last point of one test box, cut
     # at the period or at the degree: a box one point short reports
     # another witness or "holds"
-    f = PolyMap(2, 1, [MultiPoly(2, terms)], domain=Ball(p, (0, 0), alpha))
+    m = len(next(iter(terms)))
+    f = PolyMap(m, 1, [MultiPoly(m, terms)], domain=Ball(p, (0,) * m, alpha))
     s = max(-oracles.padic_val(c, p) for c in terms.values())
-    assert oracles.tr_check_oracle([terms], r, p, (0, 0), alpha, max(s, alpha) + 1) == want
+    assert oracles.tr_check_oracle([terms], r, p, (0,) * m, alpha, max(s, alpha) + 1) == want
     wit = check_Tr(f, r).witness
+    x, y = (_astuple(wit[k]) if k in wit else None for k in ("x", "y"))
     if want[0] == "remainder":
-        got = (wit["kind"], wit["component"], wit["x"], wit["y"], wit["ord_lhs"],
-               wit["bound_rhs"])
+        got = (wit["kind"], wit["component"], x, y, wit["ord_lhs"], wit["bound_rhs"])
     else:
-        got = (wit["kind"], wit["component"], wit["order"], wit["y"], wit["valuation"])
+        got = (wit["kind"], wit["component"], wit["order"], y, wit["valuation"])
     assert got == want
     assert recheck_witness(f, r, wit, p)
 
@@ -777,10 +789,10 @@ def test_integral_1d_map_within_the_residue_cap_builds_no_residues(monkeypatch):
     # shape (p^(K - alpha), deg + 1), at modulus 1
     from nonarch_lab import taylor
 
-    def no_residues(self, K):
-        raise AssertionError("residue digits listed")
+    def no_residues(self, d):
+        raise AssertionError("residue listed")
 
-    monkeypatch.setattr(Ball, "digits", no_residues)
+    monkeypatch.setattr(Ball, "representative", no_residues)
     sweeps = []
     real = taylor._kernels.tr_pair_sweep
 

@@ -11,8 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 STAGES = {
-    "tr": ["residue-build", "pair-sweep", "preimage-balls", "total", "nd-K2", "nd-K3",
-           "nd-xy81", "nd-xy243", "1d-highK"],
+    "tr": ["pair-sweep", "preimage-balls", "total", "nd-K2", "nd-K3", "nd-xy81",
+           "nd-xy243", "1d-highK", "1d-table"],
     "labmix": ["parser", "fit", "count-labmix", "count-ff-cli", "count-elliptic",
                "count-deep", "count-dense", "expand-scheme", "grid-circle-Q10",
                "grid-parabola-Z100", "points-parabola-Z20000", "points-circle-Q100"],

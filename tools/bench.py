@@ -50,16 +50,15 @@ def tr(ctx):
 
     The inputs are the twelve gauss1a suites (p = 2, 3; r = 2, 3; g = x,
     x^2, x^2 + px; K = 8) and the degree-7 map on 1 + 3Z_3 at r = 3, K = 8;
-    plus three multivariate maps and two in one variable.  The first four
+    plus three multivariate maps and four in one variable.  The first three
     stages run over all thirteen checks:
 
-      residue-build  the digit rows of the residue classes mod p^K of every
-                     checked ball (`Ball.digits`)
       pair-sweep     `_kernels.tr_pair_sweep` on every component's table,
-                     over the residues mod p^s of those rows
-                     (`taylor._points`; `taylor._residue_table` modulo p^s,
-                     zeros when s = 0; every tr-deep map has s = 0, so each
-                     call returns at once)
+                     over the residues mod p^s of the classes mod p^K of
+                     its ball (the table from `taylor._scaled`,
+                     `taylor._powers` and `taylor._value` modulo p^s, zeros
+                     when s = 0; every tr-deep map has s = 0, so each call
+                     returns at once)
       preimage-balls `PowerPreimage.maximal_balls` of the twelve suites
       total          the thirteen library calls whole:
                      `taylor.verify_gauss1a` per suite and `taylor.check_Tr`
@@ -77,6 +76,10 @@ def tr(ctx):
                      K = 14 and of (x^5 - x)/5 on Z_5 at K = 6, both failing
                      (s = 1: a check that lists the residues mod p^K pays
                      for K)
+      1d-table       `taylor.check_Tr` at r = 1 of x^3/3^7 on Z_3 (6,561
+                     table rows; the sweep fails at the first pair) and of
+                     x^6/3^8 on 9Z_3 (2,187 rows; it holds): the one-variable
+                     table in Python ints, then the sweep
 
     The stages pass K to `check_Tr` as a keyword, so --before needs a
     checkout whose `check_Tr` takes one.
@@ -89,7 +92,8 @@ def tr(ctx):
 
     sweep, check_Tr, verify = _kernels.tr_pair_sweep, taylor.check_Tr, taylor.verify_gauss1a
     # bound here, so a renamed one fails the build even where no s > 0 calls it
-    residue_table, derivative_table = taylor._residue_table, taylor._derivative_table
+    scaled, powers, value = taylor._scaled, taylor._powers, taylor._value
+    derivative_table = taylor._derivative_table
     K = 8
     suites, preimages, checks = [], [], []  # checks: (map, r, ball)
     for p in (2, 3):
@@ -111,11 +115,14 @@ def tr(ctx):
         s = max(val_int(c.denominator, ball.p) for comp in f.components
                 for c in comp.terms.values())
         mod = ball.p ** s
-        xs = taylor._points(ball, ball.digits(K), mod)[:, 0]
-        for ci, comp in enumerate(f.components):
-            table = (residue_table(derivative_table(f)[ci], xs[:, None], ball.p, s) if s
-                     else np.zeros((len(xs), comp.degree() + 1), dtype=xs.dtype))
-            tables.append((table, xs, mod, r))
+        dtype = np.int64 if _kernels.int64_safe(mod) else object
+        xs = [ball.representative((d,))[0] % mod for d in range(ball.p ** (K - ball.alpha))]
+        for entries in derivative_table(f):
+            terms = [scaled(g, ball.p, s) for _beta, g in entries]
+            top = [len(entries) - 1]
+            table = [[value(t, rows, mod) for t in terms]
+                     for rows in (powers((x,), top, mod) for x in xs)]
+            tables.append((np.array(table, dtype=dtype), np.array(xs, dtype=dtype), mod, r))
     third = Fraction(1, 3)
     nd_map = taylor.PolyMap(2, 1, [MultiPoly(2, {(2, 0): third, (1, 1): third,
                                                  (0, 2): third, (0, 3): third})],
@@ -126,10 +133,8 @@ def tr(ctx):
                                          domain=Ball(2, (0,), 0))
     quintic = taylor.PolyMap.univariate([0, Fraction(-1, 5), 0, 0, 0, Fraction(1, 5)],
                                         domain=Ball(5, (0,), 0))
-
-    def residue_build():
-        for _f, _r, ball in checks:
-            ball.digits(K)
+    cube = taylor.PolyMap.univariate([0, 0, 0, Fraction(1, 3 ** 7)], domain=Ball(3, (0,), 0))
+    sixth = taylor.PolyMap.univariate([0] * 6 + [Fraction(1, 3 ** 8)], domain=Ball(3, (0,), 2))
 
     def pair_sweep():
         for table, xs, mod, r in tables:
@@ -151,12 +156,16 @@ def tr(ctx):
         check_Tr(binomial, 1, K=14)
         check_Tr(quintic, 1, K=6)
 
-    return {"residue-build": residue_build, "pair-sweep": pair_sweep,
+    def one_d_table():
+        check_Tr(cube, 1)
+        check_Tr(sixth, 1)
+
+    return {"pair-sweep": pair_sweep,
             "preimage-balls": preimage_balls, "total": total,
             "nd-K2": nd(2), "nd-K3": nd(3),
             "nd-xy81": lambda: check_Tr(xy81, 1),
             "nd-xy243": lambda: check_Tr(xy243, 1),
-            "1d-highK": high_k}
+            "1d-highK": high_k, "1d-table": one_d_table}
 
 
 def labmix(ctx):
