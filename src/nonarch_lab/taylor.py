@@ -337,9 +337,10 @@ def _check_tr_1d(f, r, ball, K, s):
     d, d < P = p^(K* - 1 - alpha), and x below that too, or x = y + p^alpha
     P when the class x = y mod p^s fails: both lie among the residues mod
     p^K*.  The sweep's table holds p^s * g_j(x) mod p^s from _scaled and
-    _value, one row per residue x with its powers formed once; numpy holds
-    only the array the sweep is given.  With s = 0 nothing can fail: no
-    residue is listed, and numpy loads only for the zero tables."""
+    _value, one row per residue x, each distinct x mod p^s with its powers
+    formed once; numpy holds only the arrays the sweep is given.  With s = 0
+    nothing can fail: no residue is listed, and numpy loads only for the
+    zero tables."""
     p = ball.p
     if s == 0:
         # up to ZERO_TABLE_ROWS the sweep gets the zero table of shape
@@ -368,7 +369,8 @@ def _check_tr_1d(f, r, ball, K, s):
 
     # every test asks whether p^s divides a scaled value: all runs mod p^s
     mod, period = p ** s, p ** max(s - ball.alpha, 0)
-    xs = [ball.representative((d,))[0] % mod for d in range(p ** (K - ball.alpha))]
+    key, step = ball.canonical_center()[0], p ** ball.alpha
+    xs = [(key + step * d) % mod for d in range(p ** (K - ball.alpha))]
     for entries in derivs:
         terms = [_scaled(g, p, s) for _beta, g in entries]
         top = [len(entries) - 1]  # the degree: every power of y up to it is listed
@@ -380,10 +382,12 @@ def _check_tr_1d(f, r, ball, K, s):
             import numpy as np
 
             dtype = np.int64 if _kernels.int64_safe(mod) else object
+            # x, and so its row, repeats with period p^(s - alpha) in d
             table = [[_value(t, rows, mod) for t in terms]
-                     for rows in (_powers((x,), top, mod) for x in xs)]
-            by, bx = _kernels.tr_pair_sweep(np.array(table, dtype=dtype),
-                                            np.array(xs, dtype=dtype), mod, r)
+                     for rows in (_powers((x,), top, mod) for x in xs[:period])]
+            by, bx = _kernels.tr_pair_sweep(
+                np.array([table[d % period] for d in range(len(xs))], dtype=dtype),
+                np.array(xs, dtype=dtype), mod, r)
             if by >= 0:
                 x, y = ball.representative((bx,)), ball.representative((by,))
                 return _confirmed(_exact_pair_violation(derivs, r, x, y, p),
