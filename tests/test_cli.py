@@ -744,16 +744,22 @@ INTEGER_FIELD_CASES = [
 ]
 
 
-@pytest.mark.parametrize("command, field, value, named", INTEGER_FIELD_CASES,
-                         ids=[f"{c}-{f[-1]}" for c, f, _v, _n in INTEGER_FIELD_CASES])
-def test_integer_fields_not_integer_exit_2(tmp_path, capsys, command, field, value, named):
-    data, argv = INTEGER_FIELD_INPUTS[command]
+def _replaced(data, field, value):
+    """A copy of the JSON input data with the entry at the key path field
+    set to value."""
     data = json.loads(json.dumps(data))
     node = data
     for key in field[:-1]:
         node = node[key]
     node[field[-1]] = value
-    path = write(tmp_path, "input.json", data)
+    return data
+
+
+@pytest.mark.parametrize("command, field, value, named", INTEGER_FIELD_CASES,
+                         ids=[f"{c}-{f[-1]}" for c, f, _v, _n in INTEGER_FIELD_CASES])
+def test_integer_fields_not_integer_exit_2(tmp_path, capsys, command, field, value, named):
+    data, argv = INTEGER_FIELD_INPUTS[command]
+    path = write(tmp_path, "input.json", _replaced(data, field, value))
     assert_config_error([command, path] + argv, named, capsys, in_subprocess=False)
 
 
@@ -782,12 +788,7 @@ def test_list_fields_not_list_exit_2(tmp_path, capsys, command, field, value, na
                               domain={"center": ["1", "2"], "alpha": 0}), ["--r", "1"]),
         "count-ff": (YX3, ["--q", "2,3", "--r", "1"])})
     data, argv = inputs[command]
-    data = json.loads(json.dumps(data))
-    node = data
-    for key in field[:-1]:
-        node = node[key]
-    node[field[-1]] = value
-    path = write(tmp_path, "input.json", data)
+    path = write(tmp_path, "input.json", _replaced(data, field, value))
     assert_config_error([command, path] + argv, named, capsys, in_subprocess=False)
 
 

@@ -74,8 +74,7 @@ def tr(ctx):
                      each with 3 C^r and 69 remainder columns over v = 1..4)
       1d-highK       `taylor.check_Tr` at r = 1 of (x^2 - x)/2 on Z_2 at
                      K = 14 and of (x^5 - x)/5 on Z_5 at K = 6, both failing
-                     (s = 1: a check that lists the residues mod p^K pays
-                     for K)
+                     (s = 1: past K* = 2, K sets only the reported K)
       1d-table       `taylor.check_Tr` at r = 1 of x^3/3^7 on Z_3 (6,561
                      table rows; the sweep fails at the first pair) and of
                      x^6/3^8 on 9Z_3 (2,187 rows; it holds): the one-variable
