@@ -4,6 +4,11 @@ Monomial-evaluation determinants of points in a small ball have valuation
 at least e * alpha; integrality of heights forces them to vanish once the
 ball is small enough, which yields one auxiliary polynomial of degree <= d
 per parameter ball covering all enumerated points of bounded height.
+
+A dimension count decides some determinants before any entry is computed:
+each row psi^a (|a| <= d) of the monomial matrix is a polynomial of degree
+<= d * deg(psi) in the m parameters, so the rows span at most
+C(d * deg(psi) + m, m) dimensions, and delta = 0 whenever mu is larger.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .arith_core import INF, Ball, MultiPoly, rational_residue, val_fraction
-from .combinatorics import DetSetup, alpha_bound
+from .combinatorics import DetSetup, alpha_bound, delta_count
 from .errors import BoundViolation, ConfigError, FullRankError
 from .heights import points_Z
 from .hilbert import delta_exponents
@@ -254,22 +259,47 @@ class DetBoundReport:
 def det_bound_check(psi, points, ball, d, certificates=None):
     """Assert ord(det(psi^alpha(P_j))) >= e * alpha for mu points of a ball
     of valuative radius alpha, given T_r certificates for the components
-    (monomials inherit T_r under products and composition)."""
+    (monomials inherit T_r under products and composition).
+
+    The hypotheses are enforced: the ball has psi's dimension m, and there
+    is one holding certificate of order >= r per component, for that
+    component on this ball (same p, alpha and canonical centre).
+
+    Row a (|a| <= d) of the matrix holds the values at the points of psi^a,
+    a polynomial of total degree <= d * deg(psi) in the m parameters (a
+    zero component counts as degree 0).  So every row lies in the image of
+    a space of dimension C(d * deg(psi) + m, m), and delta = 0 when mu
+    exceeds it: then no matrix is built.
+    """
     setup = DetSetup.for_dims(psi.m, psi.n, d)
     if not setup.check_bracketing():
         raise ConfigError("bracketing hypothesis D_m(r-1) <= mu < D_m(r) fails")
+    if ball.m != psi.m:
+        raise ConfigError(
+            f"ball of dimension {ball.m} for a map in {psi.m} variables")
     if certificates is None:
         certificates = certify_components(psi, setup.r, ball)
-    for cert in certificates:
+    if len(certificates) != psi.n:
+        raise ConfigError(
+            f"need one T_r certificate per component: {psi.n}, got {len(certificates)}")
+    where = (ball.p, ball.alpha, ball.canonical_center())
+    for comp, cert in zip(psi.components, certificates):
         if not cert.holds:
             raise ConfigError("component lacks a holding T_r certificate")
         if cert.r < setup.r:
             raise ConfigError(f"certificate order {cert.r} below required r={setup.r}")
+        if cert.subject.components != (comp,):
+            raise ConfigError(f"certificate is not for the component {comp}")
+        dom = cert.domain
+        if (dom.p, dom.alpha, dom.canonical_center()) != where:
+            raise ConfigError(f"certificate on {dom}, not on {ball}")
     for pt in points:
         if not ball.contains(pt):
             raise ConfigError(f"point {pt} outside the ball")
-    mm = MonomialMatrix.build(psi, points, d)
-    delta = mm.determinant()
+    if len(points) == setup.mu and setup.mu > delta_count(psi.m, d * psi.degree()):
+        delta = Fraction(0)
+    else:
+        delta = MonomialMatrix.build(psi, points, d).determinant()
     ordd = val_fraction(delta, ball.p)
     bound = setup.e * ball.alpha
     return DetBoundReport(setup, ball.alpha, ordd, bound, ordd >= bound, delta)

@@ -302,6 +302,9 @@ def check_Tr(f, r, domain=None, K=None, lean=False):
         raise ConfigError(
             f"check_Tr needs a Ball domain, got {type(ball).__name__}; "
             "check each ball of its maximal_balls() instead")
+    if ball.m != f.m:
+        raise ConfigError(
+            f"ball of dimension {ball.m} for a map in {f.m} variables")
     s = _denominator_exponent(f, ball.p)
     K = _default_K(K, lean, ball, r, s)
     if f.m == 1:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -255,6 +255,21 @@ def test_auxiliary_polynomial_matches_fraction_oracle():
     assert fractional >= 50, fractional
 
 
+def _rational_monomial_rows(psi, points, d):
+    """The monomial matrix psi(P_j)^a in Fractions, rows by exponent."""
+    values = [psi.eval(pt) for pt in points]
+    rows = []
+    for exp in delta_exponents(psi.n, d):
+        row = []
+        for val in values:
+            t = Fraction(1)
+            for v, e in zip(val, exp):
+                t *= v ** e
+            row.append(t)
+        rows.append(row)
+    return rows
+
+
 def test_monomial_matrix_determinant_rational():
     from nonarch_lab.detmethod import MonomialMatrix
 
@@ -272,17 +287,7 @@ def test_monomial_matrix_determinant_rational():
         assert all(ball.contains(pt) for pt in pts)
         mm = MonomialMatrix.build(psi, pts, d)
         assert all(isinstance(x, int) for row in mm.entries for x in row)
-        values = [psi.eval(pt) for pt in pts]
-        rows = []
-        for exp in mm.exponents:
-            row = []
-            for val in values:
-                t = Fraction(1)
-                for v, e in zip(val, exp):
-                    t *= v ** e
-                row.append(t)
-            rows.append(row)
-        want = oracles.fraction_det(rows)
+        want = oracles.fraction_det(_rational_monomial_rows(psi, pts, d))
         assert mm.determinant() == want
         nonzero += want != 0
     assert nonzero >= 100
@@ -402,3 +407,170 @@ def test_cover_component_count_mismatch():
                           MultiPoly(1, {(3,): 1})])
     with pytest.raises(ConfigError):
         cover_points(PARABOLA, psi3, 10, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# det_bound_check: its hypotheses, and the dimension count
+# ---------------------------------------------------------------------------
+
+X_ON_3Z3 = Ball(3, (0,), 1)
+
+
+def test_det_bound_ball_of_another_dimension():
+    # psi = x + 5y has m = 2 and the ball one coordinate: evaluating psi at
+    # its points would drop y
+    psi = PolyMap(2, 1, [MultiPoly(2, {(1, 0): 1, (0, 1): 5})])
+    with pytest.raises(ConfigError, match="dimension 1 .* 2 variables"):
+        det_bound_check(psi, [(0,), (3,)], X_ON_3Z3, 1)
+
+
+def test_det_bound_needs_one_certificate_per_component():
+    # x^2/3 fails T_2 on 3Z_3; an empty certificate list must not hide that
+    x2_over_3 = PolyMap(1, 1, [MultiPoly(1, {(2,): Fraction(1, 3)})])
+    pts = [(0,), (3,)]
+    assert not certify_components(x2_over_3, 2, X_ON_3Z3)[0].holds
+    with pytest.raises(ConfigError, match="lacks a holding"):
+        det_bound_check(x2_over_3, pts, X_ON_3Z3, 1)
+    with pytest.raises(ConfigError, match="one T_r certificate per component: 1, got 0"):
+        det_bound_check(x2_over_3, pts, X_ON_3Z3, 1, certificates=[])
+    x = PolyMap(1, 1, [MultiPoly(1, {(1,): 1})])
+    certs = certify_components(x, 2, X_ON_3Z3)
+    with pytest.raises(ConfigError, match="1, got 2"):
+        det_bound_check(x, pts, X_ON_3Z3, 1, certificates=certs + certs)
+
+
+def test_det_bound_certificates_of_this_component_and_ball():
+    psi = PolyMap(1, 2, [MultiPoly(1, {(1,): 1}), MultiPoly(1, {(2,): 1})])
+    pts = [(0,), (3,), (6,)]
+    certs = certify_components(psi, 3, X_ON_3Z3)
+    assert det_bound_check(psi, pts, X_ON_3Z3, 1, certificates=certs).ok
+    with pytest.raises(ConfigError, match="not for the component"):
+        det_bound_check(psi, pts, X_ON_3Z3, 1, certificates=certs[::-1])
+    # a smaller ball, another prime, another centre
+    for other in (Ball(3, (0,), 2), Ball(5, (0,), 1), Ball(3, (1,), 1)):
+        with pytest.raises(ConfigError, match="certificate on"):
+            det_bound_check(psi, pts, X_ON_3Z3, 1,
+                            certificates=certify_components(psi, 3, other))
+    # the same ball given by another centre is this ball
+    same = certify_components(psi, 3, Ball(3, (Fraction(9, 2),), 1))
+    assert det_bound_check(psi, pts, X_ON_3Z3, 1, certificates=same).ok
+
+
+def _family_component(rng, m, deg, shape):
+    """A component of degree <= deg in m variables with coefficients in
+    Z_(3), some rational with a denominator prime to 3: "dense" draws every
+    coefficient, zero about half the time, the leading ones included."""
+    if shape == "zero":
+        return MultiPoly(m, {})
+    if shape == "constant":
+        return MultiPoly.constant(m, rng.randint(-4, 4))
+    return MultiPoly(m, {e: Fraction(rng.choice([0, rng.randint(-5, 5)]),
+                                     rng.choice([1, 1, 1, 2, 5, 7]))
+                         for e in delta_exponents(m, deg)})
+
+
+def _family_point(rng, center, alpha):
+    """A point of the ball, with integer or rational coordinates."""
+    step = 3 ** alpha
+    if rng.random() < 0.5:
+        return tuple(c + step * rng.randint(-9, 9) for c in center)
+    return tuple(c + step * Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5, 7]))
+                 for c in center)
+
+
+# (m, psi components as exponent dicts in m variables, d, points, delta != 0):
+# mu = C(d*D + m, m) exactly, where the count must not decide, and mu one
+# above it, where it must
+COUNT_EDGES = [
+    # n = 2, d = 1, D = 2, m = 1: mu = 3 = C(3, 1); the first component has
+    # degree 1, the maximum is 2
+    (1, [{(1,): 1}, {(2,): 1}], 1, [(0,), (3,), (6,)], True),
+    # n = 2, d = 1, D = 1, m = 1: mu = 3 = C(2, 1) + 1
+    (1, [{(1,): 1}, {(1,): 2, (0,): 1}], 1, [(0,), (3,), (6,)], False),
+    # n = 2, d = 1, D = 1, m = 2: mu = 3 = C(3, 2)
+    (2, [{(1, 0): 1}, {(0, 1): 1}], 1, [(0, 0), (3, 0), (0, 3)], True),
+    # n = 3, d = 1, D = 1, m = 2: mu = 4 = C(3, 2) + 1
+    (2, [{(1, 0): 1}, {(0, 1): 1}, {(1, 0): 1, (0, 1): 1}], 1,
+     [(0, 0), (3, 0), (0, 3), (3, 3)], False),
+    # n = 5, d = 1, D = 2, m = 2: mu = 6 = C(4, 2); the first component has
+    # degree 1
+    (2, [{(1, 0): 1}, {(0, 1): 1}, {(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}], 1,
+     [(0, 0), (3, 0), (0, 3), (6, 0), (3, 3), (0, 6)], True),
+    # n = 2, d = 2, D = 2, m = 1: mu = 6 = C(5, 1) + 1, though C(6, 2) > 6
+    (1, [{(1,): 1}, {(2,): 1}], 2, [(3 * i,) for i in range(6)], False),
+    # n = 2, d = 2, D = 3, m = 1: mu = 6 < C(7, 1), nonzero only because
+    # the second component reaches degree 3
+    (1, [{(1,): 1}, {(3,): 1}], 2, [(3 * i,) for i in range(6)], True),
+]
+
+
+def _spy_build(monkeypatch):
+    """Record the arguments of each MonomialMatrix.build call; also return
+    the real method."""
+    from nonarch_lab import detmethod
+
+    built = []
+    real = detmethod.MonomialMatrix.build
+    monkeypatch.setattr(detmethod.MonomialMatrix, "build",
+                        classmethod(lambda cls, *a: built.append(a) or real(*a)))
+    return built, real
+
+
+@pytest.mark.parametrize("m, comps, d, points, nonzero", COUNT_EDGES)
+def test_det_bound_dimension_count_edges(m, comps, d, points, nonzero, monkeypatch):
+    psi = PolyMap(m, len(comps), [MultiPoly(m, c) for c in comps])
+    ball = Ball(3, (0,) * m, 1)
+    want = oracles.permutation_det(_rational_monomial_rows(psi, points, d))
+    assert (want != 0) == nonzero
+    built, _ = _spy_build(monkeypatch)
+    rep = det_bound_check(psi, points, ball, d)
+    assert rep.delta == want
+    assert len(built) == (1 if nonzero else 0)
+
+
+def test_det_bound_dimension_count_matches_bareiss(monkeypatch):
+    # the count decides exactly when mu > C(d * D + m, m), D the largest
+    # component degree (a zero component has degree 0), and then delta = 0
+    # as the elimination finds it; otherwise MonomialMatrix.build runs
+    built, real = _spy_build(monkeypatch)
+    rng = random.Random(52)
+    seen = set()
+    for _ in range(300):
+        m, n, d = rng.choice([1, 2]), rng.choice([1, 2, 3]), rng.choice([1, 2, 3])
+        degs = [rng.randint(0, 3) for _ in range(n)]
+        shapes = [rng.choice(["dense", "dense", "dense", "constant", "zero"])
+                  for _ in range(n)]
+        comps = [_family_component(rng, m, deg, shape)
+                 for deg, shape in zip(degs, shapes)]
+        psi = PolyMap(m, n, comps)
+        alpha = rng.randint(0, 1)
+        center = tuple(rng.randint(0, 2) * alpha for _ in range(m))
+        ball = Ball(3, center, alpha)
+        setup = DetSetup.for_dims(m, n, d)
+        pts = [_family_point(rng, center, alpha) for _ in range(setup.mu)]
+        if rng.random() < 0.2:
+            pts[-1] = pts[0]
+        D = max((sum(e) for c in comps for e in c.terms), default=0)
+        decided = setup.mu > comb(d * D + m, m)
+        certs = certify_components(psi, setup.r, ball)
+        built.clear()
+        rep = det_bound_check(psi, pts, ball, d, certificates=certs)
+        assert len(built) == (0 if decided else 1), (m, comps, d)
+        want = real(psi, pts, d).determinant()
+        assert rep.delta == want, (m, comps, d, pts)
+        if setup.mu <= 6:
+            assert want == oracles.permutation_det(_rational_monomial_rows(psi, pts, d))
+        assert rep.ok
+        seen.add(("count" if decided else "bareiss", want != 0))
+        seen.add(("points", "repeated" if len(set(pts)) < len(pts) else "distinct"))
+        seen.update(shapes)
+        seen.add(("zero leading", any(shape == "dense" and (c.degree() or 0) < deg
+                                      for c, deg, shape in zip(comps, degs, shapes))))
+        seen.add(("rational", any(Fraction(x).denominator != 1 for pt in pts for x in pt)))
+        seen.add(("rational coefficients", any(c.denominator != 1 for comp in comps
+                                               for c in comp.terms.values())))
+        seen.add(("dims", m, n, d))
+    assert {("count", False), ("bareiss", False), ("bareiss", True)} <= seen
+    assert {("points", "repeated"), ("rational", True), ("rational coefficients", True),
+            ("zero leading", True), "constant", "zero"} <= seen
+    assert {("dims", m, n, d) for m in (1, 2) for n in (1, 2, 3) for d in (1, 2, 3)} <= seen

@@ -930,3 +930,26 @@ def test_power_preimage_balls_match_fraction_test():
                   else "part")
         kinds.add("non-integral b" if b.denominator % p == 0 and members else "")
     assert kinds >= {"empty", "full", "part", "non-integral b"}
+
+
+def test_check_tr_ball_of_another_dimension(monkeypatch):
+    # a ball whose dimension differs from the map's is a configuration
+    # error naming both, decided before any table is built; with s = 0 it
+    # was reported as "holds", with s > 0 it raised IndexError
+    from nonarch_lab import taylor
+    from nonarch_lab.detmethod import certify_components
+
+    def unreachable(*args):
+        raise AssertionError("a check ran on a ball of another dimension")
+
+    monkeypatch.setattr(taylor, "_check_tr_1d", unreachable)
+    monkeypatch.setattr(taylor, "_check_tr_nd", unreachable)
+    y_over_3 = PolyMap(2, 1, [MultiPoly(2, {(0, 1): Fraction(1, 3)})])
+    y = PolyMap(2, 1, [MultiPoly(2, {(0, 1): 1})])
+    line = Ball(3, (0,), 1)
+    plane = Ball(3, (0, 0), 1)
+    for f, ball in ((y_over_3, line), (y, line), (X2, plane)):
+        with pytest.raises(ConfigError, match=rf"dimension {ball.m} .* {f.m} variables"):
+            check_Tr(f, 1, ball)
+    with pytest.raises(ConfigError, match="dimension 1 .* 2 variables"):
+        certify_components(y_over_3, 1, line)
