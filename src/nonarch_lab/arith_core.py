@@ -1,6 +1,7 @@
 """Exact arithmetic core: p-adic valuations and residues of exact
-rationals, balls with valuative radii in Z_p^m, and the one polynomial
-type, sparse multivariate over Q with plain Fraction coefficients.
+rationals, balls with valuative radii in Z_p^m, the one polynomial type,
+sparse multivariate over Q with plain Fraction coefficients, and its one
+exact evaluator, in integers, with a Fraction built once per value.
 
 Q_p is modelled only through exact rationals: no element is ever carried
 at finite precision.  Norms are never materialized as floats.  |x| <= |y|
@@ -258,20 +259,9 @@ class MultiPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def eval(self, args):
-        """Evaluate at rational arguments, exactly."""
-        args = [Fraction(a) for a in args]
-        acc = Fraction(0)
-        pow_cache = {}
-        for exp, c in self.terms.items():
-            t = c
-            for j, e in enumerate(exp):
-                if e:
-                    key = (j, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = args[j] ** e
-                    t = t * pow_cache[key]
-            acc = acc + t
-        return acc
+        """Evaluate at a rational point, exactly, through eval_cleared."""
+        (num,), den = eval_cleared(integer_form([self]), args, self.nvars)
+        return Fraction(num, den)
 
     def substitute(self, args):
         """Substitute MultiPoly arguments for the variables."""
@@ -299,14 +289,60 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(parts) + ")"
 
 
-def divided_derivative(f, beta):
-    """The divided derivative (1/beta!) d^beta f: each term c x^e becomes
-    C(e, beta) c x^(e - beta), with integer binomials."""
-    out = {}
-    for exp, c in f.terms.items():
-        if all(g >= b for g, b in zip(exp, beta)):
-            for g, b in zip(exp, beta):
-                c = c * math.comb(g, b)
-            out[tuple(g - b for g, b in zip(exp, beta))] = c
-    return MultiPoly(f.nvars, out)
+def cleared(vec):
+    """A vector of ints and Fractions as integer numerators over its common
+    denominator D: the vector times D, and D."""
+    dens = [x.denominator for x in vec]
+    den = math.lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (den // q) for x, q in zip(vec, dens)], den
 
+
+def integer_form(polys):
+    """Each polynomial as (L, degree, [(exp, L * coeff)]) with L the lcm of
+    its coefficient denominators, so every coefficient is an int; the zero
+    polynomial has L = 1, degree 0 and no terms."""
+    out = []
+    for poly in polys:
+        L = math.lcm(*(c.denominator for c in poly.terms.values()))
+        terms = [(exp, c.numerator * (L // c.denominator))
+                 for exp, c in poly.terms.items()]
+        out.append((L, poly.degree() or 0, terms))
+    return out
+
+
+def eval_cleared(form, point, nvars):
+    """The polynomials of an integer_form, in nvars variables, at a rational
+    point, as (numerators, common denominator) in lowest terms, den >= 1.
+
+    With the point written as b / E, polynomial i is N_i / (L_i * E^deg_i)
+    where N_i = sum (L_i c_t) prod b^t E^(deg_i - |t|).  A point of plain
+    ints is b itself with E = 1, and no Fraction is made for it; an
+    integral point takes no powers of E, and an integral value no common
+    denominator."""
+    if len(point) != nvars:
+        raise RingMismatchError(
+            f"point of dimension {len(point)} for a polynomial in {nvars} variables")
+    if all(type(x) is int for x in point):
+        b, E = point, 1
+    else:
+        b, E = cleared([x if isinstance(x, (int, Fraction)) else Fraction(x)
+                        for x in point])
+    nums, dens = [], []
+    for L, deg, terms in form:
+        acc = 0
+        for exp, c in terms:
+            t = c if E == 1 else c * E ** (deg - sum(exp))
+            for x, e in zip(b, exp):
+                if e:
+                    t *= x ** e
+            acc += t
+        nums.append(acc)
+        dens.append(L if E == 1 else L * E ** deg)
+    if all(q == 1 for q in dens):
+        return tuple(nums), 1
+    den = math.lcm(*dens)
+    a = [x * (den // q) for x, q in zip(nums, dens)]
+    g = math.gcd(den, *a)
+    return tuple(x // g for x in a), den // g

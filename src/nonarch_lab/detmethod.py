@@ -9,6 +9,10 @@ A dimension count decides some determinants before any entry is computed:
 each row psi^a (|a| <= d) of the monomial matrix is a polynomial of degree
 <= d * deg(psi) in the m parameters, so the rows span at most
 C(d * deg(psi) + m, m) dimensions, and delta = 0 whenever mu is larger.
+
+Values of psi come from arith_core's one exact evaluator, in integers, so
+the monomial matrices are integer matrices and Fractions are made only for
+results.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
-from .arith_core import INF, Ball, MultiPoly, rational_residue, val_fraction
+from .arith_core import (INF, Ball, MultiPoly, cleared, eval_cleared, integer_form,
+                         rational_residue, val_fraction)
 from .combinatorics import DetSetup, alpha_bound, delta_count
 from .errors import BoundViolation, ConfigError, FullRankError
 from .heights import points_Z
@@ -26,19 +30,14 @@ from .hilbert import delta_exponents
 from .taylor import check_Tr
 
 
+def _point_str(pt):
+    """A point as the reports print coordinates: (-4, 16) or (1/2)."""
+    return "(" + ", ".join(str(c) for c in pt) + ")"
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra: fraction-free elimination over Z
 # ---------------------------------------------------------------------------
-
-def _cleared(vec):
-    """A vector of ints and Fractions as integer numerators over its common
-    denominator D: the vector times D, and D."""
-    dens = [x.denominator for x in vec]
-    den = lcm(*dens)
-    if den == 1:
-        return [x.numerator for x in vec], 1
-    return [x.numerator * (den // q) for x, q in zip(vec, dens)], den
-
 
 def _integer_rows(rows):
     """Each row scaled to integers by its common denominator, and the
@@ -47,7 +46,7 @@ def _integer_rows(rows):
     out = []
     scale = 1
     for row in rows:
-        ints, den = _cleared(row)
+        ints, den = cleared(row)
         out.append(ints)
         scale *= den
     return out, scale
@@ -139,7 +138,7 @@ def _monomial_plan(n, d):
     return tuple(steps), tuple(d - sum(e) for e in exps)
 
 
-def _monomial_matrix(cleared, n, d):
+def _monomial_matrix(columns, n, d):
     """Integer monomial matrix, rows by the exponents of delta_exponents(n,
     d) and columns by point, of points given as (numerators a, common
     denominator D).  The column of a point holds prod a_i^e_i * D^(d - |e|):
@@ -148,7 +147,7 @@ def _monomial_matrix(cleared, n, d):
     taken only when D != 1."""
     steps, spare = _monomial_plan(n, d)
     cols = []
-    for a, den in cleared:
+    for a, den in columns:
         col = [1]
         for k, i in steps:
             col.append(col[k] * a[i])
@@ -157,47 +156,6 @@ def _monomial_matrix(cleared, n, d):
             col = [t * dpow[s] for t, s in zip(col, spare)]
         cols.append(col)
     return [list(row) for row in zip(*cols)]
-
-
-def _integer_components(psi):
-    """Each component of psi as (L, degree, [(exp, L * coeff)]) with L the
-    lcm of its coefficient denominators, so every coefficient is an int."""
-    out = []
-    for comp in psi.components:
-        L = lcm(*(c.denominator for c in comp.terms.values()))
-        terms = [(exp, c.numerator * (L // c.denominator))
-                 for exp, c in comp.terms.items()]
-        out.append((L, comp.degree() or 0, terms))
-    return out
-
-
-def _eval_cleared(comps, point):
-    """psi(point) as (numerators, common denominator), in integers: with the
-    point written as b / E, component i is N_i / (L_i * E^deg_i) where
-    N_i = sum (L_i c_t) prod b^t E^(deg_i - |t|).  A point of plain ints is
-    b itself with E = 1, and no Fraction is made for it; an integral point
-    takes no powers of E, and an integral image no common denominator."""
-    if all(type(x) is int for x in point):
-        b, E = point, 1
-    else:
-        b, E = _cleared([x if isinstance(x, int) else Fraction(x) for x in point])
-    nums, dens = [], []
-    for L, deg, terms in comps:
-        acc = 0
-        for exp, c in terms:
-            t = c if E == 1 else c * E ** (deg - sum(exp))
-            for x, e in zip(b, exp):
-                if e:
-                    t *= x ** e
-            acc += t
-        nums.append(acc)
-        dens.append(L if E == 1 else L * E ** deg)
-    if all(q == 1 for q in dens):
-        return tuple(nums), 1
-    den = lcm(*dens)
-    a = [x * (den // q) for x, q in zip(nums, dens)]
-    g = gcd(den, *a)
-    return tuple(x // g for x in a), den // g
 
 
 @dataclass
@@ -223,12 +181,12 @@ class MonomialMatrix:
         exps = delta_exponents(psi.n, d)
         if len(points) != len(exps):
             raise ConfigError(f"need mu={len(exps)} points, got {len(points)}")
-        comps = _integer_components(psi)
-        cleared = [_eval_cleared(comps, pt) for pt in points]
+        form = integer_form(psi.components)
+        values = [eval_cleared(form, pt, psi.m) for pt in points]
         scale = 1
-        for _, den in cleared:
+        for _, den in values:
             scale *= den ** d
-        return cls(list(points), exps, _monomial_matrix(cleared, psi.n, d), scale)
+        return cls(list(points), exps, _monomial_matrix(values, psi.n, d), scale)
 
     def determinant(self):
         # entries are integers already: no row needs clearing
@@ -295,7 +253,7 @@ def det_bound_check(psi, points, ball, d, certificates=None):
             raise ConfigError(f"certificate on {dom}, not on {ball}")
     for pt in points:
         if not ball.contains(pt):
-            raise ConfigError(f"point {pt} outside the ball")
+            raise ConfigError(f"point {_point_str(pt)} outside the ball")
     if len(points) == setup.mu and setup.mu > delta_count(psi.m, d * psi.degree()):
         delta = Fraction(0)
     else:
@@ -363,8 +321,8 @@ def auxiliary_polynomial(points, d, n=None):
     if len(set(pts)) != len(pts):
         raise ConfigError("points must be pairwise distinct")
     exps = delta_exponents(n, d)
-    cleared = [_cleared(pt) for pt in pts]
-    full = _monomial_matrix(cleared, n, d)
+    columns = [cleared(pt) for pt in pts]
+    full = _monomial_matrix(columns, n, d)
 
     # greedy maximal independent point columns
     sel = []
@@ -402,7 +360,7 @@ def auxiliary_polynomial(points, d, n=None):
 
     scale = 1
     for j in sel:
-        scale *= cleared[j][1] ** d
+        scale *= columns[j][1] ** d
     t = -sign if beta_idx % 2 else sign
     coeffs = dict(zip(I, (Fraction(-t * v, scale) for v in y)))
     coeffs[beta_idx] = Fraction(t * D, scale)
@@ -414,7 +372,7 @@ def auxiliary_polynomial(points, d, n=None):
         raise BoundViolation("auxiliary polynomial lost its pivot coefficient")
     for pt in pts:
         if poly.eval(pt) != 0:
-            raise BoundViolation(f"auxiliary polynomial fails to vanish at {pt}")
+            raise BoundViolation(f"auxiliary polynomial fails to vanish at {_point_str(pt)}")
     return AuxPolynomial(poly, beta, beta_coeff, a)
 
 
@@ -522,7 +480,7 @@ def cover_points(X, psi, T, d, p, cap=10**7, cert_K=None):
     for pt in pts:
         u = _parameter_of(psi, pt, p)
         if u is None:
-            raise BoundViolation(f"parametrization does not cover point {pt}")
+            raise BoundViolation(f"parametrization does not cover point {_point_str(pt)}")
         res = rational_residue(u, p, alpha)
         groups.setdefault(res, []).append(pt)
 

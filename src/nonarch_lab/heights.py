@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
-from .arith_core import MultiPoly, is_prime, val_fraction, val_int
+from .arith_core import MultiPoly, integer_form, is_prime, val_fraction, val_int
 from .errors import CapExceededError, ConfigError
 
 
@@ -231,7 +231,8 @@ def _totient(h):
 def _integer_fibrations(equations, last):
     """Each equation as an integer polynomial in the last variable over the
     first `last` ones: (terms, width) with terms (j, c, prefix exponents)
-    for c * prefix^exps * y^j, denominators cleared; and the maximal degree
+    for c * prefix^exps * y^j, read off arith_core.integer_form (the
+    equation times the lcm of its denominators); and the maximal degree
     of each prefix variable over all equations."""
     degrees = [0] * last
     for eq in equations:
@@ -239,11 +240,9 @@ def _integer_fibrations(equations, last):
             for i in range(last):
                 degrees[i] = max(degrees[i], exp[i])
     out = []
-    for eq in equations:
-        coeffs = [(exp, Fraction(c)) for exp, c in eq.terms.items()]
-        scale = lcm(*(c.denominator for _, c in coeffs))
-        terms = [(exp[last], int(c * scale), exp[:last]) for exp, c in coeffs]
-        out.append((terms, 1 + max((exp[last] for exp in eq.terms), default=0)))
+    for _, _, terms in integer_form(equations):
+        out.append(([(exp[last], c, exp[:last]) for exp, c in terms],
+                    1 + max((exp[last] for exp, _ in terms), default=0)))
     return out, degrees
 
 

@@ -451,6 +451,36 @@ def power_preimage_residues(p, N, b, c, alpha):
             if padic_val(Fraction(b) * Fraction(u) ** N - Fraction(c), p) >= alpha}
 
 
+def fraction_eval(terms, point):
+    """A polynomial {exponent: coefficient} at a rational point, term by
+    term in Fraction arithmetic, each power x_j^e formed once."""
+    args = [Fraction(a) for a in point]
+    acc = Fraction(0)
+    pow_cache = {}
+    for exp, c in terms.items():
+        t = Fraction(c)
+        for j, e in enumerate(exp):
+            if e:
+                if (j, e) not in pow_cache:
+                    pow_cache[j, e] = args[j] ** e
+                t *= pow_cache[j, e]
+        acc += t
+    return acc
+
+
+def divided_derivative(terms, beta):
+    """The divided derivative (1/beta!) d^beta of {exponent: coefficient},
+    as such a dict: each term c x^e with e >= beta becomes C(e, beta) c
+    x^(e - beta)."""
+    out = {}
+    for exp, c in terms.items():
+        if all(g >= b for g, b in zip(exp, beta)):
+            for g, b in zip(exp, beta):
+                c = c * comb(g, b)
+            out[tuple(g - b for g, b in zip(exp, beta))] = c
+    return out
+
+
 def _deriv_at(terms, beta, y):
     """(1/beta!) d^beta of sum c x^e at y, term by term from the power rule."""
     acc = Fraction(0)

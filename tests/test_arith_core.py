@@ -10,7 +10,8 @@ from nonarch_lab.arith_core import (
     MR_EXACT_BELOW,
     Ball,
     MultiPoly,
-    divided_derivative,
+    eval_cleared,
+    integer_form,
     is_prime,
     rational_residue,
     val_factorial,
@@ -19,6 +20,7 @@ from nonarch_lab.arith_core import (
 )
 from nonarch_lab.errors import ConfigError, PrecisionError, RingMismatchError
 from nonarch_lab.ffcount import VarietySpec, expand_scheme
+from nonarch_lab.taylor import PolyMap, _derivative_table
 
 INF = math.inf
 
@@ -110,11 +112,85 @@ def test_gf_rejects_nonprime_q():
 
 
 def test_multipoly_divided_derivative():
-    f = MultiPoly(1, {(4,): Fraction(1)})
-    dd = divided_derivative(f, (2,))
-    assert dd.terms == {(2,): Fraction(6)}  # C(4,2)
-    g = MultiPoly(2, {(2, 1): Fraction(3)})
-    assert divided_derivative(g, (1, 1)).terms == {(1, 0): Fraction(6)}
+    # the derivative table's entries are the divided derivatives, as the
+    # oracle gives them: C(4, 2) = 6 for x^4 at beta = 2, and 3 * C(2, 1) = 6
+    # for 3x^2 y at beta = (1, 1)
+    for f, beta, want in ((MultiPoly(1, {(4,): Fraction(1)}), (2,), {(2,): Fraction(6)}),
+                          (MultiPoly(2, {(2, 1): Fraction(3)}), (1, 1),
+                           {(1, 0): Fraction(6)})):
+        table = dict(_derivative_table(PolyMap(f.nvars, 1, [f]))[0])
+        assert table[beta] == oracles.divided_derivative(f.terms, beta) == want
+
+
+def _eval_family_poly(rng, m, shape):
+    """A polynomial in m variables: zero, constant, with every coefficient
+    over one shared denominator, or general."""
+    if shape == "zero":
+        return MultiPoly(m, {})
+    if shape == "constant":
+        return MultiPoly.constant(m, Fraction(rng.randint(-9, 9), rng.choice([1, 2, 6])))
+    den = rng.choice([2, 3, 6, 9, 12])
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exp = tuple(rng.randint(0, 3) for _ in range(m))
+        terms[exp] = Fraction(rng.randint(-12, 12), den if shape == "shared"
+                              else rng.choice([1, 1, 2, 5, 9]))
+    return MultiPoly(m, terms)
+
+
+def _eval_family_coordinate(rng, kind):
+    """An int or a Fraction, sometimes 0, sometimes near 2^70."""
+    size = rng.choice([0, 9, 9, 2 ** 70])
+    num = rng.randint(-size, size) if size < 2 ** 70 else 2 ** 70 + rng.randint(-3, 3)
+    if kind == "int":
+        return num
+    return Fraction(num if num else rng.choice([0, 1]), rng.choice([2, 3, 4, 9, 2 ** 35]))
+
+
+def test_one_evaluator_matches_fraction_oracle():
+    # MultiPoly.eval, and eval_cleared over several polynomials at once,
+    # agree with the Fraction loop of the oracles on m = 1..3; zero, constant,
+    # shared-denominator and general polynomials; integral, Fraction and
+    # mixed points, with zero coordinates and values near 2^70.  Every
+    # eval_cleared value is in lowest terms, and a point of the wrong
+    # dimension is refused
+    rng = random.Random(34)
+    seen = set()
+    for _ in range(600):
+        m = rng.randint(1, 3)
+        polys = [_eval_family_poly(rng, m, rng.choice(["zero", "constant", "shared",
+                                                        "general", "general"]))
+                 for _ in range(rng.randint(1, 3))]
+        kind = rng.choice(["int", "fraction", "mixed"])
+        point = tuple(_eval_family_coordinate(
+            rng, "int" if kind == "int" or (kind == "mixed" and i % 2) else "fraction")
+            for i in range(m))
+        want = [oracles.fraction_eval(f.terms, point) for f in polys]
+        assert [f.eval(point) for f in polys] == want, (polys, point)
+        nums, den = eval_cleared(integer_form(polys), point, m)
+        assert den >= 1 and math.gcd(den, *nums) == 1, (polys, point)
+        assert [Fraction(x, den) for x in nums] == want, (polys, point)
+        for wrong in (point[:-1], point + (1,)):
+            with pytest.raises(RingMismatchError, match=f"dimension {len(wrong)} .* {m} var"):
+                polys[0].eval(wrong)
+        seen.add((m, kind, any(abs(v) > 2 ** 60 for v in want)))
+    assert {(m, kind) for m, kind, _ in seen} == {
+        (m, kind) for m in (1, 2, 3) for kind in ("int", "fraction", "mixed")}
+    assert {big for *_, big in seen} == {False, True}
+
+
+@pytest.mark.parametrize("evaluate, got, want", [
+    (lambda: MultiPoly(1, {(1,): 1}).eval((2, 5)), 2, 1),
+    (lambda: MultiPoly(2, {(1, 1): 1, (0, 1): 3}).eval((2,)), 1, 2),
+    (lambda: eval_cleared(integer_form([MultiPoly(2, {(1, 0): 1, (0, 1): 5})]), (3,), 2),
+     1, 2),
+    (lambda: PolyMap(2, 1, [MultiPoly(2, {(1, 0): 1, (0, 1): 5})]).eval((3, 1, 7)), 3, 2),
+], ids=["multipoly-long", "multipoly-short", "eval-cleared-short", "polymap-long"])
+def test_eval_rejects_a_point_of_the_wrong_dimension(evaluate, got, want):
+    # these were evaluated on what zip kept, or raised IndexError
+    with pytest.raises(RingMismatchError,
+                       match=f"point of dimension {got} for a polynomial in {want} variables"):
+        evaluate()
 
 
 def test_val_helpers():

@@ -316,6 +316,14 @@ def test_det_cover_dimension_mismatch_exit_2(tmp_path, capsys):
     assert "3 components for a curve in 2 variables" in capsys.readouterr().err
 
 
+def test_det_cover_uncovered_point_named_in_str_form(tmp_path, capsys):
+    # psi = (u, 0) misses (-4, 16) on y = x^2: exit 1, the point printed as
+    # the reports print coordinates, not as Fraction reprs
+    psi = dict(COVER["psi"], components=[[{"exp": [1], "coeff": "1"}], []])
+    assert main(["det-cover", write(tmp_path, "u0.json", dict(COVER, psi=psi, T=20))]) == 1
+    assert "parametrization does not cover point (-4, 16)\n" in capsys.readouterr().err
+
+
 def test_count_ff_malformed_exit_2(tmp_path, capsys):
     path = write(tmp_path, "non.json", {k: v for k, v in YX3.items() if k != "n"})
     assert main(["count-ff", path, "--q", "2,3", "--r", "1"]) == 2

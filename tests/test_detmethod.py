@@ -327,17 +327,18 @@ def test_monomial_matrix_matches_product_oracle():
 
 def test_eval_cleared_matches_psi_eval(monkeypatch):
     # int, Fraction and mixed points give psi(point) as reduced numerators
-    # over one denominator; a point of plain ints is never cleared
-    from nonarch_lab import detmethod
+    # over one denominator, equal to the Fraction oracle's values; a point
+    # of plain ints is never cleared
+    from nonarch_lab import arith_core
 
     cleared_calls = []
-    real = detmethod._cleared
+    real = arith_core.cleared
 
     def counted(vec):
         cleared_calls.append(tuple(vec))
         return real(vec)
 
-    monkeypatch.setattr(detmethod, "_cleared", counted)
+    monkeypatch.setattr(arith_core, "cleared", counted)
     rng = random.Random(50)
     kinds = set()
     for _ in range(200):
@@ -345,13 +346,13 @@ def test_eval_cleared_matches_psi_eval(monkeypatch):
         comps = [MultiPoly(m, {tuple(rng.randint(0, 3) for _ in range(m)): _rational(rng)
                                for _ in range(rng.randint(1, 4))})
                  for _ in range(n)]
-        psi = PolyMap(m, n, comps)
         kind = rng.choice(["int", "fraction", "mixed"])
         point = tuple(rng.randint(-9, 9) if kind == "int" or (kind == "mixed" and i % 2)
                       else _rational(rng) for i in range(m))
         cleared_calls.clear()
-        nums, den = detmethod._eval_cleared(detmethod._integer_components(psi), point)
-        assert tuple(Fraction(x, den) for x in nums) == psi.eval(point), (comps, point)
+        nums, den = arith_core.eval_cleared(arith_core.integer_form(comps), point, m)
+        assert tuple(Fraction(x, den) for x in nums) == tuple(
+            oracles.fraction_eval(c.terms, point) for c in comps), (comps, point)
         assert den >= 1 and gcd(den, *nums) == 1
         if kind == "int":
             assert cleared_calls == []
@@ -422,6 +423,14 @@ def test_det_bound_ball_of_another_dimension():
     psi = PolyMap(2, 1, [MultiPoly(2, {(1, 0): 1, (0, 1): 5})])
     with pytest.raises(ConfigError, match="dimension 1 .* 2 variables"):
         det_bound_check(psi, [(0,), (3,)], X_ON_3Z3, 1)
+
+
+def test_det_bound_names_a_point_outside_the_ball_in_str_form():
+    # 1/2 is 2 mod 3, outside 3Z_3; its coordinates print as the reports
+    # print them, not as Fraction reprs
+    x = PolyMap(1, 1, [MultiPoly(1, {(1,): 1})])
+    with pytest.raises(ConfigError, match=r"^point \(1/2\) outside the ball$"):
+        det_bound_check(x, [(0,), (Fraction(1, 2),)], X_ON_3Z3, 1)
 
 
 def test_det_bound_needs_one_certificate_per_component():

@@ -1,6 +1,7 @@
-"""tools/bench.py times program internals by name.  Building each suite's
-stage table resolves every name a stage calls, so a renamed internal fails
-here, in the tests, and not only when the tool runs."""
+"""tools/bench.py times program internals by name.  A stage looks its
+internals up when it runs, so a checkout without one reports that stage
+absent; the tests run stages that read internals at this checkout, so a
+renamed one fails here and not only when the tool runs."""
 
 import importlib.util
 import json
@@ -75,3 +76,17 @@ def test_before_mode_alternates_and_describes_both_checkouts(bench, tmp_path, ca
 def test_unknown_stage_is_named(bench):
     with pytest.raises(SystemExit, match="unknown stages \\['nope'\\]"):
         bench.main(["tr", "--stages", "total,nope", "--reps", "1"])
+
+
+def test_stage_reading_a_missing_internal_is_absent(bench, monkeypatch):
+    # pair-sweep reads taylor._scaled, preimage-balls no internal: a program
+    # without _scaled reports the first absent and still times the second
+    from nonarch_lab import taylor
+
+    stages = ["pair-sweep", "preimage-balls"]
+    here = bench.measure("tr", ROOT, 1, 3, stages)
+    assert all(set(here[stage]) == {"s"} for stage in stages)
+    monkeypatch.delattr(taylor, "_scaled")
+    without = bench.measure("tr", ROOT, 1, 3, stages)
+    assert without["pair-sweep"] == {"absent": "nonarch_lab.taylor has no attribute '_scaled'"}
+    assert set(without["preimage-balls"]) == {"s"}

@@ -25,6 +25,10 @@ gives the round values, their median and quartiles, and `after_wins`, the
 number of rounds in which the --root checkout took less.  Both checkouts
 are named by `describe`.  The JSON goes to stdout and, with --out, to a
 file.
+
+A stage looks up the program internals it times when it runs.  In a
+checkout that lacks one, the stage reports "absent" with the missing name,
+and the other stages still run and compare.
 """
 
 from __future__ import annotations
@@ -81,7 +85,8 @@ def tr(ctx):
                      table in Python ints, then the sweep
 
     The stages pass K to `check_Tr` as a keyword, so --before needs a
-    checkout whose `check_Tr` takes one.
+    checkout whose `check_Tr` takes one.  Only `pair-sweep` reads program
+    internals; a checkout without one of them reports it absent.
     """
     import numpy as np
 
@@ -89,10 +94,7 @@ def tr(ctx):
     from nonarch_lab.arith_core import Ball, MultiPoly, val_int
     from nonarch_lab.combinatorics import select_divisibility
 
-    sweep, check_Tr, verify = _kernels.tr_pair_sweep, taylor.check_Tr, taylor.verify_gauss1a
-    # bound here, so a renamed one fails the build even where no s > 0 calls it
-    scaled, powers, value = taylor._scaled, taylor._powers, taylor._value
-    derivative_table = taylor._derivative_table
+    check_Tr, verify = taylor.check_Tr, taylor.verify_gauss1a
     K = 8
     suites, preimages, checks = [], [], []  # checks: (map, r, ball)
     for p in (2, 3):
@@ -109,19 +111,28 @@ def tr(ctx):
     deg7 = cli.parse_polymap(ctx.workloads.TR_DEG7)
     checks.append((deg7, 3, deg7.domain))
 
-    tables = []
-    for f, r, ball in checks:
-        s = max(val_int(c.denominator, ball.p) for comp in f.components
-                for c in comp.terms.values())
-        mod = ball.p ** s
-        dtype = np.int64 if _kernels.int64_safe(mod) else object
-        xs = [ball.representative((d,))[0] % mod for d in range(ball.p ** (K - ball.alpha))]
-        for entries in derivative_table(f):
-            terms = [scaled(g, ball.p, s) for _beta, g in entries]
-            top = [len(entries) - 1]
-            table = [[value(t, rows, mod) for t in terms]
-                     for rows in (powers((x,), top, mod) for x in xs)]
-            tables.append((np.array(table, dtype=dtype), np.array(xs, dtype=dtype), mod, r))
+    @functools.cache
+    def tables():
+        """The pair-sweep tables, built on the stage's untimed warm-up."""
+        derivative_table, scaled, powers, value = (
+            internal(taylor, name) for name in ("_derivative_table", "_scaled", "_powers",
+                                                "_value"))
+        int64_safe = internal(_kernels, "int64_safe")
+        out = []
+        for f, r, ball in checks:
+            s = max(val_int(c.denominator, ball.p) for comp in f.components
+                    for c in comp.terms.values())
+            mod = ball.p ** s
+            dtype = np.int64 if int64_safe(mod) else object
+            xs = [ball.representative((d,))[0] % mod for d in range(ball.p ** (K - ball.alpha))]
+            for entries in derivative_table(f):
+                terms = [scaled(g, ball.p, s) for _beta, g in entries]
+                top = [len(entries) - 1]
+                table = [[value(t, rows, mod) for t in terms]
+                         for rows in (powers((x,), top, mod) for x in xs)]
+                out.append((np.array(table, dtype=dtype), np.array(xs, dtype=dtype), mod, r))
+        return out
+
     third = Fraction(1, 3)
     nd_map = taylor.PolyMap(2, 1, [MultiPoly(2, {(2, 0): third, (1, 1): third,
                                                  (0, 2): third, (0, 3): third})],
@@ -136,7 +147,8 @@ def tr(ctx):
     sixth = taylor.PolyMap.univariate([0] * 6 + [Fraction(1, 3 ** 8)], domain=Ball(3, (0,), 2))
 
     def pair_sweep():
-        for table, xs, mod, r in tables:
+        sweep = internal(_kernels, "tr_pair_sweep")
+        for table, xs, mod, r in tables():
             sweep(table, xs, mod, r)
 
     def preimage_balls():
@@ -214,7 +226,10 @@ def labmix(ctx):
     w = ctx.workloads
     enumerate_Xr, verify_bounds, expand_scheme = (
         ffcount.enumerate_Xr, ffcount.verify_bounds, ffcount.expand_scheme)
-    grid_points, points_Z, points_Q = heights._grid_points, heights.points_Z, heights.points_Q
+    points_Z, points_Q = heights.points_Z, heights.points_Q
+
+    def grid(X, values):
+        return lambda: internal(heights, "_grid_points")(X, values, 10**7)
 
     def count_table(data, qs, rs):
         X = ffcount.VarietySpec.from_json(data)
@@ -255,8 +270,8 @@ def labmix(ctx):
                                for q, r in ((13, 4), (7, 6), (13, 5))],
         "count-dense": lambda: [enumerate_Xr(X, q, r) for X, q, r in dense],
         "expand-scheme": lambda: expand_scheme(elliptic, 5, 3),
-        "grid-circle-Q10": lambda: grid_points(circle, heights_10, 10**7),
-        "grid-parabola-Z100": lambda: grid_points(parabola, integers_100, 10**7),
+        "grid-circle-Q10": grid(circle, heights_10),
+        "grid-parabola-Z100": grid(parabola, integers_100),
         "points-parabola-Z20000": lambda: points_Z(parabola, 2 * 10**4, cap=10**10),
         "points-circle-Q100": lambda: points_Q(circle, 100, cap=10**10),
     }
@@ -279,7 +294,8 @@ def detmethod(ctx):
               `auxiliary_polynomial` builds inline and the clearing of
               denominators before each elimination
 
-    Only outermost calls count, so no time is counted twice.
+    Only outermost calls count, so no time is counted twice.  A checkout
+    without one of the three reports every stage absent.
     """
     from nonarch_lab import detmethod as dm
 
@@ -302,13 +318,13 @@ def detmethod(ctx):
     targets = [("certify", dm, "certify_components"),
                ("build", dm.MonomialMatrix, "build"),
                ("linalg", dm, "_bareiss")]
-    originals = [(owner, name, vars(owner)[name]) for _, owner, name in targets]
-    timers = [(owner, name, classmethod(timed(fn.__func__, part))
-               if isinstance(fn, classmethod) else timed(fn, part))
-              for (part, _, _), (owner, name, fn) in zip(targets, originals)]
 
     def stage(job):
         def run():
+            originals = [(owner, name, internal(owner, name)) for _, owner, name in targets]
+            timers = [(owner, name, classmethod(timed(fn.__func__, part))
+                       if isinstance(fn, classmethod) else timed(fn, part))
+                      for (part, _, _), (owner, name, fn) in zip(targets, originals)]
             acc.update(dict.fromkeys((part for part, _, _ in targets), 0.0))
             for owner, name, fn in timers:
                 setattr(owner, name, fn)
@@ -482,6 +498,21 @@ def startup(ctx):
 
 # --- harness ---------------------------------------------------------------
 
+class Absent(Exception):
+    """A stage reads a program internal that the measured checkout lacks."""
+
+
+def internal(owner, name):
+    """The attribute `name` of a program module or class as stored there (a
+    classmethod stays one).  Stages look their internals up when they run,
+    so a checkout without one reports that stage absent and the other
+    stages still run."""
+    try:
+        return vars(owner)[name]
+    except KeyError:
+        raise Absent(f"{owner.__name__} has no attribute {name!r}") from None
+
+
 # name: (stage-table builder, default --reps, whether a stage's runs return
 # their own {part: seconds} rather than being timed whole)
 SUITES = {"tr": (tr, 15, False), "labmix": (labmix, 15, False),
@@ -537,9 +568,12 @@ def measure(name, root, reps, seed, only):
             raise SystemExit(f"{name}: unknown stages {unknown}; known: {list(stages)}")
         out = {}
         for stage in only or stages:
-            out[stage] = {part: sig(statistics.median(values))
-                          for part, values in sample(stages[stage], reps,
-                                                     SUITES[name][2]).items()}
+            try:
+                runs = sample(stages[stage], reps, SUITES[name][2])
+            except Absent as exc:
+                out[stage] = {"absent": str(exc)}
+                continue
+            out[stage] = {part: sig(statistics.median(values)) for part, values in runs.items()}
             if stage in facts:
                 out[stage]["facts"] = facts[stage]
     return out
@@ -567,6 +601,11 @@ def compare(name, roots, rounds, child_args):
             runs[side].append(json.loads(proc.stdout)["suites"][name]["stages"])
     out = {}
     for stage, first in runs["after"][0].items():
+        absent = {side: runs[side][0][stage]["absent"] for side in roots
+                  if "absent" in runs[side][0][stage]}
+        if absent:
+            out[stage] = {"absent": absent}
+            continue
         entry = {}
         for part in [part for part in first if part != "facts"]:
             values = {side: [run[stage][part] for run in runs[side]] for side in roots}
