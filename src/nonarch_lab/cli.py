@@ -76,7 +76,8 @@ def parse_range_list(text, flag):
 
 
 def parse_fraction(v):
-    if isinstance(v, int):
+    # a bool is an int, but str(True) is no rational: it falls through
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     try:
         return Fraction(str(v))

@@ -264,14 +264,14 @@ def det_bound_check(psi, points, ball, d, certificates=None):
 
 
 def certify_components(psi, r, ball, K=None):
-    """T_r certificates for each component of psi on the ball; the lean
-    modulus keeps the sweep small while staying a class-conclusive proof."""
+    """T_r certificates for each component of psi on the ball, each from
+    check_Tr at the given K."""
     from .taylor import PolyMap
 
     out = []
     for comp in psi.components:
         single = PolyMap(psi.m, 1, [comp], domain=ball)
-        out.append(check_Tr(single, r, ball, K=K, lean=K is None))
+        out.append(check_Tr(single, r, ball, K=K))
     return out
 
 

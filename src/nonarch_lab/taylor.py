@@ -18,7 +18,12 @@ from the modular _powers of a point.  When s = 0 nothing can fail, and
 neither the table nor the residues are built.
 
 Verdict and witness depend only on s and alpha, not on the precision K,
-which a check reports as given.  Put y = key + p^alpha z.  Each value
+for every K >= K* = max(s, alpha) + 1; a check reports K as given.  The
+one K below K* that a check accepts, K = max(s, alpha), lists in one
+variable no x = y mod p^K other than x = y: where that diagonal class
+fails first, the witness is a C^r one instead.  The verdict stays, since
+there the remainder fails only through g_r(y), which the C^r half tests.
+Put y = key + p^alpha z.  Each value
 tested is a polynomial in z with p-integral coefficients, of period
 p^(s-alpha) in z_i, so by Mahler's criterion it vanishes everywhere once
 it vanishes on the box of min(degree + 1, period) points per coordinate;
@@ -61,9 +66,14 @@ class PolyMap:
     """Polynomial map O^m -> O^n with exact rational coefficients and a
     declared domain.
 
-    Restricted power series are admitted only as truncations with a declared
-    tail valuation floor; certificates over such maps carry "up-to-tail"
-    provenance.
+    Restricted power series are admitted only as truncations f with a
+    declared tail_floor F: a lower bound on the Gauss valuation of the
+    omitted tail h in the ball coordinate z, y = c + p^alpha z.  When F >=
+    alpha*r, h alone has its divided derivatives of order <= r integral
+    and its remainder within |x-y|^r, so by the ultrametric inequality a
+    verdict for f, and its witness, carries over to f + h.  Certificates
+    over such maps carry "up-to-tail" provenance whenever tail_floor is
+    set.
     """
 
     __slots__ = ("m", "n", "components", "domain", "tail_floor")
@@ -187,6 +197,7 @@ def cr_norm(f, r, ball):
     p^(alpha |beta|) C(b + beta, beta) g_(b+beta)(c), so the table
     evaluated once at the centre c gives every one.  Larger is smaller
     norm."""
+    _same_dimension(f, ball)
     p, a = ball.p, ball.alpha
     best = INF
     for entries in _derivative_table(f):
@@ -276,7 +287,7 @@ def _denominator_exponent(f, p):
                 for c in comp.terms.values()), default=0)
 
 
-def check_Tr(f, r, domain=None, K=None, lean=False):
+def check_Tr(f, r, domain=None, K=None):
     """Certify (or refute, with a witness) the T_r property of f: C^r-norm
     at most 1 on the domain together with |f(x) - T_y(x)| <= |x-y|^r for
     all x, y.
@@ -286,9 +297,11 @@ def check_Tr(f, r, domain=None, K=None, lean=False):
     one variable, on Mahler test sets in several.  For polynomial f the
     verdict covers every Z_p-point of the domain (not only the
     representatives), and witnesses are computed in exact arithmetic.  K
-    is the reported modulus exponent, K >= s; the default is alpha*r + 8,
-    and `lean` drops it to s + 2.  Past max(s, alpha) + 1, K sets only the
-    reported K and the rows of a 1-D check's s = 0 zero tables.
+    is the reported modulus exponent, K >= s; the default is max(alpha*r +
+    8, s + 2, alpha + 1).  From K* = max(s, alpha) + 1 on, K sets only the
+    reported K and the rows of a 1-D check's s = 0 zero tables, which only
+    an explicit K builds; at K = max(s, alpha) a 1-D witness can differ
+    (see the module docstring), the verdict cannot.
     """
     if K is not None and K < 0:
         raise ConfigError(f"need K >= 0, got {K}")
@@ -301,22 +314,26 @@ def check_Tr(f, r, domain=None, K=None, lean=False):
         raise ConfigError(
             f"check_Tr needs a Ball domain, got {type(ball).__name__}; "
             "check each ball of its maximal_balls() instead")
-    if ball.m != f.m:
-        raise ConfigError(
-            f"ball of dimension {ball.m} for a map in {f.m} variables")
+    _same_dimension(f, ball)
     s = _denominator_exponent(f, ball.p)
-    K = _default_K(K, lean, ball, r, s)
+    reported = _default_K(K, ball, r, s)
     if f.m == 1:
         witness = _check_tr_1d(f, r, ball, K, s)
     else:
         # with s = 0 every divided derivative is p-integral: nothing can fail
         witness = _check_tr_nd(f, r, ball, s) if s else None
     return TrCertificate(f, r, ball, "holds" if witness is None else "fails",
-                         f"exhaustive-mod-{ball.p}^{K}", K, witness,
+                         f"exhaustive-mod-{ball.p}^{reported}", reported, witness,
                          "up-to-tail" if f.tail_floor is not None else "exact")
 
 
-def _default_K(K, lean, ball, r, s):
+def _same_dimension(f, ball):
+    if ball.m != f.m:
+        raise ConfigError(
+            f"ball of dimension {ball.m} for a map in {f.m} variables")
+
+
+def _default_K(K, ball, r, s):
     """The modulus exponent K of a check on `ball`.  An explicit K below
     the ball's valuative radius is a configuration error, decided before
     any residue count is taken; one below s cannot conclude."""
@@ -326,30 +343,28 @@ def _default_K(K, lean, ball, r, s):
         if K < s:
             raise PrecisionError(f"K={K} below divided-derivative denominator exponent {s}")
         return K
-    if lean:
-        return max(s + 2, ball.alpha + 1)
     return max(ball.alpha * r + 8, s + 2, ball.alpha + 1)
 
 
 def _check_tr_1d(f, r, ball, K, s):
     """First violation per component, or None: the remainder sweep over
-    the residues mod p^min(K, K*), then the pointwise C^r bound on the
-    Mahler box of y.  Both depend on y and x mod p^s only, but for the
-    skipped x = y, so the first failing pair mod p^K has y = key + p^alpha
-    d, d < P = p^(K* - 1 - alpha), and x below that too, or x = y + p^alpha
-    P when the class x = y mod p^s fails: both lie among the residues mod
-    p^K*.  The sweep's table holds p^s * g_j(x) mod p^s from _scaled and
-    _value, one row per residue x, each distinct x mod p^s with its powers
-    formed once; numpy holds only the arrays the sweep is given.  With s = 0
-    nothing can fail: no residue is listed, and numpy loads only for the
-    zero tables."""
+    the residues mod p^min(K, K*), K = None meaning K*, then the pointwise
+    C^r bound on the Mahler box of y.  Both depend on y and x mod p^s only,
+    but for the skipped x = y, so the first failing pair mod p^K has y =
+    key + p^alpha d, d < P = p^(K* - 1 - alpha), and x below that too, or x
+    = y + p^alpha P when the class x = y mod p^s fails: both lie among the
+    residues mod p^K*.  The sweep's table holds p^s * g_j(x) mod p^s from
+    _scaled and _value, one row per residue x, each distinct x mod p^s with
+    its powers formed once; numpy holds only the arrays the sweep is given.
+    With s = 0 nothing can fail: no residue is listed, and numpy loads only
+    for the zero tables of an explicit K."""
     p = ball.p
     if s == 0:
         # up to ZERO_TABLE_ROWS the sweep gets the zero table of shape
         # (p^(K - alpha), deg + 1) at modulus 1, where it returns at once;
         # p^(K - alpha) >= 2^(K - alpha) exceeds it for a long exponent,
         # so a huge K never forms the power
-        if K - ball.alpha >= ZERO_TABLE_ROWS.bit_length():
+        if K is None or K - ball.alpha >= ZERO_TABLE_ROWS.bit_length():
             return None
         n_res = ball.residue_count(K)
         if n_res <= ZERO_TABLE_ROWS:
@@ -362,7 +377,7 @@ def _check_tr_1d(f, r, ball, K, s):
                     _kernels.tr_pair_sweep(zeros, zeros[:, 0], 1, r)
         return None
 
-    K = min(K, max(s, ball.alpha) + 1)
+    K = max(s, ball.alpha) + 1 if K is None else min(K, max(s, ball.alpha) + 1)
     derivs = _derivative_table(f)
     n_res = ball.residue_count(K)
     pairs = n_res * n_res * sum(len(entries) > r for entries in derivs)

@@ -771,6 +771,20 @@ def test_integer_fields_not_integer_exit_2(tmp_path, capsys, command, field, val
     assert_config_error([command, path] + argv, named, capsys, in_subprocess=False)
 
 
+# a JSON true is an int to Python: read as a rational it would be 1
+BOOL_RATIONAL_CASES = [
+    (("components", 0, 0, "coeff"), "bad rational True"),
+    (("domain", "center", 0), "bad rational True"),
+]
+
+
+@pytest.mark.parametrize("field, named", BOOL_RATIONAL_CASES, ids=["coeff", "center"])
+def test_rational_fields_bool_exit_2(tmp_path, capsys, field, named):
+    data, argv = INTEGER_FIELD_INPUTS["taylor-check"]
+    path = write(tmp_path, "input.json", _replaced(data, field, True))
+    assert_config_error(["taylor-check", path] + argv, named, capsys, in_subprocess=False)
+
+
 # iterating a string would read it one character at a time: "12" as the
 # centre (1, 2) of a two-variable ball, "0" as the centre 0 of det-cover's psi
 LIST_FIELD_CASES = [

@@ -18,7 +18,7 @@ from nonarch_lab.detmethod import (
 from nonarch_lab.errors import BoundViolation, ConfigError, FullRankError
 from nonarch_lab.heights import SemialgSpec
 from nonarch_lab.hilbert import delta_exponents
-from nonarch_lab.taylor import PolyMap
+from nonarch_lab.taylor import PolyMap, check_Tr
 
 PSI_GRAPH = PolyMap(1, 2, [MultiPoly(1, {(1,): 1}), MultiPoly(1, {(2,): 1})])
 PARABOLA = SemialgSpec(2, [MultiPoly(2, {(0, 1): 1, (2, 0): -1})])
@@ -463,6 +463,19 @@ def test_det_bound_certificates_of_this_component_and_ball():
     # the same ball given by another centre is this ball
     same = certify_components(psi, 3, Ball(3, (Fraction(9, 2),), 1))
     assert det_bound_check(psi, pts, X_ON_3Z3, 1, certificates=same).ok
+
+
+def test_certify_components_reports_the_K_of_check_Tr():
+    # K passes through unchanged: the default K without one, the given K
+    # with one, for integral and non-integral components alike
+    psi = PolyMap(1, 3, [MultiPoly(1, {(1,): 1}), MultiPoly(1, {(2,): 1}),
+                         MultiPoly(1, {(2,): Fraction(1, 9), (1,): 1})])
+    for ball, r, K in ((X_ON_3Z3, 3, None), (X_ON_3Z3, 2, 5), (Ball(3, (1,), 0), 1, 2)):
+        certs = certify_components(psi, r, ball, K=K)
+        want = [check_Tr(PolyMap(1, 1, [comp]), r, ball, K=K) for comp in psi.components]
+        assert [c.K for c in certs] == [c.K for c in want]
+        assert [c.verdict for c in certs] == [c.verdict for c in want]
+    assert [c.K for c in certify_components(psi, 3, X_ON_3Z3)] == [11] * 3
 
 
 def _family_component(rng, m, deg, shape):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nonarch_lab.arith_core import Ball, MultiPoly
+from nonarch_lab.arith_core import Ball, MultiPoly, val_int
 from nonarch_lab.errors import BoundViolation, CapExceededError, ConfigError, PrecisionError
 from nonarch_lab.taylor import (
     PolyMap,
@@ -117,7 +117,9 @@ def test_check_tr_matches_exact_oracle():
         ball = Ball(p, (center,), alpha)
         f = PolyMap(1, len(comps), [MultiPoly(1, {(i,): c for i, c in enumerate(cs)})
                                     for cs in comps], domain=ball)
-        cert = check_Tr(f, r, lean=True)
+        # K = max(s + 2, alpha + 1): a few classes past K* = max(s, alpha) + 1
+        s = max(val_int(c.denominator, p) for cs in comps for c in cs)
+        cert = check_Tr(f, r, K=max(s + 2, alpha + 1))
         residues = [x[0] for x in oracles.ball_residues(ball, cert.K)]
         want = oracles.tr_residue_oracle(comps, r, p, residues)
         wit = cert.witness
@@ -806,6 +808,35 @@ def test_integral_1d_map_within_the_residue_cap_builds_no_residues(monkeypatch):
     cert = check_Tr(f, 2, K=4)
     assert cert.verdict == "holds" and cert.K == 4
     assert sweeps == [((125, 4), (125,), 1, 0), ((125, 5), (125,), 1, 0)]
+
+
+def test_integral_1d_map_builds_zero_tables_only_at_an_explicit_K(monkeypatch):
+    # s = 0: without K the check reports the default K and hands the sweep
+    # nothing; an explicit K hands it one zero table per component of
+    # degree >= r, of shape (p^(K - alpha), deg + 1), at modulus 1
+    from nonarch_lab import taylor
+
+    sweeps = []
+    monkeypatch.setattr(taylor._kernels, "tr_pair_sweep",
+                        lambda table, xs, mod, r: sweeps.append((table.shape, mod)) or (-1, -1))
+    comps = [{(3,): 1, (1,): 2}, {(1,): 1}, {(0,): 7}, {(2,): 5}]
+    for p, alpha, r, K, want in ((5, 1, 2, 3, [((25, 4), 1), ((25, 3), 1)]),
+                                 (3, 0, 1, 2, [((9, 4), 1), ((9, 2), 1), ((9, 3), 1)])):
+        f = PolyMap(1, 4, [MultiPoly(1, c) for c in comps], domain=Ball(p, (1,), alpha))
+        sweeps.clear()
+        cert = check_Tr(f, r)
+        assert (cert.verdict, cert.K, sweeps) == ("holds", max(alpha * r + 8, 2, alpha + 1), [])
+        cert = check_Tr(f, r, K=K)
+        assert (cert.verdict, cert.K, sweeps) == ("holds", K, want)
+
+
+def test_cr_norm_refuses_a_ball_of_the_wrong_dimension():
+    xy = PolyMap(2, 1, [MultiPoly(2, {(1, 1): Fraction(1, 3), (0, 1): 1})])
+    with pytest.raises(ConfigError, match="^ball of dimension 1 for a map in 2 variables$"):
+        cr_norm(xy, 1, Z3)
+    x = PolyMap.univariate([0, Fraction(1, 3)])
+    with pytest.raises(ConfigError, match="^ball of dimension 2 for a map in 1 variables$"):
+        cr_norm(x, 1, Ball(3, (0, 0), 0))
 
 
 def test_tail_floor_provenance():

@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 STAGES = {
-    "tr": ["pair-sweep", "preimage-balls", "total", "nd-K2", "nd-K3", "nd-xy81",
+    "tr": ["preimage-balls", "total", "nd-K2", "nd-K3", "nd-xy81",
            "nd-xy243", "1d-highK", "1d-table"],
     "labmix": ["parser", "fit", "count-labmix", "count-ff-cli", "count-elliptic",
                "count-deep", "count-dense", "expand-scheme", "grid-circle-Q10",
@@ -79,14 +79,15 @@ def test_unknown_stage_is_named(bench):
 
 
 def test_stage_reading_a_missing_internal_is_absent(bench, monkeypatch):
-    # pair-sweep reads taylor._scaled, preimage-balls no internal: a program
-    # without _scaled reports the first absent and still times the second
-    from nonarch_lab import taylor
+    # grid-circle-Q10 reads heights._grid_points, fit no internal: a program
+    # without _grid_points reports the first absent and still times the second
+    from nonarch_lab import heights
 
-    stages = ["pair-sweep", "preimage-balls"]
-    here = bench.measure("tr", ROOT, 1, 3, stages)
+    stages = ["grid-circle-Q10", "fit"]
+    here = bench.measure("labmix", ROOT, 1, 3, stages)
     assert all(set(here[stage]) == {"s"} for stage in stages)
-    monkeypatch.delattr(taylor, "_scaled")
-    without = bench.measure("tr", ROOT, 1, 3, stages)
-    assert without["pair-sweep"] == {"absent": "nonarch_lab.taylor has no attribute '_scaled'"}
-    assert set(without["preimage-balls"]) == {"s"}
+    monkeypatch.delattr(heights, "_grid_points")
+    without = bench.measure("labmix", ROOT, 1, 3, stages)
+    assert without["grid-circle-Q10"] == {
+        "absent": "nonarch_lab.heights has no attribute '_grid_points'"}
+    assert set(without["fit"]) == {"s"}

@@ -54,15 +54,8 @@ def tr(ctx):
 
     The inputs are the twelve gauss1a suites (p = 2, 3; r = 2, 3; g = x,
     x^2, x^2 + px; K = 8) and the degree-7 map on 1 + 3Z_3 at r = 3, K = 8;
-    plus three multivariate maps and four in one variable.  The first three
-    stages run over all thirteen checks:
+    plus three multivariate maps and four in one variable.  The stages:
 
-      pair-sweep     `_kernels.tr_pair_sweep` on every component's table,
-                     over the residues mod p^s of the classes mod p^K of
-                     its ball (the table from `taylor._scaled`,
-                     `taylor._powers` and `taylor._value` modulo p^s, zeros
-                     when s = 0; every tr-deep map has s = 0, so each call
-                     returns at once)
       preimage-balls `PowerPreimage.maximal_balls` of the twelve suites
       total          the thirteen library calls whole:
                      `taylor.verify_gauss1a` per suite and `taylor.check_Tr`
@@ -85,53 +78,24 @@ def tr(ctx):
                      table in Python ints, then the sweep
 
     The stages pass K to `check_Tr` as a keyword, so --before needs a
-    checkout whose `check_Tr` takes one.  Only `pair-sweep` reads program
-    internals; a checkout without one of them reports it absent.
+    checkout whose `check_Tr` takes one.  No stage reads a program internal.
     """
-    import numpy as np
-
-    from nonarch_lab import _kernels, cli, taylor
-    from nonarch_lab.arith_core import Ball, MultiPoly, val_int
+    from nonarch_lab import cli, taylor
+    from nonarch_lab.arith_core import Ball, MultiPoly
     from nonarch_lab.combinatorics import select_divisibility
 
     check_Tr, verify = taylor.check_Tr, taylor.verify_gauss1a
     K = 8
-    suites, preimages, checks = [], [], []  # checks: (map, r, ball)
+    suites, preimages = [], []
     for p in (2, 3):
         for r in (2, 3):
             k = select_divisibility(p, r, 2 * r)
-            N = p ** (k * r)
-            pre = taylor.PowerPreimage(Ball(p, (Fraction(1),), k + 1), N, (Fraction(1),))
+            pre = taylor.PowerPreimage(Ball(p, (Fraction(1),), k + 1), p ** (k * r),
+                                       (Fraction(1),))
             preimages.append(pre)
-            for coeffs in ([0, 1], [0, 0, 1], [0, p, 1]):
-                g = taylor.PolyMap.univariate(coeffs)
-                suites.append((g, r, p))
-                gN = taylor.power_compose(g, N, 1)
-                checks += [(gN, r, ball) for ball in pre.maximal_balls()]
+            suites += [(taylor.PolyMap.univariate(coeffs), r, p)
+                       for coeffs in ([0, 1], [0, 0, 1], [0, p, 1])]
     deg7 = cli.parse_polymap(ctx.workloads.TR_DEG7)
-    checks.append((deg7, 3, deg7.domain))
-
-    @functools.cache
-    def tables():
-        """The pair-sweep tables, built on the stage's untimed warm-up."""
-        derivative_table, scaled, powers, value = (
-            internal(taylor, name) for name in ("_derivative_table", "_scaled", "_powers",
-                                                "_value"))
-        int64_safe = internal(_kernels, "int64_safe")
-        out = []
-        for f, r, ball in checks:
-            s = max(val_int(c.denominator, ball.p) for comp in f.components
-                    for c in comp.terms.values())
-            mod = ball.p ** s
-            dtype = np.int64 if int64_safe(mod) else object
-            xs = [ball.representative((d,))[0] % mod for d in range(ball.p ** (K - ball.alpha))]
-            for entries in derivative_table(f):
-                terms = [scaled(g, ball.p, s) for _beta, g in entries]
-                top = [len(entries) - 1]
-                table = [[value(t, rows, mod) for t in terms]
-                         for rows in (powers((x,), top, mod) for x in xs)]
-                out.append((np.array(table, dtype=dtype), np.array(xs, dtype=dtype), mod, r))
-        return out
 
     third = Fraction(1, 3)
     nd_map = taylor.PolyMap(2, 1, [MultiPoly(2, {(2, 0): third, (1, 1): third,
@@ -145,11 +109,6 @@ def tr(ctx):
                                         domain=Ball(5, (0,), 0))
     cube = taylor.PolyMap.univariate([0, 0, 0, Fraction(1, 3 ** 7)], domain=Ball(3, (0,), 0))
     sixth = taylor.PolyMap.univariate([0] * 6 + [Fraction(1, 3 ** 8)], domain=Ball(3, (0,), 2))
-
-    def pair_sweep():
-        sweep = internal(_kernels, "tr_pair_sweep")
-        for table, xs, mod, r in tables():
-            sweep(table, xs, mod, r)
 
     def preimage_balls():
         for pre in preimages:
@@ -171,8 +130,7 @@ def tr(ctx):
         check_Tr(cube, 1)
         check_Tr(sixth, 1)
 
-    return {"pair-sweep": pair_sweep,
-            "preimage-balls": preimage_balls, "total": total,
+    return {"preimage-balls": preimage_balls, "total": total,
             "nd-K2": nd(2), "nd-K3": nd(3),
             "nd-xy81": lambda: check_Tr(xy81, 1),
             "nd-xy243": lambda: check_Tr(xy243, 1),
