@@ -9,7 +9,10 @@ coefficient is evaluated, and for k >= 1 it is affine in the new digits,
 [t^k]F(x^{<k} + a_k t^k) = [t^k]F(x^{<k}) + J(a_0)·a_k.  One evaluator,
 _series, gives every coefficient the count checks, as truncated t-series
 convolutions of the digit columns the lifting carries: the levels, J and
-the t-powers past t^(r-1) on the survivors of the last level.  The depth-k
+the t-powers past t^(r-1) on the survivors of the last level.  It and
+ffcount.expand read every power from power_plan: over F_q[t], x(t)^q =
+x(t^q), so x^e is prod_j x(t^(q^j))^(e_j) over the base-q digits e_j of e,
+at most (q - 1)(log_q e + 1) factors instead of e.  The depth-k
 frontier of that lift, read with its digits below k, holds the degree-<k
 candidates, so one lift per field size counts every requested degree
 bound: each smaller bound k gets its t-powers past t^(k-1) checked on the
@@ -50,13 +53,28 @@ def backend():
 # base q with the same digit order, is formed only for the solutions.
 # ---------------------------------------------------------------------------
 
+def power_plan(q, exps):
+    """The factors of prod_i x_i^(exps[i]) over F_q[t], as (i, step) pairs:
+    e_j pairs (i, q^j) per base-q digit e_j of exps[i].  A factor (i, s)
+    is sum_g a_{i,g}^s t^(g s), by Frobenius (q is prime)."""
+    plan = []
+    for i, e in enumerate(exps):
+        step = 1
+        while e:
+            e, digit = divmod(e, q)
+            plan += [(i, step)] * digit
+            step *= q
+    return plan
+
+
 def _series(q, r, terms, digits, known, lo, hi):
     """The t^lo .. t^(hi-1) coefficients mod q of one reduced equation at
     the assignments whose digit columns are `digits` (shape (n*r, N)), as
     an array of shape (hi - lo, N).  Coordinate i is read as the truncated
     t-series sum_{g<known} a_{i,g} t^g, so only the digits of the first
     `known` levels matter.  Each term is its t-coefficients times one
-    convolution per factor, cut at t^hi, and the last factor forms only the
+    convolution per power_plan factor (i, s), digit g at offset g*s since
+    a^s = a on F_q, cut at t^hi; the last factor forms only the
     coefficients from t^lo on.  Both operands of every product are reduced
     mod q, and each product is added to a reduced value, so int64 holds
     every value whenever q < 2^31."""
@@ -64,21 +82,21 @@ def _series(q, r, terms, digits, known, lo, hi):
 
     out = np.zeros((hi - lo, digits.shape[1]), dtype=np.int64)
     for cs, exps in terms:
-        factors = [i for i, e in enumerate(exps) for _ in range(e)]
+        factors = power_plan(q, exps)
         # series holds the t^off .. t^(off + len(series) - 1) coefficients
         off = next((k for k, c in enumerate(cs) if c), hi)
         series = np.array(cs[off:hi], dtype=np.int64)[:, None]
-        for j, i in enumerate(factors):
+        for j, (i, s) in enumerate(factors):
             if not len(series):
                 break
             start = max(off, lo if j == len(factors) - 1 else 0)
-            end = min(off + len(series) + known - 1, hi)
+            end = min(off + len(series) + (known - 1) * s, hi)
             prod = np.zeros((max(end - start, 0), digits.shape[1]), dtype=np.int64)
             for g in range(known):
-                a, b = max(start, off + g), min(end, off + len(series) + g)
+                a, b = max(start, off + g * s), min(end, off + len(series) + g * s)
                 if a < b:
                     view = prod[a - start:b - start]
-                    view += series[a - off - g:b - off - g] * digits[i * r + g]
+                    view += series[a - off - g * s:b - off - g * s] * digits[i * r + g]
                     view %= q
             series, off = prod, start
         a, b = max(lo, off), min(hi, off + len(series))

@@ -105,19 +105,7 @@ class VarietySpec:
         return out
 
 
-def _decode(idx, q, r, n):
-    coeffs = []
-    v = idx
-    for _ in range(n):
-        cs = []
-        for _ in range(r):
-            cs.append(v % q)
-            v //= q
-        coeffs.append(tuple(cs))
-    return tuple(coeffs)
-
-
-def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False, counts=None):
+def enumerate_Xr(X, q, r, cap=2 * 10**7, counts=None):
     """Exact count of n-tuples of degree-<r polynomials over F_q solving
     every defining polynomial identically in F_q[t].
 
@@ -125,19 +113,16 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False, counts=None):
     only by the level-k coefficients at which each equation's t^k
     coefficient vanishes and checks the t-powers >= r on the full
     assignments, every coefficient a truncated t-series convolution of
-    the jet's digits; cap bounds the q^(r*n) assignments the search
-    ranges over, whatever the lifting visits, and is checked first.  With
-    want_points the solutions are decoded into coefficient tuples
-    (ascending t-powers per coordinate), in ascending assignment-index
-    order.
+    the jet's digits and every power a product over the base-q digits of
+    its exponent (_kernels.power_plan); cap bounds the q^(r*n) assignments
+    the search ranges over, whatever the lifting visits, checked first.
 
     counts, when given, is a dict keyed by the degree bounds the caller
     will ask for at this q, each mapped to its count or None.  A call
     whose r has no count yet makes one lift, to the largest unfilled key
     whose q^(k*n) the cap admits (r when there is none), which counts r
     and every unfilled key below on the way and stores them all; a call
-    whose r has a count returns it.  want_points neither reads nor fills
-    counts.
+    whose r has a count returns it.
     """
     if r < 1:
         raise ConfigError("need r >= 1")
@@ -146,11 +131,6 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, want_points=False, counts=None):
     total = q ** (r * X.n)
     if total > cap:
         raise CapExceededError(f"q^(r*n) = {total} exceeds cap {cap}")
-    if want_points:
-        equations = X.reduce_mod(q)
-        count, idx = _kernels.ff_count(q, r, X.n, equations, want_indices=True)
-        points = [_decode(int(i), q, r, X.n) for i in idx]
-        return count, points
     if counts is None:
         counts = {}
     if counts.get(r) is None:
@@ -171,20 +151,20 @@ def expand(q, r, n, terms):
     itself a dict monomial -> nonzero coefficient mod q, monomials being
     exponent tuples in the r*n variables a_{1,0}, a_{1,1}, ..., a_{n,r-1}.
     Powers with no nonzero term are absent.  Reduction Z -> F_q is a ring
-    map, so reducing as the products are formed changes nothing."""
+    map, so reducing as the products are formed changes nothing.  Each
+    _kernels.power_plan factor (i, s) multiplies by sum_g a_{i,g}^s t^(g s)."""
     zero = (0,) * (r * n)
     acc = {}
     for cs, exps in terms:
         poly = {(k, zero): c for k, c in enumerate(cs) if c}
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                prod = {}
-                for (k, mono), c in poly.items():
-                    for g in range(r):
-                        v = i * r + g
-                        key = (k + g, mono[:v] + (mono[v] + 1,) + mono[v + 1:])
-                        prod[key] = prod.get(key, 0) + c
-                poly = {key: c % q for key, c in prod.items()}
+        for i, s in _kernels.power_plan(q, exps):
+            prod = {}
+            for (k, mono), c in poly.items():
+                for g in range(r):
+                    v = i * r + g
+                    key = (k + g * s, mono[:v] + (mono[v] + s,) + mono[v + 1:])
+                    prod[key] = prod.get(key, 0) + c
+            poly = {key: c % q for key, c in prod.items()}
         for key, c in poly.items():
             acc[key] = acc.get(key, 0) + c
     by_power = {}

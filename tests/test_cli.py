@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -238,6 +239,26 @@ def test_expand_scheme_cli(tmp_path):
     assert code == 0
     assert report["results"]["variables"] == ["a_0_0", "a_0_1", "a_1_0", "a_1_1"]
     assert len(report["results"]["equations"]) == 4
+
+
+HUGE_POWER = {"n": 2, "name": "x^(10^30)",
+              "polynomials": [[{"exp": [10**30, 0], "coeff": [1]}]]}
+
+
+@pytest.mark.parametrize("argv, results", [
+    (["count-ff", "--q", "2,3,5", "--r", "1"],
+     lambda res: [rec["count"] for rec in res["records"]] == [2, 3, 5]),
+    (["expand-scheme", "--q", "3", "--r", "1"],
+     lambda res: res["equations"] == [[{"coeff": 1, "exp": [10**30, 0]}]]),
+], ids=["count-ff", "expand-scheme"])
+def test_huge_exponent_at_r1_finishes(tmp_path, argv, results):
+    # x^(10^30) takes one factor per base-q digit of the exponent; one
+    # factor per unit never finished.  The child runs under a timeout and
+    # a 1 GB address-space limit
+    path = write(tmp_path, "huge.json", HUGE_POWER)
+    proc = run_cli_subprocess(argv[:1] + [path] + argv[1:], timeout=60, max_bytes=1 << 30)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert results(json.loads(proc.stdout)["results"])
 
 
 def test_det_cover_cli(tmp_path):
@@ -516,20 +537,25 @@ def test_parser_built_once_and_reused(tmp_path):
     assert seen["count"]["mu_cap"] == 9 and seen["taylor"]["K"] == 5
 
 
-def run_python_subprocess(args, timeout=30):
+def run_python_subprocess(args, timeout=30, max_bytes=None):
     """Run a fresh interpreter on args in a child process that finds the
     package where this test process found it; a hang fails the test at
-    `timeout` seconds."""
+    `timeout` seconds.  With max_bytes, the child's address space is
+    limited to it (RLIMIT_AS, set in the child only)."""
     src = os.path.dirname(os.path.dirname(nonarch_lab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable] + args,
-                          capture_output=True, text=True, env=env, timeout=timeout)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True,
+                          env=env, timeout=timeout, preexec_fn=limit if max_bytes else None)
 
 
-def run_cli_subprocess(argv, timeout=30):
+def run_cli_subprocess(argv, timeout=30, max_bytes=None):
     """Run the CLI in a child process (see run_python_subprocess)."""
-    return run_python_subprocess(["-m", "nonarch_lab.cli"] + argv, timeout)
+    return run_python_subprocess(["-m", "nonarch_lab.cli"] + argv, timeout, max_bytes)
 
 
 def assert_config_error(argv, named, capsys, in_subprocess):

@@ -144,6 +144,80 @@ def test_lifted_count_matches_full_range_and_oracle(block, monkeypatch):
     assert seen_empty
 
 
+def _power_cases(seed, count=100, max_states=2000):
+    """Seeded equations whose exponents sit at and past q and q^2: per
+    term one coordinate gets e = d_0 + d_1 q + d_2 q^2 with random base-q
+    digits (d_2 below 2 for q >= 5, so that the expansion oracle stays
+    small) and the others at most 1."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n, q, r = rng.randint(1, 3), rng.choice([2, 3, 5, 7]), rng.randint(1, 3)
+        if q ** (r * n) > max_states:
+            continue
+        eqs = []
+        for _ in range(rng.choice([1, 1, 2])):
+            terms = []
+            for _ in range(rng.randint(1, 3)):
+                digits = [rng.randrange(q), rng.randrange(q), rng.randrange(q if q < 5 else 2)]
+                if digits[1:] == [0, 0]:
+                    digits[rng.randint(1, 2)] = 1  # at or past q
+                exps = [rng.randint(0, 1) for _ in range(n)]
+                exps[rng.randrange(n)] = digits[0] + digits[1] * q + digits[2] * q * q
+                coeff = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+                terms.append((coeff, tuple(exps)))
+            eqs.append(terms)
+        cases.append((n, q, r, eqs))
+    # exactly q, q^2 and q^2 - 1 (every digit q - 1), and x^q = x at r = 1
+    for q in (2, 3, 5, 7):
+        cases.append((1, q, 3, [[([1], (q,))]]))
+        cases.append((2, q, 2, [[([1], (q * q, 0)), ([0, 1], (0, 1))]]))
+        cases.append((1, q, 3, [[([1], (q * q - 1,)), ([1], (0,))]]))
+        cases.append((1, q, 1, [[([1], (q,)), ([-1], (1,))]]))
+    return cases
+
+
+def test_high_powers_match_unit_factor_oracles():
+    # power_plan's base-q factors against references that multiply x_i^e
+    # out one factor at a time: the full-range solution set, and the
+    # expanded scheme by MultiPoly substitution (over Q, too slow for
+    # exponents near q^2 at r = 3 and q >= 5, which only the count checks)
+    cases = _power_cases(seed=36)
+    for p in (2, 3, 5, 7):  # digits of every size, at q^2 too for q <= 3
+        places = (0, 1, 2) if p < 5 else (0, 1)
+        seen = {(j, e // p ** j % p) for n, q, r, eqs in cases if q == p
+                for terms in eqs for cs, exps in terms for e in exps if e >= q
+                for j in places}
+        assert seen == {(j, d) for j in places for d in range(p)}, p
+    for n, q, r, eqs in cases:
+        reduced = [[([c % q for c in cs], e) for cs, e in terms] for terms in eqs]
+        idx = np.arange(q ** (r * n), dtype=np.int64)
+        want = idx[oracles.ff_count_full_range(q, r, n, reduced, idx)]
+        count, got = _kernels.ff_count(q, r, n, reduced, want_indices=True)
+        assert count == len(want) and np.array_equal(got, want), (n, q, r, eqs)
+        if r == 3 and q >= 5:
+            continue
+        X = _variety(n, eqs)
+        assert ([eq.terms for eq in expand_scheme(X, q, r)]
+                == [eq.terms for eq in oracles.expand_scheme_substitute(X, q, r)]), (q, r, eqs)
+
+
+def test_exponent_ten_thousand():
+    # x^10000 = 0 forces x = 0 and leaves y free: q^r points.  10000 has
+    # digit sums 5, 8 and 4 in bases 2, 3 and 5, against 10000 unit factors
+    X = VarietySpec(2, [{(10000, 0): (1,)}])
+    for q, r in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)):
+        assert enumerate_Xr(X, q, r) == q ** r, (q, r)
+    # at r = 2, (a + b t)^e = sum_k C(e, k) a^(e-k) b^k t^k: one equation
+    # per k with C(e, k) nonzero mod 3
+    want, binomial = [], 1
+    for k in range(10001):
+        if binomial % 3:
+            want.append({(10000 - k, k, 0, 0): binomial % 3})
+        binomial = binomial * (10000 - k) // (k + 1)
+    assert [eq.terms for eq in expand_scheme(X, 3, 2)] == want
+
+
 def _variety(n, eqs):
     """The VarietySpec of a lifting case's equations."""
     return VarietySpec.from_json({"n": n, "polynomials": [
@@ -206,9 +280,6 @@ def test_shared_lift_stops_at_the_cap(monkeypatch):
     with pytest.raises(CapExceededError, match="q\\^\\(r\\*n\\) = 6561 exceeds cap 729"):
         enumerate_Xr(LINE, 3, 4, cap=3 ** 6, counts=counts)
     assert len(lifts) == 1 and counts[4] is None
-    # want_points lifts alone and leaves counts as they are
-    assert enumerate_Xr(LINE, 3, 2, cap=3 ** 6, want_points=True, counts=counts)[0] == 9
-    assert lifts[1] == (2, {}) and counts[4] is None
     # keys outside 1..r-1 of the kernel's below are left alone
     below = {0: 7, 2: 0, 3: 0, 9: 5}
     assert kernel(3, 3, 2, LINE.reduce_mod(3), below=below) == 27
@@ -238,15 +309,6 @@ def test_from_json_sums_repeated_exponents():
 def test_variety_spec_rejects_malformed_fields(args, named):
     with pytest.raises(ConfigError, match=named):
         VarietySpec(*args)
-
-
-def test_want_points_decoding():
-    count, points = enumerate_Xr(graph_variety(2), 3, 2, want_points=True)
-    assert count == len(points) == 3
-    # solutions are exactly the constant points (a, a^2)
-    for x_coeffs, y_coeffs in points:
-        assert x_coeffs[1] == 0 and y_coeffs[1] == 0
-        assert (x_coeffs[0] ** 2 - y_coeffs[0]) % 3 == 0
 
 
 def test_graph_filtration_law():

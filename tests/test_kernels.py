@@ -115,6 +115,22 @@ def test_ff_count_lift_blocks_agree(monkeypatch):
     assert 1 in widths and 7 in widths  # the small blocks were exercised
 
 
+def test_power_plan_steps_are_base_q_digits():
+    # per variable the steps sum to the exponent, each step a power of q
+    # taken as often as the base-q digit at its place
+    assert _kernels.power_plan(3, (5, 0, 9)) == [(0, 1), (0, 1), (0, 3), (2, 9)]
+    assert _kernels.power_plan(2, (0, 0)) == []
+    for q in (2, 3, 5, 7):
+        powers = {q ** j for j in range(100)}  # q^99 > 10^30
+        for exps in [(0, 1, q - 1), (q, q * q, q * q - 1), (10**4, 1, 0), (10**30,)]:
+            plan = _kernels.power_plan(q, exps)
+            for i, e in enumerate(exps):
+                steps = [s for j, s in plan if j == i]
+                assert sum(steps) == e, (q, exps, i)
+                assert set(steps) <= powers, (q, exps, i)
+                assert all(steps.count(s) < q for s in steps), (q, exps, i)
+
+
 def test_ff_count_int64_guard():
     # x = 0 in one variable: one solution whatever the degree bound
     x = [[([1], (1,))]]

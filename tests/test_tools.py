@@ -15,8 +15,9 @@ STAGES = {
     "tr": ["preimage-balls", "total", "nd-K2", "nd-K3", "nd-xy81",
            "nd-xy243", "1d-highK", "1d-table"],
     "labmix": ["parser", "fit", "count-labmix", "count-ff-cli", "count-elliptic",
-               "count-deep", "count-dense", "expand-scheme", "grid-circle-Q10",
-               "grid-parabola-Z100", "points-parabola-Z20000", "points-circle-Q100"],
+               "count-deep", "count-dense", "expand-scheme", "ff-power",
+               "grid-circle-Q10", "grid-parabola-Z100", "points-parabola-Z20000",
+               "points-circle-Q100"],
     "detmethod": ["det-cover-parabola", "heights-circle-Z100", "det-trials-0",
                   "det-trials-1", "det-trials-2", "det-trials-3", "aux-d3-k9",
                   "aux-d4-k14", "aux-d5-k20"],

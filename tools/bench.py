@@ -140,7 +140,7 @@ def tr(ctx):
 def labmix(ctx):
     """Seconds of the repeated stages of the `lab-mix` benchmark workload,
     of the F_q[t] counts of `lab-mix` and `ff-sparse` and of three deeper
-    ones, of two dense ones, and of `expand_scheme`.
+    ones, of two dense ones, of `expand_scheme`, and of a high power.
 
       parser          one `cli.build_parser()` call, as every `cli.main()`
                       makes it
@@ -164,6 +164,11 @@ def labmix(ctx):
                       them into monomials blows up
       expand-scheme   `ffcount.expand_scheme` on y^2 = x^3 - x at q = 5,
                       r = 3, the input of `lab-mix`'s `expand-scheme` job
+      ff-power        x^500 = 0 in two variables: `ffcount.enumerate_Xr`
+                      at q = 2, 3 and r = 1, 2, then `ffcount.expand_scheme`
+                      at q = 3, r = 2 (500 is 111110100 in base 2 and
+                      200112 in base 3, so the power takes 6 and 6 factors
+                      from its digits where one factor per unit takes 500)
       grid-circle-Q10 `heights._grid_points` for x^2 + y^2 = 1 over the
                       rationals of height <= 10, as the (numerator,
                       denominator) pairs of `heights.enumerate_heights`
@@ -212,6 +217,14 @@ def labmix(ctx):
             verify_bounds(counts, X, r)
 
     elliptic = ffcount.VarietySpec.from_json(w.ELLIPTIC)
+    power = ffcount.VarietySpec(2, [{(500, 0): (1,)}])
+
+    def ff_power():
+        for q in (2, 3):
+            for r in (1, 2):
+                enumerate_Xr(power, q, r)
+        expand_scheme(power, 3, 2)
+
     dense = [(ffcount.VarietySpec(2, [{(4, 4): (1,), (1, 0): (1,)}]), 5, 5),
              (ffcount.VarietySpec(3, [{(2, 2, 2): (1,), (0, 0, 0): (-1,)}]), 3, 3)]
     circle = cli.parse_semialg(w.CIRCLE)
@@ -228,6 +241,7 @@ def labmix(ctx):
                                for q, r in ((13, 4), (7, 6), (13, 5))],
         "count-dense": lambda: [enumerate_Xr(X, q, r) for X, q, r in dense],
         "expand-scheme": lambda: expand_scheme(elliptic, 5, 3),
+        "ff-power": ff_power,
         "grid-circle-Q10": grid(circle, heights_10),
         "grid-parabola-Z100": grid(parabola, integers_100),
         "points-parabola-Z20000": lambda: points_Z(parabola, 2 * 10**4, cap=10**10),
