@@ -17,7 +17,6 @@ from .errors import (
     PrecisionError,
     RingMismatchError,
     BoundViolation,
-    BudgetExceededError,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "PrecisionError",
     "RingMismatchError",
     "BoundViolation",
-    "BudgetExceededError",
 ]

@@ -139,7 +139,8 @@ def ff_count(q, r, n, equations, want_indices=False, below=None):
 
     if q >= INT64_SAFE_MOD or q ** (r * n) > INT64_MAX:
         raise CapExceededError(
-            f"q = {q}, r*n = {r * n}: assignment indices exceed int64")
+            f"q = {q}, r*n = {r * n}: int64 needs q < 2^31 and q^(r*n) < 2^63, which "
+            f"bounds the choice range q^n, the lift depth r and the indices")
     def tail_checks(k):
         """(terms, one past its highest t-power) of each equation whose
         expansion at degree bound k passes t^(k-1)."""

@@ -4,7 +4,7 @@ Subcommands: bounds, heights, taylor-check, det-cover, count-ff,
 expand-scheme, hilbert, corpus.  Reports are deterministic JSON (exact
 values serialized as strings, no floats); tabular summaries go to CSV.
 Exit codes: 1 for a violated bound, 2 for configuration errors, 3 for
-cap/precision/budget exhaustion.
+an exhausted cap, precision or memory.
 
 `main` is the one report path.  Each subparser names, by `set_defaults`,
 its subcommand `func` and its input reader `read` (None for `bounds`).
@@ -37,7 +37,6 @@ from .arith_core import Ball, MultiPoly
 from .combinatorics import DetSetup, alpha_bound
 from .errors import (
     BoundViolation,
-    BudgetExceededError,
     CapExceededError,
     ConfigError,
     FullRankError,
@@ -545,8 +544,9 @@ def main(argv=None):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (CapExceededError, PrecisionError, BudgetExceededError) as err:
-        print(f"resource error: {err}", file=sys.stderr)
+    except (CapExceededError, PrecisionError, MemoryError, OverflowError) as err:
+        # a failed allocation (numpy's too), or an integer too large to index
+        print(f"resource error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 3
     except (BoundViolation, FullRankError) as err:
         print(f"bound violation: {err}", file=sys.stderr)

@@ -3,7 +3,7 @@ files, and the integer and list checks that input fields pass before
 use.
 
 Exit-code mapping used by the CLI: BoundViolation -> 1, ConfigError -> 2,
-cap/precision/budget exhaustion -> 3.
+cap, precision or memory exhaustion -> 3.  Every search cap is a Budget.
 """
 
 import json
@@ -58,11 +58,26 @@ class PrecisionError(ArithmeticError):
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration would exceed its declared cap."""
+    """A search reached more work than its cap admits."""
 
 
-class BudgetExceededError(RuntimeError):
-    """An iterative computation (e.g. S-pair processing) ran out of budget."""
+class Budget:
+    """One search's cap: at most `limit` units of `unit`, set by `option`
+    (the CLI option, keyword or constant a user raises).  charge(n) adds n
+    to `spent`; past `limit` it raises CapExceededError with the count
+    reached, the `option` value that admits it, and `note`."""
+
+    def __init__(self, limit, unit, option):
+        self.limit = config_int(limit, option, 0)
+        self.unit, self.option = unit, option
+        self.spent = 0
+
+    def charge(self, n=1, note=""):
+        self.spent += n
+        if self.spent > self.limit:
+            raise CapExceededError(
+                f"{self.spent} {self.unit} exceed cap {self.limit}; "
+                f"{self.option} {self.spent} admits them{note}")
 
 
 class FullRankError(RuntimeError):

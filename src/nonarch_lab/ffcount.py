@@ -17,7 +17,7 @@ from itertools import zip_longest
 
 from . import _kernels
 from .arith_core import MultiPoly, is_prime
-from .errors import (CapExceededError, ConfigError, RingMismatchError, config_int,
+from .errors import (Budget, ConfigError, RingMismatchError, config_int,
                      config_list, load_json)
 
 
@@ -126,11 +126,7 @@ def enumerate_Xr(X, q, r, cap=2 * 10**7, counts=None):
     """
     if r < 1:
         raise ConfigError("need r >= 1")
-    if cap < 0:
-        raise ConfigError(f"need cap >= 0, got {cap}")
-    total = q ** (r * X.n)
-    if total > cap:
-        raise CapExceededError(f"q^(r*n) = {total} exceeds cap {cap}")
+    Budget(cap, "assignments q^(r*n)", "--cap").charge(q ** (r * X.n))
     if counts is None:
         counts = {}
     if counts.get(r) is None:

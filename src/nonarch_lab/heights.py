@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .arith_core import MultiPoly, integer_form, is_prime, val_fraction, val_int
-from .errors import CapExceededError, ConfigError
+from .errors import Budget, ConfigError
 
 
 class NotFound:
@@ -187,16 +187,12 @@ def _grid_points(X, values, cap):
 
 
 def _check_grid(X, width, cap, at_least=False):
-    """Refuse a grid of width^n candidates over the cap; `at_least` marks
-    width as a lower bound on the number of values."""
+    """Charge a grid of width^n candidates to the --cap Budget; `at_least`
+    marks width as a lower bound on the number of values."""
     if X.nvars > 4:
         raise ConfigError("point enumeration is limited to n <= 4 variables")
-    if cap < 0:
-        raise ConfigError(f"need cap >= 0, got {cap}")
-    total = width ** X.nvars
-    if total > cap:
-        size = f"at least {total}" if at_least else total
-        raise CapExceededError(f"candidate grid of size {size} exceeds cap {cap}")
+    Budget(cap, "grid candidates width^n", "--cap").charge(
+        width ** X.nvars, "; the grid holds at least that many" if at_least else "")
 
 
 def _height_grid(X, T, cap):
@@ -207,7 +203,7 @@ def _height_grid(X, T, cap):
     stops once the grid it spans passes the cap."""
     if T < 1:
         raise ConfigError("need T >= 1")
-    _check_grid(X, 2 * T + 1, cap, at_least=True)
+    _check_grid(X, 2 * T + 1, cap, at_least=T > 1)
     width = -1
     for h in range(1, T + 1):
         width += 4 * _totient(h)

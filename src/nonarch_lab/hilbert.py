@@ -16,12 +16,13 @@ is performed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith_core import MultiPoly
-from .errors import BudgetExceededError, ConfigError
+from .errors import Budget, ConfigError
 
 
 def grevlex_key(exp):
@@ -129,22 +130,17 @@ def s_polynomial(f, g):
 def groebner(generators, s_pair_budget=10000):
     """Reduced Groebner basis under the fixed order, exact over Q.
 
-    Plain Buchberger with an S-pair budget; exceeding it raises
-    BudgetExceededError rather than truncating silently.
+    Plain Buchberger charging each S-pair to a --budget Budget, which
+    raises CapExceededError rather than truncating silently.
     """
-    if s_pair_budget < 0:
-        raise ConfigError(f"need S-pair budget >= 0, got {s_pair_budget}")
+    budget = Budget(s_pair_budget, "S-pairs", "--budget")
     basis = [g for g in generators if not g.is_zero()]
     if not basis:
         return []
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    processed = 0
     while pairs:
         i, j = pairs.pop(0)
-        processed += 1
-        if processed > s_pair_budget:
-            raise BudgetExceededError(
-                f"S-pair budget {s_pair_budget} exceeded")
+        budget.charge()
         # product criterion: coprime leading monomials reduce to zero
         fe, _ = leading_term(basis[i])
         ge, _ = leading_term(basis[j])
@@ -353,12 +349,15 @@ def salberger_check(table, s, m, slack=None):
 def select_delta_alpha(table, d, r, scan_cap=500):
     """Smallest delta admitting an integer alpha with
     (r-1)(sigma_1+sigma_2)/e < alpha <= ceil(r/d), and the smallest such
-    alpha; exact rational comparisons."""
+    alpha; exact rational comparisons.  Each delta scanned is charged to
+    the scan_cap Budget."""
     if table.nvars != 3:
         raise ConfigError("the (delta, alpha) selection is for plane curves")
+    budget = Budget(scan_cap, "degrees delta", "scan_cap")
     ceil_rd = -(-r // d)
     last = None
-    for delta in range(1, scan_cap + 1):
+    for delta in itertools.count(1):
+        budget.charge(note=f"; last ratio {last}")
         mu, e = table.mu_e(delta)
         if mu < 2 or e == 0:
             continue
@@ -370,5 +369,3 @@ def select_delta_alpha(table, d, r, scan_cap=500):
             # exact re-check of both inequalities
             assert ratio < alpha <= ceil_rd
             return delta, alpha
-    raise ConfigError(
-        f"no admissible delta up to {scan_cap}; last ratio {last}")

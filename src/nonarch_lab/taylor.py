@@ -57,7 +57,7 @@ from .arith_core import (
     val_int,
 )
 from .combinatorics import select_divisibility
-from .errors import BoundViolation, CapExceededError, ConfigError, PrecisionError
+from .errors import BoundViolation, Budget, ConfigError, PrecisionError
 
 INF = math.inf
 
@@ -71,9 +71,9 @@ class PolyMap:
     omitted tail h in the ball coordinate z, y = c + p^alpha z.  When F >=
     alpha*r, h alone has its divided derivatives of order <= r integral
     and its remainder within |x-y|^r, so by the ultrametric inequality a
-    verdict for f, and its witness, carries over to f + h.  Certificates
-    over such maps carry "up-to-tail" provenance whenever tail_floor is
-    set.
+    verdict for f, and its witness, carries over to f + h: certificates
+    over such maps read "exact" provenance then, and "up-to-tail" when F <
+    alpha*r.
     """
 
     __slots__ = ("m", "n", "components", "domain", "tail_floor")
@@ -324,7 +324,8 @@ def check_Tr(f, r, domain=None, K=None):
         witness = _check_tr_nd(f, r, ball, s) if s else None
     return TrCertificate(f, r, ball, "holds" if witness is None else "fails",
                          f"exhaustive-mod-{ball.p}^{reported}", reported, witness,
-                         "up-to-tail" if f.tail_floor is not None else "exact")
+                         "exact" if f.tail_floor is None or f.tail_floor >= ball.alpha * r
+                         else "up-to-tail")
 
 
 def _same_dimension(f, ball):
@@ -380,9 +381,8 @@ def _check_tr_1d(f, r, ball, K, s):
     K = max(s, ball.alpha) + 1 if K is None else min(K, max(s, ball.alpha) + 1)
     derivs = _derivative_table(f)
     n_res = ball.residue_count(K)
-    pairs = n_res * n_res * sum(len(entries) > r for entries in derivs)
-    if pairs > PAIR_CAP:
-        raise CapExceededError(f"{pairs} residue pairs mod p^{K} exceed cap {PAIR_CAP}")
+    Budget(PAIR_CAP, f"residue pairs mod p^{K}", "taylor.PAIR_CAP").charge(
+        n_res * n_res * sum(len(entries) > r for entries in derivs))
 
     # every test asks whether p^s divides a scaled value: all runs mod p^s
     mod, period = p ** s, p ** max(s - ball.alpha, 0)
@@ -444,14 +444,14 @@ def _value(terms, rows, mod):
     return total % mod
 
 
-def _first_failure(terms, ball, top, mod, box, spend=None):
+def _first_failure(terms, ball, top, mod, box, budget=None):
     """The first z of the product of the ranges in box, in ball order, at
     which one of the term lists (from _scaled, exponents of variable i up
-    to top[i]) is nonzero at y = key + p^alpha z; or None.  spend, when
-    given, is told the number of lists evaluated at each z."""
+    to top[i]) is nonzero at y = key + p^alpha z; or None.  budget, when
+    given, is charged the number of lists evaluated at each z."""
     for z in itertools.product(*box):
-        if spend is not None:
-            spend(len(terms))
+        if budget is not None:
+            budget.charge(len(terms))
         rows = _powers(ball.representative(z), top, mod)
         if any(_value(t, rows, mod) for t in terms):
             return z
@@ -549,14 +549,7 @@ def _check_tr_nd(f, r, ball, s):
     # each component's entries split at `low`: the C^r entries (|beta| <= r)
     # first, the remainder entries after them
     low = [sum(sum(beta) <= r for beta, _g in entries) for entries in derivs]
-    count = 0
-
-    def spend(n):
-        nonlocal count
-        count += n
-        if count > PAIR_CAP:
-            raise CapExceededError(f"{count} evaluations mod p^{s} exceed cap {PAIR_CAP}")
-
+    budget = Budget(PAIR_CAP, f"evaluations mod p^{s}", "taylor.PAIR_CAP")
     cr = [t for entries, n in zip(derivs, low) for _beta, g in entries[:n]
           if (t := _scaled(g, p, s))]
     # g_0 = f is a C^r entry, and a remainder entry's nonzero terms come from
@@ -564,7 +557,7 @@ def _check_tr_nd(f, r, ball, s):
     top = [max((exp[i] for t in cr for _c, exp in t), default=0) for i in range(m)]
     box = [range(min(d + 1, period)) for d in top]
 
-    z = _first_failure(cr, ball, top, mod, box, spend)
+    z = _first_failure(cr, ball, top, mod, box, budget)
     if z is not None:
         y = ball.representative(z)
         return _confirmed(_exact_point_violation(derivs, r, tuple(map(Fraction, y)), p),
@@ -591,7 +584,7 @@ def _check_tr_nd(f, r, ball, s):
                 for v in uboxes}
 
     def remainder_fails(z):
-        spend(columns)
+        budget.charge(columns)
         at = sums(z)
         return any(_value(comp, urows[u], mod) for v, us in uboxes.items() for u in us
                    for comp in at[v])
@@ -603,7 +596,7 @@ def _check_tr_nd(f, r, ball, s):
     # the first x in ball order whose class x - y = p^alpha delta = p^v u,
     # u primitive, fails at y
     for d in itertools.product(range(period), repeat=m):
-        spend(1)
+        budget.charge()
         delta = [(a - b) % period for a, b in zip(d, z)]
         if any(delta):
             j = min(val_int(c, p) for c in delta if c)

@@ -261,6 +261,30 @@ def test_huge_exponent_at_r1_finishes(tmp_path, argv, results):
     assert results(json.loads(proc.stdout)["results"])
 
 
+def power_curve(e):
+    """y^e = x as a heights input."""
+    return {"vars": 2, "equations": [[{"exp": [0, e], "coeff": "1"},
+                                      {"exp": [1, 0], "coeff": "-1"}]]}
+
+
+@pytest.mark.parametrize("argv, data, named", [
+    (["heights", "--mode", "Z", "--T", "3"], power_curve(2 ** 40), "out of memory"),
+    (["heights", "--mode", "Z", "--T", "3"], power_curve(2 ** 63),
+     "cannot fit 'int' into an index-sized integer"),
+    (["count-ff", "--q", "2", "--r", "2"],
+     {"n": 1, "polynomials": [[{"exp": [10 ** 9], "coeff": [1]}]]}, "Unable to allocate"),
+], ids=["heights-memory", "heights-overflow", "count-ff-array-memory"])
+def test_allocation_failures_exit_3(tmp_path, argv, data, named):
+    # a fibre or tail too large for the child's 1 GB address space, or for
+    # an index-sized integer, is an exhausted resource: one line, exit 3
+    path = write(tmp_path, "input.json", data)
+    proc = run_cli_subprocess(argv[:1] + [path] + argv[1:], timeout=60, max_bytes=1 << 30)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource error: ") and proc.stderr.count("\n") == 1, \
+        proc.stderr
+    assert named in proc.stderr, proc.stderr
+
+
 def test_det_cover_cli(tmp_path):
     path = write(tmp_path, "cover.json", COVER)
     csv_path = str(tmp_path / "cover.csv")
@@ -301,8 +325,8 @@ def test_heights_malformed_spec_exit_2(tmp_path, capsys):
     path = write(tmp_path, "circle.json", CIRCLE)
     assert_config_error(["heights", path, "--mode", "Z", "--T", "-3"], "need T >= 0",
                         capsys, in_subprocess=False)
-    assert_config_error(["heights", path, "--T", "2", "--cap", "-1"], "need cap >= 0",
-                        capsys, in_subprocess=False)
+    assert_config_error(["heights", path, "--T", "2", "--cap", "-1"],
+                        "--cap must be >= 0, got -1", capsys, in_subprocess=False)
 
 
 def test_heights_string_exponent_exit_2(tmp_path, capsys):
@@ -324,7 +348,7 @@ def test_det_cover_malformed_exit_2(tmp_path, capsys):
     bad_psi = dict(COVER, psi={k: v for k, v in COVER["psi"].items() if k != "m"})
     assert main(["det-cover", write(tmp_path, "no_m.json", bad_psi)]) == 2
     path = write(tmp_path, "cover.json", COVER)
-    for flag, named in (("--K", "need K >= 0"), ("--cap", "need cap >= 0")):
+    for flag, named in (("--K", "need K >= 0"), ("--cap", "--cap must be >= 0, got -1")):
         assert_config_error(["det-cover", path, flag, "-1"], named, capsys,
                             in_subprocess=False)
 
@@ -354,7 +378,7 @@ def test_count_ff_malformed_exit_2(tmp_path, capsys):
     assert main(["count-ff", path, "--q", "2,3", "--r", "1", "--mu-cap", "0"]) == 2
     assert "--mu-cap must be >= 1" in capsys.readouterr().err
     assert_config_error(["count-ff", path, "--q", "2,3", "--r", "1", "--cap", "-1"],
-                        "need cap >= 0", capsys, in_subprocess=False)
+                        "--cap must be >= 0, got -1", capsys, in_subprocess=False)
 
 
 def test_count_ff_string_coefficients_exit_2(tmp_path, capsys):
@@ -366,7 +390,7 @@ def test_count_ff_string_coefficients_exit_2(tmp_path, capsys):
 
 def test_count_ff_one_lift_per_field_size(tmp_path, capsys, monkeypatch):
     # each q lifts once, to the largest r its q^(r*n) cap admits; the
-    # first r past the cap exits 3 with the message it always had
+    # first r past the cap exits 3 naming the --cap that admits it
     from nonarch_lab import _kernels
 
     kernel, lifts = _kernels.ff_count, []
@@ -379,8 +403,16 @@ def test_count_ff_one_lift_per_field_size(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "yx3.json", YX3)
     assert main(["count-ff", path, "--q", "2,3", "--r", "1..5", "--cap", "1000"]) == 3
     err = capsys.readouterr().err
-    assert err == "resource error: q^(r*n) = 6561 exceeds cap 1000\n", err
+    assert err == ("resource error: 6561 assignments q^(r*n) exceed cap 1000; "
+                   "--cap 6561 admits them\n"), err
     assert lifts == [(2, 4), (3, 3)]
+    # a cap of q^(r*n) decides; one below it exits 3
+    assert main(["count-ff", path, "--q", "3", "--r", "4", "--cap", "6561",
+                 "--out", str(tmp_path / "r4.json")]) == 0
+    capsys.readouterr()
+    assert main(["count-ff", path, "--q", "3", "--r", "4", "--cap", "6560"]) == 3
+    assert capsys.readouterr().err == ("resource error: 6561 assignments q^(r*n) exceed "
+                                       "cap 6560; --cap 6561 admits them\n")
     assert_config_error(["count-ff", path, "--q", "2,3", "--r", "3,0"], "need r >= 1",
                         capsys, in_subprocess=False)
 
@@ -630,6 +662,16 @@ def test_hilbert_malformed_exit_2(tmp_path, capsys):
     path = write(tmp_path, "twisted.json", TWISTED_CUBIC_IDEAL)
     assert_config_error(["hilbert", path, "--budget", "-1"], "--budget must be >= 0",
                         capsys, in_subprocess=False)
+
+
+def test_hilbert_select_past_the_scan_cap_exit_3(tmp_path, capsys):
+    # on the conic no delta up to scan_cap = 500 admits an alpha for d = 5,
+    # r = 3: the scan's cap is exhausted, and the message keeps the last ratio
+    path = write(tmp_path, "conic.json", CONIC_IDEAL)
+    assert main(["hilbert", path, "--select", "5", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "resource error: 501 degrees delta exceed cap 500; scan_cap 501 admits them; "
+        "last ratio 1002/1001\n")
 
 
 @pytest.mark.parametrize("command,argv,named", [

@@ -277,9 +277,15 @@ def test_shared_lift_stops_at_the_cap(monkeypatch):
     assert counts == {1: 3, 2: 9, 3: 27, 4: None, 5: None}
     assert lifts == [(3, {1: 0, 2: 0})]
     assert enumerate_Xr(LINE, 3, 3, cap=3 ** 6, counts=counts) == 27
-    with pytest.raises(CapExceededError, match="q\\^\\(r\\*n\\) = 6561 exceeds cap 729"):
+    with pytest.raises(CapExceededError, match=r"^6561 assignments q\^\(r\*n\) exceed cap 729; "
+                                               r"--cap 6561 admits them$"):
         enumerate_Xr(LINE, 3, 4, cap=3 ** 6, counts=counts)
     assert len(lifts) == 1 and counts[4] is None
+    # the cap q^(r*n) = 729 decides r = 3; one below it stops before any lift
+    with pytest.raises(CapExceededError, match=r"^729 assignments q\^\(r\*n\) exceed cap 728; "
+                                               r"--cap 729 admits them$"):
+        enumerate_Xr(LINE, 3, 3, cap=3 ** 6 - 1)
+    assert len(lifts) == 1
     # keys outside 1..r-1 of the kernel's below are left alone
     below = {0: 7, 2: 0, 3: 0, 9: 5}
     assert kernel(3, 3, 2, LINE.reduce_mod(3), below=below) == 27

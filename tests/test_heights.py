@@ -294,13 +294,22 @@ def test_grid_cap_is_decided_before_the_grid_is_built(parabola_curve, monkeypatc
         return grid_points(X, values, cap)
 
     monkeypatch.setattr(heights, "_grid_points", checked)
-    with pytest.raises(CapExceededError, match="size 400040001 exceeds"):
+    with pytest.raises(CapExceededError, match=r"^400040001 grid candidates width\^n exceed "
+                                               r"cap 10000000; --cap 400040001 admits them$"):
         points_Z(parabola_curve, 10**4, cap=10**7)
+    # the integer grid of T = 3 has 7^2 candidates: a cap at 49 decides
+    assert points_Z(parabola_curve, 3, cap=49) == oracles.grid_points(
+        parabola_curve, [Fraction(v) for v in range(-3, 4)])
+    with pytest.raises(CapExceededError, match=r"^49 grid candidates width\^n exceed cap 48; "
+                                               r"--cap 49 admits them$"):
+        points_Z(parabola_curve, 3, cap=48)
     # (2T+1)^2 = 160801 fits the cap, so the count of heights decides
     for enumerate_points in (points_Q, lambda X, T, cap: points_k(X, 2, T, cap)):
-        with pytest.raises(CapExceededError, match="size at least"):
+        with pytest.raises(CapExceededError, match="; the grid holds at least that many$"):
             enumerate_points(parabola_curve, 200, cap=10**7)
-    with pytest.raises(CapExceededError, match="at least 4004001 exceeds cap 1000000"):
+    with pytest.raises(CapExceededError, match=r"^4004001 grid candidates width\^n exceed cap "
+                                               r"1000000; --cap 4004001 admits them; the grid "
+                                               r"holds at least that many$"):
         points_Q(parabola_curve, 1000, cap=10**6)
     # the grid counts 4 * sum_{h<=T} phi(h) - 1 rationals, to the last one
     x = MultiPoly(1, {(1,): 1})
@@ -309,7 +318,8 @@ def test_grid_cap_is_decided_before_the_grid_is_built(parabola_curve, monkeypatc
         spec = SemialgSpec(1, [x * x - 4])
         assert points_Q(spec, T, cap=size) == oracles.grid_points(
             spec, _fractions(enumerate_heights(T)))
-        with pytest.raises(CapExceededError, match=f" {size} exceeds cap {size - 1}$"):
+        with pytest.raises(CapExceededError, match=rf"^{size} grid candidates width\^n exceed "
+                                                   rf"cap {size - 1}; --cap {size} admits them$"):
             points_Q(spec, T, cap=size - 1)
 
 

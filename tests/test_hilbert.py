@@ -7,7 +7,7 @@ import oracles
 from conftest import conic_generator, cuspidal_generator, power_curve_generator
 from nonarch_lab import hilbert
 from nonarch_lab.arith_core import MultiPoly
-from nonarch_lab.errors import BudgetExceededError, ConfigError
+from nonarch_lab.errors import CapExceededError, ConfigError
 from nonarch_lab.hilbert import (
     HilbertTable,
     HomIdeal,
@@ -77,8 +77,12 @@ def test_groebner_two_generators_buchberger_criterion():
 def test_groebner_budget():
     gens = [MultiPoly(3, {(1, 0, 1): 1, (0, 2, 0): -1}),
             MultiPoly(3, {(0, 1, 1): 1, (2, 0, 0): -1})]
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(CapExceededError, match="^2 S-pairs exceed cap 1; --budget 2 admits them$"):
         groebner(gens, s_pair_budget=1)
+    # Buchberger takes 3 S-pairs here: a budget of 3 decides, 2 stops
+    assert groebner(gens, s_pair_budget=3) == groebner(gens)
+    with pytest.raises(CapExceededError, match="^3 S-pairs exceed cap 2; --budget 3 admits them$"):
+        groebner(gens, s_pair_budget=2)
 
 
 def test_hilbert_conic_values():
@@ -170,6 +174,19 @@ def test_select_delta_alpha_examples():
         HomIdeal([MultiPoly(3, {(0, 1, 0): 1, (0, 0, 1): -1})]))
     delta, alpha = select_delta_alpha(line, 1, 5)
     assert delta == 1 and alpha <= 5
+
+
+def test_select_delta_alpha_scan_cap():
+    # each delta scanned is charged to scan_cap: (2, 2) takes 2 degrees,
+    # and d = 5, r = 3 admits no delta up to 500, the last ratio kept
+    conic = HilbertTable.from_ideal(HomIdeal([conic_generator()]))
+    assert select_delta_alpha(conic, 2, 4, scan_cap=2) == (2, 2)
+    with pytest.raises(CapExceededError, match="^2 degrees delta exceed cap 1; "
+                                               "scan_cap 2 admits them; last ratio 2$"):
+        select_delta_alpha(conic, 2, 4, scan_cap=1)
+    with pytest.raises(CapExceededError, match="^501 degrees delta exceed cap 500; scan_cap "
+                                               "501 admits them; last ratio 1002/1001$"):
+        select_delta_alpha(conic, 5, 3)
 
 
 def test_select_delta_alpha_reverify():

@@ -135,7 +135,8 @@ def test_ff_count_int64_guard():
     # x = 0 in one variable: one solution whatever the degree bound
     x = [[([1], (1,))]]
     assert _kernels.ff_count(2, 62, 1, x, want_indices=True)[0] == 1
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"q\^\(r\*n\) < 2\^63, which bounds the "
+                                               r"choice range q\^n, the lift depth r and"):
         _kernels.ff_count(2, 63, 1, x)  # 2^63 indices overflow int64
     with pytest.raises(CapExceededError):
         _kernels.ff_count(_kernels.INT64_SAFE_MOD, 1, 1, x)  # residue products overflow

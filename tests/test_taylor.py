@@ -550,10 +550,12 @@ def test_diagonal_class_witness_needs_K_star():
         assert recheck_witness(f, 3, cert.witness, 3)
 
 
-def test_1d_pair_cap_counts_the_pairs_swept():
+def test_1d_pair_cap_counts_the_pairs_swept(monkeypatch):
     # x^2 / 2^s on Z_2 at r = 1 and its default K = s + 2: the sweep runs
     # mod 2^(s + 1), 2^(2s + 2) pairs; s = 13 is within the cap of 5*10^8
     # and fails at once, s = 14 is past it
+    from nonarch_lab import taylor
+
     def square_over(s):
         return PolyMap.univariate([0, 0, Fraction(1, 2 ** s)], domain=Z2)
 
@@ -561,8 +563,17 @@ def test_1d_pair_cap_counts_the_pairs_swept():
     assert (cert.K, cert.witness["kind"], cert.witness["x"], cert.witness["y"]) == (
         15, "remainder", 1, 0)
     with pytest.raises(CapExceededError,
-                       match=r"^1073741824 residue pairs mod p\^15 exceed cap 500000000$"):
+                       match=r"^1073741824 residue pairs mod p\^15 exceed cap 500000000; "
+                             r"taylor\.PAIR_CAP 1073741824 admits them$"):
         check_Tr(square_over(14), 1)
+    # a cap at the 2^28 pairs of s = 13 decides; one below it stops
+    monkeypatch.setattr(taylor, "PAIR_CAP", 2 ** 28)
+    assert check_Tr(square_over(13), 1).verdict == "fails"
+    monkeypatch.setattr(taylor, "PAIR_CAP", 2 ** 28 - 1)
+    with pytest.raises(CapExceededError,
+                       match=rf"^{2 ** 28} residue pairs mod p\^14 exceed cap {2 ** 28 - 1}; "
+                             rf"taylor\.PAIR_CAP {2 ** 28} admits them$"):
+        check_Tr(square_over(13), 1)
 
 
 def test_integral_1d_maps_are_decided_before_the_pair_cap(monkeypatch):
@@ -673,7 +684,8 @@ def test_multivariate_cap_counts_the_evaluations_made(p, terms, evaluations, ver
     assert check_Tr(f, 1).verdict == verdict
     monkeypatch.setattr(taylor, "PAIR_CAP", evaluations - 1)
     with pytest.raises(CapExceededError, match=rf"^{evaluations} evaluations mod p\^\d+ "
-                                               rf"exceed cap {evaluations - 1}$"):
+                                               rf"exceed cap {evaluations - 1}; "
+                                               rf"taylor\.PAIR_CAP {evaluations} admits them$"):
         check_Tr(f, 1)
 
 
@@ -840,9 +852,17 @@ def test_cr_norm_refuses_a_ball_of_the_wrong_dimension():
 
 
 def test_tail_floor_provenance():
+    # a tail of Gauss valuation F >= alpha*r carries the verdict over:
+    # exact; below alpha*r the verdict is up to the tail
     f = PolyMap.univariate([0, 1], domain=Z3, tail_floor=10)
     cert = check_Tr(f, 1, K=4)
-    assert cert.provenance == "up-to-tail"
+    assert cert.provenance == "exact"
+    ball = Ball(3, (0,), 2)
+    for F, r, provenance in ((2, 1, "exact"), (1, 1, "up-to-tail"),
+                             (4, 2, "exact"), (3, 2, "up-to-tail")):
+        cert = check_Tr(PolyMap.univariate([0, 1], domain=ball, tail_floor=F), r)
+        assert cert.holds and cert.provenance == provenance, (F, r)
+    assert check_Tr(PolyMap.univariate([0, 1], domain=ball), 2).provenance == "exact"
 
 
 def test_certificate_json_roundtrip():
