@@ -141,6 +141,10 @@ def ff_count(q, r, n, equations, want_indices=False, below=None):
         raise CapExceededError(
             f"q = {q}, r*n = {r * n}: int64 needs q < 2^31 and q^(r*n) < 2^63, which "
             f"bounds the choice range q^n, the lift depth r and the indices")
+    # in 0 variables the empty tuple is the one assignment at every degree
+    # bound, and depth 1 checks all its t-powers: no r-deep recursion
+    same, r = ([k for k in below or () if 1 <= k < r], 1) if n == 0 else ((), r)
+
     def tail_checks(k):
         """(terms, one past its highest t-power) of each equation whose
         expansion at degree bound k passes t^(k-1)."""
@@ -226,8 +230,11 @@ def ff_count(q, r, n, equations, want_indices=False, below=None):
         jets = vanishing(jets, 1, 0, level0)
         if jets.shape[1]:
             lift(jets, 1)
+    count = sum(map(len, found)) if want_indices else sum(found)
+    for k in same:
+        below[k] += count
     if not want_indices:
-        return sum(found)
+        return count
     indices = np.sort(np.concatenate(found)) if found else np.zeros(0, dtype=np.int64)
     return len(indices), indices
 

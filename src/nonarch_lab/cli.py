@@ -193,18 +193,15 @@ def read_variety(args):
 
 
 def read_cover(args):
-    """The cover's curve, psi, T, d, p and certificate precision, with the
-    --T/--d/--p/--K options overriding the input's fields."""
+    """The cover's curve, psi, T, d and p, with the --T/--d/--p options
+    overriding the input's fields."""
     data = load_json(args.input)
     curve = parse_semialg(data["curve"])
     psi = parse_polymap(data["psi"])
     T = args.T if args.T is not None else config_int(data["T"], "T")
     d = args.d if args.d is not None else config_int(data["d"], "d")
     p = args.p if args.p is not None else config_int(data["p"], "p")
-    cert_K = args.K if args.K is not None else data.get("precision")
-    if cert_K is not None:
-        config_int(cert_K, "precision")
-    return curve, psi, T, d, p, cert_K
+    return curve, psi, T, d, p
 
 
 def read_ideal(args):
@@ -258,8 +255,8 @@ def cmd_taylor_check(args, f):
 def cmd_det_cover(args, cover_input):
     from .detmethod import cover_points
 
-    curve, psi, T, d, p, cert_K = cover_input
-    cover = cover_points(curve, psi, T, d, p, cap=args.cap, cert_K=cert_K)
+    curve, psi, T, d, p = cover_input
+    cover = cover_points(curve, psi, T, d, p, cap=args.cap)
     return dict(T=T, d=d, p=p), cover.to_json(), 0, cover.csv_rows(p)
 
 
@@ -478,8 +475,6 @@ def build_parser():
     sp.add_argument("--T", type=int, default=None)
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--K", type=int, default=None,
-                    help="modulus exponent for the parametrization certificates")
     sp.add_argument("--cap", type=int, default=10**7)
     sp.add_argument("--csv", help="CSV summary path")
     common(sp)

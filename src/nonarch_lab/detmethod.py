@@ -27,7 +27,7 @@ from .combinatorics import DetSetup, alpha_bound, delta_count
 from .errors import BoundViolation, ConfigError, FullRankError
 from .heights import points_Z
 from .hilbert import delta_exponents
-from .taylor import check_Tr
+from .taylor import PolyMap, check_Tr
 
 
 def _point_str(pt):
@@ -263,16 +263,11 @@ def det_bound_check(psi, points, ball, d, certificates=None):
     return DetBoundReport(setup, ball.alpha, ordd, bound, ordd >= bound, delta)
 
 
-def certify_components(psi, r, ball, K=None):
+def certify_components(psi, r, ball):
     """T_r certificates for each component of psi on the ball, each from
-    check_Tr at the given K."""
-    from .taylor import PolyMap
-
-    out = []
-    for comp in psi.components:
-        single = PolyMap(psi.m, 1, [comp], domain=ball)
-        out.append(check_Tr(single, r, ball, K=K))
-    return out
+    check_Tr at the modulus exponent K that check_Tr works out."""
+    return [check_Tr(PolyMap(psi.m, 1, [comp], domain=ball), r, ball)
+            for comp in psi.components]
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +285,10 @@ class AuxPolynomial:
         return self.poly.degree()
 
 
-def auxiliary_polynomial(points, d, n=None):
-    """A nonzero polynomial of degree <= d over Q vanishing at all points,
-    from a maximal-rank monomial submatrix augmented by the grevlex-smallest
-    missing monomial row.
+def auxiliary_polynomial(points, d):
+    """A nonzero polynomial of degree <= d over Q in the points' n
+    coordinates vanishing at all points, from a maximal-rank monomial
+    submatrix augmented by the grevlex-smallest missing monomial row.
 
     The monomial matrix is built in integers: point j, written as integer
     numerators over its common denominator D_j, gives the rational column
@@ -315,7 +310,7 @@ def auxiliary_polynomial(points, d, n=None):
     if not points:
         raise ConfigError("need at least one point")
     pts = [tuple(Fraction(c) for c in pt) for pt in points]
-    n = n if n is not None else len(pts[0])
+    n = len(pts[0])
     if any(len(pt) != n for pt in pts):
         raise ConfigError(f"every point needs {n} coordinates")
     if len(set(pts)) != len(pts):
@@ -454,13 +449,14 @@ def _parameter_of(psi, point, p):
     return None
 
 
-def cover_points(X, psi, T, d, p, cap=10**7, cert_K=None):
+def cover_points(X, psi, T, d, p, cap=10**7):
     """Cover X(Z,T) by one auxiliary polynomial of degree <= d per parameter
     ball of valuative radius alpha = alpha_bound(setup, T, p).
 
-    Asserts: every enumerated point is covered exactly once, the number of
-    nonempty balls is at most p^(alpha*m), and every auxiliary polynomial
-    vanishes at its points.
+    Asserts: every component of psi has T_r on Z_p (a witness names its
+    index in psi), every enumerated point is covered exactly once, the
+    number of nonempty balls is at most p^(alpha*m), and every auxiliary
+    polynomial vanishes at its points.
     """
     if psi.n != X.nvars:
         raise ConfigError(
@@ -469,11 +465,10 @@ def cover_points(X, psi, T, d, p, cap=10**7, cert_K=None):
     alpha = alpha_bound(setup, T, p)
 
     unit_ball = Ball(p, (Fraction(0),) * psi.m, 0)
-    certs = certify_components(psi, setup.r, unit_ball, K=cert_K)
-    for cert in certs:
+    for i, cert in enumerate(certify_components(psi, setup.r, unit_ball)):
         if not cert.holds:
-            raise BoundViolation(
-                f"parametrization component lacks T_{setup.r} on Z_p: {cert.witness}")
+            raise BoundViolation(f"parametrization component lacks T_{setup.r} on Z_p: "
+                                 f"{dict(cert.witness, component=i)}")
 
     pts = points_Z(X, T, cap=cap)
     groups = {}
@@ -487,7 +482,7 @@ def cover_points(X, psi, T, d, p, cap=10**7, cert_K=None):
     records = []
     for res in sorted(groups):
         ball = Ball(p, (res,), alpha)
-        aux = auxiliary_polynomial(groups[res], d, psi.n)
+        aux = auxiliary_polynomial(groups[res], d)
         records.append(CoverRecord(ball, groups[res], aux))
 
     cover = HypersurfaceCover(d, setup, alpha, p, records, len(pts))

@@ -204,6 +204,8 @@ def _height_grid(X, T, cap):
     if T < 1:
         raise ConfigError("need T >= 1")
     _check_grid(X, 2 * T + 1, cap, at_least=T > 1)
+    if X.nvars == 0:
+        return []  # a set in 0 variables reads no value
     width = -1
     for h in range(1, T + 1):
         width += 4 * _totient(h)
@@ -319,7 +321,7 @@ def points_Z(X, T, cap=10**7):
     if T < 0:
         raise ConfigError(f"need T >= 0, got {T}")
     _check_grid(X, 2 * T + 1, cap)
-    return _grid_points(X, [(v, 1) for v in range(-T, T + 1)], cap)
+    return _grid_points(X, [(v, 1) for v in (range(-T, T + 1) if X.nvars else ())], cap)
 
 
 def points_k(X, k, T, cap=10**7):

@@ -97,7 +97,7 @@ def fraction_det(rows):
     return det
 
 
-def auxiliary_polynomial_fraction(points, d, n=None):
+def auxiliary_polynomial_fraction(points, d):
     """The determinant method's auxiliary polynomial over Q, with every
     rank and minor taken by Fraction elimination on the rational monomial
     matrix: (terms, beta, beta_coeff, rank).  Raises the error types the
@@ -108,7 +108,7 @@ def auxiliary_polynomial_fraction(points, d, n=None):
     if not points:
         raise ConfigError("need at least one point")
     pts = [tuple(Fraction(c) for c in pt) for pt in points]
-    n = n if n is not None else len(pts[0])
+    n = len(pts[0])
     if any(len(pt) != n for pt in pts):
         raise ConfigError("point arity")
     if len(set(pts)) != len(pts):

@@ -316,6 +316,20 @@ def test_malformed_json_exit_2(tmp_path):
     assert main(["heights", str(path), "--T", "2"]) == 2
 
 
+# a set in 0 variables once built the whole height grid, which it never
+# reads: at T = 10^9 these runs in a child process must finish at once
+@pytest.mark.parametrize("equations, count", [([], 1), ([[{"exp": [], "coeff": "1"}]], 0)],
+                         ids=["empty", "one"])
+@pytest.mark.parametrize("mode", ["Q", "Z", "k"])
+def test_heights_in_0_variables_build_no_grid(tmp_path, mode, equations, count):
+    path = write(tmp_path, "point.json", {"vars": 0, "equations": equations})
+    proc = run_cli_subprocess(["heights", path, "--T", str(10**9), "--mode", mode],
+                              timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"] == {"count": count,
+                                                  "points": [[]] * count}
+
+
 def test_heights_malformed_spec_exit_2(tmp_path, capsys):
     path = write(tmp_path, "novars.json", {"equations": []})
     assert main(["heights", path, "--T", "2"]) == 2
@@ -348,9 +362,28 @@ def test_det_cover_malformed_exit_2(tmp_path, capsys):
     bad_psi = dict(COVER, psi={k: v for k, v in COVER["psi"].items() if k != "m"})
     assert main(["det-cover", write(tmp_path, "no_m.json", bad_psi)]) == 2
     path = write(tmp_path, "cover.json", COVER)
-    for flag, named in (("--K", "need K >= 0"), ("--cap", "--cap must be >= 0, got -1")):
-        assert_config_error(["det-cover", path, flag, "-1"], named, capsys,
-                            in_subprocess=False)
+    assert_config_error(["det-cover", path, "--cap", "-1"], "--cap must be >= 0, got -1",
+                        capsys, in_subprocess=False)
+
+
+def test_det_cover_takes_no_K(tmp_path):
+    # the certificates take the modulus exponent check_Tr works out
+    with pytest.raises(SystemExit) as exc:
+        main(["det-cover", write(tmp_path, "cover.json", COVER), "--K", "5"])
+    assert exc.value.code == 2
+
+
+def test_det_cover_names_the_component_of_psi_that_lacks_T_r(tmp_path, capsys):
+    # psi = (u, u^2/3) fails T_6 on Z_3 through its second component; a
+    # "precision" key is no field of the input and changes nothing
+    psi = dict(COVER["psi"], components=[[{"exp": [1], "coeff": "1"}],
+                                         [{"exp": [2], "coeff": "1/3"}]])
+    for extra in ({}, {"precision": 0}):
+        path = write(tmp_path, "third.json", dict(COVER, psi=psi, **extra))
+        assert main(["det-cover", path]) == 1
+        assert ("bound violation: parametrization component lacks T_6 on Z_p: "
+                "{'kind': 'cr_norm', 'component': 1, 'order': (2,), 'y': 0, "
+                "'valuation': -1}\n") in capsys.readouterr().err
 
 
 def test_det_cover_dimension_mismatch_exit_2(tmp_path, capsys):
@@ -367,6 +400,19 @@ def test_det_cover_uncovered_point_named_in_str_form(tmp_path, capsys):
     psi = dict(COVER["psi"], components=[[{"exp": [1], "coeff": "1"}], []])
     assert main(["det-cover", write(tmp_path, "u0.json", dict(COVER, psi=psi, T=20))]) == 1
     assert "parametrization does not cover point (-4, 16)\n" in capsys.readouterr().err
+
+
+# in 0 variables the lift once recursed r levels deep: RecursionError from
+# r of about 1,000 on
+@pytest.mark.parametrize("polynomials, count", [([], 1), ([[{"exp": [], "coeff": [1]}]], 0)],
+                         ids=["empty", "one"])
+def test_count_ff_in_0_variables_at_a_deep_degree_bound(tmp_path, polynomials, count):
+    path = write(tmp_path, "point.json", {"n": 0, "polynomials": polynomials})
+    proc = run_cli_subprocess(["count-ff", path, "--q", "2", "--r", "4999,5000"],
+                              timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(proc.stdout)["results"]["records"]
+    assert [(rec["r"], rec["count"]) for rec in records] == [(4999, count), (5000, count)]
 
 
 def test_count_ff_malformed_exit_2(tmp_path, capsys):
@@ -811,7 +857,6 @@ INTEGER_FIELD_CASES = [
     ("det-cover", ("T",), 100.9, "T must be an integer, got 100.9"),
     ("det-cover", ("d",), 2.5, "d must be an integer, got 2.5"),
     ("det-cover", ("p",), 3.5, "p must be an integer, got 3.5"),
-    ("det-cover", ("precision",), 4.5, "precision must be an integer, got 4.5"),
     ("hilbert", ("vars",), 3.5, "vars must be an integer, got 3.5"),
     ("taylor-check", ("tail_floor",), "x", "tail_floor must be an integer, got 'x'"),
     ("taylor-check", ("tail_floor",), 1.5, "tail_floor must be an integer, got 1.5"),

@@ -236,12 +236,12 @@ def test_auxiliary_polynomial_matches_fraction_oracle():
         else:
             pts = [tuple(_rational(rng) for _ in range(n)) for _ in range(k)]
         try:
-            want = oracles.auxiliary_polynomial_fraction(pts, d, n)
+            want = oracles.auxiliary_polynomial_fraction(pts, d)
         except Exception as err:  # noqa: BLE001 - the type is compared
             with pytest.raises(type(err)):
-                auxiliary_polynomial(pts, d, n)
+                auxiliary_polynomial(pts, d)
             continue
-        aux = auxiliary_polynomial(pts, d, n)
+        aux = auxiliary_polynomial(pts, d)
         assert (aux.poly.terms, aux.beta, aux.beta_coeff, aux.rank) == want, pts
         found += 1
         # every row before beta is in the support, so beta's position in
@@ -391,8 +391,6 @@ def test_rational_rank_int_fraction_and_bool_rows():
 
 def test_auxiliary_polynomial_point_arity():
     with pytest.raises(ConfigError):
-        auxiliary_polynomial([(1, 2, 3), (2, 3, 4)], 1, 2)
-    with pytest.raises(ConfigError):
         auxiliary_polynomial([(1, 2), (2, 3), (3,)], 2)
 
 
@@ -466,13 +464,13 @@ def test_det_bound_certificates_of_this_component_and_ball():
 
 
 def test_certify_components_reports_the_K_of_check_Tr():
-    # K passes through unchanged: the default K without one, the given K
-    # with one, for integral and non-integral components alike
+    # each certificate is check_Tr's at the K it works out, for integral
+    # and non-integral components alike
     psi = PolyMap(1, 3, [MultiPoly(1, {(1,): 1}), MultiPoly(1, {(2,): 1}),
                          MultiPoly(1, {(2,): Fraction(1, 9), (1,): 1})])
-    for ball, r, K in ((X_ON_3Z3, 3, None), (X_ON_3Z3, 2, 5), (Ball(3, (1,), 0), 1, 2)):
-        certs = certify_components(psi, r, ball, K=K)
-        want = [check_Tr(PolyMap(1, 1, [comp]), r, ball, K=K) for comp in psi.components]
+    for ball, r in ((X_ON_3Z3, 3), (X_ON_3Z3, 2), (Ball(3, (1,), 0), 1)):
+        certs = certify_components(psi, r, ball)
+        want = [check_Tr(PolyMap(1, 1, [comp]), r, ball) for comp in psi.components]
         assert [c.K for c in certs] == [c.K for c in want]
         assert [c.verdict for c in certs] == [c.verdict for c in want]
     assert [c.K for c in certify_components(psi, 3, X_ON_3Z3)] == [11] * 3
