@@ -205,9 +205,13 @@ def read_cover(args):
 
 
 def read_ideal(args):
+    """The variable count and the generators, each of them homogeneous."""
     data = load_json(args.input)
     nvars = config_int(data["vars"], "vars", 0)
-    return nvars, [parse_poly(g, nvars) for g in config_list(data["generators"], "generators")]
+    gens = [parse_poly(g, nvars) for g in config_list(data["generators"], "generators")]
+    if any(len({sum(e) for e in g.terms}) > 1 for g in gens):
+        raise ConfigError("generators must be homogeneous")
+    return nvars, gens
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,8 @@ def cmd_expand_scheme(args, X):
 
 
 def cmd_hilbert(args, ideal_input):
-    from .hilbert import HilbertTable, HomIdeal, salberger_check, select_delta_alpha
+    from .hilbert import (HilbertTable, groebner, leading_term, salberger_check,
+                          select_delta_alpha)
 
     nvars, gens = ideal_input
     salberger_s = parse_range_list(args.salberger_s, "--salberger-s")
@@ -327,17 +332,13 @@ def cmd_hilbert(args, ideal_input):
         raise ConfigError(f"--salberger-m must be >= 0, got {args.salberger_m}")
     if args.smax < 0:
         raise ConfigError(f"--smax must be >= 0, got {args.smax}")
-    config_int(args.budget, "--budget", 0)
     if args.select and min(args.select) < 1:
         d, r = args.select
         raise ConfigError(f"--select D R needs D >= 1 and R >= 1, got {d} {r}")
-    if gens:
-        ideal = HomIdeal(gens, s_pair_budget=args.budget)
-        table = HilbertTable.from_ideal(ideal)
-        gb = [poly_to_json(g) for g in ideal.groebner_basis()]
-    else:
-        table = HilbertTable.from_lt(nvars, [])
-        gb = []
+    # the reduced basis comes sorted by leading term, and its leading
+    # exponents are the minimal generators of LT(I)
+    gb = groebner(gens, s_pair_budget=args.budget)
+    table = HilbertTable(nvars, [leading_term(g)[0] for g in gb])
     per_degree = []
     rows = [("s", "H") + tuple(f"sigma_{i}" for i in range(nvars))
             + tuple(f"ratio_{i}" for i in range(nvars))]
@@ -349,7 +350,7 @@ def cmd_hilbert(args, ideal_input):
         rows.append((s, H, *sig, *(ratios or [""] * nvars)))
     results = {
         "lt_generators": [list(e) for e in table.lt_gens],
-        "groebner_basis": gb,
+        "groebner_basis": [poly_to_json(g) for g in gb],
         "table": per_degree,
     }
     if args.salberger_m is not None:

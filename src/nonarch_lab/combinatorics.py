@@ -87,9 +87,6 @@ class DetSetup:
         V = V_of(n, d)
         return cls(m, n, d, mu, r, e, V, Fraction(m * V, e))
 
-    def check_bracketing(self):
-        return delta_count(self.m, self.r - 1) <= self.mu < delta_count(self.m, self.r)
-
 
 def alpha_bound(setup, T, p):
     """Minimal alpha >= 0 with p^(alpha*e) > mu! * T^V.

@@ -230,8 +230,6 @@ def det_bound_check(psi, points, ball, d, certificates=None):
     exceeds it: then no matrix is built.
     """
     setup = DetSetup.for_dims(psi.m, psi.n, d)
-    if not setup.check_bracketing():
-        raise ConfigError("bracketing hypothesis D_m(r-1) <= mu < D_m(r) fails")
     if ball.m != psi.m:
         raise ConfigError(
             f"ball of dimension {ball.m} for a map in {psi.m} variables")
@@ -431,8 +429,6 @@ class HypersurfaceCover:
 def _parameter_of(psi, point, p):
     """Invert a one-parameter polynomial map at an exact point via one of
     its degree-1 components."""
-    if psi.m != 1:
-        raise ConfigError("covering runs are one-parameter")
     saw_linear = False
     for idx, comp in enumerate(psi.components):
         const = comp.terms.get((0,), Fraction(0))
@@ -451,13 +447,17 @@ def _parameter_of(psi, point, p):
 
 def cover_points(X, psi, T, d, p, cap=10**7):
     """Cover X(Z,T) by one auxiliary polynomial of degree <= d per parameter
-    ball of valuative radius alpha = alpha_bound(setup, T, p).
+    ball of valuative radius alpha = alpha_bound(setup, T, p).  psi is
+    one-parameter (m = 1), which is checked before any certificate or grid
+    point, so the answer does not depend on whether X has a point.
 
     Asserts: every component of psi has T_r on Z_p (a witness names its
     index in psi), every enumerated point is covered exactly once, the
     number of nonempty balls is at most p^(alpha*m), and every auxiliary
     polynomial vanishes at its points.
     """
+    if psi.m != 1:
+        raise ConfigError("covering runs are one-parameter")
     if psi.n != X.nvars:
         raise ConfigError(
             f"parametrization has {psi.n} components for a curve in {X.nvars} variables")

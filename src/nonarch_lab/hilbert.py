@@ -2,10 +2,15 @@
 statistics of standard monomials, and the (delta, alpha) selection for the
 curve-case determinant argument.
 
-H(s) and the exponent sums sigma_i(s) of the standard monomials come in
-closed form from the multigraded Hilbert numerator of LT(I), one
-polynomial computed by a memoized recursion over the minimal leading-term
-generators (hilbert_numerator); no monomial of degree s is listed.
+An ideal reaches its table by one path: its generators go to groebner,
+whose reduced basis comes sorted by leading term, and the leading
+exponents of that basis, which are the minimal generators of LT(I), go to
+HilbertTable(nvars, lt_gens).  A zero generator is dropped; no generator
+at all leaves LT(I) = (0).  H(s) and the exponent sums sigma_i(s) of the
+standard monomials come in closed form from the multigraded Hilbert
+numerator of LT(I), one polynomial computed by a memoized recursion over
+the minimal generators (hilbert_numerator); no monomial of degree s is
+listed.
 
 The fixed monomial order is degree-first; at equal degree the monomial with
 the larger exponent at the first differing index is the smaller one (a
@@ -172,39 +177,6 @@ def groebner(generators, s_pair_budget=10000):
     return reduced
 
 
-class HomIdeal:
-    """Homogeneous ideal over Q with a cached reduced Groebner basis."""
-
-    def __init__(self, generators, s_pair_budget=10000):
-        gens = []
-        for g in generators:
-            if g.is_zero():
-                continue
-            degs = {sum(e) for e in g.terms}
-            if len(degs) > 1:
-                raise ConfigError("generators must be homogeneous")
-            gens.append(g)
-        self.generators = gens
-        self._budget = s_pair_budget
-        self._gb = None
-
-    @property
-    def nvars(self):
-        if not self.generators:
-            raise ConfigError("the zero ideal needs an explicit variable count")
-        return self.generators[0].nvars
-
-    def groebner_basis(self):
-        if self._gb is None:
-            self._gb = groebner(self.generators, self._budget)
-        return self._gb
-
-    def leading_exponents(self):
-        """Minimal monomial generators of LT(I)."""
-        return sorted(_minimalize(leading_term(g)[0] for g in self.groebner_basis()),
-                      key=grevlex_key)
-
-
 # ---------------------------------------------------------------------------
 # Hilbert tables
 # ---------------------------------------------------------------------------
@@ -240,7 +212,9 @@ def hilbert_numerator(nvars, lt_gens):
 @dataclass
 class HilbertTable:
     """Standard-monomial statistics of a homogeneous ideal, driven entirely
-    by the leading-term exponents (I and LT(I) share the Hilbert function).
+    by the leading-term exponents (I and LT(I) share the Hilbert function):
+    for an ideal, the leading exponents of its reduced groebner basis.  Any
+    list of exponent tuples is read as the monomial ideal it spans.
 
     The standard monomials are those divisible by no element of lt_gens.
     Their generating function is N / prod_i (1 - x_i), N = sum_a c_a x^a
@@ -260,14 +234,6 @@ class HilbertTable:
     lt_gens: list
     _stats: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
-
-    @classmethod
-    def from_ideal(cls, ideal):
-        return cls(ideal.nvars, ideal.leading_exponents())
-
-    @classmethod
-    def from_lt(cls, nvars, lt_gens):
-        return cls(nvars, [tuple(e) for e in lt_gens])
 
     @functools.cached_property
     def _terms(self):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from nonarch_lab.arith_core import MultiPoly
 from nonarch_lab.ffcount import VarietySpec
+from nonarch_lab.hilbert import HilbertTable, groebner, leading_term
 
 
 @pytest.fixture
@@ -53,3 +54,9 @@ def cuspidal_generator():
 def power_curve_generator(d):
     """y = x^d homogenized: x0^(d-1) x2 - x1^d."""
     return MultiPoly(3, {(d - 1, 0, 1): Fraction(1), (0, d, 0): Fraction(-1)})
+
+
+def ideal_table(gens):
+    """The HilbertTable of the ideal spanned by gens, by the path `hilbert`
+    takes: the leading exponents of its reduced Groebner basis."""
+    return HilbertTable(gens[0].nvars, [leading_term(g)[0] for g in groebner(gens)])

@@ -619,3 +619,13 @@ def expand_scheme_substitute(X, q, r):
                 by_power.setdefault(exp[nv], {})[exp[:nv]] = c % q
         equations.extend(MultiPoly(nv, by_power[k]) for k in sorted(by_power))
     return equations
+
+
+def minimal_monomial_generators(exps):
+    """The minimal generators of the monomial ideal spanned by exps, each
+    once, by testing every pair; sorted by total degree and then descending
+    lexicographically, which is the grevlex order of nonarch_lab.hilbert."""
+    gens = set(map(tuple, exps))
+    minimal = [g for g in gens
+               if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in gens)]
+    return sorted(minimal, key=lambda e: (-sum(e), e), reverse=True)

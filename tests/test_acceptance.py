@@ -15,6 +15,7 @@ from conftest import (
     conic_generator,
     cuspidal_generator,
     graph_variety,
+    ideal_table,
     power_curve_generator,
 )
 from nonarch_lab.arith_core import Ball, MultiPoly
@@ -22,12 +23,7 @@ from nonarch_lab.combinatorics import DetSetup, alpha_bound, e_of
 from nonarch_lab.detmethod import certify_components, cover_points, det_bound_check
 from nonarch_lab.ffcount import enumerate_Xr, estimate_delta, expand_scheme
 from nonarch_lab.heights import SemialgSpec, enumerate_heights, points_Q
-from nonarch_lab.hilbert import (
-    HilbertTable,
-    HomIdeal,
-    salberger_check,
-    select_delta_alpha,
-)
+from nonarch_lab.hilbert import salberger_check, select_delta_alpha
 from nonarch_lab.taylor import (
     PolyMap,
     check_Tr,
@@ -94,11 +90,11 @@ def test_criterion_04_represent_identification():
 def _acceptance_tables():
     return {
         "conic": ([conic_generator()],
-                  HilbertTable.from_ideal(HomIdeal([conic_generator()]))),
+                  ideal_table([conic_generator()])),
         "cuspidal": ([cuspidal_generator()],
-                     HilbertTable.from_ideal(HomIdeal([cuspidal_generator()]))),
+                     ideal_table([cuspidal_generator()])),
         "y=x^4": ([power_curve_generator(4)],
-                  HilbertTable.from_ideal(HomIdeal([power_curve_generator(4)]))),
+                  ideal_table([power_curve_generator(4)])),
     }
 
 
@@ -129,7 +125,7 @@ def test_criterion_07_delta_alpha_selection():
     conic = _acceptance_tables()["conic"][1]
     ok = select_delta_alpha(conic, 2, 4) == (2, 2)
     for d in (1, 2, 3, 4):
-        table = HilbertTable.from_ideal(HomIdeal([power_curve_generator(d)]))
+        table = ideal_table([power_curve_generator(d)])
         for r in range(1, 13):
             delta, alpha = select_delta_alpha(table, d, r)
             mu, e = table.mu_e(delta)

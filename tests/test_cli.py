@@ -394,6 +394,24 @@ def test_det_cover_dimension_mismatch_exit_2(tmp_path, capsys):
     assert "3 components for a curve in 2 variables" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("equation", [
+    [{"exp": [0, 1], "coeff": "1"}, {"exp": [2, 0], "coeff": "-1"}],
+    [{"exp": [0, 1], "coeff": "1"}, {"exp": [2, 0], "coeff": "-1"},
+     {"exp": [0, 0], "coeff": "1/2"}],
+], ids=["with-points", "without-points"])
+def test_det_cover_two_parameters_exit_2_with_or_without_points(tmp_path, capsys, equation):
+    # psi = (u, v) has m = 2: y = x^2 - 1/2 has no integer point of height
+    # <= 10, and the run once reported a cover (alpha 3, bound 729) for it
+    psi = {"m": 2, "n": 2, "p": 3,
+           "components": [[{"exp": [1, 0], "coeff": "1"}], [{"exp": [0, 1], "coeff": "1"}]],
+           "domain": {"center": ["0", "0"], "alpha": 0}}
+    data = dict(COVER, curve={"vars": 2, "equations": [equation]}, psi=psi)
+    out = tmp_path / "report.json"
+    assert_config_error(["det-cover", write(tmp_path, "m2.json", data), "--out", str(out)],
+                        "covering runs are one-parameter", capsys, in_subprocess=False)
+    assert not out.exists()
+
+
 def test_det_cover_uncovered_point_named_in_str_form(tmp_path, capsys):
     # psi = (u, 0) misses (-4, 16) on y = x^2: exit 1, the point printed as
     # the reports print coordinates, not as Fraction reprs
@@ -707,6 +725,32 @@ def test_hilbert_malformed_exit_2(tmp_path, capsys):
         assert named in capsys.readouterr().err
     path = write(tmp_path, "twisted.json", TWISTED_CUBIC_IDEAL)
     assert_config_error(["hilbert", path, "--budget", "-1"], "--budget must be >= 0",
+                        capsys, in_subprocess=False)
+
+
+@pytest.mark.parametrize("generators", [[[{"exp": [1, 0, 0], "coeff": "0"}]], [[]]],
+                         ids=["zero-coefficient", "no-terms"])
+def test_hilbert_zero_generator_is_the_zero_ideal(tmp_path, generators):
+    # a zero generator is dropped: the table is that of no generator, and
+    # the variable count comes from "vars" (it once came from the first
+    # generator left, and the run exited 2)
+    argv = ["--smax", "4", "--select", "2", "4", "--salberger-m", "1"]
+    _, want = run_to_json(["hilbert", write(tmp_path, "none.json",
+                                            {"vars": 3, "generators": []})] + argv,
+                          tmp_path, "none_out.json")
+    code, got = run_to_json(["hilbert", write(tmp_path, "zero.json",
+                                              {"vars": 3, "generators": generators})] + argv,
+                            tmp_path)
+    assert code == 0 and got["results"] == want["results"]
+    assert got["results"]["lt_generators"] == got["results"]["groebner_basis"] == []
+
+
+def test_hilbert_inhomogeneous_generator_exit_2(tmp_path, capsys):
+    # x0 + 1 has terms of degrees 1 and 0
+    path = write(tmp_path, "inhom.json", {"vars": 3, "generators": [
+        CONIC_IDEAL["generators"][0],
+        [{"exp": [1, 0, 0], "coeff": "1"}, {"exp": [0, 0, 0], "coeff": "1"}]]})
+    assert_config_error(["hilbert", path, "--smax", "3"], "generators must be homogeneous",
                         capsys, in_subprocess=False)
 
 

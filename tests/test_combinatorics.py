@@ -128,7 +128,7 @@ def test_setup_dataclass():
     setup = DetSetup.for_dims(1, 2, 2)
     assert (setup.mu, setup.r, setup.e, setup.V) == (6, 6, 15, 8)
     assert setup.epsilon == Fraction(8, 15)
-    assert setup.check_bracketing()
+    assert delta_count(setup.m, setup.r - 1) <= setup.mu < delta_count(setup.m, setup.r)
 
 
 def test_setup_built_once_per_dims():

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import conic_generator, cuspidal_generator, power_curve_generator
+from conftest import conic_generator, cuspidal_generator, ideal_table, power_curve_generator
 from nonarch_lab import hilbert
 from nonarch_lab.arith_core import MultiPoly
 from nonarch_lab.errors import CapExceededError, ConfigError
 from nonarch_lab.hilbert import (
     HilbertTable,
-    HomIdeal,
     _minimalize,
     compare_order,
     delta_exponents,
@@ -46,17 +45,14 @@ def test_order_is_multiplicative():
 
 
 def test_groebner_principal():
-    ideal = HomIdeal([conic_generator()])
-    gb = ideal.groebner_basis()
+    gb = groebner([conic_generator()])
     assert len(gb) == 1
     exp, coeff = leading_term(gb[0])
     assert exp == (0, 2, 0) and coeff == 1
-    assert ideal.leading_exponents() == [(0, 2, 0)]
 
 
 def test_groebner_single_variable():
-    ideal = HomIdeal([MultiPoly(3, {(0, 1, 0): Fraction(1)})])
-    gb = ideal.groebner_basis()
+    gb = groebner([MultiPoly(3, {(0, 1, 0): Fraction(1)})])
     assert len(gb) == 1 and gb[0].terms == {(0, 1, 0): Fraction(1)}
 
 
@@ -85,8 +81,29 @@ def test_groebner_budget():
         groebner(gens, s_pair_budget=2)
 
 
+def test_reduced_basis_leads_are_minimal_and_sorted():
+    # the leading exponents of groebner's reduced basis are the minimal
+    # generators of LT(I), in grevlex order: `hilbert` hands them to
+    # HilbertTable as they come, on seeded homogeneous ideals (a zero
+    # coefficient may leave a zero generator, or no generator at all)
+    rng = random.Random(39)
+    grown = 0
+    for _ in range(300):
+        nvars = rng.randint(2, 4)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            mons = monomials_of_degree(nvars, rng.randint(1, 3))
+            picked = rng.sample(mons, min(len(mons), rng.randint(1, 3)))
+            gens.append(MultiPoly(nvars, {m: rng.randint(-3, 3) for m in picked}))
+        gb = groebner(gens)
+        grown += len(gb) > sum(1 for g in gens if g)
+        leads = [leading_term(g)[0] for g in gb]
+        assert leads == oracles.minimal_monomial_generators(leads), gens
+    assert grown >= 20  # Buchberger adds S-polynomial remainders, not only reduces
+
+
 def test_hilbert_conic_values():
-    table = HilbertTable.from_ideal(HomIdeal([conic_generator()]))
+    table = ideal_table([conic_generator()])
     assert table.hilbert_function(3) == 7
     for s in range(1, 13):
         assert table.hilbert_function(s) == 2 * s + 1
@@ -104,7 +121,7 @@ def test_hilbert_matches_bruteforce_oracle():
                      MultiPoly(3, {(0, 1, 1): 1, (2, 0, 0): -1})]),
     ]
     for name, gens in cases:
-        table = HilbertTable.from_ideal(HomIdeal(gens))
+        table = ideal_table(gens)
         raw = [{e: c for e, c in g.terms.items()} for g in gens]
         for s in range(0, 13):
             want = oracles.hilbert_codimension(raw, 3, s)
@@ -114,14 +131,14 @@ def test_hilbert_matches_bruteforce_oracle():
 def test_sigma_identity():
     for gens in ([conic_generator()], [cuspidal_generator()],
                  [power_curve_generator(4)]):
-        table = HilbertTable.from_ideal(HomIdeal(gens))
+        table = ideal_table(gens)
         for s in range(1, 21):
             H = table.hilbert_function(s)
             assert s * H == sum(table.sigma_all(s))
 
 
 def test_a_estimates_conic():
-    table = HilbertTable.from_ideal(HomIdeal([conic_generator()]))
+    table = ideal_table([conic_generator()])
     assert table.a_estimates(10) == (Fraction(100, 210), Fraction(10, 210),
                                      Fraction(100, 210))
     for s in (3, 7, 10, 15):
@@ -134,7 +151,7 @@ def test_a_estimates_conic():
 
 def test_a_extrapolation_sharper_than_finite_s():
     # two-point Richardson extrapolation 2 ratio(2s) - ratio(s)
-    table = HilbertTable.from_ideal(HomIdeal([conic_generator()]))
+    table = ideal_table([conic_generator()])
     target = (Fraction(1, 2), Fraction(0), Fraction(1, 2))
     for s in (5, 10):
         plain = table.a_estimates(s)
@@ -145,33 +162,32 @@ def test_a_extrapolation_sharper_than_finite_s():
 
 
 def test_zero_ideal_table():
-    table = HilbertTable.from_lt(3, [])
+    table = HilbertTable(3, [])
     from math import comb
     for s in range(0, 8):
         assert table.hilbert_function(s) == comb(s + 2, 2)
 
 
 def test_salberger_examples():
-    conic = HilbertTable.from_ideal(HomIdeal([conic_generator()]))
+    conic = ideal_table([conic_generator()])
     rep = salberger_check(conic, 10, 1)
     assert rep.ratio == Fraction(110, 210) and rep.ok
 
-    cusp = HilbertTable.from_ideal(HomIdeal([cuspidal_generator()]))
+    cusp = ideal_table([cuspidal_generator()])
     rep = salberger_check(cusp, 12, 1)
     assert rep.ok
 
     # I = (0) in P^1: sigma_1/(s*H) = 1/2 exactly
-    p1 = HilbertTable.from_lt(2, [])
+    p1 = HilbertTable(2, [])
     rep = salberger_check(p1, 10, 1, slack=0)
     assert rep.ratio == Fraction(1, 2) and rep.ok
 
 
 def test_select_delta_alpha_examples():
-    conic = HilbertTable.from_ideal(HomIdeal([conic_generator()]))
+    conic = ideal_table([conic_generator()])
     assert select_delta_alpha(conic, 2, 4) == (2, 2)
     assert select_delta_alpha(conic, 2, 2) == (1, 1)
-    line = HilbertTable.from_ideal(
-        HomIdeal([MultiPoly(3, {(0, 1, 0): 1, (0, 0, 1): -1})]))
+    line = ideal_table([MultiPoly(3, {(0, 1, 0): 1, (0, 0, 1): -1})])
     delta, alpha = select_delta_alpha(line, 1, 5)
     assert delta == 1 and alpha <= 5
 
@@ -179,7 +195,7 @@ def test_select_delta_alpha_examples():
 def test_select_delta_alpha_scan_cap():
     # each delta scanned is charged to scan_cap: (2, 2) takes 2 degrees,
     # and d = 5, r = 3 admits no delta up to 500, the last ratio kept
-    conic = HilbertTable.from_ideal(HomIdeal([conic_generator()]))
+    conic = ideal_table([conic_generator()])
     assert select_delta_alpha(conic, 2, 4, scan_cap=2) == (2, 2)
     with pytest.raises(CapExceededError, match="^2 degrees delta exceed cap 1; "
                                                "scan_cap 2 admits them; last ratio 2$"):
@@ -190,7 +206,7 @@ def test_select_delta_alpha_scan_cap():
 
 
 def test_select_delta_alpha_reverify():
-    curves = {d: HilbertTable.from_ideal(HomIdeal([power_curve_generator(d)]))
+    curves = {d: ideal_table([power_curve_generator(d)])
               for d in (1, 2, 3, 4)}
     for d, table in curves.items():
         for r in range(1, 13):
@@ -204,7 +220,7 @@ def test_select_delta_alpha_reverify():
 def test_power_curve_hilbert_closed_form():
     # LT = x1^d: brute-force cross-check for d <= 4, s <= 12
     for d in range(1, 5):
-        table = HilbertTable.from_ideal(HomIdeal([power_curve_generator(d)]))
+        table = ideal_table([power_curve_generator(d)])
         # for d = 1 the generator is x2 - x1, whose lead is x2 in this order
         assert table.lt_gens == [(0, d, 0) if d > 1 else (0, 0, 1)]
         raw = [{e: c for e, c in power_curve_generator(d).terms.items()}]
@@ -212,13 +228,8 @@ def test_power_curve_hilbert_closed_form():
             assert table.hilbert_function(s) == oracles.hilbert_codimension(raw, 3, s)
 
 
-def test_homogeneity_validation():
-    with pytest.raises(ConfigError):
-        HomIdeal([MultiPoly(3, {(1, 0, 0): 1, (0, 0, 0): 1})])
-
-
 def test_select_needs_plane():
-    table = HilbertTable.from_lt(4, [])
+    table = HilbertTable(4, [])
     with pytest.raises(ConfigError):
         select_delta_alpha(table, 2, 4)
 
@@ -227,7 +238,7 @@ def test_monomials_of_degree_negative():
     for nvars in (0, 1, 2, 3):
         assert monomials_of_degree(nvars, -1) == []
         assert monomials_of_degree(nvars, -3) == []
-    table = HilbertTable.from_lt(1, [])
+    table = HilbertTable(1, [])
     assert table.standard_monomials(-1) == []
     assert table.hilbert_function(-1) == 0 and table.sigma_all(-1) == (0,)
 
@@ -243,7 +254,7 @@ def test_delta_exponents_is_sorted_union_of_degrees():
 
 
 def _assert_table_matches_filter(nvars, lt_gens, smax=12):
-    table = HilbertTable.from_lt(nvars, lt_gens)
+    table = HilbertTable(nvars, lt_gens)
     for s in range(smax + 1):
         want = oracles.standard_monomials_filter(nvars, lt_gens, s)
         assert table.standard_monomials(s) == want, (nvars, lt_gens, s)
@@ -269,7 +280,7 @@ def test_table_unit_zero_and_redundant_generators():
     _assert_table_matches_filter(
         3, [(1, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 3), (0, 1, 3), (1, 2, 3)])
     _assert_table_matches_filter(4, [(0, 2, 0, 0), (0, 2, 1, 0), (0, 3, 0, 0)])
-    table = HilbertTable.from_lt(3, [(0, 0, 0)])
+    table = HilbertTable(3, [(0, 0, 0)])
     assert table.standard_monomials(0) == []
     assert table.hilbert_function(5) == 0 and table.sigma_all(5) == (0, 0, 0)
     assert hilbert_numerator(3, [(0, 0, 0), (1, 0, 0)]) == {}
@@ -277,7 +288,7 @@ def test_table_unit_zero_and_redundant_generators():
 
 def test_table_out_of_order():
     lt_gens = [(0, 2, 0, 0), (0, 1, 1, 0), (1, 0, 2, 1)]
-    table = HilbertTable.from_lt(4, lt_gens)
+    table = HilbertTable(4, lt_gens)
     for s in (10, 3, 11, 0, 11):
         want = oracles.standard_monomials_filter(4, lt_gens, s)
         got = table.standard_monomials(s)
@@ -293,8 +304,8 @@ def test_table_no_variables():
     # n = 0: the only monomial is 1, of degree 0
     _assert_table_matches_filter(0, [])
     _assert_table_matches_filter(0, [()])
-    free = HilbertTable.from_lt(0, [])
-    unit = HilbertTable.from_lt(0, [()])
+    free = HilbertTable(0, [])
+    unit = HilbertTable(0, [()])
     assert [free.hilbert_function(s) for s in range(-2, 4)] == [0, 0, 1, 0, 0, 0]
     assert [unit.hilbert_function(s) for s in range(-2, 4)] == [0] * 6
     for table in (free, unit):
@@ -307,10 +318,10 @@ def test_table_no_variables():
 
 def test_table_one_variable():
     # (x^d): the monomials x^s with s < d; d = 0 is the unit ideal
-    assert [HilbertTable.from_lt(1, []).sigma_all(s) for s in range(4)] == [
+    assert [HilbertTable(1, []).sigma_all(s) for s in range(4)] == [
         (0,), (1,), (2,), (3,)]
     for d in range(4):
-        table = HilbertTable.from_lt(1, [(d,), (d + 2,)])
+        table = HilbertTable(1, [(d,), (d + 2,)])
         assert hilbert_numerator(1, [(d,), (d + 2,)]) == ({(0,): 1, (d,): -1}
                                                            if d else {})
         for s in range(-1, 8):
@@ -362,7 +373,7 @@ def _twisted_cubic_generators():
 
 def test_twisted_cubic_hilbert_function():
     gens = _twisted_cubic_generators()
-    table = HilbertTable.from_ideal(HomIdeal(gens))
+    table = ideal_table(gens)
     for s in range(0, 501):
         assert table.hilbert_function(s) == 3 * s + 1, s
         assert sum(table.sigma_all(s)) == s * (3 * s + 1)
@@ -373,8 +384,7 @@ def test_twisted_cubic_hilbert_function():
 
 def test_quadric_surface_closed_form_to_200():
     # x0 x3 - x1 x2: LT(I) = (x1 x2) in this order, H(s) = (s + 1)^2
-    ideal = HomIdeal([MultiPoly(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})])
-    table = HilbertTable.from_ideal(ideal)
+    table = ideal_table([MultiPoly(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})])
     assert table.lt_gens == [(0, 1, 1, 0)]
     for s in range(0, 201):
         assert table.hilbert_function(s) == (s + 1) ** 2, s

@@ -92,3 +92,21 @@ def test_stage_reading_a_missing_internal_is_absent(bench, monkeypatch):
     assert without["grid-circle-Q10"] == {
         "absent": "nonarch_lab.heights has no attribute '_grid_points'"}
     assert set(without["fit"]) == {"s"}
+
+
+def test_before_mode_fails_when_output_bytes_differ(bench, monkeypatch, tmp_path, capsys):
+    # compare stands in for two runs: one hilbert case wrote other bytes at
+    # one checkout; the JSON is still written, then the case is named
+    def compare(name, roots, rounds, child_args):
+        return {"twisted-30": {"same_bytes": True}, "conic-300": {"same_bytes": False},
+                "quadric-150": {"absent": {"before": "no such name"}}}
+
+    monkeypatch.setattr(bench, "compare", compare)
+    out = tmp_path / "cmp.json"
+    assert bench.main(["hilbert", "--before", str(ROOT), "--rounds", "1", "--reps", "1",
+                       "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert json.loads(captured.out) == doc
+    assert doc["suites"]["hilbert"]["stages"]["conic-300"] == {"same_bytes": False}
+    assert captured.err == "output bytes differ between the checkouts: hilbert conic-300\n"

@@ -24,7 +24,9 @@ goes first alternates between rounds.  Per stage and checkout the report
 gives the round values, their median and quartiles, and `after_wins`, the
 number of rounds in which the --root checkout took less.  Both checkouts
 are named by `describe`.  The JSON goes to stdout and, with --out, to a
-file.
+file.  A stage that records its output's sha256 (hilbert) reports
+`same_bytes`; when it is false for any stage, the stages are named on
+stderr and the exit code is 1, after the JSON is written.
 
 A stage looks up the program internals it times when it runs.  In a
 checkout that lacks one, the stage reports "absent" with the missing name,
@@ -328,20 +330,19 @@ def hilbert(ctx):
 
     and each is timed two ways:
 
-      table  in process, the Groebner basis computed beforehand:
-             `HilbertTable.from_ideal` and every table read that `hilbert`
-             makes (H, sigma and the ratios for s = 1..smax, the Salberger
-             checks and the (delta, alpha) selection when asked for)
+      table  in process, the reduced Groebner basis and its leading
+             exponents `lts` computed beforehand: `HilbertTable(vars, lts)`
+             and every table read that `hilbert` makes (H, sigma and the
+             ratios for s = 1..smax, the Salberger checks and the
+             (delta, alpha) selection when asked for)
       cli    `python -m nonarch_lab.cli hilbert ...` in a fresh
              interpreter, report and CSV written to files; the sha256 of
              both is kept, so two checkouts can be checked for the same
              bytes (`same_bytes`)
     """
     from nonarch_lab import cli
-    from nonarch_lab.hilbert import (HilbertTable, HomIdeal, salberger_check,
+    from nonarch_lab.hilbert import (HilbertTable, groebner, leading_term, salberger_check,
                                      select_delta_alpha)
-
-    from_ideal = HilbertTable.from_ideal
 
     quadric = {"vars": 4, "generators": [
         [{"exp": [1, 0, 0, 1], "coeff": "1"}, {"exp": [0, 1, 1, 0], "coeff": "-1"}]]}
@@ -351,13 +352,13 @@ def hilbert(ctx):
 
     def case(name, infile, smax, extra):
         data = json.loads((ctx.workdir / infile).read_text())
-        ideal = HomIdeal([cli.parse_poly(g, data["vars"]) for g in data["generators"]])
-        ideal.groebner_basis()
+        gens = [cli.parse_poly(g, data["vars"]) for g in data["generators"]]
+        lts = [leading_term(g)[0] for g in groebner(gens)]
         argv = [sys.executable, "-m", "nonarch_lab.cli", "hilbert", infile,
                 "--smax", str(smax), *extra, "--out", "report.json", "--csv", "table.csv"]
 
         def table_reads():
-            table = from_ideal(ideal)
+            table = HilbertTable(data["vars"], lts)
             for s in range(1, smax + 1):
                 if table.hilbert_function(s):
                     table.sigma_all(s)
@@ -664,6 +665,11 @@ def main(argv=None):
     if args.out:
         Path(args.out).write_text(text)
     sys.stdout.write(text)
+    differ = [f"{name} {stage}" for name, suite in out["suites"].items()
+              for stage, entry in suite["stages"].items() if entry.get("same_bytes") is False]
+    if differ:
+        sys.stderr.write(f"output bytes differ between the checkouts: {', '.join(differ)}\n")
+        return 1
     return 0
 
 
