@@ -1,7 +1,8 @@
 """Exact arithmetic core: p-adic valuations and residues of exact
-rationals, balls with valuative radii in Z_p^m, the one polynomial type,
-sparse multivariate over Q with plain Fraction coefficients, and its one
-exact evaluator, in integers, with a Fraction built once per value.
+rationals, balls with valuative radii in Z_p^m, each held by its integer
+key (the centre's residues mod p^alpha), the one polynomial type, sparse
+multivariate over Q with plain Fraction coefficients, and its one exact
+evaluator, in integers, with a Fraction built once per value.
 
 Q_p is modelled only through exact rationals: no element is ever carried
 at finite precision.  Norms are never materialized as floats.  |x| <= |y|
@@ -98,47 +99,42 @@ def rational_residue(x, p, k):
 
 
 class Ball:
-    """Closed ball (box) of equal valuative radius alpha in Z_p^m, p prime.
+    """Closed ball (box) of equal valuative radius alpha in Z_p^m, p prime,
+    held by its integer key: `center` is the given centre's residues in
+    [0, p^alpha), which names the same ball.
 
     Membership: ord(x_i - c_i) >= alpha for every coordinate.  Two balls of
     equal radius are identical or disjoint.  The residue class with digit
-    tuple d, key + p^alpha * d, has its exact representative from
+    tuple d, center + p^alpha * d, has its exact representative from
     `representative`; `residue_count` counts the classes mod p^K.
     """
 
-    __slots__ = ("p", "m", "alpha", "center", "_key")
+    __slots__ = ("p", "m", "alpha", "center")
 
-    def __init__(self, p, center, alpha, m=None):
+    def __init__(self, p, center, alpha):
         if not is_prime(p):
             raise RingMismatchError(f"p = {p} is not prime")
         if alpha < 0:
             raise RingMismatchError("valuative radius must be >= 0")
-        center = tuple(Fraction(c) for c in center)
+        center = [Fraction(c) for c in center]
+        if any(c.denominator % p == 0 for c in center):
+            raise RingMismatchError("ball center must lie in Z_p^m")
         self.p = p
-        self.m = len(center) if m is None else m
-        if len(center) != self.m:
-            raise RingMismatchError("center dimension mismatch")
         self.alpha = alpha
-        for c in center:
-            if val_fraction(c, p) < 0:
-                raise RingMismatchError("ball center must lie in Z_p^m")
-        self.center = center
-        self._key = tuple(rational_residue(c, p, alpha) for c in center)
-
-    def canonical_center(self):
-        return self._key
+        self.center = tuple(rational_residue(c, p, alpha) for c in center)
+        self.m = len(self.center)
 
     def __repr__(self):
-        return f"Ball(p={self.p}, center={self._key}, alpha={self.alpha})"
+        return f"Ball(p={self.p}, center={self.center}, alpha={self.alpha})"
 
     def contains(self, point):
         """x lies in the ball when each coordinate is p-integral and
-        congruent to the centre modulo p^alpha: num = key * den mod p^alpha
-        for x = num/den in lowest terms, den a unit."""
+        congruent to the centre modulo p^alpha: num = center * den mod
+        p^alpha for x = num/den in lowest terms, den a unit."""
         if len(point) != self.m:
             return False
         p, step = self.p, self.p ** self.alpha
-        for x, k in zip(point, self._key):
+        for x, k in zip(point, self.center):
             if not isinstance(x, (int, Fraction)):
                 x = Fraction(x)
             num, den = x.numerator, x.denominator
@@ -150,9 +146,9 @@ class Ball:
         return self.p ** ((K - self.alpha) * self.m)
 
     def representative(self, d):
-        """key + p^alpha * d for one digit tuple d, as a tuple of Python ints."""
+        """center + p^alpha * d for one digit tuple d, as a tuple of Python ints."""
         step = self.p ** self.alpha
-        return tuple(k + step * int(j) for k, j in zip(self._key, d))
+        return tuple(k + step * int(j) for k, j in zip(self.center, d))
 
 
 # ---------------------------------------------------------------------------

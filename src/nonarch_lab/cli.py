@@ -147,7 +147,7 @@ def parse_polymap(data):
         dom = data["domain"]
         p = config_int(data["p"], "p")
         center = [parse_fraction(c) for c in config_list(dom["center"], "domain.center")]
-        domain = Ball(p, center, config_int(dom.get("alpha", 0), "domain.alpha"), m)
+        domain = Ball(p, center, config_int(dom.get("alpha", 0), "domain.alpha"))
     tail_floor = data.get("tail_floor")
     if tail_floor is not None:
         config_int(tail_floor, "tail_floor", 0)
@@ -194,10 +194,11 @@ def read_variety(args):
 
 def read_cover(args):
     """The cover's curve, psi, T, d and p, with the --T/--d/--p options
-    overriding the input's fields."""
+    overriding the input's fields.  Of psi only m, n and the components are
+    read: the cover runs on Z_p at its own p."""
     data = load_json(args.input)
     curve = parse_semialg(data["curve"])
-    psi = parse_polymap(data["psi"])
+    psi = parse_polymap({key: data["psi"][key] for key in ("m", "n", "components")})
     T = args.T if args.T is not None else config_int(data["T"], "T")
     d = args.d if args.d is not None else config_int(data["d"], "d")
     p = args.p if args.p is not None else config_int(data["p"], "p")

@@ -238,7 +238,7 @@ def det_bound_check(psi, points, ball, d, certificates=None):
     if len(certificates) != psi.n:
         raise ConfigError(
             f"need one T_r certificate per component: {psi.n}, got {len(certificates)}")
-    where = (ball.p, ball.alpha, ball.canonical_center())
+    where = (ball.p, ball.alpha, ball.center)
     for comp, cert in zip(psi.components, certificates):
         if not cert.holds:
             raise ConfigError("component lacks a holding T_r certificate")
@@ -247,7 +247,7 @@ def det_bound_check(psi, points, ball, d, certificates=None):
         if cert.subject.components != (comp,):
             raise ConfigError(f"certificate is not for the component {comp}")
         dom = cert.domain
-        if (dom.p, dom.alpha, dom.canonical_center()) != where:
+        if (dom.p, dom.alpha, dom.center) != where:
             raise ConfigError(f"certificate on {dom}, not on {ball}")
     for pt in points:
         if not ball.contains(pt):
@@ -402,7 +402,7 @@ class HypersurfaceCover:
             "total_points": self.total_points,
             "records": [
                 {
-                    "ball_center": rec.ball.canonical_center()[0],
+                    "ball_center": rec.ball.center[0],
                     "ball_alpha": rec.ball.alpha,
                     "points": [[str(c) for c in pt] for pt in rec.points],
                     "aux_poly": [{"exp": list(e), "coeff": str(c)}
@@ -418,7 +418,7 @@ class HypersurfaceCover:
         rows = [("ball_id", "n_points", "poly_degree", "beta_coeff_valuation")]
         for rec in self.records:
             rows.append((
-                rec.ball.canonical_center()[0],
+                rec.ball.center[0],
                 len(rec.points),
                 rec.aux.poly.degree(),
                 val_fraction(rec.aux.beta_coeff, p),
@@ -428,28 +428,24 @@ class HypersurfaceCover:
 
 def _parameter_of(psi, point, p):
     """Invert a one-parameter polynomial map at an exact point via one of
-    its degree-1 components."""
-    saw_linear = False
+    its degree-1 components; None when none of them gives a p-integral
+    parameter that maps to the point."""
     for idx, comp in enumerate(psi.components):
-        const = comp.terms.get((0,), Fraction(0))
-        lin = comp.terms.get((1,), Fraction(0))
-        if lin and (comp.degree() or 0) <= 1:
-            saw_linear = True
-            u = (Fraction(point[idx]) - const) / lin
+        if comp.degree() == 1:
+            u = (Fraction(point[idx]) - comp.terms.get((0,), 0)) / comp.terms[(1,)]
             if psi.eval((u,)) == tuple(Fraction(c) for c in point) \
                     and val_fraction(u, p) >= 0:
                 return u
-    if not saw_linear:
-        raise ConfigError(
-            "parameter recovery needs a degree-1 component in the parametrization")
     return None
 
 
 def cover_points(X, psi, T, d, p, cap=10**7):
     """Cover X(Z,T) by one auxiliary polynomial of degree <= d per parameter
     ball of valuative radius alpha = alpha_bound(setup, T, p).  psi is
-    one-parameter (m = 1), which is checked before any certificate or grid
-    point, so the answer does not depend on whether X has a point.
+    one-parameter (m = 1) with a degree-1 component, from which each
+    point's parameter is recovered; both are checked before any
+    certificate or grid point, so the answer does not depend on whether X
+    has a point.
 
     Asserts: every component of psi has T_r on Z_p (a witness names its
     index in psi), every enumerated point is covered exactly once, the
@@ -458,13 +454,16 @@ def cover_points(X, psi, T, d, p, cap=10**7):
     """
     if psi.m != 1:
         raise ConfigError("covering runs are one-parameter")
+    if not any(comp.degree() == 1 for comp in psi.components):
+        raise ConfigError(
+            "parameter recovery needs a degree-1 component in the parametrization")
     if psi.n != X.nvars:
         raise ConfigError(
             f"parametrization has {psi.n} components for a curve in {X.nvars} variables")
     setup = DetSetup.for_dims(psi.m, psi.n, d)
     alpha = alpha_bound(setup, T, p)
 
-    unit_ball = Ball(p, (Fraction(0),) * psi.m, 0)
+    unit_ball = Ball(p, (0,), 0)
     for i, cert in enumerate(certify_components(psi, setup.r, unit_ball)):
         if not cert.holds:
             raise BoundViolation(f"parametrization component lacks T_{setup.r} on Z_p: "

@@ -2,6 +2,9 @@
 Taylor approximation with remainder |x-y|^r, verified exhaustively: the
 C^r half on Mahler test sets, the remainder by a pair sweep over the
 residue classes in one variable and on Mahler test sets in several.
+A check's domain is one Ball, held by its integer key; the preimage of a
+ball under x |-> b x^N is the list of maximal balls from preimage_balls,
+each checked on its own.
 
 Every check reads one table of divided derivatives g_beta = (1/beta!)
 d^beta f per component, built once from the terms.  It lists only the
@@ -120,7 +123,8 @@ def compose(g, f):
 
 
 def power_compose(f, N, b):
-    """The map x |-> f(b * x^N) with domain the preimage of f's domain."""
+    """The map x |-> f(b * x^N), with no domain: in one variable, the
+    preimage of f's domain is the list preimage_balls(f.domain, N, b)."""
     if N < 1:
         raise ConfigError("need N >= 1")
     if isinstance(b, (int, Fraction)):
@@ -135,38 +139,26 @@ def power_compose(f, N, b):
             new = tuple(N * e for e in exp)
             terms[new] = terms.get(new, Fraction(0)) + c * scale
         comps.append(MultiPoly(f.m, terms))
-    dom = PowerPreimage(f.domain, N, tuple(Fraction(x) for x in b)) \
-        if f.domain is not None else None
-    return PolyMap(f.m, f.n, comps, domain=dom, tail_floor=f.tail_floor)
+    return PolyMap(f.m, f.n, comps, tail_floor=f.tail_floor)
 
 
-@dataclass(frozen=True)
-class PowerPreimage:
-    """Domain {x : b * x^N lies in base}, materialized as maximal balls."""
-
-    base: Ball
-    N: int
-    b: tuple
-
-    @property
-    def p(self):
-        return self.base.p
-
-    def maximal_balls(self):
-        if self.base.m != 1:
-            raise ConfigError("power preimages are supported in one variable")
-        p, alpha = self.base.p, self.base.alpha
-        j = max(alpha, 1)
-        # membership of a residue class mod p^j equals membership of its
-        # representative: b*x^N - b*u^N is divisible by p^j on the class.
-        # b*u^N - c = (b_n c_d u^N - c_n b_d) / (b_d c_d), so u is a member
-        # when p^(alpha + v_p(b_d c_d)) divides the integer numerator
-        b, c = self.b[0], self.base.center[0]
-        lead, const = b.numerator * c.denominator, c.numerator * b.denominator
-        mod = p ** (alpha + val_int(b.denominator * c.denominator, p))
-        members = {u for u in range(p ** j)
-                   if (lead * pow(u, self.N, mod) - const) % mod == 0}
-        return merge_residue_balls(members, p, j)
+def preimage_balls(base, N, b):
+    """The maximal balls of {x in Z_p : b * x^N lies in base}, for a ball
+    base in one variable."""
+    if base.m != 1:
+        raise ConfigError("power preimages are supported in one variable")
+    p, alpha = base.p, base.alpha
+    j = max(alpha, 1)
+    # membership of a residue class mod p^j equals membership of its
+    # representative: b*x^N - b*u^N is divisible by p^j on the class.
+    # The centre is the integer key c, so b*u^N - c = (b_n u^N - c b_d) / b_d,
+    # and u is a member when p^(alpha + v_p(b_d)) divides the numerator
+    b = Fraction(b)
+    mod = p ** (alpha + val_int(b.denominator, p))
+    const = base.center[0] * b.denominator
+    members = {u for u in range(p ** j)
+               if (b.numerator * pow(u, N, mod) - const) % mod == 0}
+    return merge_residue_balls(members, p, j)
 
 
 def merge_residue_balls(residues, p, depth):
@@ -195,8 +187,10 @@ def cr_norm(f, r, ball):
     valuation, over the divided derivatives g_b with |b| <= r, of
     g_b(c + p^alpha z) as a polynomial in z.  Its z^beta coefficient is
     p^(alpha |beta|) C(b + beta, beta) g_(b+beta)(c), so the table
-    evaluated once at the centre c gives every one.  Larger is smaller
-    norm."""
+    evaluated once at the centre c gives every one.  c is the ball's
+    integer key: the Gauss norm in z does not change under z |-> z + w, w
+    in Z_p^m, so every centre of the ball gives the same valuation.
+    Larger is smaller norm."""
     _same_dimension(f, ball)
     p, a = ball.p, ball.alpha
     best = INF
@@ -311,9 +305,7 @@ def check_Tr(f, r, domain=None, K=None):
     if ball is None:
         raise ConfigError("no domain declared and none supplied")
     if not isinstance(ball, Ball):
-        raise ConfigError(
-            f"check_Tr needs a Ball domain, got {type(ball).__name__}; "
-            "check each ball of its maximal_balls() instead")
+        raise ConfigError(f"check_Tr needs a Ball domain, got {type(ball).__name__}")
     _same_dimension(f, ball)
     s = _denominator_exponent(f, ball.p)
     reported = _default_K(K, ball, r, s)
@@ -386,7 +378,7 @@ def _check_tr_1d(f, r, ball, K, s):
 
     # every test asks whether p^s divides a scaled value: all runs mod p^s
     mod, period = p ** s, p ** max(s - ball.alpha, 0)
-    key, step = ball.canonical_center()[0], p ** ball.alpha
+    key, step = ball.center[0], p ** ball.alpha
     xs = [(key + step * d) % mod for d in range(p ** (K - ball.alpha))]
     for entries in derivs:
         terms = [_scaled(g, p, s) for _beta, g in entries]
@@ -673,7 +665,7 @@ class Gauss1aReport:
 
     def to_json(self):
         return {"n": self.n, "N": self.N, "v_p(n)": self.divisibility,
-                "balls": [{"center": b.canonical_center()[0], "alpha": b.alpha}
+                "balls": [{"center": b.center[0], "alpha": b.alpha}
                           for b in self.balls],
                 "certificates": [c.to_json() for c in self.certificates],
                 "all_hold": self.all_hold}
@@ -702,7 +694,6 @@ def verify_gauss1a(g, r, p, i_max, b=1, K=8):
     if c1 < 0:
         raise ConfigError(f"C^1-norm of g exceeds 1 on the ball (valuation {c1})")
     gN = power_compose(gmap, N, 1)
-    pre = PowerPreimage(B, N, (Fraction(1),))
-    balls = pre.maximal_balls()
+    balls = preimage_balls(B, N, 1)
     certs = [check_Tr(gN, r, ball, K=K) for ball in balls]
     return Gauss1aReport(n, N, k, balls, certs)

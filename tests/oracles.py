@@ -423,7 +423,7 @@ def ball_residues(ball, K):
     p, a = ball.p, ball.alpha
     step = p ** a
     width = p ** (K - a)
-    key = ball.canonical_center()
+    key = ball.center
     idx = [0] * ball.m
     while True:
         yield tuple(c + step * j for c, j in zip(key, idx))
@@ -442,6 +442,28 @@ def ball_contains(p, center, alpha, point):
     """ord(x_i - c_i) >= alpha for every coordinate, in Fractions."""
     return all(padic_val(Fraction(x) - Fraction(c), p) >= alpha
                for x, c in zip(point, center))
+
+
+def gauss_cr_valuation(components, r, p, center, alpha):
+    """Min over the components and the orders |beta| <= r of the Gauss
+    valuation in z of g_beta(c + p^alpha z), g_beta = (1/beta!) d^beta f,
+    with each g_beta expanded term by term at the rational centre c by the
+    binomial theorem."""
+    best = float("inf")
+    m = len(center)
+    for terms in components:
+        for beta in _betas(m, r):
+            expanded = {}
+            for exp, coef in divided_derivative(terms, beta).items():
+                parts = [{k: comb(e, k) * Fraction(c) ** (e - k) * Fraction(p) ** (alpha * k)
+                          for k in range(e + 1)} for e, c in zip(exp, center)]
+                for ks in product(*[range(e + 1) for e in exp]):
+                    t = Fraction(coef)
+                    for part, k in zip(parts, ks):
+                        t *= part[k]
+                    expanded[ks] = expanded.get(ks, Fraction(0)) + t
+            best = min([best] + [padic_val(c, p) for c in expanded.values() if c])
+    return best
 
 
 def power_preimage_residues(p, N, b, c, alpha):

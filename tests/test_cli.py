@@ -412,6 +412,38 @@ def test_det_cover_two_parameters_exit_2_with_or_without_points(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("equation", [
+    [{"exp": [0, 1], "coeff": "1"}, {"exp": [2, 0], "coeff": "-1"}],
+    [{"exp": [0, 1], "coeff": "1"}, {"exp": [2, 0], "coeff": "-1"},
+     {"exp": [0, 0], "coeff": "1/2"}],
+], ids=["with-points", "without-points"])
+def test_det_cover_needs_a_degree_1_component_with_or_without_points(tmp_path, capsys,
+                                                                    equation):
+    # psi = (u^2, u^4) gives no parameter back: y = x^2 - 1/2 has no integer
+    # point, and the run once reported a cover (alpha 3, bound 27) for it
+    psi = dict(COVER["psi"], components=[[{"exp": [2], "coeff": "1"}],
+                                         [{"exp": [4], "coeff": "1"}]])
+    data = dict(COVER, curve={"vars": 2, "equations": [equation]}, psi=psi, T=100)
+    out = tmp_path / "report.json"
+    assert_config_error(["det-cover", write(tmp_path, "even.json", data), "--out", str(out)],
+                        "parameter recovery needs a degree-1 component", capsys,
+                        in_subprocess=False)
+    assert not out.exists()
+
+
+def test_det_cover_reads_only_m_n_and_components_of_psi(tmp_path):
+    # the cover runs on Z_p at its own p: psi's p, domain and tail_floor are
+    # not read, so a centre outside Z_5 changes nothing
+    bare = {k: v for k, v in COVER["psi"].items() if k in ("m", "n", "components")}
+    psi = dict(bare, p=5, domain={"center": ["1/5"], "alpha": 2}, tail_floor="x")
+    code, report = run_to_json(["det-cover", write(tmp_path, "p5.json", dict(COVER, psi=psi))],
+                               tmp_path)
+    want_code, want = run_to_json(
+        ["det-cover", write(tmp_path, "bare.json", dict(COVER, psi=bare))], tmp_path, "bare_out.json")
+    assert (code, want_code) == (0, 0)
+    assert report["results"] == want["results"]
+
+
 def test_det_cover_uncovered_point_named_in_str_form(tmp_path, capsys):
     # psi = (u, 0) misses (-4, 16) on y = x^2: exit 1, the point printed as
     # the reports print coordinates, not as Fraction reprs
@@ -943,10 +975,9 @@ def test_rational_fields_bool_exit_2(tmp_path, capsys, field, named):
 
 
 # iterating a string would read it one character at a time: "12" as the
-# centre (1, 2) of a two-variable ball, "0" as the centre 0 of det-cover's psi
+# centre (1, 2) of a two-variable ball
 LIST_FIELD_CASES = [
     ("taylor-check", ("domain", "center"), "12", "domain.center must be a list, got '12'"),
-    ("det-cover", ("psi", "domain", "center"), "0", "domain.center must be a list, got '0'"),
     ("taylor-check", ("components",), "x", "components must be a list, got 'x'"),
     ("taylor-check", ("components", 0), "x", "polynomial must be a list, got 'x'"),
     ("det-cover", ("psi", "components"), "x", "components must be a list, got 'x'"),

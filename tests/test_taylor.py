@@ -12,7 +12,6 @@ from nonarch_lab.arith_core import Ball, MultiPoly, val_int
 from nonarch_lab.errors import BoundViolation, CapExceededError, ConfigError, PrecisionError
 from nonarch_lab.taylor import (
     PolyMap,
-    PowerPreimage,
     _astuple,
     _derivative_table,
     _powers,
@@ -23,6 +22,7 @@ from nonarch_lab.taylor import (
     cr_norm,
     merge_residue_balls,
     power_compose,
+    preimage_balls,
     recheck_witness,
     verify_gauss0,
     verify_gauss1a,
@@ -310,17 +310,29 @@ def test_power_compose_examples():
     assert power_compose(f, 1, 7).components[0].terms == {(1,): 7}
 
 
-def test_power_compose_domain_preimage():
+def test_preimage_balls_of_a_power():
+    # {x : x^9 in 1 + 9Z_3} is the one ball 1 + 3Z_3, on which x^9 has T_1
     base = Ball(3, (1,), 2)
-    f = PolyMap.univariate([0, 1], domain=base)
-    fN = power_compose(f, 9, 1)
-    balls = fN.domain.maximal_balls()
-    assert len(balls) == 1
-    assert balls[0].alpha == 1 and balls[0].canonical_center() == (1,)
-    # check_Tr takes one ball; a preimage domain is checked ball by ball
-    with pytest.raises(ConfigError, match=r"maximal_balls\(\)"):
-        check_Tr(fN, 1)
+    balls = preimage_balls(base, 9, 1)
+    assert [(ball.center, ball.alpha) for ball in balls] == [((1,), 1)]
+    fN = power_compose(PolyMap.univariate([0, 1], domain=base), 9, 1)
     assert check_Tr(fN, 1, domain=balls[0]).holds
+    with pytest.raises(ConfigError, match="one variable"):
+        preimage_balls(Ball(3, (1, 1), 2), 9, 1)
+
+
+def test_power_compose_returns_no_domain():
+    # the preimage of f's domain is a list of balls, and check_Tr takes one
+    fN = power_compose(PolyMap.univariate([0, 1], domain=Ball(3, (1,), 2)), 9, 1)
+    assert fN.domain is None
+    with pytest.raises(ConfigError, match="no domain declared"):
+        check_Tr(fN, 1)
+
+
+def test_check_tr_refuses_a_domain_that_is_not_a_ball():
+    f = PolyMap.univariate([0, 1], domain=[Ball(3, (1,), 1)])
+    with pytest.raises(ConfigError, match="needs a Ball domain, got list"):
+        check_Tr(f, 1)
 
 
 def test_merge_residue_balls():
@@ -332,10 +344,10 @@ def test_merge_residue_balls():
     assert len(balls) == 1 and balls[0].alpha == 1
     # {0, 2} mod 4 is the ball 2Z_2
     balls = merge_residue_balls({0, 2}, 2, 2)
-    assert [(b.canonical_center()[0], b.alpha) for b in balls] == [(0, 1)]
+    assert [(b.center[0], b.alpha) for b in balls] == [(0, 1)]
     # a ragged set stays split into depth-2 singletons
     balls = merge_residue_balls({0, 1}, 2, 2)
-    assert sorted((b.canonical_center()[0], b.alpha) for b in balls) \
+    assert sorted((b.center[0], b.alpha) for b in balls) \
         == [(0, 2), (1, 2)]
 
 
@@ -931,7 +943,7 @@ def test_check_tr_matches_exact_oracle_on_mixed_cases():
         f = PolyMap(ball.m, len(comps), [MultiPoly(ball.m, t) for t in comps],
                     domain=ball)
         cert = check_Tr(f, r, K=K)
-        want = oracles.tr_check_oracle(comps, r, ball.p, ball.canonical_center(),
+        want = oracles.tr_check_oracle(comps, r, ball.p, ball.center,
                                        ball.alpha, K)
         wit = cert.witness
         if want is None:
@@ -970,17 +982,50 @@ def test_power_preimage_balls_match_fraction_test():
         if c.denominator % p == 0:
             continue
         base = Ball(p, (c,), alpha)
-        dom = PowerPreimage(base, N, (b,))
         j = max(alpha, 1)
         members = oracles.power_preimage_residues(p, N, b, c, alpha)
-        want = [(ball.canonical_center(), ball.alpha)
-                for ball in merge_residue_balls(members, p, j)]
-        got = [(ball.canonical_center(), ball.alpha) for ball in dom.maximal_balls()]
+        want = [(ball.center, ball.alpha) for ball in merge_residue_balls(members, p, j)]
+        got = [(ball.center, ball.alpha) for ball in preimage_balls(base, N, b)]
         assert got == want, (p, N, b, c, alpha)
         kinds.add("empty" if not members else "full" if len(members) == p ** j
                   else "part")
         kinds.add("non-integral b" if b.denominator % p == 0 and members else "")
     assert kinds >= {"empty", "full", "part", "non-integral b"}
+
+
+def test_cr_norm_and_preimage_balls_read_the_key_as_the_centre():
+    # a ball keeps only the integer key of its centre: the Gauss valuation
+    # of g_beta(c + p^alpha z), and the members of a power preimage, are the
+    # same at a centre c with a unit denominator as at its key
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(300):
+        p, m, alpha = rng.choice([2, 3, 5, 7]), rng.randint(1, 2), rng.randint(0, 3)
+        center = tuple(Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 5, 7, 11]))
+                       for _ in range(m))
+        if any(c.denominator % p == 0 for c in center):
+            continue
+        ball = Ball(p, center, alpha)
+        comps = [{tuple(rng.randint(0, 3) for _ in range(m)):
+                  Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, p, p * p]))
+                  for _ in range(rng.randint(1, 3))}
+                 for _ in range(rng.randint(1, 2))]
+        f = PolyMap(m, len(comps), [MultiPoly(m, t) for t in comps])
+        r = rng.randint(1, 3)
+        want = oracles.gauss_cr_valuation(comps, r, p, center, alpha)
+        assert oracles.gauss_cr_valuation(comps, r, p, ball.center, alpha) == want
+        assert cr_norm(f, r, ball) == want, (comps, r, p, center, alpha)
+        seen.add(("unit denominator" if any(c.denominator > 1 for c in center)
+                  else "integer", want < 0))
+        if m == 1:
+            N = rng.choice([1, 2, 3, 4, 9])
+            b = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, p]))
+            members = oracles.power_preimage_residues(p, N, b, center[0], alpha)
+            assert oracles.power_preimage_residues(p, N, b, ball.center[0], alpha) == members
+            want = [(d.center, d.alpha) for d in merge_residue_balls(members, p, max(alpha, 1))]
+            assert [(d.center, d.alpha) for d in preimage_balls(ball, N, b)] == want
+    assert seen == {(kind, neg) for kind in ("unit denominator", "integer")
+                    for neg in (False, True)}, seen
 
 
 def test_check_tr_ball_of_another_dimension(monkeypatch):

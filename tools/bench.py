@@ -58,7 +58,7 @@ def tr(ctx):
     x^2, x^2 + px; K = 8) and the degree-7 map on 1 + 3Z_3 at r = 3, K = 8;
     plus three multivariate maps and four in one variable.  The stages:
 
-      preimage-balls `PowerPreimage.maximal_balls` of the twelve suites
+      preimage-balls `taylor.preimage_balls` of the twelve suites' balls
       total          the thirteen library calls whole:
                      `taylor.verify_gauss1a` per suite and `taylor.check_Tr`
                      of the degree-7 map
@@ -80,7 +80,9 @@ def tr(ctx):
                      table in Python ints, then the sweep
 
     The stages pass K to `check_Tr` as a keyword, so --before needs a
-    checkout whose `check_Tr` takes one.  No stage reads a program internal.
+    checkout whose `check_Tr` takes one.  preimage-balls looks
+    `taylor.preimage_balls` up when it runs, so a checkout without it
+    reports that stage absent; no other stage reads a program internal.
     """
     from nonarch_lab import cli, taylor
     from nonarch_lab.arith_core import Ball, MultiPoly
@@ -92,9 +94,7 @@ def tr(ctx):
     for p in (2, 3):
         for r in (2, 3):
             k = select_divisibility(p, r, 2 * r)
-            pre = taylor.PowerPreimage(Ball(p, (Fraction(1),), k + 1), p ** (k * r),
-                                       (Fraction(1),))
-            preimages.append(pre)
+            preimages.append((Ball(p, (1,), k + 1), p ** (k * r)))
             suites += [(taylor.PolyMap.univariate(coeffs), r, p)
                        for coeffs in ([0, 1], [0, 0, 1], [0, p, 1])]
     deg7 = cli.parse_polymap(ctx.workloads.TR_DEG7)
@@ -113,8 +113,9 @@ def tr(ctx):
     sixth = taylor.PolyMap.univariate([0] * 6 + [Fraction(1, 3 ** 8)], domain=Ball(3, (0,), 2))
 
     def preimage_balls():
-        for pre in preimages:
-            pre.maximal_balls()
+        balls_of = internal(taylor, "preimage_balls")
+        for base, N in preimages:
+            balls_of(base, N, 1)
 
     def total():
         for g, r, p in suites:
