@@ -1,8 +1,9 @@
 """Exact arithmetic core: p-adic valuations and residues of exact
 rationals, balls with valuative radii in Z_p^m, each held by its integer
-key (the centre's residues mod p^alpha), the one polynomial type, sparse
-multivariate over Q with plain Fraction coefficients, and its one exact
-evaluator, in integers, with a Fraction built once per value.
+key (the centre's residues mod p^alpha; an int centre is reduced with no
+Fraction built), the one polynomial type, sparse multivariate over Q with
+plain Fraction coefficients (a Fraction given is kept as given), and its
+one exact evaluator, in integers, with a Fraction built once per value.
 
 Q_p is modelled only through exact rationals: no element is ever carried
 at finite precision.  Norms are never materialized as floats.  |x| <= |y|
@@ -101,7 +102,9 @@ def rational_residue(x, p, k):
 class Ball:
     """Closed ball (box) of equal valuative radius alpha in Z_p^m, p prime,
     held by its integer key: `center` is the given centre's residues in
-    [0, p^alpha), which names the same ball.
+    [0, p^alpha), which names the same ball.  An int coordinate (not a
+    bool) is its own key modulo p^alpha; any other is read as a Fraction
+    n/d, which needs d prime to p, and keyed as n * d^(-1) mod p^alpha.
 
     Membership: ord(x_i - c_i) >= alpha for every coordinate.  Two balls of
     equal radius are identical or disjoint.  The residue class with digit
@@ -116,12 +119,18 @@ class Ball:
             raise RingMismatchError(f"p = {p} is not prime")
         if alpha < 0:
             raise RingMismatchError("valuative radius must be >= 0")
-        center = [Fraction(c) for c in center]
-        if any(c.denominator % p == 0 for c in center):
-            raise RingMismatchError("ball center must lie in Z_p^m")
+        step = p ** alpha
+        key = []
+        for c in center:
+            if type(c) is not int:
+                c = Fraction(c)
+                if c.denominator % p == 0:
+                    raise RingMismatchError("ball center must lie in Z_p^m")
+                c = c.numerator * pow(c.denominator, -1, step)
+            key.append(c % step)
         self.p = p
         self.alpha = alpha
-        self.center = tuple(rational_residue(c, p, alpha) for c in center)
+        self.center = tuple(key)
         self.m = len(self.center)
 
     def __repr__(self):
@@ -156,7 +165,11 @@ class Ball:
 # ---------------------------------------------------------------------------
 
 class MultiPoly:
-    """Sparse multivariate polynomial over Q: exponent tuple -> Fraction."""
+    """Sparse multivariate polynomial over Q: exponent tuple -> Fraction.
+
+    A coefficient that is a Fraction, and an exponent that is a tuple, are
+    kept as given; any other is converted (Fraction(c), tuple(exp)).  Zero
+    coefficients are dropped."""
 
     __slots__ = ("nvars", "terms")
 
@@ -164,9 +177,10 @@ class MultiPoly:
         self.nvars = nvars
         cleaned = {}
         for exp, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
-                cleaned[tuple(exp)] = c
+                cleaned[exp if type(exp) is tuple else tuple(exp)] = c
         self.terms = cleaned
 
     @classmethod

@@ -56,11 +56,6 @@ def V_of(n, d):
     return sum(k * lambda_count(n, k) for k in range(d + 1))
 
 
-def epsilon_of(m, n, d):
-    """Covering exponent m*V/e as an exact rational."""
-    return Fraction(m * V_of(n, d), e_of(m, n, d))
-
-
 @dataclass(frozen=True)
 class DetSetup:
     """All constants of one determinant-method configuration."""

@@ -36,14 +36,6 @@ def grevlex_key(exp):
     return (sum(exp), tuple(-e for e in exp))
 
 
-def compare_order(a, b):
-    """-1, 0, +1 for the fixed monomial order."""
-    if len(a) != len(b):
-        raise ConfigError("exponent arity mismatch")
-    ka, kb = grevlex_key(a), grevlex_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
-
-
 def monomials_of_degree(nvars, s):
     """Exponent vectors of total degree exactly s, grevlex-sorted; empty
     for s < 0."""

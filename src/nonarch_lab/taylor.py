@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +56,7 @@ from . import _kernels
 from .arith_core import (
     Ball,
     MultiPoly,
+    eval_cleared,
     rational_residue,
     val_fraction,
     val_int,
@@ -113,49 +115,44 @@ class PolyMap:
         return f"PolyMap({self.m}->{self.n}, deg {self.degree()})"
 
 
-def compose(g, f):
-    """g after f; domains must be compatible (f maps into g's domain)."""
-    if g.m != f.n:
-        raise ConfigError("dimension mismatch in composition")
-    comps = [c.substitute(list(f.components)) for c in g.components]
-    return PolyMap(f.m, g.n, comps, domain=f.domain,
-                   tail_floor=f.tail_floor if f.tail_floor is not None else g.tail_floor)
-
-
 def power_compose(f, N, b):
     """The map x |-> f(b * x^N), with no domain: in one variable, the
-    preimage of f's domain is the list preimage_balls(f.domain, N, b)."""
+    preimage of f's domain is the list preimage_balls(f.domain, N, b).
+    c x^e becomes c b^e x^(N e); e |-> N e is injective, so no two terms
+    meet, and a coordinate with b_i = 1 or e_i = 0 scales nothing."""
     if N < 1:
         raise ConfigError("need N >= 1")
     if isinstance(b, (int, Fraction)):
         b = (b,) * f.m
+    b = [Fraction(bi) for bi in b]
     comps = []
     for comp in f.components:
         terms = {}
         for exp, c in comp.terms.items():
-            scale = Fraction(1)
             for bi, e in zip(b, exp):
-                scale *= Fraction(bi) ** e
-            new = tuple(N * e for e in exp)
-            terms[new] = terms.get(new, Fraction(0)) + c * scale
+                if e and bi != 1:
+                    c = c * bi ** e
+            terms[tuple([N * e for e in exp])] = c
         comps.append(MultiPoly(f.m, terms))
     return PolyMap(f.m, f.n, comps, tail_floor=f.tail_floor)
 
 
 def preimage_balls(base, N, b):
     """The maximal balls of {x in Z_p : b * x^N lies in base}, for a ball
-    base in one variable."""
+    base in one variable: the residues mod p^j, j = max(alpha + v_p(b_d),
+    1) with b = b_n / b_d, that are members, merged."""
     if base.m != 1:
         raise ConfigError("power preimages are supported in one variable")
     p, alpha = base.p, base.alpha
-    j = max(alpha, 1)
-    # membership of a residue class mod p^j equals membership of its
-    # representative: b*x^N - b*u^N is divisible by p^j on the class.
-    # The centre is the integer key c, so b*u^N - c = (b_n u^N - c b_d) / b_d,
-    # and u is a member when p^(alpha + v_p(b_d)) divides the numerator
+    # the centre is the integer key c, so b*u^N - c = (b_n u^N - c b_d) / b_d,
+    # and u is a member when p^(alpha + v_p(b_d)) divides the numerator,
+    # which depends on u mod p^(alpha + v_p(b_d)) only: a class mod p^j is
+    # a member when its representative is
     b = Fraction(b)
-    mod = p ** (alpha + val_int(b.denominator, p))
+    depth = alpha + val_int(b.denominator, p)
+    mod = p ** depth
     const = base.center[0] * b.denominator
+    j = max(depth, 1)
     members = {u for u in range(p ** j)
                if (b.numerator * pow(u, N, mod) - const) % mod == 0}
     return merge_residue_balls(members, p, j)
@@ -190,20 +187,33 @@ def cr_norm(f, r, ball):
     evaluated once at the centre c gives every one.  c is the ball's
     integer key: the Gauss norm in z does not change under z |-> z + w, w
     in Z_p^m, so every centre of the ball gives the same valuation.
-    Larger is smaller norm."""
+
+    Per component, L is the lcm of its coefficient denominators.  It
+    clears every g_gamma, whose coefficients are integer multiples C(e,
+    gamma) c_e of the component's, so the table is one integer form, L
+    g_gamma for every gamma, evaluated at the key in one eval_cleared call;
+    v_p(g_gamma(c)) is v_p(L g_gamma(c)) - v_p(L).  Larger is smaller norm."""
     _same_dimension(f, ball)
     p, a = ball.p, ball.alpha
     best = INF
-    for entries in _derivative_table(f):
-        at_c = [(gamma, val_fraction(MultiPoly(ball.m, g).eval(ball.center), p))
-                for gamma, g in entries]
+    for comp, entries in zip(f.components, _derivative_table(f)):
+        L = math.lcm(*(c.denominator for c in comp.terms.values()))
+        deg = comp.degree() or 0  # bounds the degree of every g_gamma
+        values, _den = eval_cleared(
+            [(1, deg, [(exp, c.numerator * (L // c.denominator)) for exp, c in g.items()])
+             for _gamma, g in entries], ball.center, ball.m)
+        vL = val_int(L, p)
+        # a zero value has valuation INF and lowers nothing
+        at_c = [(gamma, sum(gamma), val_int(v, p) - vL)
+                for (gamma, _g), v in zip(entries, values) if v]
         for b, _g in entries:
-            if sum(b) > r:
+            nb = sum(b)
+            if nb > r:
                 break
-            for gamma, v in at_c:
-                if all(gi >= bi for gi, bi in zip(gamma, b)):
-                    best = min(best, v + a * (sum(gamma) - sum(b)) + sum(
-                        val_int(math.comb(gi, bi), p) for gi, bi in zip(gamma, b)))
+            for gamma, ng, v in at_c:
+                if all(map(operator.ge, gamma, b)):
+                    best = min(best, v + a * (ng - nb) + sum(
+                        val_int(math.comb(gi, bi), p) for gi, bi in zip(gamma, b) if bi))
     return best
 
 
@@ -685,11 +695,10 @@ def verify_gauss1a(g, r, p, i_max, b=1, K=8):
     k = select_divisibility(p, r, i_max)
     n = p ** k
     N = n ** r
-    b = Fraction(b)
-    vb = val_fraction(b, p)
+    vb = val_fraction(Fraction(b), p)
     if vb < 0 or vb is INF:
         raise ConfigError("b must be a nonzero integral element")
-    B = Ball(p, (b,), int(vb) + k + 1)
+    B = Ball(p, (b,), int(vb) + k + 1)  # an int b is its own key
     c1 = cr_norm(gmap, 1, B)
     if c1 < 0:
         raise ConfigError(f"C^1-norm of g exceeds 1 on the ball (valuation {c1})")

@@ -467,10 +467,16 @@ def gauss_cr_valuation(components, r, p, center, alpha):
 
 
 def power_preimage_residues(p, N, b, c, alpha):
-    """Residues u mod p^max(alpha, 1) with ord(b u^N - c) >= alpha, each
-    tested in Fractions."""
-    return {u for u in range(p ** max(alpha, 1))
-            if padic_val(Fraction(b) * Fraction(u) ** N - Fraction(c), p) >= alpha}
+    """(residues, j): the residues u mod p^j with ord(b u^N - c) >= alpha,
+    each tested in Fractions, at the depth j = max(alpha + e, 1), p^e the
+    p-part of b's denominator.  b u^N - c is the numerator b_n u^N - c b_d
+    over b_d, which is a member exactly when p^(alpha + e) divides the
+    numerator, and that depends on u mod p^(alpha + e) only."""
+    b = Fraction(b)
+    e = -min(padic_val(b, p), 0)
+    j = max(alpha + e, 1)
+    return {u for u in range(p ** j)
+            if padic_val(b * Fraction(u) ** N - Fraction(c), p) >= alpha}, j
 
 
 def fraction_eval(terms, point):
@@ -651,3 +657,56 @@ def minimal_monomial_generators(exps):
     minimal = [g for g in gens
                if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in gens)]
     return sorted(minimal, key=lambda e: (-sum(e), e), reverse=True)
+
+
+def compose(g, f):
+    """The polynomial map g after f, its components by MultiPoly
+    substitution, on f's domain; the tail floor is f's, else g's."""
+    from nonarch_lab.errors import ConfigError
+    from nonarch_lab.taylor import PolyMap
+
+    if g.m != f.n:
+        raise ConfigError("dimension mismatch in composition")
+    comps = [c.substitute(list(f.components)) for c in g.components]
+    return PolyMap(f.m, g.n, comps, domain=f.domain,
+                   tail_floor=f.tail_floor if f.tail_floor is not None else g.tail_floor)
+
+
+def epsilon_of(m, n, d):
+    """The covering exponent m V / e as an exact rational."""
+    from nonarch_lab.combinatorics import V_of, e_of
+
+    return Fraction(m * V_of(n, d), e_of(m, n, d))
+
+
+def compare_order(a, b):
+    """-1, 0, +1 as a precedes, equals or follows b in the monomial order
+    of nonarch_lab.hilbert, read from its sort key."""
+    from nonarch_lab.errors import ConfigError
+    from nonarch_lab.hilbert import grevlex_key
+
+    if len(a) != len(b):
+        raise ConfigError("exponent arity mismatch")
+    ka, kb = grevlex_key(a), grevlex_key(b)
+    return -1 if ka < kb else (0 if ka == kb else 1)
+
+
+def power_compose_terms(components, N, b):
+    """The components of x |-> f(b * x^N) as dicts exponent -> coefficient,
+    f's components given as such dicts: every term c x^e scaled by the
+    Fraction product of b_i^e_i, one factor per coordinate, and added at
+    N e, zero sums dropped.  b is one value for every coordinate or a tuple
+    of them."""
+    out = []
+    for terms in components:
+        m = len(next(iter(terms))) if terms else 0
+        bs = b if isinstance(b, tuple) else (b,) * m
+        acc = {}
+        for exp, c in terms.items():
+            scale = Fraction(1)
+            for bi, e in zip(bs, exp):
+                scale *= Fraction(bi) ** e
+            new = tuple(N * e for e in exp)
+            acc[new] = acc.get(new, Fraction(0)) + Fraction(c) * scale
+        out.append({e: c for e, c in acc.items() if c})
+    return out

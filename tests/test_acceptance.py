@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import oracles
-from oracles import count_expanded
+from oracles import compose, count_expanded
 from conftest import (
     CIRCLE_FF,
     ELLIPTIC,
@@ -27,7 +27,6 @@ from nonarch_lab.hilbert import salberger_check, select_delta_alpha
 from nonarch_lab.taylor import (
     PolyMap,
     check_Tr,
-    compose,
     verify_gauss1a,
 )
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -256,3 +257,43 @@ def test_ball_contains_matches_definition():
         inside += want
     assert 50 < inside < 350, inside
     assert not Ball(3, (0,), 1).contains((0, 0))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [0, 1, 3])
+def test_int_centre_is_its_own_key(p, alpha):
+    # an int centre is reduced mod p^alpha directly; it names the same key
+    # as the Fraction path, for negative, zero and large centres alike
+    step = p ** alpha
+    for c in (0, 1, -1, -step - 1, step, step + 2, 7 * step - 1, -(2 ** 70) + 5, 2 ** 70 + 3):
+        ball = Ball(p, (c,), alpha)
+        assert ball.center == Ball(p, (Fraction(c),), alpha).center == (c % step,), (c, p, alpha)
+        assert all(type(k) is int for k in ball.center)
+    assert Ball(p, (-1, step + 1), alpha).center == (step - 1 if alpha else 0, 1 % step)
+    # a bool is read as the Fraction it converts to
+    assert Ball(p, (True,), alpha).center == Ball(p, (Fraction(1),), alpha).center
+
+
+def test_multipoly_keeps_fraction_coefficients_as_given():
+    half = Fraction(1, 2)
+    f = MultiPoly(2, {(1, 0): half, (0, 1): Fraction(0), (2, 2): -half})
+    assert f.terms == {(1, 0): half, (2, 2): -half}
+    assert f.terms[1, 0] is half
+    # int, str and bool coefficients and list exponents convert as before
+    g = MultiPoly(2, {(1, 0): 3, (0, 1): "-2/6", (1, 1): True, (2, 0): 0, (0, 2): "0",
+                      (3, 0): False})
+    assert g.terms == {(1, 0): Fraction(3), (0, 1): Fraction(-1, 3), (1, 1): Fraction(1)}
+    assert all(type(c) is Fraction for c in g.terms.values())
+    # an exponent that is not a plain tuple becomes one: a tuple subclass,
+    # or the lists of a mapping whose items() yields them
+    Exp = collections.namedtuple("Exp", "i j")
+    named = MultiPoly(2, {Exp(0, 3): 1})
+    assert [type(e) for e in named.terms] == [tuple] and named.terms == {(0, 3): 1}
+
+    class Pairs:
+        def items(self):
+            return [([2, 1], "1/4"), ([0, 0], 0)]
+
+    listed = MultiPoly(2, Pairs())
+    assert [type(e) for e in listed.terms] == [tuple]
+    assert listed.terms == {(2, 1): Fraction(1, 4)}

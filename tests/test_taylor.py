@@ -18,7 +18,6 @@ from nonarch_lab.taylor import (
     _scaled,
     _value,
     check_Tr,
-    compose,
     cr_norm,
     merge_residue_balls,
     power_compose,
@@ -298,7 +297,7 @@ def test_downward_closure_and_composition():
         for ell in range(1, r):
             assert check_Tr(f, ell, K=5).holds
         # composition
-        h = compose(g, f)
+        h = oracles.compose(g, f)
         assert check_Tr(h, r, K=5).holds
 
 
@@ -319,6 +318,39 @@ def test_preimage_balls_of_a_power():
     assert check_Tr(fN, 1, domain=balls[0]).holds
     with pytest.raises(ConfigError, match="one variable"):
         preimage_balls(Ball(3, (1, 1), 2), 9, 1)
+
+
+def test_power_compose_matches_the_term_by_term_fraction_loop():
+    # terms written at N e with b^e applied only where b_i != 1 and e_i > 0
+    # equal the loop that scales every term by the product of all b_i^e_i
+    rng = random.Random(41)
+    values = [1, -1, 0, 2, Fraction(1, 3)]
+    seen = set()
+    for _ in range(200):
+        m = rng.randint(1, 2)
+        comps = [{tuple(rng.randint(0, 4) for _ in range(m)):
+                  Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 9]))
+                  for _ in range(rng.randint(0, 4))}
+                 for _ in range(rng.randint(1, 2))]
+        f = PolyMap(m, len(comps), [MultiPoly(m, t) for t in comps])
+        b = rng.choice(values) if rng.random() < 0.5 else tuple(rng.choices(values, k=m))
+        N = rng.choice([1, 2, 3, 8])
+        want = oracles.power_compose_terms([c.terms for c in f.components], N, b)
+        got = power_compose(f, N, b)
+        assert [c.terms for c in got.components] == want, (comps, N, b)
+        assert all(type(c) is Fraction for comp in got.components for c in comp.terms.values())
+        seen.add(type(b).__name__)
+        seen.update(str(v) for v in (b if isinstance(b, tuple) else (b,)))
+    assert seen >= {"tuple", "int", "Fraction", "1", "-1", "0", "2", "1/3"}, seen
+
+
+def test_preimage_balls_of_b_with_p_in_its_denominator():
+    # residues are taken at depth alpha + v_p(den b): x/3 lies in 3Z_3
+    # exactly on 9Z_3, and x^2/9 in 1 + 3Z_3 on 3 + 9Z_3 and 6 + 9Z_3
+    balls = preimage_balls(Ball(3, (0,), 1), 1, Fraction(1, 3))
+    assert [(d.center, d.alpha) for d in balls] == [((0,), 2)]
+    balls = preimage_balls(Ball(3, (1,), 1), 2, Fraction(1, 9))
+    assert [(d.center, d.alpha) for d in balls] == [((3,), 2), ((6,), 2)]
 
 
 def test_power_compose_returns_no_domain():
@@ -982,8 +1014,7 @@ def test_power_preimage_balls_match_fraction_test():
         if c.denominator % p == 0:
             continue
         base = Ball(p, (c,), alpha)
-        j = max(alpha, 1)
-        members = oracles.power_preimage_residues(p, N, b, c, alpha)
+        members, j = oracles.power_preimage_residues(p, N, b, c, alpha)
         want = [(ball.center, ball.alpha) for ball in merge_residue_balls(members, p, j)]
         got = [(ball.center, ball.alpha) for ball in preimage_balls(base, N, b)]
         assert got == want, (p, N, b, c, alpha)
@@ -1020,12 +1051,37 @@ def test_cr_norm_and_preimage_balls_read_the_key_as_the_centre():
         if m == 1:
             N = rng.choice([1, 2, 3, 4, 9])
             b = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, p]))
-            members = oracles.power_preimage_residues(p, N, b, center[0], alpha)
-            assert oracles.power_preimage_residues(p, N, b, ball.center[0], alpha) == members
-            want = [(d.center, d.alpha) for d in merge_residue_balls(members, p, max(alpha, 1))]
+            members, j = oracles.power_preimage_residues(p, N, b, center[0], alpha)
+            assert oracles.power_preimage_residues(p, N, b, ball.center[0], alpha) == (members, j)
+            want = [(d.center, d.alpha) for d in merge_residue_balls(members, p, j)]
             assert [(d.center, d.alpha) for d in preimage_balls(ball, N, b)] == want
     assert seen == {(kind, neg) for kind in ("unit denominator", "integer")
                     for neg in (False, True)}, seen
+
+
+def test_cr_norm_per_component_denominators_and_zero_components():
+    # each component is cleared by the lcm of its own denominators: maps
+    # whose components have different denominators, or a zero component
+    # (valuation INF), match the Fraction expansion at the centre
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(150):
+        p, m, alpha = rng.choice([2, 3, 5]), rng.randint(1, 2), rng.randint(0, 2)
+        center = tuple(rng.randint(-20, 20) for _ in range(m))
+        dens = rng.sample([1, p, p * p, 7, 5 * p, 11], 3)
+        comps = [{} if rng.random() < 0.2 else
+                 {tuple(rng.randint(0, 3) for _ in range(m)):
+                  Fraction(rng.randint(-9, 9), den) for _ in range(rng.randint(1, 3))}
+                 for den in dens[:rng.randint(2, 3)]]
+        f = PolyMap(m, len(comps), [MultiPoly(m, t) for t in comps])
+        r = rng.randint(1, 2)
+        want = oracles.gauss_cr_valuation(comps, r, p, center, alpha)
+        assert cr_norm(f, r, Ball(p, center, alpha)) == want, (comps, r, p, center, alpha)
+        zero = [MultiPoly(m, t).is_zero() for t in comps]
+        seen.add(("zero" if any(zero) else "nonzero", want < 0))
+    assert seen >= {("zero", False), ("zero", True), ("nonzero", False), ("nonzero", True)}, seen
+    zero_map = PolyMap(2, 2, [MultiPoly(2, {}), MultiPoly(2, {})])
+    assert cr_norm(zero_map, 2, Ball(3, (1, 2), 1)) == math.inf
 
 
 def test_check_tr_ball_of_another_dimension(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 STAGES = {
-    "tr": ["preimage-balls", "total", "nd-K2", "nd-K3", "nd-xy81",
+    "tr": ["preimage-balls", "cr-norm", "total", "nd-K2", "nd-K3", "nd-xy81",
            "nd-xy243", "1d-highK", "1d-table"],
     "labmix": ["parser", "fit", "count-labmix", "count-ff-cli", "count-elliptic",
                "count-deep", "count-dense", "expand-scheme", "ff-power",
