@@ -77,9 +77,15 @@ def _series(q, r, terms, digits, known, lo, hi):
     a^s = a on F_q, cut at t^hi; the last factor forms only the
     coefficients from t^lo on.  Both operands of every product are reduced
     mod q, and each product is added to a reduced value, so int64 holds
-    every value whenever q < 2^31."""
+    every value whenever q < 2^31.  No array here has more than hi rows.  A
+    huge exponent makes hi huge, and where hi rows pass 2^63 bytes numpy
+    refuses with a ValueError, not a MemoryError; so this raises
+    MemoryError naming hi before anything is allocated."""
     import numpy as np
 
+    if hi * max(digits.shape[1], 1) > INT64_MAX // 8:
+        raise MemoryError(f"a t-series of {hi} coefficients at {digits.shape[1]} "
+                          f"assignments needs more than 2^63 bytes")
     out = np.zeros((hi - lo, digits.shape[1]), dtype=np.int64)
     for cs, exps in terms:
         factors = power_plan(q, exps)

@@ -26,6 +26,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -164,12 +165,110 @@ def writable(path, **kwargs):
         raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
 
 
+def _float_text(x):
+    """json's text of a float: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of a scalar of exactly this type, as json writes it
+_SCALAR_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null", float: _float_text}
+
+
+def _scalar_text(o):
+    """json's text of a str, int, float, bool or None, subclasses too, in
+    json's order of tests; None for any other value."""
+    text = _SCALAR_TEXT.get(type(o))
+    if text is not None:
+        return text(o)
+    for kind in (str, type(None), bool, int, float):
+        if isinstance(o, kind):
+            return _SCALAR_TEXT[kind](o)
+    return None
+
+
+def report_text(report):
+    """json.dumps(report, indent=2, sort_keys=True) + "\\n", byte for byte,
+    in one walk of the report that appends its text to one list of chunks.
+    Strings go through json's C escaper and ints through int.__repr__; the
+    line break and indent of each depth, and the item separator, are
+    formed once; a list whose items are all scalars of one type is one
+    str.join.  Dict keys are sorted as json sorts them (by the keys as
+    given), and an int, float, bool or None key is written as json writes
+    it; a tuple is written as a list.  Any value json.dumps rejects raises
+    TypeError, so a Fraction or numpy integer left in a report fails
+    loudly."""
+    newline, comma = ["\n"], [",\n"]  # per depth: "\n" + indent, "," + that
+    encode, scalar_of = json.encoder.encode_basestring_ascii, _SCALAR_TEXT.get
+    chunks = []
+    out = chunks.append
+
+    def key_text(k):
+        text = k if isinstance(k, str) else _scalar_text(k)
+        if text is None:
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {k.__class__.__name__}")
+        return encode(text)
+
+    def write(o, depth):
+        # a scalar of exactly a _SCALAR_TEXT type is written by its container
+        is_dict = isinstance(o, dict)
+        if not (is_dict or isinstance(o, (list, tuple))):
+            text = _scalar_text(o)
+            if text is None:
+                raise TypeError(f"Object of type {o.__class__.__name__} "
+                                "is not JSON serializable")
+            return out(text)
+        if not o:
+            return out("{}" if is_dict else "[]")
+        depth += 1
+        if len(newline) == depth:
+            newline.append(newline[-1] + "  ")
+            comma.append("," + newline[-1])
+        sep = comma[depth]
+        if is_dict:
+            lead = "{" + newline[depth]
+            for k, v in sorted(o.items()):
+                lead += (encode(k) if type(k) is str else key_text(k)) + ": "
+                text = scalar_of(type(v))
+                if text is not None:
+                    out(lead + text(v))
+                else:
+                    out(lead)
+                    write(v, depth)
+                lead = sep
+            return out(newline[depth - 1] + "}")
+        kinds = set(map(type, o))
+        text = scalar_of(kinds.pop()) if len(kinds) == 1 else None
+        if text is not None:
+            return out("[" + newline[depth] + sep.join(map(text, o)) + newline[depth - 1] + "]")
+        lead = "[" + newline[depth]
+        for v in o:
+            text = scalar_of(type(v))
+            if text is not None:
+                out(lead + text(v))
+            else:
+                out(lead)
+                write(v, depth)
+            lead = sep
+        out(newline[depth - 1] + "]")
+
+    write(report, 0)
+    out("\n")
+    return "".join(chunks)
+
+
 def emit_report(report, args, started, rows=None):
     """Write the report to --out (default stdout), its `elapsed` line to
     stderr and the CSV rows to --csv.  Both paths are opened before
     anything is written, so one that cannot be written exits 2 with
     nothing emitted."""
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = report_text(report)
     out, table = getattr(args, "out", None), getattr(args, "csv", None)
     with contextlib.ExitStack() as files:
         fh = files.enter_context(writable(out)) if out else sys.stdout

@@ -360,13 +360,16 @@ def _check_tr_1d(f, r, ball, K, s):
     _scaled and _value, one row per residue x, each distinct x mod p^s with
     its powers formed once; numpy holds only the arrays the sweep is given.
     With s = 0 nothing can fail: no residue is listed, and numpy loads only
-    for the zero tables of an explicit K."""
+    for the zero-stride zero tables of an explicit K."""
     p = ball.p
     if s == 0:
-        # up to ZERO_TABLE_ROWS the sweep gets the zero table of shape
-        # (p^(K - alpha), deg + 1) at modulus 1, where it returns at once;
-        # p^(K - alpha) >= 2^(K - alpha) exceeds it for a long exponent,
-        # so a huge K never forms the power
+        # up to ZERO_TABLE_ROWS the sweep gets a zero table of shape
+        # (p^(K - alpha), deg + 1) at modulus 1, where it returns at once
+        # without reading it, so the table is one read-only zero seen
+        # through strides (0, 0) (np.broadcast_to makes the same view at
+        # several times the cost); p^(K - alpha) >= 2^(K - alpha) exceeds
+        # ZERO_TABLE_ROWS for a long exponent, so a huge K never forms the
+        # power
         if K is None or K - ball.alpha >= ZERO_TABLE_ROWS.bit_length():
             return None
         n_res = ball.residue_count(K)
@@ -376,7 +379,8 @@ def _check_tr_1d(f, r, ball, K, s):
                 if width > r:
                     import numpy as np
 
-                    zeros = np.zeros((n_res, width), dtype=np.int64)
+                    zeros = np.ndarray((n_res, width), dtype=np.int64, buffer=bytes(8),
+                                       strides=(0, 0))
                     _kernels.tr_pair_sweep(zeros, zeros[:, 0], 1, r)
         return None
 

@@ -1,16 +1,21 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 import time
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nonarch_lab
 import oracles
-from nonarch_lab.cli import build_parser, main, parse_range_list
+from nonarch_lab.cli import build_parser, main, parse_range_list, report_text
 from nonarch_lab.errors import ConfigError
 
 CIRCLE = {
@@ -267,16 +272,28 @@ def power_curve(e):
                                       {"exp": [1, 0], "coeff": "-1"}]]}
 
 
+def power_graph(e):
+    """y = x^e as a count-ff input."""
+    return {"n": 2, "polynomials": [[{"exp": [0, 1], "coeff": [1]},
+                                     {"exp": [e, 0], "coeff": [-1]}]]}
+
+
 @pytest.mark.parametrize("argv, data, named", [
     (["heights", "--mode", "Z", "--T", "3"], power_curve(2 ** 40), "out of memory"),
     (["heights", "--mode", "Z", "--T", "3"], power_curve(2 ** 63),
      "cannot fit 'int' into an index-sized integer"),
     (["count-ff", "--q", "2", "--r", "2"],
      {"n": 1, "polynomials": [[{"exp": [10 ** 9], "coeff": [1]}]]}, "Unable to allocate"),
-], ids=["heights-memory", "heights-overflow", "count-ff-array-memory"])
+    (["count-ff", "--q", "2,3", "--r", "1..2"], power_graph(2 ** 63),
+     f"a t-series of {2 ** 63 + 1} coefficients at "),
+    (["count-ff", "--q", "2,3", "--r", "1..2"], power_graph(10 ** 30),
+     f"a t-series of {10 ** 30 + 1} coefficients at "),
+], ids=["heights-memory", "heights-overflow", "count-ff-array-memory",
+        "count-ff-series-2^63", "count-ff-series-10^30"])
 def test_allocation_failures_exit_3(tmp_path, argv, data, named):
     # a fibre or tail too large for the child's 1 GB address space, or for
-    # an index-sized integer, is an exhausted resource: one line, exit 3
+    # an index-sized integer, or a t-series past numpy's 2^63-byte limit,
+    # is an exhausted resource: one line, exit 3
     path = write(tmp_path, "input.json", data)
     proc = run_cli_subprocess(argv[:1] + [path] + argv[1:], timeout=60, max_bytes=1 << 30)
     assert proc.returncode == 3, proc.stderr
@@ -1310,3 +1327,95 @@ def test_large_prime_decided_within_a_second(tmp_path, command, prime, code):
     assert "Traceback" not in proc.stderr
     if code:
         assert "cannot prove" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# report_text: the bytes of json.dumps(v, indent=2, sort_keys=True) + "\n"
+# ---------------------------------------------------------------------------
+
+def json_reference(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_text_matches_json_on_every_golden_report():
+    goldens = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
+    reports = [job["report"] for path in sorted(goldens.glob("*.json"))
+               for job in json.loads(path.read_text())["jobs"].values() if "report" in job]
+    assert len(reports) >= 30
+    for report in reports:
+        value = json.loads(report)
+        assert report_text(value) == report == json_reference(value)
+
+
+STRING_PIECES = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "€", "\U0001f600",
+                 "\ud800", "a", "coeff", " ", ""]
+
+
+def random_report_value(rng, depth=0):
+    """A value built from dicts with str or int keys, lists, tuples, empty
+    containers, strings with escapes and non-ASCII, ints of any size,
+    bools and None."""
+    kind = rng.randrange(9 if depth < 4 else 4)
+    if kind == 0:
+        return "".join(rng.choice(STRING_PIECES) for _ in range(rng.randrange(5)))
+    if kind == 1:
+        return rng.choice([0, 1, -1, 7, -12345, 2 ** 63, -(2 ** 63) - 1, 10 ** 40,
+                           -(10 ** 30), rng.randrange(-10 ** 6, 10 ** 6)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    items = [random_report_value(rng, depth + 1) for _ in range(rng.randrange(6))]
+    if kind in (4, 5):
+        return items
+    if kind == 6:
+        return tuple(items)
+    if kind == 7:  # str keys, inserted unsorted
+        return {rng.choice(STRING_PIECES) + rng.choice("zyxba") + str(i): v
+                for i, v in enumerate(items)}
+    return {rng.randrange(-50, 50) * (10 ** rng.randrange(25)): v for v in items}
+
+
+def test_report_text_matches_json_on_random_values():
+    rng = random.Random(0)
+    values = [random_report_value(rng) for _ in range(500)]
+    assert sum(isinstance(v, dict) and len(v) > 1 for v in values) > 50
+    for value in values:
+        assert report_text(value) == json_reference(value), value
+
+
+class Small(IntEnum):
+    TWO = 2
+
+
+class Tag(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    {"x": 1.5, "y": [0.1, -2.0, 1e300, float("inf"), float("-inf"), float("nan")]},
+    {2.5: 0, 1.25: 1, -0.5: 2, float("inf"): 3},
+    {False: 0, True: 1},
+    {None: [None]},
+    [Small.TWO, Tag("tagged\n"), OrderedDict([("b", 1), ("a", 2)]), (Tag("k"),)],
+    {Tag("b"): 1, "a": Small.TWO},
+    {Small.TWO: "int-enum key", 1: "int key"},
+    "top-level string", 12, None, [], {}, [[]], [{}],
+], ids=["floats", "float-keys", "bool-keys", "none-key", "subclasses", "str-subclass-key",
+        "int-enum-key", "str", "int", "none", "empty-list", "empty-dict", "nested-empty-list",
+        "nested-empty-dict"])
+def test_report_text_matches_json_on_other_scalars_and_subclasses(value):
+    assert report_text(value) == json_reference(value)
+
+
+@pytest.mark.parametrize("bad", [
+    Fraction(1, 2), {1, 2}, np.int64(3), {(1, 2): 0}, {1: 0, "a": 1}, b"bytes",
+], ids=["fraction", "set", "numpy-int64", "tuple-key", "mixed-keys", "bytes"])
+def test_report_text_rejects_what_json_rejects(bad):
+    # the same TypeError, message and all, wherever the value sits
+    for value in (bad, [1, bad], {"a": {"b": bad}}, [[1, 2], (bad,)]):
+        with pytest.raises(TypeError) as ours:
+            report_text(value)
+        with pytest.raises(TypeError) as theirs:
+            json_reference(value)
+        assert str(ours.value) == str(theirs.value)

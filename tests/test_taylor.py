@@ -886,6 +886,33 @@ def test_integral_1d_map_builds_zero_tables_only_at_an_explicit_K(monkeypatch):
         assert (cert.verdict, cert.K, sweeps) == ("holds", K, want)
 
 
+def test_integral_1d_zero_tables_are_zero_stride_views(monkeypatch):
+    # s = 0 at an explicit K: the sweep returns at modulus 1 without reading
+    # its table, so each component with deg + 1 > r, and only those, hands
+    # it one read-only zero seen through strides (0, 0), of shape
+    # (p^(K - alpha), deg + 1), with residues of stride 0
+    from nonarch_lab import taylor
+
+    seen = []
+    real = taylor._kernels.tr_pair_sweep
+
+    def spy(table, xs, mod, r):
+        seen.append((table.shape, table.strides, table.dtype, table.flags.writeable,
+                     xs.shape, xs.strides, mod))
+        return real(table, xs, mod, r)
+
+    monkeypatch.setattr(taylor._kernels, "tr_pair_sweep", spy)
+    for p, alpha, K in ((2, 0, 5), (3, 1, 4), (5, 2, 3)):
+        for r in (1, 2, 3):
+            for deg in range(5):
+                f = PolyMap.univariate([0] * deg + [1], domain=Ball(p, (1,), alpha))
+                seen.clear()
+                assert check_Tr(f, r, K=K).verdict == "holds"
+                n_res = p ** (K - alpha)
+                want = [((n_res, deg + 1), (0, 0), np.int64, False, (n_res,), (0,), 1)]
+                assert seen == (want if deg + 1 > r else []), (p, alpha, K, r, deg)
+
+
 def test_cr_norm_refuses_a_ball_of_the_wrong_dimension():
     xy = PolyMap(2, 1, [MultiPoly(2, {(1, 1): Fraction(1, 3), (0, 1): 1})])
     with pytest.raises(ConfigError, match="^ball of dimension 1 for a map in 2 variables$"):

@@ -36,8 +36,10 @@ and the other stages still run and compare.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import platform
@@ -165,6 +167,9 @@ def labmix(ctx):
       count-ff-cli    those two `count-ff` jobs whole, run in this
                       interpreter through `cli.main` as the benchmark runs
                       them: parsing, counts, fits and report
+      emit            `cli.emit_report` of the twelve `lab-mix` reports
+                      into an in-memory stream; the reports are collected
+                      once, by running the jobs on the untimed warm-up run
       count-elliptic  the 12 `ffcount.enumerate_Xr` calls of `ff-sparse`:
                       y^2 = x^3 - x over q = 5, 7, 11, 13, r = 1..3
       count-deep      `ffcount.enumerate_Xr` on y^2 = x^3 - x at (q, r) =
@@ -225,6 +230,22 @@ def labmix(ctx):
             if code:
                 raise SystemExit(f"{job.id}: exit {code}")
 
+    reports = []
+
+    def emit():
+        emit_report = cli.emit_report
+        if not reports:  # on the untimed warm-up run
+            cli.emit_report = lambda report, *rest: reports.append(report)
+            try:
+                for job in jobs:
+                    job.run()
+            finally:
+                cli.emit_report = emit_report
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for report in reports:
+                emit_report(report, SimpleNamespace(), 0.0)
+
     def fit():
         for X, r, counts in fits:
             verify_bounds(counts, X, r)
@@ -249,6 +270,7 @@ def labmix(ctx):
         "fit": fit,
         "count-labmix": count_labmix,
         "count-ff-cli": count_ff_cli,
+        "emit": emit,
         "count-elliptic": lambda: count_table(w.ELLIPTIC, (5, 7, 11, 13), range(1, 4)),
         "count-deep": lambda: [enumerate_Xr(elliptic, q, r, cap=13 ** 10)
                                for q, r in ((13, 4), (7, 6), (13, 5))],
