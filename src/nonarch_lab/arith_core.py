@@ -273,22 +273,6 @@ class MultiPoly:
         (num,), den = eval_cleared(integer_form([self]), args, self.nvars)
         return Fraction(num, den)
 
-    def substitute(self, args):
-        """Substitute MultiPoly arguments for the variables."""
-        nv = args[0].nvars
-        acc = MultiPoly(nv, {})
-        pow_cache = {}
-        for exp, c in self.terms.items():
-            t = MultiPoly.constant(nv, c)
-            for j, e in enumerate(exp):
-                if e:
-                    key = (j, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = args[j] ** e
-                    t = t * pow_cache[key]
-            acc = acc + t
-        return acc
-
     def __repr__(self):
         if not self.terms:
             return "MultiPoly(0)"

@@ -13,10 +13,11 @@ mistyped value exits 2, then calls `func(args, parsed input)`, which
 returns ``(config fields, results, exit code, CSV rows or None)`` and
 writes nothing.  `main` builds the ``{config, version, results}``
 envelope, whose config holds `subcommand`, `seed` (always 0), the input's
-basename and the subcommand's fields, emits it with one `elapsed` line on
-stderr and the `--csv` rows when given, and maps exceptions to exit
-codes.  `corpus` writes no report: it reruns `main` on each case and
-diffs the bytes.
+basename and the subcommand's fields, emits it with the `--csv` rows when
+given and, when the run exits 0, one `elapsed` line on stderr, and maps
+exceptions to exit codes.  `corpus` writes no report: it reruns `main` on
+each case and diffs the bytes, and for a case that exits non-zero the
+first line of its stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import contextlib
 import csv
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -165,65 +165,40 @@ def writable(path, **kwargs):
         raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
 
 
-def _float_text(x):
-    """json's text of a float: its repr, or NaN, Infinity, -Infinity."""
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
 # the text of a scalar of exactly this type, as json writes it
 _SCALAR_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
                 bool: {True: "true", False: "false"}.__getitem__,
-                type(None): lambda _: "null", float: _float_text}
-
-
-def _scalar_text(o):
-    """json's text of a str, int, float, bool or None, subclasses too, in
-    json's order of tests; None for any other value."""
-    text = _SCALAR_TEXT.get(type(o))
-    if text is not None:
-        return text(o)
-    for kind in (str, type(None), bool, int, float):
-        if isinstance(o, kind):
-            return _SCALAR_TEXT[kind](o)
-    return None
+                type(None): lambda _: "null"}
 
 
 def report_text(report):
     """json.dumps(report, indent=2, sort_keys=True) + "\\n", byte for byte,
-    in one walk of the report that appends its text to one list of chunks.
+    for the values a report holds: dicts with str keys, lists and tuples
+    (a tuple is written as a list), and scalars whose type is exactly str,
+    int, bool or None.  Anything else raises TypeError naming its type: a
+    float (json writes inf and nan as Infinity and NaN, which are not
+    JSON, and reports are exact), a Fraction or numpy integer left in a
+    report, a subclass of a scalar type, or a key that is not a str.
+
+    One walk of the report appends its text to one list of chunks.
     Strings go through json's C escaper and ints through int.__repr__; the
     line break and indent of each depth, and the item separator, are
     formed once; a list whose items are all scalars of one type is one
-    str.join.  Dict keys are sorted as json sorts them (by the keys as
-    given), and an int, float, bool or None key is written as json writes
-    it; a tuple is written as a list.  Any value json.dumps rejects raises
-    TypeError, so a Fraction or numpy integer left in a report fails
-    loudly."""
+    str.join.  Dict keys are sorted as json sorts them."""
     newline, comma = ["\n"], [",\n"]  # per depth: "\n" + indent, "," + that
     encode, scalar_of = json.encoder.encode_basestring_ascii, _SCALAR_TEXT.get
     chunks = []
     out = chunks.append
 
-    def key_text(k):
-        text = k if isinstance(k, str) else _scalar_text(k)
-        if text is None:
-            raise TypeError("keys must be str, int, float, bool or None, "
-                            f"not {k.__class__.__name__}")
-        return encode(text)
-
     def write(o, depth):
         # a scalar of exactly a _SCALAR_TEXT type is written by its container
         is_dict = isinstance(o, dict)
         if not (is_dict or isinstance(o, (list, tuple))):
-            text = _scalar_text(o)
+            text = scalar_of(type(o))
             if text is None:
-                raise TypeError(f"Object of type {o.__class__.__name__} "
-                                "is not JSON serializable")
-            return out(text)
+                raise TypeError("report values are str, int, bool, None, lists or "
+                                f"dicts, not {o.__class__.__name__}")
+            return out(text(o))
         if not o:
             return out("{}" if is_dict else "[]")
         depth += 1
@@ -234,7 +209,9 @@ def report_text(report):
         if is_dict:
             lead = "{" + newline[depth]
             for k, v in sorted(o.items()):
-                lead += (encode(k) if type(k) is str else key_text(k)) + ": "
+                if type(k) is not str:
+                    raise TypeError(f"report keys are str, not {k.__class__.__name__}")
+                lead += encode(k) + ": "
                 text = scalar_of(type(v))
                 if text is not None:
                     out(lead + text(v))
@@ -265,16 +242,17 @@ def report_text(report):
 
 def emit_report(report, args, started, rows=None):
     """Write the report to --out (default stdout), its `elapsed` line to
-    stderr and the CSV rows to --csv.  Both paths are opened before
-    anything is written, so one that cannot be written exits 2 with
-    nothing emitted."""
+    stderr unless started is None, and the CSV rows to --csv.  Both paths
+    are opened before anything is written, so one that cannot be written
+    exits 2 with nothing emitted."""
     text = report_text(report)
     out, table = getattr(args, "out", None), getattr(args, "csv", None)
     with contextlib.ExitStack() as files:
         fh = files.enter_context(writable(out)) if out else sys.stdout
         csv_fh = files.enter_context(writable(table, newline="")) if table else None
         fh.write(text)
-        print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)
+        if started is not None:
+            print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)
         if csv_fh:
             csv.writer(csv_fh).writerows(rows)
 
@@ -468,8 +446,10 @@ def cmd_hilbert(args, ideal_input):
 
 
 def read_corpus_case(case):
-    """(argv, expected report bytes, expected exit code) of one corpus case;
-    a missing or malformed field or expected file, or an argv that runs
+    """(argv, expected report bytes, expected exit code, expected first
+    stderr line or None) of one corpus case.  A case that exits non-zero
+    names its first stderr line, "" for none, and only such a case does; a
+    missing or malformed field or expected file, or an argv that runs
     corpus, is a config error."""
     path = os.path.join(case, "cmd.json")
     spec = load_json(path)
@@ -486,16 +466,25 @@ def read_corpus_case(case):
     if not isinstance(expected, str):
         raise ConfigError(f"{path}: expected must be a file name, got {expected!r}")
     code = config_int(spec.get("exit_code", 0), f"{path}: exit_code")
+    stderr = spec.get("stderr")
+    if (stderr is None) != (code == 0):
+        raise ConfigError(f"{path}: a case needs a stderr line exactly when it exits "
+                          f"non-zero; it exits {code}")
+    if stderr is not None and not isinstance(stderr, str):
+        raise ConfigError(f"{path}: stderr must be one line of text, got {stderr!r}")
     try:
         with open(os.path.join(case, expected), "rb") as fh:
-            return argv, fh.read(), code
+            return argv, fh.read(), code, stderr
     except OSError as err:
         raise ConfigError(f"{case}: cannot read expected file: {err}") from err
 
 
 def cmd_corpus(args):
-    """Rerun every golden config in a directory and diff byte-exactly.  An
-    argv that argparse rejects exits 2 for its case, and the run goes on."""
+    """Rerun every golden config in a directory and diff byte-exactly: the
+    report, the exit code and, for a case that exits non-zero, the first
+    line of its stderr.  An argv that argparse rejects exits 2 for its
+    case, and the run goes on."""
+    import io
     import tempfile
 
     cases = sorted(root for root, _dirs, files in os.walk(args.directory)
@@ -506,19 +495,22 @@ def cmd_corpus(args):
         return 0
     specs = [read_corpus_case(case) for case in cases]
     failures = 0
-    for case, (argv, expected, want_code) in zip(cases, specs):
+    for case, (argv, expected, want_code, want_stderr) in zip(cases, specs):
         with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
             tmp_path = tmp.name
+        err = io.StringIO()
         try:
-            try:
-                code = main(argv + ["--out", tmp_path])
-            except SystemExit as exc:  # argparse rejects the arguments
-                code = exc.code
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv + ["--out", tmp_path])
+                except SystemExit as exc:  # argparse rejects the arguments
+                    code = exc.code
             with open(tmp_path, "rb") as fh:
                 got = fh.read()
         finally:
             os.unlink(tmp_path)
-        ok = got == expected and code == want_code
+        ok = (got == expected and code == want_code
+              and (code == 0 or err.getvalue().split("\n", 1)[0] == want_stderr))
         print(f"{'pass' if ok else 'FAIL'}  {os.path.relpath(case, args.directory)}")
         if not ok:
             failures += 1
@@ -634,8 +626,10 @@ def main(argv=None):
         if args.read is not None:
             config["input"] = os.path.basename(args.input)
         config.update(fields)
+        # only a run that exits 0 times itself: a failing run's stderr is
+        # deterministic, so the corpus can compare it
         emit_report({"config": config, "version": __version__, "results": results},
-                    args, started, rows)
+                    args, started if code == 0 else None, rows)
         return code
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

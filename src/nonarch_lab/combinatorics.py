@@ -106,24 +106,9 @@ def alpha_bound(setup, T, p):
     return alpha
 
 
-def legendre_check(p, n, r, i_max):
-    """Check the printed inequality |n|^r / |i!| <= 1 for 1 <= i <= i_max,
-    i.e. r * v_p(n) >= v_p(i!) throughout the range.
-
-    The inequality fails for large i at fixed n, which is why the range is
-    an explicit argument here.
-    """
-    from .arith_core import val_int
-
-    vn = val_int(n, p)
-    if vn == 0 or vn is math.inf:
-        raise ConfigError("p must divide n")
-    need = r * vn
-    return all(val_factorial(i, p) <= need for i in range(1, i_max + 1))
-
-
 def select_divisibility(p, r, i_max):
     """The artifact's concretization of 'sufficiently divisible': the least
-    k >= 1 with r*k >= v_p(i_max!), so n = p^k passes legendre_check."""
+    k >= 1 with r*k >= v_p(i_max!), so n = p^k has |n|^r / |i!| <= 1 for
+    every 1 <= i <= i_max."""
     k = max(1, -(-val_factorial(i_max, p) // r))
     return k

@@ -159,42 +159,6 @@ def _monomial_matrix(columns, n, d):
 
 
 @dataclass
-class MonomialMatrix:
-    """The matrix (psi(P_j)^alpha) of mu points, rows by exponent alpha and
-    columns by point.
-
-    `entries` holds it with denominators cleared column by column: column j
-    is the rational column times D_j^d, where D_j is the common denominator
-    of psi(P_j), so `entries` is an integer matrix.  `scale` is
-    prod_j D_j^d, and the rational determinant is det(entries) / scale.
-    """
-
-    points: list
-    exponents: tuple
-    entries: list
-    scale: int
-
-    @classmethod
-    def build(cls, psi, points, d):
-        if d < 1:
-            raise ConfigError("need d >= 1")
-        exps = delta_exponents(psi.n, d)
-        if len(points) != len(exps):
-            raise ConfigError(f"need mu={len(exps)} points, got {len(points)}")
-        form = integer_form(psi.components)
-        values = [eval_cleared(form, pt, psi.m) for pt in points]
-        scale = 1
-        for _, den in values:
-            scale *= den ** d
-        return cls(list(points), exps, _monomial_matrix(values, psi.n, d), scale)
-
-    def determinant(self):
-        # entries are integers already: no row needs clearing
-        rank, sign, last = _bareiss([row[:] for row in self.entries])
-        return Fraction(sign * last if rank == len(self.entries) else 0, self.scale)
-
-
-@dataclass
 class DetBoundReport:
     setup: DetSetup
     alpha: int
@@ -227,7 +191,9 @@ def det_bound_check(psi, points, ball, d, certificates=None):
     a polynomial of total degree <= d * deg(psi) in the m parameters (a
     zero component counts as degree 0).  So every row lies in the image of
     a space of dimension C(d * deg(psi) + m, m), and delta = 0 when mu
-    exceeds it: then no matrix is built.
+    exceeds it: then no matrix is built.  Otherwise the matrix is built in
+    integers: column j is the rational column times D_j^d, D_j the common
+    denominator of psi(P_j), so delta is its determinant over prod_j D_j^d.
     """
     setup = DetSetup.for_dims(psi.m, psi.n, d)
     if ball.m != psi.m:
@@ -252,10 +218,18 @@ def det_bound_check(psi, points, ball, d, certificates=None):
     for pt in points:
         if not ball.contains(pt):
             raise ConfigError(f"point {_point_str(pt)} outside the ball")
-    if len(points) == setup.mu and setup.mu > delta_count(psi.m, d * psi.degree()):
+    if len(points) != setup.mu:
+        raise ConfigError(f"need mu={setup.mu} points, got {len(points)}")
+    if setup.mu > delta_count(psi.m, d * psi.degree()):
         delta = Fraction(0)
     else:
-        delta = MonomialMatrix.build(psi, points, d).determinant()
+        form = integer_form(psi.components)
+        values = [eval_cleared(form, pt, psi.m) for pt in points]
+        scale = 1
+        for _num, den in values:
+            scale *= den ** d
+        rank, sign, last = _bareiss(_monomial_matrix(values, psi.n, d))
+        delta = Fraction(sign * last if rank == setup.mu else 0, scale)
     ordd = val_fraction(delta, ball.p)
     bound = setup.e * ball.alpha
     return DetBoundReport(setup, ball.alpha, ordd, bound, ordd >= bound, delta)
@@ -278,9 +252,6 @@ class AuxPolynomial:
     beta: tuple
     beta_coeff: Fraction
     rank: int
-
-    def degree(self):
-        return self.poly.degree()
 
 
 def auxiliary_polynomial(points, d):

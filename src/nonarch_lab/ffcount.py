@@ -74,16 +74,6 @@ class VarietySpec:
                    d=data.get("d", 1), irreducible=data.get("irreducible", False),
                    name=data.get("name", ""))
 
-    def to_json(self):
-        return {
-            "n": self.n, "m": self.m, "d": self.d,
-            "irreducible": self.irreducible, "name": self.name,
-            "polynomials": [
-                [{"exp": list(e), "coeff": list(c)} for e, c in sorted(p.items())]
-                for p in self.polynomials
-            ],
-        }
-
     def reduce_mod(self, q):
         """Defining polynomials mod q, each a list of (t-coefficients mod q,
         exp) terms: trailing zero t-coefficients and zero terms are

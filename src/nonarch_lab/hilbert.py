@@ -258,11 +258,6 @@ class HilbertTable:
     def hilbert_function(self, s):
         return self._stat(s)[0]
 
-    def sigma(self, i, s):
-        if not 0 <= i < self.nvars:
-            raise ConfigError("variable index out of range")
-        return self._stat(s)[1][i]
-
     def sigma_all(self, s):
         return self._stat(s)[1]
 

@@ -20,13 +20,9 @@ residues of p^s * g_beta mod p^s, and _value evaluates them in Python ints
 from the modular _powers of a point.  When s = 0 nothing can fail, and
 neither the table nor the residues are built.
 
-Verdict and witness depend only on s and alpha, not on the precision K,
-for every K >= K* = max(s, alpha) + 1; a check reports K as given.  The
-one K below K* that a check accepts, K = max(s, alpha), lists in one
-variable no x = y mod p^K other than x = y: where that diagonal class
-fails first, the witness is a C^r one instead.  The verdict stays, since
-there the remainder fails only through g_r(y), which the C^r half tests.
-Put y = key + p^alpha z.  Each value
+Verdict and witness depend only on s and alpha, not on the precision K:
+a check runs at K* = max(s, alpha) + 1 whatever K it is given, and
+reports K as given.  Put y = key + p^alpha z.  Each value
 tested is a polynomial in z with p-integral coefficients, of period
 p^(s-alpha) in z_i, so by Mahler's criterion it vanishes everywhere once
 it vanishes on the box of min(degree + 1, period) points per coordinate;
@@ -34,8 +30,7 @@ and the first failing y in ball order lies in that box, since a slice
 that fails at some digit fails at one inside it: _first_failure scans it.
 In one variable the remainder factors as (x-y)^r * S(x,y) with S =
 sum_{j>=r} g_j(y) (x-y)^(j-r), and the pair sweep asks whether p^s * S
-vanishes modulo p^s on the residue pairs mod p^min(K, K*), K* = max(s,
-alpha) + 1.  In several variables put x - y = p^v u, alpha <= v < s: once
+vanishes modulo p^s on the residue pairs mod p^K*.  In several variables put x - y = p^v u, alpha <= v < s: once
 the C^r half holds, the bound at (x, y) asks whether sum_{|beta|>r} p^s
 g_beta(y) p^(v(|beta|-r)) u^beta vanishes modulo p^s, a polynomial in z
 and u of period p^(s-v) in u_i, tested on the same kind of box.  All u
@@ -54,6 +49,7 @@ from fractions import Fraction
 
 from . import _kernels
 from .arith_core import (
+    INF,
     Ball,
     MultiPoly,
     eval_cleared,
@@ -63,8 +59,6 @@ from .arith_core import (
 )
 from .combinatorics import select_divisibility
 from .errors import BoundViolation, Budget, ConfigError, PrecisionError
-
-INF = math.inf
 
 
 class PolyMap:
@@ -301,11 +295,10 @@ def check_Tr(f, r, domain=None, K=None):
     one variable, on Mahler test sets in several.  For polynomial f the
     verdict covers every Z_p-point of the domain (not only the
     representatives), and witnesses are computed in exact arithmetic.  K
-    is the reported modulus exponent, K >= s; the default is max(alpha*r +
-    8, s + 2, alpha + 1).  From K* = max(s, alpha) + 1 on, K sets only the
-    reported K and the rows of a 1-D check's s = 0 zero tables, which only
-    an explicit K builds; at K = max(s, alpha) a 1-D witness can differ
-    (see the module docstring), the verdict cannot.
+    is the reported modulus exponent, K >= max(s, alpha); the default is
+    max(alpha*r + 8, s + 2, alpha + 1).  The check runs at K* = max(s,
+    alpha) + 1 for every K, so K sets only the reported K and the rows of
+    a 1-D check's s = 0 zero tables, which only an explicit K builds.
     """
     if K is not None and K < 0:
         raise ConfigError(f"need K >= 0, got {K}")
@@ -351,12 +344,12 @@ def _default_K(K, ball, r, s):
 
 def _check_tr_1d(f, r, ball, K, s):
     """First violation per component, or None: the remainder sweep over
-    the residues mod p^min(K, K*), K = None meaning K*, then the pointwise
-    C^r bound on the Mahler box of y.  Both depend on y and x mod p^s only,
-    but for the skipped x = y, so the first failing pair mod p^K has y =
-    key + p^alpha d, d < P = p^(K* - 1 - alpha), and x below that too, or x
-    = y + p^alpha P when the class x = y mod p^s fails: both lie among the
-    residues mod p^K*.  The sweep's table holds p^s * g_j(x) mod p^s from
+    the residues mod p^K*, K* = max(s, alpha) + 1, whatever K is given,
+    then the pointwise C^r bound on the Mahler box of y.  Both depend on y
+    and x mod p^s only, but for the skipped x = y, so the first failing
+    pair mod any p^K, K >= K*, has y = key + p^alpha d, d < P = p^(K* - 1 -
+    alpha), and x below that too, or x = y + p^alpha P when the class x = y
+    mod p^s fails: both lie among the residues mod p^K*.  The sweep's table holds p^s * g_j(x) mod p^s from
     _scaled and _value, one row per residue x, each distinct x mod p^s with
     its powers formed once; numpy holds only the arrays the sweep is given.
     With s = 0 nothing can fail: no residue is listed, and numpy loads only
@@ -384,7 +377,7 @@ def _check_tr_1d(f, r, ball, K, s):
                     _kernels.tr_pair_sweep(zeros, zeros[:, 0], 1, r)
         return None
 
-    K = max(s, ball.alpha) + 1 if K is None else min(K, max(s, ball.alpha) + 1)
+    K = max(s, ball.alpha) + 1
     derivs = _derivative_table(f)
     n_res = ball.residue_count(K)
     Budget(PAIR_CAP, f"residue pairs mod p^{K}", "taylor.PAIR_CAP").charge(
@@ -616,54 +609,6 @@ def _check_tr_nd(f, r, ball, s):
 # ---------------------------------------------------------------------------
 # Gauss-norm bound verifications
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GaussReport:
-    ok: bool
-    hypothesis_val: object
-    lam_val: int
-    entries: list
-
-    def to_json(self):
-        return {"ok": self.ok,
-                "hypothesis_valuation": _json_val(self.hypothesis_val),
-                "lambda_valuation": self.lam_val,
-                "bounds": [{"i": i, "lhs": _json_val(l), "rhs": _json_val(rh),
-                            "ok": ok} for i, l, rh, ok in self.entries]}
-
-
-def _json_val(v):
-    return "inf" if v is INF else int(v)
-
-
-def verify_gauss0(g, lam_val, a_val, p):
-    """On the box a*M (valuative radius a_val + 1): certify |g| <= |lambda|
-    by Gauss norm after recentering/scaling, then check the divided
-    derivative bounds |g^(i)/i!| <= |lambda| / |a|^i for every i <= deg g."""
-    if isinstance(g, PolyMap):
-        if g.m != 1 or g.n != 1:
-            raise ConfigError("verify_gauss0 expects a univariate map")
-    else:
-        g = PolyMap(1, 1, [g])
-    derivs = _derivative_table(g)[0]
-    # sup over the associated set of |g| equals max_i |c_i a^i|
-    hyp = min((val_fraction(c, p) + i * a_val
-               for (i,), c in derivs[0][1].items()), default=INF)
-    if hyp < lam_val:
-        raise ConfigError(
-            f"hypothesis |g| <= |lambda| not certifiable: Gauss valuation "
-            f"{hyp} < {lam_val}")
-    entries = []
-    ok = True
-    for (i,), gi in derivs[1:]:
-        lhs = min((val_fraction(c, p) + j * a_val
-                   for (j,), c in gi.items()), default=INF)
-        rhs = lam_val - i * a_val
-        good = lhs >= rhs
-        ok = ok and good
-        entries.append((i, lhs, rhs, good))
-    return GaussReport(ok, hyp, lam_val, entries)
-
 
 @dataclass
 class Gauss1aReport:

@@ -403,6 +403,24 @@ def tr_residue_oracle(components, r, p, residues):
     return None
 
 
+def legendre_check(p, n, r, i_max):
+    """Whether |n|^r / |i!| <= 1 for 1 <= i <= i_max, that is r v_p(n) >=
+    v_p(i!) throughout the range, with v_p(i!) summed factor by factor.
+    The inequality fails for large i at fixed n, which is why the range is
+    an argument.  p must divide n."""
+    from nonarch_lab.errors import ConfigError
+
+    vn = padic_val(n, p)
+    if vn == 0 or vn == float("inf"):
+        raise ConfigError("p must divide n")
+    v_fact = 0
+    for i in range(1, i_max + 1):
+        v_fact += padic_val(i, p)
+        if v_fact > r * vn:
+            return False
+    return True
+
+
 def ac_eq_residue_rule(g, p, depth, value):
     """Whether the angular component of the rational g at `depth` is
     `value`, by residues mod p^depth: g = 0 passes when value is 0 mod
@@ -642,11 +660,30 @@ def expand_scheme_substitute(X, q, r):
         f = MultiPoly(X.n + 1, {exp + (k,): c for cs, exp in poly
                                 for k, c in enumerate(cs)})
         by_power = {}
-        for exp, c in f.substitute(generic).terms.items():
+        for exp, c in substitute(f, generic).terms.items():
             if c % q:
                 by_power.setdefault(exp[nv], {})[exp[:nv]] = c % q
         equations.extend(MultiPoly(nv, by_power[k]) for k in sorted(by_power))
     return equations
+
+
+def substitute(poly, args):
+    """The MultiPoly poly with the MultiPoly args put for its variables,
+    term by term: each power args[j]^e is formed once."""
+    from nonarch_lab.arith_core import MultiPoly
+
+    nv = args[0].nvars
+    acc = MultiPoly(nv, {})
+    powers = {}
+    for exp, c in poly.terms.items():
+        t = MultiPoly.constant(nv, c)
+        for j, e in enumerate(exp):
+            if e:
+                if (j, e) not in powers:
+                    powers[j, e] = args[j] ** e
+                t = t * powers[j, e]
+        acc = acc + t
+    return acc
 
 
 def minimal_monomial_generators(exps):
@@ -667,7 +704,7 @@ def compose(g, f):
 
     if g.m != f.n:
         raise ConfigError("dimension mismatch in composition")
-    comps = [c.substitute(list(f.components)) for c in g.components]
+    comps = [substitute(c, f.components) for c in g.components]
     return PolyMap(f.m, g.n, comps, domain=f.domain,
                    tail_floor=f.tail_floor if f.tail_floor is not None else g.tail_floor)
 

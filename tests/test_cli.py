@@ -1173,8 +1173,12 @@ BOUNDS_ARGV = ["bounds", "--m", "1", "--n", "2", "--d", "1", "--T", "10", "--p",
     ("{", b"", "malformed JSON"),
     ({"argv": BOUNDS_ARGV, "expected": 5}, b"", "expected must be a file name"),
     ({"argv": BOUNDS_ARGV, "exit_code": "0"}, b"", "exit_code must be an integer"),
+    ({"argv": BOUNDS_ARGV, "exit_code": 3}, b"", "needs a stderr line exactly when"),
+    ({"argv": BOUNDS_ARGV, "stderr": ""}, b"", "needs a stderr line exactly when"),
+    ({"argv": BOUNDS_ARGV, "exit_code": 3, "stderr": 3}, b"", "stderr must be one line"),
 ], ids=["no-expected", "argv-str", "argv-int", "no-argv", "not-object",
-        "bad-json", "expected-int", "exit-code-str"])
+        "bad-json", "expected-int", "exit-code-str", "nonzero-without-stderr",
+        "zero-with-stderr", "stderr-int"])
 def test_corpus_malformed_case_exit_2(tmp_path, capsys, cmd, expected, named):
     # a malformed case is a config error naming the case, before any case runs
     corpus = tmp_path / "corpus"
@@ -1202,13 +1206,19 @@ def test_corpus_case_that_runs_corpus_exit_2(tmp_path, capsys):
 
 def test_corpus_argparse_rejection_is_case_exit_2(tmp_path, capsys):
     # argparse rejecting a case's argv gives that case exit code 2, compared
-    # with its exit_code; the cases after it still run
+    # with its exit_code and its first stderr line, the usage line; the
+    # cases after it still run
     corpus = tmp_path / "corpus"
     expected = str(tmp_path / "bounds.json")
     assert main(BOUNDS_ARGV + ["--out", expected]) == 0
     report = open(expected, "rb").read()
-    write_corpus_case(corpus, "a-rejected", {"argv": ["bounds", "--m", "x"], "exit_code": 2},
-                      b"")
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["bounds", "--m", "x"])
+    usage = capsys.readouterr().err.split("\n", 1)[0]
+    assert usage.startswith("usage: "), usage
+    write_corpus_case(corpus, "a-rejected", {"argv": ["bounds", "--m", "x"], "exit_code": 2,
+                                             "stderr": usage}, b"")
     write_corpus_case(corpus, "b-rejected-wrong-code", {"argv": ["nope"]}, b"")
     write_corpus_case(corpus, "c-bounds", {"argv": BOUNDS_ARGV}, report)
     capsys.readouterr()
@@ -1216,6 +1226,42 @@ def test_corpus_argparse_rejection_is_case_exit_2(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines() == ["pass  a-rejected", "FAIL  b-rejected-wrong-code",
                                 "pass  c-bounds", "corpus: 3 cases, 2 passed, 1 failed"]
+
+
+CAP_CASE = "count-ff-elliptic-q13-r4-default-cap"
+
+
+@pytest.mark.parametrize("change, passes", [
+    (None, True),
+    (("stderr", lambda line: line.replace("815730721 admits", "815730722 admits")), False),
+    (("exit_code", lambda code: 2), False),
+], ids=["as-recorded", "stderr-digit", "exit-code"])
+def test_corpus_compares_the_stderr_line_of_a_failing_case(tmp_path, monkeypatch, capsys,
+                                                           change, passes):
+    # a copy of the exit-3 corpus case passes as recorded, and fails with
+    # one digit of its stderr line changed or with another exit code; its
+    # argv names the input relative to the repository root
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    spec = json.loads((root / "corpus" / CAP_CASE / "cmd.json").read_text())
+    assert spec["exit_code"] == 3 and "815730721 admits" in spec["stderr"]
+    if change:
+        key, edit = change
+        spec[key] = edit(spec[key])
+    write_corpus_case(tmp_path / "corpus", CAP_CASE, spec, b"")
+    assert main(["corpus", str(tmp_path / "corpus")]) == (0 if passes else 1)
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == f"{'pass' if passes else 'FAIL'}  {CAP_CASE}", out
+
+
+def test_only_a_run_that_exits_0_writes_elapsed(tmp_path, capsys):
+    # a failing taylor-check writes its report and exit 1, and no elapsed
+    # line: a failing run's stderr holds nothing that varies between runs
+    path = write(tmp_path, "bad.json", {"m": 1, "n": 1, "p": 2, "domain": {"center": ["0"]},
+                                        "components": [[{"exp": [2], "coeff": "1/2"}]]})
+    assert main(["taylor-check", path, "--r", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["results"]["verdict"] == "fails" and err == "", err
 
 
 # per subcommand: its input, the arguments after the input path, and the
@@ -1352,7 +1398,7 @@ STRING_PIECES = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "€"
 
 
 def random_report_value(rng, depth=0):
-    """A value built from dicts with str or int keys, lists, tuples, empty
+    """A value built from dicts with str keys, lists, tuples, empty
     containers, strings with escapes and non-ASCII, ints of any size,
     bools and None."""
     kind = rng.randrange(9 if depth < 4 else 4)
@@ -1370,10 +1416,9 @@ def random_report_value(rng, depth=0):
         return items
     if kind == 6:
         return tuple(items)
-    if kind == 7:  # str keys, inserted unsorted
-        return {rng.choice(STRING_PIECES) + rng.choice("zyxba") + str(i): v
-                for i, v in enumerate(items)}
-    return {rng.randrange(-50, 50) * (10 ** rng.randrange(25)): v for v in items}
+    # kinds 7 and 8: str keys, inserted unsorted
+    return {rng.choice(STRING_PIECES) + rng.choice("zyxba") + str(i): v
+            for i, v in enumerate(items)}
 
 
 def test_report_text_matches_json_on_random_values():
@@ -1392,30 +1437,58 @@ class Tag(str):
     pass
 
 
-@pytest.mark.parametrize("value", [
-    {"x": 1.5, "y": [0.1, -2.0, 1e300, float("inf"), float("-inf"), float("nan")]},
-    {2.5: 0, 1.25: 1, -0.5: 2, float("inf"): 3},
-    {False: 0, True: 1},
-    {None: [None]},
-    [Small.TWO, Tag("tagged\n"), OrderedDict([("b", 1), ("a", 2)]), (Tag("k"),)],
-    {Tag("b"): 1, "a": Small.TWO},
-    {Small.TWO: "int-enum key", 1: "int key"},
-    "top-level string", 12, None, [], {}, [[]], [{}],
+def at_every_depth(value):
+    """value at the top, in a list, in a nested dict and in a tuple."""
+    return (value, [1, value], {"a": {"b": value}}, [[1, 2], (value,)])
+
+
+# Scalars and keys that json writes but a report never holds.  The writer
+# takes only the exact types str, int, bool and None and str keys, so each
+# of these raises TypeError naming the type it met first.
+@pytest.mark.parametrize("value, named", [
+    ({"x": 1.5, "y": [0.1, -2.0, 1e300, float("inf"), float("-inf"), float("nan")]},
+     "float"),
+    ({2.5: 0, 1.25: 1, -0.5: 2, float("inf"): 3}, "float"),
+    ({False: 0, True: 1}, "bool"),
+    ({None: [None]}, "NoneType"),
+    ([Small.TWO, Tag("tagged\n"), OrderedDict([("b", 1), ("a", 2)]), (Tag("k"),)], "Small"),
+    ({Tag("b"): 1, "a": 2}, "Tag"),
+    ({Small.TWO: "int-enum key", 1: "int key"}, "int"),
+    ("top-level string", None), (12, None), (None, None), ([], None), ({}, None),
+    ([[]], None), ([{}], None),
 ], ids=["floats", "float-keys", "bool-keys", "none-key", "subclasses", "str-subclass-key",
         "int-enum-key", "str", "int", "none", "empty-list", "empty-dict", "nested-empty-list",
         "nested-empty-dict"])
-def test_report_text_matches_json_on_other_scalars_and_subclasses(value):
-    assert report_text(value) == json_reference(value)
-
-
-@pytest.mark.parametrize("bad", [
-    Fraction(1, 2), {1, 2}, np.int64(3), {(1, 2): 0}, {1: 0, "a": 1}, b"bytes",
-], ids=["fraction", "set", "numpy-int64", "tuple-key", "mixed-keys", "bytes"])
-def test_report_text_rejects_what_json_rejects(bad):
-    # the same TypeError, message and all, wherever the value sits
-    for value in (bad, [1, bad], {"a": {"b": bad}}, [[1, 2], (bad,)]):
-        with pytest.raises(TypeError) as ours:
+def test_report_text_matches_json_on_other_scalars_and_subclasses(value, named):
+    json_reference(value)  # json writes each of them
+    if named is None:
+        assert report_text(value) == json_reference(value)
+    else:
+        with pytest.raises(TypeError, match=rf"\b{named}$"):
             report_text(value)
-        with pytest.raises(TypeError) as theirs:
+
+
+@pytest.mark.parametrize("bad, named", [
+    (1.5, "float"), (float("inf"), "float"), (float("nan"), "float"),
+    (Fraction(1, 2), "Fraction"), (Small.TWO, "Small"), (Tag("tag"), "Tag"),
+    ({1: "int key"}, "int"), (np.int64(3), "int64"),
+], ids=["float", "inf", "nan", "fraction", "int-enum", "str-subclass", "int-key",
+        "numpy-int64"])
+def test_report_text_rejects_what_reports_never_hold(bad, named):
+    for value in at_every_depth(bad):
+        with pytest.raises(TypeError, match=rf"\b{named}$"):
+            report_text(value)
+
+
+@pytest.mark.parametrize("bad, named", [
+    (Fraction(1, 2), "Fraction"), ({1, 2}, "set"), (np.int64(3), "int64"),
+    ({(1, 2): 0}, "tuple"), ({1: 0, "a": 1}, "int"), (b"bytes", "bytes"),
+], ids=["fraction", "set", "numpy-int64", "tuple-key", "mixed-keys", "bytes"])
+def test_report_text_rejects_what_json_rejects(bad, named):
+    # a TypeError naming the type wherever the value sits; mixed keys fail
+    # in the sort, as in json, before any key is read
+    for value in at_every_depth(bad):
+        with pytest.raises(TypeError):
             json_reference(value)
-        assert str(ours.value) == str(theirs.value)
+        with pytest.raises(TypeError, match=rf"\b{named}\b"):
+            report_text(value)

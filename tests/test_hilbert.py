@@ -106,9 +106,7 @@ def test_hilbert_conic_values():
     assert table.hilbert_function(3) == 7
     for s in range(1, 13):
         assert table.hilbert_function(s) == 2 * s + 1
-    assert table.sigma(1, 4) == 4
-    assert table.sigma(0, 4) == 16
-    assert table.sigma(2, 4) == 16
+    assert table.sigma_all(4) == (16, 4, 16)
 
 
 def test_hilbert_matches_bruteforce_oracle():

@@ -23,7 +23,6 @@ from nonarch_lab.taylor import (
     power_compose,
     preimage_balls,
     recheck_witness,
-    verify_gauss0,
     verify_gauss1a,
 )
 
@@ -383,26 +382,6 @@ def test_merge_residue_balls():
         == [(0, 2), (1, 2)]
 
 
-def test_verify_gauss0_examples():
-    # g = a*x on a*M with lambda = a (valuations 1 over Q_3)
-    rep = verify_gauss0(MultiPoly(1, {(1,): 3}), 1, 1, 3)
-    assert rep.ok
-    i1 = rep.entries[0]
-    assert i1[0] == 1 and i1[1] >= i1[2] and i1[2] == 0
-
-    # g = x^2 on 3M over Q_3 with |g| <= |9|: order-2 bound holds with equality
-    rep = verify_gauss0(MultiPoly(1, {(2,): 1}), 2, 1, 3)
-    assert rep.ok
-    assert rep.entries[1] == (2, 0, 0, True)
-
-    # constant g: all bounds vacuous
-    rep = verify_gauss0(MultiPoly(1, {(0,): 5}), 0, 2, 3)
-    assert rep.ok and rep.entries == []
-
-    with pytest.raises(ConfigError):
-        verify_gauss0(MultiPoly(1, {(0,): 1}), 1, 1, 3)  # |g|=1 > |lambda|
-
-
 def test_verify_gauss1a_small():
     rep = verify_gauss1a(PolyMap.univariate([0, 1]), 2, 2, i_max=4, K=6)
     assert rep.all_hold
@@ -557,7 +536,8 @@ def _k_free_cases(rng):
 
 def test_certificate_does_not_depend_on_K_past_K_star():
     # verdict and witness depend only on s and alpha: the certificate at
-    # K* + j equals the one at K* = max(s, alpha) + 1 but for K and the tag
+    # K* + j equals the one at K* = max(s, alpha) + 1 but for K and the tag,
+    # at the least K accepted, K* - 1, too
     seen = set()
     for p, center, alpha, r, comps in _k_free_cases(random.Random(29)):
         m = len(center)
@@ -566,7 +546,7 @@ def test_certificate_does_not_depend_on_K_past_K_star():
         s = max(-oracles.padic_val(c, p) for t in comps for c in t.values())
         k_star = max(s, alpha) + 1
         base = check_Tr(f, r, K=k_star).to_json()
-        for j in (1, 2, 3):
+        for j in (-1, 1, 2, 3):
             got = check_Tr(f, r, K=k_star + j).to_json()
             assert (got["K"], got["strategy"]) == (k_star + j, f"exhaustive-mod-{p}^{k_star + j}")
             assert dict(got, K=k_star, strategy=base["strategy"]) == base, (p, center, alpha,
@@ -582,12 +562,9 @@ def test_diagonal_class_witness_needs_K_star():
     # x^3/3 on 7 + 9Z_3 at r = 3: s = 1, alpha = 2.  g_3 = 1/3 is not
     # integral, so the class x = y mod 3, x != y, fails the remainder; its
     # first member x = 16 lies among the residues mod 3^3 = 3^K* but not
-    # mod 3^2, where the first failure is the C^r bound at 7
+    # mod 3^2, so an explicit K = 2 runs at K* too and names the same pair
     f = PolyMap.univariate([0, 0, 0, Fraction(1, 3)], domain=Ball(3, (7,), 2))
-    cert = check_Tr(f, 3, K=2)
-    assert cert.witness == {"kind": "cr_norm", "component": 0, "order": (0,), "y": 7,
-                            "valuation": -1}
-    for K in range(3, 9):
+    for K in range(2, 9):
         cert = check_Tr(f, 3, K=K)
         assert (cert.K, cert.witness) == (K, {"kind": "remainder", "component": 0, "x": 16,
                                               "y": 7, "ord_lhs": 5, "bound_rhs": 6})

@@ -294,12 +294,12 @@ def detmethod(ctx):
 
       certify `detmethod.certify_components`, the T_r certificate of each
               component (one `check_Tr` per component)
-      build   `detmethod.MonomialMatrix.build`
+      build   `detmethod._monomial_matrix`, the integer monomial matrix
+              of every `det_bound_check` and `auxiliary_polynomial`
       linalg  `detmethod._bareiss`, the one elimination kernel behind every
               rank, determinant and auxiliary-polynomial solve
-      other   the rest of the job, including the monomial matrix that
-              `auxiliary_polynomial` builds inline and the clearing of
-              denominators before each elimination
+      other   the rest of the job, including the evaluation of the points
+              and the clearing of denominators before each elimination
 
     Only outermost calls count, so no time is counted twice.  A checkout
     without one of the three reports every stage absent.
@@ -322,26 +322,22 @@ def detmethod(ctx):
                 depth[0] -= 1
         return wrapper
 
-    targets = [("certify", dm, "certify_components"),
-               ("build", dm.MonomialMatrix, "build"),
-               ("linalg", dm, "_bareiss")]
+    parts = {"certify": "certify_components", "build": "_monomial_matrix",
+             "linalg": "_bareiss"}
 
     def stage(job):
         def run():
-            originals = [(owner, name, internal(owner, name)) for _, owner, name in targets]
-            timers = [(owner, name, classmethod(timed(fn.__func__, part))
-                       if isinstance(fn, classmethod) else timed(fn, part))
-                      for (part, _, _), (owner, name, fn) in zip(targets, originals)]
-            acc.update(dict.fromkeys((part for part, _, _ in targets), 0.0))
-            for owner, name, fn in timers:
-                setattr(owner, name, fn)
+            originals = {name: internal(dm, name) for name in parts.values()}
+            acc.update(dict.fromkeys(parts, 0.0))
+            for part, name in parts.items():
+                setattr(dm, name, timed(originals[name], part))
             t0 = time.perf_counter()
             try:
                 job.run()
             finally:
                 total = time.perf_counter() - t0
-                for owner, name, fn in originals:
-                    setattr(owner, name, fn)
+                for name, fn in originals.items():
+                    setattr(dm, name, fn)
             return {"total": total, **acc, "other": total - sum(acc.values())}
         return run
 
@@ -509,10 +505,9 @@ class Absent(Exception):
 
 
 def internal(owner, name):
-    """The attribute `name` of a program module or class as stored there (a
-    classmethod stays one).  Stages look their internals up when they run,
-    so a checkout without one reports that stage absent and the other
-    stages still run."""
+    """The attribute `name` of a program module.  Stages look their
+    internals up when they run, so a checkout without one reports that
+    stage absent and the other stages still run."""
     try:
         return vars(owner)[name]
     except KeyError:
