@@ -17,7 +17,7 @@ basename and the subcommand's fields, emits it with the `--csv` rows when
 given and, when the run exits 0, one `elapsed` line on stderr, and maps
 exceptions to exit codes.  `corpus` writes no report: it reruns `main` on
 each case and diffs the bytes, and for a case that exits non-zero the
-first line of its stderr.
+first line of its stderr, and under a failing case it prints what differed.
 """
 
 from __future__ import annotations
@@ -482,8 +482,9 @@ def read_corpus_case(case):
 def cmd_corpus(args):
     """Rerun every golden config in a directory and diff byte-exactly: the
     report, the exit code and, for a case that exits non-zero, the first
-    line of its stderr.  An argv that argparse rejects exits 2 for its
-    case, and the run goes on."""
+    line of its stderr; each part that differs is printed under the case's
+    FAIL line.  An argv that argparse rejects exits 2 for its case, and the
+    run goes on."""
     import io
     import tempfile
 
@@ -509,11 +510,21 @@ def cmd_corpus(args):
                 got = fh.read()
         finally:
             os.unlink(tmp_path)
-        ok = (got == expected and code == want_code
-              and (code == 0 or err.getvalue().split("\n", 1)[0] == want_stderr))
-        print(f"{'pass' if ok else 'FAIL'}  {os.path.relpath(case, args.directory)}")
-        if not ok:
-            failures += 1
+        # each part that differs; a case that exits 0 wants no stderr line
+        line, diffs = err.getvalue().split("\n", 1)[0], []
+        if code != want_code:
+            diffs.append(f"exit code: got {code}, want {want_code}")
+        if (code or want_code) and line != (want_stderr or ""):
+            diffs.append(f"stderr: got {line!r}, want {want_stderr or ''!r}")
+        if got != expected:  # b"" past the last line
+            g, w = got.splitlines(True) + [b""], expected.splitlines(True) + [b""]
+            i = next(i for i, (a, b) in enumerate(zip(g, w)) if a != b)
+            diffs.append(f"report line {i + 1}: got {g[i].decode(errors='replace')!r}, "
+                         f"want {w[i].decode(errors='replace')!r}")
+        print(f"{'FAIL' if diffs else 'pass'}  {os.path.relpath(case, args.directory)}")
+        for diff in diffs:
+            print(f"      {diff}")
+        failures += bool(diffs)
     print(f"corpus: {len(cases)} cases, {len(cases) - failures} passed, "
           f"{failures} failed")
     return 1 if failures else 0

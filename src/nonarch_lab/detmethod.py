@@ -18,6 +18,7 @@ results.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from .combinatorics import DetSetup, alpha_bound, delta_count
 from .errors import BoundViolation, ConfigError, FullRankError
 from .heights import points_Z
 from .hilbert import delta_exponents
-from .taylor import PolyMap, check_Tr
+from .taylor import PolyMap, _same_dimension, check_Tr
 
 
 def _point_str(pt):
@@ -196,9 +197,7 @@ def det_bound_check(psi, points, ball, d, certificates=None):
     denominator of psi(P_j), so delta is its determinant over prod_j D_j^d.
     """
     setup = DetSetup.for_dims(psi.m, psi.n, d)
-    if ball.m != psi.m:
-        raise ConfigError(
-            f"ball of dimension {ball.m} for a map in {psi.m} variables")
+    _same_dimension(psi, ball)
     if certificates is None:
         certificates = certify_components(psi, setup.r, ball)
     if len(certificates) != psi.n:
@@ -437,8 +436,9 @@ def cover_points(X, psi, T, d, p, cap=10**7):
     unit_ball = Ball(p, (0,), 0)
     for i, cert in enumerate(certify_components(psi, setup.r, unit_ball)):
         if not cert.holds:
+            witness = dict(cert.to_json()["witness"], component=i)
             raise BoundViolation(f"parametrization component lacks T_{setup.r} on Z_p: "
-                                 f"{dict(cert.witness, component=i)}")
+                                 f"{json.dumps(witness, sort_keys=True)}")
 
     pts = points_Z(X, T, cap=cap)
     groups = {}

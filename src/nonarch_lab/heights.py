@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .arith_core import MultiPoly, integer_form, is_prime, val_fraction, val_int
-from .errors import Budget, ConfigError
+from .errors import Budget, CapExceededError, ConfigError
 
 
 class NotFound:
@@ -186,31 +186,36 @@ def _grid_points(X, values, cap):
     return out
 
 
-def _check_grid(X, width, cap, at_least=False):
-    """Charge a grid of width^n candidates to the --cap Budget; `at_least`
-    marks width as a lower bound on the number of values."""
+def _check_grid(X, width, cap, upper=None):
+    """Charge a grid of width^n candidates to the --cap Budget; `upper`, when
+    given, bounds the width from above, and width is then a lower bound."""
     if X.nvars > 4:
         raise ConfigError("point enumeration is limited to n <= 4 variables")
-    Budget(cap, "grid candidates width^n", "--cap").charge(
-        width ** X.nvars, "; the grid holds at least that many" if at_least else "")
+    budget = Budget(cap, "grid candidates width^n", "--cap")
+    if upper is not None and width ** X.nvars > cap:
+        raise CapExceededError(f"at least {width ** X.nvars} grid candidates width^n exceed "
+                               f"cap {cap}; --cap {upper ** X.nvars} admits them")
+    budget.charge(width ** X.nvars)
 
 
 def _height_grid(X, T, cap):
     """The rationals of height <= T, built only once the grid they span
     fits the cap.  There are 4 * sum_{h<=T} phi(h) - 1 of them: 0 and +-1
     at height 1, and +-a/h, +-h/a for each a < h prime to h above.  The
-    2T+1 integers among them bound the grid from below, and the count
-    stops once the grid it spans passes the cap."""
+    2T+1 integers among them bound the grid from below, each h >= 2 adds
+    4 phi(h) <= 4 (h - 1) of them, so 2T^2 - 2T + 3 bounds it from above,
+    and the count stops once the grid it spans passes the cap."""
     if T < 1:
         raise ConfigError("need T >= 1")
-    _check_grid(X, 2 * T + 1, cap, at_least=T > 1)
+    upper = 2 * T * T - 2 * T + 3
+    _check_grid(X, 2 * T + 1, cap, upper if T > 1 else None)
     if X.nvars == 0:
         return []  # a set in 0 variables reads no value
     width = -1
     for h in range(1, T + 1):
         width += 4 * _totient(h)
         if width ** X.nvars > cap:
-            _check_grid(X, width, cap, at_least=h < T)
+            _check_grid(X, width, cap, upper if h < T else None)
     return list(enumerate_heights(T))
 
 

@@ -147,15 +147,9 @@ def groebner(generators, s_pair_budget=10000):
         if not rem.is_zero():
             basis.append(rem)
             pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
-    # minimize
-    minimal = []
+    # minimize: the first element of each minimal leading exponent
     lts = [leading_term(g)[0] for g in basis]
-    for i, g in enumerate(basis):
-        if any(j != i and _divides(lts[j], lts[i]) and
-               (not _divides(lts[i], lts[j]) or j < i)
-               for j in range(len(basis))):
-            continue
-        minimal.append(g)
+    minimal = [basis[lts.index(e)] for e in _minimalize(lts)]
     # reduce and normalize monic
     reduced = []
     for i, g in enumerate(minimal):

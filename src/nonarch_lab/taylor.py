@@ -457,42 +457,6 @@ def _first_failure(terms, ball, top, mod, box, budget=None):
     return None
 
 
-def _remainder_ords(entries, r, x, y, p):
-    """Exact ord of f(x) - sum_{|beta|<r} g_beta(y) (x-y)^beta and of
-    |x-y|^r, from one component's entries of a _derivative_table (f is
-    g_0, the first entry)."""
-    x = tuple(Fraction(c) for c in x)
-    y = tuple(Fraction(c) for c in y)
-    h = [a - b for a, b in zip(x, y)]
-    diff = MultiPoly(len(x), entries[0][1]).eval(x)
-    for beta, g in entries:
-        if sum(beta) >= r:
-            break
-        term = MultiPoly(len(y), g).eval(y)
-        for hi, b in zip(h, beta):
-            term *= hi ** b
-        diff -= term
-    return val_fraction(diff, p), r * min(val_fraction(hi, p) for hi in h)
-
-
-def recheck_witness(f, r, witness, p):
-    """Re-verify a failure witness in exact rational arithmetic."""
-    if witness["kind"] == "remainder":
-        entries = _derivative_table(f)[witness["component"]]
-        lhs, rhs = _remainder_ords(entries, r, _astuple(witness["x"]),
-                                   _astuple(witness["y"]), p)
-        return lhs < rhs
-    if witness["kind"] == "cr_norm":
-        entries = dict(_derivative_table(f)[witness["component"]])
-        g = entries.get(tuple(witness["order"]), {})  # left out: g = 0
-        return val_fraction(MultiPoly(f.m, g).eval(_astuple(witness["y"])), p) < 0
-    raise ConfigError(f"unknown witness kind {witness['kind']!r}")
-
-
-def _astuple(v):
-    return tuple(v) if isinstance(v, (tuple, list)) else (v,)
-
-
 def _confirmed(witness, flagged):
     """The exact re-check's witness at what a modular sweep flagged.  The
     two decide the same bound, so a re-check that clears the flagged pair
@@ -506,11 +470,23 @@ def _confirmed(witness, flagged):
 
 def _exact_pair_violation(derivs, r, x, y, p):
     """First component whose remainder bound fails at (x, y), as a
-    witness, from a _derivative_table; or None."""
+    witness, from a _derivative_table: the exact ord of f(x) -
+    sum_{|beta|<r} g_beta(y) (x-y)^beta (f is g_0, the first entry) below
+    that of |x-y|^r; or None."""
     if tuple(x) == tuple(y):
         return None
+    h = [Fraction(a - b) for a, b in zip(x, y)]
+    rhs = r * min(val_fraction(hi, p) for hi in h)
     for ci, entries in enumerate(derivs):
-        lhs, rhs = _remainder_ords(entries, r, x, y, p)
+        diff = MultiPoly(len(x), entries[0][1]).eval(x)
+        for beta, g in entries:
+            if sum(beta) >= r:
+                break
+            term = MultiPoly(len(y), g).eval(y)
+            for hi, b in zip(h, beta):
+                term *= hi ** b
+            diff -= term
+        lhs = val_fraction(diff, p)
         if lhs < rhs:
             return {"kind": "remainder", "component": ci,
                     "x": x[0] if len(x) == 1 else x,
@@ -631,16 +607,12 @@ class Gauss1aReport:
 
 
 def verify_gauss1a(g, r, p, i_max, b=1, K=8):
-    """Compose g with x -> x^N for the divisibility rule n = p^k,
-    k = max(1, ceil(v_p(i_max!)/r)), N = n^r, and run the exhaustive T_r
-    check on each maximal ball of {x : x^N in b*(1+nM)}.
+    """Compose the PolyMap g with x -> x^N for the divisibility rule n =
+    p^k, k = max(1, ceil(v_p(i_max!)/r)), N = n^r, and run the exhaustive
+    T_r check on each maximal ball of {x : x^N in b*(1+nM)}.
 
     Requires g to have C^1-norm at most 1 on b*(1+nM).
     """
-    if isinstance(g, PolyMap):
-        gmap = g
-    else:
-        gmap = PolyMap(1, 1, [g])
     k = select_divisibility(p, r, i_max)
     n = p ** k
     N = n ** r
@@ -648,10 +620,10 @@ def verify_gauss1a(g, r, p, i_max, b=1, K=8):
     if vb < 0 or vb is INF:
         raise ConfigError("b must be a nonzero integral element")
     B = Ball(p, (b,), int(vb) + k + 1)  # an int b is its own key
-    c1 = cr_norm(gmap, 1, B)
+    c1 = cr_norm(g, 1, B)
     if c1 < 0:
         raise ConfigError(f"C^1-norm of g exceeds 1 on the ball (valuation {c1})")
-    gN = power_compose(gmap, N, 1)
+    gN = power_compose(g, N, 1)
     balls = preimage_balls(B, N, 1)
     certs = [check_Tr(gN, r, ball, K=K) for ball in balls]
     return Gauss1aReport(n, N, k, balls, certs)

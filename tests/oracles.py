@@ -577,6 +577,29 @@ def _remainder_violation(components, r, p, x, y):
     return None
 
 
+def witness_point(v):
+    """A witness coordinate as a tuple of Fractions: one value alone (a
+    point in one variable) or a sequence of them."""
+    return tuple(map(Fraction, v)) if isinstance(v, (tuple, list)) else (Fraction(v),)
+
+
+def recheck_witness(f, r, witness, p):
+    """Whether a T_r failure witness of the polynomial map f is one,
+    straight from the definition and reading only the terms of f's
+    components: a "remainder" witness names x != y with ord(f(x) - T_y(x))
+    < r * min_i ord(x_i - y_i), a "cr_norm" one a y and an order |beta| <=
+    r with ord((1/beta!) d^beta f(y)) < 0.  Coordinates may be ints,
+    Fractions or the strings of a report, as witness_point reads them."""
+    terms = f.components[witness["component"]].terms
+    y = witness_point(witness["y"])
+    if witness["kind"] == "remainder":
+        return _remainder_violation([terms], r, p, witness_point(witness["x"]), y) is not None
+    if witness["kind"] == "cr_norm":
+        beta = tuple(witness["order"])
+        return sum(beta) <= r and padic_val(_deriv_at(terms, beta, y), p) < 0
+    raise ValueError(f"unknown witness kind {witness['kind']!r}")
+
+
 def tr_check_oracle(components, r, p, center, alpha, K):
     """First T_r violation of a polynomial map Z_p^m -> Z_p^n on the ball
     center + p^alpha Z_p^m, over its residues mod p^K, straight from the

@@ -399,8 +399,8 @@ def test_det_cover_names_the_component_of_psi_that_lacks_T_r(tmp_path, capsys):
         path = write(tmp_path, "third.json", dict(COVER, psi=psi, **extra))
         assert main(["det-cover", path]) == 1
         assert ("bound violation: parametrization component lacks T_6 on Z_p: "
-                "{'kind': 'cr_norm', 'component': 1, 'order': (2,), 'y': 0, "
-                "'valuation': -1}\n") in capsys.readouterr().err
+                '{"component": 1, "kind": "cr_norm", "order": [2], "valuation": -1, '
+                '"y": 0}\n') in capsys.readouterr().err
 
 
 def test_det_cover_dimension_mismatch_exit_2(tmp_path, capsys):
@@ -1134,7 +1134,7 @@ def test_determinism_byte_identical(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
-def test_corpus_runner(tmp_path):
+def test_corpus_runner(tmp_path, capsys):
     case = tmp_path / "corpus" / "bounds-1"
     case.mkdir(parents=True)
     expected = str(case / "expected.json")
@@ -1146,7 +1146,12 @@ def test_corpus_runner(tmp_path):
     blob = json.loads(open(expected).read())
     blob["results"]["alpha"] = 99
     open(expected, "w").write(json.dumps(blob, indent=2, sort_keys=True) + "\n")
+    capsys.readouterr()
     assert main(["corpus", str(tmp_path / "corpus")]) == 1
+    # the first report line that differs is printed, and nothing else
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  bounds-1", "      report line 13: got '    \"alpha\": 2,\\n', "
+        "want '    \"alpha\": 99,\\n'", "corpus: 1 cases, 0 passed, 1 failed"]
     # empty directory passes with a warning
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -1217,6 +1222,9 @@ def test_corpus_argparse_rejection_is_case_exit_2(tmp_path, capsys):
         main(["bounds", "--m", "x"])
     usage = capsys.readouterr().err.split("\n", 1)[0]
     assert usage.startswith("usage: "), usage
+    with pytest.raises(SystemExit):
+        main(["nope"])
+    top_usage = capsys.readouterr().err.split("\n", 1)[0]
     write_corpus_case(corpus, "a-rejected", {"argv": ["bounds", "--m", "x"], "exit_code": 2,
                                              "stderr": usage}, b"")
     write_corpus_case(corpus, "b-rejected-wrong-code", {"argv": ["nope"]}, b"")
@@ -1225,33 +1233,47 @@ def test_corpus_argparse_rejection_is_case_exit_2(tmp_path, capsys):
     assert main(["corpus", str(corpus)]) == 1
     out = capsys.readouterr().out
     assert out.splitlines() == ["pass  a-rejected", "FAIL  b-rejected-wrong-code",
+                                "      exit code: got 2, want 0",
+                                f"      stderr: got {top_usage!r}, want ''",
                                 "pass  c-bounds", "corpus: 3 cases, 2 passed, 1 failed"]
 
 
 CAP_CASE = "count-ff-elliptic-q13-r4-default-cap"
 
 
-@pytest.mark.parametrize("change, passes", [
-    (None, True),
-    (("stderr", lambda line: line.replace("815730721 admits", "815730722 admits")), False),
-    (("exit_code", lambda code: 2), False),
-], ids=["as-recorded", "stderr-digit", "exit-code"])
+CAP_LINE = ("resource error: 815730721 assignments q^(r*n) exceed cap 20000000; "
+            "--cap 815730721 admits them")
+
+
+@pytest.mark.parametrize("change, report, details", [
+    (None, b"", None),
+    (("stderr", lambda line: line.replace("815730721 admits", "815730722 admits")), b"",
+     [f"stderr: got {CAP_LINE!r}, want {CAP_LINE.replace('815730721 admits', '815730722 admits')!r}"]),
+    (("exit_code", lambda code: 2), b"", ["exit code: got 3, want 2"]),
+    (None, b'{\n  "results": {}\n}\n', ["report line 1: got '', want '{\\n'"]),
+], ids=["as-recorded", "stderr-digit", "exit-code", "report"])
 def test_corpus_compares_the_stderr_line_of_a_failing_case(tmp_path, monkeypatch, capsys,
-                                                           change, passes):
+                                                           change, report, details):
     # a copy of the exit-3 corpus case passes as recorded, and fails with
-    # one digit of its stderr line changed or with another exit code; its
-    # argv names the input relative to the repository root
+    # one digit of its stderr line changed, with another exit code or with a
+    # report it does not write; under its FAIL line each part that differs
+    # is printed, and only that part.  Its argv names the input relative to
+    # the repository root
     root = Path(__file__).resolve().parent.parent
     monkeypatch.chdir(root)
     spec = json.loads((root / "corpus" / CAP_CASE / "cmd.json").read_text())
-    assert spec["exit_code"] == 3 and "815730721 admits" in spec["stderr"]
+    assert (spec["exit_code"], spec["stderr"]) == (3, CAP_LINE)
     if change:
         key, edit = change
         spec[key] = edit(spec[key])
-    write_corpus_case(tmp_path / "corpus", CAP_CASE, spec, b"")
-    assert main(["corpus", str(tmp_path / "corpus")]) == (0 if passes else 1)
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == f"{'pass' if passes else 'FAIL'}  {CAP_CASE}", out
+    write_corpus_case(tmp_path / "corpus", CAP_CASE, spec, report)
+    assert main(["corpus", str(tmp_path / "corpus")]) == (0 if details is None else 1)
+    out = capsys.readouterr().out.splitlines()
+    if details is None:
+        assert out == [f"pass  {CAP_CASE}", "corpus: 1 cases, 1 passed, 0 failed"], out
+    else:
+        assert out == ([f"FAIL  {CAP_CASE}"] + [f"      {line}" for line in details]
+                       + ["corpus: 1 cases, 0 passed, 1 failed"]), out
 
 
 def test_only_a_run_that_exits_0_writes_elapsed(tmp_path, capsys):

@@ -303,13 +303,18 @@ def test_grid_cap_is_decided_before_the_grid_is_built(parabola_curve, monkeypatc
     with pytest.raises(CapExceededError, match=r"^49 grid candidates width\^n exceed cap 48; "
                                                r"--cap 49 admits them$"):
         points_Z(parabola_curve, 3, cap=48)
-    # (2T+1)^2 = 160801 fits the cap, so the count of heights decides
+    # (2T+1)^2 = 160801 fits the cap, so the count of heights decides; it
+    # stops below T, so the grid holds at least the count reached, and
+    # (2T^2 - 2T + 3)^2 = 79603^2 admits it
     for enumerate_points in (points_Q, lambda X, T, cap: points_k(X, 2, T, cap)):
-        with pytest.raises(CapExceededError, match="; the grid holds at least that many$"):
+        with pytest.raises(CapExceededError, match=r"^at least \d+ grid candidates width\^n "
+                                                   r"exceed cap 10000000; --cap 6336637609 "
+                                                   r"admits them$"):
             enumerate_points(parabola_curve, 200, cap=10**7)
-    with pytest.raises(CapExceededError, match=r"^4004001 grid candidates width\^n exceed cap "
-                                               r"1000000; --cap 4004001 admits them; the grid "
-                                               r"holds at least that many$"):
+    # in modes Q and k the 2T+1 integers bound the grid from below only
+    with pytest.raises(CapExceededError, match=r"^at least 4004001 grid candidates width\^n "
+                                               r"exceed cap 1000000; --cap 3992015988009 "
+                                               r"admits them$"):
         points_Q(parabola_curve, 1000, cap=10**6)
     # the grid counts 4 * sum_{h<=T} phi(h) - 1 rationals, to the last one
     x = MultiPoly(1, {(1,): 1})
@@ -321,6 +326,17 @@ def test_grid_cap_is_decided_before_the_grid_is_built(parabola_curve, monkeypatc
         with pytest.raises(CapExceededError, match=rf"^{size} grid candidates width\^n exceed "
                                                    rf"cap {size - 1}; --cap {size} admits them$"):
             points_Q(spec, T, cap=size - 1)
+
+
+def test_q_grid_cap_error_names_a_cap_that_admits_the_run(circle_curve):
+    # the circle at T = 100 passes the default cap while the heights are
+    # counted; the cap the error names gets the run past the grid check
+    with pytest.raises(CapExceededError) as err:
+        points_Q(circle_curve, 100, cap=10**7)
+    message = str(err.value)
+    assert message == ("at least 10387729 grid candidates width^n exceed cap 10000000; "
+                       "--cap 392158809 admits them"), message
+    assert len(points_Q(circle_curve, 100, cap=392158809)) == 132
 
 
 def test_grid_builds_fractions_only_for_offered_points(parabola_curve, monkeypatch):

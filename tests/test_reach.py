@@ -44,8 +44,6 @@ KEEP = {
     "heights.NotFound.__repr__": "the repr of hk_poly's not-found sentinel",
     "hilbert.HilbertTable.standard_monomials": TRACER,
     "taylor.PolyMap.__repr__": REPR,
-    "taylor.recheck_witness": "the re-check of a witness from its report bytes",
-    "taylor._astuple": "reads a witness coordinate for recheck_witness",
 }
 
 PROBE = r"""

@@ -12,7 +12,6 @@ from nonarch_lab.arith_core import Ball, MultiPoly, val_int
 from nonarch_lab.errors import BoundViolation, CapExceededError, ConfigError, PrecisionError
 from nonarch_lab.taylor import (
     PolyMap,
-    _astuple,
     _derivative_table,
     _powers,
     _scaled,
@@ -22,7 +21,6 @@ from nonarch_lab.taylor import (
     merge_residue_balls,
     power_compose,
     preimage_balls,
-    recheck_witness,
     verify_gauss1a,
 )
 
@@ -77,7 +75,7 @@ def test_check_tr_binomial_fails_with_witness():
     assert cert.witness["kind"] == "remainder"
     assert (cert.witness["x"], cert.witness["y"]) == (2, 0)
     assert cert.witness["ord_lhs"] == 0 and cert.witness["bound_rhs"] == 1
-    assert recheck_witness(BINOM2, 1, cert.witness, 2)
+    assert oracles.recheck_witness(BINOM2, 1, cert.witness, 2)
 
 
 def _deep_tr_cases(rng):
@@ -126,7 +124,7 @@ def test_check_tr_matches_exact_oracle():
             outcomes.append("holds")
             continue
         assert cert.verdict == "fails"
-        assert recheck_witness(f, r, wit, p)
+        assert oracles.recheck_witness(f, r, wit, p)
         outcomes.append(want[0])
         if want[0] == "remainder":
             assert (wit["kind"], wit["component"], wit["x"], wit["y"]) == want
@@ -220,7 +218,7 @@ def test_check_tr_2d_matches_exact_oracle():
             outcomes.append(("holds-integral" if integral else "holds", m))
             continue
         assert cert.verdict == "fails", (p, center, alpha, K, r, comps)
-        assert recheck_witness(f, r, wit, p)
+        assert oracles.recheck_witness(f, r, wit, p)
         outcomes.append((want[0], m))
         if want[0] == "remainder":
             got = (wit["kind"], wit["component"], wit["x"], wit["y"],
@@ -412,7 +410,23 @@ def test_quartic_product_fails_cr_norm_at_zero():
     assert cert.verdict == "fails"
     assert cert.witness == {"kind": "cr_norm", "component": 0, "order": (0,) * 5,
                             "y": (Fraction(0),) * 5, "valuation": -1}
-    assert recheck_witness(f, 1, cert.witness, 5)
+    assert oracles.recheck_witness(f, 1, cert.witness, 5)
+
+
+def test_witness_recheck_refuses_a_witness_that_holds():
+    # the oracle re-check reads the definition, not the engine's table: a
+    # remainder witness moved to a pair that holds, and a C^r witness given
+    # an order whose divided derivative is integral there, are no witnesses;
+    # the witnesses as written in a report's JSON are
+    cert = check_Tr(BINOM2, 1, K=5)
+    assert oracles.recheck_witness(BINOM2, 1, cert.witness, 2)
+    # (x^2 - x) / 2 takes 0 at both 1 and 0
+    assert not oracles.recheck_witness(BINOM2, 1, dict(cert.witness, x=1), 2)
+    f = _quartic_product()
+    wit = check_Tr(f, 1).to_json()["witness"]
+    assert oracles.recheck_witness(f, 1, json.loads(json.dumps(wit)), 5)
+    # every term of f has x_0-degree 0 or 4, so d/dx_0 f vanishes at 0
+    assert not oracles.recheck_witness(f, 1, dict(wit, order=[1, 0, 0, 0, 0]), 5)
 
 
 def test_cr_half_builds_only_the_cr_columns(monkeypatch):
@@ -452,7 +466,7 @@ def test_zero_component_keeps_its_beta_0_entry():
     wit = cert.witness
     assert (cert.verdict, wit["kind"], wit["component"], wit["x"], wit["y"]) == (
         "fails",) + want
-    assert recheck_witness(f, 1, wit, 2)
+    assert oracles.recheck_witness(f, 1, wit, 2)
 
     comps = [{}, {(1, 1): Fraction(1, 3)}]
     f = PolyMap(2, 2, [MultiPoly(2, t) for t in comps], domain=Ball(3, (0, 0), 0))
@@ -462,7 +476,7 @@ def test_zero_component_keeps_its_beta_0_entry():
     wit = cert.witness
     assert cert.verdict == "fails"
     assert (wit["kind"], wit["component"], wit["order"], wit["y"], wit["valuation"]) == want
-    assert recheck_witness(f, 1, wit, 3)
+    assert oracles.recheck_witness(f, 1, wit, 3)
 
 
 def test_multivariate_check():
@@ -568,7 +582,7 @@ def test_diagonal_class_witness_needs_K_star():
         cert = check_Tr(f, 3, K=K)
         assert (cert.K, cert.witness) == (K, {"kind": "remainder", "component": 0, "x": 16,
                                               "y": 7, "ord_lhs": 5, "bound_rhs": 6})
-        assert recheck_witness(f, 3, cert.witness, 3)
+        assert oracles.recheck_witness(f, 3, cert.witness, 3)
 
 
 def test_1d_pair_cap_counts_the_pairs_swept(monkeypatch):
@@ -674,13 +688,13 @@ def test_last_point_of_each_test_box_decides(p, alpha, r, terms, want):
     s = max(-oracles.padic_val(c, p) for c in terms.values())
     assert oracles.tr_check_oracle([terms], r, p, (0,) * m, alpha, max(s, alpha) + 1) == want
     wit = check_Tr(f, r).witness
-    x, y = (_astuple(wit[k]) if k in wit else None for k in ("x", "y"))
+    x, y = (oracles.witness_point(wit[k]) if k in wit else None for k in ("x", "y"))
     if want[0] == "remainder":
         got = (wit["kind"], wit["component"], x, y, wit["ord_lhs"], wit["bound_rhs"])
     else:
         got = (wit["kind"], wit["component"], wit["order"], y, wit["valuation"])
     assert got == want
-    assert recheck_witness(f, r, wit, p)
+    assert oracles.recheck_witness(f, r, wit, p)
 
 
 @pytest.mark.parametrize("p, terms, evaluations, verdict", [
@@ -748,7 +762,7 @@ def test_multivariate_locator_reads_the_class_of_x_minus_y(terms, x):
     assert cert.verdict == "fails" and cert.K >= 5
     assert (wit["kind"], wit["component"], wit["x"], wit["y"], wit["ord_lhs"],
             wit["bound_rhs"]) == want
-    assert recheck_witness(f, 2, wit, 3)
+    assert oracles.recheck_witness(f, 2, wit, 3)
 
 
 def test_multivariate_map_on_a_ball_of_step_past_2_63(tmp_path):
@@ -778,7 +792,7 @@ def test_multivariate_map_on_a_ball_of_step_past_2_63(tmp_path):
                     assert cert.verdict == "holds", (p, center, alpha, r, comps)
                     outcomes.append("holds")
                     continue
-                assert cert.verdict == "fails" and recheck_witness(f, r, wit, p)
+                assert cert.verdict == "fails" and oracles.recheck_witness(f, r, wit, p)
                 assert (wit["kind"], wit["component"], wit["order"], wit["y"],
                         wit["valuation"]) == want, (p, center, alpha, r, comps)
                 outcomes.append(want[0])
@@ -987,7 +1001,7 @@ def test_check_tr_matches_exact_oracle_on_mixed_cases():
             outcomes.add(("holds", ball.m))
             continue
         assert cert.verdict == "fails", (comps, r, ball, K)
-        assert recheck_witness(f, r, wit, ball.p)
+        assert oracles.recheck_witness(f, r, wit, ball.p)
         outcomes.add((wit["kind"], ball.m))
         if ball.m == 1:
             continue

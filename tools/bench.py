@@ -67,8 +67,8 @@ def tr(ctx):
       total          the thirteen library calls whole:
                      `taylor.verify_gauss1a` per suite and `taylor.check_Tr`
                      of the degree-7 map
-      nd-K2, nd-K3   `taylor.check_Tr` of (x^2 + xy + y^2 + y^3)/3 on
-                     3Z_3^2 at r = 1 and K = 2, 3 (it holds; s = 1 = alpha,
+      nd             `taylor.check_Tr` of (x^2 + xy + y^2 + y^3)/3 on
+                     3Z_3^2 at r = 1 and K = 2 (it holds; s = 1 = alpha,
                      so only the C^r half runs, at the one test point of y)
       nd-xy81        `taylor.check_Tr` of xy + x^3 y^4/81 on 3Z_3^2 at
                      r = 1 and the default K (it holds with s = 4 >
@@ -76,9 +76,10 @@ def tr(ctx):
                      columns and then 49 remainder columns over v = 1..3)
       nd-xy243       the same with x^3 y^4/3^5 (s = 5: 20 test points of y,
                      each with 3 C^r and 69 remainder columns over v = 1..4)
-      1d-highK       `taylor.check_Tr` at r = 1 of (x^2 - x)/2 on Z_2 at
+      1d-fails       `taylor.check_Tr` at r = 1 of (x^2 - x)/2 on Z_2 at
                      K = 14 and of (x^5 - x)/5 on Z_5 at K = 6, both failing
-                     (s = 1: past K* = 2, K sets only the reported K)
+                     (s = 1: the check runs at K* = 2, and K sets only the
+                     reported K)
       1d-table       `taylor.check_Tr` at r = 1 of x^3/3^7 on Z_3 (6,561
                      table rows; the sweep fails at the first pair) and of
                      x^6/3^8 on 9Z_3 (2,187 rows; it holds): the one-variable
@@ -134,10 +135,7 @@ def tr(ctx):
             verify(g, r, p, i_max=2 * r, K=K)
         check_Tr(deg7, 3, K=K)
 
-    def nd(K):
-        return lambda: check_Tr(nd_map, 1, K=K)
-
-    def high_k():
+    def fails():
         check_Tr(binomial, 1, K=14)
         check_Tr(quintic, 1, K=6)
 
@@ -146,10 +144,10 @@ def tr(ctx):
         check_Tr(sixth, 1)
 
     return {"preimage-balls": preimage_balls, "cr-norm": cr_norm, "total": total,
-            "nd-K2": nd(2), "nd-K3": nd(3),
+            "nd": lambda: check_Tr(nd_map, 1, K=2),
             "nd-xy81": lambda: check_Tr(xy81, 1),
             "nd-xy243": lambda: check_Tr(xy243, 1),
-            "1d-highK": high_k, "1d-table": one_d_table}
+            "1d-fails": fails, "1d-table": one_d_table}
 
 
 def labmix(ctx):
