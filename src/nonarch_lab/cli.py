@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import os
@@ -254,6 +253,8 @@ def emit_report(report, args, started, rows=None):
         if started is not None:
             print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)
         if csv_fh:
+            import csv
+
             csv.writer(csv_fh).writerows(rows)
 
 

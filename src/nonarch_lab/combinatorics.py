@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith_core import is_prime, val_factorial
@@ -56,24 +56,17 @@ def V_of(n, d):
     return sum(k * lambda_count(n, k) for k in range(d + 1))
 
 
-@dataclass(frozen=True)
-class DetSetup:
-    """All constants of one determinant-method configuration."""
+class DetSetup(namedtuple("DetSetup", "m n d mu r e V epsilon")):
+    """All constants of one determinant-method configuration; epsilon is a
+    Fraction, the others ints."""
 
-    m: int
-    n: int
-    d: int
-    mu: int
-    r: int
-    e: int
-    V: int
-    epsilon: Fraction
+    __slots__ = ()
 
     @classmethod
     @functools.lru_cache(maxsize=None)
     def for_dims(cls, m, n, d):
-        """The setup of (m, n, d), built once per process (the dataclass is
-        frozen, so callers share it)."""
+        """The setup of (m, n, d), built once per process (a named tuple
+        takes no assignment, so callers share it)."""
         if m < 1 or n < 1 or d < 1:
             raise ConfigError("need m, n, d >= 1")
         mu = delta_count(n, d)

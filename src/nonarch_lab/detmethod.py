@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith_core import (INF, Ball, MultiPoly, cleared, eval_cleared, integer_form,
@@ -159,14 +158,10 @@ def _monomial_matrix(columns, n, d):
     return [list(row) for row in zip(*cols)]
 
 
-@dataclass
 class DetBoundReport:
-    setup: DetSetup
-    alpha: int
-    ord_delta: object
-    bound: int
-    ok: bool
-    delta: Fraction
+    def __init__(self, setup, alpha, ord_delta, bound, ok, delta):
+        self.setup, self.alpha, self.ord_delta = setup, alpha, ord_delta
+        self.bound, self.ok, self.delta = bound, ok, delta
 
     def to_json(self):
         return {
@@ -245,12 +240,9 @@ def certify_components(psi, r, ball):
 # auxiliary polynomials and the covering
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AuxPolynomial:
-    poly: MultiPoly
-    beta: tuple
-    beta_coeff: Fraction
-    rank: int
+    def __init__(self, poly, beta, beta_coeff, rank):
+        self.poly, self.beta, self.beta_coeff, self.rank = poly, beta, beta_coeff, rank
 
 
 def auxiliary_polynomial(points, d):
@@ -339,21 +331,15 @@ def auxiliary_polynomial(points, d):
     return AuxPolynomial(poly, beta, beta_coeff, a)
 
 
-@dataclass
 class CoverRecord:
-    ball: Ball
-    points: list
-    aux: AuxPolynomial
+    def __init__(self, ball, points, aux):
+        self.ball, self.points, self.aux = ball, points, aux
 
 
-@dataclass
 class HypersurfaceCover:
-    degree: int
-    setup: DetSetup
-    alpha: int
-    p: int
-    records: list
-    total_points: int
+    def __init__(self, degree, setup, alpha, p, records, total_points):
+        self.degree, self.setup, self.alpha, self.p = degree, setup, alpha, p
+        self.records, self.total_points = records, total_points
 
     @property
     def size(self):

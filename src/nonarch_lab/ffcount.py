@@ -11,7 +11,6 @@ powers >= r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -21,7 +20,6 @@ from .errors import (Budget, ConfigError, RingMismatchError, config_int,
                      config_list, load_json)
 
 
-@dataclass
 class VarietySpec:
     """Closed subscheme of A^n over Z[t] with declared geometry.
 
@@ -32,26 +30,19 @@ class VarietySpec:
     recomputed.
     """
 
-    n: int
-    polynomials: list
-    m: int = 1
-    d: int = 1
-    irreducible: bool = False
-    name: str = ""
-
-    def __post_init__(self):
-        config_int(self.n, "n", 0)
-        config_int(self.m, "m", 0)
-        config_int(self.d, "d", 1)
-        if not isinstance(self.irreducible, bool):
-            raise ConfigError(
-                f"irreducible must be true or false, got {self.irreducible!r}")
+    def __init__(self, n, polynomials, m=1, d=1, irreducible=False, name=""):
+        self.n = config_int(n, "n", 0)
+        self.m = config_int(m, "m", 0)
+        self.d = config_int(d, "d", 1)
+        if not isinstance(irreducible, bool):
+            raise ConfigError(f"irreducible must be true or false, got {irreducible!r}")
+        self.irreducible, self.name = irreducible, name
         cleaned = []
-        for poly in self.polynomials:
+        for poly in polynomials:
             terms = {}
             for exp, coeff in poly.items():
                 exp = tuple(config_int(e, "exponent", 0) for e in exp)
-                if len(exp) != self.n:
+                if len(exp) != n:
                     raise ConfigError("exponent arity mismatch")
                 terms[exp] = tuple(config_int(c, "coefficient") for c in coeff)
             cleaned.append(terms)
@@ -186,14 +177,13 @@ def expand_scheme(X, q, r):
 # power-law fits and bound checks
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CountRecord:
-    q: int
-    r: int
-    count: int
-    delta: int | None = None
-    mu: Fraction | None = None
-    slack_sq: Fraction | None = None
+    """One count at (q, r), with the fit (delta, mu, slack_sq) of its r
+    when there is one; mu and slack_sq are Fractions."""
+
+    def __init__(self, q, r, count, delta=None, mu=None, slack_sq=None):
+        self.q, self.r, self.count = q, r, count
+        self.delta, self.mu, self.slack_sq = delta, mu, slack_sq
 
     def to_json(self):
         return {
@@ -269,17 +259,16 @@ def estimate_delta(counts, r, n, mu_cap=64):
     return delta, Fraction(mu), Fraction(*sq)
 
 
-@dataclass
 class BoundReport:
-    r: int
-    delta: int
-    mu: Fraction
-    slack_sq: Fraction
-    trivial_bound: int
-    trivial_ok: bool
-    motivic_bound: int | None
-    motivic_ok: bool | None
-    cohen_ratio_sq: dict
+    """The bounds checked at one r; motivic_bound and motivic_ok are None
+    unless the variety is declared irreducible."""
+
+    def __init__(self, r, delta, mu, slack_sq, trivial_bound, trivial_ok,
+                 motivic_bound, motivic_ok, cohen_ratio_sq):
+        self.r, self.delta, self.mu, self.slack_sq = r, delta, mu, slack_sq
+        self.trivial_bound, self.trivial_ok = trivial_bound, trivial_ok
+        self.motivic_bound, self.motivic_ok = motivic_bound, motivic_ok
+        self.cohen_ratio_sq = cohen_ratio_sq
 
     def to_json(self):
         return {

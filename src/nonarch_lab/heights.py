@@ -13,11 +13,10 @@ are built only for the points a fibre offers to the set's membership test.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith_core import MultiPoly, integer_form, is_prime, val_fraction, val_int
+from .arith_core import integer_form, is_prime, val_fraction, val_int
 from .errors import Budget, CapExceededError, ConfigError
 
 
@@ -70,21 +69,16 @@ def enumerate_heights(T):
         yield from ((-h, b) for b in coprime)
 
 
-@dataclass(frozen=True)
 class PadicConstraint:
     """ord_p(g(x)) >= c, or angular component of g(x) at given depth = value."""
 
-    poly: MultiPoly
-    kind: str  # "ord_ge" | "ac_eq"
-    c: int = 0
-    depth: int = 1
-    value: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("ord_ge", "ac_eq"):
-            raise ConfigError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == "ac_eq" and self.depth < 1:
-            raise ConfigError(f"ac_eq constraint needs depth >= 1, got {self.depth}")
+    def __init__(self, poly, kind, c=0, depth=1, value=0):
+        if kind not in ("ord_ge", "ac_eq"):
+            raise ConfigError(f"unknown constraint kind {kind!r}")
+        if kind == "ac_eq" and depth < 1:
+            raise ConfigError(f"ac_eq constraint needs depth >= 1, got {depth}")
+        self.poly, self.kind = poly, kind  # kind: "ord_ge" | "ac_eq"
+        self.c, self.depth, self.value = c, depth, value
 
     def holds(self, point, p):
         g = self.poly.eval(point)
@@ -99,23 +93,21 @@ class PadicConstraint:
         return val_fraction(unit - self.value, p) >= self.depth
 
 
-@dataclass
 class SemialgSpec:
     """Polynomial equations/inequations over Q plus optional exact p-adic
-    valuation constraints; all decidable exactly on rational points."""
+    valuation constraints; all decidable exactly on rational points.  Each
+    list left out starts empty, a new list per spec."""
 
-    nvars: int
-    equations: list = field(default_factory=list)
-    inequations: list = field(default_factory=list)
-    p: int | None = None
-    constraints: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.p is None:
-            if self.constraints:
+    def __init__(self, nvars, equations=None, inequations=None, p=None, constraints=None):
+        constraints = [] if constraints is None else constraints
+        if p is None:
+            if constraints:
                 raise ConfigError("p-adic constraints need a designated prime")
-        elif not is_prime(self.p):
-            raise ConfigError(f"padic p = {self.p} is not prime")
+        elif not is_prime(p):
+            raise ConfigError(f"padic p = {p} is not prime")
+        self.nvars, self.p, self.constraints = nvars, p, constraints
+        self.equations = [] if equations is None else equations
+        self.inequations = [] if inequations is None else inequations
 
     def accepts(self, point, known=0):
         """Whether point lies in the set; the first `known` equations are

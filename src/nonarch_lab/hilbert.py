@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith_core import MultiPoly
@@ -195,7 +194,6 @@ def hilbert_numerator(nvars, lt_gens):
     return _numerator(_minimalize(tuple(g) for g in lt_gens), {(): {(0,) * nvars: 1}})
 
 
-@dataclass
 class HilbertTable:
     """Standard-monomial statistics of a homogeneous ideal, driven entirely
     by the leading-term exponents (I and LT(I) share the Hilbert function):
@@ -216,10 +214,9 @@ class HilbertTable:
     is cached per degree, so all statistics below share one evaluation.
     """
 
-    nvars: int
-    lt_gens: list
-    _stats: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    def __init__(self, nvars, lt_gens):
+        self.nvars, self.lt_gens = nvars, lt_gens
+        self._stats = {}
 
     @functools.cached_property
     def _terms(self):
@@ -268,12 +265,9 @@ class HilbertTable:
         return mu, mu * (mu - 1) // 2
 
 
-@dataclass
 class SalbergerReport:
-    s: int
-    ratio: Fraction
-    bound: Fraction
-    ok: bool
+    def __init__(self, s, ratio, bound, ok):
+        self.s, self.ratio, self.bound, self.ok = s, ratio, bound, ok
 
     def to_json(self):
         return {"s": self.s, "ratio": str(self.ratio),

@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
@@ -219,17 +218,13 @@ PAIR_CAP = 5 * 10**8  # residue pairs a 1-D check sweeps, evaluations a multivar
 ZERO_TABLE_ROWS = 20000  # s = 0: rows of the zero tables a 1-D check sweeps
 
 
-@dataclass
 class TrCertificate:
-    subject: PolyMap
-    r: int
-    domain: object
-    # "holds" | "fails"; a check that cannot decide raises
-    verdict: str
-    strategy: str
-    K: int
-    witness: dict | None = None
-    provenance: str = "exact"
+    def __init__(self, subject, r, domain, verdict, strategy, K, witness=None,
+                 provenance="exact"):
+        self.subject, self.r, self.domain = subject, r, domain
+        # "holds" | "fails"; a check that cannot decide raises
+        self.verdict, self.strategy, self.K = verdict, strategy, K
+        self.witness, self.provenance = witness, provenance
 
     @property
     def holds(self):
@@ -586,13 +581,10 @@ def _check_tr_nd(f, r, ball, s):
 # Gauss-norm bound verifications
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Gauss1aReport:
-    n: int
-    N: int
-    divisibility: int
-    balls: list
-    certificates: list
+    def __init__(self, n, N, divisibility, balls, certificates):
+        self.n, self.N, self.divisibility = n, N, divisibility
+        self.balls, self.certificates = balls, certificates
 
     @property
     def all_hold(self):

@@ -403,6 +403,18 @@ def test_det_cover_names_the_component_of_psi_that_lacks_T_r(tmp_path, capsys):
                 '"y": 0}\n') in capsys.readouterr().err
 
 
+def test_det_cover_past_the_pair_cap_names_taylor_PAIR_CAP(tmp_path, capsys):
+    # psi = (u, u^7/3^9) at r = 6 sweeps 3^20 residue pairs mod 3^10: det-cover
+    # has no option that raises the pair cap, and its --cap bounds the grid,
+    # so the message names the constant
+    psi = dict(COVER["psi"], components=[[{"exp": [1], "coeff": "1"}],
+                                         [{"exp": [7], "coeff": "1/19683"}]])
+    assert main(["det-cover", write(tmp_path, "deep.json", dict(COVER, psi=psi))]) == 3
+    assert capsys.readouterr().err == (
+        "resource error: 3486784401 residue pairs mod p^10 exceed cap 500000000; "
+        "taylor.PAIR_CAP 3486784401 admits them\n")
+
+
 def test_det_cover_dimension_mismatch_exit_2(tmp_path, capsys):
     psi3 = dict(COVER["psi"], n=3, components=COVER["psi"]["components"]
                 + [[{"exp": [3], "coeff": "1"}]])
@@ -1067,6 +1079,29 @@ def test_numpy_loaded_only_by_array_subcommands(tmp_path):
         ["expand-scheme", 0, False],
         ["taylor-check", 0, True],
     ]
+
+
+IMPORT_PROBE = """\
+import sys
+watched = ("dataclasses", "inspect", "csv", "numpy")
+bare = [name for name in watched if name in sys.modules]
+import importlib, json, os
+import nonarch_lab
+for name in os.listdir(nonarch_lab.__path__[0]):  # pkgutil would import inspect
+    if name.endswith(".py") and name != "__init__.py":
+        importlib.import_module("nonarch_lab." + name[:-3])
+print(json.dumps([name for name in watched if name in sys.modules and name not in bare]))
+"""
+
+
+def test_importing_every_module_loads_no_code_generator():
+    # a fresh interpreter that imports every module of the package loads
+    # neither dataclasses nor inspect (no record generates its methods),
+    # nor csv (only --csv writes rows), nor numpy; a module the bare
+    # interpreter already holds is not counted
+    proc = run_python_subprocess(["-c", IMPORT_PROBE])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_det_cover_and_multivariate_check_start_without_numpy(tmp_path):

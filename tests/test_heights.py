@@ -187,6 +187,14 @@ def test_caps_and_validation(circle_curve):
         SemialgSpec(1, [x - 100], constraints=[ord_x])
 
 
+def test_spec_lists_left_out_start_empty_and_unshared():
+    one, two = SemialgSpec(2), SemialgSpec(2)
+    assert (one.equations, one.inequations, one.p, one.constraints) == ([], [], None, [])
+    assert one.equations is not two.equations
+    assert one.inequations is not two.inequations
+    assert one.constraints is not two.constraints
+
+
 def _random_coeff(rng):
     return Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.choice([1, 1, 2, 3]))
 

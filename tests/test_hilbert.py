@@ -109,6 +109,13 @@ def test_hilbert_conic_values():
     assert table.sigma_all(4) == (16, 4, 16)
 
 
+def test_hilbert_tables_share_no_stats():
+    # each table caches its own (H(s), sigma(s)) from an empty dict
+    one, two = HilbertTable(2, [(2, 0)]), HilbertTable(2, [(2, 0)])
+    assert one._stats == {} and one._stats is not two._stats
+    assert one.hilbert_function(3) == 2 and two._stats == {}
+
+
 def test_hilbert_matches_bruteforce_oracle():
     cases = [
         ("conic", [conic_generator()]),
