@@ -603,7 +603,11 @@ def verify_gauss1a(g, r, p, i_max, b=1, K=8):
     p^k, k = max(1, ceil(v_p(i_max!)/r)), N = n^r, and run the exhaustive
     T_r check on each maximal ball of {x : x^N in b*(1+nM)}.
 
-    Requires g to have C^1-norm at most 1 on b*(1+nM).
+    Requires g to have C^1-norm at most 1 on b*(1+nM).  For a g with
+    p-integral coefficients that is a theorem, as in check_Tr's s = 0 rule:
+    every coefficient C(e, beta) a_e of a divided derivative is in Z_p, and
+    the ball lies in Z_p.  Only a g with p in a denominator has the norm
+    computed, by cr_norm, and is refused when it exceeds 1.
     """
     k = select_divisibility(p, r, i_max)
     n = p ** k
@@ -612,8 +616,7 @@ def verify_gauss1a(g, r, p, i_max, b=1, K=8):
     if vb < 0 or vb is INF:
         raise ConfigError("b must be a nonzero integral element")
     B = Ball(p, (b,), int(vb) + k + 1)  # an int b is its own key
-    c1 = cr_norm(g, 1, B)
-    if c1 < 0:
+    if _denominator_exponent(g, p) and (c1 := cr_norm(g, 1, B)) < 0:
         raise ConfigError(f"C^1-norm of g exceeds 1 on the ball (valuation {c1})")
     gN = power_compose(g, N, 1)
     balls = preimage_balls(B, N, 1)

@@ -388,9 +388,65 @@ def test_verify_gauss1a_small():
     assert rep3.all_hold and rep3.n == 3 and rep3.N == 9
 
 
-def test_verify_gauss1a_precondition():
-    with pytest.raises(ConfigError):
+def _spy_cr_norm(monkeypatch):
+    from nonarch_lab import taylor
+
+    calls = []
+
+    def spy(f, r, ball):
+        calls.append((f, r, ball))
+        return cr_norm(f, r, ball)
+
+    monkeypatch.setattr(taylor, "cr_norm", spy)
+    return calls
+
+
+def test_verify_gauss1a_precondition(monkeypatch):
+    # x/2 has 2 in a denominator: cr_norm decides it, and refuses it
+    calls = _spy_cr_norm(monkeypatch)
+    with pytest.raises(ConfigError, match=r"^C\^1-norm of g exceeds 1 on the ball \(valuation -1\)$"):
         verify_gauss1a(PolyMap.univariate([0, Fraction(1, 2)]), 2, 2, i_max=4)
+    assert len(calls) == 1
+
+
+def test_integral_maps_have_c1_norm_at_most_one_on_integral_balls():
+    # the lemma verify_gauss1a's s = 0 rule rests on: with p-integral
+    # coefficients every C(e, b) a_e is in Z_p, so on a ball inside Z_p the
+    # C^1-norm is at most 1 (valuation >= 0), whatever the centre and radius
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
+        g = PolyMap.univariate(coeffs)
+        ball = Ball(p, (rng.randint(-30, 30),), rng.randint(0, 4))
+        v = cr_norm(g, 1, ball)
+        assert v >= 0, (coeffs, p, ball)
+        seen.add(v == 0)
+    assert seen == {True, False}
+
+
+def test_verify_gauss1a_skips_the_norm_for_integral_maps(monkeypatch):
+    # the benchmark's g = x, x^2, x^2 + px hold without cr_norm being called
+    from nonarch_lab import taylor
+
+    def unreachable(*args):
+        raise AssertionError("cr_norm ran on a map with p-integral coefficients")
+
+    monkeypatch.setattr(taylor, "cr_norm", unreachable)
+    for p in (2, 3):
+        for coeffs in ([0, 1], [0, 0, 1], [0, p, 1]):
+            assert verify_gauss1a(PolyMap.univariate(coeffs), 2, p, i_max=4, K=6).all_hold
+
+
+def test_verify_gauss1a_admits_a_denominator_of_small_c1_norm(monkeypatch):
+    # (x - 1)^2/3 = 3^(2k+1) z^2 on 1 + 3^(k+1) Z_3, derivative 2 * 3^k z:
+    # p divides a denominator, so the norm is computed, and it is at most 1
+    calls = _spy_cr_norm(monkeypatch)
+    g = PolyMap.univariate([Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3)])
+    rep = verify_gauss1a(g, 2, 3, i_max=4, K=5)
+    assert len(calls) == 1 and cr_norm(*calls[0]) >= 0
+    assert rep.all_hold and rep.n == 3 and rep.N == 9
 
 
 def _quartic_product():

@@ -62,8 +62,9 @@ def tr(ctx):
 
       preimage-balls `taylor.preimage_balls` of the twelve suites' balls
       cr-norm        `taylor.cr_norm` at r = 1 of the twelve suites' maps
-                     on their balls 1 + p^(k+1) Z_p, the C^1 test that
-                     `verify_gauss1a` makes before it composes
+                     on their balls 1 + p^(k+1) Z_p: the C^1 walk that
+                     `verify_gauss1a` makes only for a g with p in a
+                     denominator, so not for these maps
       total          the thirteen library calls whole:
                      `taylor.verify_gauss1a` per suite and `taylor.check_Tr`
                      of the degree-7 map
