@@ -33,13 +33,13 @@ def delta_count(m, k):
 
 
 def r_of(m, n, d):
-    """The unique r with D_m(r-1) <= D_n(d) < D_m(r)."""
+    """The unique r with D_m(r-1) <= D_n(d) < D_m(r).  D_m(k) = C(k+m, m)
+    strictly increases from D_m(0) = 1 <= mu = D_n(d), and D_m(mu) > mu, so
+    the search stops at some r <= mu."""
     mu = delta_count(n, d)
     r = 1
     while not (delta_count(m, r - 1) <= mu < delta_count(m, r)):
         r += 1
-        if r > mu + 1:
-            raise ConfigError(f"no bracketing r found for (m,n,d)=({m},{n},{d})")
     return r
 
 

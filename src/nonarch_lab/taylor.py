@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 from . import _kernels
@@ -51,7 +50,6 @@ from .arith_core import (
     INF,
     Ball,
     MultiPoly,
-    eval_cleared,
     rational_residue,
     val_fraction,
     val_int,
@@ -170,44 +168,6 @@ def merge_residue_balls(residues, p, depth):
             if d == 0 or u % p ** (d - 1) not in full[d - 1]:
                 balls.append(Ball(p, (u,), d))
     return balls
-
-
-def cr_norm(f, r, ball):
-    """Valuation of the C^r-norm of f over the ball: the least coefficient
-    valuation, over the divided derivatives g_b with |b| <= r, of
-    g_b(c + p^alpha z) as a polynomial in z.  Its z^beta coefficient is
-    p^(alpha |beta|) C(b + beta, beta) g_(b+beta)(c), so the table
-    evaluated once at the centre c gives every one.  c is the ball's
-    integer key: the Gauss norm in z does not change under z |-> z + w, w
-    in Z_p^m, so every centre of the ball gives the same valuation.
-
-    Per component, L is the lcm of its coefficient denominators.  It
-    clears every g_gamma, whose coefficients are integer multiples C(e,
-    gamma) c_e of the component's, so the table is one integer form, L
-    g_gamma for every gamma, evaluated at the key in one eval_cleared call;
-    v_p(g_gamma(c)) is v_p(L g_gamma(c)) - v_p(L).  Larger is smaller norm."""
-    _same_dimension(f, ball)
-    p, a = ball.p, ball.alpha
-    best = INF
-    for comp, entries in zip(f.components, _derivative_table(f)):
-        L = math.lcm(*(c.denominator for c in comp.terms.values()))
-        deg = comp.degree() or 0  # bounds the degree of every g_gamma
-        values, _den = eval_cleared(
-            [(1, deg, [(exp, c.numerator * (L // c.denominator)) for exp, c in g.items()])
-             for _gamma, g in entries], ball.center, ball.m)
-        vL = val_int(L, p)
-        # a zero value has valuation INF and lowers nothing
-        at_c = [(gamma, sum(gamma), val_int(v, p) - vL)
-                for (gamma, _g), v in zip(entries, values) if v]
-        for b, _g in entries:
-            nb = sum(b)
-            if nb > r:
-                break
-            for gamma, ng, v in at_c:
-                if all(map(operator.ge, gamma, b)):
-                    best = min(best, v + a * (ng - nb) + sum(
-                        val_int(math.comb(gi, bi), p) for gi, bi in zip(gamma, b) if bi))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +563,11 @@ def verify_gauss1a(g, r, p, i_max, b=1, K=8):
     p^k, k = max(1, ceil(v_p(i_max!)/r)), N = n^r, and run the exhaustive
     T_r check on each maximal ball of {x : x^N in b*(1+nM)}.
 
-    Requires g to have C^1-norm at most 1 on b*(1+nM).  For a g with
+    The rule needs g to have C^1-norm at most 1 on b*(1+nM).  For a g with
     p-integral coefficients that is a theorem, as in check_Tr's s = 0 rule:
     every coefficient C(e, beta) a_e of a divided derivative is in Z_p, and
-    the ball lies in Z_p.  Only a g with p in a denominator has the norm
-    computed, by cr_norm, and is refused when it exceeds 1.
+    the ball lies in Z_p.  So g must have p-integral coefficients; a g with
+    p in a denominator is refused before anything is composed.
     """
     k = select_divisibility(p, r, i_max)
     n = p ** k
@@ -616,8 +576,8 @@ def verify_gauss1a(g, r, p, i_max, b=1, K=8):
     if vb < 0 or vb is INF:
         raise ConfigError("b must be a nonzero integral element")
     B = Ball(p, (b,), int(vb) + k + 1)  # an int b is its own key
-    if _denominator_exponent(g, p) and (c1 := cr_norm(g, 1, B)) < 0:
-        raise ConfigError(f"C^1-norm of g exceeds 1 on the ball (valuation {c1})")
+    if _denominator_exponent(g, p):
+        raise ConfigError(f"g has {p} in a coefficient denominator; need {p}-integral coefficients")
     gN = power_compose(g, N, 1)
     balls = preimage_balls(B, N, 1)
     certs = [check_Tr(gN, r, ball, K=K) for ball in balls]

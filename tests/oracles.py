@@ -350,20 +350,6 @@ def padic_val(x, p):
     return v
 
 
-def pointwise_cr_valuation(coeffs, r, points, p):
-    """Min over sample points and orders <= r of the valuation of the
-    divided derivatives of a univariate polynomial (sup-norm side of the
-    Gauss = sup cross-check)."""
-    best = float("inf")
-    D = len(coeffs) - 1
-    for j in range(min(r, D) + 1):
-        dd = [comb(i + j, j) * coeffs[i + j] for i in range(D - j + 1)]
-        for x in points:
-            val = sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(dd))
-            best = min(best, padic_val(val, p))
-    return best
-
-
 def tr_residue_oracle(components, r, p, residues):
     """First T_r violation of a univariate polynomial map on the given
     residues, straight from the definition, or None.

@@ -44,8 +44,6 @@ KEEP = {
     "heights.NotFound.__repr__": "the repr of hk_poly's not-found sentinel",
     "hilbert.HilbertTable.standard_monomials": TRACER,
     "taylor.PolyMap.__repr__": REPR,
-    "taylor.cr_norm": "verify_gauss1a's C^1 test for a g with p in a denominator; "
-                      "no benchmark g and no corpus case has one",
 }
 
 PROBE = r"""

@@ -17,7 +17,6 @@ from nonarch_lab.taylor import (
     _scaled,
     _value,
     check_Tr,
-    cr_norm,
     merge_residue_balls,
     power_compose,
     preimage_balls,
@@ -30,36 +29,6 @@ Z3 = Ball(3, (0,), 0)
 X2 = PolyMap.univariate([0, 0, 1], domain=Z3)
 X3 = PolyMap.univariate([0, 0, 0, 1], domain=Z3)
 BINOM2 = PolyMap.univariate([0, Fraction(-1, 2), Fraction(1, 2)], domain=Z2)
-
-
-def test_cr_norm_examples():
-    assert cr_norm(X2, 2, Z3) == 0
-    assert cr_norm(BINOM2, 2, Z2) == -1
-    assert cr_norm(PolyMap.univariate([0, 0, 3]), 1, Z3) == 1
-
-
-def test_cr_norm_gauss_equals_pointwise_sup():
-    # with r >= deg f, the divided derivatives evaluated at the ball center
-    # are the coefficients themselves, so the exhaustive pointwise minimum
-    # attains the Gauss valuation exactly
-    rng = random.Random(9)
-    for _ in range(20):
-        coeffs = [Fraction(rng.randint(-8, 8)) for _ in range(4)]
-        if all(c == 0 for c in coeffs):
-            continue
-        f = PolyMap.univariate(coeffs)
-        gauss = cr_norm(f, 3, Z3)
-        points = range(0, 3 ** 4)
-        pointwise = oracles.pointwise_cr_valuation(coeffs, 3, points, 3)
-        assert gauss == pointwise
-    # below the degree the Gauss valuation only dominates: (x^3-x)^2 has
-    # C^1 data vanishing mod 3 at every point of Z_3 while a coefficient
-    # of the derivative stays a unit
-    sq = PolyMap.univariate([0, 0, 1, 0, -2, 0, 1])  # (x^3 - x)^2
-    gauss = cr_norm(sq, 1, Z3)
-    pointwise = oracles.pointwise_cr_valuation(
-        [Fraction(c) for c in (0, 0, 1, 0, -2, 0, 1)], 1, range(0, 3 ** 4), 3)
-    assert gauss == 0 and pointwise >= 1
 
 
 def test_check_tr_x2_holds():
@@ -388,29 +357,26 @@ def test_verify_gauss1a_small():
     assert rep3.all_hold and rep3.n == 3 and rep3.N == 9
 
 
-def _spy_cr_norm(monkeypatch):
+def test_verify_gauss1a_precondition(monkeypatch):
+    # a g with p in a coefficient denominator is refused before anything is
+    # composed: x/2 at p = 2, and (x - 1)^2/3 at p = 3, whose C^1-norm on
+    # 1 + 3^(k+1) Z_3 is at most 1
     from nonarch_lab import taylor
 
-    calls = []
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify_gauss1a went past its precondition")
 
-    def spy(f, r, ball):
-        calls.append((f, r, ball))
-        return cr_norm(f, r, ball)
-
-    monkeypatch.setattr(taylor, "cr_norm", spy)
-    return calls
-
-
-def test_verify_gauss1a_precondition(monkeypatch):
-    # x/2 has 2 in a denominator: cr_norm decides it, and refuses it
-    calls = _spy_cr_norm(monkeypatch)
-    with pytest.raises(ConfigError, match=r"^C\^1-norm of g exceeds 1 on the ball \(valuation -1\)$"):
-        verify_gauss1a(PolyMap.univariate([0, Fraction(1, 2)]), 2, 2, i_max=4)
-    assert len(calls) == 1
+    for name in ("power_compose", "preimage_balls", "check_Tr"):
+        monkeypatch.setattr(taylor, name, unreachable)
+    for p, coeffs in ((2, [0, Fraction(1, 2)]),
+                      (3, [Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3)])):
+        with pytest.raises(ConfigError, match=rf"^g has {p} in a coefficient denominator; "
+                                              rf"need {p}-integral coefficients$"):
+            verify_gauss1a(PolyMap.univariate(coeffs), 2, p, i_max=4, K=5)
 
 
 def test_integral_maps_have_c1_norm_at_most_one_on_integral_balls():
-    # the lemma verify_gauss1a's s = 0 rule rests on: with p-integral
+    # the lemma verify_gauss1a's precondition rests on: with p-integral
     # coefficients every C(e, b) a_e is in Z_p, so on a ball inside Z_p the
     # C^1-norm is at most 1 (valuation >= 0), whatever the centre and radius
     rng = random.Random(31)
@@ -418,35 +384,19 @@ def test_integral_maps_have_c1_norm_at_most_one_on_integral_balls():
     for _ in range(300):
         p = rng.choice([2, 3, 5])
         coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
-        g = PolyMap.univariate(coeffs)
         ball = Ball(p, (rng.randint(-30, 30),), rng.randint(0, 4))
-        v = cr_norm(g, 1, ball)
+        terms = {(i,): Fraction(c) for i, c in enumerate(coeffs) if c}
+        v = oracles.gauss_cr_valuation([terms], 1, p, ball.center, ball.alpha)
         assert v >= 0, (coeffs, p, ball)
         seen.add(v == 0)
     assert seen == {True, False}
 
 
-def test_verify_gauss1a_skips_the_norm_for_integral_maps(monkeypatch):
-    # the benchmark's g = x, x^2, x^2 + px hold without cr_norm being called
-    from nonarch_lab import taylor
-
-    def unreachable(*args):
-        raise AssertionError("cr_norm ran on a map with p-integral coefficients")
-
-    monkeypatch.setattr(taylor, "cr_norm", unreachable)
+def test_verify_gauss1a_skips_the_norm_for_integral_maps():
+    # the benchmark's g = x, x^2, x^2 + px pass the precondition and hold
     for p in (2, 3):
         for coeffs in ([0, 1], [0, 0, 1], [0, p, 1]):
             assert verify_gauss1a(PolyMap.univariate(coeffs), 2, p, i_max=4, K=6).all_hold
-
-
-def test_verify_gauss1a_admits_a_denominator_of_small_c1_norm(monkeypatch):
-    # (x - 1)^2/3 = 3^(2k+1) z^2 on 1 + 3^(k+1) Z_3, derivative 2 * 3^k z:
-    # p divides a denominator, so the norm is computed, and it is at most 1
-    calls = _spy_cr_norm(monkeypatch)
-    g = PolyMap.univariate([Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3)])
-    rep = verify_gauss1a(g, 2, 3, i_max=4, K=5)
-    assert len(calls) == 1 and cr_norm(*calls[0]) >= 0
-    assert rep.all_hold and rep.n == 3 and rep.N == 9
 
 
 def _quartic_product():
@@ -960,15 +910,6 @@ def test_integral_1d_zero_tables_are_zero_stride_views(monkeypatch):
                 assert seen == (want if deg + 1 > r else []), (p, alpha, K, r, deg)
 
 
-def test_cr_norm_refuses_a_ball_of_the_wrong_dimension():
-    xy = PolyMap(2, 1, [MultiPoly(2, {(1, 1): Fraction(1, 3), (0, 1): 1})])
-    with pytest.raises(ConfigError, match="^ball of dimension 1 for a map in 2 variables$"):
-        cr_norm(xy, 1, Z3)
-    x = PolyMap.univariate([0, Fraction(1, 3)])
-    with pytest.raises(ConfigError, match="^ball of dimension 2 for a map in 1 variables$"):
-        cr_norm(x, 1, Ball(3, (0, 0), 0))
-
-
 def test_tail_floor_provenance():
     # a tail of Gauss valuation F >= alpha*r carries the verdict over:
     # exact; below alpha*r the verdict is up to the tail
@@ -1098,64 +1039,27 @@ def test_power_preimage_balls_match_fraction_test():
     assert kinds >= {"empty", "full", "part", "non-integral b"}
 
 
-def test_cr_norm_and_preimage_balls_read_the_key_as_the_centre():
-    # a ball keeps only the integer key of its centre: the Gauss valuation
-    # of g_beta(c + p^alpha z), and the members of a power preimage, are the
-    # same at a centre c with a unit denominator as at its key
+def test_preimage_balls_read_the_key_as_the_centre():
+    # a ball keeps only the integer key of its centre: the members of a
+    # power preimage are the same at a centre c with a unit denominator as
+    # at its key
     rng = random.Random(23)
     seen = set()
     for _ in range(300):
-        p, m, alpha = rng.choice([2, 3, 5, 7]), rng.randint(1, 2), rng.randint(0, 3)
-        center = tuple(Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 5, 7, 11]))
-                       for _ in range(m))
-        if any(c.denominator % p == 0 for c in center):
+        p, alpha = rng.choice([2, 3, 5, 7]), rng.randint(0, 3)
+        c = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 5, 7, 11]))
+        if c.denominator % p == 0:
             continue
-        ball = Ball(p, center, alpha)
-        comps = [{tuple(rng.randint(0, 3) for _ in range(m)):
-                  Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, p, p * p]))
-                  for _ in range(rng.randint(1, 3))}
-                 for _ in range(rng.randint(1, 2))]
-        f = PolyMap(m, len(comps), [MultiPoly(m, t) for t in comps])
-        r = rng.randint(1, 3)
-        want = oracles.gauss_cr_valuation(comps, r, p, center, alpha)
-        assert oracles.gauss_cr_valuation(comps, r, p, ball.center, alpha) == want
-        assert cr_norm(f, r, ball) == want, (comps, r, p, center, alpha)
-        seen.add(("unit denominator" if any(c.denominator > 1 for c in center)
-                  else "integer", want < 0))
-        if m == 1:
-            N = rng.choice([1, 2, 3, 4, 9])
-            b = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, p]))
-            members, j = oracles.power_preimage_residues(p, N, b, center[0], alpha)
-            assert oracles.power_preimage_residues(p, N, b, ball.center[0], alpha) == (members, j)
-            want = [(d.center, d.alpha) for d in merge_residue_balls(members, p, j)]
-            assert [(d.center, d.alpha) for d in preimage_balls(ball, N, b)] == want
-    assert seen == {(kind, neg) for kind in ("unit denominator", "integer")
-                    for neg in (False, True)}, seen
-
-
-def test_cr_norm_per_component_denominators_and_zero_components():
-    # each component is cleared by the lcm of its own denominators: maps
-    # whose components have different denominators, or a zero component
-    # (valuation INF), match the Fraction expansion at the centre
-    rng = random.Random(29)
-    seen = set()
-    for _ in range(150):
-        p, m, alpha = rng.choice([2, 3, 5]), rng.randint(1, 2), rng.randint(0, 2)
-        center = tuple(rng.randint(-20, 20) for _ in range(m))
-        dens = rng.sample([1, p, p * p, 7, 5 * p, 11], 3)
-        comps = [{} if rng.random() < 0.2 else
-                 {tuple(rng.randint(0, 3) for _ in range(m)):
-                  Fraction(rng.randint(-9, 9), den) for _ in range(rng.randint(1, 3))}
-                 for den in dens[:rng.randint(2, 3)]]
-        f = PolyMap(m, len(comps), [MultiPoly(m, t) for t in comps])
-        r = rng.randint(1, 2)
-        want = oracles.gauss_cr_valuation(comps, r, p, center, alpha)
-        assert cr_norm(f, r, Ball(p, center, alpha)) == want, (comps, r, p, center, alpha)
-        zero = [MultiPoly(m, t).is_zero() for t in comps]
-        seen.add(("zero" if any(zero) else "nonzero", want < 0))
-    assert seen >= {("zero", False), ("zero", True), ("nonzero", False), ("nonzero", True)}, seen
-    zero_map = PolyMap(2, 2, [MultiPoly(2, {}), MultiPoly(2, {})])
-    assert cr_norm(zero_map, 2, Ball(3, (1, 2), 1)) == math.inf
+        ball = Ball(p, (c,), alpha)
+        N = rng.choice([1, 2, 3, 4, 9])
+        b = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, p]))
+        members, j = oracles.power_preimage_residues(p, N, b, c, alpha)
+        assert oracles.power_preimage_residues(p, N, b, ball.center[0], alpha) == (members, j)
+        want = [(d.center, d.alpha) for d in merge_residue_balls(members, p, j)]
+        assert [(d.center, d.alpha) for d in preimage_balls(ball, N, b)] == want
+        seen.add(("unit denominator" if c.denominator > 1 else "integer", bool(members)))
+    assert seen == {(kind, found) for kind in ("unit denominator", "integer")
+                    for found in (False, True)}, seen
 
 
 def test_check_tr_ball_of_another_dimension(monkeypatch):

@@ -12,8 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 STAGES = {
-    "tr": ["preimage-balls", "cr-norm", "total", "nd", "nd-xy81", "nd-xy243", "1d-fails",
-           "1d-table"],
+    "tr": ["preimage-balls", "total", "nd", "nd-xy81", "nd-xy243", "1d-fails", "1d-table"],
     "labmix": ["parser", "fit", "count-labmix", "count-ff-cli", "emit", "count-elliptic",
                "count-deep", "count-dense", "expand-scheme", "ff-power",
                "grid-circle-Q10", "grid-parabola-Z100", "points-parabola-Z20000",

@@ -61,10 +61,6 @@ def tr(ctx):
     plus three multivariate maps and four in one variable.  The stages:
 
       preimage-balls `taylor.preimage_balls` of the twelve suites' balls
-      cr-norm        `taylor.cr_norm` at r = 1 of the twelve suites' maps
-                     on their balls 1 + p^(k+1) Z_p: the C^1 walk that
-                     `verify_gauss1a` makes only for a g with p in a
-                     denominator, so not for these maps
       total          the thirteen library calls whole:
                      `taylor.verify_gauss1a` per suite and `taylor.check_Tr`
                      of the degree-7 map
@@ -97,16 +93,14 @@ def tr(ctx):
 
     check_Tr, verify = taylor.check_Tr, taylor.verify_gauss1a
     K = 8
-    suites, preimages, norms = [], [], []
+    suites, preimages = [], []
     for p in (2, 3):
         for r in (2, 3):
             k = select_divisibility(p, r, 2 * r)
             base = Ball(p, (1,), k + 1)
             preimages.append((base, p ** (k * r)))
-            maps = [taylor.PolyMap.univariate(coeffs)
-                    for coeffs in ([0, 1], [0, 0, 1], [0, p, 1])]
-            suites += [(g, r, p) for g in maps]
-            norms += [(g, base) for g in maps]
+            suites += [(taylor.PolyMap.univariate(coeffs), r, p)
+                       for coeffs in ([0, 1], [0, 0, 1], [0, p, 1])]
     deg7 = cli.parse_polymap(ctx.workloads.TR_DEG7)
 
     third = Fraction(1, 3)
@@ -127,10 +121,6 @@ def tr(ctx):
         for base, N in preimages:
             balls_of(base, N, 1)
 
-    def cr_norm():
-        for g, base in norms:
-            taylor.cr_norm(g, 1, base)
-
     def total():
         for g, r, p in suites:
             verify(g, r, p, i_max=2 * r, K=K)
@@ -144,7 +134,7 @@ def tr(ctx):
         check_Tr(cube, 1)
         check_Tr(sixth, 1)
 
-    return {"preimage-balls": preimage_balls, "cr-norm": cr_norm, "total": total,
+    return {"preimage-balls": preimage_balls, "total": total,
             "nd": lambda: check_Tr(nd_map, 1, K=2),
             "nd-xy81": lambda: check_Tr(xy81, 1),
             "nd-xy243": lambda: check_Tr(xy243, 1),
