@@ -375,6 +375,18 @@ def test_verify_gauss1a_precondition(monkeypatch):
             verify_gauss1a(PolyMap.univariate(coeffs), 2, p, i_max=4, K=5)
 
 
+def test_verify_gauss1a_admits_a_denominator_of_small_c1_norm():
+    # a denominator prime to p keeps g p-integral, so the precondition admits
+    # it: (x - 1)^2/2 at p = 3 and x/3 at p = 2, each of C^1-norm at most 1
+    # on Z_p, pass and hold
+    for p, coeffs, n in ((3, [Fraction(1, 2), Fraction(-1), Fraction(1, 2)], 3),
+                         (2, [0, Fraction(1, 3)], 4)):
+        terms = {(i,): Fraction(c) for i, c in enumerate(coeffs) if c}
+        assert oracles.gauss_cr_valuation([terms], 1, p, (0,), 0) >= 0
+        rep = verify_gauss1a(PolyMap.univariate(coeffs), 2, p, i_max=4, K=5)
+        assert rep.all_hold and rep.n == n and rep.N == n * n
+
+
 def test_integral_maps_have_c1_norm_at_most_one_on_integral_balls():
     # the lemma verify_gauss1a's precondition rests on: with p-integral
     # coefficients every C(e, b) a_e is in Z_p, so on a ball inside Z_p the
